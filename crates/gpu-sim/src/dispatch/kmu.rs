@@ -79,6 +79,11 @@ impl PartialOrd for Arrival {
 #[derive(Clone, Debug)]
 pub struct Kmu {
     hwqs: Vec<VecDeque<PendingKernel>>,
+    /// Kernels queued across all of `hwqs`. Zero for most of a run (the
+    /// host kernels dispatch early), which lets [`tick`](Self::tick),
+    /// [`next_event_at`](Self::next_event_at) and
+    /// [`is_empty`](Self::is_empty) skip walking the queues.
+    host_queued: usize,
     blocked: Vec<bool>,
     device_q: VecDeque<PendingKernel>,
     arrivals: BinaryHeap<Arrival>,
@@ -87,6 +92,9 @@ pub struct Kmu {
     /// dispatch may start per cycle) with the measured 283-cycle latency;
     /// each entry is `(ready_at, reserved_slot, kernel)`.
     in_dispatch: VecDeque<(u64, u32, PendingKernel)>,
+    /// Scratch for the slots `in_dispatch` has reserved, handed to the
+    /// `free_slot` probe; reused so a retried dispatch never allocates.
+    reserved: Vec<u32>,
     rr_hwq: usize,
     trace: TraceBuffer,
 }
@@ -96,11 +104,13 @@ impl Kmu {
     pub fn new(num_hwqs: usize) -> Self {
         Kmu {
             hwqs: (0..num_hwqs).map(|_| VecDeque::new()).collect(),
+            host_queued: 0,
             blocked: vec![false; num_hwqs],
             device_q: VecDeque::new(),
             arrivals: BinaryHeap::new(),
             arrival_seq: 0,
             in_dispatch: VecDeque::new(),
+            reserved: Vec::new(),
             rr_hwq: 0,
             trace: TraceBuffer::default(),
         }
@@ -129,6 +139,7 @@ impl Kmu {
             });
         }
         self.hwqs[hwq].push_back(pk);
+        self.host_queued += 1;
     }
 
     /// Enqueues a device-launched kernel, visible to dispatch at cycle
@@ -171,6 +182,10 @@ impl Kmu {
         // late), then host work queues round-robin.
         let next = if let Some(pk) = self.device_q.pop_front() {
             Some(pk)
+        } else if self.host_queued == 0 {
+            // Nothing to find, and a fruitless walk leaves `rr_hwq` where
+            // it was: skipping it is exact.
+            None
         } else {
             let n = self.hwqs.len();
             let mut found = None;
@@ -180,6 +195,7 @@ impl Kmu {
                     continue;
                 }
                 if let Some(pk) = self.hwqs[q].pop_front() {
+                    self.host_queued -= 1;
                     self.blocked[q] = true;
                     self.rr_hwq = (q + 1) % n;
                     found = Some(pk);
@@ -189,8 +205,10 @@ impl Kmu {
             found
         };
         if let Some(pk) = next {
-            let reserved: Vec<u32> = self.in_dispatch.iter().map(|(_, s, _)| *s).collect();
-            match free_slot(&reserved) {
+            self.reserved.clear();
+            self.reserved
+                .extend(self.in_dispatch.iter().map(|(_, s, _)| *s));
+            match free_slot(&self.reserved) {
                 Some(slot) => {
                     self.in_dispatch
                         .push_back((now + dispatch_latency, slot, pk));
@@ -202,6 +220,7 @@ impl Kmu {
                         Origin::Host { hwq } => {
                             self.blocked[hwq] = false;
                             self.hwqs[hwq].push_front(pk);
+                            self.host_queued += 1;
                         }
                         Origin::Device { .. } => self.device_q.push_front(pk),
                     }
@@ -246,11 +265,12 @@ impl Kmu {
             fold((*ready).max(now + 1));
         }
         let startable = !self.device_q.is_empty()
-            || self
-                .hwqs
-                .iter()
-                .zip(&self.blocked)
-                .any(|(q, b)| !b && !q.is_empty());
+            || (self.host_queued > 0
+                && self
+                    .hwqs
+                    .iter()
+                    .zip(&self.blocked)
+                    .any(|(q, b)| !b && !q.is_empty()));
         if startable {
             fold(now + 1);
         }
@@ -262,7 +282,13 @@ impl Kmu {
         self.in_dispatch.is_empty()
             && self.device_q.is_empty()
             && self.arrivals.is_empty()
-            && self.hwqs.iter().all(VecDeque::is_empty)
+            && self.host_queued == 0
+    }
+
+    /// Host kernels queued across all hardware work queues (the cached
+    /// sum of [`hwq_depths`](Self::hwq_depths)).
+    pub fn host_queued(&self) -> usize {
+        self.host_queued
     }
 
     /// Pending device-launched kernels (matured + yet to mature).
@@ -400,5 +426,139 @@ mod tests {
         assert_eq!(a.1.kernel, KernelId(1));
         let b = kmu.tick(6, 0, |_| Some(1)).unwrap();
         assert_eq!(b.1.kernel, KernelId(2));
+    }
+
+    /// The KMU as first written: every question answered by walking all
+    /// the queues, no cached count. Kernels are their ids.
+    #[derive(Default)]
+    struct RefKmu {
+        hwqs: Vec<VecDeque<u16>>,
+        blocked: Vec<bool>,
+        device_q: VecDeque<u16>,
+        /// `(at, seq, kernel)`.
+        arrivals: Vec<(u64, u64, u16)>,
+        /// `(ready_at, slot, kernel, source hwq)`.
+        in_dispatch: VecDeque<(u64, u32, u16, Option<usize>)>,
+        rr_hwq: usize,
+    }
+
+    impl RefKmu {
+        fn tick(&mut self, now: u64, latency: u64, free: bool) -> Option<(u32, u16)> {
+            self.arrivals.sort_unstable();
+            while self.arrivals.first().is_some_and(|a| a.0 <= now) {
+                self.device_q.push_back(self.arrivals.remove(0).2);
+            }
+            let n = self.hwqs.len();
+            let next = match self.device_q.pop_front() {
+                Some(k) => Some((k, None)),
+                None => (0..n)
+                    .map(|i| (self.rr_hwq + i) % n)
+                    .find(|&q| !self.blocked[q] && !self.hwqs[q].is_empty())
+                    .map(|q| {
+                        self.blocked[q] = true;
+                        self.rr_hwq = (q + 1) % n;
+                        (self.hwqs[q].pop_front().unwrap(), Some(q))
+                    }),
+            };
+            if let Some((k, from)) = next {
+                if free {
+                    let slot = lowest_unreserved(&self.reserved());
+                    self.in_dispatch.push_back((now + latency, slot, k, from));
+                } else if let Some(q) = from {
+                    self.blocked[q] = false;
+                    self.hwqs[q].push_front(k);
+                } else {
+                    self.device_q.push_front(k);
+                }
+            }
+            if self.in_dispatch.front().is_some_and(|d| d.0 <= now) {
+                return self.in_dispatch.pop_front().map(|d| (d.1, d.2));
+            }
+            None
+        }
+
+        fn reserved(&self) -> Vec<u32> {
+            self.in_dispatch.iter().map(|d| d.1).collect()
+        }
+
+        fn next_event_at(&self, now: u64) -> Option<u64> {
+            let startable = !self.device_q.is_empty()
+                || (0..self.hwqs.len()).any(|q| !self.blocked[q] && !self.hwqs[q].is_empty());
+            self.arrivals
+                .iter()
+                .map(|a| a.0.max(now + 1))
+                .chain(self.in_dispatch.front().map(|d| d.0.max(now + 1)))
+                .chain(startable.then_some(now + 1))
+                .min()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.in_dispatch.is_empty()
+                && self.device_q.is_empty()
+                && self.arrivals.is_empty()
+                && self.hwqs.iter().all(VecDeque::is_empty)
+        }
+    }
+
+    fn lowest_unreserved(reserved: &[u32]) -> u32 {
+        (0..).find(|s| !reserved.contains(s)).unwrap()
+    }
+
+    #[test]
+    fn cached_queue_count_matches_a_queue_walking_reference() {
+        use sim_rand::{Rng, SeedableRng, StdRng};
+        const HWQS: usize = 4;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0x4b4d_5500 + seed);
+            let mut kmu = Kmu::new(HWQS);
+            let mut model = RefKmu {
+                hwqs: vec![VecDeque::new(); HWQS],
+                blocked: vec![false; HWQS],
+                ..RefKmu::default()
+            };
+            let mut now = 0u64;
+            let mut next_kernel = 0u16;
+            let mut seq = 0u64;
+            for step in 0..3000 {
+                let ctx = format!("seed {seed} step {step} cycle {now}");
+                match rng.gen_range(0..10u32) {
+                    0 => {
+                        let stream = rng.gen_range(0..6u32);
+                        kmu.push_host(stream, pk(next_kernel));
+                        model.hwqs[stream as usize % HWQS].push_back(next_kernel);
+                        next_kernel += 1;
+                    }
+                    1 => {
+                        let at = now + rng.gen_range(0..20u64);
+                        kmu.push_device(at, pk(next_kernel));
+                        model.arrivals.push((at, seq, next_kernel));
+                        seq += 1;
+                        next_kernel += 1;
+                    }
+                    2 => {
+                        let q = rng.gen_range(0..HWQS);
+                        kmu.unblock_hwq(q);
+                        model.blocked[q] = false;
+                    }
+                    _ => {
+                        let free = rng.gen_bool(0.7);
+                        let latency = rng.gen_range(0..6u64);
+                        let reserved = model.reserved();
+                        let got = kmu.tick(now, latency, |r| {
+                            assert_eq!(r, reserved, "{ctx}: reserved slots handed to the probe");
+                            free.then(|| lowest_unreserved(r))
+                        });
+                        let want = model.tick(now, latency, free);
+                        assert_eq!(got.map(|(slot, pk)| (slot, pk.kernel.0)), want, "{ctx}");
+                        now += rng.gen_range(0..3u64);
+                    }
+                }
+                assert_eq!(kmu.next_event_at(now), model.next_event_at(now), "{ctx}");
+                assert_eq!(kmu.is_empty(), model.is_empty(), "{ctx}");
+                let depths: Vec<usize> = model.hwqs.iter().map(VecDeque::len).collect();
+                assert_eq!(kmu.hwq_depths(), depths, "{ctx}");
+                assert_eq!(kmu.host_queued(), depths.iter().sum::<usize>(), "{ctx}");
+            }
+        }
     }
 }

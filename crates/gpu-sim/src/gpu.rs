@@ -8,7 +8,7 @@ use crate::fault::FaultPlan;
 use crate::runtime::degrade::LaunchRetry;
 use crate::shard::{self, EffectItem, SmxEffects, StageControl};
 use crate::smx::warp::WarpState;
-use crate::smx::{Smx, Tbcr};
+use crate::smx::{release_barrier, Smx, Tbcr};
 use crate::stats::Stats;
 use dtbl_core::{FcfsController, GroupRef, SchedulingPool};
 use gpu_isa::{
@@ -99,6 +99,10 @@ pub struct Gpu {
     pub(crate) pool: SchedulingPool,
     pub(crate) fcfs: FcfsController,
     pub(crate) smxs: Vec<Smx>,
+    /// Live warps across all SMXs (Σ [`Smx::live_warps`]), kept in step
+    /// at placement and warp completion so occupancy sampling, the
+    /// run-loop skip and [`is_idle`](Self::is_idle) never walk the SMXs.
+    pub(crate) resident_warps: u32,
     pub(crate) cycle: u64,
     pub(crate) warp_age: u64,
     pub(crate) stats: Stats,
@@ -134,11 +138,6 @@ pub struct Gpu {
     /// Pooled scratch for the tracked access ids of one committed
     /// `MemIssue` item.
     pub(crate) txn_ids_buf: Vec<AccessId>,
-    /// Cycle at which the shard staging buffers were last filled
-    /// (`u64::MAX` = never): a quiet staged step's horizon reduction can
-    /// then reuse the shard-local `next_ready_at` bounds instead of
-    /// rescanning every warp slab serially.
-    pub(crate) staged_at: u64,
     /// Steps actually executed (cycles stepped, not skipped). Equals
     /// `cycle` under per-cycle stepping; far smaller under event-driven
     /// stepping on latency-bound workloads. Not part of [`Stats`] — the
@@ -225,6 +224,7 @@ impl Gpu {
             pool: SchedulingPool::new(cfg.agt_entries, cfg.kde_entries),
             fcfs: FcfsController::new(cfg.kde_entries),
             smxs: (0..cfg.num_smx).map(|i| Smx::new(i, &cfg)).collect(),
+            resident_warps: 0,
             cycle: 0,
             warp_age: 0,
             stats,
@@ -239,7 +239,6 @@ impl Gpu {
             txn_buf: Vec::new(),
             shards: Vec::new(),
             txn_ids_buf: Vec::new(),
-            staged_at: u64::MAX,
             steps_executed: 0,
             progress_marker: 0,
             tracer: Recorder::new(cfg.trace),
@@ -286,6 +285,7 @@ impl Gpu {
         } else {
             self.smxs = (0..cfg.num_smx).map(|i| Smx::new(i, &cfg)).collect();
         }
+        self.resident_warps = 0;
         self.cycle = 0;
         self.warp_age = 0;
         self.stats = Stats {
@@ -311,7 +311,6 @@ impl Gpu {
             fx.clear();
         }
         self.txn_ids_buf.clear();
-        self.staged_at = u64::MAX;
         self.steps_executed = 0;
         self.progress_marker = 0;
         self.tracer = Recorder::new(cfg.trace);
@@ -524,7 +523,7 @@ impl Gpu {
     pub fn is_idle(&self) -> bool {
         self.kmu.is_empty()
             && self.kd.is_empty()
-            && self.smxs.iter().all(Smx::is_idle)
+            && self.resident_warps == 0
             && self.timing.quiescent()
             && self.retry_q.is_empty()
             && self.host_deferred.is_empty()
@@ -648,8 +647,8 @@ impl Gpu {
             if event_driven && jumpable && !self.is_idle() {
                 // The step at `cycle - 1` either found nothing to do
                 // (quiet) or changed only SMX-local state whose next
-                // activity the freshly-staged shard horizons already
-                // bound (epoch batching), so every cycle before the next
+                // activity the SMXs' ready-table horizons already bound
+                // (epoch batching), so every cycle before the next
                 // component event is a no-op: jump straight there,
                 // reconstructing what the skipped no-op steps would have
                 // accumulated (occupancy integrals; the DRAM model
@@ -667,10 +666,9 @@ impl Gpu {
                 }
                 if target > self.cycle {
                     let delta = target - self.cycle;
-                    let resident: u32 = self.smxs.iter().map(|s| s.live_warps).sum();
-                    if resident > 0 {
+                    if self.resident_warps > 0 {
                         self.stats.busy_cycles += delta;
-                        self.stats.resident_warp_cycles += delta * u64::from(resident);
+                        self.stats.resident_warp_cycles += delta * u64::from(self.resident_warps);
                     }
                     self.cycle = target;
                     if let Some(err) = self.deadline_error(last_progress) {
@@ -797,24 +795,14 @@ impl Gpu {
         if let Some(t) = self.timing.next_event_at(now) {
             fold(t);
         }
-        // On the two-phase path the shard buffers cached each SMX's bound
-        // at the end of this very step's stage phase; the steps that
-        // reach here (quiet, or SMX-pure under epoch batching) changed
-        // no SMX state since, so reuse the cache instead of rescanning
-        // every warp slab. A step that skipped staging entirely (zero
-        // issuable SMXs) leaves `staged_at` stale and takes the rescan
-        // arm, where `next_ready_at` is O(1) per idle SMX.
-        if self.staged_at == now && self.shards.len() == self.smxs.len() {
-            for fx in &self.shards {
-                if let Some(t) = fx.ready_horizon {
-                    fold(t);
-                }
-            }
-        } else {
-            for smx in &mut self.smxs {
-                if let Some(t) = smx.next_ready_at(now) {
-                    fold(t);
-                }
+        // O(1) per SMX whose last warp walk ended below the issue budget
+        // (its horizon is exact); one pass over its dense ready table
+        // otherwise. On the two-phase path the steps that reach here
+        // (quiet, or SMX-pure under epoch batching) changed no ready
+        // table since their stage phase.
+        for smx in &mut self.smxs {
+            if let Some(t) = smx.next_ready_at(now) {
+                fold(t);
             }
         }
         // Pending spilled-descriptor fetches wake the distribution path.
@@ -860,8 +848,8 @@ impl Gpu {
     /// [`epoch_batching`](GpuConfig::epoch_batching) on the staged
     /// engine, also for an *SMX-pure* step: warps issued but staged zero
     /// cross-SMX effects, so every schedulable input the horizons do not
-    /// already bound is unchanged (the shard horizons were recaptured at
-    /// the end of this very step's stage phase). Any other step may have
+    /// already bound is unchanged (every issue wrote its warp's next
+    /// cycle into the SMX's ready table). Any other step may have
     /// created distribution work the horizons do not model, so it must
     /// be followed by a real step (see DESIGN.md, "Epoch amortization").
     fn step_core(&mut self, ctrl: Option<&StageControl>) -> Result<bool, SimError> {
@@ -927,8 +915,7 @@ impl Gpu {
             Some(ctrl) => {
                 // Cheap quiet step: with zero issuable SMXs there is
                 // nothing to stage or commit, so the shard buffers stay
-                // untouched (the horizon fold then falls back to the
-                // O(1)-per-SMX ready-min scan instead of the cache).
+                // untouched.
                 let issuable = self.smxs.iter().filter(|x| x.may_issue(now)).count();
                 if issuable > 0 {
                     let metering = self.tracer.on(Category::Engine);
@@ -949,7 +936,6 @@ impl Gpu {
                             shard::stage_smx(x, fx, &self.cfg, mask, now);
                         }
                     }
-                    self.staged_at = now;
                     let t1 = metering.then(Instant::now);
                     let mut commit_err = None;
                     for (s, fx) in shards.iter_mut().enumerate() {
@@ -959,9 +945,12 @@ impl Gpu {
                         if !fx.is_pure() {
                             local = false;
                         }
-                        if let Err(e) = self.commit_shard(s, fx, now) {
-                            commit_err = Some(e);
-                            break;
+                        // Every shard staged, so every shard's retired
+                        // warps left `Smx::live_warps` — also the shards
+                        // behind a failed commit.
+                        self.resident_warps -= fx.retired;
+                        if commit_err.is_none() {
+                            commit_err = self.commit_shard(s, fx, now).err();
                         }
                     }
                     self.shards = shards;
@@ -989,22 +978,8 @@ impl Gpu {
         for id in buf.drain(..) {
             if let Some((s, w)) = self.access_owner.remove(id) {
                 completions += 1;
-                let mut woke_at = None;
-                if let Some(warp) = self.smxs[s].warps[w].as_mut() {
-                    if let WarpState::WaitingMem { outstanding } = &mut warp.state {
-                        *outstanding -= 1;
-                        if *outstanding == 0 {
-                            warp.state = WarpState::Ready;
-                            warp.ready_at = now + 1 + wake_delay;
-                            woke_at = Some(warp.ready_at);
-                            if wake_delay > 0 {
-                                delayed += 1;
-                            }
-                        }
-                    }
-                }
-                if let Some(at) = woke_at {
-                    self.smxs[s].note_ready_at(at);
+                if self.smxs[s].mem_complete(w, now + 1 + wake_delay) && wake_delay > 0 {
+                    delayed += 1;
                 }
             }
         }
@@ -1013,16 +988,14 @@ impl Gpu {
         if completions > 0 {
             self.progress_marker += 1;
             quiet = false;
-            // Wake-ups postdate the stage phase, so the cached shard
-            // horizons no longer bound this step's SMX state.
+            // The memory system reached into an SMX: not SMX-pure.
             local = false;
         }
 
         // 5. Occupancy sampling.
-        let resident: u32 = self.smxs.iter().map(|s| s.live_warps).sum();
-        if resident > 0 {
+        if self.resident_warps > 0 {
             self.stats.busy_cycles += 1;
-            self.stats.resident_warp_cycles += u64::from(resident);
+            self.stats.resident_warp_cycles += u64::from(self.resident_warps);
         }
 
         // 6. Tracing: drain every component's staging buffer (stamping
@@ -1232,6 +1205,7 @@ impl Gpu {
         if first_load {
             self.smxs[smx_idx].kernels_loaded.insert(kernel_id);
         }
+        let live_before = self.smxs[smx_idx].live_warps;
 
         if native_next {
             let Some(entry) = self.kd.get_mut(kde) else {
@@ -1311,6 +1285,7 @@ impl Gpu {
                 self.refresh_mark(kde);
             }
         }
+        self.resident_warps += self.smxs[smx_idx].live_warps - live_before;
         self.progress_marker += 1;
         Ok(true)
     }
@@ -1360,12 +1335,15 @@ impl Gpu {
     fn issue_warp(&mut self, s: usize, w: usize, now: u64) -> Result<Option<usize>, SimError> {
         let smx = &mut self.smxs[s];
         let Smx {
-            warps, tb_slots, ..
+            warps,
+            tb_slots,
+            ready,
+            ..
         } = smx;
         let Some(warp) = warps[w].as_mut() else {
             return Ok(None);
         };
-        if !matches!(warp.state, WarpState::Ready) || warp.ready_at > now {
+        if ready.at(w) > now {
             return Ok(None);
         }
         warp.sync_reconvergence();
@@ -1383,12 +1361,14 @@ impl Gpu {
         };
         if warp.is_done() {
             warp.state = WarpState::Done;
+            ready.block(w);
             smx.live_warps -= 1;
+            self.resident_warps -= 1;
             tb.live_warps -= 1;
             let released = tb.live_warps == 0;
             // A disappearing warp can satisfy a barrier.
             if !released && tb.live_warps > 0 && tb.barrier_arrived >= tb.live_warps {
-                Self::release_barrier(warps, tb, now, 20);
+                release_barrier(warps, ready, tb, now + 20);
             }
             return Ok(released.then_some(tb_slot));
         }
@@ -1460,24 +1440,27 @@ impl Gpu {
                     }
                 };
                 warp.branch(taken, target, reconv);
-                warp.ready_at = now + pipe.alu;
+                ready.set(w, now + pipe.alu);
             }
             UOp::Exit => {
                 warp.exit_lanes(mask);
                 if warp.is_done() {
+                    ready.block(w);
                     smx.live_warps -= 1;
+                    self.resident_warps -= 1;
                     tb.live_warps -= 1;
                     let released = tb.live_warps == 0;
                     if !released && tb.barrier_arrived >= tb.live_warps {
-                        Self::release_barrier(warps, tb, now, pipe.alu);
+                        release_barrier(warps, ready, tb, now + pipe.alu);
                     }
                     return Ok(released.then_some(tb_slot));
                 }
-                warp.ready_at = now + pipe.alu;
+                ready.set(w, now + pipe.alu);
             }
             UOp::Bar => {
                 warp.advance_pc();
                 warp.state = WarpState::AtBarrier;
+                ready.block(w);
                 tb.barrier_arrived += 1;
                 self.stats.barrier_waits += 1;
                 if self.tracer.on(Category::Warp) {
@@ -1500,7 +1483,7 @@ impl Gpu {
                     );
                 }
                 if tb.barrier_arrived >= tb.live_warps {
-                    Self::release_barrier(warps, tb, now, pipe.shared_mem);
+                    release_barrier(warps, ready, tb, now + pipe.shared_mem);
                 }
             }
             UOp::GetParamBuf { dst, words } => {
@@ -1520,7 +1503,7 @@ impl Gpu {
                     self.stats.add_pending(u64::from(bytes));
                     warp.regs.write_lane(dst, lane as usize, addr);
                 }
-                warp.ready_at = now + lat.get_param_buf(x);
+                ready.set(w, now + lat.get_param_buf(x));
             }
             UOp::Launch {
                 kind,
@@ -1578,13 +1561,13 @@ impl Gpu {
                         },
                     );
                 }
-                warp.ready_at = now
+                let visible_at = now
                     + if is_agg {
                         lat.agg_launch
                     } else {
                         lat.launch_device(x)
                     };
-                let visible_at = warp.ready_at;
+                ready.set(w, visible_at);
                 for i in 0..self.launch_buf.len() {
                     let (hw_tid, req) = self.launch_buf[i];
                     self.handle_launch(hw_tid, req, now, visible_at)?;
@@ -1826,12 +1809,12 @@ impl Gpu {
                 coalesce_into(&global_addrs, &mut txns);
                 if txns.is_empty() {
                     // Shared-memory only.
-                    warp.ready_at = now
-                        + if any_shared {
-                            pipe.shared_mem
-                        } else {
-                            pipe.alu
-                        };
+                    let busy = if any_shared {
+                        pipe.shared_mem
+                    } else {
+                        pipe.alu
+                    };
+                    ready.set(w, now + busy);
                 } else if is_load_or_atomic {
                     let kind = if is_atomic {
                         AccessKind::Atomic
@@ -1846,6 +1829,7 @@ impl Gpu {
                         }
                     }
                     warp.state = WarpState::WaitingMem { outstanding };
+                    ready.block(w);
                     if self.tracer.on(Category::Warp) {
                         self.tracer.emit(
                             now,
@@ -1861,17 +1845,17 @@ impl Gpu {
                     for &t in &txns {
                         let _ = self.timing.access(s, t, AccessKind::Store, now);
                     }
-                    warp.ready_at = now + pipe.store_issue;
+                    ready.set(w, now + pipe.store_issue);
                 }
                 self.txn_buf = txns;
             }
             UOp::MemFence => {
                 warp.advance_pc();
-                warp.ready_at = now + pipe.memfence;
+                ready.set(w, now + pipe.memfence);
             }
             UOp::Nop => {
                 warp.advance_pc();
-                warp.ready_at = now + 1;
+                ready.set(w, now + 1);
             }
             ref alu => {
                 warp.advance_pc();
@@ -1892,7 +1876,7 @@ impl Gpu {
                 } else {
                     exec_alu(alu, &mut warp.regs, &warp.env, mask);
                 }
-                warp.ready_at = now + class_latency(m.lat, &pipe);
+                ready.set(w, now + class_latency(m.lat, &pipe));
             }
         }
         Ok(None)
@@ -2035,23 +2019,6 @@ impl Gpu {
                 format!("staged writeback names vacant warp {w} on SMX {s}"),
             )
         })
-    }
-
-    pub(crate) fn release_barrier(
-        warps: &mut [Option<crate::smx::warp::Warp>],
-        tb: &mut crate::smx::TbSlot,
-        now: u64,
-        latency: u64,
-    ) {
-        for ws in &tb.warp_slots {
-            if let Some(w) = warps[*ws].as_mut() {
-                if matches!(w.state, WarpState::AtBarrier) {
-                    w.state = WarpState::Ready;
-                    w.ready_at = now + latency;
-                }
-            }
-        }
-        tb.barrier_arrived = 0;
     }
 
     // ---- thread-block / kernel completion ----------------------------------------

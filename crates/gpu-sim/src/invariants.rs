@@ -33,6 +33,15 @@
 //!    were applied in SMX order and no deferred shard error was dropped.
 //!    A non-drained shard would mean staged work silently vanished from
 //!    the architectural state.
+//! 8. **Cached front-end state** — the incrementally maintained values the
+//!    per-cycle front end reads instead of scanning agree with a scan:
+//!    an SMX's warp-ready table holds a cycle for exactly the warps that
+//!    exist and are `Ready`, its cached horizon never exceeds the table
+//!    minimum, and its free-TB-slot count equals its empty slots; the
+//!    KMU's queued-host count equals the sum of its work-queue depths;
+//!    the machine-wide resident-warp total equals Σ `Smx::live_warps`.
+//!    A stale-high horizon or a stale count would silently hide an
+//!    issuable warp, a free slot or queued kernel from the scheduler.
 
 use crate::error::SimError;
 use crate::gpu::Gpu;
@@ -59,6 +68,7 @@ impl Gpu {
         let mut native_resident: HashMap<u32, u32> = HashMap::new();
         let mut agg_resident: HashMap<u32, u32> = HashMap::new();
         let mut total_waiting_mem: usize = 0;
+        let mut resident_warps = 0u32;
         for smx in &self.smxs {
             let mut threads = 0u32;
             let mut regs = 0u32;
@@ -145,6 +155,53 @@ impl Gpu {
                     smx.id, smx.live_warps
                 ));
             }
+            resident_warps += live;
+
+            // Law 8 (SMX side).
+            for (w, warp) in smx.warps.iter().enumerate() {
+                let ready = warp
+                    .as_ref()
+                    .is_some_and(|warp| matches!(warp.state, WarpState::Ready));
+                if ready != (smx.issuable_at(w) != u64::MAX) {
+                    return fail(format!(
+                        "SMX {} warp slot {w}: ready table says {} but the warp is {}",
+                        smx.id,
+                        smx.issuable_at(w),
+                        warp.as_ref()
+                            .map_or("vacant".into(), |warp| format!("{:?}", warp.state))
+                    ));
+                }
+            }
+            let (cached, exact) = (smx.ready.cached_min(), smx.ready.exact_min());
+            if cached > exact {
+                return fail(format!(
+                    "SMX {} ready horizon {cached} is past its earliest issuable warp at {exact}",
+                    smx.id
+                ));
+            }
+            let free = smx.tb_slots.iter().filter(|tb| tb.is_none()).count();
+            if free != smx.free_tb_slots() {
+                return fail(format!(
+                    "SMX {} counts {} free TB slots but {free} are empty",
+                    smx.id,
+                    smx.free_tb_slots()
+                ));
+            }
+        }
+
+        // Law 8 (machine side).
+        if resident_warps != self.resident_warps {
+            return fail(format!(
+                "resident-warp total {} but the SMXs hold {resident_warps} live warps",
+                self.resident_warps
+            ));
+        }
+        let queued: usize = self.kmu.hwq_depths().iter().sum();
+        if queued != self.kmu.host_queued() {
+            return fail(format!(
+                "KMU counts {} queued host kernels but its work queues hold {queued}",
+                self.kmu.host_queued()
+            ));
         }
 
         // Law 3 (KDE side): counters match resident blocks; schedule

@@ -5,7 +5,7 @@
 //!
 //! * **Stage** ([`stage_smx`]) runs with `&mut Smx` and `&mut SmxEffects`
 //!   only — it may mutate anything SMX-local (registers, SIMT stacks,
-//!   warp states and `ready_at`, shared memory, barrier bookkeeping,
+//!   warp states and the warp-ready table, shared memory, barrier bookkeeping,
 //!   scheduler cursors, thread-block release) but records every globally
 //!   visible effect as an [`EffectItem`] in the shard's staging buffer.
 //!   Different SMXs therefore stage with **no shared mutable state**, so
@@ -19,9 +19,9 @@
 
 use crate::config::GpuConfig;
 use crate::error::SimError;
-use crate::gpu::{class_latency, invariant, Gpu};
+use crate::gpu::{class_latency, invariant};
 use crate::smx::warp::WarpState;
-use crate::smx::{Smx, Tbcr};
+use crate::smx::{release_barrier, Smx, Tbcr};
 use gpu_isa::{
     exec_alu, lane_step, AtomOp, Dim3, Effect, LaneView, LaunchKind, LaunchRequest, Reg, Space,
     ThreadEnv, UOp, WARP_SIZE,
@@ -127,14 +127,13 @@ pub(crate) struct SmxEffects {
     pub(crate) lanes: u64,
     /// Pre-aggregated `stats.barrier_waits`.
     pub(crate) barriers: u64,
+    /// Warps that completed this step (each left `Smx::live_warps`);
+    /// commit subtracts them from the machine-wide resident total.
+    pub(crate) retired: u32,
     /// First error hit while staging this SMX; raised by the commit phase
     /// *after* this shard's already-staged items are applied, which is
     /// exactly the state the serial engine leaves behind at first error.
     pub(crate) err: Option<SimError>,
-    /// `Smx::next_ready_at` bound captured at the end of staging, so a
-    /// quiet step's horizon reduction reuses the shard-local value
-    /// instead of rescanning every warp slab serially.
-    pub(crate) ready_horizon: Option<u64>,
 }
 
 impl SmxEffects {
@@ -151,8 +150,8 @@ impl SmxEffects {
         self.issues = 0;
         self.lanes = 0;
         self.barriers = 0;
+        self.retired = 0;
         self.err = None;
-        self.ready_horizon = None;
     }
 
     /// True when the commit phase consumed everything (invariant law 7).
@@ -161,7 +160,7 @@ impl SmxEffects {
     }
 
     /// True when staging this SMX produced no cross-SMX effect: picks may
-    /// have advanced SMX-local state (registers, `ready_at`, shared
+    /// have advanced SMX-local state (registers, the ready table, shared
     /// memory, barriers), but nothing was staged for the shared machine.
     pub(crate) fn is_pure(&self) -> bool {
         self.globals == 0 && self.err.is_none()
@@ -227,10 +226,9 @@ pub(crate) fn stage_smx(
             }
         }
     }
-    fx.ready_horizon = smx.next_ready_at(now);
 }
 
-/// The SMX-local half of [`Gpu::issue_warp`] — mirrors it arm by arm,
+/// The SMX-local half of `Gpu::issue_warp` — mirrors it arm by arm,
 /// staging every global effect instead of applying it. Returns the TB
 /// slot index when this issue completed the warp's entire thread block.
 fn stage_warp(
@@ -244,12 +242,15 @@ fn stage_warp(
     let s = smx.id;
     let t_warp = trace_mask & Category::Warp.bit() != 0;
     let Smx {
-        warps, tb_slots, ..
+        warps,
+        tb_slots,
+        ready,
+        ..
     } = smx;
     let Some(warp) = warps[w].as_mut() else {
         return Ok(None);
     };
-    if !matches!(warp.state, WarpState::Ready) || warp.ready_at > now {
+    if ready.at(w) > now {
         return Ok(None);
     }
     warp.sync_reconvergence();
@@ -262,11 +263,13 @@ fn stage_warp(
     };
     if warp.is_done() {
         warp.state = WarpState::Done;
+        ready.block(w);
         smx.live_warps -= 1;
+        fx.retired += 1;
         tb.live_warps -= 1;
         let released = tb.live_warps == 0;
         if !released && tb.live_warps > 0 && tb.barrier_arrived >= tb.live_warps {
-            Gpu::release_barrier(warps, tb, now, 20);
+            release_barrier(warps, ready, tb, now + 20);
         }
         return Ok(released.then_some(tb_slot));
     }
@@ -337,24 +340,27 @@ fn stage_warp(
                 }
             };
             warp.branch(taken, target, reconv);
-            warp.ready_at = now + pipe.alu;
+            ready.set(w, now + pipe.alu);
         }
         UOp::Exit => {
             warp.exit_lanes(mask);
             if warp.is_done() {
+                ready.block(w);
                 smx.live_warps -= 1;
+                fx.retired += 1;
                 tb.live_warps -= 1;
                 let released = tb.live_warps == 0;
                 if !released && tb.barrier_arrived >= tb.live_warps {
-                    Gpu::release_barrier(warps, tb, now, pipe.alu);
+                    release_barrier(warps, ready, tb, now + pipe.alu);
                 }
                 return Ok(released.then_some(tb_slot));
             }
-            warp.ready_at = now + pipe.alu;
+            ready.set(w, now + pipe.alu);
         }
         UOp::Bar => {
             warp.advance_pc();
             warp.state = WarpState::AtBarrier;
+            ready.block(w);
             tb.barrier_arrived += 1;
             fx.barriers += 1;
             if t_warp {
@@ -377,7 +383,7 @@ fn stage_warp(
                 );
             }
             if tb.barrier_arrived >= tb.live_warps {
-                Gpu::release_barrier(warps, tb, now, pipe.shared_mem);
+                release_barrier(warps, ready, tb, now + pipe.shared_mem);
             }
         }
         UOp::GetParamBuf { dst, words } => {
@@ -395,7 +401,7 @@ fn stage_warp(
                     bytes,
                 });
             }
-            warp.ready_at = now + lat.get_param_buf(x);
+            ready.set(w, now + lat.get_param_buf(x));
         }
         UOp::Launch {
             kind,
@@ -451,13 +457,13 @@ fn stage_warp(
                     },
                 );
             }
-            warp.ready_at = now
+            let visible_at = now
                 + if is_agg {
                     lat.agg_launch
                 } else {
                     lat.launch_device(x)
                 };
-            let visible_at = warp.ready_at;
+            ready.set(w, visible_at);
             for i in 0..fx.launch_tmp.len() {
                 let (hw_tid, req) = fx.launch_tmp[i];
                 fx.push_global(EffectItem::Launch {
@@ -719,12 +725,12 @@ fn stage_warp(
             }
             let (start, len) = coalesce_append(&global_addrs, &mut fx.txns);
             if len == 0 {
-                warp.ready_at = now
-                    + if any_shared {
-                        pipe.shared_mem
-                    } else {
-                        pipe.alu
-                    };
+                let busy = if any_shared {
+                    pipe.shared_mem
+                } else {
+                    pipe.alu
+                };
+                ready.set(w, now + busy);
             } else if is_load_or_atomic {
                 let kind = if is_atomic {
                     AccessKind::Atomic
@@ -734,6 +740,7 @@ fn stage_warp(
                 // The timing model tracks loads and atomics; commit fixes
                 // the count up if any access comes back untracked.
                 warp.state = WarpState::WaitingMem { outstanding: len };
+                ready.block(w);
                 fx.push_global(EffectItem::MemIssue {
                     w: w as u32,
                     kind,
@@ -757,16 +764,16 @@ fn stage_warp(
                     start,
                     len,
                 });
-                warp.ready_at = now + pipe.store_issue;
+                ready.set(w, now + pipe.store_issue);
             }
         }
         UOp::MemFence => {
             warp.advance_pc();
-            warp.ready_at = now + pipe.memfence;
+            ready.set(w, now + pipe.memfence);
         }
         UOp::Nop => {
             warp.advance_pc();
-            warp.ready_at = now + 1;
+            ready.set(w, now + 1);
         }
         ref alu => {
             warp.advance_pc();
@@ -787,7 +794,7 @@ fn stage_warp(
             } else {
                 exec_alu(alu, &mut warp.regs, &warp.env, mask);
             }
-            warp.ready_at = now + class_latency(m.lat, &pipe);
+            ready.set(w, now + class_latency(m.lat, &pipe));
         }
     }
     Ok(None)

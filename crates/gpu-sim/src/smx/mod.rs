@@ -76,6 +76,94 @@ impl TbSlot {
     }
 }
 
+/// Table value of a warp slot that cannot issue: vacant, blocked on
+/// memory, parked at a barrier, or done.
+const NEVER: u64 = u64::MAX;
+
+/// The warp scheduler's view of an SMX, split out of the ~2 KiB [`Warp`]
+/// contexts: one "issuable at" cycle per warp slot ([`NEVER`] for a slot
+/// that cannot issue) plus a lower bound on their minimum. It is the
+/// single record of *when* a `Ready` warp may issue, so every transition
+/// — placement, each arm of the two issue paths, barrier release, memory
+/// wake-up, block release — writes through [`set`](Self::set) /
+/// [`block`](Self::block), and warp selection and the event horizon read
+/// nothing else.
+///
+/// `min` never exceeds the table minimum whenever it is read: `set` folds
+/// it down, and the only sites that raise it — a complete
+/// [`Smx::select_warps`] walk and [`Smx::next_ready_at`] — store an exact
+/// minimum. Too low costs one wasted walk; too high would hide an
+/// issuable warp.
+#[derive(Clone, Debug)]
+pub(crate) struct ReadyTable {
+    at: Vec<u64>,
+    min: u64,
+}
+
+impl ReadyTable {
+    fn new() -> Self {
+        ReadyTable {
+            at: Vec::new(),
+            min: NEVER,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.at.clear();
+        self.min = NEVER;
+    }
+
+    /// Warp slot `w` is `Ready` and may issue from cycle `at` on.
+    #[inline]
+    pub(crate) fn set(&mut self, w: usize, at: u64) {
+        self.at[w] = at;
+        self.min = self.min.min(at);
+    }
+
+    /// Warp slot `w` stops being issuable (blocked, done or vacated).
+    #[inline]
+    pub(crate) fn block(&mut self, w: usize) {
+        self.at[w] = NEVER;
+    }
+
+    /// Cycle from which warp slot `w` may issue; `u64::MAX` when it
+    /// cannot.
+    #[inline]
+    pub(crate) fn at(&self, w: usize) -> u64 {
+        self.at[w]
+    }
+
+    /// The cached lower bound on [`exact_min`](Self::exact_min).
+    pub(crate) fn cached_min(&self) -> u64 {
+        self.min
+    }
+
+    /// The minimum over the table, by scanning it.
+    pub(crate) fn exact_min(&self) -> u64 {
+        self.at.iter().copied().min().unwrap_or(NEVER)
+    }
+}
+
+/// Releases every warp of `tb` parked at its barrier: they become
+/// issuable at cycle `at`. Takes the SMX's fields split so both issue
+/// paths can call it while holding the issuing warp's block.
+pub(crate) fn release_barrier(
+    warps: &mut [Option<Warp>],
+    ready: &mut ReadyTable,
+    tb: &mut TbSlot,
+    at: u64,
+) {
+    for &ws in &tb.warp_slots {
+        if let Some(w) = warps[ws].as_mut() {
+            if matches!(w.state, WarpState::AtBarrier) {
+                w.state = WarpState::Ready;
+                ready.set(ws, at);
+            }
+        }
+    }
+    tb.barrier_arrived = 0;
+}
+
 /// One streaming multiprocessor.
 #[derive(Clone, Debug)]
 pub struct Smx {
@@ -86,6 +174,12 @@ pub struct Smx {
     /// Warp slots (slab with free list).
     pub warps: Vec<Option<Warp>>,
     free_warp_slots: Vec<usize>,
+    /// Free entries of `tb_slots`, so [`can_fit`](Self::can_fit) never
+    /// scans them.
+    free_tb_slots: usize,
+    /// The scheduler's per-slot "issuable at" table (same length as
+    /// `warps`) and its cached minimum.
+    pub(crate) ready: ReadyTable,
     /// Threads currently resident.
     pub used_threads: u32,
     /// Registers currently reserved.
@@ -119,15 +213,6 @@ pub struct Smx {
     /// picks into, reused across cycles (read back via
     /// [`picked`](Self::picked)).
     pick_buf: Vec<usize>,
-    /// Cached lower bound on the earliest `ready_at` over resident
-    /// [`WarpState::Ready`] warps. Every site that assigns a future
-    /// `ready_at` folds into it (see
-    /// [`note_ready_at`](Self::note_ready_at)); it may go stale-low when
-    /// such a warp issues or blocks, which
-    /// [`next_ready_at`](Self::next_ready_at) repairs by rescanning —
-    /// stale-low is harmless (a too-early horizon), stale-high would be a
-    /// correctness bug.
-    ready_min: u64,
     trace: TraceBuffer,
 }
 
@@ -139,6 +224,8 @@ impl Smx {
             tb_slots: vec![None; cfg.max_tb_per_smx],
             warps: Vec::new(),
             free_warp_slots: Vec::new(),
+            free_tb_slots: cfg.max_tb_per_smx,
+            ready: ReadyTable::new(),
             used_threads: 0,
             used_regs: 0,
             used_shared: 0,
@@ -150,7 +237,6 @@ impl Smx {
             reg_pool: Vec::new(),
             age_order: Vec::new(),
             pick_buf: Vec::new(),
-            ready_min: u64::MAX,
             trace: TraceBuffer::default(),
         }
     }
@@ -169,6 +255,8 @@ impl Smx {
         self.free_warp_slots.clear();
         self.tb_slots.clear();
         self.tb_slots.resize(cfg.max_tb_per_smx, None);
+        self.free_tb_slots = cfg.max_tb_per_smx;
+        self.ready.clear();
         self.used_threads = 0;
         self.used_regs = 0;
         self.used_shared = 0;
@@ -178,7 +266,6 @@ impl Smx {
         self.rr_cursor = 0;
         self.age_order.clear();
         self.pick_buf.clear();
-        self.ready_min = u64::MAX;
         self.trace.set_mask(0);
         self.trace.drain();
     }
@@ -198,7 +285,7 @@ impl Smx {
     /// resources (threads, registers, shared memory, TB slot, warp slots).
     pub fn can_fit(&self, kernel: &Kernel, cfg: &GpuConfig) -> bool {
         let threads = kernel.threads_per_block();
-        self.tb_slots.iter().any(Option::is_none)
+        self.free_tb_slots > 0
             && self.used_threads + threads <= cfg.max_threads_per_smx
             && self.used_regs + Self::regs_for(kernel) <= cfg.regs_per_smx
             && self.used_shared + kernel.shared_mem_bytes() <= cfg.shared_mem_per_smx
@@ -244,6 +331,7 @@ impl Smx {
             };
             let ws = self.free_warp_slots.pop().unwrap_or_else(|| {
                 self.warps.push(None);
+                self.ready.at.push(NEVER);
                 self.warps.len() - 1
             });
             let regs = self.reg_pool.pop().unwrap_or_default();
@@ -257,7 +345,6 @@ impl Smx {
                 regs,
             );
             *warp_age += 1;
-            w.ready_at = ready_at;
             w.env.build(
                 kernel.block_dim(),
                 Dim3::x(nctaid),
@@ -268,11 +355,12 @@ impl Smx {
                 param_base,
             );
             self.warps[ws] = Some(w);
+            self.ready.set(ws, ready_at);
             warp_slots.push(ws);
             self.age_order.push(ws);
             self.live_warps += 1;
         }
-        self.ready_min = self.ready_min.min(ready_at);
+        self.free_tb_slots -= 1;
         self.used_threads += threads;
         self.used_regs += Self::regs_for(kernel);
         self.used_shared += kernel.shared_mem_bytes();
@@ -308,6 +396,7 @@ impl Smx {
                 // for the next placed block.
                 self.reg_pool.push(w.regs);
             }
+            self.ready.block(ws);
             self.free_warp_slots.push(ws);
             if self.greedy == Some(ws) {
                 self.greedy = None;
@@ -316,6 +405,7 @@ impl Smx {
         let warps = &self.warps;
         self.age_order.retain(|ws| warps[*ws].is_some());
         self.slot_vec_pool.push(tb.warp_slots);
+        self.free_tb_slots += 1;
         self.used_threads -= tb.threads_reserved;
         self.used_regs -= tb.regs_reserved;
         self.used_shared -= tb.shared.len() as u32;
@@ -334,67 +424,70 @@ impl Smx {
     /// first while it stays ready; round-robin rotates). The picks are
     /// written into a per-SMX scratch buffer — read them back via
     /// [`picked`](Self::picked) — and the count is returned; no allocation
-    /// happens in steady state.
+    /// happens in steady state and no [`Warp`] is touched.
+    ///
+    /// The caller must issue every pick before this SMX is next asked
+    /// anything: a walk that saw every slot stores the minimum over the
+    /// slots it did *not* pick as the new horizon, and each pick folds its
+    /// own next cycle back in when its issue writes the table.
     pub fn select_warps(&mut self, now: u64, budget: usize, policy: WarpSchedPolicy) -> usize {
         self.pick_buf.clear();
-        // `ready_min` never exceeds the true minimum `ready_at` of any
-        // `Ready` warp (it is only ever folded down or repaired to the
-        // exact minimum), so a cached bound past `now` proves no warp
-        // can issue this cycle: skip the slot scan. On the event-driven
-        // path every quiet step repairs the cache, making this the
-        // common case for each SMX that is memory-bound or empty.
-        if self.ready_min > now {
+        // The cached bound never exceeds the table minimum, so a bound
+        // past `now` proves no warp can issue this cycle. The bound is
+        // exact after every walk that ends below the issue budget, so an
+        // SMX with nothing issuable pays this one compare per cycle until
+        // its true next-ready cycle.
+        if self.ready.min > now || budget == 0 {
             return 0;
         }
-        let ready = |w: &Warp| w.issuable(now);
-
-        if policy == WarpSchedPolicy::Gto {
-            if let Some(g) = self.greedy {
-                if let Some(Some(w)) = self.warps.get(g) {
-                    if ready(w) {
-                        self.pick_buf.push(g);
-                    }
-                }
+        let at = &self.ready.at;
+        // Minimum over the slots inspected and not picked; the whole
+        // table's once `complete` survives the walk (vacant slots hold
+        // `NEVER` and every resident slot is in `age_order`).
+        let mut rest_min = NEVER;
+        let mut complete = true;
+        let mut visit = |i: usize, picks: &mut Vec<usize>| {
+            if at[i] <= now {
+                picks.push(i);
+            } else {
+                rest_min = rest_min.min(at[i]);
             }
-        }
+        };
         match policy {
             WarpSchedPolicy::Gto => {
-                // Oldest-first among remaining ready warps: `age_order` is
+                if let Some(g) = self.greedy {
+                    visit(g, &mut self.pick_buf);
+                }
+                // Oldest-first among the remaining warps: `age_order` is
                 // kept sorted by construction, so one in-order walk
-                // replaces the old collect+sort.
+                // replaces a collect+sort.
                 for &i in &self.age_order {
                     if self.pick_buf.len() >= budget {
+                        complete = false;
                         break;
                     }
-                    if Some(i) == self.greedy {
-                        continue;
-                    }
-                    if let Some(Some(w)) = self.warps.get(i) {
-                        if ready(w) {
-                            self.pick_buf.push(i);
-                        }
+                    if Some(i) != self.greedy {
+                        visit(i, &mut self.pick_buf);
                     }
                 }
             }
             WarpSchedPolicy::RoundRobin => {
-                let n = self.warps.len();
+                let n = at.len();
                 for k in 0..n {
                     if self.pick_buf.len() >= budget {
+                        complete = false;
                         break;
                     }
-                    let i = (self.rr_cursor + k) % n.max(1);
-                    if let Some(Some(w)) = self.warps.get(i) {
-                        if ready(w) {
-                            self.pick_buf.push(i);
-                        }
-                    }
+                    visit((self.rr_cursor + k) % n, &mut self.pick_buf);
                 }
                 if let Some(last) = self.pick_buf.last() {
-                    self.rr_cursor = (last + 1) % n.max(1);
+                    self.rr_cursor = (last + 1) % n;
                 }
             }
         }
-        self.pick_buf.truncate(budget);
+        if complete {
+            self.ready.min = rest_min;
+        }
         if let Some(first) = self.pick_buf.first() {
             self.greedy = Some(*first);
         }
@@ -407,16 +500,29 @@ impl Smx {
         &self.pick_buf
     }
 
-    /// Folds a newly assigned warp `ready_at` into the cached ready
-    /// horizon. Must be called by every site that makes a warp issuable
-    /// *outside* a warp issue on this SMX — block placement and memory
-    /// wake-ups. Sites reached only *through* an issue (instruction
-    /// latencies, barrier release by the arriving warp) need no fold: the
-    /// issuing warp had `ready_at <= now`, which pins the cache at or
-    /// below `now`, so the next [`next_ready_at`](Self::next_ready_at)
-    /// query rescans and sees their effect.
-    pub fn note_ready_at(&mut self, at: u64) {
-        self.ready_min = self.ready_min.min(at);
+    /// Cycle from which warp slot `w` may issue, as the scheduler sees
+    /// it; `u64::MAX` for a slot that is vacant, blocked or done.
+    pub fn issuable_at(&self, w: usize) -> u64 {
+        self.ready.at(w)
+    }
+
+    /// Delivers one memory completion to warp slot `w`; when it was the
+    /// last one outstanding the warp becomes `Ready` again, issuable from
+    /// `wake_at`. Returns whether the warp woke.
+    pub(crate) fn mem_complete(&mut self, w: usize, wake_at: u64) -> bool {
+        let Some(warp) = self.warps[w].as_mut() else {
+            return false;
+        };
+        let WarpState::WaitingMem { outstanding } = &mut warp.state else {
+            return false;
+        };
+        *outstanding -= 1;
+        if *outstanding > 0 {
+            return false;
+        }
+        warp.state = WarpState::Ready;
+        self.ready.set(w, wake_at);
+        true
     }
 
     /// Earliest future cycle at which a resident warp may become
@@ -424,29 +530,27 @@ impl Smx {
     /// the `Ready` state (blocked warps are woken by memory completions or
     /// barrier releases, whose horizons/steps are tracked elsewhere).
     ///
-    /// The cached bound may be stale-low (a warp issued or blocked since
-    /// it was folded); when it is not in the future it is repaired with
-    /// one scan of the warp slab — at most one scan per quiet step,
-    /// instead of one per simulated cycle.
+    /// A cached bound that is not in the future (warps issued under a
+    /// walk the issue budget cut short) is repaired with one pass over
+    /// the dense table; otherwise this is O(1).
     pub fn next_ready_at(&mut self, now: u64) -> Option<u64> {
-        if self.ready_min <= now {
-            let mut min = u64::MAX;
-            for w in self.warps.iter().flatten() {
-                if matches!(w.state, WarpState::Ready) && w.ready_at < min {
-                    min = w.ready_at;
-                }
-            }
-            self.ready_min = min;
+        if self.ready.min <= now {
+            self.ready.min = self.ready.exact_min();
         }
-        (self.ready_min != u64::MAX).then_some(self.ready_min.max(now + 1))
+        (self.ready.min != NEVER).then_some(self.ready.min.max(now + 1))
     }
 
     /// Cheap preflight for the two-phase stage dispatcher: can any warp
-    /// possibly issue at `now`? The cached bound never exceeds the true
-    /// minimum `ready_at` of a `Ready` warp, so `false` is definitive
-    /// (the SMX will stage zero picks); `true` may be stale-low.
+    /// possibly issue at `now`? The cached bound never exceeds the table
+    /// minimum, so `false` is definitive (the SMX will stage zero picks);
+    /// `true` may be stale-low.
     pub(crate) fn may_issue(&self, now: u64) -> bool {
-        self.ready_min <= now
+        self.ready.min <= now
+    }
+
+    /// Free thread-block slots, as [`can_fit`](Self::can_fit) counts them.
+    pub(crate) fn free_tb_slots(&self) -> usize {
+        self.free_tb_slots
     }
 
     /// True when no warps are resident.
@@ -477,6 +581,27 @@ mod tests {
         }
     }
 
+    /// Retires warp slot `ws` the way an `exit` issue does.
+    fn exit_warp(smx: &mut Smx, ws: usize) {
+        let w = smx.warps[ws].as_mut().unwrap();
+        w.state = WarpState::Done;
+        let tb = w.tb_slot;
+        smx.ready.block(ws);
+        smx.live_warps -= 1;
+        smx.tb_slots[tb].as_mut().unwrap().live_warps -= 1;
+    }
+
+    /// Retires every warp of the block in `slot`, releases it, and
+    /// returns the warp slots it used.
+    fn retire_tb(smx: &mut Smx, slot: usize) -> Vec<usize> {
+        let used = smx.tb_slots[slot].as_ref().unwrap().warp_slots.clone();
+        for &ws in &used {
+            exit_warp(smx, ws);
+        }
+        assert!(smx.release_tb(slot).is_some());
+        used
+    }
+
     #[test]
     fn place_and_release_roundtrip() {
         let cfg = GpuConfig::test_small();
@@ -494,14 +619,8 @@ mod tests {
         let last = smx.warps[tb.warp_slots[3]].as_ref().unwrap();
         assert_eq!(last.valid_mask.count_ones(), 4, "100 - 96 lanes");
 
-        // Drain warps, then release.
-        let slots: Vec<usize> = tb.warp_slots.clone();
-        for ws in slots {
-            smx.warps[ws].as_mut().unwrap().state = WarpState::Done;
-            smx.live_warps -= 1;
-        }
-        smx.tb_slots[slot].as_mut().unwrap().live_warps = 0;
-        assert!(smx.release_tb(slot).is_some());
+        assert!(smx.release_tb(slot).is_none(), "live warps refuse release");
+        retire_tb(&mut smx, slot);
         assert!(smx.release_tb(slot).is_none(), "double release refused");
         assert_eq!(smx.used_threads, 0);
         assert_eq!(smx.used_regs, 0);
@@ -565,7 +684,7 @@ mod tests {
         assert_eq!(smx.select_warps(0, 2, WarpSchedPolicy::Gto), 2);
         assert_eq!(smx.picked()[0], g);
         // Stall the greedy warp: oldest other warp wins.
-        smx.warps[g].as_mut().unwrap().ready_at = 100;
+        smx.ready.set(g, 100);
         assert_eq!(smx.select_warps(0, 1, WarpSchedPolicy::Gto), 1);
         let next = smx.picked()[0];
         assert_ne!(next, g);
@@ -585,13 +704,7 @@ mod tests {
         smx.place_tb(KernelId(0), &k, tbcr(), 1, 0, 0, &mut age)
             .unwrap();
         // Retire the first (older) block; its slots leave the age order.
-        let used: Vec<usize> = smx.tb_slots[s0].as_ref().unwrap().warp_slots.clone();
-        for ws in &used {
-            smx.warps[*ws].as_mut().unwrap().state = WarpState::Done;
-            smx.live_warps -= 1;
-        }
-        smx.tb_slots[s0].as_mut().unwrap().live_warps = 0;
-        assert!(smx.release_tb(s0).is_some());
+        retire_tb(&mut smx, s0);
         // A new block reuses the freed slots with *newer* ages; GTO must
         // still pick the surviving second block's warps (ages 2,3) first.
         smx.place_tb(KernelId(0), &k, tbcr(), 1, 0, 0, &mut age)
@@ -618,17 +731,18 @@ mod tests {
         assert_eq!(smx.next_ready_at(0), Some(50), "placement folds ready_at");
         // Block both warps on memory: the stale-low cache is repaired by a
         // rescan and the SMX stops advertising a self-event.
-        for w in smx.warps.iter_mut().flatten() {
-            w.state = WarpState::WaitingMem { outstanding: 1 };
+        for ws in 0..2 {
+            smx.warps[ws].as_mut().unwrap().state = WarpState::WaitingMem { outstanding: 2 };
+            smx.ready.block(ws);
         }
         assert_eq!(smx.next_ready_at(60), None);
-        // A wake-up folds the new ready_at back in.
-        for w in smx.warps.iter_mut().flatten() {
-            w.state = WarpState::Ready;
-            w.ready_at = 200;
-        }
-        smx.note_ready_at(200);
+        // The last completion wakes the warp and folds its cycle back in.
+        assert!(!smx.mem_complete(0, 150), "one request still outstanding");
+        assert_eq!(smx.next_ready_at(60), None);
+        assert!(smx.mem_complete(0, 200));
         assert_eq!(smx.next_ready_at(60), Some(200));
+        assert_eq!(smx.issuable_at(0), 200);
+        assert_eq!(smx.issuable_at(1), u64::MAX, "still waiting on memory");
     }
 
     #[test]
@@ -657,13 +771,7 @@ mod tests {
             .place_tb(KernelId(0), &k, tbcr(), 1, 0, 0, &mut age)
             .unwrap();
         let cap_before = smx.tb_slots[slot].as_ref().unwrap().warp_slots.capacity();
-        let used: Vec<usize> = smx.tb_slots[slot].as_ref().unwrap().warp_slots.clone();
-        for ws in &used {
-            smx.warps[*ws].as_mut().unwrap().state = WarpState::Done;
-            smx.live_warps -= 1;
-        }
-        smx.tb_slots[slot].as_mut().unwrap().live_warps = 0;
-        assert!(smx.release_tb(slot).is_some());
+        retire_tb(&mut smx, slot);
         assert_eq!(smx.slot_vec_pool.len(), 1, "released Vec parked for reuse");
         let slot2 = smx
             .place_tb(KernelId(0), &k, tbcr(), 1, 0, 0, &mut age)
@@ -681,13 +789,7 @@ mod tests {
         let slot = smx
             .place_tb(KernelId(0), &k, tbcr(), 1, 0, 0, &mut age)
             .unwrap();
-        let used: Vec<usize> = smx.tb_slots[slot].as_ref().unwrap().warp_slots.clone();
-        for ws in &used {
-            smx.warps[*ws].as_mut().unwrap().state = WarpState::Done;
-            smx.live_warps -= 1;
-        }
-        smx.tb_slots[slot].as_mut().unwrap().live_warps = 0;
-        assert!(smx.release_tb(slot).is_some());
+        retire_tb(&mut smx, slot);
         assert_eq!(
             smx.reg_pool.len(),
             4,
@@ -720,7 +822,8 @@ mod tests {
         assert_eq!(smx.used_shared, 0);
         assert_eq!(smx.live_warps, 0);
         assert!(smx.kernels_loaded.is_empty());
-        assert_eq!(smx.ready_min, u64::MAX);
+        assert_eq!(smx.ready.cached_min(), u64::MAX);
+        assert_eq!(smx.free_tb_slots(), fresh.free_tb_slots());
         // ...but the register slabs were recovered for reuse.
         assert_eq!(smx.reg_pool.len(), 2, "leftover warps drained into pool");
         let mut age2 = 0;
@@ -738,18 +841,235 @@ mod tests {
         let slot = smx
             .place_tb(KernelId(0), &k, tbcr(), 1, 0, 0, &mut age)
             .unwrap();
-        let used: Vec<usize> = smx.tb_slots[slot].as_ref().unwrap().warp_slots.clone();
-        for ws in &used {
-            smx.warps[*ws].as_mut().unwrap().state = WarpState::Done;
-            smx.live_warps -= 1;
-        }
-        smx.tb_slots[slot].as_mut().unwrap().live_warps = 0;
-        assert!(smx.release_tb(slot).is_some());
+        let used = retire_tb(&mut smx, slot);
         let slot2 = smx
             .place_tb(KernelId(0), &k, tbcr(), 1, 0, 0, &mut age)
             .unwrap();
         let reused = &smx.tb_slots[slot2].as_ref().unwrap().warp_slots;
         assert!(reused.iter().all(|ws| used.contains(ws)), "slab reuse");
         assert_eq!(smx.warps.len(), 2);
+    }
+
+    // ---- model-based check of the warp-ready table -------------------------
+
+    /// What the model knows about a resident warp — kept beside, never
+    /// read from, the SMX's ready table.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Model {
+        Ready(u64),
+        Mem(u32),
+        Barrier,
+        Done,
+    }
+
+    fn model_min(model: &[Option<Model>]) -> u64 {
+        model
+            .iter()
+            .filter_map(|m| match m {
+                Some(Model::Ready(at)) => Some(*at),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// `select_warps` by brute force: scan the warp slab, sort by age,
+    /// consult only the model for readiness.
+    fn brute_select(
+        smx: &Smx,
+        model: &[Option<Model>],
+        now: u64,
+        budget: usize,
+        policy: WarpSchedPolicy,
+    ) -> Vec<usize> {
+        let issuable = |i: usize| matches!(model[i], Some(Model::Ready(at)) if at <= now);
+        let mut picks = Vec::new();
+        match policy {
+            WarpSchedPolicy::Gto => {
+                picks.extend(smx.greedy.filter(|&g| issuable(g)));
+                let mut by_age: Vec<(u64, usize)> = smx
+                    .warps
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, w)| w.as_ref().map(|w| (w.age, i)))
+                    .collect();
+                by_age.sort_unstable();
+                picks.extend(
+                    by_age
+                        .into_iter()
+                        .map(|(_, i)| i)
+                        .filter(|&i| Some(i) != smx.greedy && issuable(i)),
+                );
+            }
+            WarpSchedPolicy::RoundRobin => {
+                let n = smx.warps.len();
+                picks.extend(
+                    (0..n)
+                        .map(|k| (smx.rr_cursor + k) % n)
+                        .filter(|&i| issuable(i)),
+                );
+            }
+        }
+        picks.truncate(budget);
+        picks
+    }
+
+    /// Everything the table promises, checked against the model at `now`.
+    fn check_against_model(smx: &mut Smx, model: &[Option<Model>], now: u64, ctx: &str) {
+        assert_eq!(smx.warps.len(), model.len(), "{ctx}");
+        for (w, m) in model.iter().enumerate() {
+            let want = match m {
+                Some(Model::Ready(at)) => *at,
+                _ => u64::MAX,
+            };
+            assert_eq!(smx.issuable_at(w), want, "{ctx}: slot {w} is {m:?}");
+        }
+        let true_min = model_min(model);
+        assert!(
+            smx.ready.cached_min() <= true_min,
+            "{ctx}: horizon {} past the earliest ready warp {true_min}",
+            smx.ready.cached_min()
+        );
+        // Every policy and budget agrees with the brute-force scan; the
+        // probe's scheduler side effects are rolled back.
+        let saved = (smx.greedy, smx.rr_cursor, smx.ready.min);
+        for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::RoundRobin] {
+            for budget in 1..=4 {
+                let want = brute_select(smx, model, now, budget, policy);
+                let n = smx.select_warps(now, budget, policy);
+                assert_eq!(n, want.len(), "{ctx}: {policy:?} budget {budget}");
+                assert_eq!(smx.picked(), want, "{ctx}: {policy:?} budget {budget}");
+                (smx.greedy, smx.rr_cursor, smx.ready.min) = saved;
+            }
+        }
+        let horizon = (true_min != u64::MAX).then_some(true_min.max(now + 1));
+        assert_eq!(smx.next_ready_at(now), horizon, "{ctx}");
+        smx.ready.min = saved.2;
+    }
+
+    /// Arrives `ws` at its block's barrier, or retires it (`exit`), then
+    /// applies the barrier-release and block-release consequences the
+    /// issue paths apply, mirroring each into the model.
+    fn leave_running(smx: &mut Smx, model: &mut [Option<Model>], ws: usize, exit: bool, now: u64) {
+        let tb_slot = smx.warps[ws].as_ref().unwrap().tb_slot;
+        if exit {
+            exit_warp(smx, ws);
+            model[ws] = Some(Model::Done);
+        } else {
+            smx.warps[ws].as_mut().unwrap().state = WarpState::AtBarrier;
+            smx.ready.block(ws);
+            smx.tb_slots[tb_slot].as_mut().unwrap().barrier_arrived += 1;
+            model[ws] = Some(Model::Barrier);
+        }
+        let Smx {
+            warps,
+            tb_slots,
+            ready,
+            ..
+        } = smx;
+        let tb = tb_slots[tb_slot].as_mut().unwrap();
+        if tb.live_warps == 0 {
+            for &w in &tb.warp_slots {
+                model[w] = None;
+            }
+            assert!(smx.release_tb(tb_slot).is_some());
+        } else if tb.barrier_arrived >= tb.live_warps {
+            for &w in &tb.warp_slots {
+                if model[w] == Some(Model::Barrier) {
+                    model[w] = Some(Model::Ready(now + 5));
+                }
+            }
+            release_barrier(warps, ready, tb, now + 5);
+        }
+    }
+
+    #[test]
+    fn ready_table_matches_a_brute_force_scheduler() {
+        use sim_rand::{Rng, SeedableRng, StdRng};
+        let cfg = GpuConfig::test_small();
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0x5eed_0000 + seed);
+            let mut smx = Smx::new(0, &cfg);
+            let mut model: Vec<Option<Model>> = Vec::new();
+            let mut age = 0;
+            let mut now = 0u64;
+            for step in 0..1500 {
+                let ctx = format!("seed {seed} step {step} cycle {now}");
+                match rng.gen_range(0..10u32) {
+                    // Place a block of 1-4 warps, ready a little later.
+                    0..=1 => {
+                        let k = kernel(rng.gen_range(1..=128u32), 0);
+                        if smx.can_fit(&k, &cfg) {
+                            let at = now + rng.gen_range(0..30u64);
+                            let slot = smx
+                                .place_tb(KernelId(0), &k, tbcr(), 1, 0, at, &mut age)
+                                .unwrap();
+                            model.resize(smx.warps.len(), None);
+                            for &ws in &smx.tb_slots[slot].as_ref().unwrap().warp_slots {
+                                model[ws] = Some(Model::Ready(at));
+                            }
+                        }
+                    }
+                    // Deliver one memory completion.
+                    2..=3 => {
+                        let waiting: Vec<usize> = (0..model.len())
+                            .filter(|&w| matches!(model[w], Some(Model::Mem(_))))
+                            .collect();
+                        if !waiting.is_empty() {
+                            let w = waiting[rng.gen_range(0..waiting.len())];
+                            let Some(Model::Mem(n)) = model[w] else {
+                                unreachable!()
+                            };
+                            assert_eq!(smx.mem_complete(w, now + 1), n == 1, "{ctx}");
+                            model[w] = Some(if n == 1 {
+                                Model::Ready(now + 1)
+                            } else {
+                                Model::Mem(n - 1)
+                            });
+                        }
+                    }
+                    // One scheduler cycle: select, then issue every pick.
+                    _ => {
+                        let policy = if rng.gen_bool(0.5) {
+                            WarpSchedPolicy::Gto
+                        } else {
+                            WarpSchedPolicy::RoundRobin
+                        };
+                        let budget = rng.gen_range(1..=4usize);
+                        let walked = smx.may_issue(now);
+                        let picks = smx.select_warps(now, budget, policy);
+                        if picks == 0 {
+                            // Nothing issuable: the SMX must stay out of
+                            // the way until its true next-ready cycle.
+                            assert!(!smx.may_issue(now), "{ctx}");
+                            if walked {
+                                assert_eq!(smx.ready.cached_min(), model_min(&model), "{ctx}");
+                            }
+                        }
+                        for k in 0..picks {
+                            let ws = smx.picked()[k];
+                            match rng.gen_range(0..8u32) {
+                                0 => {
+                                    let n = rng.gen_range(1..=3u32);
+                                    smx.warps[ws].as_mut().unwrap().state =
+                                        WarpState::WaitingMem { outstanding: n };
+                                    smx.ready.block(ws);
+                                    model[ws] = Some(Model::Mem(n));
+                                }
+                                1 => leave_running(&mut smx, &mut model, ws, false, now),
+                                2 => leave_running(&mut smx, &mut model, ws, true, now),
+                                _ => {
+                                    let at = now + rng.gen_range(1..40u64);
+                                    smx.ready.set(ws, at);
+                                    model[ws] = Some(Model::Ready(at));
+                                }
+                            }
+                        }
+                        now += rng.gen_range(0..3u64);
+                    }
+                }
+                check_against_model(&mut smx, &model, now, &ctx);
+            }
+        }
     }
 }

@@ -22,7 +22,8 @@ pub struct StackEntry {
 /// Scheduling state of a warp.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WarpState {
-    /// May issue once `ready_at` is reached.
+    /// May issue once the cycle in the SMX's warp-ready table
+    /// ([`Smx::issuable_at`](crate::smx::Smx::issuable_at)) is reached.
     Ready,
     /// Blocked on `outstanding` memory transactions.
     WaitingMem {
@@ -60,10 +61,11 @@ pub struct Warp {
     pub stack: Vec<StackEntry>,
     /// Lanes that exist (the last warp of a block may be partial).
     pub valid_mask: u32,
-    /// Scheduling state.
+    /// Scheduling state. *When* a `Ready` warp may issue is not stored
+    /// here: the scheduler's per-cycle view lives in the SMX's dense
+    /// warp-ready table, so warp selection never touches this ~2 KiB
+    /// struct.
     pub state: WarpState,
-    /// Earliest cycle the warp may issue again.
-    pub ready_at: u64,
     /// Global allocation sequence number (GTO "oldest" order).
     pub age: u64,
 }
@@ -98,7 +100,6 @@ impl Warp {
             }],
             valid_mask,
             state: WarpState::Ready,
-            ready_at: 0,
             age,
         }
     }
@@ -106,13 +107,6 @@ impl Warp {
     /// True once every lane has exited.
     pub fn is_done(&self) -> bool {
         self.stack.is_empty()
-    }
-
-    /// True when the warp can issue at cycle `now`: it is in the `Ready`
-    /// state and its issue latency has elapsed. This is the predicate the
-    /// warp scheduler and the SMX ready-horizon cache must agree on.
-    pub fn issuable(&self, now: u64) -> bool {
-        matches!(self.state, WarpState::Ready) && self.ready_at <= now
     }
 
     /// Pops reconverged paths: while the top-of-stack has reached its

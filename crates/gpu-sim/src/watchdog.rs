@@ -40,7 +40,7 @@ impl Gpu {
                         StuckWarpState::WaitingMem { outstanding }
                     }
                     WarpState::Ready | WarpState::Done => StuckWarpState::Stalled {
-                        ready_at: warp.ready_at,
+                        ready_at: smx.issuable_at(slot),
                     },
                 };
                 stuck_warps.push(StuckWarp {
