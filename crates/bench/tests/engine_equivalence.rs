@@ -55,6 +55,53 @@ fn event_driven_stats_match_per_cycle() {
     assert_matrices_identical(&evented, &percycle, "event-driven vs per-cycle");
 }
 
+/// Sampled tracing keeps the event engine on: under `TraceConfig::all()`
+/// (every category plus a metrics sample each 1000 cycles — the daemon
+/// TRACE op's and `--trace`'s configuration) the sample cycles are landing
+/// sites of the skip, so the event-driven run must record the same
+/// `Stats`, the same events and the same samples as stepping every cycle.
+/// A skip that overshot a sample cycle would drop or shift a sample; one
+/// that mis-accounted the skipped span would change a sample's occupancy.
+#[test]
+fn sampled_tracing_matches_per_cycle_across_matrix() {
+    const TRACED_VARIANTS: [Variant; 4] = [
+        Variant::Flat,
+        Variant::Cdp,
+        Variant::Dtbl,
+        Variant::DtblIdeal,
+    ];
+    let cells: Vec<(Benchmark, Variant)> = Benchmark::ALL
+        .iter()
+        .flat_map(|&bm| TRACED_VARIANTS.map(|v| (bm, v)))
+        .collect();
+    // Cells are compared and dropped one at a time: a matrix of full
+    // traces held twice over would be gigabytes.
+    gpu_sim::sweep::run_cells(cells, 4, |&(bm, v)| {
+        let run = |force_per_cycle: bool| {
+            let mut cfg = GpuConfig::k20c();
+            cfg.trace = TraceConfig::all();
+            cfg.force_per_cycle = force_per_cycle;
+            let mut report = bm.run_with(v, Scale::Test, cfg)?;
+            let trace = report.trace.take().expect("tracing was enabled");
+            Ok((report.stats, trace))
+        };
+        let (ev_stats, ev) = run(false)?;
+        let (pc_stats, pc) = run(true)?;
+        assert_eq!(ev_stats, pc_stats, "{bm} [{v}]: Stats diverged");
+        assert!(ev.events == pc.events, "{bm} [{v}]: events diverged");
+        assert_eq!(ev.samples, pc.samples, "{bm} [{v}]: samples diverged");
+        assert_eq!(ev.dropped, pc.dropped, "{bm} [{v}]: drop counts diverged");
+        assert_eq!(
+            ev.samples.len() as u64,
+            (ev_stats.cycles - 1) / 1000,
+            "{bm} [{v}]: one sample per 1000 cycles"
+        );
+        Ok::<(), SimError>(())
+    })
+    .into_iter()
+    .for_each(|((bm, v), result)| result.unwrap_or_else(|e| panic!("{bm} [{v}]: {e}")));
+}
+
 /// The two-phase sharded engine across the full 16-benchmark × 3-variant
 /// matrix: `smx_jobs` of 2, 4 and auto (0) must all reproduce the serial
 /// engine's `Stats` bit-for-bit. The sharded runs go through a sweep pool
@@ -138,8 +185,8 @@ fn epoch_batched_matrix_matches_serial_and_unbatched() {
 }
 
 /// Epoch batching under tracing, byte-for-byte: with interval metrics off
-/// (`metrics_interval: 0` — a non-zero interval samples every cycle and
-/// forces per-cycle stepping, disabling jumps entirely) the epoch-batched
+/// (`metrics_interval: 0` — a non-zero interval makes every sample cycle a
+/// landing site, which shortens the jumps) the epoch-batched
 /// engine takes multi-cycle jumps between staged steps, yet the JSONL
 /// export must stay byte-identical to the serial engine: same events,
 /// same order, same cycle stamps. A jump taken after a step that staged

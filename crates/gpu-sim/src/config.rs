@@ -335,9 +335,9 @@ pub struct GpuConfig {
     /// event-driven engine skips spans of cycles that are provably
     /// uneventful (see `Gpu::next_event_horizon`) and produces bit-identical
     /// [`Stats`](crate::Stats); this escape hatch keeps the per-cycle path
-    /// alive for differential testing and debugging. Tracing with a
-    /// non-zero metrics-sampling interval forces per-cycle stepping
-    /// automatically so sample timestamps are unchanged.
+    /// alive for differential testing and debugging. Tracing does not
+    /// switch the engine off: with a metrics-sampling interval, each
+    /// sample cycle is one more landing site of the skip.
     pub force_per_cycle: bool,
     /// Worker threads for the two-phase (stage/commit) intra-simulation
     /// engine: SMX shards stage their slice of a cycle in parallel, then

@@ -628,10 +628,7 @@ impl Gpu {
     /// The run loop shared by both engines; `ctrl` selects the two-phase
     /// staged path (`Some`) or the serial path (`None`).
     fn run_loop(&mut self, ctrl: Option<&StageControl>) -> Result<(), SimError> {
-        // Interval metrics sample *every* cycle boundary; skipping would
-        // drop samples, so tracing with an interval forces per-cycle mode.
-        let sampling = self.tracer.enabled() && self.tracer.metrics_interval() > 0;
-        let event_driven = !self.cfg.force_per_cycle && !sampling;
+        let event_driven = !self.cfg.force_per_cycle;
         let mut last_marker = self.progress_marker;
         let mut last_progress = self.cycle;
         while !self.is_idle() {
@@ -664,6 +661,9 @@ impl Gpu {
                 if let Some(cap) = self.cfg.budget.cycle_cap {
                     target = target.min(cap);
                 }
+                // So is the next interval-metrics sample: the step at each
+                // multiple of the interval takes it.
+                target = target.min(self.next_sample_cycle());
                 if target > self.cycle {
                     let delta = target - self.cycle;
                     if self.resident_warps > 0 {
@@ -679,6 +679,17 @@ impl Gpu {
             }
         }
         Ok(())
+    }
+
+    /// The first cycle at or after the current one whose step takes an
+    /// interval metrics sample; `u64::MAX` when none will (tracing or
+    /// sampling off).
+    fn next_sample_cycle(&self) -> u64 {
+        let interval = u64::from(self.tracer.metrics_interval());
+        if interval == 0 || !self.tracer.enabled() {
+            return u64::MAX;
+        }
+        self.cycle.div_ceil(interval) * interval
     }
 
     /// Watchdog / cycle-budget check at the current cycle, shared by the

@@ -4,6 +4,7 @@
 
 use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
 use gpu_sim::{FaultPlan, Gpu, GpuConfig, SimError};
+use gpu_trace::TraceConfig;
 
 /// out[i] = in[i] + 1 over one warp.
 fn one_warp_load_program() -> (Program, gpu_isa::KernelId) {
@@ -75,6 +76,41 @@ fn sleeping_warp_reaches_idle_in_o_events_steps() {
         evented.steps_executed(),
         ev_stats.cycles
     );
+}
+
+/// Sampled tracing must not switch the event engine off: with a metrics
+/// sample every 1000 cycles the sample cycles are landing sites, so the
+/// 10 000-cycle sleep costs about ten extra steps, not ten thousand — and
+/// the events and samples are those of the per-cycle engine.
+#[test]
+fn sampled_tracing_still_skips_the_sleep() {
+    let mut evented_cfg = GpuConfig::test_small();
+    evented_cfg.fault = FaultPlan {
+        mem_delay: 10_000,
+        ..FaultPlan::default()
+    };
+    evented_cfg.trace = TraceConfig::all();
+    let mut percycle_cfg = evented_cfg.clone();
+    percycle_cfg.force_per_cycle = true;
+
+    let mut evented = setup(evented_cfg);
+    let mut percycle = setup(percycle_cfg);
+    let ev_stats = evented.run_to_idle().expect("evented run").clone();
+    let pc_stats = percycle.run_to_idle().expect("per-cycle run").clone();
+    assert_eq!(ev_stats, pc_stats);
+    assert!(
+        evented.steps_executed() < ev_stats.cycles / 10,
+        "sampled tracing must still skip: {} steps for {} cycles",
+        evented.steps_executed(),
+        ev_stats.cycles
+    );
+
+    let ev = evented.take_trace().expect("tracing was enabled");
+    let pc = percycle.take_trace().expect("tracing was enabled");
+    assert_eq!(ev.events, pc.events);
+    assert_eq!(ev.samples, pc.samples);
+    assert_eq!(ev.samples.len() as u64, (ev_stats.cycles - 1) / 1000);
+    assert!(ev.samples.len() >= 10, "the sleep spans ten sample cycles");
 }
 
 /// Parameter-buffer heap accounting (satellite of the engine PR): two

@@ -205,6 +205,11 @@ impl LaunchPath {
     }
 }
 
+// The table of event kinds, and the single place that knows their names
+// and their serialised bytes. A row is `Variant { field: u32 | u64, .. } =>
+// ("kind_name", Category)`; from it the macro derives the enum, the name and
+// category lookups, the parser (`from_fields`) and the exporters' payload
+// writer (`write_json_fields`). A new kind is one new row.
 macro_rules! event_kinds {
     ($( $variant:ident { $($field:ident : $ty:ty),* $(,)? } => ($name:literal, $cat:ident), )*) => {
         /// The payload of one trace event. All fields are integers so the
@@ -226,12 +231,37 @@ macro_rules! event_kinds {
                 match self { $( EventKind::$variant { .. } => Category::$cat, )* }
             }
 
-            /// Field names and values, in declaration order.
-            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+            /// Calls `f(name, value)` for every field, in declaration
+            /// order, without allocating.
+            #[inline]
+            pub fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
                 match self {
-                    $( EventKind::$variant { $($field),* } =>
-                        vec![ $( (stringify!($field), (*$field) as u64) ),* ], )*
+                    $( EventKind::$variant { $($field),* } => {
+                        $( f(stringify!($field), u64::from(*$field)); )*
+                    } )*
                 }
+            }
+
+            /// Appends `,"field":value` for every field, in declaration
+            /// order: the payload bytes both exporters emit. The keys are
+            /// literals assembled at compile time; nothing allocates
+            /// beyond `out`'s own growth.
+            #[inline]
+            pub fn write_json_fields(&self, out: &mut String) {
+                match self {
+                    $( EventKind::$variant { $($field),* } => {
+                        $( out.push_str(concat!(",\"", stringify!($field), "\":"));
+                           crate::json::write_u64(u64::from(*$field), out); )*
+                    } )*
+                }
+            }
+
+            /// One event of every kind, each field drawn from `next`
+            /// (truncated to the field's width), so a test over "all
+            /// kinds" cannot forget a new one.
+            #[cfg(test)]
+            pub(crate) fn one_of_each(mut next: impl FnMut() -> u64) -> Vec<EventKind> {
+                vec![ $( EventKind::$variant { $( $field: next() as $ty ),* } ),* ]
             }
 
             /// Rebuilds a kind from its name and a field lookup. Returns
@@ -400,7 +430,8 @@ mod tests {
             },
         ];
         for k in kinds {
-            let fields = k.fields();
+            let mut fields = Vec::new();
+            k.for_each_field(|name, value| fields.push((name, value)));
             let get = |name: &str| fields.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
             assert_eq!(EventKind::from_fields(k.name(), &get), Some(k));
         }

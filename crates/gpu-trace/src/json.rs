@@ -7,7 +7,6 @@
 //! recursive-descent reader used by `trace_inspect` and by the round-trip
 //! validation tests.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A parsed or to-be-written JSON value.
@@ -102,60 +101,104 @@ impl Json {
 
     /// Parses a complete JSON document, rejecting trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing input at byte {}", p.pos));
         }
         Ok(v)
     }
 
-    /// Convenience: all object fields that are non-negative integers, for
-    /// reconstructing event payloads.
-    pub fn u64_fields(&self) -> BTreeMap<String, u64> {
-        let mut map = BTreeMap::new();
-        if let Json::Obj(pairs) = self {
-            for (k, v) in pairs {
-                if let Some(n) = v.as_u64() {
-                    map.insert(k.clone(), n);
-                }
-            }
+    /// The object field `key` as a non-negative integer, for reconstructing
+    /// event payloads. When a key repeats, the last integer-valued
+    /// occurrence wins.
+    pub fn u64_field(&self, key: &str) -> Option<u64> {
+        match self {
+            Json::Obj(pairs) => pairs
+                .iter()
+                .rev()
+                .filter(|(k, _)| k == key)
+                .find_map(|(_, v)| v.as_u64()),
+            _ => None,
         }
-        map
     }
 }
 
-fn write_num(n: f64, out: &mut String) {
+/// 2^53: below it every integer is exactly representable as an `f64`.
+const EXACT_INT_LIMIT: u64 = 1 << 53;
+
+/// Appends the decimal digits of `v`.
+fn write_digits(mut v: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    // Byte-wise: cheaper than validating the buffer as UTF-8 first.
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
+/// Appends a number the way every trace format spells it: integral values
+/// of magnitude below 2^53 as plain digits, other finite values in the
+/// shortest form that round-trips, non-finite values as `0`.
+pub(crate) fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push('0');
-    } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", n as i64);
+    } else if n == n.trunc() && n.abs() < EXACT_INT_LIMIT as f64 {
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_digits(n.abs() as u64, out);
     } else {
         // `{:?}` prints the shortest representation that round-trips.
         let _ = write!(out, "{n:?}");
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Appends exactly the bytes `write_num(v as f64, out)` produces, without
+/// the trip through `f64` and `fmt` below 2^53; at and above 2^53 the
+/// value takes that trip, so it is rounded to the nearest `f64` and
+/// spelled as a float (`9007199254740992.0`, `1.8446744073709552e19`).
+pub(crate) fn write_u64(v: u64, out: &mut String) {
+    if v < EXACT_INT_LIMIT {
+        write_digits(v, out);
+    } else {
+        write_num(v as f64, out);
+    }
+}
+
+/// Appends `s` as a quoted JSON string. Runs that need no escape are
+/// copied whole; `"`, backslash and control characters below 0x20 are the
+/// only escaped bytes, all ASCII, so every run boundary is a char
+/// boundary.
+pub(crate) fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -169,13 +212,13 @@ impl std::fmt::Display for Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -185,7 +228,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -203,7 +246,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -240,8 +283,8 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
+        // Only ASCII was consumed, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
@@ -269,11 +312,13 @@ impl Parser<'_> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
+                            if self.pos + 4 >= self.text.len() {
                                 return Err("truncated \\u escape".to_string());
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "non-utf8 \\u escape".to_string())?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| "non-utf8 \\u escape".to_string())?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape `{hex}`"))?;
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -283,27 +328,15 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x80 => {
-                    s.push(b as char);
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Consume one multi-byte UTF-8 code point. Validate
-                    // only the sequence itself — validating the whole
-                    // remaining input per character would make parsing
-                    // quadratic in the document size.
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(format!("invalid utf-8 at byte {}", self.pos)),
-                    };
-                    let end = (self.pos + len).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[self.pos..end])
-                        .map_err(|_| format!("invalid utf-8 at byte {}", self.pos))?;
-                    let c = chunk.chars().next().expect("validated non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                Some(_) => {
+                    // Everything up to the next quote or backslash is
+                    // copied as one run; both are ASCII, so the run ends
+                    // on a char boundary of the (already valid) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    s.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -431,11 +464,102 @@ mod tests {
     }
 
     #[test]
-    fn u64_fields_extracts_integers() {
-        let v = Json::parse("{\"cycle\":12,\"name\":\"x\",\"smx\":3}").unwrap();
-        let f = v.u64_fields();
-        assert_eq!(f.get("cycle"), Some(&12));
-        assert_eq!(f.get("smx"), Some(&3));
-        assert!(!f.contains_key("name"));
+    fn u64_field_extracts_integers() {
+        let v = Json::parse("{\"cycle\":12,\"name\":\"x\",\"smx\":3,\"smx\":\"y\",\"cycle\":13}")
+            .unwrap();
+        assert_eq!(v.u64_field("cycle"), Some(13));
+        assert_eq!(v.u64_field("smx"), Some(3));
+        assert_eq!(v.u64_field("name"), None);
+        assert_eq!(v.u64_field("absent"), None);
+    }
+
+    /// The number and string writers as first written — `fmt` for every
+    /// integer, one `char` at a time for strings. They define the bytes.
+    fn reference_num(n: f64, out: &mut String) {
+        if !n.is_finite() {
+            out.push('0');
+        } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
+            let _ = write!(out, "{}", n as i64);
+        } else {
+            let _ = write!(out, "{n:?}");
+        }
+    }
+
+    fn reference_str(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn number_writers_match_the_fmt_reference() {
+        let mut ints: Vec<u64> = vec![0, 1, 9, 10, 99, 100, u32::MAX as u64, u64::MAX];
+        for shift in 0..64 {
+            ints.extend([(1u64 << shift) - 1, 1 << shift, (1 << shift) + 1]);
+        }
+        let mut pow10 = 1u64;
+        for _ in 0..19 {
+            pow10 *= 10;
+            ints.extend([pow10 - 1, pow10, pow10 + 1]);
+        }
+        let check_num = |n: f64| {
+            let (mut got, mut want) = (String::new(), String::new());
+            write_num(n, &mut got);
+            reference_num(n, &mut want);
+            assert_eq!(got, want, "write_num({n:?})");
+        };
+        for v in ints {
+            let (mut got, mut want) = (String::new(), String::new());
+            write_u64(v, &mut got);
+            reference_num(v as f64, &mut want);
+            assert_eq!(got, want, "write_u64({v})");
+            for n in [v as f64, -(v as f64), v as f64 + 0.5, -(v as f64) - 0.25] {
+                check_num(n);
+            }
+        }
+        for n in [
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            5e-324,
+        ] {
+            check_num(n);
+        }
+    }
+
+    #[test]
+    fn string_writer_matches_the_char_reference() {
+        let every_escape: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c\nd\re\tf",
+            "\"\"\\\\",
+            "h\u{e9}llo \u{2192} \u{4e16}\u{754c}\u{1f600}",
+            "\u{4e16}\"\u{754c}\u{1}\u{1f600}\\",
+            every_escape.as_str(),
+        ] {
+            let (mut got, mut want) = (String::new(), String::new());
+            write_str(s, &mut got);
+            reference_str(s, &mut want);
+            assert_eq!(got, want, "{s:?}");
+            assert_eq!(Json::parse(&got), Ok(Json::Str(s.to_string())), "{s:?}");
+        }
     }
 }

@@ -19,9 +19,13 @@
 //!    series (warp activity %, occupancy %, AGT fill, DRAM efficiency).
 //! 4. **Export** ([`export::chrome_trace`], [`export::jsonl`] and their
 //!    parsers): Chrome `trace_event` JSON for Perfetto and line-delimited
-//!    JSON for scripting, built on an in-repo JSON reader/writer
-//!    ([`json::Json`]) because the workspace takes no external
-//!    dependencies.
+//!    JSON for scripting. The writers append bytes straight to one
+//!    pre-sized `String`: the `event_kinds!` table in [`event`] generates
+//!    each kind's `,"field":value` bytes
+//!    ([`EventKind::write_json_fields`]), so exporting allocates per
+//!    cell, never per event. The parsers read through an in-repo JSON
+//!    value type ([`json::Json`]) because the workspace takes no
+//!    external dependencies.
 //!
 //! Per-simulator recorders keep parallel sweeps deterministic: each sweep
 //! cell owns its sink and traces are written in input order by the
