@@ -6,6 +6,7 @@
 //! it tracks tags and dirty bits, never data — values live in the
 //! functional [`BackingStore`](crate::BackingStore).
 
+use crate::geometry::Divisor;
 use std::fmt;
 
 /// Geometry and policy of one cache.
@@ -41,10 +42,6 @@ impl CacheConfig {
             ways: 8,
             write_back: true,
         }
-    }
-
-    fn num_sets(&self) -> u32 {
-        (self.size_bytes / self.line_bytes / self.ways).max(1)
     }
 }
 
@@ -107,6 +104,10 @@ struct Line {
 #[derive(Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// Geometry, derived once: `addr → line address → (tag, set)`.
+    line: Divisor,
+    sets: Divisor,
+    num_sets: u32,
     lines: Vec<Line>,
     tick: u64,
     stats: CacheStats,
@@ -122,12 +123,22 @@ impl fmt::Debug for Cache {
 }
 
 impl Cache {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry. A capacity below
+    /// one full set is rounded up to one set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_bytes` or `ways` is zero.
     pub fn new(cfg: CacheConfig) -> Self {
-        let n = (cfg.num_sets() * cfg.ways) as usize;
+        let line = Divisor::new(cfg.line_bytes, "CacheConfig::line_bytes");
+        assert!(cfg.ways != 0, "CacheConfig::ways must be non-zero");
+        let num_sets = (cfg.size_bytes / cfg.line_bytes / cfg.ways).max(1);
         Cache {
             cfg,
-            lines: vec![Line::default(); n],
+            line,
+            sets: Divisor::new(num_sets, "set count"),
+            num_sets,
+            lines: vec![Line::default(); (num_sets * cfg.ways) as usize],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -143,11 +154,27 @@ impl Cache {
         &self.stats
     }
 
-    fn set_range(&self, addr: u32) -> (usize, u32) {
-        let line_addr = addr / self.cfg.line_bytes;
-        let set = line_addr % self.cfg.num_sets();
-        let tag = line_addr / self.cfg.num_sets();
-        ((set * self.cfg.ways) as usize, tag)
+    /// Base address of the line holding `addr`.
+    pub(crate) fn line_of(&self, addr: u32) -> u32 {
+        addr - self.line.div_rem(addr).1
+    }
+
+    /// `(set, tag)` of the line holding `addr`.
+    fn set_and_tag(&self, addr: u32) -> (u32, u32) {
+        let (line_addr, _) = self.line.div_rem(addr);
+        let (tag, set) = self.sets.div_rem(line_addr);
+        (set, tag)
+    }
+
+    /// The ways of `set`.
+    fn ways_of(&mut self, set: u32) -> &mut [Line] {
+        let ways = self.cfg.ways as usize;
+        &mut self.lines[set as usize * ways..][..ways]
+    }
+
+    /// Base address of the line `set_and_tag` maps to `(set, tag)`.
+    fn line_base(&self, set: u32, tag: u32) -> u32 {
+        (tag * self.num_sets + set) * self.cfg.line_bytes
     }
 
     /// Read access: allocates the line on miss.
@@ -165,10 +192,9 @@ impl Cache {
             // Write-through no-allocate: a hit keeps the line valid (data
             // is written through), a miss does not allocate.
             self.tick += 1;
-            let (base, tag) = self.set_range(addr);
-            let ways = self.cfg.ways as usize;
+            let (set, tag) = self.set_and_tag(addr);
             let tick = self.tick;
-            for line in &mut self.lines[base..base + ways] {
+            for line in self.ways_of(set) {
                 if line.valid && line.tag == tag {
                     line.lru = tick;
                     self.stats.hits += 1;
@@ -180,12 +206,12 @@ impl Cache {
         }
     }
 
-    /// Invalidates a line if present (used by the L1 on stores so a
-    /// subsequent load refetches through L2).
+    /// Invalidates a line if present (used by the L1 on atomics, which
+    /// are performed at the L2, so a subsequent load refetches through
+    /// it; stores go through [`access_write`](Self::access_write)).
     pub fn invalidate(&mut self, addr: u32) {
-        let (base, tag) = self.set_range(addr);
-        let ways = self.cfg.ways as usize;
-        for line in &mut self.lines[base..base + ways] {
+        let (set, tag) = self.set_and_tag(addr);
+        for line in self.ways_of(set) {
             if line.valid && line.tag == tag {
                 line.valid = false;
                 line.dirty = false;
@@ -195,11 +221,10 @@ impl Cache {
 
     fn access(&mut self, addr: u32, write: bool) -> Lookup {
         self.tick += 1;
-        let (base, tag) = self.set_range(addr);
-        let ways = self.cfg.ways as usize;
+        let (set, tag) = self.set_and_tag(addr);
         let tick = self.tick;
 
-        for line in &mut self.lines[base..base + ways] {
+        for line in self.ways_of(set) {
             if line.valid && line.tag == tag {
                 line.lru = tick;
                 line.dirty |= write;
@@ -210,35 +235,27 @@ impl Cache {
         self.stats.misses += 1;
 
         // Choose victim: invalid way first, else LRU.
-        let victim_idx = {
-            let slot = self.lines[base..base + ways]
-                .iter()
-                .position(|l| !l.valid)
-                .unwrap_or_else(|| {
-                    self.lines[base..base + ways]
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.lru)
-                        .map(|(i, _)| i)
-                        .expect("cache set is never empty")
-                });
-            base + slot
-        };
-        let victim = self.lines[victim_idx];
-        let writeback = if victim.valid && victim.dirty {
+        let ways = self.ways_of(set);
+        let slot = ways.iter().position(|l| !l.valid).unwrap_or_else(|| {
+            ways.iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.lru)
+                .map(|(i, _)| i)
+                .expect("cache set is never empty")
+        });
+        let victim = std::mem::replace(
+            &mut ways[slot],
+            Line {
+                tag,
+                valid: true,
+                dirty: write,
+                lru: tick,
+            },
+        );
+        let writeback = (victim.valid && victim.dirty).then(|| {
             self.stats.writebacks += 1;
-            let sets = self.cfg.num_sets();
-            let set = (base as u32) / self.cfg.ways;
-            Some((victim.tag * sets + set) * self.cfg.line_bytes)
-        } else {
-            None
-        };
-        self.lines[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: tick,
-        };
+            self.line_base(set, victim.tag)
+        });
         Lookup::Miss { writeback }
     }
 }
@@ -246,6 +263,62 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_rand::{Rng, SeedableRng, StdRng};
+
+    /// The precomputed shift/mask (or reciprocal) split equals the
+    /// division form it replaced, and the write-back address inverts it,
+    /// under the K20c geometries and non-power-of-two ones.
+    #[test]
+    fn derived_geometry_equals_the_division_form() {
+        let mut rng = StdRng::seed_from_u64(0x6E0);
+        let odd = |size_bytes, line_bytes, ways| CacheConfig {
+            size_bytes,
+            line_bytes,
+            ways,
+            write_back: true,
+        };
+        for cfg in [
+            CacheConfig::l1_16kb(),
+            CacheConfig::l2_slice_256kb(),
+            odd(48 * 1024, 128, 3), // 128 sets of 3 ways
+            odd(36 * 1024, 96, 4),  // 96 sets, 96-byte lines
+            odd(7 * 5 * 64, 64, 5), // 7 sets
+            odd(64, 128, 2),        // below one set: rounded up to one
+        ] {
+            let c = Cache::new(cfg);
+            let sets = (cfg.size_bytes / cfg.line_bytes / cfg.ways).max(1);
+            assert_eq!(c.lines.len(), (sets * cfg.ways) as usize);
+            for _ in 0..20_000 {
+                let addr: u32 = rng.gen();
+                let line_addr = addr / cfg.line_bytes;
+                let (set, tag) = c.set_and_tag(addr);
+                assert_eq!(
+                    (set, tag),
+                    (line_addr % sets, line_addr / sets),
+                    "{cfg:?} {addr:#x}"
+                );
+                assert_eq!(c.line_base(set, tag), addr - addr % cfg.line_bytes);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "CacheConfig::line_bytes must be non-zero")]
+    fn zero_line_bytes_is_rejected_at_construction() {
+        let _ = Cache::new(CacheConfig {
+            line_bytes: 0,
+            ..CacheConfig::l1_16kb()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "CacheConfig::ways must be non-zero")]
+    fn zero_ways_is_rejected_at_construction() {
+        let _ = Cache::new(CacheConfig {
+            ways: 0,
+            ..CacheConfig::l1_16kb()
+        });
+    }
 
     fn tiny_wb() -> Cache {
         // 4 sets x 2 ways x 128B lines = 1 KiB.

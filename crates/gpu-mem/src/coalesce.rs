@@ -10,6 +10,9 @@
 
 use crate::SEGMENT_BYTES;
 
+/// Lanes of a warp (the width of an active mask).
+const WARP_LANES: usize = 32;
+
 /// Computes the distinct 128-byte segment base addresses touched by the
 /// active lanes of a warp.
 ///
@@ -34,7 +37,9 @@ use crate::SEGMENT_BYTES;
 /// assert_eq!(coalesce(&addrs).len(), 32);
 /// ```
 pub fn coalesce(addrs: &[Option<u32>]) -> Vec<u32> {
-    let mut segs: Vec<u32> = Vec::with_capacity(4);
+    // One segment per lane is the common worst case; sized once so a
+    // scattered warp does not regrow the buffer five times.
+    let mut segs: Vec<u32> = Vec::with_capacity(addrs.len());
     coalesce_into(addrs, &mut segs);
     segs
 }
@@ -53,34 +58,71 @@ pub fn coalesce_into(addrs: &[Option<u32>], segs: &mut Vec<u32>) {
 /// The two-phase engine batches every warp access an SMX stages in one
 /// cycle into a single per-shard transaction list this way.
 pub fn coalesce_append(addrs: &[Option<u32>], segs: &mut Vec<u32>) -> (u32, u32) {
+    append_lanes(addrs.iter().flatten().copied(), segs)
+}
+
+/// [`coalesce_into`] for the form the executors hold: one address per
+/// lane and the mask of lanes that access global memory (`addrs[lane]` is
+/// ignored where the mask bit is clear).
+pub fn coalesce_mask_into(addrs: &[u32; WARP_LANES], active: u32, segs: &mut Vec<u32>) {
+    segs.clear();
+    let _ = coalesce_mask_append(addrs, active, segs);
+}
+
+/// [`coalesce_append`] for the `(addresses, active mask)` form.
+pub fn coalesce_mask_append(
+    addrs: &[u32; WARP_LANES],
+    active: u32,
+    segs: &mut Vec<u32>,
+) -> (u32, u32) {
+    let mut rest = active;
+    let lanes = std::iter::from_fn(|| {
+        (rest != 0).then(|| {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            addrs[lane]
+        })
+    });
+    append_lanes(lanes, segs)
+}
+
+/// Appends the distinct segments the 32-bit words at `lanes` touch,
+/// sorted, and returns their `(start, len)` within `segs`.
+///
+/// Linear in the lanes for the access shapes that matter: a segment equal
+/// to the one just pushed is dropped on the spot (a coalesced warp pushes
+/// once), and the tail is sorted and deduplicated only if some lane broke
+/// ascending order — lane-ordered addresses, the usual case even when
+/// scattered, never reach the sort.
+fn append_lanes(lanes: impl Iterator<Item = u32>, segs: &mut Vec<u32>) -> (u32, u32) {
     let start = segs.len();
-    for a in addrs.iter().flatten() {
-        push_seg(segs, start, a & !(SEGMENT_BYTES - 1));
-        let last_byte = a.wrapping_add(3);
-        let seg2 = last_byte & !(SEGMENT_BYTES - 1);
-        push_seg(segs, start, seg2);
-    }
-    segs[start..].sort_unstable();
-    // Dedup the tail in place (`Vec::dedup` would touch the whole buffer).
-    let mut w = start + 1;
-    for r in start + 1..segs.len() {
-        if segs[r] != segs[w - 1] {
-            segs[w] = segs[r];
-            w += 1;
+    let mut ascending = true;
+    let mut push = |seg: u32, segs: &mut Vec<u32>| match segs[start..].last() {
+        Some(&last) if last == seg => {}
+        Some(&last) => {
+            ascending &= last < seg;
+            segs.push(seg);
         }
+        None => segs.push(seg),
+    };
+    for a in lanes {
+        push(a & !(SEGMENT_BYTES - 1), segs);
+        // An unaligned word's last byte may lie in the next segment.
+        push(a.wrapping_add(3) & !(SEGMENT_BYTES - 1), segs);
     }
-    if start < segs.len() {
+    if !ascending {
+        segs[start..].sort_unstable();
+        // Dedup the tail in place (`Vec::dedup` would touch the whole buffer).
+        let mut w = start + 1;
+        for r in start + 1..segs.len() {
+            if segs[r] != segs[w - 1] {
+                segs[w] = segs[r];
+                w += 1;
+            }
+        }
         segs.truncate(w);
     }
     (start as u32, (segs.len() - start) as u32)
-}
-
-fn push_seg(segs: &mut Vec<u32>, start: usize, seg: u32) {
-    // Small-vector fast path: most warps touch very few segments, so a
-    // linear containment check beats hashing.
-    if !segs[start..].contains(&seg) {
-        segs.push(seg);
-    }
 }
 
 /// Convenience wrapper: number of transactions for an access pattern.

@@ -2,6 +2,7 @@
 
 use crate::cache::CacheConfig;
 use crate::dram::DramConfig;
+use crate::geometry::Divisor;
 
 /// Geometry and latencies of the whole memory subsystem, defaulting to a
 /// Tesla K20c-like arrangement (13 SMXs, 5 64-bit memory partitions with
@@ -56,11 +57,47 @@ impl Default for MemConfig {
 
 impl MemConfig {
     /// Maps a global byte address to `(partition, partition-local address)`.
+    /// Derives the interleave geometry on every call; the subsystem
+    /// derives it once and routes through that.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition_interleave` or `num_partitions` is zero.
     pub fn partition_of(&self, addr: u32) -> (usize, u32) {
-        let il = self.partition_interleave;
-        let p = (addr / il) as usize % self.num_partitions;
-        let local = (addr / il / self.num_partitions as u32) * il + addr % il;
-        (p, local)
+        PartitionMap::new(self).locate(addr)
+    }
+}
+
+/// [`MemConfig::partition_of`] with the interleave geometry derived once;
+/// the subsystem builds one at construction and routes every transaction
+/// through it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PartitionMap {
+    interleave: Divisor,
+    partitions: Divisor,
+    interleave_bytes: u32,
+}
+
+impl PartitionMap {
+    /// # Panics
+    ///
+    /// Panics if `partition_interleave` or `num_partitions` is zero, or
+    /// if `num_partitions` does not fit the 32-bit address arithmetic.
+    pub(crate) fn new(cfg: &MemConfig) -> Self {
+        let partitions = u32::try_from(cfg.num_partitions)
+            .expect("MemConfig::num_partitions must fit in 32 bits");
+        PartitionMap {
+            interleave: Divisor::new(cfg.partition_interleave, "MemConfig::partition_interleave"),
+            partitions: Divisor::new(partitions, "MemConfig::num_partitions"),
+            interleave_bytes: cfg.partition_interleave,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn locate(&self, addr: u32) -> (usize, u32) {
+        let (chunk, offset) = self.interleave.div_rem(addr);
+        let (local_chunk, p) = self.partitions.div_rem(chunk);
+        (p as usize, local_chunk * self.interleave_bytes + offset)
     }
 }
 
@@ -88,6 +125,26 @@ mod tests {
         let (_, l0) = cfg.partition_of(0);
         let (_, l1) = cfg.partition_of(256 * cfg.num_partitions as u32);
         assert_eq!(l1, l0 + 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "MemConfig::partition_interleave must be non-zero")]
+    fn zero_interleave_is_rejected_where_it_is_derived() {
+        let cfg = MemConfig {
+            partition_interleave: 0,
+            ..MemConfig::default()
+        };
+        let _ = PartitionMap::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "MemConfig::num_partitions must be non-zero")]
+    fn zero_partitions_is_rejected_where_it_is_derived() {
+        let cfg = MemConfig {
+            num_partitions: 0,
+            ..MemConfig::default()
+        };
+        let _ = PartitionMap::new(&cfg);
     }
 
     #[test]

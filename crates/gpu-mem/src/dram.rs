@@ -14,8 +14,10 @@
 //! paper's y-axis range (its best benchmark reaches ≈ 0.55 on a different
 //! burst ratio).
 
+use crate::geometry::Divisor;
+use crate::mono_queue::MonoQueue;
 use gpu_trace::{Category, EventKind, TraceBuffer};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// DRAM controller timing parameters (in core-clock cycles).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,30 +88,16 @@ impl DramStats {
     }
 }
 
+/// A queued request, with the bank and row its address maps to resolved
+/// when it was enqueued so the scheduler's window scan does no address
+/// arithmetic.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
     id: u64,
     local_addr: u32,
+    bank: u32,
+    row: u32,
     is_write: bool,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct InFlight {
-    done: u64,
-    id: u64,
-}
-
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on completion time.
-        other.done.cmp(&self.done).then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// One memory partition's DRAM controller.
@@ -119,27 +107,45 @@ impl PartialOrd for InFlight {
 #[derive(Clone, Debug)]
 pub struct DramPartition {
     cfg: DramConfig,
+    /// Geometry, derived once: `addr → row index → (row, bank)`.
+    row_bytes: Divisor,
+    banks: Divisor,
     open_row: Vec<Option<u32>>,
     bank_ready: Vec<u64>,
     bus_free_at: u64,
     last_now: u64,
     queue: VecDeque<Pending>,
-    in_flight: BinaryHeap<InFlight>,
+    /// Reads on the bus or in their CAS delay, keyed `(done, id)` with the
+    /// address as payload. `done = burst_end + t_cas` and `burst_end`
+    /// never decreases, so this is a FIFO but for equal-`done` ties.
+    in_flight: MonoQueue<u32>,
     stats: DramStats,
     trace: TraceBuffer,
 }
 
 impl DramPartition {
     /// Creates an idle controller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks`, `row_bytes` or `sched_window` is zero: no
+    /// address maps to a bank, or the scheduler never considers a request
+    /// and every read waits for the watchdog.
     pub fn new(cfg: DramConfig) -> Self {
+        assert!(
+            cfg.sched_window != 0,
+            "DramConfig::sched_window must be non-zero"
+        );
         DramPartition {
             cfg,
+            row_bytes: Divisor::new(cfg.row_bytes, "DramConfig::row_bytes"),
+            banks: Divisor::new(cfg.banks, "DramConfig::banks"),
             open_row: vec![None; cfg.banks as usize],
             bank_ready: vec![0; cfg.banks as usize],
             bus_free_at: 0,
             last_now: 0,
             queue: VecDeque::new(),
-            in_flight: BinaryHeap::new(),
+            in_flight: MonoQueue::new(),
             stats: DramStats::default(),
             trace: TraceBuffer::default(),
         }
@@ -175,17 +181,19 @@ impl DramPartition {
             self.can_accept(),
             "DRAM queue overflow — caller must check can_accept"
         );
+        let (bank, row) = self.bank_and_row(local_addr);
         self.queue.push_back(Pending {
             id,
             local_addr,
+            bank,
+            row,
             is_write,
         });
     }
 
-    fn bank_and_row(&self, local_addr: u32) -> (usize, u32) {
-        let row_idx = local_addr / self.cfg.row_bytes;
-        let bank = (row_idx % self.cfg.banks) as usize;
-        let row = row_idx / self.cfg.banks;
+    fn bank_and_row(&self, local_addr: u32) -> (u32, u32) {
+        let (row_idx, _) = self.row_bytes.div_rem(local_addr);
+        let (row, bank) = self.banks.div_rem(row_idx);
         (bank, row)
     }
 
@@ -219,6 +227,14 @@ impl DramPartition {
     /// Appends the ids of reads whose data returned this cycle to
     /// `completed`.
     pub fn tick(&mut self, now: u64, completed: &mut Vec<u64>) {
+        self.tick_with(now, |id, _| completed.push(id));
+    }
+
+    /// [`tick`](Self::tick), handing each returning read's `(id,
+    /// local_addr)` to `returned` instead of collecting ids — the
+    /// subsystem routes the fill by its address, so it keeps no id → line
+    /// map.
+    pub(crate) fn tick_with(&mut self, now: u64, mut returned: impl FnMut(u64, u32)) {
         self.catch_up(now);
         self.last_now = now;
         let busy = !self.queue.is_empty() || !self.in_flight.is_empty() || now < self.bus_free_at;
@@ -226,13 +242,8 @@ impl DramPartition {
             self.stats.active_cycles += 1;
         }
 
-        while let Some(top) = self.in_flight.peek() {
-            if top.done <= now {
-                completed.push(top.id);
-                self.in_flight.pop();
-            } else {
-                break;
-            }
+        while let Some((id, local_addr)) = self.in_flight.pop_due(now) {
+            returned(id, local_addr);
         }
 
         if self.bus_free_at > now || self.queue.is_empty() {
@@ -243,13 +254,11 @@ impl DramPartition {
         // ready request.
         let window = self.queue.len().min(self.cfg.sched_window);
         let mut choice: Option<usize> = None;
-        for i in 0..window {
-            let p = self.queue[i];
-            let (bank, row) = self.bank_and_row(p.local_addr);
-            if self.bank_ready[bank] > now {
+        for (i, p) in self.queue.iter().take(window).enumerate() {
+            if self.bank_ready[p.bank as usize] > now {
                 continue;
             }
-            if self.open_row[bank] == Some(row) {
+            if self.open_row[p.bank as usize] == Some(p.row) {
                 choice = Some(i);
                 break;
             }
@@ -259,7 +268,7 @@ impl DramPartition {
         }
         let Some(idx) = choice else { return };
         let p = self.queue.remove(idx).expect("index in range");
-        let (bank, row) = self.bank_and_row(p.local_addr);
+        let (bank, row) = (p.bank as usize, p.row);
         let hit = self.open_row[bank] == Some(row);
         let penalty = if hit {
             self.stats.row_hits += 1;
@@ -284,10 +293,8 @@ impl DramPartition {
         self.bus_free_at = burst_end;
         self.bank_ready[bank] = burst_end;
         if !p.is_write {
-            self.in_flight.push(InFlight {
-                done: burst_end + self.cfg.t_cas,
-                id: p.id,
-            });
+            self.in_flight
+                .push(burst_end + self.cfg.t_cas, p.id, p.local_addr);
         }
     }
 
@@ -303,8 +310,8 @@ impl DramPartition {
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut fold = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
-        if let Some(top) = self.in_flight.peek() {
-            fold(top.done.max(now + 1));
+        if let Some((done, _)) = self.in_flight.front() {
+            fold(done.max(now + 1));
         }
         if !self.queue.is_empty() {
             // All banks are ready by `bus_free_at` (burst ends are
@@ -512,6 +519,33 @@ mod tests {
         d.push(1, 0, false);
         d.push(2, 128, false);
         assert!(!d.can_accept());
+    }
+
+    #[test]
+    #[should_panic(expected = "DramConfig::banks must be non-zero")]
+    fn zero_banks_is_rejected_at_construction() {
+        let _ = DramPartition::new(DramConfig {
+            banks: 0,
+            ..DramConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "DramConfig::row_bytes must be non-zero")]
+    fn zero_row_bytes_is_rejected_at_construction() {
+        let _ = DramPartition::new(DramConfig {
+            row_bytes: 0,
+            ..DramConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "DramConfig::sched_window must be non-zero")]
+    fn zero_sched_window_is_rejected_at_construction() {
+        let _ = DramPartition::new(DramConfig {
+            sched_window: 0,
+            ..DramConfig::default()
+        });
     }
 
     #[test]

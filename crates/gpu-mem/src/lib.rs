@@ -25,6 +25,11 @@ mod cache;
 pub mod coalesce;
 mod config;
 mod dram;
+mod geometry;
+mod mono_queue;
+mod mshr;
+#[cfg(test)]
+mod reference;
 mod subsystem;
 
 pub use backing::{BackingStore, LinearAllocator};

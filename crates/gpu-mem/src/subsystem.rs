@@ -7,10 +7,12 @@
 //! caller waits on; plain stores are posted and never reported.
 
 use crate::cache::{Cache, CacheStats, Lookup};
-use crate::config::MemConfig;
+use crate::config::{MemConfig, PartitionMap};
 use crate::dram::{DramPartition, DramStats};
+use crate::mono_queue::MonoQueue;
+use crate::mshr::MshrTable;
 use gpu_trace::{Category, EventKind, Recorder, TraceBuffer};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Handle for an in-flight load or atomic transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,21 +63,25 @@ struct PartReq {
     kind: AccessKind,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Completion {
-    at: u64,
-    id: AccessId,
+/// One memory partition: its input queue from the interconnect, its L2
+/// slice and its DRAM channel.
+#[derive(Debug)]
+struct Partition {
+    input: VecDeque<PartReq>,
+    l2: Cache,
+    dram: DramPartition,
 }
 
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at).then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Partition {
+    /// Posted write-back of an evicted dirty line; dropped if the
+    /// controller is saturated (the data is functionally safe, only
+    /// bandwidth accounting is lost, and a saturated queue already models
+    /// the contention).
+    fn write_back(&mut self, local_addr: u32, next_dram_id: &mut u64) {
+        if self.dram.can_accept() {
+            self.dram.push(*next_dram_id, local_addr, true);
+            *next_dram_id += 1;
+        }
     }
 }
 
@@ -99,40 +105,63 @@ impl PartialOrd for Completion {
 #[derive(Debug)]
 pub struct MemSubsystem {
     cfg: MemConfig,
+    /// Geometry and latency sums, derived once.
+    partition_map: PartitionMap,
+    /// L2 lookup (or returning fill) to data back at the SMX.
+    l2_to_smx: u64,
     l1: Vec<Cache>,
-    l2: Vec<Cache>,
-    dram: Vec<DramPartition>,
-    part_in: Vec<VecDeque<PartReq>>,
-    completions: BinaryHeap<Completion>,
-    /// Outstanding L2-miss lines: (partition, line addr) → waiters.
-    miss_waiters: HashMap<(usize, u32), Vec<AccessId>>,
-    /// DRAM read id → (partition, line addr) it fills.
-    dram_reads: HashMap<u64, (usize, u32)>,
+    parts: Vec<Partition>,
+    /// Completions, as two queues that are each pushed in deadline
+    /// order: L1 hits mature `l1_hit_latency` after the `access` that
+    /// made them, L2 hits and fills `l2_to_smx` after the `tick` that
+    /// made them. `tick` merges their matured prefixes by `(at, id)`.
+    l1_done: MonoQueue<()>,
+    l2_done: MonoQueue<()>,
+    /// Ids completing at the L2 in the current `tick`, gathered across
+    /// partitions so they enter `l2_done` in id order.
+    l2_batch: Vec<AccessId>,
+    /// Outstanding L2-miss lines and their waiters.
+    mshr: MshrTable,
     next_access: u64,
     next_dram_id: u64,
-    dram_buf: Vec<u64>,
     stats_kind: (u64, u64, u64),
     trace: TraceBuffer,
 }
 
 impl MemSubsystem {
     /// Builds the hierarchy described by `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, on a geometry no transaction could
+    /// traverse: a zero `num_partitions`, `partition_interleave`,
+    /// `l2_ports`, cache `line_bytes` / `ways` or DRAM `banks` /
+    /// `row_bytes` / `sched_window`, or a `dram.queue_capacity` below 2
+    /// (an L2 miss needs room for a victim write-back and the line fetch,
+    /// so a shallower queue would stall every load until the watchdog).
     pub fn new(cfg: MemConfig) -> Self {
+        assert!(cfg.l2_ports != 0, "MemConfig::l2_ports must be non-zero");
+        assert!(
+            cfg.dram.queue_capacity >= 2,
+            "DramConfig::queue_capacity must be at least 2"
+        );
         MemSubsystem {
+            partition_map: PartitionMap::new(&cfg),
+            l2_to_smx: cfg.l2_latency + cfg.icnt_back,
             l1: (0..cfg.num_smx).map(|_| Cache::new(cfg.l1)).collect(),
-            l2: (0..cfg.num_partitions)
-                .map(|_| Cache::new(cfg.l2_slice))
+            parts: (0..cfg.num_partitions)
+                .map(|_| Partition {
+                    input: VecDeque::new(),
+                    l2: Cache::new(cfg.l2_slice),
+                    dram: DramPartition::new(cfg.dram),
+                })
                 .collect(),
-            dram: (0..cfg.num_partitions)
-                .map(|_| DramPartition::new(cfg.dram))
-                .collect(),
-            part_in: (0..cfg.num_partitions).map(|_| VecDeque::new()).collect(),
-            completions: BinaryHeap::new(),
-            miss_waiters: HashMap::new(),
-            dram_reads: HashMap::new(),
+            l1_done: MonoQueue::new(),
+            l2_done: MonoQueue::new(),
+            l2_batch: Vec::new(),
+            mshr: MshrTable::new(),
             next_access: 0,
             next_dram_id: 0,
-            dram_buf: Vec::new(),
             stats_kind: (0, 0, 0),
             trace: TraceBuffer::default(),
             cfg,
@@ -144,8 +173,8 @@ impl MemSubsystem {
     /// their single always-false branch.
     pub fn set_trace_mask(&mut self, mask: u32) {
         self.trace.set_mask(mask);
-        for d in &mut self.dram {
-            d.trace_mut().set_mask(mask);
+        for part in &mut self.parts {
+            part.dram.trace_mut().set_mask(mask);
         }
     }
 
@@ -154,8 +183,8 @@ impl MemSubsystem {
     /// cycle when tracing is enabled.
     pub fn drain_trace(&mut self, now: u64, rec: &mut Recorder) {
         rec.absorb(now, &mut self.trace);
-        for (p, d) in self.dram.iter_mut().enumerate() {
-            for mut kind in d.trace_mut().drain() {
+        for (p, part) in self.parts.iter_mut().enumerate() {
+            for mut kind in part.dram.trace_mut().drain() {
                 if let EventKind::DramRowActivate { partition, .. } = &mut kind {
                     *partition = p as u32;
                 }
@@ -203,10 +232,7 @@ impl MemSubsystem {
                     });
                 }
                 if hit {
-                    self.completions.push(Completion {
-                        at: now + self.cfg.l1_hit_latency,
-                        id,
-                    });
+                    self.l1_done.push(now + self.cfg.l1_hit_latency, id.0, ());
                 } else {
                     self.route_to_partition(addr, Some(id), kind, now);
                 }
@@ -257,9 +283,9 @@ impl MemSubsystem {
     }
 
     fn route_to_partition(&mut self, addr: u32, id: Option<AccessId>, kind: AccessKind, now: u64) {
-        let (p, local) = self.cfg.partition_of(addr);
+        let (p, local) = self.partition_map.locate(addr);
         // The L2 and DRAM operate on partition-local line addresses.
-        self.part_in[p].push_back(PartReq {
+        self.parts[p].input.push_back(PartReq {
             ready_at: now + self.cfg.icnt_fwd,
             id,
             addr: local,
@@ -271,123 +297,104 @@ impl MemSubsystem {
     /// monotonically increasing values) and appends the ids of
     /// transactions whose latency elapsed this cycle to `completed`.
     pub fn tick(&mut self, now: u64, completed: &mut Vec<AccessId>) {
-        let line_mask = !(self.cfg.l2_slice.line_bytes - 1);
-        for p in 0..self.cfg.num_partitions {
+        let MemSubsystem {
+            cfg,
+            parts,
+            mshr,
+            l2_batch,
+            trace,
+            next_dram_id,
+            ..
+        } = self;
+        for (p, part) in parts.iter_mut().enumerate() {
+            // A partition with nothing serviceable in its input queue and
+            // a quiescent controller has no state this cycle can change:
+            // `catch_up` reconstructs the idle span when work arrives.
+            let serviceable = part.input.front().is_some_and(|r| r.ready_at <= now);
+            if !serviceable && part.dram.quiescent() {
+                continue;
+            }
             // Settle skipped-span `active_cycles` accounting before this
             // cycle's L2 stage pushes new DRAM requests: the span must be
             // accounted with the frozen pre-push queue state.
-            self.dram[p].catch_up(now);
+            part.dram.catch_up(now);
             // L2 services a bounded number of lookups per cycle.
-            for _ in 0..self.cfg.l2_ports {
+            for _ in 0..cfg.l2_ports {
                 // An L2 miss may enqueue both a victim write-back and the
                 // line fetch, so require room for two DRAM requests.
-                let can_issue = self.part_in[p].front().is_some_and(|r| r.ready_at <= now)
-                    && self.dram[p].free_capacity() >= 2;
-                if !can_issue {
+                if part.dram.free_capacity() < 2 {
                     break;
                 }
-                let Some(req) = self.part_in[p].pop_front() else {
+                let Some(req) = part.input.pop_front_if(|r| r.ready_at <= now) else {
                     break;
                 };
-                let line = req.addr & line_mask;
-                match req.kind {
+                let line = part.l2.line_of(req.addr);
+                let lookup = match req.kind {
                     AccessKind::Load | AccessKind::Atomic => {
-                        if let Some(waiters) = self.miss_waiters.get_mut(&(p, line)) {
+                        if mshr.merge(MshrTable::key(p, line), req.id) {
                             // MSHR merge: the line is already on its way.
-                            if let Some(id) = req.id {
-                                waiters.push(id);
-                            }
                             continue;
                         }
-                        let lookup = self.l2[p].access_read(req.addr);
-                        if self.trace.on(Category::Cache) {
-                            self.trace.push(EventKind::CacheAccess {
-                                level: 2,
-                                unit: p as u32,
-                                hit: (lookup == Lookup::Hit) as u32,
-                            });
-                        }
-                        match lookup {
-                            Lookup::Hit => {
-                                if let Some(id) = req.id {
-                                    self.completions.push(Completion {
-                                        at: now + self.cfg.l2_latency + self.cfg.icnt_back,
-                                        id,
-                                    });
-                                }
-                            }
-                            Lookup::Miss { writeback } => {
-                                if let Some(victim) = writeback {
-                                    self.dram_write(p, victim);
-                                }
-                                let did = self.next_dram_id;
-                                self.next_dram_id += 1;
-                                self.dram[p].push(did, line, false);
-                                self.dram_reads.insert(did, (p, line));
-                                self.miss_waiters
-                                    .insert((p, line), req.id.into_iter().collect());
-                            }
-                        }
+                        part.l2.access_read(req.addr)
                     }
-                    AccessKind::Store => {
-                        // Write-back, write-allocate (no fetch-on-write; the
-                        // functional model already has the data).
-                        let lookup = self.l2[p].access_write(req.addr);
-                        if self.trace.on(Category::Cache) {
-                            self.trace.push(EventKind::CacheAccess {
-                                level: 2,
-                                unit: p as u32,
-                                hit: (lookup == Lookup::Hit) as u32,
-                            });
+                    // Write-back, write-allocate (no fetch-on-write; the
+                    // functional model already has the data).
+                    AccessKind::Store => part.l2.access_write(req.addr),
+                };
+                if trace.on(Category::Cache) {
+                    trace.push(EventKind::CacheAccess {
+                        level: 2,
+                        unit: p as u32,
+                        hit: (lookup == Lookup::Hit) as u32,
+                    });
+                }
+                match lookup {
+                    Lookup::Hit => l2_batch.extend(req.id),
+                    Lookup::Miss { writeback } => {
+                        if let Some(victim) = writeback {
+                            part.write_back(victim, next_dram_id);
                         }
-                        if let Lookup::Miss {
-                            writeback: Some(victim),
-                        } = lookup
-                        {
-                            self.dram_write(p, victim);
+                        if req.kind != AccessKind::Store {
+                            part.dram.push(*next_dram_id, line, false);
+                            *next_dram_id += 1;
+                            mshr.open(MshrTable::key(p, line), req.id);
                         }
                     }
                 }
             }
 
-            self.dram_buf.clear();
-            let mut buf = std::mem::take(&mut self.dram_buf);
-            self.dram[p].tick(now, &mut buf);
-            for did in buf.drain(..) {
-                if let Some((part, line)) = self.dram_reads.remove(&did) {
-                    if let Some(waiters) = self.miss_waiters.remove(&(part, line)) {
-                        // The returning fill still traverses the L2 pipeline
-                        // before data heads back across the interconnect.
-                        for id in waiters {
-                            self.completions.push(Completion {
-                                at: now + self.cfg.l2_latency + self.cfg.icnt_back,
-                                id,
-                            });
-                        }
-                    }
-                }
-            }
-            self.dram_buf = buf;
+            // The returning fill still traverses the L2 pipeline before
+            // data heads back across the interconnect.
+            part.dram
+                .tick_with(now, |_, line| mshr.close(MshrTable::key(p, line), l2_batch));
         }
 
-        while let Some(top) = self.completions.peek() {
-            if top.at <= now {
-                completed.push(top.id);
-                self.completions.pop();
+        // Everything that completed at the L2 this cycle matures at the
+        // same `at`; in id order it extends `l2_done` monotonically.
+        if !l2_batch.is_sorted() {
+            l2_batch.sort_unstable();
+        }
+        let at = now + self.l2_to_smx;
+        for id in self.l2_batch.drain(..) {
+            self.l2_done.push(at, id.0, ());
+        }
+
+        // Merge the two queues' matured prefixes by `(at, id)`.
+        loop {
+            let due = |q: &MonoQueue<()>| q.front().filter(|&(at, _)| at <= now);
+            let from_l1 = match (due(&self.l1_done), due(&self.l2_done)) {
+                (None, None) => break,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some(l1), Some(l2)) => l1 < l2,
+            };
+            let queue = if from_l1 {
+                &mut self.l1_done
             } else {
-                break;
-            }
-        }
-    }
-
-    fn dram_write(&mut self, p: usize, local_addr: u32) {
-        // Posted write-back; drop it if the controller is saturated (the
-        // data is functionally safe, only bandwidth accounting is lost,
-        // and a saturated queue already models the contention).
-        if self.dram[p].can_accept() {
-            let did = self.next_dram_id;
-            self.next_dram_id += 1;
-            self.dram[p].push(did, local_addr, true);
+                &mut self.l2_done
+            };
+            let (id, ()) = queue.pop_due(now).expect("front is due");
+            completed.push(AccessId(id));
         }
     }
 
@@ -405,16 +412,16 @@ impl MemSubsystem {
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut fold = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
-        if let Some(top) = self.completions.peek() {
-            fold(top.at.max(now + 1));
-        }
-        for q in &self.part_in {
-            if let Some(front) = q.front() {
-                fold(front.ready_at.max(now + 1));
+        for done in [&self.l1_done, &self.l2_done] {
+            if let Some((at, _)) = done.front() {
+                fold(at.max(now + 1));
             }
         }
-        for d in &self.dram {
-            if let Some(t) = d.next_event_at(now) {
+        for part in &self.parts {
+            if let Some(front) = part.input.front() {
+                fold(front.ready_at.max(now + 1));
+            }
+            if let Some(t) = part.dram.next_event_at(now) {
                 fold(t);
             }
         }
@@ -425,25 +432,29 @@ impl MemSubsystem {
     /// complete: every [`AccessId`] the caller is still waiting on. Used
     /// by the simulator's invariant checker to prove request conservation
     /// across L1 → L2 → DRAM (each id is in exactly one place: the
-    /// partition input queue, an L2 miss-waiter list, or the completion
-    /// heap).
+    /// partition input queue, an L2 miss-waiter list, or a completion
+    /// queue).
     pub fn in_flight(&self) -> usize {
-        self.completions.len()
-            + self.miss_waiters.values().map(Vec::len).sum::<usize>()
+        self.l1_done.len()
+            + self.l2_done.len()
+            + self.mshr.waiters()
             + self
-                .part_in
+                .parts
                 .iter()
-                .flatten()
+                .flat_map(|part| &part.input)
                 .filter(|r| r.id.is_some())
                 .count()
     }
 
     /// True when no transaction is queued or in flight anywhere.
     pub fn quiescent(&self) -> bool {
-        self.completions.is_empty()
-            && self.miss_waiters.is_empty()
-            && self.part_in.iter().all(VecDeque::is_empty)
-            && self.dram.iter().all(DramPartition::quiescent)
+        self.l1_done.is_empty()
+            && self.l2_done.is_empty()
+            && self.mshr.is_empty()
+            && self
+                .parts
+                .iter()
+                .all(|part| part.input.is_empty() && part.dram.quiescent())
     }
 
     /// Aggregated statistics across all caches and partitions.
@@ -456,15 +467,13 @@ impl MemSubsystem {
             l1.writebacks += s.writebacks;
         }
         let mut l2 = CacheStats::default();
-        for c in &self.l2 {
-            let s = c.stats();
+        let mut dram = DramStats::default();
+        for part in &self.parts {
+            let s = part.l2.stats();
             l2.hits += s.hits;
             l2.misses += s.misses;
             l2.writebacks += s.writebacks;
-        }
-        let mut dram = DramStats::default();
-        for d in &self.dram {
-            dram.merge(d.stats());
+            dram.merge(part.dram.stats());
         }
         MemStats {
             loads: self.stats_kind.0,
@@ -601,6 +610,32 @@ mod tests {
         mem.access(5, 0x3000, AccessKind::Load, 20_000).unwrap();
         drain(&mut mem, 20_000);
         assert_eq!(mem.stats().dram.n_rd, 1, "second SMX hits in L2");
+    }
+
+    #[test]
+    #[should_panic(expected = "DramConfig::queue_capacity must be at least 2")]
+    fn dram_queue_too_shallow_for_an_l2_miss_is_rejected_at_construction() {
+        let mut cfg = MemConfig::default();
+        cfg.dram.queue_capacity = 1;
+        let _ = MemSubsystem::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "MemConfig::num_partitions must be non-zero")]
+    fn zero_partitions_is_rejected_at_construction() {
+        let _ = MemSubsystem::new(MemConfig {
+            num_partitions: 0,
+            ..MemConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MemConfig::l2_ports must be non-zero")]
+    fn zero_l2_ports_is_rejected_at_construction() {
+        let _ = MemSubsystem::new(MemConfig {
+            l2_ports: 0,
+            ..MemConfig::default()
+        });
     }
 
     #[test]

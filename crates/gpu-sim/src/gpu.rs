@@ -16,7 +16,7 @@ use gpu_isa::{
     LaunchRequest, Program, Space, ThreadEnv, UOp, WARP_SIZE,
 };
 use gpu_mem::{
-    coalesce::coalesce_into, AccessId, AccessKind, BackingStore, LinearAllocator, MemSubsystem,
+    coalesce::coalesce_mask_into, AccessId, AccessKind, BackingStore, LinearAllocator, MemSubsystem,
 };
 use gpu_trace::{Category, EventKind, Recorder, StallReason};
 use std::cmp::Reverse;
@@ -1586,7 +1586,10 @@ impl Gpu {
             }
             UOp::Ld { .. } | UOp::St { .. } | UOp::LdParam { .. } | UOp::Atom { .. } => {
                 warp.advance_pc();
-                let mut global_addrs = [None::<u32>; WARP_SIZE];
+                // One address per lane and the lanes whose access is global:
+                // the image the coalescer reads.
+                let mut addrs = [0u32; WARP_SIZE];
+                let mut global_mask = 0u32;
                 let mut any_shared = false;
                 let mut is_load_or_atomic = false;
                 let mut is_atomic = false;
@@ -1616,7 +1619,8 @@ impl Gpu {
                                     Space::Global => {
                                         let v = self.mem.read_u32(req.addr);
                                         warp.regs.write_lane(dst, lane as usize, v);
-                                        global_addrs[lane as usize] = Some(req.addr);
+                                        addrs[lane as usize] = req.addr;
+                                        global_mask |= 1 << lane;
                                     }
                                 }
                             }
@@ -1628,7 +1632,8 @@ impl Gpu {
                                 }
                                 Space::Global => {
                                     self.mem.write_u32(req.addr, value);
-                                    global_addrs[lane as usize] = Some(req.addr);
+                                    addrs[lane as usize] = req.addr;
+                                    global_mask |= 1 << lane;
                                 }
                             },
                             Effect::Atomic {
@@ -1656,7 +1661,8 @@ impl Gpu {
                                     }
                                     Space::Global => {
                                         self.mem.write_u32(req.addr, new);
-                                        global_addrs[lane as usize] = Some(req.addr);
+                                        addrs[lane as usize] = req.addr;
+                                        global_mask |= 1 << lane;
                                     }
                                 }
                                 if let Some(d) = dst {
@@ -1685,7 +1691,6 @@ impl Gpu {
                             offset,
                         } => {
                             is_load_or_atomic = true;
-                            let mut addrs = [0u32; WARP_SIZE];
                             warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
                             let mut vals = [0u32; WARP_SIZE];
                             let mut rest = mask;
@@ -1702,11 +1707,11 @@ impl Gpu {
                                     }
                                 }
                                 Space::Global => {
+                                    global_mask = mask;
                                     while rest != 0 {
                                         let lane = rest.trailing_zeros() as usize;
                                         rest &= rest - 1;
                                         vals[lane] = self.mem.read_u32(addrs[lane]);
-                                        global_addrs[lane] = Some(addrs[lane]);
                                     }
                                 }
                             }
@@ -1721,12 +1726,8 @@ impl Gpu {
                             // per-lane address image.
                             let v = self.mem.read_u32(addr);
                             warp.regs.broadcast(dst, v, mask);
-                            let mut rest = mask;
-                            while rest != 0 {
-                                let lane = rest.trailing_zeros() as usize;
-                                rest &= rest - 1;
-                                global_addrs[lane] = Some(addr);
-                            }
+                            addrs = [addr; WARP_SIZE];
+                            global_mask = mask;
                         }
                         UOp::St {
                             space,
@@ -1734,7 +1735,6 @@ impl Gpu {
                             offset,
                             src,
                         } => {
-                            let mut addrs = [0u32; WARP_SIZE];
                             warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
                             let mut vals = [0u32; WARP_SIZE];
                             warp.regs.src_sweep(src, mask, &mut vals);
@@ -1751,11 +1751,11 @@ impl Gpu {
                                     }
                                 }
                                 Space::Global => {
+                                    global_mask = mask;
                                     while rest != 0 {
                                         let lane = rest.trailing_zeros() as usize;
                                         rest &= rest - 1;
                                         self.mem.write_u32(addrs[lane], vals[lane]);
-                                        global_addrs[lane] = Some(addrs[lane]);
                                     }
                                 }
                             }
@@ -1771,7 +1771,6 @@ impl Gpu {
                         } => {
                             is_load_or_atomic = true;
                             is_atomic = true;
-                            let mut addrs = [0u32; WARP_SIZE];
                             warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
                             let mut opers = [0u32; WARP_SIZE];
                             warp.regs.src_sweep(src, mask, &mut opers);
@@ -1802,7 +1801,7 @@ impl Gpu {
                                     }
                                     Space::Global => {
                                         self.mem.write_u32(addrs[lane], new);
-                                        global_addrs[lane] = Some(addrs[lane]);
+                                        global_mask |= 1 << lane;
                                     }
                                 }
                                 if let Some(d) = dst {
@@ -1817,7 +1816,7 @@ impl Gpu {
                 // one scratch segment list reused across every memory
                 // instruction instead of a fresh `Vec` per access.
                 let mut txns = std::mem::take(&mut self.txn_buf);
-                coalesce_into(&global_addrs, &mut txns);
+                coalesce_mask_into(&addrs, global_mask, &mut txns);
                 if txns.is_empty() {
                     // Shared-memory only.
                     let busy = if any_shared {

@@ -26,7 +26,7 @@ use gpu_isa::{
     exec_alu, lane_step, AtomOp, Dim3, Effect, LaneView, LaunchKind, LaunchRequest, Reg, Space,
     ThreadEnv, UOp, WARP_SIZE,
 };
-use gpu_mem::coalesce::coalesce_append;
+use gpu_mem::coalesce::coalesce_mask_append;
 use gpu_mem::AccessKind;
 use gpu_trace::{Category, EventKind, StallReason};
 use std::cell::UnsafeCell;
@@ -475,7 +475,10 @@ fn stage_warp(
         }
         UOp::Ld { .. } | UOp::St { .. } | UOp::LdParam { .. } | UOp::Atom { .. } => {
             warp.advance_pc();
-            let mut global_addrs = [None::<u32>; WARP_SIZE];
+            // One address per lane and the lanes whose access is global:
+            // the image the coalescer reads.
+            let mut addrs = [0u32; WARP_SIZE];
+            let mut global_mask = 0u32;
             let mut any_shared = false;
             let mut is_load_or_atomic = false;
             let mut is_atomic = false;
@@ -509,7 +512,8 @@ fn stage_warp(
                                         dst,
                                         addr: req.addr,
                                     });
-                                    global_addrs[lane as usize] = Some(req.addr);
+                                    addrs[lane as usize] = req.addr;
+                                    global_mask |= 1 << lane;
                                 }
                             }
                         }
@@ -524,7 +528,8 @@ fn stage_warp(
                                     addr: req.addr,
                                     value,
                                 });
-                                global_addrs[lane as usize] = Some(req.addr);
+                                addrs[lane as usize] = req.addr;
+                                global_mask |= 1 << lane;
                             }
                         },
                         Effect::Atomic {
@@ -559,7 +564,8 @@ fn stage_warp(
                                         operand,
                                         comparand,
                                     });
-                                    global_addrs[lane as usize] = Some(req.addr);
+                                    addrs[lane as usize] = req.addr;
+                                    global_mask |= 1 << lane;
                                 }
                             }
                         }
@@ -584,7 +590,6 @@ fn stage_warp(
                         offset,
                     } => {
                         is_load_or_atomic = true;
-                        let mut addrs = [0u32; WARP_SIZE];
                         warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
                         match space {
                             Space::Shared => {
@@ -601,6 +606,7 @@ fn stage_warp(
                                 warp.regs.store_masked(dst, &vals, mask);
                             }
                             Space::Global => {
+                                global_mask = mask;
                                 let mut rest = mask;
                                 while rest != 0 {
                                     let lane = rest.trailing_zeros() as usize;
@@ -611,7 +617,6 @@ fn stage_warp(
                                         dst,
                                         addr: addrs[lane],
                                     });
-                                    global_addrs[lane] = Some(addrs[lane]);
                                 }
                             }
                         }
@@ -632,8 +637,9 @@ fn stage_warp(
                                 dst,
                                 addr,
                             });
-                            global_addrs[lane] = Some(addr);
                         }
+                        addrs = [addr; WARP_SIZE];
+                        global_mask = mask;
                     }
                     UOp::St {
                         space,
@@ -641,7 +647,6 @@ fn stage_warp(
                         offset,
                         src,
                     } => {
-                        let mut addrs = [0u32; WARP_SIZE];
                         warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
                         let mut vals = [0u32; WARP_SIZE];
                         warp.regs.src_sweep(src, mask, &mut vals);
@@ -658,6 +663,7 @@ fn stage_warp(
                                 }
                             }
                             Space::Global => {
+                                global_mask = mask;
                                 while rest != 0 {
                                     let lane = rest.trailing_zeros() as usize;
                                     rest &= rest - 1;
@@ -665,7 +671,6 @@ fn stage_warp(
                                         addr: addrs[lane],
                                         value: vals[lane],
                                     });
-                                    global_addrs[lane] = Some(addrs[lane]);
                                 }
                             }
                         }
@@ -681,7 +686,6 @@ fn stage_warp(
                     } => {
                         is_load_or_atomic = true;
                         is_atomic = true;
-                        let mut addrs = [0u32; WARP_SIZE];
                         warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
                         let mut opers = [0u32; WARP_SIZE];
                         warp.regs.src_sweep(src, mask, &mut opers);
@@ -715,7 +719,7 @@ fn stage_warp(
                                         operand: opers[lane],
                                         comparand,
                                     });
-                                    global_addrs[lane] = Some(addrs[lane]);
+                                    global_mask |= 1 << lane;
                                 }
                             }
                         }
@@ -723,7 +727,7 @@ fn stage_warp(
                     _ => unreachable!("arm is gated on memory micro-ops"),
                 }
             }
-            let (start, len) = coalesce_append(&global_addrs, &mut fx.txns);
+            let (start, len) = coalesce_mask_append(&addrs, global_mask, &mut fx.txns);
             if len == 0 {
                 let busy = if any_shared {
                     pipe.shared_mem

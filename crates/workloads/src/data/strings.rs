@@ -47,8 +47,20 @@ pub fn random_strings(n_packets: u32, seed: u64) -> PacketSet {
 
 fn gen_packets(n_packets: u32, seed: u64, darpa: bool) -> PacketSet {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut symbols = Vec::new();
-    let mut segments = Vec::new();
+    // Reserve a tenth more than the draws below yield on average, so an
+    // Eval-scale corpus is allocated once. Grown by doubling it copies
+    // megabytes and frees a hole of every size on the way, and whether the
+    // next set-up's 8 MiB step fits one of them or extends the heap is
+    // allocator luck: the repo benchmark's `peak_rss_mb` on the regx cells
+    // read 28 or 38 MiB from run to run.
+    let (segs_per_packet, syms_per_seg) = if darpa {
+        (0.85 * 3.0 + 0.15 * 39.5, 23.5)
+    } else {
+        (59.5, 10.5)
+    };
+    let segs = 1.1 * f64::from(n_packets) * segs_per_packet;
+    let mut symbols = Vec::with_capacity((segs * syms_per_seg) as usize);
+    let mut segments = Vec::with_capacity(segs as usize);
     let mut packets = Vec::with_capacity(n_packets as usize);
     for _ in 0..n_packets {
         let nseg = if darpa {
@@ -136,6 +148,16 @@ pub fn host_match(table: &[u32], accept: u32, symbols: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn eval_scale_corpora_are_allocated_once() {
+        // The sizes `build_data` asks for; outgrowing the reservation
+        // would have doubled the capacity.
+        for p in [darpa_like(4_000, 18), random_strings(2_500, 19)] {
+            assert!(p.symbols.capacity() < p.symbols.len() * 5 / 4);
+            assert!(p.segments.capacity() < p.segments.len() * 5 / 4);
+        }
+    }
 
     #[test]
     fn dfa_matches_signature() {
