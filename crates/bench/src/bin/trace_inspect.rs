@@ -111,37 +111,6 @@ fn inspect(name: &str, data: &TraceData) {
             println!("    load imbalance (max / mean): {:.2}", max as f64 / mean);
         }
     }
-
-    // Engine self-metering (the opt-in `engine` category): how many
-    // staged steps ran, how many cycles they covered, and where the wall
-    // time went between the stage and commit phases.
-    let epochs = m.counter("engine.epochs");
-    if epochs > 0 {
-        let cycles = m.counter("engine.cycles");
-        println!("  engine: {epochs} staged step(s) covering {cycles} cycle(s)");
-        println!(
-            "    stage {} ns, commit {} ns",
-            m.counter("engine.stage_ns"),
-            m.counter("engine.commit_ns")
-        );
-        for key in [
-            "engine.epoch_len",
-            "engine.stage_ns_per_epoch",
-            "engine.commit_ns_per_epoch",
-        ] {
-            let Some(h) = m.histogram(key) else { continue };
-            println!(
-                "    {:<26} mean {:.1} / p50 {} / p95 {} / p99 {}",
-                key.strip_prefix("engine.").unwrap_or(key),
-                h.mean(),
-                h.p50().unwrap_or(0),
-                h.p95().unwrap_or(0),
-                h.p99().unwrap_or(0),
-            );
-        }
-    } else {
-        println!("  engine: no samples (enable the opt-in `engine` category to meter epochs)");
-    }
     println!();
 }
 

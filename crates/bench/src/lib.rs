@@ -5,6 +5,7 @@
 //! `DESIGN.md`); this library holds the shared matrix runner and the
 //! plain-text "figure" renderer they use.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use gpu_sim::sweep::CellOutcome;
@@ -208,10 +209,10 @@ impl SweepRunner {
         m
     }
 
-    /// The pre-server sweep: every cell builds its workload data, decodes
-    /// its program, and constructs a fresh simulator. Kept as the cold
-    /// construction-per-run baseline that `perf_probe` compares the warm
-    /// pool against.
+    /// The cold sweep: every cell builds its workload data, decodes its
+    /// program, and constructs a fresh simulator — the
+    /// construction-per-run reference `engine_equivalence.rs` holds the
+    /// warm pool and the result cache to.
     pub fn run_matrix_cold(
         &self,
         benchmarks: &[Benchmark],

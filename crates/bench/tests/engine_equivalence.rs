@@ -1,11 +1,10 @@
 //! The engines' headline contract at workload scale: across the full
-//! benchmark matrix, every execution engine — per-cycle, event-driven,
-//! and the two-phase sharded engine at any `smx_jobs` — must produce
-//! `Stats` structurally identical to the serial baseline — cycle counts,
-//! launch records, memory counters, occupancy integrals, the lot. Any
-//! component whose `next_event_at` horizon overshoots its true next state
-//! change, or any staged effect committed out of serial order, shows up
-//! here as a divergence.
+//! benchmark matrix, the event-driven engine must produce `Stats`
+//! structurally identical to stepping every cycle — cycle counts, launch
+//! records, memory counters, occupancy integrals, the lot. Any component
+//! whose `next_event_at` horizon overshoots its true next state change
+//! shows up here as a divergence. The same holds for the serving paths:
+//! cold, warm-pooled and cached cells agree bit for bit.
 
 use bench::{Matrix, SweepRunner};
 use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
@@ -102,123 +101,6 @@ fn sampled_tracing_matches_per_cycle_across_matrix() {
     .for_each(|((bm, v), result)| result.unwrap_or_else(|e| panic!("{bm} [{v}]: {e}")));
 }
 
-/// The two-phase sharded engine across the full 16-benchmark × 3-variant
-/// matrix: `smx_jobs` of 2, 4 and auto (0) must all reproduce the serial
-/// engine's `Stats` bit-for-bit. The sharded runs go through a sweep pool
-/// as well, so this also covers the pool × intra-sim composition rules.
-#[test]
-fn sharded_engine_stats_match_serial_across_matrix() {
-    let serial = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test);
-    for jobs in [2usize, 4, 0] {
-        let mut cfg = GpuConfig::k20c();
-        cfg.smx_jobs = jobs;
-        let sharded =
-            SweepRunner::new(4).run_matrix_with(&Benchmark::ALL, &VARIANTS, Scale::Test, cfg);
-        assert_matrices_identical(
-            &serial,
-            &sharded,
-            &format!("serial vs sharded (smx_jobs={jobs})"),
-        );
-    }
-}
-
-/// Event traces, not just aggregate stats: on three launch-heavy
-/// benchmarks the JSONL export of a sharded run must be *byte-identical*
-/// to the serial run — same events, same order, same cycle stamps. The
-/// per-SMX shard trace buffers are merged in SMX-index order at commit,
-/// which is exactly the serial engine's emission order.
-#[test]
-fn sharded_engine_traces_match_serial_byte_for_byte() {
-    const TRACED: [Benchmark; 3] = [Benchmark::BfsUsaRoad, Benchmark::Amr, Benchmark::Bht];
-    let jsonl = |jobs: usize| -> String {
-        let mut cfg = GpuConfig::k20c();
-        cfg.smx_jobs = jobs;
-        cfg.trace = TraceConfig {
-            mask: Category::default_mask(),
-            metrics_interval: 1000,
-            ..TraceConfig::off()
-        };
-        let mut m = SweepRunner::new(1).run_matrix_with(&TRACED, &VARIANTS, Scale::Test, cfg);
-        assert!(m.failures().is_empty(), "traced runs must all succeed");
-        gpu_trace::export::jsonl(&m.take_traces(&TRACED, &VARIANTS))
-    };
-    let serial = jsonl(1);
-    assert!(!serial.is_empty());
-    for jobs in [2usize, 13] {
-        assert!(
-            jsonl(jobs) == serial,
-            "smx_jobs={jobs}: JSONL trace diverged from the serial engine"
-        );
-    }
-}
-
-/// Epoch batching across the full 16-benchmark × 3-variant matrix: with
-/// batching on (the default), a staged step whose effects were all
-/// SMX-pure may jump straight to the next event horizon — executing
-/// *fewer* steps than the per-cycle-equivalent run — yet every cell's
-/// `Stats` must stay bit-identical to runs with batching off and to the
-/// serial engine. The forced-pool cell (`pool_min_issuable = 2`) pins
-/// worker-pool staging into the comparison even on 1-core CI, where the
-/// auto policy would stage inline.
-#[test]
-fn epoch_batched_matrix_matches_serial_and_unbatched() {
-    let serial = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test);
-    let mut cells: Vec<(String, GpuConfig)> = Vec::new();
-    for jobs in [2usize, 4] {
-        let mut on = GpuConfig::k20c();
-        on.smx_jobs = jobs;
-        on.epoch_batching = true;
-        cells.push((format!("epochs on, smx_jobs={jobs}"), on));
-        let mut off = GpuConfig::k20c();
-        off.smx_jobs = jobs;
-        off.epoch_batching = false;
-        cells.push((format!("epochs off, smx_jobs={jobs}"), off));
-    }
-    let mut pooled = GpuConfig::k20c();
-    pooled.smx_jobs = 2;
-    pooled.pool_min_issuable = 2;
-    cells.push(("epochs on, forced pool, smx_jobs=2".into(), pooled));
-    for (what, cfg) in cells {
-        let m = SweepRunner::new(4).run_matrix_with(&Benchmark::ALL, &VARIANTS, Scale::Test, cfg);
-        assert_matrices_identical(&serial, &m, &format!("serial vs {what}"));
-    }
-}
-
-/// Epoch batching under tracing, byte-for-byte: with interval metrics off
-/// (`metrics_interval: 0` — a non-zero interval makes every sample cycle a
-/// landing site, which shortens the jumps) the epoch-batched
-/// engine takes multi-cycle jumps between staged steps, yet the JSONL
-/// export must stay byte-identical to the serial engine: same events,
-/// same order, same cycle stamps. A jump taken after a step that staged
-/// *any* cross-SMX effect would mis-stamp the next wave of events and
-/// fail here.
-#[test]
-fn epoch_batched_traces_match_serial_byte_for_byte() {
-    const TRACED: [Benchmark; 3] = [Benchmark::BfsUsaRoad, Benchmark::Amr, Benchmark::Bht];
-    let jsonl = |jobs: usize, pool_min: usize| -> String {
-        let mut cfg = GpuConfig::k20c();
-        cfg.smx_jobs = jobs;
-        cfg.pool_min_issuable = pool_min;
-        cfg.trace = TraceConfig {
-            mask: Category::default_mask(),
-            metrics_interval: 0,
-            ..TraceConfig::off()
-        };
-        let mut m = SweepRunner::new(1).run_matrix_with(&TRACED, &VARIANTS, Scale::Test, cfg);
-        assert!(m.failures().is_empty(), "traced runs must all succeed");
-        gpu_trace::export::jsonl(&m.take_traces(&TRACED, &VARIANTS))
-    };
-    let serial = jsonl(1, 0);
-    assert!(!serial.is_empty());
-    for (jobs, pool_min) in [(2usize, 2usize), (13, 0)] {
-        assert!(
-            jsonl(jobs, pool_min) == serial,
-            "smx_jobs={jobs} pool_min_issuable={pool_min}: \
-             epoch-batched JSONL trace diverged from the serial engine"
-        );
-    }
-}
-
 /// The warm-pool serving contract across the full matrix: every benchmark
 /// run cold (fresh construction per cell), warm-pooled (reset + bind on a
 /// shared server), and as a cache hit (same server, repeat batch) must
@@ -300,9 +182,9 @@ fn warm_and_cached_traces_match_cold_byte_for_byte() {
 }
 
 /// A run budget is part of the determinism contract, not an escape hatch
-/// from it: a cycle cap must land every engine — per-cycle, event-driven,
-/// and the two-phase sharded engine — on the *identical* cycle with
-/// bit-identical partial `Stats`. The cap is folded into the event
+/// from it: a cycle cap must land both engines — per-cycle and
+/// event-driven — on the *identical* cycle with bit-identical partial
+/// `Stats`. The cap is folded into the event
 /// engine's skip target, so even a skip that would have sailed past the
 /// cap stops exactly on it.
 #[test]
@@ -330,50 +212,15 @@ fn cycle_cap_trips_at_identical_cycle_across_engines() {
     pc_cfg.force_per_cycle = true;
     let (pc_cycle, pc_stats) = run(pc_cfg);
     let (ev_cycle, ev_stats) = run(GpuConfig::k20c());
-    let mut sh_cfg = GpuConfig::k20c();
-    sh_cfg.smx_jobs = 4;
-    let (sh_cycle, sh_stats) = run(sh_cfg);
-    // Epoch batching armed against the cap: a jump planned mid-epoch is
-    // clamped by the budget fold, so the batched engine stops on the
-    // identical cycle instead of sailing past it.
-    let mut eb_cfg = GpuConfig::k20c();
-    eb_cfg.smx_jobs = 4;
-    eb_cfg.epoch_batching = false;
-    let (eb_cycle, eb_stats) = run(eb_cfg);
-    let mut pl_cfg = GpuConfig::k20c();
-    pl_cfg.smx_jobs = 2;
-    pl_cfg.pool_min_issuable = 2;
-    let (pl_cycle, pl_stats) = run(pl_cfg);
 
     assert_eq!(
         pc_cycle, cap,
         "per-cycle engine must stop exactly at the cap"
     );
     assert_eq!(ev_cycle, cap, "event engine must land exactly on the cap");
-    assert_eq!(sh_cycle, cap, "sharded engine must land exactly on the cap");
-    assert_eq!(
-        eb_cycle, cap,
-        "unbatched sharded engine must land exactly on the cap"
-    );
-    assert_eq!(
-        pl_cycle, cap,
-        "forced-pool sharded engine must land exactly on the cap"
-    );
     assert_eq!(
         pc_stats, ev_stats,
         "partial stats diverged: per-cycle vs event-driven"
-    );
-    assert_eq!(
-        ev_stats, sh_stats,
-        "partial stats diverged: serial vs sharded (smx_jobs=4)"
-    );
-    assert_eq!(
-        sh_stats, eb_stats,
-        "partial stats diverged: epoch-batched vs unbatched sharded"
-    );
-    assert_eq!(
-        sh_stats, pl_stats,
-        "partial stats diverged: inline vs forced-pool staging"
     );
 }
 
@@ -408,8 +255,8 @@ fn heapy_gpu(cfg: GpuConfig) -> Gpu {
 
 /// The live-heap cap trips the first time an *executed instruction* grows
 /// the heap past it. Heap growth only happens on cycles where work runs,
-/// and every engine steps exactly those cycles, so the trip cycle — and
-/// the partial stats — must be identical across all three engines.
+/// and both engines step exactly those cycles, so the trip cycle — and
+/// the partial stats — must be identical across them.
 #[test]
 fn heap_cap_trips_at_identical_cycle_across_engines() {
     // Measure the post-setup baseline once; the device-side parameter
@@ -434,23 +281,15 @@ fn heap_cap_trips_at_identical_cycle_across_engines() {
     pc_cfg.force_per_cycle = true;
     let (pc_cycle, pc_stats) = run(pc_cfg);
     let (ev_cycle, ev_stats) = run(GpuConfig::test_small());
-    let mut sh_cfg = GpuConfig::test_small();
-    sh_cfg.smx_jobs = 4;
-    let (sh_cycle, sh_stats) = run(sh_cfg);
 
     assert!(pc_cycle > 0, "the cap must trip mid-run, not at setup");
     assert_eq!(
         pc_cycle, ev_cycle,
         "heap-cap trip cycle: per-cycle vs event"
     );
-    assert_eq!(ev_cycle, sh_cycle, "heap-cap trip cycle: serial vs sharded");
     assert_eq!(
         pc_stats, ev_stats,
         "heap-cap partial stats: per-cycle vs event"
-    );
-    assert_eq!(
-        ev_stats, sh_stats,
-        "heap-cap partial stats: serial vs sharded"
     );
 }
 

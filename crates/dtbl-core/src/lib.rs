@@ -27,6 +27,7 @@
 //! crate is pure data-structure logic so every transition of the paper's
 //! Figure 5 flowchart is unit- and property-testable in isolation.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod agt;

@@ -32,16 +32,15 @@
 //!   deliberately conservative — clearing a bit never changes results,
 //!   only costs the fast path.
 //!
-//! The legacy per-lane executor is kept alive behind [`LaneView`] (an
-//! adapter giving one lane of a [`WarpRegs`] the `ThreadCtx` interface)
-//! so the simulator can differentially prove the two executors
-//! bit-identical, and so `perf_probe` can price the rewrite honestly.
+//! [`ThreadCtx::step`] stays as the oracle: the tests below run every ALU
+//! micro-op shape through [`exec_alu`] and through 32 `ThreadCtx`s and
+//! compare every register and predicate lane.
 //!
 //! [`ThreadCtx::step`]: crate::ThreadCtx::step
 //! [`Kernel::from_parts`]: crate::Kernel
 
 use crate::dim::Dim3;
-use crate::exec::{cmp_f32, cmp_with, LaneState, ThreadEnv};
+use crate::exec::{cmp_f32, cmp_with, ThreadEnv};
 use crate::inst::{AtomOp, CmpOp, CmpTy, Inst, Op, Space};
 use crate::kernel::KernelId;
 use crate::reg::{Pred, Reg, SReg};
@@ -618,23 +617,6 @@ impl WarpRegs {
         *e = (*e & !mask) | (bits & mask);
     }
 
-    /// One lane of predicate `p`.
-    #[inline]
-    pub fn pred_lane(&self, p: Pred, lane: usize) -> bool {
-        (self.preds[usize::from(p.0)] >> lane) & 1 == 1
-    }
-
-    /// Writes one lane of predicate `p`.
-    #[inline]
-    pub fn write_pred_lane(&mut self, p: Pred, lane: usize, v: bool) {
-        let e = &mut self.preds[usize::from(p.0)];
-        if v {
-            *e |= 1 << lane;
-        } else {
-            *e &= !(1 << lane);
-        }
-    }
-
     /// Effective-address sweep for a memory micro-op: fills `out[lane] =
     /// addr + offset` for each lane of `mask`, computing once when the
     /// address register is uniform.
@@ -683,44 +665,6 @@ fn fill_masked(out: &mut [u32; WARP_SIZE], v: u32, mask: u32) {
             m &= m - 1;
             out[lane] = v;
         }
-    }
-}
-
-/// One lane of a [`WarpRegs`] viewed through the per-thread
-/// [`LaneState`] interface — the bridge that lets the legacy per-lane
-/// executor ([`lane_step`](crate::lane_step)) run against lane-major
-/// storage, bit-identically and with its original per-lane cost model.
-pub struct LaneView<'a> {
-    regs: &'a mut WarpRegs,
-    lane: usize,
-}
-
-impl<'a> LaneView<'a> {
-    /// A mutable view of `lane` within `regs`.
-    pub fn new(regs: &'a mut WarpRegs, lane: usize) -> Self {
-        LaneView { regs, lane }
-    }
-}
-
-impl LaneState for LaneView<'_> {
-    #[inline]
-    fn reg(&self, r: Reg) -> u32 {
-        self.regs.lane(r, self.lane)
-    }
-
-    #[inline]
-    fn write_reg(&mut self, r: Reg, v: u32) {
-        self.regs.write_lane(r, self.lane, v);
-    }
-
-    #[inline]
-    fn pred(&self, p: Pred) -> bool {
-        self.regs.pred_lane(p, self.lane)
-    }
-
-    #[inline]
-    fn write_pred(&mut self, p: Pred, v: bool) {
-        self.regs.write_pred_lane(p, self.lane, v);
     }
 }
 
@@ -852,8 +796,8 @@ impl WarpEnv {
         self.param_base
     }
 
-    /// Reconstructs the legacy per-thread view of one lane (used by the
-    /// reference interpreter's oracle comparisons and tests).
+    /// The per-thread view of one lane: what a
+    /// [`ThreadCtx`](crate::ThreadCtx) executing that lane is given.
     pub fn thread_env(&self, lane: usize) -> ThreadEnv {
         ThreadEnv {
             tid: (
@@ -1101,8 +1045,9 @@ fn bin_loop(regs: &mut WarpRegs, dst: Reg, a: Reg, b: Op, mask: u32, f: impl Fn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{lane_step, Effect, ThreadCtx};
+    use crate::exec::{Effect, ThreadCtx};
     use crate::WARP_SIZE;
+    use sim_rand::{Rng, SeedableRng, StdRng};
 
     fn env_for(valid: u32) -> WarpEnv {
         let mut e = WarpEnv::new();
@@ -1258,9 +1203,10 @@ mod tests {
         }
     }
 
-    /// The vectorized executor must agree bit-for-bit with the legacy
-    /// per-thread executor on every ALU micro-op, across mixed, uniform
-    /// and partially-masked operand populations.
+    /// The vectorized executor must agree bit-for-bit with the per-thread
+    /// executor on every ALU micro-op: first each shape once across mixed,
+    /// uniform and partially-masked operand populations, then long seeded
+    /// random sequences over full and partial warps.
     #[test]
     fn exec_alu_matches_thread_ctx_oracle() {
         let env = env_for(u32::MAX);
@@ -1273,45 +1219,225 @@ mod tests {
                 let mut ctxs: Vec<ThreadCtx> = (0..WARP_SIZE).map(|_| ThreadCtx::new(16)).collect();
                 seed(&mut regs, &mut ctxs, pop);
                 for (i, inst) in insts.iter().enumerate() {
-                    let m = decode_one(inst);
-                    exec_alu(&m.op, &mut regs, &env, mask);
-                    for (lane, ctx) in ctxs.iter_mut().enumerate() {
-                        if mask >> lane & 1 == 0 {
-                            continue;
-                        }
-                        let eff = ctx.step(inst, &env.thread_env(lane));
-                        assert_eq!(eff, Effect::None);
-                    }
+                    step_both(inst, &mut regs, &mut ctxs, &env, mask);
                     compare(
                         &regs,
                         &ctxs,
-                        mask,
+                        u32::MAX,
                         &format!("pop {pop} mask {mask:#x} inst {i}"),
                     );
                 }
             }
         }
-    }
 
-    /// `lane_step` through a `LaneView` is the same executor as
-    /// `ThreadCtx::step` over boxed per-thread state.
-    #[test]
-    fn lane_view_matches_thread_ctx() {
-        let env = env_for(u32::MAX);
-        let insts = alu_test_insts();
-        let mut regs = WarpRegs::new();
-        regs.reset(16, u32::MAX);
-        let mut ctxs: Vec<ThreadCtx> = (0..WARP_SIZE).map(|_| ThreadCtx::new(16)).collect();
-        seed(&mut regs, &mut ctxs, 0);
-        for inst in &insts {
-            for (lane, ctx) in ctxs.iter_mut().enumerate() {
-                let te = env.thread_env(lane);
-                let eff_a = lane_step(&mut LaneView::new(&mut regs, lane), inst, &te);
-                let eff_b = ctx.step(inst, &te);
-                assert_eq!(eff_a, eff_b);
+        // Random sequences. Every op draws a shape from `alu_test_insts`,
+        // fresh operands and a fresh execution mask, so uniform bits are
+        // set, read and invalidated in orders no hand-written list covers:
+        // a uniform bit that survives a divergent write, or a uniform fast
+        // path that writes lanes outside the mask, diverges from the 32
+        // `ThreadCtx`s within a few ops. Warps are full or partial (the
+        // low-lanes-valid shape a block's last warp has).
+        let mut rng = StdRng::seed_from_u64(0xA1_C0DE);
+        for case in 0..12u32 {
+            let valid = match case % 4 {
+                0 => u32::MAX,
+                1 => 1,
+                _ => (1u32 << rng.gen_range(2..32u32)) - 1,
+            };
+            let env = env_for(valid);
+            let mut regs = WarpRegs::new();
+            regs.reset(16, valid);
+            let mut ctxs: Vec<ThreadCtx> = (0..WARP_SIZE).map(|_| ThreadCtx::new(16)).collect();
+            seed(&mut regs, &mut ctxs, case % 3);
+            let mut i = 0;
+            while i < 2_000 {
+                let mask = match rng.gen_range(0..3u32) {
+                    0 => valid,
+                    1 => rng.gen::<u32>() & valid,
+                    _ => rng.gen::<u32>() & rng.gen::<u32>() & valid,
+                };
+                let mask = if mask == 0 { valid } else { mask };
+                let what = format!("case {case} valid {valid:#x} op {i} mask {mask:#x}");
+                if rng.gen_bool(0.15) {
+                    writeback(&mut rng, &mut regs, &mut ctxs, mask);
+                } else {
+                    let mut inst = insts[rng.gen_range(0..insts.len())];
+                    randomize_operands(&mut inst, &mut rng);
+                    if nan_pair(&inst, &ctxs, mask) {
+                        continue;
+                    }
+                    step_both(&inst, &mut regs, &mut ctxs, &env, mask);
+                }
+                compare(&regs, &ctxs, valid, &what);
+                i += 1;
             }
         }
-        compare(&regs, &ctxs, u32::MAX, "lane view");
+    }
+
+    /// Executes `inst` for the lanes of `mask` on both executors.
+    fn step_both(
+        inst: &Inst,
+        regs: &mut WarpRegs,
+        ctxs: &mut [ThreadCtx],
+        env: &WarpEnv,
+        mask: u32,
+    ) {
+        exec_alu(&decode_one(inst).op, regs, env, mask);
+        for (lane, ctx) in ctxs.iter_mut().enumerate() {
+            if mask >> lane & 1 == 1 {
+                assert_eq!(ctx.step(inst, &env.thread_env(lane)), Effect::None);
+            }
+        }
+    }
+
+    /// A float op both of whose operands are NaN in some active lane. Which
+    /// payload survives is the host FPU's operand order — the compiler's
+    /// choice per call site — so neither executor defines it.
+    fn nan_pair(inst: &Inst, ctxs: &[ThreadCtx], mask: u32) -> bool {
+        let (Inst::FAdd { a, b, .. }
+        | Inst::FSub { a, b, .. }
+        | Inst::FMul { a, b, .. }
+        | Inst::FDiv { a, b, .. }
+        | Inst::FMin { a, b, .. }
+        | Inst::FMax { a, b, .. }) = *inst
+        else {
+            return false;
+        };
+        ctxs.iter().enumerate().any(|(lane, ctx)| {
+            mask >> lane & 1 == 1
+                && f32::from_bits(ctx.reg(a)).is_nan()
+                && f32::from_bits(ctx.op(b)).is_nan()
+        })
+    }
+
+    /// One of the register writes the simulator's memory and launch arms
+    /// make between ALU ops — a single-lane write (atomic / parameter
+    /// buffer return), a per-lane store (load) or a broadcast (parameter
+    /// load) — applied to both register files.
+    fn writeback(rng: &mut StdRng, regs: &mut WarpRegs, ctxs: &mut [ThreadCtx], mask: u32) {
+        let dst = Reg(rng.gen_range(0..16u16));
+        let v = operand_value(rng);
+        match rng.gen_range(0..3u32) {
+            0 => {
+                let lane = mask.trailing_zeros() as usize;
+                regs.write_lane(dst, lane, v);
+                ctxs[lane].write_reg(dst, v);
+            }
+            1 => {
+                let same = rng.gen_bool(0.5);
+                let mut vals = [0u32; WARP_SIZE];
+                for (lane, ctx) in ctxs.iter_mut().enumerate() {
+                    vals[lane] = if same { v } else { rng.gen() };
+                    if mask >> lane & 1 == 1 {
+                        ctx.write_reg(dst, vals[lane]);
+                    }
+                }
+                regs.store_masked(dst, &vals, mask);
+            }
+            _ => {
+                regs.broadcast(dst, v, mask);
+                for (lane, ctx) in ctxs.iter_mut().enumerate() {
+                    if mask >> lane & 1 == 1 {
+                        ctx.write_reg(dst, v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Edge values (zero divisors, shift counts at and past 31, sign and
+    /// float specials) as often as arbitrary ones.
+    fn operand_value(rng: &mut StdRng) -> u32 {
+        const EDGES: [u32; 10] = [
+            0,
+            1,
+            31,
+            32,
+            0x7fff_ffff,
+            0x8000_0000,
+            u32::MAX,
+            0x3f80_0000, // 1.0
+            0x7f80_0000, // +inf
+            0x7fc0_0000, // NaN
+        ];
+        if rng.gen_bool(0.5) {
+            EDGES[rng.gen_range(0..EDGES.len())]
+        } else {
+            rng.gen()
+        }
+    }
+
+    /// Redraws every register, immediate, predicate and special-register
+    /// operand of `inst`, keeping its shape (opcode, compare type).
+    fn randomize_operands(inst: &mut Inst, rng: &mut StdRng) {
+        use crate::reg::SReg;
+        const SREGS: [SReg; NUM_SREGS] = [
+            SReg::TidX,
+            SReg::TidY,
+            SReg::TidZ,
+            SReg::CtaIdX,
+            SReg::CtaIdY,
+            SReg::CtaIdZ,
+            SReg::NTidX,
+            SReg::NTidY,
+            SReg::NTidZ,
+            SReg::NCtaIdX,
+            SReg::NCtaIdY,
+            SReg::NCtaIdZ,
+            SReg::LaneId,
+            SReg::SmId,
+        ];
+        fn reg(rng: &mut StdRng) -> Reg {
+            Reg(rng.gen_range(0..16u16))
+        }
+        fn pred(rng: &mut StdRng) -> Pred {
+            Pred(rng.gen_range(0..8u8))
+        }
+        fn op(rng: &mut StdRng) -> Op {
+            if rng.gen_bool(0.5) {
+                Op::Reg(reg(rng))
+            } else {
+                Op::Imm(operand_value(rng))
+            }
+        }
+        match inst {
+            Inst::IAdd { dst, a, b }
+            | Inst::ISub { dst, a, b }
+            | Inst::IMul { dst, a, b }
+            | Inst::IDivU { dst, a, b }
+            | Inst::IRemU { dst, a, b }
+            | Inst::IMinS { dst, a, b }
+            | Inst::IMaxS { dst, a, b }
+            | Inst::And { dst, a, b }
+            | Inst::Or { dst, a, b }
+            | Inst::Xor { dst, a, b }
+            | Inst::Shl { dst, a, b }
+            | Inst::ShrU { dst, a, b }
+            | Inst::ShrS { dst, a, b }
+            | Inst::FAdd { dst, a, b }
+            | Inst::FSub { dst, a, b }
+            | Inst::FMul { dst, a, b }
+            | Inst::FDiv { dst, a, b }
+            | Inst::FMin { dst, a, b }
+            | Inst::FMax { dst, a, b } => (*dst, *a, *b) = (reg(rng), reg(rng), op(rng)),
+            Inst::IMad { dst, a, b, c } => {
+                (*dst, *a, *b, *c) = (reg(rng), reg(rng), op(rng), op(rng));
+            }
+            Inst::FSqrt { dst, a } | Inst::I2F { dst, a } | Inst::F2I { dst, a } => {
+                (*dst, *a) = (reg(rng), reg(rng));
+            }
+            Inst::SetP { dst, a, b, .. } => (*dst, *a, *b) = (pred(rng), reg(rng), op(rng)),
+            Inst::PBool { dst, a, b, .. } => (*dst, *a, *b) = (pred(rng), pred(rng), pred(rng)),
+            Inst::PNot { dst, a } => (*dst, *a) = (pred(rng), pred(rng)),
+            Inst::Sel { dst, p, a, b } => {
+                (*dst, *p, *a, *b) = (reg(rng), pred(rng), op(rng), op(rng));
+            }
+            Inst::Mov { dst, src } => (*dst, *src) = (reg(rng), op(rng)),
+            Inst::S2R { dst, sreg } => {
+                (*dst, *sreg) = (reg(rng), SREGS[rng.gen_range(0..NUM_SREGS)]);
+            }
+            other => unreachable!("not an ALU shape: {other:?}"),
+        }
     }
 
     /// Seeds both register files identically: pop 0 = fully mixed values,
@@ -1352,15 +1478,17 @@ mod tests {
         for p in 0..4u8 {
             for (lane, ctx) in ctxs.iter_mut().enumerate() {
                 let v = (lane as u32 + u32::from(p)).is_multiple_of(3);
-                regs.write_pred_lane(Pred(p), lane, v);
+                regs.set_pred_mask(Pred(p), u32::from(v) << lane, 1 << lane);
                 ctx.write_pred(Pred(p), v);
             }
         }
     }
 
-    fn compare(regs: &WarpRegs, ctxs: &[ThreadCtx], mask: u32, what: &str) {
+    /// Every register and predicate of every lane in `lanes` — not only
+    /// the lanes the last op executed, so a write outside its mask shows.
+    fn compare(regs: &WarpRegs, ctxs: &[ThreadCtx], lanes: u32, what: &str) {
         for (lane, ctx) in ctxs.iter().enumerate() {
-            if mask >> lane & 1 == 0 {
+            if lanes >> lane & 1 == 0 {
                 continue;
             }
             for r in 0..16u16 {
@@ -1372,7 +1500,7 @@ mod tests {
             }
             for p in 0..8u8 {
                 assert_eq!(
-                    regs.pred_lane(Pred(p), lane),
+                    regs.pred_mask(Pred(p)) >> lane & 1 == 1,
                     ctx.pred(Pred(p)),
                     "{what}: lane {lane} p{p}"
                 );

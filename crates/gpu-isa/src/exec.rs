@@ -126,32 +126,6 @@ pub enum Effect {
     Launch(LaunchRequest),
 }
 
-/// One lane's architectural register state, abstracted over its storage.
-///
-/// [`ThreadCtx`] (boxed per-thread storage) and
-/// [`LaneView`](crate::decode::LaneView) (one lane of a lane-major
-/// [`WarpRegs`](crate::decode::WarpRegs)) both implement this, so the
-/// scalar executor [`lane_step`] is *one* function with two storage
-/// backends — the semantics cannot drift between them.
-pub trait LaneState {
-    /// Reads a register.
-    fn reg(&self, r: Reg) -> u32;
-    /// Writes a register.
-    fn write_reg(&mut self, r: Reg, v: u32);
-    /// Reads a predicate.
-    fn pred(&self, p: Pred) -> bool;
-    /// Writes a predicate.
-    fn write_pred(&mut self, p: Pred, v: bool);
-    /// Resolves an operand against this lane's registers.
-    #[inline]
-    fn op(&self, op: Op) -> u32 {
-        match op {
-            Op::Reg(r) => self.reg(r),
-            Op::Imm(v) => v,
-        }
-    }
-}
-
 /// Architectural state of a single thread: general-purpose registers and
 /// predicates.
 #[derive(Clone, Debug)]
@@ -198,6 +172,14 @@ impl ThreadCtx {
         }
     }
 
+    /// Resolves an operand against this thread's registers.
+    pub(crate) fn op(&self, op: Op) -> u32 {
+        match op {
+            Op::Reg(r) => self.reg(r),
+            Op::Imm(v) => v,
+        }
+    }
+
     /// Executes one instruction for this lane, updating registers and
     /// returning any external effect.
     ///
@@ -210,36 +192,14 @@ impl ThreadCtx {
     }
 }
 
-impl LaneState for ThreadCtx {
-    #[inline]
-    fn reg(&self, r: Reg) -> u32 {
-        ThreadCtx::reg(self, r)
-    }
-
-    #[inline]
-    fn write_reg(&mut self, r: Reg, v: u32) {
-        ThreadCtx::write_reg(self, r, v);
-    }
-
-    #[inline]
-    fn pred(&self, p: Pred) -> bool {
-        ThreadCtx::pred(self, p)
-    }
-
-    #[inline]
-    fn write_pred(&mut self, p: Pred, v: bool) {
-        ThreadCtx::write_pred(self, p, v);
-    }
-}
-
-/// Executes one instruction for one lane over any [`LaneState`] storage.
+/// Executes one instruction for one lane.
 ///
 /// This is the scalar reference executor: [`ThreadCtx::step`] delegates
 /// here, and the warp-vectorized path
 /// ([`decode::exec_alu`](crate::decode::exec_alu)) is differentially
 /// tested against it. Control-flow instructions return [`Effect::None`];
 /// the SIMT front end owns the PC/mask update.
-pub fn lane_step<L: LaneState + ?Sized>(st: &mut L, inst: &Inst, env: &ThreadEnv) -> Effect {
+pub fn lane_step(st: &mut ThreadCtx, inst: &Inst, env: &ThreadEnv) -> Effect {
     match *inst {
         Inst::Mov { dst, src } => {
             let v = st.op(src);
@@ -403,25 +363,13 @@ pub fn lane_step<L: LaneState + ?Sized>(st: &mut L, inst: &Inst, env: &ThreadEnv
     }
 }
 
-fn bin<L: LaneState + ?Sized>(
-    st: &mut L,
-    dst: Reg,
-    a: Reg,
-    b: Op,
-    f: impl FnOnce(u32, u32) -> u32,
-) -> Effect {
+fn bin(st: &mut ThreadCtx, dst: Reg, a: Reg, b: Op, f: impl FnOnce(u32, u32) -> u32) -> Effect {
     let v = f(st.reg(a), st.op(b));
     st.write_reg(dst, v);
     Effect::None
 }
 
-fn fbin<L: LaneState + ?Sized>(
-    st: &mut L,
-    dst: Reg,
-    a: Reg,
-    b: Op,
-    f: impl FnOnce(f32, f32) -> f32,
-) -> Effect {
+fn fbin(st: &mut ThreadCtx, dst: Reg, a: Reg, b: Op, f: impl FnOnce(f32, f32) -> f32) -> Effect {
     let v = f(f32::from_bits(st.reg(a)), f32::from_bits(st.op(b)));
     st.write_reg(dst, v.to_bits());
     Effect::None

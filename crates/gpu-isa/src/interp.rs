@@ -1,12 +1,22 @@
 //! A warp-synchronous reference interpreter.
 //!
 //! Executes a kernel *functionally* — correct divergence and
-//! reconvergence semantics, immediate memory effects, no timing — using
-//! an implementation deliberately different from the cycle-level
-//! simulator's SIMT front end (recursive mask splitting instead of a
-//! reconvergence stack). The two are differentially tested against each
-//! other: any disagreement on final memory or register state is a bug in
-//! one of them.
+//! reconvergence semantics, immediate memory effects, no timing. The
+//! cycle-level simulator is differentially tested against it, and the
+//! simulator's degradation ladder host-serialises launches through it.
+//!
+//! What it is independent of, and so can catch bugs in: the simulator's
+//! SIMT front end (a frontier of `(pc, mask)` paths merged by PC equality
+//! here, a reconvergence stack there), its warp and block scheduling
+//! (each warp runs to its next barrier, blocks one after another, against
+//! cycle-interleaved issue), and its application of loads, stores and
+//! atomics to memory (written separately; both apply in lane order).
+//!
+//! What it shares with the simulator, and so cannot check: the decoded
+//! micro-op program, the lane-major [`WarpRegs`] with its uniformity
+//! tracking and operand sweeps, [`exec_alu`] and [`apply_atomic`]. Those
+//! are checked against [`ThreadCtx::step`](crate::ThreadCtx::step) in
+//! `decode.rs`.
 //!
 //! The interpreter supports everything except device-side launches (it
 //! has no scheduler); kernels containing `LaunchDevice`/`LaunchAgg` are

@@ -36,6 +36,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builder;
@@ -48,11 +49,10 @@ mod kernel;
 mod reg;
 
 pub use builder::{BuildError, KernelBuilder};
-pub use decode::{exec_alu, LaneView, LatClass, MicroOp, UOp, WarpEnv, WarpRegs};
+pub use decode::{exec_alu, LatClass, MicroOp, UOp, WarpEnv, WarpRegs};
 pub use dim::Dim3;
 pub use exec::{
-    apply_atomic, lane_step, Effect, LaneState, LaunchKind, LaunchRequest, MemRequest, ThreadCtx,
-    ThreadEnv,
+    apply_atomic, lane_step, Effect, LaunchKind, LaunchRequest, MemRequest, ThreadCtx, ThreadEnv,
 };
 pub use inst::{AtomOp, CmpOp, CmpTy, Inst, Op, Space};
 pub use kernel::{Kernel, KernelId, Program};

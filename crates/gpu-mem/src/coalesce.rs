@@ -40,41 +40,16 @@ pub fn coalesce(addrs: &[Option<u32>]) -> Vec<u32> {
     // One segment per lane is the common worst case; sized once so a
     // scattered warp does not regrow the buffer five times.
     let mut segs: Vec<u32> = Vec::with_capacity(addrs.len());
-    coalesce_into(addrs, &mut segs);
+    collect_segments(addrs.iter().flatten().copied(), &mut segs);
     segs
 }
 
-/// [`coalesce`] into a caller-provided buffer (cleared first), so the
-/// per-memory-instruction hot path can reuse one scratch vector instead
-/// of allocating a fresh `Vec` for every warp access.
-pub fn coalesce_into(addrs: &[Option<u32>], segs: &mut Vec<u32>) {
-    segs.clear();
-    let _ = coalesce_append(addrs, segs);
-}
-
-/// [`coalesce`] appended onto a caller-provided buffer *without* clearing
-/// it: the segments for this access land (sorted, deduplicated) at the
-/// tail, and the returned `(start, len)` names their range within `segs`.
-/// The two-phase engine batches every warp access an SMX stages in one
-/// cycle into a single per-shard transaction list this way.
-pub fn coalesce_append(addrs: &[Option<u32>], segs: &mut Vec<u32>) -> (u32, u32) {
-    append_lanes(addrs.iter().flatten().copied(), segs)
-}
-
-/// [`coalesce_into`] for the form the executors hold: one address per
-/// lane and the mask of lanes that access global memory (`addrs[lane]` is
-/// ignored where the mask bit is clear).
+/// [`coalesce`] for the form the executor holds — one address per lane
+/// and the mask of lanes that access global memory (`addrs[lane]` is
+/// ignored where the mask bit is clear) — into a caller-provided buffer
+/// (cleared first), so the per-memory-instruction hot path reuses one
+/// scratch vector instead of allocating a `Vec` for every warp access.
 pub fn coalesce_mask_into(addrs: &[u32; WARP_LANES], active: u32, segs: &mut Vec<u32>) {
-    segs.clear();
-    let _ = coalesce_mask_append(addrs, active, segs);
-}
-
-/// [`coalesce_append`] for the `(addresses, active mask)` form.
-pub fn coalesce_mask_append(
-    addrs: &[u32; WARP_LANES],
-    active: u32,
-    segs: &mut Vec<u32>,
-) -> (u32, u32) {
     let mut rest = active;
     let lanes = std::iter::from_fn(|| {
         (rest != 0).then(|| {
@@ -83,21 +58,21 @@ pub fn coalesce_mask_append(
             addrs[lane]
         })
     });
-    append_lanes(lanes, segs)
+    collect_segments(lanes, segs);
 }
 
-/// Appends the distinct segments the 32-bit words at `lanes` touch,
-/// sorted, and returns their `(start, len)` within `segs`.
+/// Replaces `segs` with the distinct segments the 32-bit words at `lanes`
+/// touch, sorted.
 ///
 /// Linear in the lanes for the access shapes that matter: a segment equal
 /// to the one just pushed is dropped on the spot (a coalesced warp pushes
-/// once), and the tail is sorted and deduplicated only if some lane broke
+/// once), and the list is sorted and deduplicated only if some lane broke
 /// ascending order — lane-ordered addresses, the usual case even when
 /// scattered, never reach the sort.
-fn append_lanes(lanes: impl Iterator<Item = u32>, segs: &mut Vec<u32>) -> (u32, u32) {
-    let start = segs.len();
+fn collect_segments(lanes: impl Iterator<Item = u32>, segs: &mut Vec<u32>) {
+    segs.clear();
     let mut ascending = true;
-    let mut push = |seg: u32, segs: &mut Vec<u32>| match segs[start..].last() {
+    let mut push = |seg: u32, segs: &mut Vec<u32>| match segs.last() {
         Some(&last) if last == seg => {}
         Some(&last) => {
             ascending &= last < seg;
@@ -111,18 +86,9 @@ fn append_lanes(lanes: impl Iterator<Item = u32>, segs: &mut Vec<u32>) -> (u32, 
         push(a.wrapping_add(3) & !(SEGMENT_BYTES - 1), segs);
     }
     if !ascending {
-        segs[start..].sort_unstable();
-        // Dedup the tail in place (`Vec::dedup` would touch the whole buffer).
-        let mut w = start + 1;
-        for r in start + 1..segs.len() {
-            if segs[r] != segs[w - 1] {
-                segs[w] = segs[r];
-                w += 1;
-            }
-        }
-        segs.truncate(w);
+        segs.sort_unstable();
+        segs.dedup();
     }
-    (start as u32, (segs.len() - start) as u32)
 }
 
 /// Convenience wrapper: number of transactions for an access pattern.

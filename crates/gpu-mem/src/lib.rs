@@ -18,6 +18,7 @@
 //! `dram_efficiency = (n_rd + n_wr) / n_activity`, where `n_activity`
 //! counts cycles with a pending memory request at the controller.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backing;

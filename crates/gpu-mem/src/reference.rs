@@ -11,7 +11,7 @@
 //! and that the derived geometry is the same function of the address.
 
 use crate::cache::{Cache, CacheStats, Lookup};
-use crate::coalesce::{coalesce, coalesce_mask_append};
+use crate::coalesce::{coalesce, coalesce_mask_into};
 use crate::config::MemConfig;
 use crate::dram::{DramConfig, DramPartition, DramStats};
 use crate::subsystem::{AccessId, AccessKind, MemStats, MemSubsystem};
@@ -694,11 +694,8 @@ fn coalesce_forms_agree_with_sort_and_dedup() {
         want.dedup();
 
         assert_eq!(coalesce(&optional), want, "case {case}");
-        // Appended behind other warps' segments, which stay untouched.
-        buf.truncate(2);
-        let (start, len) = coalesce_mask_append(&addrs, mask, &mut buf);
-        assert_eq!((start, len as usize), (2, want.len()), "case {case}");
-        assert_eq!(buf[..2], [7, 9]);
-        assert_eq!(buf[2..], want, "case {case}");
+        // The previous warp's segments are replaced, not appended to.
+        coalesce_mask_into(&addrs, mask, &mut buf);
+        assert_eq!(buf, want, "case {case}");
     }
 }

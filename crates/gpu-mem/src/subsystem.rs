@@ -262,26 +262,6 @@ impl MemSubsystem {
         }
     }
 
-    /// Batched intake for a staged per-SMX transaction list: issues every
-    /// segment address in order via [`access`](Self::access) and appends
-    /// the ids of tracked (load/atomic) transactions to `tracked`.
-    /// Equivalent to calling `access` in a loop — the two-phase commit
-    /// phase drains one staged warp access in one call.
-    pub fn access_batch(
-        &mut self,
-        smx: usize,
-        addrs: &[u32],
-        kind: AccessKind,
-        now: u64,
-        tracked: &mut Vec<AccessId>,
-    ) {
-        for &addr in addrs {
-            if let Some(id) = self.access(smx, addr, kind, now) {
-                tracked.push(id);
-            }
-        }
-    }
-
     fn route_to_partition(&mut self, addr: u32, id: Option<AccessId>, kind: AccessKind, now: u64) {
         let (p, local) = self.partition_map.locate(addr);
         // The L2 and DRAM operate on partition-local line addresses.

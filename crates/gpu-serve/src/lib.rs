@@ -22,6 +22,7 @@
 //! - [`client`] — the blocking client library the `gpu-serve-client`
 //!   binary and the `daemon_smoke` harness use.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

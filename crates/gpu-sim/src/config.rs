@@ -339,46 +339,6 @@ pub struct GpuConfig {
     /// switch the engine off: with a metrics-sampling interval, each
     /// sample cycle is one more landing site of the skip.
     pub force_per_cycle: bool,
-    /// Worker threads for the two-phase (stage/commit) intra-simulation
-    /// engine: SMX shards stage their slice of a cycle in parallel, then
-    /// commit in SMX-index order, producing Stats and traces bit-identical
-    /// to the serial engine (see DESIGN.md, "The two-phase determinism
-    /// contract"). `1` selects today's serial engine; `0` means auto (the
-    /// machine's available parallelism, divided by the width of any
-    /// enclosing sweep pool so nested parallelism degrades gracefully,
-    /// capped at `num_smx`); an explicit `N > 1` is honored as-is (capped
-    /// at `num_smx`). Defaults to the `SMX_JOBS` environment variable when
-    /// set and parsable, else 1.
-    pub smx_jobs: usize,
-    /// Multi-cycle stage epochs for the two-phase engine: after a step
-    /// whose only activity was SMX-local (warp picks with zero staged
-    /// cross-SMX effects — no launches, global transactions, TB
-    /// completions or installs), jump straight to the next event horizon
-    /// instead of stepping again to confirm quiescence. Provably
-    /// result-identical (the skipped cycles are exactly the ones the
-    /// event engine already proves inert; see DESIGN.md, "Epoch
-    /// amortization"); only the number of executed steps changes. `false`
-    /// restores PR 5's step-per-cycle-with-activity behaviour for
-    /// differential testing.
-    pub epoch_batching: bool,
-    /// Run the per-lane scalar executor (one [`gpu_isa::lane_step`] call
-    /// per active lane) instead of the decoded warp-level execute kernels.
-    /// Both executors read the same decoded micro-op stream and the same
-    /// lane-major register file and are bit-identical in every observable
-    /// (Stats, traces, memory, typed errors) — the equivalence suites
-    /// prove it. This escape hatch keeps the scalar path alive for
-    /// differential testing and honest executor-speedup measurement.
-    pub legacy_exec: bool,
-    /// Minimum number of issuable SMXs before the stage phase fans out to
-    /// the worker pool instead of staging inline on the stepping thread.
-    /// `0` means auto: when the host has no spare cores for this
-    /// simulation (available parallelism divided by the enclosing sweep
-    /// pool's width is ≤ 1), the pool is never used — barrier round-trips
-    /// on an oversubscribed host cost more than they save — otherwise the
-    /// threshold is 2. Any `N ≥ 1` forces the explicit threshold (tests
-    /// use `2` to pin pool coverage on 1-core CI). Inline and pooled
-    /// staging are bit-identical, so this is purely a host-perf policy.
-    pub pool_min_issuable: usize,
     /// Deterministic fault-injection plan (default: inject nothing).
     pub fault: FaultPlan,
     /// Run budget: wall-clock deadline, cycle cap, live-heap cap and
@@ -404,20 +364,6 @@ pub enum WarpSchedPolicy {
     RoundRobin,
 }
 
-/// Cached `SMX_JOBS` environment override consulted once by
-/// [`GpuConfig::default`] (`0` = auto; unset or unparsable = 1, the
-/// serial engine). Lets CI exercise the two-phase engine across an
-/// entire test suite without touching each call site.
-fn env_smx_jobs() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("SMX_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1)
-    })
-}
-
 impl Default for GpuConfig {
     fn default() -> Self {
         GpuConfig {
@@ -440,10 +386,6 @@ impl Default for GpuConfig {
             watchdog_window: 2_000_000,
             check_invariants: cfg!(debug_assertions),
             force_per_cycle: false,
-            smx_jobs: env_smx_jobs(),
-            epoch_batching: true,
-            legacy_exec: false,
-            pool_min_issuable: 0,
             fault: FaultPlan::default(),
             budget: RunBudget::default(),
             degrade: DegradePolicy::default(),
@@ -499,47 +441,68 @@ impl GpuConfig {
     ///   SMX knobs), the fault plan, the degradation policy, and the trace
     ///   configuration (mask/ring/limit/interval shape the exported trace,
     ///   and a non-zero metrics interval changes sample timestamps).
-    /// * **Excluded**: `budget`, `max_cycles` and `watchdog_window` — they
-    ///   only decide whether a run is cut short with an `Err`, and errors
-    ///   are never cached; `smx_jobs`, `force_per_cycle`,
-    ///   `check_invariants`, `epoch_batching`, `legacy_exec` and
-    ///   `pool_min_issuable` — engine-strategy knobs proven bit-identical
-    ///   by the equivalence suites.
+    /// * **Excluded**: the fields the destructuring below binds to `_`,
+    ///   each with its reason beside it.
+    ///
+    /// The destructuring is exhaustive on purpose: a new `GpuConfig`
+    /// field does not compile until it is classified here and in
+    /// [`budget_hash`](Self::budget_hash).
     ///
     /// Two configs with equal hashes are interchangeable for caching; a
     /// collision across *different* artifact-relevant fields is a 64-bit
     /// FNV-1a accident we accept for an in-process cache.
     pub fn content_hash(&self) -> u64 {
-        let mem = &self.mem;
-        let f = &self.fault;
-        let d = &self.degrade;
-        let t = &self.trace;
+        let GpuConfig {
+            num_smx,
+            max_tb_per_smx,
+            max_threads_per_smx,
+            regs_per_smx,
+            shared_mem_per_smx,
+            kde_entries,
+            issue_per_cycle,
+            tb_dispatch_per_cycle,
+            agt_entries,
+            latency,
+            pipeline,
+            mem,
+            warp_sched,
+            dtbl_disable_coalescing,
+            dyn_reserved_smx,
+            max_cycles: _,       // cuts a run short with an `Err`: budget_hash
+            watchdog_window: _,  // cuts a run short with an `Err`: budget_hash
+            check_invariants: _, // observes the machine, never changes it
+            force_per_cycle: _,  // bit-identical engines (engine_equivalence.rs)
+            fault: f,
+            budget: _, // cuts a run short with an `Err`: budget_hash
+            degrade: d,
+            trace: t,
+        } = self;
         Fnv::new()
-            .u(self.num_smx as u64)
-            .u(self.max_tb_per_smx as u64)
-            .u(u64::from(self.max_threads_per_smx))
-            .u(u64::from(self.regs_per_smx))
-            .u(u64::from(self.shared_mem_per_smx))
-            .u(self.kde_entries as u64)
-            .u(self.issue_per_cycle as u64)
-            .u(self.tb_dispatch_per_cycle as u64)
-            .u(self.agt_entries as u64)
-            .u(self.latency.stream_create)
-            .u(self.latency.get_param_buf_b)
-            .u(self.latency.get_param_buf_a)
-            .u(self.latency.launch_device_b)
-            .u(self.latency.launch_device_a)
-            .u(self.latency.kernel_dispatch)
-            .u(self.latency.agg_launch)
-            .u(self.pipeline.alu)
-            .u(self.pipeline.imul)
-            .u(self.pipeline.idiv)
-            .u(self.pipeline.fdiv)
-            .u(self.pipeline.shared_mem)
-            .u(self.pipeline.store_issue)
-            .u(self.pipeline.memfence)
-            .u(self.pipeline.context_setup)
-            .u(self.pipeline.agt_overflow_load)
+            .u(*num_smx as u64)
+            .u(*max_tb_per_smx as u64)
+            .u(u64::from(*max_threads_per_smx))
+            .u(u64::from(*regs_per_smx))
+            .u(u64::from(*shared_mem_per_smx))
+            .u(*kde_entries as u64)
+            .u(*issue_per_cycle as u64)
+            .u(*tb_dispatch_per_cycle as u64)
+            .u(*agt_entries as u64)
+            .u(latency.stream_create)
+            .u(latency.get_param_buf_b)
+            .u(latency.get_param_buf_a)
+            .u(latency.launch_device_b)
+            .u(latency.launch_device_a)
+            .u(latency.kernel_dispatch)
+            .u(latency.agg_launch)
+            .u(pipeline.alu)
+            .u(pipeline.imul)
+            .u(pipeline.idiv)
+            .u(pipeline.fdiv)
+            .u(pipeline.shared_mem)
+            .u(pipeline.store_issue)
+            .u(pipeline.memfence)
+            .u(pipeline.context_setup)
+            .u(pipeline.agt_overflow_load)
             .u(mem.num_smx as u64)
             .u(mem.num_partitions as u64)
             .cache(&mem.l1)
@@ -557,12 +520,12 @@ impl GpuConfig {
             .u(mem.dram.queue_capacity as u64)
             .u(u64::from(mem.partition_interleave))
             .u(mem.l2_ports as u64)
-            .u(match self.warp_sched {
+            .u(match warp_sched {
                 WarpSchedPolicy::Gto => 0,
                 WarpSchedPolicy::RoundRobin => 1,
             })
-            .u(u64::from(self.dtbl_disable_coalescing))
-            .u(self.dyn_reserved_smx as u64)
+            .u(u64::from(*dtbl_disable_coalescing))
+            .u(*dyn_reserved_smx as u64)
             .u(f.after_cycle)
             .u(u64::from(f.force_agt_overflow))
             .opt(f.agt_overflow_capacity.map(|v| v as u64))
@@ -593,12 +556,41 @@ impl GpuConfig {
     /// token — are deliberately excluded: their outcomes depend on wall
     /// clock and operator action, never on cell content, and they are
     /// never cached.
+    ///
+    /// Everything else is bound to `_`: it either shapes the artifact
+    /// ([`content_hash`](Self::content_hash) keys it) or changes nothing
+    /// a run returns (`check_invariants`, `force_per_cycle`).
     pub fn budget_hash(&self) -> u64 {
+        let GpuConfig {
+            num_smx: _,
+            max_tb_per_smx: _,
+            max_threads_per_smx: _,
+            regs_per_smx: _,
+            shared_mem_per_smx: _,
+            kde_entries: _,
+            issue_per_cycle: _,
+            tb_dispatch_per_cycle: _,
+            agt_entries: _,
+            latency: _,
+            pipeline: _,
+            mem: _,
+            warp_sched: _,
+            dtbl_disable_coalescing: _,
+            dyn_reserved_smx: _,
+            max_cycles,
+            watchdog_window,
+            check_invariants: _,
+            force_per_cycle: _,
+            fault: _,
+            budget,
+            degrade: _,
+            trace: _,
+        } = self;
         Fnv::new()
-            .u(self.max_cycles)
-            .u(self.watchdog_window)
-            .opt(self.budget.cycle_cap)
-            .opt(self.budget.live_heap_cap)
+            .u(*max_cycles)
+            .u(*watchdog_window)
+            .opt(budget.cycle_cap)
+            .opt(budget.live_heap_cap)
             .finish()
     }
 }
@@ -708,6 +700,11 @@ mod tests {
     fn content_hash_is_stable_and_field_sensitive() {
         let base = GpuConfig::k20c();
         assert_eq!(base.content_hash(), base.clone().content_hash());
+        assert_eq!(
+            (base.content_hash(), base.budget_hash()),
+            (0xccd2_ac4d_f34c_1ee0, 0x15c1_4d60_fed9_c343),
+            "persisted cache entries are keyed by these values"
+        );
         assert_ne!(base.content_hash(), GpuConfig::test_small().content_hash());
         assert_ne!(
             base.content_hash(),
@@ -743,10 +740,6 @@ mod tests {
         budgeted.watchdog_window = 3;
         budgeted.check_invariants = !base.check_invariants;
         budgeted.force_per_cycle = !base.force_per_cycle;
-        budgeted.smx_jobs = base.smx_jobs + 3;
-        budgeted.epoch_batching = !base.epoch_batching;
-        budgeted.legacy_exec = !base.legacy_exec;
-        budgeted.pool_min_issuable = base.pool_min_issuable + 5;
         assert_eq!(
             base.content_hash(),
             budgeted.content_hash(),

@@ -6,14 +6,13 @@ use crate::dispatch::{KdeEntry, KernelDistributor, Kmu, Origin, PendingKernel};
 use crate::error::{BudgetKind, SimError};
 use crate::fault::FaultPlan;
 use crate::runtime::degrade::LaunchRetry;
-use crate::shard::{self, EffectItem, SmxEffects, StageControl};
 use crate::smx::warp::WarpState;
 use crate::smx::{release_barrier, Smx, Tbcr};
 use crate::stats::Stats;
 use dtbl_core::{FcfsController, GroupRef, SchedulingPool};
 use gpu_isa::{
-    apply_atomic, exec_alu, lane_step, Dim3, Effect, KernelId, LaneView, LatClass, LaunchKind,
-    LaunchRequest, Program, Space, ThreadEnv, UOp, WARP_SIZE,
+    apply_atomic, exec_alu, KernelId, LatClass, LaunchKind, LaunchRequest, Program, Space, UOp,
+    WARP_SIZE,
 };
 use gpu_mem::{
     coalesce::coalesce_mask_into, AccessId, AccessKind, BackingStore, LinearAllocator, MemSubsystem,
@@ -132,12 +131,6 @@ pub struct Gpu {
     /// Pooled scratch for the coalesced memory-transaction segments of
     /// one warp memory instruction.
     pub(crate) txn_buf: Vec<u32>,
-    /// Per-SMX staging buffers for the two-phase engine; empty until the
-    /// first staged step (the serial engine never fills them).
-    pub(crate) shards: Vec<SmxEffects>,
-    /// Pooled scratch for the tracked access ids of one committed
-    /// `MemIssue` item.
-    pub(crate) txn_ids_buf: Vec<AccessId>,
     /// Steps actually executed (cycles stepped, not skipped). Equals
     /// `cycle` under per-cycle stepping; far smaller under event-driven
     /// stepping on latency-bound workloads. Not part of [`Stats`] — the
@@ -165,45 +158,6 @@ pub struct Gpu {
     /// Host launches parked while their hardware work queue sits at an
     /// injected cap; drained FIFO as capacity frees.
     pub(crate) host_deferred: VecDeque<(u32, PendingKernel)>,
-    /// Resolved stage-phase fan-out threshold for the current run (see
-    /// [`GpuConfig::pool_min_issuable`]); refreshed by
-    /// [`run_to_idle`](Self::run_to_idle). `usize::MAX` = never cross the
-    /// worker-pool barrier, stage inline.
-    pub(crate) pool_threshold: usize,
-    /// Rolling stage/commit self-measurement for the opt-in `engine`
-    /// trace category; dormant (one predicted-off branch per staged step)
-    /// otherwise.
-    pub(crate) meter: EngineMeter,
-}
-
-/// Rolling stage/commit wall-clock accumulators between `engine_sample`
-/// emissions. Host timings never influence simulation state — they only
-/// feed the opt-in `engine` trace category.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct EngineMeter {
-    /// Staged steps accumulated since the last emission.
-    steps: u64,
-    /// Simulated cycles covered by those steps (deltas between
-    /// consecutive staged steps — the epoch lengths).
-    cycles: u64,
-    /// Wall-clock nanoseconds spent in the stage phase.
-    stage_ns: u64,
-    /// Wall-clock nanoseconds spent in the commit phase.
-    commit_ns: u64,
-    /// Cycle of the previous staged step (`u64::MAX` = none yet).
-    last_cycle: u64,
-}
-
-impl Default for EngineMeter {
-    fn default() -> Self {
-        EngineMeter {
-            steps: 0,
-            cycles: 0,
-            stage_ns: 0,
-            commit_ns: 0,
-            last_cycle: u64::MAX,
-        }
-    }
 }
 
 impl Gpu {
@@ -237,8 +191,6 @@ impl Gpu {
             kde_buf: Vec::new(),
             launch_buf: Vec::new(),
             txn_buf: Vec::new(),
-            shards: Vec::new(),
-            txn_ids_buf: Vec::new(),
             steps_executed: 0,
             progress_marker: 0,
             tracer: Recorder::new(cfg.trace),
@@ -247,8 +199,6 @@ impl Gpu {
             retry_q: BinaryHeap::new(),
             retry_seq: 0,
             host_deferred: VecDeque::new(),
-            pool_threshold: usize::MAX,
-            meter: EngineMeter::default(),
             cfg,
         };
         gpu.apply_trace_mask();
@@ -302,15 +252,6 @@ impl Gpu {
         self.kde_buf.clear();
         self.launch_buf.clear();
         self.txn_buf.clear();
-        // Reset the shard buffers element-wise: `Vec::clear` on the outer
-        // vec would drop each `SmxEffects` and with it every staging
-        // buffer's capacity, making the first epochs after a rebind
-        // reallocate. A length mismatch against a new `num_smx` is healed
-        // lazily by the staged step's `resize_with`.
-        for fx in &mut self.shards {
-            fx.clear();
-        }
-        self.txn_ids_buf.clear();
         self.steps_executed = 0;
         self.progress_marker = 0;
         self.tracer = Recorder::new(cfg.trace);
@@ -319,8 +260,6 @@ impl Gpu {
         self.retry_q.clear();
         self.retry_seq = 0;
         self.host_deferred.clear();
-        self.pool_threshold = usize::MAX;
-        self.meter = EngineMeter::default();
         self.cfg = cfg;
         self.apply_trace_mask();
     }
@@ -549,90 +488,20 @@ impl Gpu {
     /// * any error bubbling out of [`step`](Self::step).
     pub fn run_to_idle(&mut self) -> Result<&Stats, SimError> {
         self.run_started = Some(Instant::now());
-        let jobs = self.effective_smx_jobs();
-        self.pool_threshold = self.effective_pool_threshold();
-        let result = if jobs <= 1 {
-            self.run_loop(None)
-        } else if self.pool_threshold == usize::MAX {
-            // The two-phase engine without its worker pool: the threshold
-            // says the barrier never pays off on this host, so every step
-            // stages inline (bit-identical to pooled staging) and no pool
-            // member is spawned to spin against a barrier that never
-            // opens.
-            let ctrl = StageControl::new(1);
-            let r = self.run_loop(Some(&ctrl));
-            ctrl.shutdown();
-            r
-        } else {
-            let ctrl = StageControl::new(jobs);
-            std::thread::scope(|scope| {
-                for w in 1..jobs {
-                    let c = &ctrl;
-                    scope.spawn(move || c.worker(w));
-                }
-                let r = self.run_loop(Some(&ctrl));
-                ctrl.shutdown();
-                r
-            })
-        };
-        if self.tracer.on(Category::Engine) {
-            let now = self.cycle;
-            self.flush_engine_meter(now);
-        }
-        result?;
+        self.run_loop()?;
         self.stats.cycles = self.cycle;
         self.stats.mem = self.timing.stats();
         Ok(&self.stats)
     }
 
-    /// Resolved worker count for this run's stage phase: `cfg.smx_jobs`
-    /// with `0` (auto) mapped to the machine's available parallelism
-    /// divided by the enclosing sweep pool's width — a `sweep --jobs N`
-    /// worker gets a 1/N share instead of oversubscribing the host — and
-    /// everything capped at the SMX count.
-    pub fn effective_smx_jobs(&self) -> usize {
-        let n = self.smxs.len().max(1);
-        match self.cfg.smx_jobs {
-            1 => 1,
-            0 => {
-                let outer = crate::sweep::current_pool_width().max(1);
-                (crate::sweep::default_jobs() / outer).clamp(1, n)
-            }
-            j => j.min(n),
-        }
-    }
-
-    /// Resolved stage-phase fan-out threshold (see
-    /// [`GpuConfig::pool_min_issuable`]): the minimum number of issuable
-    /// SMXs in a step before staging crosses the worker-pool barrier
-    /// instead of running inline. `usize::MAX` means *never* — the auto
-    /// policy's answer when the host has no spare core for this
-    /// simulation (available parallelism divided by the enclosing sweep
-    /// pool's width is ≤ 1), where a barrier round-trip on an
-    /// oversubscribed host costs more than the fan-out saves. Inline and
-    /// pooled staging are bit-identical, so this is purely host policy.
-    pub fn effective_pool_threshold(&self) -> usize {
-        match self.cfg.pool_min_issuable {
-            0 => {
-                let outer = crate::sweep::current_pool_width().max(1);
-                if crate::sweep::default_jobs() / outer <= 1 {
-                    usize::MAX
-                } else {
-                    2
-                }
-            }
-            n => n,
-        }
-    }
-
-    /// The run loop shared by both engines; `ctrl` selects the two-phase
-    /// staged path (`Some`) or the serial path (`None`).
-    fn run_loop(&mut self, ctrl: Option<&StageControl>) -> Result<(), SimError> {
+    /// Steps until idle: every cycle under `force_per_cycle`, otherwise
+    /// jumping over the cycles the horizons prove to be no-ops.
+    fn run_loop(&mut self) -> Result<(), SimError> {
         let event_driven = !self.cfg.force_per_cycle;
         let mut last_marker = self.progress_marker;
         let mut last_progress = self.cycle;
         while !self.is_idle() {
-            let jumpable = self.step_core(ctrl)?;
+            let quiet = self.step_core()?;
             if self.progress_marker != last_marker {
                 last_marker = self.progress_marker;
                 last_progress = self.cycle;
@@ -641,15 +510,13 @@ impl Gpu {
                 self.note_budget_stop(&err);
                 return Err(err);
             }
-            if event_driven && jumpable && !self.is_idle() {
-                // The step at `cycle - 1` either found nothing to do
-                // (quiet) or changed only SMX-local state whose next
-                // activity the SMXs' ready-table horizons already bound
-                // (epoch batching), so every cycle before the next
-                // component event is a no-op: jump straight there,
-                // reconstructing what the skipped no-op steps would have
-                // accumulated (occupancy integrals; the DRAM model
-                // catches up its own active-cycle counter lazily).
+            if event_driven && quiet && !self.is_idle() {
+                // The step at `cycle - 1` found nothing to do, so every
+                // cycle before the next component event is a no-op: jump
+                // straight there, reconstructing what the skipped no-op
+                // steps would have accumulated (occupancy integrals; the
+                // DRAM model catches up its own active-cycle counter
+                // lazily).
                 let now = self.cycle - 1;
                 let mut target = self.next_event_horizon(now).unwrap_or(u64::MAX);
                 if self.cfg.watchdog_window > 0 {
@@ -808,9 +675,7 @@ impl Gpu {
         }
         // O(1) per SMX whose last warp walk ended below the issue budget
         // (its horizon is exact); one pass over its dense ready table
-        // otherwise. On the two-phase path the steps that reach here
-        // (quiet, or SMX-pure under epoch batching) changed no ready
-        // table since their stage phase.
+        // otherwise.
         for smx in &mut self.smxs {
             if let Some(t) = smx.next_ready_at(now) {
                 fold(t);
@@ -849,37 +714,27 @@ impl Gpu {
     /// Propagates typed failures from the launch paths, guest memory
     /// faults, and (when enabled) the per-cycle invariant checker.
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.step_core(None).map(|_quiet| ())
+        self.step_core().map(|_quiet| ())
     }
 
-    /// One core cycle; returns whether the run loop may jump straight to
-    /// the next component event afterwards. True for a *quiet* step — no
-    /// kernel installed, no thread block placed, no warp picked, no
-    /// memory completion delivered — and, with
-    /// [`epoch_batching`](GpuConfig::epoch_batching) on the staged
-    /// engine, also for an *SMX-pure* step: warps issued but staged zero
-    /// cross-SMX effects, so every schedulable input the horizons do not
-    /// already bound is unchanged (every issue wrote its warp's next
-    /// cycle into the SMX's ready table). Any other step may have
+    /// One core cycle; returns whether the step was *quiet* — no kernel
+    /// installed, no thread block placed, no warp picked, no memory
+    /// completion delivered — which is what lets the run loop jump
+    /// straight to the next component event. Any other step may have
     /// created distribution work the horizons do not model, so it must
-    /// be followed by a real step (see DESIGN.md, "Epoch amortization").
-    fn step_core(&mut self, ctrl: Option<&StageControl>) -> Result<bool, SimError> {
+    /// be followed by a real step (see DESIGN.md, "The horizon
+    /// contract").
+    fn step_core(&mut self) -> Result<bool, SimError> {
         let now = self.cycle;
         self.steps_executed += 1;
 
         // 0. Degradation ladder: matured launch retries and parked host
-        // launches re-attempt before the KMU ticks, in the serial phase
-        // of both engines (see runtime::degrade).
+        // launches re-attempt before the KMU ticks (see runtime::degrade).
         let mut quiet = true;
-        // Candidate for the SMX-pure epoch jump; only the staged engine
-        // can prove purity (the serial engine applies effects directly),
-        // and any cross-SMX activity below falsifies it.
-        let mut local = ctrl.is_some() && self.cfg.epoch_batching;
         if (!self.retry_q.is_empty() || !self.host_deferred.is_empty())
             && self.process_deferred(now)?
         {
             quiet = false;
-            local = false;
         }
 
         // 1. KMU: mature device launches, advance the dispatch pipeline.
@@ -892,85 +747,24 @@ impl Gpu {
         {
             self.install_kernel(slot, pk, now)?;
             quiet = false;
-            local = false;
         }
 
         // 2. SMX scheduler: distribute thread blocks.
         if self.distribute_tbs(now)? > 0 {
             quiet = false;
-            local = false;
         }
 
-        // 3. SMXs: issue warps — the serial single-phase engine, or the
-        // two-phase stage/commit engine when a worker pool is attached
-        // (see shard.rs for the determinism argument).
-        match ctrl {
-            None => {
-                for s in 0..self.smxs.len() {
-                    let picks = self.smxs[s].select_warps(
-                        now,
-                        self.cfg.issue_per_cycle,
-                        self.cfg.warp_sched,
-                    );
-                    if picks > 0 {
-                        quiet = false;
-                    }
-                    for k in 0..picks {
-                        let w = self.smxs[s].picked()[k];
-                        if let Some(done_slot) = self.issue_warp(s, w, now)? {
-                            self.on_tb_complete(s, done_slot, now)?;
-                        }
-                    }
-                }
+        // 3. SMXs: issue warps.
+        for s in 0..self.smxs.len() {
+            let picks =
+                self.smxs[s].select_warps(now, self.cfg.issue_per_cycle, self.cfg.warp_sched);
+            if picks > 0 {
+                quiet = false;
             }
-            Some(ctrl) => {
-                // Cheap quiet step: with zero issuable SMXs there is
-                // nothing to stage or commit, so the shard buffers stay
-                // untouched.
-                let issuable = self.smxs.iter().filter(|x| x.may_issue(now)).count();
-                if issuable > 0 {
-                    let metering = self.tracer.on(Category::Engine);
-                    let t0 = metering.then(Instant::now);
-                    let mask = self.tracer.mask();
-                    let mut shards = std::mem::take(&mut self.shards);
-                    if shards.len() != self.smxs.len() {
-                        shards.resize_with(self.smxs.len(), SmxEffects::default);
-                    }
-                    // Cross-thread handoff only pays off when enough SMXs
-                    // can actually issue; below the threshold staging
-                    // runs inline (same code, same results, no barrier
-                    // round-trip).
-                    if issuable >= self.pool_threshold {
-                        ctrl.stage(&mut self.smxs, &mut shards, &self.cfg, mask, now);
-                    } else {
-                        for (x, fx) in self.smxs.iter_mut().zip(shards.iter_mut()) {
-                            shard::stage_smx(x, fx, &self.cfg, mask, now);
-                        }
-                    }
-                    let t1 = metering.then(Instant::now);
-                    let mut commit_err = None;
-                    for (s, fx) in shards.iter_mut().enumerate() {
-                        if fx.picks > 0 {
-                            quiet = false;
-                        }
-                        if !fx.is_pure() {
-                            local = false;
-                        }
-                        // Every shard staged, so every shard's retired
-                        // warps left `Smx::live_warps` — also the shards
-                        // behind a failed commit.
-                        self.resident_warps -= fx.retired;
-                        if commit_err.is_none() {
-                            commit_err = self.commit_shard(s, fx, now).err();
-                        }
-                    }
-                    self.shards = shards;
-                    if let Some(e) = commit_err {
-                        return Err(e);
-                    }
-                    if let (Some(t0), Some(t1)) = (t0, t1) {
-                        self.note_engine_step(t0, t1, now);
-                    }
+            for k in 0..picks {
+                let w = self.smxs[s].picked()[k];
+                if let Some(done_slot) = self.issue_warp(s, w, now)? {
+                    self.on_tb_complete(s, done_slot, now)?;
                 }
             }
         }
@@ -999,8 +793,6 @@ impl Gpu {
         if completions > 0 {
             self.progress_marker += 1;
             quiet = false;
-            // The memory system reached into an SMX: not SMX-pure.
-            local = false;
         }
 
         // 5. Occupancy sampling.
@@ -1021,47 +813,7 @@ impl Gpu {
         if self.cfg.check_invariants {
             self.check_invariants()?;
         }
-        Ok(quiet || local)
-    }
-
-    /// Accumulates one staged step's stage/commit timings into the engine
-    /// meter, emitting an `engine_sample` trace event every 1024 staged
-    /// steps (the final partial window is flushed by
-    /// [`run_to_idle`](Self::run_to_idle)). Only called when the opt-in
-    /// `engine` trace category is enabled.
-    fn note_engine_step(&mut self, stage_start: Instant, commit_start: Instant, now: u64) {
-        let m = &mut self.meter;
-        m.stage_ns += (commit_start - stage_start).as_nanos() as u64;
-        m.commit_ns += commit_start.elapsed().as_nanos() as u64;
-        if m.last_cycle != u64::MAX {
-            m.cycles += now - m.last_cycle;
-        }
-        m.last_cycle = now;
-        m.steps += 1;
-        if m.steps >= 1024 {
-            self.flush_engine_meter(now);
-        }
-    }
-
-    /// Emits the engine meter's accumulated window as one
-    /// `engine_sample` event and resets it (epoch-length tracking keeps
-    /// its anchor cycle).
-    fn flush_engine_meter(&mut self, now: u64) {
-        let m = &mut self.meter;
-        if m.steps == 0 {
-            return;
-        }
-        let kind = EventKind::EngineSample {
-            steps: m.steps,
-            cycles: m.cycles,
-            stage_ns: m.stage_ns,
-            commit_ns: m.commit_ns,
-        };
-        m.steps = 0;
-        m.cycles = 0;
-        m.stage_ns = 0;
-        m.commit_ns = 0;
-        self.tracer.emit(now, kind);
+        Ok(quiet)
     }
 
     fn install_kernel(&mut self, slot: u32, pk: PendingKernel, now: u64) -> Result<(), SimError> {
@@ -1390,9 +1142,7 @@ impl Gpu {
                 format!("warp {w} on SMX {s} has no current execution path"),
             ));
         };
-        let inst = *tb.kernel_fn.fetch(pc);
         let m = *tb.kernel_fn.uop(pc);
-        let legacy = self.cfg.legacy_exec;
 
         self.stats.warp_issues += 1;
         self.stats.active_lanes += u64::from(mask.count_ones());
@@ -1411,23 +1161,7 @@ impl Gpu {
         let lat = self.cfg.latency;
         let fault = self.cfg.fault;
 
-        let block_dim = tb.block_dim;
-        let blkid = tb.tbcr.blkid;
-        let nctaid = tb.nctaid;
         let param_base = tb.param_base;
-        let env_of = move |lane: u32, warp_in_tb: u32| -> ThreadEnv {
-            let linear = u64::from(warp_in_tb) * WARP_SIZE as u64 + u64::from(lane);
-            let tid = block_dim.delinearize(linear);
-            ThreadEnv {
-                tid,
-                ctaid: (blkid, 0, 0),
-                ntid: block_dim,
-                nctaid: Dim3::x(nctaid),
-                lane,
-                smid: s as u32,
-                param_base,
-            }
-        };
         let shared_fault = |addr: u32, size: usize| SimError::SharedMemFault {
             smx: s,
             tb_slot,
@@ -1442,7 +1176,7 @@ impl Gpu {
                 reconv,
             } => {
                 // Predicates live in warp-wide lane masks, so the taken
-                // set is two bitwise ops regardless of executor mode.
+                // set is two bitwise ops.
                 let taken = match pred {
                     None => mask,
                     Some((p, negate)) => {
@@ -1527,38 +1261,21 @@ impl Gpu {
                 // Pooled on `self` (disjoint field from the SMX borrow):
                 // the per-issue request list never allocates steady-state.
                 self.launch_buf.clear();
-                if legacy {
-                    let warp_in_tb = warp.warp_in_tb;
-                    for lane in 0..WARP_SIZE as u32 {
-                        if mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let env = env_of(lane, warp_in_tb);
-                        if let Effect::Launch(req) = lane_step(
-                            &mut LaneView::new(&mut warp.regs, lane as usize),
-                            &inst,
-                            &env,
-                        ) {
-                            self.launch_buf.push((hw_base + lane, req));
-                        }
-                    }
-                } else {
-                    let mut ntbs = [0u32; WARP_SIZE];
-                    warp.regs.src_sweep(ntb, mask, &mut ntbs);
-                    let mut rest = mask;
-                    while rest != 0 {
-                        let lane = rest.trailing_zeros();
-                        rest &= rest - 1;
-                        self.launch_buf.push((
-                            hw_base + lane,
-                            LaunchRequest {
-                                kind,
-                                kernel,
-                                ntb: ntbs[lane as usize],
-                                param_addr: warp.regs.lane(param, lane as usize),
-                            },
-                        ));
-                    }
+                let mut ntbs = [0u32; WARP_SIZE];
+                warp.regs.src_sweep(ntb, mask, &mut ntbs);
+                let mut rest = mask;
+                while rest != 0 {
+                    let lane = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    self.launch_buf.push((
+                        hw_base + lane,
+                        LaunchRequest {
+                            kind,
+                            kernel,
+                            ntb: ntbs[lane as usize],
+                            param_addr: warp.regs.lane(param, lane as usize),
+                        },
+                    ));
                 }
                 let x = self.launch_buf.len() as u64;
                 let is_agg = kind == LaunchKind::Agg;
@@ -1593,224 +1310,134 @@ impl Gpu {
                 let mut any_shared = false;
                 let mut is_load_or_atomic = false;
                 let mut is_atomic = false;
-                if legacy {
-                    let warp_in_tb = warp.warp_in_tb;
-                    for lane in 0..WARP_SIZE as u32 {
-                        if mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let env = env_of(lane, warp_in_tb);
-                        let eff = lane_step(
-                            &mut LaneView::new(&mut warp.regs, lane as usize),
-                            &inst,
-                            &env,
-                        );
-                        match eff {
-                            Effect::Load { dst, req } => {
-                                is_load_or_atomic = true;
-                                match req.space {
-                                    Space::Shared => {
-                                        any_shared = true;
-                                        let v = tb.shared_read(req.addr).ok_or_else(|| {
-                                            shared_fault(req.addr, tb.shared.len())
-                                        })?;
-                                        warp.regs.write_lane(dst, lane as usize, v);
-                                    }
-                                    Space::Global => {
-                                        let v = self.mem.read_u32(req.addr);
-                                        warp.regs.write_lane(dst, lane as usize, v);
-                                        addrs[lane as usize] = req.addr;
-                                        global_mask |= 1 << lane;
-                                    }
+                // Space is static per instruction, so each shape branches
+                // once, sweeps addresses/operands across the active lanes,
+                // and applies side effects in lane order — the order that
+                // defines intra-warp aliasing and atomic sequencing.
+                match m.op {
+                    UOp::Ld {
+                        dst,
+                        space,
+                        addr,
+                        offset,
+                    } => {
+                        is_load_or_atomic = true;
+                        warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
+                        let mut vals = [0u32; WARP_SIZE];
+                        let mut rest = mask;
+                        match space {
+                            Space::Shared => {
+                                any_shared = true;
+                                while rest != 0 {
+                                    let lane = rest.trailing_zeros() as usize;
+                                    rest &= rest - 1;
+                                    vals[lane] = tb.shared_read(addrs[lane]).ok_or_else(|| {
+                                        shared_fault(addrs[lane], tb.shared.len())
+                                    })?;
                                 }
                             }
-                            Effect::Store { req, value } => match req.space {
+                            Space::Global => {
+                                global_mask = mask;
+                                while rest != 0 {
+                                    let lane = rest.trailing_zeros() as usize;
+                                    rest &= rest - 1;
+                                    vals[lane] = self.mem.read_u32(addrs[lane]);
+                                }
+                            }
+                        }
+                        warp.regs.store_masked(dst, &vals, mask);
+                    }
+                    UOp::LdParam { dst, word } => {
+                        is_load_or_atomic = true;
+                        let addr = param_base.wrapping_add(u32::from(word) * 4);
+                        // One functional read suffices — the backing
+                        // store is pure and every lane loads the same
+                        // word — but coalescing still sees the full
+                        // per-lane address image.
+                        let v = self.mem.read_u32(addr);
+                        warp.regs.broadcast(dst, v, mask);
+                        addrs = [addr; WARP_SIZE];
+                        global_mask = mask;
+                    }
+                    UOp::St {
+                        space,
+                        addr,
+                        offset,
+                        src,
+                    } => {
+                        warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
+                        let mut vals = [0u32; WARP_SIZE];
+                        warp.regs.src_sweep(src, mask, &mut vals);
+                        let mut rest = mask;
+                        match space {
+                            Space::Shared => {
+                                any_shared = true;
+                                while rest != 0 {
+                                    let lane = rest.trailing_zeros() as usize;
+                                    rest &= rest - 1;
+                                    tb.shared_write(addrs[lane], vals[lane]).ok_or_else(|| {
+                                        shared_fault(addrs[lane], tb.shared.len())
+                                    })?;
+                                }
+                            }
+                            Space::Global => {
+                                global_mask = mask;
+                                while rest != 0 {
+                                    let lane = rest.trailing_zeros() as usize;
+                                    rest &= rest - 1;
+                                    self.mem.write_u32(addrs[lane], vals[lane]);
+                                }
+                            }
+                        }
+                    }
+                    UOp::Atom {
+                        dst,
+                        op,
+                        space,
+                        addr,
+                        offset,
+                        src,
+                        extra,
+                    } => {
+                        is_load_or_atomic = true;
+                        is_atomic = true;
+                        warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
+                        let mut opers = [0u32; WARP_SIZE];
+                        warp.regs.src_sweep(src, mask, &mut opers);
+                        // Address and operand registers are lane-disjoint
+                        // from earlier lanes' destination writebacks, so
+                        // the up-front sweeps observe the same values a
+                        // lane-by-lane execution would.
+                        let mut rest = mask;
+                        while rest != 0 {
+                            let lane = rest.trailing_zeros() as usize;
+                            rest &= rest - 1;
+                            let comparand = extra.map(|r| warp.regs.lane(r, lane));
+                            let old = match space {
+                                Space::Shared => tb
+                                    .shared_read(addrs[lane])
+                                    .ok_or_else(|| shared_fault(addrs[lane], tb.shared.len()))?,
+                                Space::Global => self.mem.read_u32(addrs[lane]),
+                            };
+                            let new = apply_atomic(op, old, opers[lane], comparand);
+                            match space {
                                 Space::Shared => {
                                     any_shared = true;
-                                    tb.shared_write(req.addr, value)
-                                        .ok_or_else(|| shared_fault(req.addr, tb.shared.len()))?;
+                                    tb.shared_write(addrs[lane], new).ok_or_else(|| {
+                                        shared_fault(addrs[lane], tb.shared.len())
+                                    })?;
                                 }
                                 Space::Global => {
-                                    self.mem.write_u32(req.addr, value);
-                                    addrs[lane as usize] = req.addr;
+                                    self.mem.write_u32(addrs[lane], new);
                                     global_mask |= 1 << lane;
                                 }
-                            },
-                            Effect::Atomic {
-                                dst,
-                                op,
-                                req,
-                                operand,
-                                comparand,
-                            } => {
-                                is_load_or_atomic = true;
-                                is_atomic = true;
-                                let old = match req.space {
-                                    Space::Shared => tb
-                                        .shared_read(req.addr)
-                                        .ok_or_else(|| shared_fault(req.addr, tb.shared.len()))?,
-                                    Space::Global => self.mem.read_u32(req.addr),
-                                };
-                                let new = apply_atomic(op, old, operand, comparand);
-                                match req.space {
-                                    Space::Shared => {
-                                        any_shared = true;
-                                        tb.shared_write(req.addr, new).ok_or_else(|| {
-                                            shared_fault(req.addr, tb.shared.len())
-                                        })?;
-                                    }
-                                    Space::Global => {
-                                        self.mem.write_u32(req.addr, new);
-                                        addrs[lane as usize] = req.addr;
-                                        global_mask |= 1 << lane;
-                                    }
-                                }
-                                if let Some(d) = dst {
-                                    warp.regs.write_lane(d, lane as usize, old);
-                                }
                             }
-                            _ => {
-                                return Err(invariant(
-                                    now,
-                                    "memory instruction produced a non-memory effect".into(),
-                                ))
+                            if let Some(d) = dst {
+                                warp.regs.write_lane(d, lane, old);
                             }
                         }
                     }
-                } else {
-                    // Space is static per instruction, so each shape
-                    // branches once, sweeps addresses/operands across the
-                    // active lanes, and applies side effects in lane order
-                    // (preserving intra-warp aliasing and atomic
-                    // sequencing exactly as the per-lane executor did).
-                    match m.op {
-                        UOp::Ld {
-                            dst,
-                            space,
-                            addr,
-                            offset,
-                        } => {
-                            is_load_or_atomic = true;
-                            warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
-                            let mut vals = [0u32; WARP_SIZE];
-                            let mut rest = mask;
-                            match space {
-                                Space::Shared => {
-                                    any_shared = true;
-                                    while rest != 0 {
-                                        let lane = rest.trailing_zeros() as usize;
-                                        rest &= rest - 1;
-                                        vals[lane] =
-                                            tb.shared_read(addrs[lane]).ok_or_else(|| {
-                                                shared_fault(addrs[lane], tb.shared.len())
-                                            })?;
-                                    }
-                                }
-                                Space::Global => {
-                                    global_mask = mask;
-                                    while rest != 0 {
-                                        let lane = rest.trailing_zeros() as usize;
-                                        rest &= rest - 1;
-                                        vals[lane] = self.mem.read_u32(addrs[lane]);
-                                    }
-                                }
-                            }
-                            warp.regs.store_masked(dst, &vals, mask);
-                        }
-                        UOp::LdParam { dst, word } => {
-                            is_load_or_atomic = true;
-                            let addr = param_base.wrapping_add(u32::from(word) * 4);
-                            // One functional read suffices — the backing
-                            // store is pure and every lane loads the same
-                            // word — but coalescing still sees the full
-                            // per-lane address image.
-                            let v = self.mem.read_u32(addr);
-                            warp.regs.broadcast(dst, v, mask);
-                            addrs = [addr; WARP_SIZE];
-                            global_mask = mask;
-                        }
-                        UOp::St {
-                            space,
-                            addr,
-                            offset,
-                            src,
-                        } => {
-                            warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
-                            let mut vals = [0u32; WARP_SIZE];
-                            warp.regs.src_sweep(src, mask, &mut vals);
-                            let mut rest = mask;
-                            match space {
-                                Space::Shared => {
-                                    any_shared = true;
-                                    while rest != 0 {
-                                        let lane = rest.trailing_zeros() as usize;
-                                        rest &= rest - 1;
-                                        tb.shared_write(addrs[lane], vals[lane]).ok_or_else(
-                                            || shared_fault(addrs[lane], tb.shared.len()),
-                                        )?;
-                                    }
-                                }
-                                Space::Global => {
-                                    global_mask = mask;
-                                    while rest != 0 {
-                                        let lane = rest.trailing_zeros() as usize;
-                                        rest &= rest - 1;
-                                        self.mem.write_u32(addrs[lane], vals[lane]);
-                                    }
-                                }
-                            }
-                        }
-                        UOp::Atom {
-                            dst,
-                            op,
-                            space,
-                            addr,
-                            offset,
-                            src,
-                            extra,
-                        } => {
-                            is_load_or_atomic = true;
-                            is_atomic = true;
-                            warp.regs.addr_sweep(addr, offset, mask, &mut addrs);
-                            let mut opers = [0u32; WARP_SIZE];
-                            warp.regs.src_sweep(src, mask, &mut opers);
-                            // Address and operand registers are
-                            // lane-disjoint from earlier lanes' destination
-                            // writebacks, so the up-front sweeps observe
-                            // the same values the per-lane executor would.
-                            let mut rest = mask;
-                            while rest != 0 {
-                                let lane = rest.trailing_zeros() as usize;
-                                rest &= rest - 1;
-                                let comparand = extra.map(|r| warp.regs.lane(r, lane));
-                                let old = match space {
-                                    Space::Shared => {
-                                        tb.shared_read(addrs[lane]).ok_or_else(|| {
-                                            shared_fault(addrs[lane], tb.shared.len())
-                                        })?
-                                    }
-                                    Space::Global => self.mem.read_u32(addrs[lane]),
-                                };
-                                let new = apply_atomic(op, old, opers[lane], comparand);
-                                match space {
-                                    Space::Shared => {
-                                        any_shared = true;
-                                        tb.shared_write(addrs[lane], new).ok_or_else(|| {
-                                            shared_fault(addrs[lane], tb.shared.len())
-                                        })?;
-                                    }
-                                    Space::Global => {
-                                        self.mem.write_u32(addrs[lane], new);
-                                        global_mask |= 1 << lane;
-                                    }
-                                }
-                                if let Some(d) = dst {
-                                    warp.regs.write_lane(d, lane, old);
-                                }
-                            }
-                        }
-                        _ => unreachable!("arm is gated on memory micro-ops"),
-                    }
+                    _ => unreachable!("arm is gated on memory micro-ops"),
                 }
                 // Pooled on `self` (disjoint field from the SMX borrow):
                 // one scratch segment list reused across every memory
@@ -1869,170 +1496,18 @@ impl Gpu {
             }
             ref alu => {
                 warp.advance_pc();
-                if legacy {
-                    let warp_in_tb = warp.warp_in_tb;
-                    for lane in 0..WARP_SIZE as u32 {
-                        if mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let env = env_of(lane, warp_in_tb);
-                        let eff = lane_step(
-                            &mut LaneView::new(&mut warp.regs, lane as usize),
-                            &inst,
-                            &env,
-                        );
-                        debug_assert_eq!(eff, Effect::None, "ALU class must be self-contained");
-                    }
-                } else {
-                    exec_alu(alu, &mut warp.regs, &warp.env, mask);
-                }
+                exec_alu(alu, &mut warp.regs, &warp.env, mask);
                 ready.set(w, now + class_latency(m.lat, &pipe));
             }
         }
         Ok(None)
     }
 
-    // ---- two-phase commit --------------------------------------------------
-
-    /// Applies one SMX's staged effects in stream order — the serial half
-    /// of the two-phase engine. Items were staged exactly where the
-    /// serial engine applies the matching side effects, and shards commit
-    /// in SMX-index order, so the shared machine (functional memory,
-    /// heap, timing model, KD/AGT/KMU, stats, traces) sees the identical
-    /// mutation sequence. A shard's staged error is raised only after its
-    /// already-staged items commit, matching the serial engine's
-    /// first-error state.
-    fn commit_shard(&mut self, s: usize, fx: &mut SmxEffects, now: u64) -> Result<(), SimError> {
-        // Per-issue stats were pre-aggregated at stage time; three adds
-        // replace one item per issue. Their order against the item stream
-        // is unobservable — `Stats` is only read between steps.
-        self.stats.warp_issues += fx.issues;
-        self.stats.active_lanes += fx.lanes;
-        self.stats.barrier_waits += fx.barriers;
-        if fx.items.is_empty() {
-            // Nothing staged (idle SMX, or pure picks with tracing off):
-            // skip the drain machinery entirely.
-            return match fx.err.take() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
-        let mut ids = std::mem::take(&mut self.txn_ids_buf);
-        for i in 0..fx.items.len() {
-            match fx.items[i] {
-                EffectItem::TraceRun { start, len } => {
-                    // Serialization (cycle stamping, run assembly)
-                    // happened on the stage worker; splice the whole
-                    // pre-ordered segment at once.
-                    self.tracer
-                        .emit_stamped(&fx.events[start as usize..(start + len) as usize]);
-                }
-                EffectItem::GlobalLoad { w, lane, dst, addr } => {
-                    let v = self.mem.read_u32(addr);
-                    self.warp_mut(s, w, now)?
-                        .regs
-                        .write_lane(dst, lane as usize, v);
-                }
-                EffectItem::GlobalStore { addr, value } => self.mem.write_u32(addr, value),
-                EffectItem::GlobalAtomic {
-                    w,
-                    lane,
-                    dst,
-                    op,
-                    addr,
-                    operand,
-                    comparand,
-                } => {
-                    let old = self.mem.read_u32(addr);
-                    let new = apply_atomic(op, old, operand, comparand);
-                    self.mem.write_u32(addr, new);
-                    if let Some(d) = dst {
-                        self.warp_mut(s, w, now)?
-                            .regs
-                            .write_lane(d, lane as usize, old);
-                    }
-                }
-                EffectItem::AllocParam {
-                    w,
-                    lane,
-                    dst,
-                    bytes,
-                } => {
-                    let Some(addr) = heap_alloc(
-                        &mut self.alloc,
-                        &self.cfg.fault,
-                        now,
-                        &mut self.stats,
-                        bytes,
-                    ) else {
-                        return Err(SimError::OutOfMemory { bytes });
-                    };
-                    self.param_bytes.insert(addr, bytes);
-                    self.stats.add_pending(u64::from(bytes));
-                    self.warp_mut(s, w, now)?
-                        .regs
-                        .write_lane(dst, lane as usize, addr);
-                }
-                EffectItem::MemIssue {
-                    w,
-                    kind,
-                    start,
-                    len,
-                } => {
-                    ids.clear();
-                    let addrs = &fx.txns[start as usize..(start + len) as usize];
-                    self.timing.access_batch(s, addrs, kind, now, &mut ids);
-                    if kind != AccessKind::Store {
-                        for &id in &ids {
-                            self.access_owner.insert(id, (s, w as usize));
-                        }
-                        // Stage assumed every transaction is tracked; fix
-                        // the count up if the timing model declined some
-                        // (matches the serial engine's exact count).
-                        if ids.len() as u32 != len {
-                            if let Some(warp) = self.smxs[s].warps[w as usize].as_mut() {
-                                warp.state = WarpState::WaitingMem {
-                                    outstanding: ids.len() as u32,
-                                };
-                            }
-                        }
-                    }
-                }
-                EffectItem::Launch {
-                    hw_tid,
-                    req,
-                    visible_at,
-                } => self.handle_launch(hw_tid, req, now, visible_at)?,
-                EffectItem::TbComplete { tbcr } => self.finish_tb(tbcr, now)?,
-            }
-        }
-        fx.items.clear();
-        fx.events.clear();
-        self.txn_ids_buf = ids;
-        match fx.err.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Mutable warp for a staged register writeback; a vanished warp here
-    /// means stage and commit disagreed about liveness.
-    fn warp_mut(
-        &mut self,
-        s: usize,
-        w: u32,
-        now: u64,
-    ) -> Result<&mut crate::smx::warp::Warp, SimError> {
-        self.smxs[s].warps[w as usize].as_mut().ok_or_else(|| {
-            invariant(
-                now,
-                format!("staged writeback names vacant warp {w} on SMX {s}"),
-            )
-        })
-    }
-
     // ---- thread-block / kernel completion ----------------------------------------
 
+    /// Releases a completed thread block's slot and does the bookkeeping
+    /// that follows: KD/AGT counters, kernel retirement,
+    /// FCFS/pool/KMU/heap cleanup.
     fn on_tb_complete(&mut self, s: usize, slot: usize, now: u64) -> Result<(), SimError> {
         let Some(tbcr) = self.smxs[s].release_tb(slot) else {
             return Err(invariant(
@@ -2040,15 +1515,6 @@ impl Gpu {
                 format!("releasing TB slot {slot} on SMX {s}: empty or warps still live"),
             ));
         };
-        self.finish_tb(tbcr, now)
-    }
-
-    /// Post-release bookkeeping for a completed thread block: KD/AGT
-    /// counters, kernel retirement, FCFS/pool/KMU/heap cleanup. Shared by
-    /// the serial engine (via [`on_tb_complete`](Self::on_tb_complete))
-    /// and the two-phase commit phase, whose stage half already released
-    /// the slot SMX-locally.
-    fn finish_tb(&mut self, tbcr: Tbcr, now: u64) -> Result<(), SimError> {
         self.stats.tb_completed += 1;
         self.progress_marker += 1;
         let kde = tbcr.kdei;

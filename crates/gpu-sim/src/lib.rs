@@ -21,6 +21,7 @@
 //! [`Gpu::run_to_idle`] and read the [`Stats`] — which carry exactly the
 //! metrics plotted in the paper's Figures 6–11.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod access_slab;
@@ -32,7 +33,6 @@ mod gpu;
 mod invariants;
 mod runtime;
 pub mod server;
-mod shard;
 mod smx;
 mod stats;
 pub mod sweep;

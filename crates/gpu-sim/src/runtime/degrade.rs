@@ -26,9 +26,8 @@
 //! parallel (single-rung) path: they park in a software deferral queue
 //! (`host_launches_deferred`) drained as soon as the queue has room.
 //!
-//! Every decision here depends only on simulated state and runs in the
-//! serial commit phase, so the ladder is bit-identical across the serial,
-//! event-driven, and sharded engines.
+//! Every decision here depends only on simulated state, so the ladder is
+//! bit-identical across the per-cycle and event-driven engines.
 
 use crate::dispatch::PendingKernel;
 use crate::error::SimError;

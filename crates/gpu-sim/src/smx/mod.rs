@@ -35,10 +35,6 @@ pub struct TbSlot {
     /// and the distributor entry — warp issue fetches instructions from
     /// here without a per-issue program-table lookup.
     pub kernel_fn: Arc<Kernel>,
-    /// Block shape.
-    pub block_dim: Dim3,
-    /// Grid/group extent the block indexes into.
-    pub nctaid: u32,
     /// Parameter-buffer base for `LdParam`.
     pub param_base: u32,
     /// Warp slot indices (into [`Smx::warps`]) belonging to this block.
@@ -335,15 +331,7 @@ impl Smx {
                 self.warps.len() - 1
             });
             let regs = self.reg_pool.pop().unwrap_or_default();
-            let mut w = Warp::new(
-                slot,
-                wi,
-                ws,
-                kernel.regs_per_thread(),
-                valid,
-                *warp_age,
-                regs,
-            );
+            let mut w = Warp::new(slot, ws, kernel.regs_per_thread(), valid, *warp_age, regs);
             *warp_age += 1;
             w.env.build(
                 kernel.block_dim(),
@@ -368,8 +356,6 @@ impl Smx {
             tbcr,
             kernel: kernel_id,
             kernel_fn: Arc::clone(kernel),
-            block_dim: kernel.block_dim(),
-            nctaid,
             param_base,
             warp_slots,
             live_warps: n_warps,
@@ -538,14 +524,6 @@ impl Smx {
             self.ready.min = self.ready.exact_min();
         }
         (self.ready.min != NEVER).then_some(self.ready.min.max(now + 1))
-    }
-
-    /// Cheap preflight for the two-phase stage dispatcher: can any warp
-    /// possibly issue at `now`? The cached bound never exceeds the table
-    /// minimum, so `false` is definitive (the SMX will stage zero picks);
-    /// `true` may be stale-low.
-    pub(crate) fn may_issue(&self, now: u64) -> bool {
-        self.ready.min <= now
     }
 
     /// Free thread-block slots, as [`can_fit`](Self::can_fit) counts them.
@@ -1036,12 +1014,12 @@ mod tests {
                             WarpSchedPolicy::RoundRobin
                         };
                         let budget = rng.gen_range(1..=4usize);
-                        let walked = smx.may_issue(now);
+                        let walked = smx.ready.cached_min() <= now;
                         let picks = smx.select_warps(now, budget, policy);
                         if picks == 0 {
                             // Nothing issuable: the SMX must stay out of
                             // the way until its true next-ready cycle.
-                            assert!(!smx.may_issue(now), "{ctx}");
+                            assert!(smx.ready.cached_min() > now, "{ctx}");
                             if walked {
                                 assert_eq!(smx.ready.cached_min(), model_min(&model), "{ctx}");
                             }

@@ -42,8 +42,6 @@ pub enum WarpState {
 pub struct Warp {
     /// Thread-block slot (within the SMX) this warp belongs to.
     pub tb_slot: usize,
-    /// Warp index within its thread block.
-    pub warp_in_tb: u32,
     /// Hardware warp slot index within the SMX (stable for the warp's
     /// lifetime; used for the AGT hash input).
     pub hw_slot: usize,
@@ -74,12 +72,10 @@ impl Warp {
     /// Creates a warp with all valid lanes active at PC 0. `regs` is a
     /// (possibly pooled) register slab; it is re-bound to `nregs` zeroed
     /// registers here, retaining whatever heap capacity it brought along.
-    /// The caller populates [`env`](Self::env) after placement (the warp's
-    /// block coordinates live in the TB slot, not here).
-    #[allow(clippy::too_many_arguments)]
+    /// The caller populates [`env`](Self::env) after placement (it holds
+    /// the warp's block coordinates, which this constructor is not given).
     pub fn new(
         tb_slot: usize,
-        warp_in_tb: u32,
         hw_slot: usize,
         nregs: u16,
         valid_mask: u32,
@@ -89,7 +85,6 @@ impl Warp {
         regs.reset(nregs, valid_mask);
         Warp {
             tb_slot,
-            warp_in_tb,
             hw_slot,
             regs,
             env: WarpEnv::new(),
@@ -198,7 +193,7 @@ mod tests {
     use super::*;
 
     fn warp() -> Warp {
-        Warp::new(0, 0, 0, 8, u32::MAX, 0, WarpRegs::new())
+        Warp::new(0, 0, 8, u32::MAX, 0, WarpRegs::new())
     }
 
     #[test]
@@ -307,7 +302,7 @@ mod tests {
 
     #[test]
     fn partial_warp_valid_mask() {
-        let w = Warp::new(0, 1, 3, 4, 0x0000_000f, 7, WarpRegs::new());
+        let w = Warp::new(0, 3, 4, 0x0000_000f, 7, WarpRegs::new());
         assert_eq!(w.lane_count(), 4);
         assert_eq!(w.current().unwrap(), (0, 0x0f));
         assert_eq!(w.age, 7);
@@ -318,7 +313,7 @@ mod tests {
     fn loop_style_repeated_divergence_terminates() {
         // Simulates a loop where one lane exits per "iteration" via a
         // divergent branch to the loop exit (pc 100).
-        let mut w = Warp::new(0, 0, 0, 4, 0x7, 0, WarpRegs::new());
+        let mut w = Warp::new(0, 0, 4, 0x7, 0, WarpRegs::new());
         let mut exited = 0u32;
         for lane in 0..3u32 {
             let exit_mask = 1 << lane;

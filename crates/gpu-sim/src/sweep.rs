@@ -27,16 +27,15 @@
 //!   CI artifacts.
 //!
 //! Panic isolation is confined (CI greps for `catch_unwind`): the only
-//! callers in the workspace are this module — where a caught panic
-//! becomes a [`CrashReport`] or is re-raised whole — and the sharded
-//! engine's stage workers, which convert a worker panic into a flag the
-//! serial phase re-raises. Everywhere else, panics stay fatal.
+//! caller in the workspace is this module, where a caught panic becomes
+//! a [`CrashReport`] or is re-raised whole. Everywhere else, panics stay
+//! fatal.
 //!
 //! Only `std` is used (scoped threads + an atomic work cursor), matching
 //! the repo's no-external-dependencies policy.
 
 use gpu_trace::TraceEvent;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,42 +50,12 @@ pub fn default_jobs() -> usize {
 }
 
 thread_local! {
-    /// Width of the sweep worker pool the current thread belongs to (1
-    /// outside any pool). Set when a [`run_cells`] worker starts; worker
-    /// threads die with their scope, so no reset is needed.
-    static POOL_WIDTH: Cell<usize> = const { Cell::new(1) };
-
     /// Machine context stashed by [`Gpu`](crate::Gpu)'s drop hook while a
     /// panic unwinds through it: `(cycle, recent trace events)`. The
     /// *first* stash wins — the innermost `Gpu` dying on the panicking
     /// thread is the one that crashed.
     static CRASH_CONTEXT: RefCell<Option<(u64, Vec<TraceEvent>)>> =
         const { RefCell::new(None) };
-}
-
-/// Sweep-pool width of the calling thread: how many sibling sweep workers
-/// share the machine (1 when called outside a sweep pool). The
-/// auto (`smx_jobs = 0`) intra-simulation engine divides its thread
-/// budget by this, so `sweep --jobs N` composed with `SMX_JOBS=0`
-/// degrades gracefully instead of oversubscribing the host.
-pub fn current_pool_width() -> usize {
-    POOL_WIDTH.with(Cell::get)
-}
-
-/// Runs `f` with the calling thread's sweep-pool width temporarily set to
-/// `width` (as if it were a `run_cells` worker in a pool that wide),
-/// restoring the previous width afterwards — even on panic. Lets tests
-/// exercise the `SMX_JOBS=0` × `sweep --jobs N` composition rules
-/// without standing up a real sweep pool.
-pub fn with_pool_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            POOL_WIDTH.with(|w| w.set(self.0));
-        }
-    }
-    let _restore = Restore(POOL_WIDTH.with(|w| w.replace(width)));
-    f()
 }
 
 /// Records the panicking thread's simulator state for the crash report;
@@ -232,19 +201,16 @@ where
         (0..cells.len()).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| {
-                POOL_WIDTH.with(|w| w.set(jobs));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let run = run_one(cell, f);
-                    // `run_one` never unwinds, so no lock in this pool is
-                    // ever poisoned; a poisoned slot can only mean the
-                    // parent thread panicked, and then this worker is
-                    // being unwound by scope teardown anyway.
-                    if let Ok(mut slot) = slots[i].lock() {
-                        *slot = Some(run);
-                    }
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else { break };
+                let run = run_one(cell, f);
+                // `run_one` never unwinds, so no lock in this pool is
+                // ever poisoned; a poisoned slot can only mean the
+                // parent thread panicked, and then this worker is
+                // being unwound by scope teardown anyway.
+                if let Ok(mut slot) = slots[i].lock() {
+                    *slot = Some(run);
                 }
             });
         }
@@ -517,7 +483,7 @@ mod tests {
         assert_eq!(one, vec![(7u8, Ok(7u8))]);
     }
 
-    /// Regression for the Mutex-poisoning panic-unsafety: a panicking
+    /// Regression for the Mutex-poisoning panic hazard: a panicking
     /// cell used to poison its result slot and blow up result collection
     /// with a *different* panic ("sweep result slot poisoned"). Now every
     /// sibling completes and the original payload is re-raised.

@@ -28,17 +28,11 @@ pub enum Category {
     Cache,
     /// DRAM row activations. High volume.
     Dram,
-    /// Simulation-engine self-measurement: stage/commit wall-clock and
-    /// epoch-length samples. Payloads carry host timings, so this
-    /// category is **opt-in** — it is excluded from [`Category::mask_all`]
-    /// to keep traces byte-identical across hosts and engine strategies
-    /// unless explicitly requested (`--trace-filter engine`).
-    Engine,
 }
 
 impl Category {
     /// All categories, in bit order.
-    pub const ALL: [Category; 8] = [
+    pub const ALL: [Category; 7] = [
         Category::Launch,
         Category::Agt,
         Category::Fcfs,
@@ -46,7 +40,6 @@ impl Category {
         Category::Warp,
         Category::Cache,
         Category::Dram,
-        Category::Engine,
     ];
 
     /// The bit this category occupies in a filter mask.
@@ -64,7 +57,6 @@ impl Category {
             Category::Warp => "warp",
             Category::Cache => "cache",
             Category::Dram => "dram",
-            Category::Engine => "engine",
         }
     }
 
@@ -73,17 +65,9 @@ impl Category {
         Category::ALL.iter().copied().find(|c| c.name() == name)
     }
 
-    /// Mask with every *deterministic* category enabled. [`Category::Engine`]
-    /// is excluded: its payloads are host wall-clock timings, which would
-    /// break the byte-identical trace guarantee across engine strategies.
-    /// Enable it explicitly with `--trace-filter engine` (or
-    /// `mask_all() | Category::Engine.bit()`).
+    /// Mask with every category enabled.
     pub fn mask_all() -> u32 {
-        Category::ALL
-            .iter()
-            .filter(|&&c| c != Category::Engine)
-            .map(|c| c.bit())
-            .sum()
+        Category::ALL.iter().map(|c| c.bit()).sum()
     }
 
     /// Default mask for command-line tracing: the launch path and
@@ -305,7 +289,6 @@ event_kinds! {
     DeadlineHit { budget: u32, limit: u64 } => ("deadline_hit", Launch),
     CellCrashed { cell: u32, attempt: u32 } => ("cell_crashed", Launch),
     CellRetried { cell: u32, attempt: u32 } => ("cell_retried", Launch),
-    EngineSample { steps: u64, cycles: u64, stage_ns: u64, commit_ns: u64 } => ("engine_sample", Engine),
 }
 
 /// One recorded event: an [`EventKind`] stamped with the cycle it happened.
@@ -328,25 +311,9 @@ mod tests {
             assert_eq!(seen & c.bit(), 0, "duplicate bit for {c:?}");
             seen |= c.bit();
         }
-        // `mask_all` covers every category except the opt-in Engine
-        // category, whose payloads are host wall-clock timings.
-        assert_eq!(seen, Category::mask_all() | Category::Engine.bit());
-        assert_eq!(Category::mask_all() & Category::Engine.bit(), 0);
-    }
-
-    #[test]
-    fn engine_category_is_opt_in_but_parseable() {
-        assert_eq!(Category::from_name("engine"), Some(Category::Engine));
-        assert_eq!(
-            Category::parse_mask("engine").unwrap(),
-            Category::Engine.bit()
-        );
-        // "all" deliberately leaves engine off; combining works.
-        assert_eq!(
-            Category::parse_mask("all,engine").unwrap(),
-            Category::mask_all() | Category::Engine.bit()
-        );
-        assert_eq!(Category::default_mask() & Category::Engine.bit(), 0);
+        assert_eq!(seen, Category::mask_all());
+        // Cached traced cells are keyed by this value.
+        assert_eq!(Category::mask_all(), 0x7f);
     }
 
     #[test]
@@ -421,12 +388,6 @@ mod tests {
             EventKind::CellRetried {
                 cell: 9,
                 attempt: 1,
-            },
-            EventKind::EngineSample {
-                steps: 1024,
-                cycles: 1 << 34,
-                stage_ns: 123_456,
-                commit_ns: 654_321,
             },
         ];
         for k in kinds {

@@ -31,6 +31,8 @@
 //! cell owns its sink and traces are written in input order by the
 //! harness.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod json;

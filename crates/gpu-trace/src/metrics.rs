@@ -177,11 +177,6 @@ impl MetricsRegistry {
     /// - `waiting_time.<path>` histograms from matched
     ///   `dyn_launch`→`launch_sched` pairs;
     /// - `lanes_per_issue` histogram from warp issues;
-    /// - `engine.stage_ns` / `engine.commit_ns` / `engine.epochs` /
-    ///   `engine.cycles` counters and `engine.epoch_len` /
-    ///   `engine.stage_ns_per_epoch` / `engine.commit_ns_per_epoch`
-    ///   histograms from opt-in `engine_sample` events (barrier
-    ///   amortization observability);
     /// - gauges for final AGT fill and warp activity from the last sample.
     pub fn from_trace(data: &TraceData) -> Self {
         let mut m = MetricsRegistry::new();
@@ -213,24 +208,6 @@ impl MetricsRegistry {
                 }
                 EventKind::TbPlace { smx, .. } => {
                     m.inc(&format!("tb.smx{smx}"), 1);
-                }
-                EventKind::EngineSample {
-                    steps,
-                    cycles,
-                    stage_ns,
-                    commit_ns,
-                } => {
-                    m.inc("engine.epochs", steps);
-                    m.inc("engine.cycles", cycles);
-                    m.inc("engine.stage_ns", stage_ns);
-                    m.inc("engine.commit_ns", commit_ns);
-                    // Average cycles covered per barrier crossing over
-                    // this sample window — >1 means epochs amortized.
-                    if let Some(len) = cycles.checked_div(steps) {
-                        m.observe("engine.epoch_len", len);
-                        m.observe("engine.stage_ns_per_epoch", stage_ns / steps);
-                        m.observe("engine.commit_ns_per_epoch", commit_ns / steps);
-                    }
                 }
                 _ => {}
             }
@@ -348,47 +325,5 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert_eq!(h.p50(), Some(300));
         assert!(m.summary().contains("waiting_time.agg_group"));
-    }
-
-    #[test]
-    fn from_trace_folds_engine_samples() {
-        let data = TraceData {
-            events: vec![
-                TraceEvent {
-                    cycle: 1024,
-                    kind: EventKind::EngineSample {
-                        steps: 1024,
-                        cycles: 4096,
-                        stage_ns: 2_048_000,
-                        commit_ns: 1_024_000,
-                    },
-                },
-                TraceEvent {
-                    cycle: 2000,
-                    kind: EventKind::EngineSample {
-                        steps: 500,
-                        cycles: 1000,
-                        stage_ns: 500_000,
-                        commit_ns: 250_000,
-                    },
-                },
-            ],
-            samples: vec![],
-            dropped: 0,
-        };
-        let m = MetricsRegistry::from_trace(&data);
-        assert_eq!(m.counter("engine.epochs"), 1524);
-        assert_eq!(m.counter("engine.cycles"), 5096);
-        assert_eq!(m.counter("engine.stage_ns"), 2_548_000);
-        assert_eq!(m.counter("engine.commit_ns"), 1_274_000);
-        let len = m.histogram("engine.epoch_len").expect("epoch_len");
-        assert_eq!(len.count(), 2);
-        assert_eq!(
-            len.p50(),
-            Some(4),
-            "4096/1024 and 1000/500 → upper median 4"
-        );
-        assert!(m.histogram("engine.stage_ns_per_epoch").is_some());
-        assert!(m.histogram("engine.commit_ns_per_epoch").is_some());
     }
 }

@@ -158,18 +158,6 @@ impl Recorder {
         }
     }
 
-    /// Bulk-appends pre-stamped events: payloads whose cycle was attached
-    /// when they were staged rather than at drain time. The sharded
-    /// engine's commit phase uses this to splice a shard's pre-serialized
-    /// trace segment into the global log in SMX-index order. Caller
-    /// contract: every payload was staged under this recorder's own
-    /// category mask, so no re-filtering happens here.
-    pub fn emit_stamped(&mut self, events: &[(u64, EventKind)]) {
-        for &(cycle, kind) in events {
-            self.push(TraceEvent { cycle, kind });
-        }
-    }
-
     /// Drains a component's staging buffer, stamping every pending payload
     /// with `cycle`.
     pub fn absorb(&mut self, cycle: u64, buf: &mut TraceBuffer) {
@@ -178,11 +166,10 @@ impl Recorder {
         }
     }
 
-    /// Absorbs a sequence of per-shard staging buffers in the iterator's
-    /// order, stamping every payload with `cycle`. The two-phase engine
-    /// drains its per-SMX shard buffers through this in SMX-index order —
-    /// the fixed merge order is what keeps parallel-engine traces
-    /// bit-identical to serial ones.
+    /// Absorbs a sequence of staging buffers in the iterator's order,
+    /// stamping every payload with `cycle`. The simulator drains its
+    /// per-SMX trace buffers through this in SMX-index order each traced
+    /// cycle; that fixed merge order is part of the trace's byte format.
     pub fn absorb_shards<'a, I>(&mut self, cycle: u64, shards: I)
     where
         I: IntoIterator<Item = &'a mut TraceBuffer>,
@@ -382,18 +369,6 @@ mod tests {
             .collect();
         assert_eq!(smxs, vec![0, 1, 2], "shard order preserved");
         assert!(evs.iter().all(|e| e.cycle == 7));
-    }
-
-    #[test]
-    fn emit_stamped_preserves_cycles_and_order() {
-        let mut r = Recorder::new(TraceConfig::all());
-        r.emit_stamped(&[(3, ev(3)), (3, ev(4)), (5, ev(5))]);
-        let evs = r.take().events;
-        assert_eq!(evs.len(), 3);
-        assert_eq!(
-            evs.iter().map(|e| e.cycle).collect::<Vec<_>>(),
-            vec![3, 3, 5]
-        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! platforms and releases: changing them invalidates every recorded
 //! benchmark figure, so treat the output as a fixed contract.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

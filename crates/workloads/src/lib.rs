@@ -21,6 +21,7 @@
 //! println!("speedup-relevant cycles: {}", report.stats.cycles);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

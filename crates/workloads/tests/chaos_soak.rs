@@ -9,13 +9,11 @@
 //!   [`CrashReport`](gpu_sim::sweep::CrashReport) for the injected
 //!   panics (and *only* those);
 //! * degradation counters in `Stats` agree with the `LaunchDegraded` /
-//!   `LaunchBackoff` / `DeadlineHit` events in the trace;
-//! * with no fault and no budget, stats stay **bit-identical** between
-//!   the serial and the `smx_jobs = 4` sharded engine.
+//!   `LaunchBackoff` / `DeadlineHit` events in the trace.
 
 use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
 use gpu_sim::sweep::{run_cells_supervised_traced, CellOutcome};
-use gpu_sim::{BudgetKind, CancelToken, DegradePolicy, FaultPlan, Gpu, GpuConfig, SimError, Stats};
+use gpu_sim::{BudgetKind, CancelToken, DegradePolicy, FaultPlan, Gpu, GpuConfig, SimError};
 use gpu_trace::{Category, EventKind, LaunchPath, TraceConfig};
 use workloads::{Benchmark, Scale, Variant};
 
@@ -321,33 +319,4 @@ fn budget_stop_is_marked_in_the_trace() {
         vec![(3, BudgetKind::Cycles.code(), 3)],
         "exactly one DeadlineHit, at the stop cycle, naming the tripped cap"
     );
-}
-
-/// The no-chaos control at both engine widths: when no fault fires and
-/// no budget is set, a cell's `Stats` must be bit-identical between the
-/// serial engine and the sharded engine at `smx_jobs = 4` — chaos
-/// plumbing (ladder default on, retry queues, budget checks) costs
-/// nothing in determinism when nothing trips it.
-#[test]
-fn calm_cells_are_bit_identical_serial_vs_sharded() {
-    let run = |smx_jobs: usize| -> Vec<(Benchmark, Stats)> {
-        gpu_sim::sweep::run_cells(Benchmark::ALL.to_vec(), 4, move |&b| {
-            let mut cfg = config_for(Chaos::Calm);
-            cfg.smx_jobs = smx_jobs;
-            b.run_with(Variant::Dtbl, Scale::Test, cfg).map(|r| r.stats)
-        })
-        .into_iter()
-        .map(|(b, r)| {
-            (
-                b,
-                r.unwrap_or_else(|e| panic!("{b}: calm cell failed: {e}")),
-            )
-        })
-        .collect()
-    };
-    let serial = run(1);
-    let sharded = run(4);
-    for ((b, s), (_, p)) in serial.iter().zip(&sharded) {
-        assert_eq!(s, p, "{b}: calm stats diverged between engine widths");
-    }
 }

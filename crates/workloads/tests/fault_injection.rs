@@ -232,38 +232,3 @@ fn delayed_memory_preserves_results() {
         res.unwrap_or_else(|e| panic!("{b}: a slow memory must only cost cycles: {e}"));
     }
 }
-
-/// Fault injection × the two-phase sharded engine: a fault plan that
-/// surfaces typed resource errors must produce the *same* per-benchmark
-/// outcome — the same error variant on the same benchmark, identical
-/// stats on the survivors — whether SMXs step serially or on a worker
-/// pool. Deferred shard errors reorder nothing.
-#[test]
-fn sharded_engine_matches_serial_under_faults() {
-    let fault = FaultPlan {
-        after_cycle: 1,
-        heap_limit_bytes: Some(96 * 1024),
-        mem_delay: 16,
-        ..FaultPlan::default()
-    };
-    let run = |smx_jobs: usize| {
-        run_cells(Benchmark::ALL.to_vec(), jobs(), move |&b| {
-            let cfg = GpuConfig {
-                fault,
-                smx_jobs,
-                ..GpuConfig::k20c()
-            };
-            b.run_with(Variant::Dtbl, Scale::Test, cfg).map(|r| r.stats)
-        })
-    };
-    let serial = run(1);
-    let sharded = run(4);
-    for ((b, s), (_, p)) in serial.iter().zip(&sharded) {
-        match (s, p) {
-            (Ok(ss), Ok(ps)) => assert_eq!(ss, ps, "{b}: stats diverged under faults"),
-            (Err(se), Err(pe)) => assert_eq!(se, pe, "{b}: errors diverged under faults"),
-            _ => panic!("{b}: one engine failed where the other succeeded: {s:?} vs {p:?}"),
-        }
-        assert_typed(*b, Variant::Dtbl, &s.clone().map(|_| ()));
-    }
-}

@@ -4,6 +4,7 @@
 //! integration tests in this repository have a single import root. See
 //! `README.md` for a tour and `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dtbl_core;
