@@ -7,10 +7,12 @@
 //! 2. **Warp scheduler GTO vs. round-robin**: §5.1 claims the DTBL
 //!    extension is transparent to the warp scheduler; the DTBL-over-CDP
 //!    ratio should survive a scheduler swap.
+//! 3. **Spatial sharing**: SMXs reserved for dynamic work (§5.2B).
 
 use bench::{geomean, scale_from_args, SweepRunner};
 use gpu_sim::{GpuConfig, WarpSchedPolicy};
-use workloads::{Benchmark, Scale, Variant};
+use std::sync::Arc;
+use workloads::{Benchmark, CellSetup, Scale, Variant};
 
 const SUBSET: [Benchmark; 5] = [
     Benchmark::Amr,
@@ -19,6 +21,14 @@ const SUBSET: [Benchmark; 5] = [
     Benchmark::RegxString,
     Benchmark::PreMovielens,
 ];
+
+/// Builds the one setup an ablation's config axis shares; a failure is
+/// reported and the ablation prints no rows.
+fn setup(b: Benchmark, scale: Scale) -> Option<CellSetup> {
+    CellSetup::new(b, scale, GpuConfig::k20c())
+        .map_err(|e| eprintln!("  {} setup ** FAILED: {e}", b.name()))
+        .ok()
+}
 
 fn main() {
     let scale = scale_from_args();
@@ -32,7 +42,7 @@ fn main() {
         Variant::Dtbl,
         Variant::DtblNoCoalesce,
     ];
-    let m = runner.run_matrix(&SUBSET, &variants, scale);
+    let m = runner.run_matrix(&SUBSET, &variants, scale, GpuConfig::k20c());
     let subset = m.ok_benchmarks(&SUBSET, &variants);
     println!(
         "{:<16}{:>10}{:>10}{:>10}{:>12}",
@@ -58,68 +68,61 @@ fn main() {
 
     println!("Ablation 2: warp scheduler (GTO vs round-robin), bfs_citation");
     println!("---------------------------------------------------------------");
-    let cells: Vec<(WarpSchedPolicy, Variant)> =
-        [WarpSchedPolicy::Gto, WarpSchedPolicy::RoundRobin]
-            .into_iter()
-            .flat_map(|p| {
-                [Variant::Flat, Variant::Cdp, Variant::Dtbl]
-                    .into_iter()
-                    .map(move |v| (p, v))
+    let policies = [WarpSchedPolicy::Gto, WarpSchedPolicy::RoundRobin];
+    let sched_variants = [Variant::Flat, Variant::Cdp, Variant::Dtbl];
+    if let Some(bfs) = setup(Benchmark::BfsCitation, scale) {
+        let cells = policies
+            .iter()
+            .flat_map(|&warp_sched| {
+                let s = Arc::new(bfs.with_config(GpuConfig {
+                    warp_sched,
+                    ..GpuConfig::k20c()
+                }));
+                sched_variants.map(move |v| (Arc::clone(&s), v))
             })
             .collect();
-    let results = runner.run_cells(
-        cells,
-        |&(policy, v)| {
-            let cfg = GpuConfig {
-                warp_sched: policy,
-                ..GpuConfig::k20c()
-            };
-            Benchmark::BfsCitation
-                .run_with(v, scale, cfg)
-                .map(|r| r.stats.cycles)
-        },
-        |&(policy, v)| format!("bfs_citation {policy:?} {v:?}"),
-    );
-    for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::RoundRobin] {
-        let of = |v: Variant| {
-            results
+        // Results come back in cell order: one chunk of variants per policy.
+        let results = runner.run_cells(cells);
+        for (policy, runs) in policies.iter().zip(results.chunks(sched_variants.len())) {
+            let cycles: Result<Vec<u64>, _> = runs
                 .iter()
-                .find(|((p, vv), _)| *p == policy && *vv == v)
-                .and_then(|(_, r)| r.as_ref().ok().copied())
-        };
-        let (Some(flat), Some(cdp), Some(dtbl)) =
-            (of(Variant::Flat), of(Variant::Cdp), of(Variant::Dtbl))
-        else {
-            for ((p, v), r) in results.iter().filter(|((p, _), _)| *p == policy) {
-                if let Err(e) = r {
-                    eprintln!("  {p:?} {v:?}: ** FAILED: {e}");
+                .map(|(_, r)| r.as_ref().map(|r| r.stats.cycles))
+                .collect();
+            let Ok(cycles) = cycles else {
+                for ((_, v), r) in runs {
+                    if let Err(e) = r {
+                        eprintln!("  {policy:?} {v:?}: ** FAILED: {e}");
+                    }
                 }
-            }
-            continue;
-        };
-        println!(
-            "{policy:?}: Flat {flat} cyc, CDP {:.2}x, DTBL {:.2}x, DTBL/CDP {:.2}x",
-            flat as f64 / cdp as f64,
-            flat as f64 / dtbl as f64,
-            cdp as f64 / dtbl as f64,
-        );
+                continue;
+            };
+            let (flat, cdp, dtbl) = (cycles[0], cycles[1], cycles[2]);
+            println!(
+                "{policy:?}: Flat {flat} cyc, CDP {:.2}x, DTBL {:.2}x, DTBL/CDP {:.2}x",
+                flat as f64 / cdp as f64,
+                flat as f64 / dtbl as f64,
+                cdp as f64 / dtbl as f64,
+            );
+        }
     }
     println!("(the DTBL-over-CDP ratio should be scheduler-insensitive, §5.1)");
 
     println!("\nAblation 3: spatial sharing (§5.2B extension), clr_graph500 DTBL");
     println!("------------------------------------------------------------------");
-    let reservations = runner.run_cells(
-        vec![0usize, 1, 2],
-        |&reserved| {
-            let cfg = GpuConfig {
-                dyn_reserved_smx: reserved,
-                ..GpuConfig::k20c()
-            };
-            Benchmark::ClrGraph500.run_with(Variant::Dtbl, scale, cfg)
-        },
-        |&reserved| format!("clr_graph500 reserved={reserved}"),
-    );
-    for (reserved, result) in reservations {
+    let reserved = [0usize, 1, 2];
+    let cells = setup(Benchmark::ClrGraph500, scale).map_or(Vec::new(), |clr| {
+        reserved
+            .iter()
+            .map(|&dyn_reserved_smx| {
+                let cfg = GpuConfig {
+                    dyn_reserved_smx,
+                    ..GpuConfig::k20c()
+                };
+                (Arc::new(clr.with_config(cfg)), Variant::Dtbl)
+            })
+            .collect()
+    });
+    for (reserved, (_, result)) in reserved.iter().zip(runner.run_cells(cells)) {
         let r = match result {
             Ok(r) => r,
             Err(e) => {
@@ -140,5 +143,4 @@ fn main() {
     println!("(the paper suggests spatial sharing to shorten the wait of pending groups)");
 
     m.report_failures();
-    let _ = Scale::Test; // referenced for the --test-scale hint in docs
 }

@@ -1,202 +1,65 @@
-//! Runs the full benchmark × variant matrix once and prints every figure
-//! of the paper's evaluation (Figures 6–11) from that single sweep; use
-//! `fig12_agt_sensitivity` separately for the AGT sweep (it needs its own
+//! Renders Figures 6–11 of the paper's evaluation from one sweep:
+//! `all_figures` prints all six, `all_figures fig09 fig11` only those,
+//! running just the variants the selection reads. Use
+//! `fig12_agt_sensitivity` for the AGT sweep (it needs its own
 //! configurations).
 //!
-//! `--test-scale` switches to the fast test inputs.
+//! `--test-scale` switches to the fast test inputs, `--csv` also writes
+//! each figure under `out/figures/`, and `--trace PATH` records the sweep
+//! (see [`bench::TraceOpts`]).
 
 use bench::{
-    budget_from_args, csv_from_args, geomean, print_figure, scale_from_args, write_csv, SweepRunner,
+    csv_from_args, figures_from_args, print_figure, scale_from_args, write_csv, SweepRunner,
+    TraceOpts,
 };
-use gpu_sim::GpuConfig;
 use workloads::{Benchmark, Variant};
 
 fn main() {
     let scale = scale_from_args();
     let csv = csv_from_args();
-    eprintln!("Running the 16-benchmark x 5-variant matrix ({scale:?} scale)...");
-    let cfg = GpuConfig {
-        budget: budget_from_args(),
-        ..GpuConfig::k20c()
-    };
-    let m = SweepRunner::from_args().run_matrix_with(&Benchmark::ALL, &Variant::MAIN, scale, cfg);
-    // Render only the rows whose five variants all completed; failed runs
-    // are reported at the end so one diverging benchmark never costs the
+    let trace = TraceOpts::from_args();
+    let figures = figures_from_args();
+    let mut variants: Vec<Variant> = Vec::new();
+    for &v in figures.iter().flat_map(|f| f.variants) {
+        if !variants.contains(&v) {
+            variants.push(v);
+        }
+    }
+    eprintln!(
+        "Running the {}-benchmark x {}-variant matrix ({scale:?} scale)...",
+        Benchmark::ALL.len(),
+        variants.len()
+    );
+    let mut m =
+        SweepRunner::from_args().run_matrix(&Benchmark::ALL, &variants, scale, trace.gpu_config());
+    // Render only the rows whose variants all completed; failed runs are
+    // reported at the end so one diverging benchmark never costs the
     // whole sweep.
-    let benchmarks = m.ok_benchmarks(&Benchmark::ALL, &Variant::MAIN);
+    let benchmarks = m.ok_benchmarks(&Benchmark::ALL, &variants);
 
-    let of = |b: Benchmark, v: Variant| m.get(b, v);
-
+    for f in &figures {
+        if csv {
+            write_csv(
+                &format!("{}_{}", f.name, f.csv),
+                &benchmarks,
+                f.csv_series,
+                |b, s| (f.value)(&m, b, s),
+            )
+            .expect("csv");
+        }
+        print_figure(
+            f.title,
+            &benchmarks,
+            f.series,
+            |b, s| (f.value)(&m, b, s),
+            f.fmt,
+        );
+        (f.summary)(&m, &benchmarks);
+    }
     if csv {
-        let three = |s: &str| match s {
-            "Flat" => Variant::Flat,
-            "CDP" => Variant::Cdp,
-            _ => Variant::Dtbl,
-        };
-        let four_v = |s: &str| match s {
-            "CDPI" => Variant::CdpIdeal,
-            "DTBLI" => Variant::DtblIdeal,
-            "CDP" => Variant::Cdp,
-            _ => Variant::Dtbl,
-        };
-        let fourcols: [&str; 4] = ["CDPI", "DTBLI", "CDP", "DTBL"];
-        write_csv(
-            "fig06_warp_activity",
-            &benchmarks,
-            &["Flat", "CDP", "DTBL"],
-            |b, s| of(b, three(s)).stats.warp_activity_pct(),
-        )
-        .expect("csv");
-        write_csv(
-            "fig07_dram_efficiency",
-            &benchmarks,
-            &["Flat", "CDP", "DTBL"],
-            |b, s| of(b, three(s)).stats.dram_efficiency(),
-        )
-        .expect("csv");
-        write_csv("fig08_occupancy", &benchmarks, &fourcols, |b, s| {
-            of(b, four_v(s)).stats.smx_occupancy_pct()
-        })
-        .expect("csv");
-        write_csv("fig09_waiting_kcycles", &benchmarks, &fourcols, |b, s| {
-            of(b, four_v(s)).stats.avg_waiting_time_opt().unwrap_or(0.0) / 1000.0
-        })
-        .expect("csv");
-        write_csv(
-            "fig10_footprint_kb",
-            &benchmarks,
-            &["CDP", "DTBL"],
-            |b, s| of(b, four_v(s)).stats.peak_pending_bytes as f64 / 1024.0,
-        )
-        .expect("csv");
-        write_csv("fig11_speedup", &benchmarks, &fourcols, |b, s| {
-            of(b, Variant::Flat).stats.cycles as f64 / of(b, four_v(s)).stats.cycles.max(1) as f64
-        })
-        .expect("csv");
         eprintln!("CSV series written under out/figures/");
     }
 
-    print_figure(
-        "Figure 6: Warp Activity Percentage",
-        &benchmarks,
-        &["Flat", "CDP", "DTBL"],
-        |b, s| {
-            let v = match s {
-                "Flat" => Variant::Flat,
-                "CDP" => Variant::Cdp,
-                _ => Variant::Dtbl,
-            };
-            of(b, v).stats.warp_activity_pct()
-        },
-        |v| format!("{v:.1}%"),
-    );
-
-    print_figure(
-        "Figure 7: DRAM Efficiency",
-        &benchmarks,
-        &["Flat", "CDP", "DTBL"],
-        |b, s| {
-            let v = match s {
-                "Flat" => Variant::Flat,
-                "CDP" => Variant::Cdp,
-                _ => Variant::Dtbl,
-            };
-            of(b, v).stats.dram_efficiency()
-        },
-        |v| format!("{v:.3}"),
-    );
-
-    let four = |s: &str| match s {
-        "CDPI" => Variant::CdpIdeal,
-        "DTBLI" => Variant::DtblIdeal,
-        "CDP" => Variant::Cdp,
-        _ => Variant::Dtbl,
-    };
-
-    print_figure(
-        "Figure 8: SMX Occupancy",
-        &benchmarks,
-        &["CDPI", "DTBLI", "CDP", "DTBL"],
-        |b, s| of(b, four(s)).stats.smx_occupancy_pct(),
-        |v| format!("{v:.1}%"),
-    );
-
-    print_figure(
-        "Figure 9: Average Waiting Time (kcycles)",
-        &benchmarks,
-        &["CDPI", "DTBLI", "CDP", "DTBL"],
-        |b, s| of(b, four(s)).stats.avg_waiting_time_opt().unwrap_or(0.0) / 1000.0,
-        |v| format!("{v:.1}"),
-    );
-
-    print_figure(
-        "Figure 10: Peak Pending-Launch Footprint (KB) + DTBL Reduction",
-        &benchmarks,
-        &["CDP(KB)", "DTBL(KB)", "red(%)"],
-        |b, s| {
-            let cdp = of(b, Variant::Cdp).stats.peak_pending_bytes as f64;
-            let dtbl = of(b, Variant::Dtbl).stats.peak_pending_bytes as f64;
-            match s {
-                "CDP(KB)" => cdp / 1024.0,
-                "DTBL(KB)" => dtbl / 1024.0,
-                _ if cdp == 0.0 => 0.0,
-                _ => 100.0 * (1.0 - dtbl / cdp),
-            }
-        },
-        |v| format!("{v:.1}"),
-    );
-
-    let speedup = |b: Benchmark, v: Variant| {
-        of(b, Variant::Flat).stats.cycles as f64 / of(b, v).stats.cycles.max(1) as f64
-    };
-    print_figure(
-        "Figure 11: Speedup over Flat Implementation",
-        &benchmarks,
-        &["CDPI", "DTBLI", "CDP", "DTBL"],
-        |b, s| speedup(b, four(s)),
-        |v| format!("{v:.2}x"),
-    );
-
-    println!("\nHeadline numbers (geomean over all benchmarks; paper averages in parentheses):");
-    for (v, paper) in [
-        (Variant::CdpIdeal, "1.43x"),
-        (Variant::DtblIdeal, "1.63x"),
-        (Variant::Cdp, "0.86x"),
-        (Variant::Dtbl, "1.21x"),
-    ] {
-        let g = geomean(benchmarks.iter().map(|&b| speedup(b, v)));
-        println!("  {:6} speedup over Flat: {g:.2}x  ({paper})", v.label());
-    }
-    let rel = geomean(
-        benchmarks
-            .iter()
-            .map(|&b| speedup(b, Variant::Dtbl) / speedup(b, Variant::Cdp)),
-    );
-    println!("  DTBL over CDP: {rel:.2}x  (1.40x)");
-
-    // DTBL diagnostics the paper quotes in the text.
-    let match_rates: Vec<f64> = benchmarks
-        .iter()
-        .filter(|&&b| of(b, Variant::Dtbl).stats.dyn_launches() > 0)
-        .map(|&b| of(b, Variant::Dtbl).stats.match_rate())
-        .collect();
-    if !match_rates.is_empty() {
-        println!(
-            "  eligible-kernel match rate: {:.1}% (paper: ~98%)",
-            100.0 * match_rates.iter().sum::<f64>() / match_rates.len() as f64
-        );
-    }
-    let avg_threads: Vec<f64> = benchmarks
-        .iter()
-        .filter(|&&b| of(b, Variant::Dtbl).stats.dyn_launches() > 0)
-        .map(|&b| of(b, Variant::Dtbl).stats.avg_dyn_launch_threads())
-        .collect();
-    if !avg_threads.is_empty() {
-        println!(
-            "  avg threads per dynamic launch: {:.0} (paper: ~40, pre ~1528)",
-            avg_threads.iter().sum::<f64>() / avg_threads.len() as f64
-        );
-    }
-
+    trace.write(&mut m, &Benchmark::ALL, &variants);
     m.report_failures();
 }

@@ -1,10 +1,11 @@
 //! Figure 12: performance sensitivity to the AGT size — DTBL runtime at
 //! 512/1024/2048 AGT entries, normalized to 1024.
 
-use bench::{print_figure, scale_from_args, SweepRunner};
+use bench::{print_figure, scale_from_args, Cell, SweepRunner};
 use gpu_sim::GpuConfig;
 use std::collections::{HashMap, HashSet};
-use workloads::{Benchmark, Scale, Variant};
+use std::sync::Arc;
+use workloads::{Benchmark, CellSetup, Scale, Variant};
 
 fn main() {
     let scale = scale_from_args();
@@ -15,30 +16,45 @@ fn main() {
     // spills -> global-memory walks) is exercised with a proportionally
     // scaled sweep alongside the paper's sizes.
     let sizes = [32usize, 128, 512, 1024, 2048];
-    let cells: Vec<(Benchmark, usize)> = Benchmark::ALL
-        .iter()
-        .flat_map(|&b| sizes.iter().map(move |&s| (b, s)))
-        .collect();
     // At Test scale shrink the AGT proportionally so the sweep still
     // exercises overflow.
     let entries_at = |s: usize| if scale == Scale::Test { s / 16 } else { s };
-    let results = runner.run_cells(
-        cells,
-        |&(b, s)| {
-            let mut cfg = GpuConfig {
-                agt_entries: entries_at(s),
-                ..GpuConfig::k20c()
-            };
-            // Detailed walk timing: a spilled descriptor costs an
-            // un-prefetched global fetch before its group can schedule.
-            cfg.pipeline.agt_overflow_load = 150;
-            b.run_with(Variant::Dtbl, scale, cfg)
-        },
-        |&(b, s)| format!("{} AGT={}", b.name(), entries_at(s)),
-    );
-    let mut cycles: HashMap<(Benchmark, usize), u64> = HashMap::new();
+    let config_at = |s: usize| {
+        let mut cfg = GpuConfig {
+            agt_entries: entries_at(s),
+            ..GpuConfig::k20c()
+        };
+        // Detailed walk timing: a spilled descriptor costs an
+        // un-prefetched global fetch before its group can schedule.
+        cfg.pipeline.agt_overflow_load = 150;
+        cfg
+    };
+
+    // One setup per benchmark; each AGT size is that setup under another
+    // config.
     let mut failed: HashSet<Benchmark> = HashSet::new();
-    for ((b, s), result) in results {
+    let mut cells: Vec<Cell> = Vec::new();
+    let setups = gpu_sim::sweep::run_cells(Benchmark::ALL.to_vec(), runner.jobs(), |&b| {
+        CellSetup::new(b, scale, GpuConfig::k20c())
+    });
+    for (b, setup) in setups {
+        match setup {
+            Ok(setup) => cells.extend(
+                sizes
+                    .iter()
+                    .map(|&s| (Arc::new(setup.with_config(config_at(s))), Variant::Dtbl)),
+            ),
+            Err(e) => {
+                eprintln!("  ** {} setup FAILED: {e}", b.name());
+                failed.insert(b);
+            }
+        }
+    }
+
+    // Results come back in cell order: `sizes` cycles within a benchmark.
+    let mut cycles: HashMap<(Benchmark, usize), u64> = HashMap::new();
+    for (i, ((setup, _), result)) in runner.run_cells(cells).into_iter().enumerate() {
+        let (b, s) = (setup.benchmark(), sizes[i % sizes.len()]);
         match result {
             Ok(r) => {
                 cycles.insert((b, s), r.stats.cycles);

@@ -1,11 +1,11 @@
-//! Summarises a trace file recorded by the figure binaries' `--trace`
+//! Summarises a trace file recorded by `all_figures`'s `--trace`
 //! flag: per traced cell, the top stall reasons, the waiting-time
 //! histogram by launch path (the trace-side view of
 //! `Stats::avg_waiting_time_of_opt`), and the per-SMX thread-block load
 //! imbalance.
 //!
 //! ```sh
-//! cargo run --release -p bench --bin fig09_waiting_time -- --test-scale --trace out.json
+//! cargo run --release -p bench --bin all_figures -- fig09 --test-scale --trace out.json
 //! cargo run --release -p bench --bin trace_inspect -- out.json
 //! ```
 //!

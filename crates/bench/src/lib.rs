@@ -2,14 +2,15 @@
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
 //! paper's evaluation section (see the per-experiment index in
-//! `DESIGN.md`); this library holds the shared matrix runner and the
-//! plain-text "figure" renderer they use.
+//! `DESIGN.md`); this library holds the shared sweep runner, the
+//! definitions of Figures 6–11 and the plain-text "figure" renderer they
+//! use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use gpu_sim::sweep::CellOutcome;
-use gpu_sim::{BatchServer, GpuConfig, RunBudget, SimError};
+use gpu_sim::{BatchServer, GpuConfig, RunBudget, SimError, Stats};
 use gpu_trace::{Category, TraceConfig, TraceData};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -18,36 +19,42 @@ use std::sync::Arc;
 use std::time::Instant;
 use workloads::{Benchmark, CellSetup, RunReport, Scale, Variant};
 
-/// Fans independent simulation runs out over a bounded pool of worker
-/// threads (`gpu_sim::sweep` underneath — std scoped threads, no external
-/// dependencies).
+/// One sweep cell: a variant of a benchmark's shared, immutable setup.
+pub type Cell = (Arc<CellSetup>, Variant);
+
+/// Runs sweep cells on a warm-pool [`BatchServer`] it owns: `jobs` pooled
+/// simulators behind a bounded pool of worker threads (`gpu_sim::sweep`
+/// underneath — std scoped threads, no external dependencies) and a
+/// content-addressed result cache.
 ///
-/// Every cell builds its own GPU and seeds its own deterministic
-/// `sim-rand` streams, so per-run results are bit-identical to a serial
-/// loop no matter how many workers run them; only the wall clock and the
-/// interleaving of progress lines change. All sweep-bearing binaries
-/// (`all_figures`, `ablation`, `fig06`–`fig12`) construct one with
+/// Every cell binds its own simulator state and seeds its own
+/// deterministic `sim-rand` streams, so per-run results are bit-identical
+/// to a serial loop no matter how many workers run them; only the wall
+/// clock and the interleaving of progress lines change. A cell whose
+/// [`gpu_sim::CellKey`] (config content hash, benchmark, scale, variant)
+/// this runner has already run is served from the cache without
+/// simulating, so a second sweep on the same runner only pays for its new
+/// cells. All sweep-bearing binaries (`all_figures`, `ablation`,
+/// `fig12_agt_sensitivity`) construct one with
 /// [`SweepRunner::from_args`], so `--jobs N` works everywhere.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 pub struct SweepRunner {
-    jobs: usize,
-    retries: u32,
+    server: BatchServer<RunReport>,
 }
 
 impl SweepRunner {
     /// A runner with a fixed worker count (clamped to at least 1) and no
-    /// crash quarantine.
+    /// crash retries.
     pub fn new(jobs: usize) -> Self {
         SweepRunner {
-            jobs: jobs.max(1),
-            retries: 0,
+            server: BatchServer::new(jobs.max(1), 0),
         }
     }
 
     /// A runner configured from the command line: `--jobs N` (or
     /// `--jobs=N`) pins the worker count; without the flag it uses the
-    /// machine's available parallelism. `--retries N` opts the sweep into
-    /// supervised execution (see [`SweepRunner::with_retries`]).
+    /// machine's available parallelism. `--retries N` sets the crash-retry
+    /// count (see [`SweepRunner::with_retries`]; default 0).
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let retries = flag_value(&args, "--retries")
@@ -61,106 +68,40 @@ impl SweepRunner {
         SweepRunner::new(jobs_from_args()).with_retries(retries)
     }
 
-    /// Opts the sweep into supervised execution: a panicking cell is
-    /// isolated (`gpu_sim::sweep::run_cells_supervised`), retried up to
-    /// `retries` times in quarantine, and — if it keeps crashing —
-    /// recorded as a [`SimError::CellCrashed`] failure instead of taking
-    /// the whole sweep down. With `retries == 0` (the default) the sweep
-    /// runs unsupervised and a panic propagates after the siblings
-    /// finish.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
+    /// Sets how often a panicking cell is re-run. Every cell is
+    /// panic-isolated whatever this count is: a crash never takes the
+    /// sweep down, its siblings finish, and it surfaces as a
+    /// [`SimError::CellCrashed`] in [`Matrix::failures`]. `retries` only
+    /// adds up to that many quarantined re-runs (serial, in input order,
+    /// after the parallel pass) before the cell is declared crashed.
+    pub fn with_retries(self, retries: u32) -> Self {
+        SweepRunner {
+            server: BatchServer::new(self.jobs(), retries),
+        }
     }
 
     /// The worker count this runner fans out to.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.server.jobs()
     }
 
-    /// Runs `benchmarks × variants` at `scale` over the worker pool. A
-    /// run that fails — output diverging from the host reference, a hang,
-    /// an exhausted hardware structure — is recorded in
-    /// [`failures`](Matrix::failures) and the sweep continues, so one
-    /// broken benchmark never costs the rest of an Eval-scale run.
-    /// Per-run completion lines stream to stderr as workers finish.
-    pub fn run_matrix(
-        &self,
-        benchmarks: &[Benchmark],
-        variants: &[Variant],
-        scale: Scale,
-    ) -> Matrix {
-        self.run_matrix_with(benchmarks, variants, scale, GpuConfig::k20c())
+    /// The server behind this runner, for its counters (cache hits and
+    /// misses, warm binds, cold builds, metrics snapshot).
+    pub fn server(&self) -> &BatchServer<RunReport> {
+        &self.server
     }
 
-    /// [`run_matrix`](SweepRunner::run_matrix) with an explicit GPU
-    /// configuration applied to every cell — how the figure binaries
-    /// enable tracing ([`TraceOpts::gpu_config`]) for a whole sweep.
-    ///
-    /// Runs on a private warm-pool [`BatchServer`] sized to this runner:
-    /// the benchmark's setup (data build + kernel decode) is paid once and
-    /// shared by its variant cells, and after the first `jobs` cells every
-    /// run binds a pooled simulator via reset + bind instead of a cold
-    /// construction. Per-run results stay bit-identical to the cold path
-    /// (pinned by the `engine_equivalence` differential tests).
-    pub fn run_matrix_with(
-        &self,
-        benchmarks: &[Benchmark],
-        variants: &[Variant],
-        scale: Scale,
-        cfg: GpuConfig,
-    ) -> Matrix {
-        self.run_matrix_on(&self.server(), benchmarks, variants, scale, cfg)
-    }
-
-    /// A warm-pool batch server sized to this runner (`jobs` pooled
-    /// simulators, this runner's crash-retry policy). Reuse one server
-    /// across several [`run_matrix_on`](SweepRunner::run_matrix_on) calls
-    /// to keep its pool warm and serve repeated cells from the result
-    /// cache.
-    pub fn server(&self) -> BatchServer<RunReport> {
-        BatchServer::new(self.jobs, self.retries)
-    }
-
-    /// [`run_matrix_with`](SweepRunner::run_matrix_with) on a shared
-    /// `server`. Cells whose [`gpu_sim::CellKey`] (config content hash,
-    /// benchmark, scale, variant) is already cached are served without
-    /// simulating; everything else runs on the server's warm pool.
-    pub fn run_matrix_on(
-        &self,
-        server: &BatchServer<RunReport>,
-        benchmarks: &[Benchmark],
-        variants: &[Variant],
-        scale: Scale,
-        cfg: GpuConfig,
-    ) -> Matrix {
+    /// Runs `cells` on the warm pool and returns `(cell, result)` pairs in
+    /// input order. A cell that fails — output diverging from the host
+    /// reference, a hang, an exhausted hardware structure, a crash — comes
+    /// back as its typed error and the sweep continues, so one broken
+    /// cell never costs the rest of an Eval-scale run. Per-run completion
+    /// lines stream to stderr as workers finish; cached cells print none.
+    pub fn run_cells(&self, cells: Vec<Cell>) -> Vec<(Cell, Result<RunReport, SimError>)> {
         let t0 = Instant::now();
-        let mut m = Matrix::default();
-
-        // Phase 1: one immutable CellSetup per benchmark (workload data +
-        // every variant's program), built over the worker pool. A
-        // benchmark whose setup fails records a failure for each of its
-        // cells and drops out of the run phase.
-        let built = gpu_sim::sweep::run_cells(benchmarks.to_vec(), self.jobs, |&b| {
-            CellSetup::new(b, scale, cfg.clone())
-        });
-        let mut setups: Vec<Arc<CellSetup>> = Vec::new();
-        for (b, r) in built {
-            match r {
-                Ok(setup) => setups.push(Arc::new(setup)),
-                Err(e) => {
-                    for &v in variants {
-                        m.failures.push((b, v, e.clone()));
-                    }
-                }
-            }
-        }
-
-        // Phase 2: drain benchmark × variant through the server.
-        let cells = matrix_cells(&setups, variants);
         let total = cells.len();
         let finished = AtomicUsize::new(0);
-        let outcomes = server.run_batch(
+        let outcomes = self.server.run_batch(
             cells,
             |(s, v)| Some(s.cell_key(*v)),
             |(s, v), slot| {
@@ -185,153 +126,67 @@ impl SweepRunner {
                 r
             },
         );
-        for ((s, v), outcome) in outcomes {
-            let b = s.benchmark();
-            match outcome {
-                CellOutcome::Ok(rep) => {
-                    m.reports.insert((b, v), rep);
-                }
-                CellOutcome::Err(e) => m.failures.push((b, v, e)),
-                CellOutcome::Crashed(rep) => {
-                    eprintln!("  {:14} {:7} ** {rep}", b.name(), v.label());
-                    m.failures.push((
-                        b,
-                        v,
-                        SimError::CellCrashed {
+        eprintln!(
+            "  sweep: {total} run(s) on {} worker(s) in {:.1?}",
+            self.jobs(),
+            t0.elapsed()
+        );
+        outcomes
+            .into_iter()
+            .map(|((s, v), outcome)| {
+                let r = match outcome {
+                    CellOutcome::Ok(rep) => Ok(rep),
+                    CellOutcome::Err(e) => Err(e),
+                    CellOutcome::Crashed(rep) => {
+                        eprintln!("  {:14} {:7} ** {rep}", s.benchmark().name(), v.label());
+                        Err(SimError::CellCrashed {
                             attempts: rep.attempts,
                             payload: rep.payload,
-                        },
-                    ));
-                }
-            }
-        }
-        self.report_wall_clock(total, t0);
-        m
+                        })
+                    }
+                };
+                ((s, v), r)
+            })
+            .collect()
     }
 
-    /// The cold sweep: every cell builds its workload data, decodes its
-    /// program, and constructs a fresh simulator — the
-    /// construction-per-run reference `engine_equivalence.rs` holds the
-    /// warm pool and the result cache to.
-    pub fn run_matrix_cold(
+    /// Runs `benchmarks × variants` at `scale` with `cfg` applied to every
+    /// cell (`all_figures` passes [`TraceOpts::gpu_config`]). Each
+    /// benchmark's setup (data build + kernel decode) is built once over
+    /// the worker pool and shared by its variant cells; a benchmark whose
+    /// setup fails records a failure for each of its cells. Everything
+    /// else goes through [`run_cells`](SweepRunner::run_cells).
+    pub fn run_matrix(
         &self,
         benchmarks: &[Benchmark],
         variants: &[Variant],
         scale: Scale,
         cfg: GpuConfig,
     ) -> Matrix {
-        let cells: Vec<(Benchmark, Variant)> = benchmarks
-            .iter()
-            .flat_map(|&b| variants.iter().map(move |&v| (b, v)))
-            .collect();
-        let total = cells.len();
-        let finished = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        let run = |&(b, v): &(Benchmark, Variant)| -> Result<RunReport, SimError> {
-            let t = Instant::now();
-            let r = b.run_with(v, scale, cfg.clone());
-            let k = finished.fetch_add(1, Ordering::Relaxed) + 1;
-            match &r {
-                Ok(rep) => eprintln!(
-                    "  [{k:>3}/{total}] {:14} {:7} {} cycles, {} launches, {:.1?}",
-                    b.name(),
-                    v.label(),
-                    rep.stats.cycles,
-                    rep.stats.dyn_launches(),
-                    t.elapsed(),
-                ),
-                Err(e) => eprintln!(
-                    "  [{k:>3}/{total}] {:14} {:7} ** FAILED: {e}",
-                    b.name(),
-                    v.label()
-                ),
-            }
-            r
-        };
-        let results: Vec<((Benchmark, Variant), Result<RunReport, SimError>)> = if self.retries == 0
-        {
-            gpu_sim::sweep::run_cells(cells, self.jobs, run)
-        } else {
-            gpu_sim::sweep::run_cells_supervised(cells, self.jobs, self.retries, run)
-                .into_iter()
-                .map(|((b, v), outcome)| {
-                    let r = match outcome {
-                        CellOutcome::Ok(rep) => Ok(rep),
-                        CellOutcome::Err(e) => Err(e),
-                        CellOutcome::Crashed(rep) => {
-                            eprintln!("  {:14} {:7} ** {rep}", b.name(), v.label());
-                            Err(SimError::CellCrashed {
-                                attempts: rep.attempts,
-                                payload: rep.payload,
-                            })
-                        }
-                    };
-                    ((b, v), r)
-                })
-                .collect()
-        };
-        self.report_wall_clock(total, t0);
-        let mut m = Matrix::default();
-        for ((b, v), r) in results {
+        let built = gpu_sim::sweep::run_cells(benchmarks.to_vec(), self.jobs(), |&b| {
+            CellSetup::new(b, scale, cfg.clone())
+        });
+        let mut setups: Vec<Arc<CellSetup>> = Vec::new();
+        let mut unbuilt = Vec::new();
+        for (b, r) in built {
             match r {
-                Ok(rep) => {
-                    m.reports.insert((b, v), rep);
-                }
-                Err(e) => m.failures.push((b, v, e)),
+                Ok(setup) => setups.push(Arc::new(setup)),
+                Err(e) => unbuilt.extend(variants.iter().map(|&v| ((b, v), Err(e.clone())))),
             }
         }
-        m
-    }
-
-    /// Runs an arbitrary list of cells over the worker pool, returning
-    /// `(cell, result)` pairs in input order. `label` names a cell in the
-    /// streamed progress lines. Used by the binaries whose sweeps are not
-    /// a plain benchmark × variant matrix (custom configs, AGT sizes).
-    pub fn run_cells<C, T>(
-        &self,
-        cells: Vec<C>,
-        run: impl Fn(&C) -> Result<T, SimError> + Sync,
-        label: impl Fn(&C) -> String + Sync,
-    ) -> Vec<(C, Result<T, SimError>)>
-    where
-        C: Send + Sync,
-        T: Send,
-    {
-        let total = cells.len();
-        let finished = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        let results = gpu_sim::sweep::run_cells(cells, self.jobs, |cell| {
-            let t = Instant::now();
-            let r = run(cell);
-            let k = finished.fetch_add(1, Ordering::Relaxed) + 1;
-            match &r {
-                Ok(_) => eprintln!(
-                    "  [{k:>3}/{total}] {} done in {:.1?}",
-                    label(cell),
-                    t.elapsed()
-                ),
-                Err(e) => eprintln!("  [{k:>3}/{total}] {} ** FAILED: {e}", label(cell)),
-            }
-            r
-        });
-        self.report_wall_clock(total, t0);
-        results
-    }
-
-    fn report_wall_clock(&self, total: usize, t0: Instant) {
-        eprintln!(
-            "  sweep: {total} run(s) on {} worker(s) in {:.1?}",
-            self.jobs,
-            t0.elapsed()
-        );
+        let runs = self
+            .run_cells(matrix_cells(&setups, variants))
+            .into_iter()
+            .map(|((s, v), r)| ((s.benchmark(), v), r));
+        unbuilt.into_iter().chain(runs).collect()
     }
 }
 
-/// Expands per-benchmark setups into the server's cell list: every
-/// variant cell of one benchmark holds an `Arc` clone of the *same*
-/// [`CellSetup`], so the workload data and decoded kernels are built once
-/// per benchmark, not once per cell.
-fn matrix_cells(setups: &[Arc<CellSetup>], variants: &[Variant]) -> Vec<(Arc<CellSetup>, Variant)> {
+/// Expands per-benchmark setups into a cell list: every variant cell of
+/// one benchmark holds an `Arc` clone of the *same* [`CellSetup`], so the
+/// workload data and decoded kernels are built once per benchmark, not
+/// once per cell.
+fn matrix_cells(setups: &[Arc<CellSetup>], variants: &[Variant]) -> Vec<Cell> {
     setups
         .iter()
         .flat_map(|s| variants.iter().map(move |&v| (Arc::clone(s), v)))
@@ -342,28 +197,13 @@ fn matrix_cells(setups: &[Arc<CellSetup>], variants: &[Variant]) -> Vec<(Arc<Cel
 /// machine's available parallelism when absent.
 pub fn jobs_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
-    let parse = |v: &str| -> usize {
-        v.parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--jobs expects a positive integer, got {v:?}");
-                std::process::exit(2);
-            })
+    let Some(v) = flag_value(&args, "--jobs") else {
+        return gpu_sim::sweep::default_jobs();
     };
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return parse(v);
-        }
-        if a == "--jobs" {
-            if let Some(v) = args.get(i + 1) {
-                return parse(v);
-            }
-            eprintln!("--jobs expects a value");
-            std::process::exit(2);
-        }
-    }
-    gpu_sim::sweep::default_jobs()
+    v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
+        eprintln!("--jobs expects a positive integer, got {v:?}");
+        std::process::exit(2);
+    })
 }
 
 /// Results of running benchmarks × variants.
@@ -373,15 +213,26 @@ pub struct Matrix {
     failures: Vec<(Benchmark, Variant, SimError)>,
 }
 
-impl Matrix {
-    /// Runs `benchmarks × variants` at `scale` serially on the calling
-    /// thread. Equivalent to `SweepRunner::new(1).run_matrix(...)`; the
-    /// figure binaries use [`SweepRunner::from_args`] instead so `--jobs`
-    /// applies.
-    pub fn run(benchmarks: &[Benchmark], variants: &[Variant], scale: Scale) -> Self {
-        SweepRunner::new(1).run_matrix(benchmarks, variants, scale)
+/// Folds `((benchmark, variant), result)` pairs into reports and failures.
+impl FromIterator<((Benchmark, Variant), Result<RunReport, SimError>)> for Matrix {
+    fn from_iter<I>(runs: I) -> Self
+    where
+        I: IntoIterator<Item = ((Benchmark, Variant), Result<RunReport, SimError>)>,
+    {
+        let mut m = Matrix::default();
+        for ((b, v), r) in runs {
+            match r {
+                Ok(rep) => {
+                    m.reports.insert((b, v), rep);
+                }
+                Err(e) => m.failures.push((b, v, e)),
+            }
+        }
+        m
     }
+}
 
+impl Matrix {
     /// A single run's report.
     ///
     /// # Panics
@@ -501,6 +352,277 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
+/// One of the paper's per-benchmark figures: the cells it needs and how
+/// to read each table entry out of the finished [`Matrix`].
+pub struct Figure {
+    /// Selector on the `all_figures` command line (`fig06` … `fig11`).
+    pub name: &'static str,
+    /// With `--csv` the figure is written to `out/figures/<name>_<csv>.csv`.
+    pub csv: &'static str,
+    /// Table heading.
+    pub title: &'static str,
+    /// The variants whose runs the figure reads.
+    pub variants: &'static [Variant],
+    /// Table columns.
+    pub series: &'static [&'static str],
+    /// CSV columns (the table's measured columns, without derived ones).
+    pub csv_series: &'static [&'static str],
+    /// The entry for one benchmark and one column of either list.
+    pub value: fn(&Matrix, Benchmark, &str) -> f64,
+    /// Number format of a table entry.
+    pub fmt: fn(f64) -> String,
+    /// Prints the figure's summary against the paper's reported numbers,
+    /// over the benchmarks whose rows were rendered.
+    pub summary: fn(&Matrix, &[Benchmark]),
+}
+
+const FLAT_CDP_DTBL: &[Variant] = &[Variant::Flat, Variant::Cdp, Variant::Dtbl];
+const LAUNCHING: &[Variant] = &[
+    Variant::CdpIdeal,
+    Variant::DtblIdeal,
+    Variant::Cdp,
+    Variant::Dtbl,
+];
+const THREE: &[&str] = &["Flat", "CDP", "DTBL"];
+const FOUR: &[&str] = &["CDPI", "DTBLI", "CDP", "DTBL"];
+
+/// The variant a variant-labelled column reads.
+fn variant_of(series: &str) -> Variant {
+    Variant::from_label(series).expect("series is a variant label")
+}
+
+fn stats_of<'m>(m: &'m Matrix, b: Benchmark, series: &str) -> &'m Stats {
+    &m.get(b, variant_of(series)).stats
+}
+
+/// Arithmetic mean; 0 for no values.
+fn mean(values: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = values.len().max(1);
+    values.sum::<f64>() / n as f64
+}
+
+fn speedup(m: &Matrix, b: Benchmark, v: Variant) -> f64 {
+    m.get(b, Variant::Flat).stats.cycles as f64 / m.get(b, v).stats.cycles.max(1) as f64
+}
+
+/// Peak pending-launch footprint of CDP and DTBL, in bytes.
+fn footprints(m: &Matrix, b: Benchmark) -> (f64, f64) {
+    (
+        m.get(b, Variant::Cdp).stats.peak_pending_bytes as f64,
+        m.get(b, Variant::Dtbl).stats.peak_pending_bytes as f64,
+    )
+}
+
+/// Figures 6–11, each defined once: `all_figures` runs the union of the
+/// selected figures' variants in one sweep and renders every table, CSV
+/// file and summary from this table.
+pub static FIGURES: [Figure; 6] = [
+    Figure {
+        name: "fig06",
+        csv: "warp_activity",
+        title: "Figure 6: Warp Activity Percentage",
+        variants: FLAT_CDP_DTBL,
+        series: THREE,
+        csv_series: THREE,
+        value: |m, b, s| stats_of(m, b, s).warp_activity_pct(),
+        fmt: |v| format!("{v:.1}%"),
+        summary: |m, bs| {
+            let delta = mean(bs.iter().map(|&b| {
+                m.get(b, Variant::Dtbl).stats.warp_activity_pct()
+                    - m.get(b, Variant::Flat).stats.warp_activity_pct()
+            }));
+            println!(
+                "\nAverage DTBL warp-activity gain over Flat: {delta:+.1} points (paper: +10.7)"
+            );
+        },
+    },
+    Figure {
+        name: "fig07",
+        csv: "dram_efficiency",
+        title: "Figure 7: DRAM Efficiency",
+        variants: FLAT_CDP_DTBL,
+        series: THREE,
+        csv_series: THREE,
+        value: |m, b, s| stats_of(m, b, s).dram_efficiency(),
+        fmt: |v| format!("{v:.3}"),
+        summary: |m, bs| {
+            let rel = geomean(bs.iter().map(|&b| {
+                let flat = m.get(b, Variant::Flat).stats.dram_efficiency().max(1e-9);
+                m.get(b, Variant::Dtbl).stats.dram_efficiency() / flat
+            }));
+            println!("\nDTBL / Flat DRAM-efficiency ratio (geomean): {rel:.2}x (paper: 1.27x)");
+        },
+    },
+    Figure {
+        name: "fig08",
+        csv: "occupancy",
+        title: "Figure 8: SMX Occupancy",
+        variants: LAUNCHING,
+        series: FOUR,
+        csv_series: FOUR,
+        value: |m, b, s| stats_of(m, b, s).smx_occupancy_pct(),
+        fmt: |v| format!("{v:.1}%"),
+        summary: |m, bs| {
+            let avg = |v: Variant| mean(bs.iter().map(|&b| m.get(b, v).stats.smx_occupancy_pct()));
+            println!(
+                "\nDTBLI - CDPI occupancy: {:+.1} points (paper: +17.9); DTBL - CDP: {:+.1} points",
+                avg(Variant::DtblIdeal) - avg(Variant::CdpIdeal),
+                avg(Variant::Dtbl) - avg(Variant::Cdp),
+            );
+        },
+    },
+    Figure {
+        name: "fig09",
+        csv: "waiting_kcycles",
+        title: "Figure 9: Average Waiting Time (kcycles)",
+        variants: LAUNCHING,
+        series: FOUR,
+        csv_series: FOUR,
+        // `None` (no started dynamic launch) renders as 0.0, same as the
+        // paper's empty bars for launch-free benchmarks.
+        value: |m, b, s| stats_of(m, b, s).avg_waiting_time_opt().unwrap_or(0.0) / 1000.0,
+        fmt: |v| format!("{v:.1}"),
+        summary: |m, bs| {
+            // Relative reductions over launch-bearing benchmarks only; a
+            // variant pair where either side recorded no waiting time
+            // drops out of the geomean instead of polluting it with a
+            // fake zero.
+            let red = |from: Variant, to: Variant| {
+                let ratios = bs
+                    .iter()
+                    .filter(|&&b| m.get(b, Variant::Dtbl).stats.dyn_launches() > 0)
+                    .filter_map(|&b| {
+                        let num = m.get(b, to).stats.avg_waiting_time_opt()?;
+                        let den = m.get(b, from).stats.avg_waiting_time_opt()?;
+                        Some(num.max(1.0) / den.max(1.0))
+                    });
+                100.0 * (1.0 - geomean(ratios))
+            };
+            println!(
+                "\nWaiting-time reduction DTBLI vs CDPI: {:.1}% (paper: 18.8%); DTBL vs CDP: {:.1}% (paper: 24.1%)",
+                red(Variant::CdpIdeal, Variant::DtblIdeal),
+                red(Variant::Cdp, Variant::Dtbl),
+            );
+        },
+    },
+    Figure {
+        name: "fig10",
+        csv: "footprint_kb",
+        title: "Figure 10: Peak Pending-Launch Footprint (KB) + DTBL Reduction",
+        variants: &[Variant::Cdp, Variant::Dtbl],
+        series: &["CDP(KB)", "DTBL(KB)", "red(%)"],
+        csv_series: &["CDP", "DTBL"],
+        value: |m, b, s| {
+            let (cdp, dtbl) = footprints(m, b);
+            match s {
+                "CDP(KB)" | "CDP" => cdp / 1024.0,
+                "DTBL(KB)" | "DTBL" => dtbl / 1024.0,
+                _ if cdp == 0.0 => 0.0,
+                _ => 100.0 * (1.0 - dtbl / cdp),
+            }
+        },
+        fmt: |v| format!("{v:.1}"),
+        summary: |m, bs| {
+            let reductions: Vec<f64> = bs
+                .iter()
+                .map(|&b| footprints(m, b))
+                .filter(|&(cdp, _)| cdp > 0.0)
+                .map(|(cdp, dtbl)| 100.0 * (1.0 - dtbl / cdp))
+                .collect();
+            println!(
+                "\nAverage footprint reduction (launch-bearing benchmarks): {:.1}% (paper: 25.6%)",
+                mean(reductions.iter().copied())
+            );
+        },
+    },
+    Figure {
+        name: "fig11",
+        csv: "speedup",
+        title: "Figure 11: Speedup over Flat Implementation",
+        variants: &Variant::MAIN,
+        series: FOUR,
+        csv_series: FOUR,
+        value: |m, b, s| speedup(m, b, variant_of(s)),
+        fmt: |v| format!("{v:.2}x"),
+        summary: headline,
+    },
+];
+
+/// The evaluation's headline numbers: Figure 11's geomeans and the DTBL
+/// diagnostics the paper quotes in the text.
+fn headline(m: &Matrix, bs: &[Benchmark]) {
+    println!("\nHeadline numbers (geomean over all benchmarks; paper averages in parentheses):");
+    for (v, paper) in [
+        (Variant::CdpIdeal, "1.43x"),
+        (Variant::DtblIdeal, "1.63x"),
+        (Variant::Cdp, "0.86x"),
+        (Variant::Dtbl, "1.21x"),
+    ] {
+        let g = geomean(bs.iter().map(|&b| speedup(m, b, v)));
+        println!("  {:6} speedup over Flat: {g:.2}x  ({paper})", v.label());
+    }
+    let rel = geomean(
+        bs.iter()
+            .map(|&b| speedup(m, b, Variant::Dtbl) / speedup(m, b, Variant::Cdp)),
+    );
+    println!("  DTBL over CDP: {rel:.2}x  (1.40x)");
+
+    let launching: Vec<&Stats> = bs
+        .iter()
+        .map(|&b| &m.get(b, Variant::Dtbl).stats)
+        .filter(|s| s.dyn_launches() > 0)
+        .collect();
+    if launching.is_empty() {
+        return;
+    }
+    println!(
+        "  eligible-kernel match rate: {:.1}% (paper: ~98%)",
+        100.0 * mean(launching.iter().map(|s| s.match_rate()))
+    );
+    println!(
+        "  avg threads per dynamic launch: {:.0} (paper: ~40, pre ~1528)",
+        mean(launching.iter().map(|s| s.avg_dyn_launch_threads()))
+    );
+}
+
+/// Flags of the sweep binaries that consume the next argument as their
+/// value when written without `=`.
+const VALUE_FLAGS: [&str; 6] = [
+    "--jobs",
+    "--retries",
+    "--trace",
+    "--trace-filter",
+    "--metrics-interval",
+    "--deadline-ms",
+];
+
+/// The figures named on the command line (`all_figures fig09 fig11`), in
+/// [`FIGURES`] order; all six when none is named. Exits with a usage
+/// error on a positional argument that names no figure.
+pub fn figures_from_args() -> Vec<&'static Figure> {
+    let mut named: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            args.next();
+        } else if !a.starts_with("--") {
+            named.push(a);
+        }
+    }
+    if let Some(bad) = named
+        .iter()
+        .find(|n| FIGURES.iter().all(|f| f.name != n.as_str()))
+    {
+        let known: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        eprintln!("unknown figure {bad:?}; one of: {}", known.join(" "));
+        std::process::exit(2);
+    }
+    FIGURES
+        .iter()
+        .filter(|f| named.is_empty() || named.iter().any(|n| n == f.name))
+        .collect()
+}
+
 /// Looks up `--flag VALUE` / `--flag=VALUE` in `args`; exits with a usage
 /// error when the flag is present without a value.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -539,8 +661,7 @@ pub fn budget_from_args() -> RunBudget {
     budget
 }
 
-/// Tracing options shared by the figure binaries, parsed from the command
-/// line:
+/// Tracing options of `all_figures`, parsed from the command line:
 ///
 /// - `--trace PATH` enables event tracing for every run of the sweep and
 ///   writes the collected traces to PATH when the sweep finishes. A
@@ -558,8 +679,8 @@ pub fn budget_from_args() -> RunBudget {
 /// Without `--trace` the options are inert: the sweep runs with tracing
 /// fully disabled and [`TraceOpts::write`] is a no-op. The struct also
 /// carries the run budget from `--deadline-ms` ([`budget_from_args`]), so
-/// [`TraceOpts::gpu_config`] gives every figure binary the wall-clock
-/// knob for free.
+/// [`TraceOpts::gpu_config`] is the one place a figure sweep's
+/// configuration comes from.
 #[derive(Clone, Debug, Default)]
 pub struct TraceOpts {
     out: Option<PathBuf>,
@@ -641,7 +762,7 @@ impl TraceOpts {
     }
 }
 
-/// Parses the common CLI convention of the figure binaries: `--test-scale`
+/// Parses the common CLI convention of the sweep binaries: `--test-scale`
 /// switches to the fast Test inputs (useful for smoke runs).
 pub fn scale_from_args() -> Scale {
     if std::env::args().any(|a| a == "--test-scale") {
@@ -651,8 +772,8 @@ pub fn scale_from_args() -> Scale {
     }
 }
 
-/// True when `--csv` was passed (figure binaries then also write
-/// `out/figures/<name>.csv` for plotting).
+/// True when `--csv` was passed (`all_figures` then also writes each
+/// rendered figure to `out/figures/` for plotting).
 pub fn csv_from_args() -> bool {
     std::env::args().any(|a| a == "--csv")
 }
@@ -755,29 +876,28 @@ mod tests {
     #[test]
     fn server_matrix_caches_repeats_bit_identically() {
         let runner = SweepRunner::new(2).with_retries(1);
-        let server = runner.server();
         let variants = [Variant::Flat, Variant::Dtbl];
-        let m1 = runner.run_matrix_on(
-            &server,
-            &[Benchmark::BfsUsaRoad],
-            &variants,
-            Scale::Test,
-            GpuConfig::test_small(),
-        );
+        let run = || {
+            runner.run_matrix(
+                &[Benchmark::BfsUsaRoad],
+                &variants,
+                Scale::Test,
+                GpuConfig::test_small(),
+            )
+        };
+        let m1 = run();
         assert!(m1.failures().is_empty());
-        assert_eq!(server.cache_misses(), 2);
-        assert_eq!(server.cache_hits(), 0);
+        assert_eq!(runner.server().cache_misses(), 2);
+        assert_eq!(runner.server().cache_hits(), 0);
 
-        let m2 = runner.run_matrix_on(
-            &server,
-            &[Benchmark::BfsUsaRoad],
-            &variants,
-            Scale::Test,
-            GpuConfig::test_small(),
-        );
+        let m2 = run();
         assert!(m2.failures().is_empty());
-        assert_eq!(server.cache_misses(), 2, "repeat batch never simulates");
-        assert_eq!(server.cache_hits(), 2);
+        assert_eq!(
+            runner.server().cache_misses(),
+            2,
+            "repeat batch never simulates"
+        );
+        assert_eq!(runner.server().cache_hits(), 2);
         for v in variants {
             assert_eq!(
                 m1.get(Benchmark::BfsUsaRoad, v).stats,
@@ -790,7 +910,12 @@ mod tests {
     #[test]
     fn matrix_runs_and_validates() {
         let variants = [Variant::Flat, Variant::Dtbl];
-        let m = Matrix::run(&[Benchmark::BfsUsaRoad], &variants, Scale::Test);
+        let m = SweepRunner::new(1).run_matrix(
+            &[Benchmark::BfsUsaRoad],
+            &variants,
+            Scale::Test,
+            GpuConfig::k20c(),
+        );
         assert!(m.contains(Benchmark::BfsUsaRoad, Variant::Flat));
         assert!(m.failures().is_empty());
         assert!(!m.contains(Benchmark::BfsUsaRoad, Variant::Cdp));
@@ -801,5 +926,18 @@ mod tests {
         assert!(m
             .ok_benchmarks(&[Benchmark::BfsUsaRoad], &[Variant::Cdp])
             .is_empty());
+    }
+
+    /// A figure's columns must be readable from exactly the runs it asks
+    /// for: every variant-labelled column names one of its variants.
+    #[test]
+    fn figure_columns_read_only_the_figures_own_variants() {
+        for f in &FIGURES {
+            for s in f.series.iter().chain(f.csv_series) {
+                if let Some(v) = Variant::from_label(s) {
+                    assert!(f.variants.contains(&v), "{}: column {s}", f.name);
+                }
+            }
+        }
     }
 }

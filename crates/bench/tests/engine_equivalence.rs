@@ -46,11 +46,11 @@ fn assert_matrices_identical(a: &Matrix, b: &Matrix, what: &str) {
 /// affect results.
 #[test]
 fn event_driven_stats_match_per_cycle() {
-    let evented = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test);
+    let evented =
+        SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test, GpuConfig::k20c());
     let mut cfg = GpuConfig::k20c();
     cfg.force_per_cycle = true;
-    let percycle =
-        SweepRunner::new(4).run_matrix_with(&Benchmark::ALL, &VARIANTS, Scale::Test, cfg);
+    let percycle = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test, cfg);
     assert_matrices_identical(&evented, &percycle, "event-driven vs per-cycle");
 }
 
@@ -101,25 +101,34 @@ fn sampled_tracing_matches_per_cycle_across_matrix() {
     .for_each(|((bm, v), result)| result.unwrap_or_else(|e| panic!("{bm} [{v}]: {e}")));
 }
 
+/// The reference the serving paths are held to: every cell built and run
+/// on its own fresh `Gpu::new` (`CellSetup::new(..)?.run(v)`), nothing
+/// pooled, nothing cached. Panics (assertion failures included) re-raise.
+fn fresh_matrix(benchmarks: &[Benchmark], cfg: &GpuConfig) -> Matrix {
+    let cells: Vec<(Benchmark, Variant)> = benchmarks
+        .iter()
+        .flat_map(|&bm| VARIANTS.map(|v| (bm, v)))
+        .collect();
+    gpu_sim::sweep::run_cells(cells, 4, |&(bm, v)| {
+        bm.run_with(v, Scale::Test, cfg.clone())
+    })
+    .into_iter()
+    .collect()
+}
+
 /// The warm-pool serving contract across the full matrix: every benchmark
-/// run cold (fresh construction per cell), warm-pooled (reset + bind on a
-/// shared server), and as a cache hit (same server, repeat batch) must
-/// produce bit-identical `Stats`. Any mutable field `Gpu::reset_bind`
+/// run cold (fresh construction per cell), warm-pooled (reset + bind on
+/// the runner's server), and as a cache hit (same runner, repeat sweep)
+/// must produce bit-identical `Stats`. Any mutable field `Gpu::reset_bind`
 /// forgets to reinitialize, or any artifact-relevant config field
 /// `GpuConfig::content_hash` forgets to hash, shows up here.
 #[test]
 fn cold_warm_and_cached_paths_are_bit_identical() {
-    let runner = SweepRunner::new(4);
-    let cold = runner.run_matrix_cold(&Benchmark::ALL, &VARIANTS, Scale::Test, GpuConfig::k20c());
+    let cold = fresh_matrix(&Benchmark::ALL, &GpuConfig::k20c());
 
+    let runner = SweepRunner::new(4);
     let server = runner.server();
-    let warm = runner.run_matrix_on(
-        &server,
-        &Benchmark::ALL,
-        &VARIANTS,
-        Scale::Test,
-        GpuConfig::k20c(),
-    );
+    let warm = runner.run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test, GpuConfig::k20c());
     assert_matrices_identical(&cold, &warm, "cold vs warm-pooled");
     let executed = server.cache_misses();
     assert!(
@@ -127,13 +136,7 @@ fn cold_warm_and_cached_paths_are_bit_identical() {
         "a 48-cell batch on a 4-slot pool must rebind warm instances"
     );
 
-    let cached = runner.run_matrix_on(
-        &server,
-        &Benchmark::ALL,
-        &VARIANTS,
-        Scale::Test,
-        GpuConfig::k20c(),
-    );
+    let cached = runner.run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test, GpuConfig::k20c());
     assert_eq!(
         server.cache_misses(),
         executed,
@@ -162,19 +165,22 @@ fn warm_and_cached_traces_match_cold_byte_for_byte() {
         gpu_trace::export::jsonl(&m.take_traces(&TRACED, &VARIANTS))
     };
 
-    let mut cold = runner.run_matrix_cold(&TRACED, &VARIANTS, Scale::Test, cfg.clone());
+    let mut cold = fresh_matrix(&TRACED, &cfg);
     let cold_jsonl = jsonl(&mut cold);
     assert!(!cold_jsonl.is_empty());
 
-    let server = runner.server();
-    let mut warm = runner.run_matrix_on(&server, &TRACED, &VARIANTS, Scale::Test, cfg.clone());
+    let mut warm = runner.run_matrix(&TRACED, &VARIANTS, Scale::Test, cfg.clone());
     assert!(
         jsonl(&mut warm) == cold_jsonl,
         "warm-pooled JSONL trace diverged from cold construction"
     );
 
-    let mut cached = runner.run_matrix_on(&server, &TRACED, &VARIANTS, Scale::Test, cfg);
-    assert_eq!(server.cache_hits(), 9, "second traced batch is all hits");
+    let mut cached = runner.run_matrix(&TRACED, &VARIANTS, Scale::Test, cfg);
+    assert_eq!(
+        runner.server().cache_hits(),
+        9,
+        "second traced batch is all hits"
+    );
     assert!(
         jsonl(&mut cached) == cold_jsonl,
         "cache-hit JSONL trace diverged from cold construction"

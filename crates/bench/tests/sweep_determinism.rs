@@ -5,6 +5,7 @@
 //! sibling cell can leak into a run.
 
 use bench::SweepRunner;
+use gpu_sim::GpuConfig;
 use workloads::{Benchmark, Scale, Variant};
 
 const BENCHMARKS: [Benchmark; 3] = [
@@ -20,9 +21,15 @@ const VARIANTS: [Variant; 3] = [Variant::Flat, Variant::Cdp, Variant::Dtbl];
 /// sets must match.
 #[test]
 fn parallel_sweep_stats_match_serial() {
-    let serial = SweepRunner::new(1).run_matrix(&BENCHMARKS, &VARIANTS, Scale::Test);
+    let serial =
+        SweepRunner::new(1).run_matrix(&BENCHMARKS, &VARIANTS, Scale::Test, GpuConfig::k20c());
     for jobs in [4usize, 8] {
-        let parallel = SweepRunner::new(jobs).run_matrix(&BENCHMARKS, &VARIANTS, Scale::Test);
+        let parallel = SweepRunner::new(jobs).run_matrix(
+            &BENCHMARKS,
+            &VARIANTS,
+            Scale::Test,
+            GpuConfig::k20c(),
+        );
         assert_eq!(
             serial.failures().len(),
             parallel.failures().len(),

@@ -33,7 +33,10 @@ impl fmt::Display for KernelId {
 /// thread blocks use the same configuration as the native kernel's blocks
 /// (§4.1), and keeps eligibility checking — same entry PC, same TB
 /// configuration — a property of the kernel identity.
-#[derive(Clone, Debug)]
+///
+/// Deliberately not `Clone`: a kernel is shared through the `Arc<Kernel>`
+/// its [`Program`] stores, so no dispatch path can deep-copy one.
+#[derive(Debug)]
 pub struct Kernel {
     name: String,
     insts: Arc<[Inst]>,

@@ -197,12 +197,15 @@ impl MshrTable {
 mod tests {
     use super::*;
     use sim_rand::{Rng, SeedableRng, StdRng};
+    // The model the open-addressed table is checked against.
+    #[allow(clippy::disallowed_types)]
     use std::collections::HashMap;
 
     /// Random open/merge/close traffic over a small, colliding key space
     /// agrees with a `HashMap<key, Vec<id>>` at every step, through
     /// growth and backward-shift deletions.
     #[test]
+    #[allow(clippy::disallowed_types)]
     fn agrees_with_a_hash_map_of_vecs() {
         let mut rng = StdRng::seed_from_u64(0x3547);
         let mut table = MshrTable::new();

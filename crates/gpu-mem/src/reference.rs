@@ -10,6 +10,9 @@
 //! in the heap's `(at, id)` order, that an idle partition may be skipped,
 //! and that the derived geometry is the same function of the address.
 
+// The oracle keeps the hashing structures the timing model replaced.
+#![allow(clippy::disallowed_types)]
+
 use crate::cache::{Cache, CacheStats, Lookup};
 use crate::coalesce::{coalesce, coalesce_mask_into};
 use crate::config::MemConfig;

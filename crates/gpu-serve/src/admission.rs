@@ -8,9 +8,9 @@
 //! round-robin turn before the rotation moves on. FCFS mode (the
 //! `--fair` flag off) is a single global queue.
 //!
-//! The contract the daemon documents and `daemon_smoke` enforces: under
-//! symmetric load with equal weights, no client's p95 admission latency
-//! exceeds 3× another's.
+//! The contract the daemon documents and the crate's loopback tests
+//! enforce: under symmetric load with equal weights, no client's p95
+//! admission latency exceeds 3× another's.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};

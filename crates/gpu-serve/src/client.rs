@@ -1,6 +1,6 @@
 //! The `gpu-serve` client: a blocking, dependency-free library over the
 //! NDJSON protocol, used by the `gpu-serve-client` binary and the
-//! `daemon_smoke` harness.
+//! loopback tests.
 
 use crate::wire::{report_from_json, submit_to_json, SubmitSpec, PROTO_VERSION};
 use gpu_trace::json::Json;

@@ -20,7 +20,7 @@
 //!   to a cold cache on any corruption;
 //! - [`daemon`] — accept loop, connection threads, workers, shutdown;
 //! - [`client`] — the blocking client library the `gpu-serve-client`
-//!   binary and the `daemon_smoke` harness use.
+//!   binary and the loopback tests use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,6 +99,93 @@ mod loopback_tests {
         }
         client.ping().expect("connection survives an error frame");
 
+        client.shutdown().expect("shutdown");
+        handle.wait();
+    }
+
+    /// Four clients replaying one 8-cell batch against a seeded daemon:
+    /// every `Stats` served over TCP equals the in-process
+    /// `CellSetup::run` of the same cell, the replays are cache hits, and
+    /// round-robin admission treats symmetric clients alike.
+    #[test]
+    fn concurrent_clients_read_in_process_stats_from_a_fair_cached_daemon() {
+        const BENCHES: [Benchmark; 4] = [
+            Benchmark::Amr,
+            Benchmark::BfsUsaRoad,
+            Benchmark::JoinGaussian,
+            Benchmark::RegxString,
+        ];
+        const VARIANTS: [Variant; 2] = [Variant::Flat, Variant::Dtbl];
+        const CLIENTS: usize = 4;
+        let cells: Vec<(Benchmark, Variant)> = BENCHES
+            .iter()
+            .flat_map(|&b| VARIANTS.map(|v| (b, v)))
+            .collect();
+        let local: Vec<gpu_sim::Stats> = cells
+            .iter()
+            .map(|&(b, v)| {
+                workloads::CellSetup::new(b, Scale::Test, gpu_sim::GpuConfig::test_small())
+                    .and_then(|s| s.run(v))
+                    .expect("in-process run")
+                    .stats
+            })
+            .collect();
+
+        let handle = serve(ServeConfig {
+            jobs: 2,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        let addr = handle.addr;
+        // Submits the whole batch, then waits for it, as `client`.
+        let run_batch_as = |client: &str| -> Vec<gpu_sim::Stats> {
+            let mut c = Client::connect(addr).expect("connect");
+            let jobs: Vec<u64> = cells
+                .iter()
+                .map(|&(b, v)| c.submit(&spec(b, v, client)).expect("submit"))
+                .collect();
+            jobs.into_iter()
+                .map(|job| c.wait(job, Duration::from_secs(300)).expect("wait").stats)
+                .collect()
+        };
+
+        assert_eq!(run_batch_as("seed"), local, "stats over TCP vs in-process");
+        std::thread::scope(|scope| {
+            let replays: Vec<_> = (0..CLIENTS)
+                .map(|i| scope.spawn(move || run_batch_as(&format!("client{i}"))))
+                .collect();
+            for replay in replays {
+                assert_eq!(
+                    replay.join().expect("client thread"),
+                    local,
+                    "cached stats over TCP vs in-process"
+                );
+            }
+        });
+
+        let mut client = Client::connect(addr).expect("connect for metrics");
+        let snapshot = client.metrics().expect("metrics");
+        let hits = client::snapshot_counter(&snapshot, "server.cache_hits");
+        let misses = client::snapshot_counter(&snapshot, "server.cache_misses");
+        assert!(
+            hits >= misses,
+            "the replayed batches must be served from the cache: {snapshot}"
+        );
+        // Symmetric load: no client's p95 admission wait may exceed 3x
+        // another's (below 1 ms the spread is scheduler noise).
+        let p95s: Vec<u64> = (0..CLIENTS)
+            .map(|i| {
+                let name = format!("admission.wait_us.client{i}");
+                client::snapshot_percentile(&snapshot, &name, "p95")
+                    .unwrap_or(0)
+                    .max(1_000)
+            })
+            .collect();
+        let (lo, hi) = (p95s.iter().min().unwrap(), p95s.iter().max().unwrap());
+        assert!(
+            hi <= &(lo * 3),
+            "unfair admission, p95 waits (us): {p95s:?}"
+        );
         client.shutdown().expect("shutdown");
         handle.wait();
     }

@@ -7,7 +7,7 @@
 //! [`Json::Num`] exactness bound), which covers every [`Stats`] field by
 //! orders of magnitude — so a client-side decode is bit-identical to the
 //! in-process struct, pinned by the round-trip tests here and the
-//! `daemon_smoke` gate.
+//! crate's loopback tests.
 //!
 //! ## Message grammar
 //!

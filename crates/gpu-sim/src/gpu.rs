@@ -19,7 +19,10 @@ use gpu_mem::{
 };
 use gpu_trace::{Category, EventKind, Recorder, StallReason};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+// Launch-path maps only (see the three `Gpu` fields that use it).
+#[allow(clippy::disallowed_types)]
+use std::collections::HashMap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -109,16 +112,21 @@ pub struct Gpu {
     /// generation-checked slab (ids are monotone), so the two hottest
     /// lookups in the machine never hash and never allocate.
     pub(crate) access_owner: AccessSlab,
+    // Touched once per aggregated-group launch and first schedule.
+    #[allow(clippy::disallowed_types)]
     pub(crate) group_record: HashMap<GroupRef, usize>,
     /// Heap bytes reserved per parameter buffer, keyed by buffer address;
     /// recorded at allocation (host launch or `cudaGetParameterBuffer`)
     /// and released into the heap accounting when the kernel that owns
-    /// the buffer retires.
+    /// the buffer retires — per launch, never per cycle.
+    #[allow(clippy::disallowed_types)]
     pub(crate) param_bytes: HashMap<u32, u32>,
     /// Per-KDE descriptor-walk state: a spilled (overflow) aggregated
     /// group's descriptor must be fetched from global memory before the
     /// SMX scheduler can distribute its thread blocks (§4.3); this holds
-    /// `(group, ready_at)` for the fetch in progress / completed.
+    /// `(group, ready_at)` for the fetch in progress / completed — only
+    /// populated once the AGT has overflowed.
+    #[allow(clippy::disallowed_types)]
     pub(crate) agt_walk: HashMap<u32, (GroupRef, u64)>,
     pub(crate) rr_smx: usize,
     pub(crate) mem_buf: Vec<AccessId>,
@@ -183,9 +191,9 @@ impl Gpu {
             warp_age: 0,
             stats,
             access_owner: AccessSlab::new(),
-            group_record: HashMap::new(),
-            param_bytes: HashMap::new(),
-            agt_walk: HashMap::new(),
+            group_record: Default::default(),
+            param_bytes: Default::default(),
+            agt_walk: Default::default(),
             rr_smx: 0,
             mem_buf: Vec::new(),
             kde_buf: Vec::new(),

@@ -23,6 +23,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Diagnostics are gpu-trace events or typed errors: a stray print in the
+// simulator corrupts figure stdout and dodges the category filter.
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod access_slab;
 mod config;

@@ -31,6 +31,10 @@
 //! (one leader runs, followers clone its cached result), so the hit rate
 //! on a batch with duplicates is deterministic rather than a race.
 
+// The result cache and leader election run per batch, outside any
+// simulated cycle; a keyed store is what they are.
+#![allow(clippy::disallowed_types)]
+
 use crate::config::GpuConfig;
 use crate::sweep::{run_cells_supervised, CellOutcome};
 use crate::Gpu;
@@ -382,7 +386,7 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
         }
         self.misses
             .fetch_add(indices.len() as u64, Ordering::Relaxed);
-        let ran = run_cells_supervised(indices, self.jobs, self.retries, |&i: &usize| {
+        let (ran, _) = run_cells_supervised(indices, self.jobs, self.retries, |&i: &usize| {
             let mut slot = self.acquire_slot();
             run(&cells[i], &mut slot)
         });

@@ -21,14 +21,14 @@
 //!   are deterministically retried in quarantine — serially, in input
 //!   order, after the parallel sweep — up to a caller-chosen attempt
 //!   count. Per-cell deadlines ride on
-//!   [`RunBudget`](crate::RunBudget) inside the cell closure.
-//!   [`run_cells_supervised_traced`] additionally returns the
-//!   supervisor's own event trace (`CellCrashed` / `CellRetried`) for
-//!   CI artifacts.
+//!   [`RunBudget`](crate::RunBudget) inside the cell closure. The
+//!   supervisor's own event trace (`CellCrashed` / `CellRetried`) comes
+//!   back beside the outcomes, for CI artifacts.
 //!
-//! Panic isolation is confined (CI greps for `catch_unwind`): the only
-//! caller in the workspace is this module, where a caught panic becomes
-//! a [`CrashReport`] or is re-raised whole. Everywhere else, panics stay
+//! Panic isolation is confined (`clippy.toml` disallows
+//! `std::panic::catch_unwind` workspace-wide): the only callers are the
+//! two allowed sites in this module, where a caught panic becomes a
+//! [`CrashReport`] or is re-raised whole. Everywhere else, panics stay
 //! fatal.
 //!
 //! Only `std` is used (scoped threads + an atomic work cursor), matching
@@ -157,6 +157,8 @@ fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs `f(cell)` with panic isolation, pairing a caught panic with the
 /// crash context the unwind stashed on this thread.
+// The workspace's one production catch: the panic becomes a `CellRun`.
+#[allow(clippy::disallowed_methods)]
 fn run_one<C, T, E, F>(cell: &C, f: &F) -> CellRun<T, E>
 where
     F: Fn(&C) -> Result<T, E> + Sync,
@@ -287,6 +289,9 @@ where
         .collect()
 }
 
+/// Supervised sweep results paired with the supervisor's own event trace.
+pub type SupervisedSweep<C, T, E> = (Vec<(C, CellOutcome<T, E>)>, gpu_trace::TraceData);
+
 /// [`run_cells`] with full supervision: a panicking cell becomes a
 /// [`CellOutcome::Crashed`] carrying a structured [`CrashReport`] instead
 /// of taking the sweep down, and crashed cells are retried **in
@@ -301,32 +306,15 @@ where
 /// (e.g. a host-dependent wall-clock budget) get their bounded second
 /// chance. Per-cell deadlines belong *inside* `f`, on the cell's
 /// [`RunBudget`](crate::RunBudget).
+///
+/// The second half of the return value is the supervisor's own event
+/// trace: one [`EventKind::CellCrashed`](gpu_trace::EventKind) per
+/// panicking attempt and one
+/// [`EventKind::CellRetried`](gpu_trace::EventKind) per quarantined
+/// re-run, stamped with the crashed run's simulated cycle when the unwind
+/// captured one (0 otherwise). The trace is the sweep's flight record —
+/// what a CI artifact uploads next to the [`CrashReport`]s.
 pub fn run_cells_supervised<C, T, E, F>(
-    cells: Vec<C>,
-    jobs: usize,
-    retries: u32,
-    f: F,
-) -> Vec<(C, CellOutcome<T, E>)>
-where
-    C: Send + Sync,
-    T: Send,
-    E: Send,
-    F: Fn(&C) -> Result<T, E> + Sync,
-{
-    run_cells_supervised_traced(cells, jobs, retries, f).0
-}
-
-/// Supervised sweep results paired with the supervisor's own event trace.
-pub type SupervisedSweep<C, T, E> = (Vec<(C, CellOutcome<T, E>)>, gpu_trace::TraceData);
-
-/// [`run_cells_supervised`] plus the supervisor's own event trace: one
-/// [`EventKind::CellCrashed`](gpu_trace::EventKind) per panicking attempt
-/// and one [`EventKind::CellRetried`](gpu_trace::EventKind) per
-/// quarantined re-run, stamped with the crashed run's simulated cycle
-/// when the unwind captured one (0 otherwise). The trace is the sweep's
-/// flight record — what a CI artifact uploads next to the
-/// [`CrashReport`]s.
-pub fn run_cells_supervised_traced<C, T, E, F>(
     cells: Vec<C>,
     jobs: usize,
     retries: u32,
@@ -491,6 +479,8 @@ mod tests {
     fn panicking_cell_lets_siblings_finish_then_reraises() {
         for jobs in [1usize, 4] {
             let completed = AtomicU32::new(0);
+            // The test observes the payload `run_cells` re-raises.
+            #[allow(clippy::disallowed_methods)]
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 run_cells((0..16u32).collect(), jobs, |&c| {
                     if c == 5 {
@@ -516,7 +506,7 @@ mod tests {
 
     #[test]
     fn supervised_sweep_reports_crashes_as_data() {
-        let out = run_cells_supervised((0..8u32).collect(), 4, 0, |&c| {
+        let (out, _) = run_cells_supervised((0..8u32).collect(), 4, 0, |&c| {
             if c == 3 {
                 panic!("boom in cell {c}");
             }
@@ -545,7 +535,7 @@ mod tests {
     #[test]
     fn quarantined_retries_are_bounded_and_recover_transients() {
         let attempts = AtomicU32::new(0);
-        let out = run_cells_supervised(vec![0u8], 2, 3, |_| {
+        let (out, _) = run_cells_supervised(vec![0u8], 2, 3, |_| {
             let n = attempts.fetch_add(1, Ordering::Relaxed) + 1;
             if n < 3 {
                 panic!("transient crash #{n}");
@@ -555,7 +545,7 @@ mod tests {
         assert!(matches!(out[0].1, CellOutcome::Ok(99)));
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
 
-        let out = run_cells_supervised(vec![0u8], 1, 2, |_| {
+        let (out, _) = run_cells_supervised(vec![0u8], 1, 2, |_| {
             panic!("always");
             #[allow(unreachable_code)]
             Ok::<(), ()>(())
@@ -572,7 +562,7 @@ mod tests {
     #[test]
     fn supervisor_trace_records_crashes_and_retries() {
         use gpu_trace::EventKind;
-        let (out, trace) = run_cells_supervised_traced(vec![0u8, 1, 2], 2, 2, |&c| {
+        let (out, trace) = run_cells_supervised(vec![0u8, 1, 2], 2, 2, |&c| {
             if c == 1 {
                 panic!("cell 1 always crashes");
             }
@@ -615,7 +605,7 @@ mod tests {
     #[test]
     fn crash_report_carries_simulator_context() {
         use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
-        let out = run_cells_supervised(vec![0u8], 1, 0, |_| {
+        let (out, _) = run_cells_supervised(vec![0u8], 1, 0, |_| {
             let mut prog = Program::new();
             let mut b = KernelBuilder::new("crashy", Dim3::x(32), 1);
             let gtid = b.global_tid();

@@ -12,7 +12,7 @@ use std::fmt;
 pub enum Scale {
     /// Small inputs for unit/integration tests.
     Test,
-    /// Evaluation inputs for the fig06–fig12 harness binaries.
+    /// Evaluation inputs for the figure harness binaries.
     Eval,
 }
 
@@ -116,17 +116,16 @@ impl Benchmark {
         self.run_with(variant, scale, GpuConfig::k20c())
     }
 
-    /// Runs with a caller-supplied base configuration (the AGT-size sweep
-    /// of Figure 12 uses this). One-shot cells build their data, program
-    /// and simulator fresh; sweeps that revisit benchmarks should build a
-    /// [`CellSetup`](crate::CellSetup) instead and amortize the setup.
+    /// Runs with a caller-supplied base configuration: a one-shot
+    /// [`CellSetup`](crate::CellSetup) run on a fresh simulator. Sweeps
+    /// that revisit a benchmark keep the setup and amortize it.
     pub fn run_with(
         self,
         variant: Variant,
         scale: Scale,
         cfg: GpuConfig,
     ) -> Result<RunReport, SimError> {
-        crate::setup::run_cold(self, variant, scale, cfg)
+        crate::CellSetup::new(self, scale, cfg)?.run(variant)
     }
 }
 

@@ -1,19 +1,17 @@
 //! The setup/run split: an immutable, shareable [`CellSetup`] per
 //! benchmark versus the per-run mutable state that lives in a [`Gpu`].
 //!
-//! A sweep cell used to rebuild everything from scratch — workload data
-//! generation, kernel construction and decode, config plumbing — even
-//! though all of it is a pure function of `(benchmark, scale, base
-//! config)`. A [`CellSetup`] computes that function once: the workload
-//! buffers are built a single time and shared behind `Arc`s, and the
-//! [`Program`] for *every* variant is decoded up front — including each
-//! kernel's micro-op program (`gpu_isa::decode`), so the executors never
-//! re-inspect instruction encodings on the hot path (a `Program` clone
-//! is an `Arc` refcount bump per kernel, micro-ops included, pinned by
-//! `Program::shares_kernels`). Running a cell is then only the mutable
-//! half: bind a fresh — or warm-rebound, via
-//! [`WarmSlot`](gpu_sim::WarmSlot) — simulator and drive the app's
-//! launch/readback loop.
+//! Workload data generation, kernel construction and decode are a pure
+//! function of `(benchmark, scale)`. A [`CellSetup`] computes that
+//! function once: the workload buffers are built a single time and
+//! shared behind `Arc`s, and the [`Program`] for *every* variant is
+//! decoded up front — including each kernel's micro-op program
+//! (`gpu_isa::decode`), so the executors never re-inspect instruction
+//! encodings on the hot path (a `Program` clone is an `Arc` refcount bump
+//! per kernel, micro-ops included, pinned by `Program::shares_kernels`).
+//! Running a cell is then only the mutable half: bind a fresh — or
+//! warm-rebound, via [`WarmSlot`](gpu_sim::WarmSlot) — simulator and
+//! drive the app's launch/readback loop.
 //!
 //! The setup also knows its cells' content address
 //! ([`cell_key`](CellSetup::cell_key)), which is what lets the
@@ -70,10 +68,9 @@ impl AppData {
     }
 }
 
-/// Builds a benchmark's workload data at `scale` (the data half of the
-/// old monolithic `run_with` match). Deterministic: each benchmark uses
-/// fixed generation seeds, so the data is a pure function of
-/// `(benchmark, scale)`.
+/// Builds a benchmark's workload data at `scale`. Deterministic: each
+/// benchmark uses fixed generation seeds, so the data is a pure function
+/// of `(benchmark, scale)`.
 pub(crate) fn build_data(benchmark: Benchmark, scale: Scale) -> AppData {
     let t = scale == Scale::Test;
     match benchmark {
@@ -161,8 +158,7 @@ pub(crate) fn build_data(benchmark: Benchmark, scale: Scale) -> AppData {
 }
 
 /// Builds a benchmark's program for one variant, returning the kernel ids
-/// in the app's positional order (the program half of the old monolithic
-/// match).
+/// in the app's positional order.
 pub(crate) fn prepare(
     benchmark: Benchmark,
     variant: Variant,
@@ -208,8 +204,7 @@ const SOURCE: u32 = 0;
 /// AMR top-level cell size.
 const AMR_CELL0: u32 = 32;
 
-/// Drives one cell's mutable phase on an already-bound `gpu` (the drive
-/// half of the old monolithic match).
+/// Drives one cell's mutable phase on an already-bound `gpu`.
 pub(crate) fn drive_on(
     gpu: &mut Gpu,
     benchmark: Benchmark,
@@ -250,20 +245,6 @@ pub(crate) fn drive_on(
     }
 }
 
-/// The old per-cell cold path, kept as the construction-per-run baseline:
-/// build data, build one variant's program, build a fresh [`Gpu`], drive.
-pub(crate) fn run_cold(
-    benchmark: Benchmark,
-    variant: Variant,
-    scale: Scale,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let data = build_data(benchmark, scale);
-    let (prog, ids) = prepare(benchmark, variant)?;
-    let mut gpu = Gpu::new(variant.configure(base_cfg), prog);
-    drive_on(&mut gpu, benchmark, &data, &ids, variant)
-}
-
 /// The immutable half of one benchmark's sweep cells: built workload
 /// buffers, decoded per-variant programs, and the resolved base config.
 /// Build it once, run any variant any number of times — cold
@@ -298,6 +279,17 @@ impl CellSetup {
             data,
             progs,
         })
+    }
+
+    /// The same benchmark, data and decoded programs under a different
+    /// base configuration — a refcount bump per buffer and kernel, no
+    /// rebuild. How sweeps over a config axis (AGT size, warp scheduler,
+    /// reserved SMXs) get one setup per benchmark instead of one per cell.
+    pub fn with_config(&self, base_cfg: GpuConfig) -> CellSetup {
+        CellSetup {
+            base_cfg,
+            ..self.clone()
+        }
     }
 
     /// The benchmark this setup serves.
@@ -375,7 +367,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn variants_share_data_and_cold_matches_legacy() -> Result<(), SimError> {
+    fn clones_and_reconfigured_setups_share_data_and_kernels() -> Result<(), SimError> {
         let setup = CellSetup::new(Benchmark::BfsCitation, Scale::Test, GpuConfig::test_small())?;
         // Cloning a setup (one clone per sweep cell) shares the workload
         // buffers rather than rebuilding them.
@@ -386,12 +378,19 @@ mod tests {
         let (prog, _) = setup.program(Variant::Dtbl);
         assert!(prog.shares_kernels(&setup.program(Variant::Dtbl).0));
 
-        let from_setup = setup.run(Variant::Dtbl)?;
-        let legacy =
-            Benchmark::BfsCitation.run_with(Variant::Dtbl, Scale::Test, GpuConfig::test_small())?;
-        assert_eq!(
-            from_setup.stats, legacy.stats,
-            "setup path is bit-identical"
+        // A config-axis sibling shares both and differs only in its key.
+        let wide = setup.with_config(GpuConfig {
+            agt_entries: 256,
+            ..GpuConfig::test_small()
+        });
+        assert!(wide.data().ptr_eq(setup.data()));
+        for v in Variant::ALL {
+            assert!(wide.program(v).0.shares_kernels(&setup.program(v).0));
+        }
+        assert_eq!(wide.run_cfg(Variant::Dtbl).agt_entries, 256);
+        assert_ne!(
+            wide.cell_key(Variant::Dtbl).config_hash,
+            setup.cell_key(Variant::Dtbl).config_hash
         );
         Ok(())
     }

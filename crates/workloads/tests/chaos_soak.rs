@@ -12,7 +12,7 @@
 //!   `LaunchBackoff` / `DeadlineHit` events in the trace.
 
 use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
-use gpu_sim::sweep::{run_cells_supervised_traced, CellOutcome};
+use gpu_sim::sweep::{run_cells_supervised, CellOutcome};
 use gpu_sim::{BudgetKind, CancelToken, DegradePolicy, FaultPlan, Gpu, GpuConfig, SimError};
 use gpu_trace::{Category, EventKind, LaunchPath, TraceConfig};
 use workloads::{Benchmark, Scale, Variant};
@@ -112,7 +112,7 @@ fn chaos_soak_survives_the_full_grid() {
         .flat_map(|&b| MODES.map(|m| (b, m)))
         .collect();
     let total = cells.len();
-    let (outcomes, supervisor_trace) = run_cells_supervised_traced(cells, 4, 1, |&(b, mode)| {
+    let (outcomes, supervisor_trace) = run_cells_supervised(cells, 4, 1, |&(b, mode)| {
         if mode == Chaos::Panic {
             panic!("chaos: injected panic in {b}");
         }
