@@ -2,7 +2,7 @@
 //! NDJSON protocol, used by the `gpu-serve-client` binary and the
 //! loopback tests.
 
-use crate::wire::{report_from_json, submit_to_json, SubmitSpec, PROTO_VERSION};
+use crate::wire::{read_done_frame, report_from_json, submit_to_json, SubmitSpec, PROTO_VERSION};
 use gpu_trace::json::Json;
 use gpu_trace::TraceData;
 use std::io::{BufRead, BufReader, Write};
@@ -74,21 +74,7 @@ impl Client {
             writer,
             jobs: 0,
         };
-        let hello = client.read_frame()?;
-        if let Some(err) = hello.get("error") {
-            return Err(ClientError::Server {
-                kind: err
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                message: err
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            });
-        }
+        let hello = parse_reply(&client.read_raw_line()?)?;
         if hello.get("hello").and_then(Json::as_str) != Some("gpu-serve") {
             return Err(ClientError::Protocol("missing hello frame".into()));
         }
@@ -122,26 +108,16 @@ impl Client {
         Ok(line)
     }
 
-    fn request(&mut self, frame: &Json) -> Result<Json, ClientError> {
+    /// Sends `frame` and returns the raw reply line.
+    fn exchange(&mut self, frame: &Json) -> Result<String, ClientError> {
         let mut text = frame.to_string();
         text.push('\n');
         self.writer.write_all(text.as_bytes())?;
-        let reply = self.read_frame()?;
-        match reply.get("error") {
-            None => Ok(reply),
-            Some(err) => Err(ClientError::Server {
-                kind: err
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                message: err
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            }),
-        }
+        self.read_raw_line()
+    }
+
+    fn request(&mut self, frame: &Json) -> Result<Json, ClientError> {
+        parse_reply(&self.exchange(frame)?)
     }
 
     /// Submits a cell; returns its job id.
@@ -155,10 +131,16 @@ impl Client {
 
     /// Non-blocking status query.
     pub fn poll(&mut self, job: u64) -> Result<JobStatus, ClientError> {
-        let reply = self.request(&Json::Obj(vec![
+        let line = self.exchange(&Json::Obj(vec![
             ("op".into(), Json::Str("poll".into())),
             ("job".into(), Json::Num(job as f64)),
         ]))?;
+        // The daemon's done frame, read in one pass; any other line, or
+        // a done frame in another spelling, goes down the tree path.
+        if let Some(report) = read_done_frame(&line, job) {
+            return Ok(JobStatus::Done(Box::new(report)));
+        }
+        let reply = parse_reply(&line)?;
         match reply.get("state").and_then(Json::as_str) {
             Some("queued") => Ok(JobStatus::Queued),
             Some("running") => Ok(JobStatus::Running),
@@ -177,7 +159,7 @@ impl Client {
     /// Blocks (server-side) until the job finishes; failed jobs surface
     /// as `ClientError::Server { kind: "sim", .. }`.
     pub fn wait(&mut self, job: u64, timeout: Duration) -> Result<RunReport, ClientError> {
-        let reply = self.request(&Json::Obj(vec![
+        let line = self.exchange(&Json::Obj(vec![
             ("op".into(), Json::Str("wait".into())),
             ("job".into(), Json::Num(job as f64)),
             (
@@ -185,6 +167,10 @@ impl Client {
                 Json::Num(timeout.as_millis().min(u64::MAX as u128) as f64),
             ),
         ]))?;
+        if let Some(report) = read_done_frame(&line, job) {
+            return Ok(report);
+        }
+        let reply = parse_reply(&line)?;
         let report = reply
             .get("report")
             .ok_or_else(|| ClientError::Protocol("wait reply without report".into()))?;
@@ -241,6 +227,26 @@ impl Client {
             Json::Str("shutdown".into()),
         )]))?;
         Ok(())
+    }
+}
+
+/// Parses a reply line, turning an error frame into [`ClientError::Server`].
+fn parse_reply(line: &str) -> Result<Json, ClientError> {
+    let reply = Json::parse(line.trim()).map_err(ClientError::Protocol)?;
+    match reply.get("error") {
+        None => Ok(reply),
+        Some(err) => Err(ClientError::Server {
+            kind: err
+                .get("kind")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string(),
+            message: err
+                .get("message")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string(),
+        }),
     }
 }
 

@@ -15,16 +15,16 @@ use crate::admission::{AdmissionQueue, Ticket};
 use crate::jobs::{JobState, JobTable, JobTraceError};
 use crate::persist;
 use crate::wire::{
-    error_frame, hello_frame, metrics_to_json, ok_frame, parse_request, report_to_json,
-    sim_error_frame, ErrorKind, Request, SubmitSpec,
+    error_frame, hello_frame, metrics_to_json, ok_frame, parse_request, sim_error_frame,
+    write_done_frame, ErrorKind, Request, SubmitSpec,
 };
 use gpu_sim::sweep::CellOutcome;
 use gpu_sim::{BatchServer, SimError, Stats};
 use gpu_trace::json::Json;
 use gpu_trace::MetricsRegistry;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,6 +35,18 @@ use workloads::{CellSetup, RunReport};
 /// Idle-read poll interval on connection sockets; bounds how long a
 /// connection thread takes to notice a shutdown.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Longest request line, newline excluded, a connection may send. The
+/// largest legitimate request, a `submit`, is under 300 bytes; a peer
+/// that sends more without a newline gets one `bad_request` frame and is
+/// disconnected, so it cannot grow the daemon's memory.
+pub const MAX_REQUEST_BYTES: usize = 64 << 10;
+
+/// Most bytes an over-long request's peer may still have in flight when
+/// the daemon disconnects it. They are read and discarded first, so the
+/// close is an orderly FIN after the error frame, not a reset that could
+/// destroy the frame before the peer reads it.
+const DRAIN_BYTES: u64 = 4 << 20;
 
 /// Daemon configuration (the `gpu-serve` binary's flags).
 #[derive(Clone, Debug)]
@@ -296,10 +308,19 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        if buf.len() > MAX_REQUEST_BYTES {
+            let why = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            let _ = write_line(&writer, &error_frame(ErrorKind::BadRequest, &why));
+            let _ = writer.shutdown(Shutdown::Write);
+            let _ = std::io::copy(&mut reader.take(DRAIN_BYTES), &mut std::io::sink());
+            return;
+        }
+        let room = (MAX_REQUEST_BYTES + 1 - buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => return,
             Ok(_) if buf.last() != Some(&b'\n') => {
-                // Timed out mid-line with bytes buffered; keep reading.
+                // Timed out mid-line with bytes buffered, or the line is
+                // over the limit; the top of the loop tells them apart.
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
@@ -346,28 +367,38 @@ fn dispatch(shared: &Arc<Shared>, writer: &TcpStream, line: &str) -> bool {
             let frame = submit(shared, spec);
             write_line(writer, &frame).is_ok()
         }
-        Request::Poll { job } => {
-            let frame = match shared.jobs.poll(job) {
-                None => error_frame(ErrorKind::UnknownJob, &format!("job {job}")),
-                Some(JobState::Done(res)) => match *res {
-                    Ok(report) => done_frame(job, &report),
-                    Err(e) => sim_error_frame(&e),
-                },
-                Some(state) => ok_frame(vec![
+        Request::Poll { job } => match shared.jobs.poll(job) {
+            None => write_line(
+                writer,
+                &error_frame(ErrorKind::UnknownJob, &format!("job {job}")),
+            ),
+            Some(JobState::Done(res)) => match *res {
+                Ok(report) => write_done(writer, job, &report),
+                Err(e) => write_line(writer, &sim_error_frame(&e)),
+            },
+            Some(state) => write_line(
+                writer,
+                &ok_frame(vec![
                     ("job".into(), Json::Num(job as f64)),
                     ("state".into(), Json::Str(state.name().into())),
                 ]),
-            };
-            write_line(writer, &frame).is_ok()
+            ),
         }
+        .is_ok(),
         Request::Wait { job, timeout_ms } => {
-            let frame = match shared.jobs.wait(job, Duration::from_millis(timeout_ms)) {
-                Ok(Ok(report)) => done_frame(job, &report),
-                Ok(Err(e)) => sim_error_frame(&e),
-                Err(true) => error_frame(ErrorKind::Timeout, &format!("job {job} still running")),
-                Err(false) => error_frame(ErrorKind::UnknownJob, &format!("job {job}")),
-            };
-            write_line(writer, &frame).is_ok()
+            match shared.jobs.wait(job, Duration::from_millis(timeout_ms)) {
+                Ok(Ok(report)) => write_done(writer, job, &report),
+                Ok(Err(e)) => write_line(writer, &sim_error_frame(&e)),
+                Err(true) => write_line(
+                    writer,
+                    &error_frame(ErrorKind::Timeout, &format!("job {job} still running")),
+                ),
+                Err(false) => write_line(
+                    writer,
+                    &error_frame(ErrorKind::UnknownJob, &format!("job {job}")),
+                ),
+            }
+            .is_ok()
         }
         Request::Trace { job } => stream_trace(shared, writer, job),
         Request::Metrics => {
@@ -406,12 +437,12 @@ fn dispatch(shared: &Arc<Shared>, writer: &TcpStream, line: &str) -> bool {
     }
 }
 
-fn done_frame(job: u64, report: &RunReport) -> Json {
-    ok_frame(vec![
-        ("job".into(), Json::Num(job as f64)),
-        ("state".into(), Json::Str("done".into())),
-        ("report".into(), report_to_json(report)),
-    ])
+/// Writes a finished job's done frame straight from the report, without
+/// a `Json` tree.
+fn write_done(mut stream: &TcpStream, job: u64, report: &RunReport) -> std::io::Result<()> {
+    let mut text = String::new();
+    write_done_frame(job, report, &mut text);
+    stream.write_all(text.as_bytes())
 }
 
 fn submit(shared: &Arc<Shared>, spec: SubmitSpec) -> Json {

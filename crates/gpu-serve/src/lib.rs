@@ -190,6 +190,51 @@ mod loopback_tests {
         handle.wait();
     }
 
+    /// A peer that sends a megabyte without a newline gets one
+    /// `bad_request` frame and is disconnected; the daemon keeps serving
+    /// other clients.
+    #[test]
+    fn an_unbounded_request_line_is_cut_off() {
+        use std::io::{BufRead, BufReader, Read, Write};
+        let handle = serve(ServeConfig {
+            jobs: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        let stream = std::net::TcpStream::connect(handle.addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut hello = String::new();
+        reader.read_line(&mut hello).expect("hello frame");
+        (&stream)
+            .write_all(&vec![b'x'; 1 << 20])
+            .expect("the daemon reads what it discards");
+        let mut rest = String::new();
+        reader
+            .read_to_string(&mut rest)
+            .expect("error frame, then EOF");
+        let lines: Vec<&str> = rest.lines().collect();
+        assert_eq!(lines.len(), 1, "one frame before the close: {rest:.200}");
+        let frame = Json::parse(lines[0]).unwrap();
+        let error = frame.get("error").expect("an error frame");
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains(&daemon::MAX_REQUEST_BYTES.to_string()),
+            "{message}"
+        );
+
+        let mut client = Client::connect(handle.addr).expect("second client");
+        client.ping().expect("the daemon still answers");
+        client.shutdown().unwrap();
+        handle.wait();
+    }
+
     #[test]
     fn traced_job_streams_its_events() {
         let handle = serve(ServeConfig {

@@ -16,9 +16,10 @@
 //! they are cheap to recompute and their in-memory lifetime is already
 //! bounded by the daemon process that validated their determinism.
 
-use crate::wire::{report_from_json, report_to_json};
+use crate::wire::{report_from_json, write_report, Canonical};
 use gpu_sim::{CellKey, GpuConfig};
-use gpu_trace::json::Json;
+use gpu_trace::json::{write_str, write_u64, Json};
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -56,22 +57,7 @@ pub fn to_jsonl(entries: &[(CellKey, RunReport)]) -> String {
     out.push_str(&header.to_string());
     out.push('\n');
     for (key, report) in entries {
-        let line = Json::Obj(vec![
-            (
-                "config_hash".into(),
-                Json::Str(format!("{:016x}", key.config_hash)),
-            ),
-            (
-                "budget_hash".into(),
-                Json::Str(format!("{:016x}", key.budget_hash)),
-            ),
-            ("workload".into(), Json::Str(key.workload.clone())),
-            ("seed".into(), Json::Num(key.seed as f64)),
-            ("variant".into(), Json::Str(key.variant.clone())),
-            ("report".into(), report_to_json(report)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
+        write_entry(key, report, &mut out);
     }
     let footer = Json::Obj(vec![
         ("kind".into(), Json::Str("end".into())),
@@ -80,6 +66,48 @@ pub fn to_jsonl(entries: &[(CellKey, RunReport)]) -> String {
     out.push_str(&footer.to_string());
     out.push('\n');
     out
+}
+
+/// Appends one entry line, `\n` included: the bytes of the `Json` object
+/// `{"config_hash":H,"budget_hash":H,"workload":W,"seed":N,"variant":V,
+/// "report":R}`, written without building it.
+fn write_entry(key: &CellKey, report: &RunReport, out: &mut String) {
+    let CellKey {
+        config_hash,
+        budget_hash,
+        workload,
+        seed,
+        variant,
+    } = key;
+    let _ = write!(
+        out,
+        "{{\"config_hash\":\"{config_hash:016x}\",\"budget_hash\":\"{budget_hash:016x}\",\"workload\":"
+    );
+    write_str(workload, out);
+    out.push_str(",\"seed\":");
+    write_u64(*seed, out);
+    out.push_str(",\"variant\":");
+    write_str(variant, out);
+    out.push_str(",\"report\":");
+    write_report(report, out);
+    out.push_str("}\n");
+}
+
+/// An entry line in [`write_entry`]'s canonical form, read in one pass;
+/// `None` at the first deviation, for the `Json` tree path to decode.
+fn read_entry(line: &str) -> Option<(CellKey, RunReport)> {
+    let mut c = Canonical::new(line);
+    let key = CellKey {
+        config_hash: u64::from_str_radix(c.str(b'{', "config_hash")?, 16).ok()?,
+        budget_hash: u64::from_str_radix(c.str(b',', "budget_hash")?, 16).ok()?,
+        workload: c.str(b',', "workload")?.to_string(),
+        seed: c.u64(b',', "seed")?,
+        variant: c.str(b',', "variant")?.to_string(),
+    };
+    c.key(b',', "report")?;
+    let report = c.report()?;
+    c.lit("}")?;
+    c.at_end().then_some((key, report))
 }
 
 /// Strictly parses a cache file's contents. Used by [`load`]; exposed
@@ -102,6 +130,10 @@ pub fn from_jsonl(text: &str) -> Result<Vec<(CellKey, RunReport)>, String> {
     let mut footer_count: Option<u64> = None;
     for line in lines {
         if line.trim().is_empty() {
+            continue;
+        }
+        if let Some(entry) = read_entry(line) {
+            entries.push(entry);
             continue;
         }
         let v = Json::parse(line)?;
@@ -214,6 +246,88 @@ mod tests {
         assert_eq!(back[0].1.stats, entries[0].1.stats);
         assert_eq!(back[1].0.workload, "bht");
         assert_eq!(back[1].1.stats.cycles, 20);
+    }
+
+    /// The cache file as the `Json` tree writes it: the reference
+    /// [`to_jsonl`] must match byte for byte.
+    fn reference_to_jsonl(entries: &[(CellKey, RunReport)]) -> String {
+        let mut lines = vec![Json::Obj(vec![
+            ("kind".into(), Json::Str("gpu-serve-cache".into())),
+            ("version".into(), Json::Num(CACHE_VERSION as f64)),
+            (
+                "scheme".into(),
+                Json::Str(format!("{:016x}", hash_scheme())),
+            ),
+        ])];
+        for (key, report) in entries {
+            lines.push(Json::Obj(vec![
+                (
+                    "config_hash".into(),
+                    Json::Str(format!("{:016x}", key.config_hash)),
+                ),
+                (
+                    "budget_hash".into(),
+                    Json::Str(format!("{:016x}", key.budget_hash)),
+                ),
+                ("workload".into(), Json::Str(key.workload.clone())),
+                ("seed".into(), Json::Num(key.seed as f64)),
+                ("variant".into(), Json::Str(key.variant.clone())),
+                ("report".into(), crate::wire::report_to_json(report)),
+            ]));
+        }
+        lines.push(Json::Obj(vec![
+            ("kind".into(), Json::Str("end".into())),
+            ("entries".into(), Json::Num(entries.len() as f64)),
+        ]));
+        lines.iter().map(|l| format!("{l}\n")).collect()
+    }
+
+    /// The six variants of one real cell, then a report with 663
+    /// launches (as many as the heaviest `serve_mix` report carries).
+    fn mixed_cache() -> Vec<(CellKey, RunReport)> {
+        use gpu_sim::{DynLaunchKind, LaunchRecord};
+        let setup = workloads::CellSetup::new(
+            workloads::Benchmark::Amr,
+            workloads::Scale::Test,
+            GpuConfig::test_small(),
+        )
+        .unwrap();
+        let mut entries: Vec<_> = Variant::ALL
+            .into_iter()
+            .map(|v| (setup.cell_key(v), setup.run(v).unwrap()))
+            .collect();
+        let (mut key, mut heavy) = entry("sssp_cage15", 1 << 40);
+        key.seed = 7919;
+        heavy.stats.launches = (0..663u64)
+            .map(|i| LaunchRecord {
+                kind: [DynLaunchKind::AggGroup, DynLaunchKind::DeviceKernel][i as usize % 2],
+                launched_at: i * 37,
+                first_tb_at: (i % 5 != 0).then_some(i * 37 + 400),
+                ntb: (i % 9) as u32 + 1,
+                threads_per_tb: 128,
+                reserved_bytes: i * 1024,
+            })
+            .collect();
+        entries.push((key, heavy));
+        entries
+    }
+
+    #[test]
+    fn cache_file_bytes_and_loads_match_the_tree_reference() {
+        let entries = mixed_cache();
+        let reference = reference_to_jsonl(&entries);
+        assert_eq!(to_jsonl(&entries), reference, "cache file bytes");
+        let view = |e: &[(CellKey, RunReport)]| -> Vec<_> {
+            e.iter()
+                .map(|(k, r)| (k.clone(), r.benchmark.clone(), r.variant, r.stats.clone()))
+                .collect()
+        };
+        let loaded = from_jsonl(&reference).unwrap();
+        assert_eq!(view(&loaded), view(&entries));
+        // A file that is valid JSON but not in the canonical layout
+        // (spaces after every separator) loads to the same entries.
+        let spaced = reference.replace("\":", "\": ").replace(",\"", ", \"");
+        assert_eq!(view(&from_jsonl(&spaced).unwrap()), view(&entries));
     }
 
     #[test]

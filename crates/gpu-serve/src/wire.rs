@@ -37,7 +37,7 @@
 
 use gpu_mem::{CacheStats, DramStats, MemStats};
 use gpu_sim::{DynLaunchKind, GpuConfig, LaunchRecord, SimError, Stats};
-use gpu_trace::json::Json;
+use gpu_trace::json::{write_str, write_u64, Json};
 use gpu_trace::MetricsRegistry;
 use workloads::{Benchmark, RunReport, Scale, Variant};
 
@@ -347,10 +347,15 @@ fn obj_u32(v: &Json, key: &str) -> Result<u32, String> {
 // ---------------------------------------------------------------------
 
 fn cache_stats_to_json(s: &CacheStats) -> Json {
+    let CacheStats {
+        hits,
+        misses,
+        writebacks,
+    } = s;
     Json::Obj(vec![
-        ("hits".into(), num(s.hits)),
-        ("misses".into(), num(s.misses)),
-        ("writebacks".into(), num(s.writebacks)),
+        ("hits".into(), num(*hits)),
+        ("misses".into(), num(*misses)),
+        ("writebacks".into(), num(*writebacks)),
     ])
 }
 
@@ -363,12 +368,19 @@ fn cache_stats_from_json(v: &Json) -> Result<CacheStats, String> {
 }
 
 fn dram_stats_to_json(s: &DramStats) -> Json {
+    let DramStats {
+        n_rd,
+        n_wr,
+        active_cycles,
+        row_hits,
+        row_misses,
+    } = s;
     Json::Obj(vec![
-        ("n_rd".into(), num(s.n_rd)),
-        ("n_wr".into(), num(s.n_wr)),
-        ("active_cycles".into(), num(s.active_cycles)),
-        ("row_hits".into(), num(s.row_hits)),
-        ("row_misses".into(), num(s.row_misses)),
+        ("n_rd".into(), num(*n_rd)),
+        ("n_wr".into(), num(*n_wr)),
+        ("active_cycles".into(), num(*active_cycles)),
+        ("row_hits".into(), num(*row_hits)),
+        ("row_misses".into(), num(*row_misses)),
     ])
 }
 
@@ -383,13 +395,21 @@ fn dram_stats_from_json(v: &Json) -> Result<DramStats, String> {
 }
 
 fn mem_stats_to_json(s: &MemStats) -> Json {
+    let MemStats {
+        loads,
+        stores,
+        atomics,
+        l1,
+        l2,
+        dram,
+    } = s;
     Json::Obj(vec![
-        ("loads".into(), num(s.loads)),
-        ("stores".into(), num(s.stores)),
-        ("atomics".into(), num(s.atomics)),
-        ("l1".into(), cache_stats_to_json(&s.l1)),
-        ("l2".into(), cache_stats_to_json(&s.l2)),
-        ("dram".into(), dram_stats_to_json(&s.dram)),
+        ("loads".into(), num(*loads)),
+        ("stores".into(), num(*stores)),
+        ("atomics".into(), num(*atomics)),
+        ("l1".into(), cache_stats_to_json(l1)),
+        ("l2".into(), cache_stats_to_json(l2)),
+        ("dram".into(), dram_stats_to_json(dram)),
     ])
 }
 
@@ -424,13 +444,21 @@ fn launch_kind_from_name(name: &str) -> Result<DynLaunchKind, String> {
 }
 
 fn launch_to_json(l: &LaunchRecord) -> Json {
+    let LaunchRecord {
+        kind,
+        launched_at,
+        first_tb_at,
+        ntb,
+        threads_per_tb,
+        reserved_bytes,
+    } = l;
     Json::Obj(vec![
-        ("kind".into(), Json::Str(launch_kind_name(l.kind).into())),
-        ("launched_at".into(), num(l.launched_at)),
-        ("first_tb_at".into(), l.first_tb_at.map_or(Json::Null, num)),
-        ("ntb".into(), num(u64::from(l.ntb))),
-        ("threads_per_tb".into(), num(u64::from(l.threads_per_tb))),
-        ("reserved_bytes".into(), num(l.reserved_bytes)),
+        ("kind".into(), Json::Str(launch_kind_name(*kind).into())),
+        ("launched_at".into(), num(*launched_at)),
+        ("first_tb_at".into(), first_tb_at.map_or(Json::Null, num)),
+        ("ntb".into(), num(u64::from(*ntb))),
+        ("threads_per_tb".into(), num(u64::from(*threads_per_tb))),
+        ("reserved_bytes".into(), num(*reserved_bytes)),
     ])
 }
 
@@ -446,57 +474,88 @@ fn launch_from_json(v: &Json) -> Result<LaunchRecord, String> {
 }
 
 /// Serializes the full [`Stats`] struct. Every field is an integer, so
-/// the encoding is exact (see the module docs).
+/// the encoding is exact (see the module docs). The destructuring is
+/// exhaustive here and in [`write_stats`]: a new field does not compile
+/// until both encoders carry it.
 pub fn stats_to_json(s: &Stats) -> Json {
+    let Stats {
+        cycles,
+        warp_issues,
+        active_lanes,
+        resident_warp_cycles,
+        busy_cycles,
+        tb_completed,
+        host_launches,
+        launches,
+        peak_pending_bytes,
+        pending_bytes,
+        agg_coalesced,
+        agg_fallbacks,
+        agt_overflows,
+        mem,
+        barrier_waits,
+        forced_agt_overflows,
+        forced_mem_delays,
+        hwq_full_rejections,
+        kmu_saturation_rejections,
+        agt_overflow_exhausted,
+        heap_cap_denials,
+        degraded_to_device_kernel,
+        degraded_to_host_serial,
+        launch_backoffs,
+        host_launches_deferred,
+        max_warps_per_smx,
+        num_smx,
+    } = s;
     Json::Obj(vec![
-        ("cycles".into(), num(s.cycles)),
-        ("warp_issues".into(), num(s.warp_issues)),
-        ("active_lanes".into(), num(s.active_lanes)),
-        ("resident_warp_cycles".into(), num(s.resident_warp_cycles)),
-        ("busy_cycles".into(), num(s.busy_cycles)),
-        ("tb_completed".into(), num(s.tb_completed)),
-        ("host_launches".into(), num(s.host_launches)),
+        ("cycles".into(), num(*cycles)),
+        ("warp_issues".into(), num(*warp_issues)),
+        ("active_lanes".into(), num(*active_lanes)),
+        ("resident_warp_cycles".into(), num(*resident_warp_cycles)),
+        ("busy_cycles".into(), num(*busy_cycles)),
+        ("tb_completed".into(), num(*tb_completed)),
+        ("host_launches".into(), num(*host_launches)),
         (
             "launches".into(),
-            Json::Arr(s.launches.iter().map(launch_to_json).collect()),
+            Json::Arr(launches.iter().map(launch_to_json).collect()),
         ),
-        ("peak_pending_bytes".into(), num(s.peak_pending_bytes)),
-        ("pending_bytes".into(), num(s.pending_bytes)),
-        ("agg_coalesced".into(), num(s.agg_coalesced)),
-        ("agg_fallbacks".into(), num(s.agg_fallbacks)),
-        ("agt_overflows".into(), num(s.agt_overflows)),
-        ("mem".into(), mem_stats_to_json(&s.mem)),
-        ("barrier_waits".into(), num(s.barrier_waits)),
-        ("forced_agt_overflows".into(), num(s.forced_agt_overflows)),
-        ("forced_mem_delays".into(), num(s.forced_mem_delays)),
-        ("hwq_full_rejections".into(), num(s.hwq_full_rejections)),
+        ("peak_pending_bytes".into(), num(*peak_pending_bytes)),
+        ("pending_bytes".into(), num(*pending_bytes)),
+        ("agg_coalesced".into(), num(*agg_coalesced)),
+        ("agg_fallbacks".into(), num(*agg_fallbacks)),
+        ("agt_overflows".into(), num(*agt_overflows)),
+        ("mem".into(), mem_stats_to_json(mem)),
+        ("barrier_waits".into(), num(*barrier_waits)),
+        ("forced_agt_overflows".into(), num(*forced_agt_overflows)),
+        ("forced_mem_delays".into(), num(*forced_mem_delays)),
+        ("hwq_full_rejections".into(), num(*hwq_full_rejections)),
         (
             "kmu_saturation_rejections".into(),
-            num(s.kmu_saturation_rejections),
+            num(*kmu_saturation_rejections),
         ),
         (
             "agt_overflow_exhausted".into(),
-            num(s.agt_overflow_exhausted),
+            num(*agt_overflow_exhausted),
         ),
-        ("heap_cap_denials".into(), num(s.heap_cap_denials)),
+        ("heap_cap_denials".into(), num(*heap_cap_denials)),
         (
             "degraded_to_device_kernel".into(),
-            num(s.degraded_to_device_kernel),
+            num(*degraded_to_device_kernel),
         ),
         (
             "degraded_to_host_serial".into(),
-            num(s.degraded_to_host_serial),
+            num(*degraded_to_host_serial),
         ),
-        ("launch_backoffs".into(), num(s.launch_backoffs)),
+        ("launch_backoffs".into(), num(*launch_backoffs)),
         (
             "host_launches_deferred".into(),
-            num(s.host_launches_deferred),
+            num(*host_launches_deferred),
         ),
         (
             "max_warps_per_smx".into(),
-            num(u64::from(s.max_warps_per_smx)),
+            num(u64::from(*max_warps_per_smx)),
         ),
-        ("num_smx".into(), num(u64::from(s.num_smx))),
+        ("num_smx".into(), num(u64::from(*num_smx))),
     ])
 }
 
@@ -562,6 +621,447 @@ pub fn report_from_json(v: &Json) -> Result<RunReport, String> {
         stats: stats_from_json(v.get("stats").ok_or("missing `stats`")?)?,
         trace: None,
     })
+}
+
+// ---------------------------------------------------------------------
+// Direct report codec
+// ---------------------------------------------------------------------
+
+/// Appends `sep"key":`. Every key of the report encoding is a plain
+/// identifier, so it needs no escaping.
+fn put_key(out: &mut String, sep: char, key: &str) {
+    out.push(sep);
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+fn put_u64(out: &mut String, sep: char, key: &str, v: u64) {
+    put_key(out, sep, key);
+    write_u64(v, out);
+}
+
+fn write_cache_stats(s: &CacheStats, out: &mut String) {
+    let CacheStats {
+        hits,
+        misses,
+        writebacks,
+    } = s;
+    put_u64(out, '{', "hits", *hits);
+    put_u64(out, ',', "misses", *misses);
+    put_u64(out, ',', "writebacks", *writebacks);
+    out.push('}');
+}
+
+fn write_dram_stats(s: &DramStats, out: &mut String) {
+    let DramStats {
+        n_rd,
+        n_wr,
+        active_cycles,
+        row_hits,
+        row_misses,
+    } = s;
+    put_u64(out, '{', "n_rd", *n_rd);
+    put_u64(out, ',', "n_wr", *n_wr);
+    put_u64(out, ',', "active_cycles", *active_cycles);
+    put_u64(out, ',', "row_hits", *row_hits);
+    put_u64(out, ',', "row_misses", *row_misses);
+    out.push('}');
+}
+
+fn write_mem_stats(s: &MemStats, out: &mut String) {
+    let MemStats {
+        loads,
+        stores,
+        atomics,
+        l1,
+        l2,
+        dram,
+    } = s;
+    put_u64(out, '{', "loads", *loads);
+    put_u64(out, ',', "stores", *stores);
+    put_u64(out, ',', "atomics", *atomics);
+    put_key(out, ',', "l1");
+    write_cache_stats(l1, out);
+    put_key(out, ',', "l2");
+    write_cache_stats(l2, out);
+    put_key(out, ',', "dram");
+    write_dram_stats(dram, out);
+    out.push('}');
+}
+
+fn write_launch(l: &LaunchRecord, out: &mut String) {
+    let LaunchRecord {
+        kind,
+        launched_at,
+        first_tb_at,
+        ntb,
+        threads_per_tb,
+        reserved_bytes,
+    } = l;
+    put_key(out, '{', "kind");
+    write_str(launch_kind_name(*kind), out);
+    put_u64(out, ',', "launched_at", *launched_at);
+    put_key(out, ',', "first_tb_at");
+    match first_tb_at {
+        Some(at) => write_u64(*at, out),
+        None => out.push_str("null"),
+    }
+    put_u64(out, ',', "ntb", u64::from(*ntb));
+    put_u64(out, ',', "threads_per_tb", u64::from(*threads_per_tb));
+    put_u64(out, ',', "reserved_bytes", *reserved_bytes);
+    out.push('}');
+}
+
+/// Appends exactly the bytes `stats_to_json(s).to_string()` produces,
+/// without building the tree.
+pub fn write_stats(s: &Stats, out: &mut String) {
+    let Stats {
+        cycles,
+        warp_issues,
+        active_lanes,
+        resident_warp_cycles,
+        busy_cycles,
+        tb_completed,
+        host_launches,
+        launches,
+        peak_pending_bytes,
+        pending_bytes,
+        agg_coalesced,
+        agg_fallbacks,
+        agt_overflows,
+        mem,
+        barrier_waits,
+        forced_agt_overflows,
+        forced_mem_delays,
+        hwq_full_rejections,
+        kmu_saturation_rejections,
+        agt_overflow_exhausted,
+        heap_cap_denials,
+        degraded_to_device_kernel,
+        degraded_to_host_serial,
+        launch_backoffs,
+        host_launches_deferred,
+        max_warps_per_smx,
+        num_smx,
+    } = s;
+    put_u64(out, '{', "cycles", *cycles);
+    put_u64(out, ',', "warp_issues", *warp_issues);
+    put_u64(out, ',', "active_lanes", *active_lanes);
+    put_u64(out, ',', "resident_warp_cycles", *resident_warp_cycles);
+    put_u64(out, ',', "busy_cycles", *busy_cycles);
+    put_u64(out, ',', "tb_completed", *tb_completed);
+    put_u64(out, ',', "host_launches", *host_launches);
+    put_key(out, ',', "launches");
+    out.push('[');
+    for (i, l) in launches.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_launch(l, out);
+    }
+    out.push(']');
+    put_u64(out, ',', "peak_pending_bytes", *peak_pending_bytes);
+    put_u64(out, ',', "pending_bytes", *pending_bytes);
+    put_u64(out, ',', "agg_coalesced", *agg_coalesced);
+    put_u64(out, ',', "agg_fallbacks", *agg_fallbacks);
+    put_u64(out, ',', "agt_overflows", *agt_overflows);
+    put_key(out, ',', "mem");
+    write_mem_stats(mem, out);
+    put_u64(out, ',', "barrier_waits", *barrier_waits);
+    put_u64(out, ',', "forced_agt_overflows", *forced_agt_overflows);
+    put_u64(out, ',', "forced_mem_delays", *forced_mem_delays);
+    put_u64(out, ',', "hwq_full_rejections", *hwq_full_rejections);
+    put_u64(
+        out,
+        ',',
+        "kmu_saturation_rejections",
+        *kmu_saturation_rejections,
+    );
+    put_u64(out, ',', "agt_overflow_exhausted", *agt_overflow_exhausted);
+    put_u64(out, ',', "heap_cap_denials", *heap_cap_denials);
+    put_u64(
+        out,
+        ',',
+        "degraded_to_device_kernel",
+        *degraded_to_device_kernel,
+    );
+    put_u64(
+        out,
+        ',',
+        "degraded_to_host_serial",
+        *degraded_to_host_serial,
+    );
+    put_u64(out, ',', "launch_backoffs", *launch_backoffs);
+    put_u64(out, ',', "host_launches_deferred", *host_launches_deferred);
+    put_u64(out, ',', "max_warps_per_smx", u64::from(*max_warps_per_smx));
+    put_u64(out, ',', "num_smx", u64::from(*num_smx));
+    out.push('}');
+}
+
+/// Appends exactly the bytes `report_to_json(r).to_string()` produces —
+/// the same key order, [`write_u64`]'s spelling of values at or above
+/// 2^53, [`write_str`]'s escaping — straight into `out`.
+pub fn write_report(r: &RunReport, out: &mut String) {
+    let RunReport {
+        benchmark,
+        variant,
+        stats,
+        trace: _, // travels on the `trace` op, never in a report
+    } = r;
+    out.reserve(1024 + 128 * stats.launches.len());
+    put_key(out, '{', "benchmark");
+    write_str(benchmark, out);
+    put_key(out, ',', "variant");
+    write_str(variant.label(), out);
+    put_key(out, ',', "stats");
+    write_stats(stats, out);
+    out.push('}');
+}
+
+/// Decodes a report. Input in the canonical form — the bytes
+/// [`write_report`] writes — is read in one pass; on the first byte that
+/// deviates, the whole input is re-read with `Json::parse` +
+/// [`report_from_json`]. Accepted inputs, decoded values and errors are
+/// therefore exactly the tree decoder's.
+pub fn read_report(text: &str) -> Result<RunReport, String> {
+    let mut c = Canonical::new(text);
+    match c.report().filter(|_| c.at_end()) {
+        Some(report) => Ok(report),
+        None => report_from_json(&Json::parse(text)?),
+    }
+}
+
+fn write_done_prefix(job: u64, out: &mut String) {
+    out.push_str("{\"ok\":true,\"job\":");
+    write_u64(job, out);
+    out.push_str(",\"state\":\"done\",\"report\":");
+}
+
+/// Appends the `poll`/`wait` answer for a finished job, newline
+/// included: the bytes of the tree-built frame
+/// `{"ok":true,"job":N,"state":"done","report":R}` plus `'\n'`.
+pub fn write_done_frame(job: u64, report: &RunReport, out: &mut String) {
+    write_done_prefix(job, out);
+    write_report(report, out);
+    out.push_str("}\n");
+}
+
+/// The report in `line` when it is exactly the canonical done frame
+/// [`write_done_frame`] writes for `job`, with or without its newline;
+/// `None` for every other line, which the caller then parses as a tree.
+pub fn read_done_frame(line: &str, job: u64) -> Option<RunReport> {
+    let mut prefix = String::with_capacity(64);
+    write_done_prefix(job, &mut prefix);
+    let mut c = Canonical::new(line.strip_suffix('\n').unwrap_or(line));
+    c.lit(&prefix)?;
+    let report = c.report()?;
+    c.lit("}")?;
+    c.at_end().then_some(report)
+}
+
+/// A cursor over the canonical report encoding: keys in writer order,
+/// integers as plain digits below 2^53 with no leading zero, strings
+/// without escapes, no whitespace, `null` only for `first_tb_at`. Every
+/// read returns `None` at the first deviation and leaves the caller to
+/// fall back to the tree decoder, so a deviation changes the cost of a
+/// decode, never its result: whatever this cursor accepts, the tree
+/// decoder decodes to the same value.
+pub(crate) struct Canonical<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Canonical<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Canonical { text, pos: 0 }
+    }
+
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.text.len()
+    }
+
+    /// Consumes exactly `lit`.
+    pub(crate) fn lit(&mut self, lit: &str) -> Option<()> {
+        self.rest().starts_with(lit.as_bytes()).then(|| {
+            self.pos += lit.len();
+        })
+    }
+
+    /// Consumes `sep"key":`.
+    pub(crate) fn key(&mut self, sep: u8, key: &str) -> Option<()> {
+        let (rest, k) = (self.rest(), key.as_bytes());
+        let n = k.len() + 4;
+        let ok = rest.len() >= n
+            && rest[0] == sep
+            && rest[1] == b'"'
+            && &rest[2..n - 2] == k
+            && rest[n - 2] == b'"'
+            && rest[n - 1] == b':';
+        ok.then(|| {
+            self.pos += n;
+        })
+    }
+
+    /// Plain digits, no leading zero, below 2^53: the numbers `Json::Num`
+    /// holds exactly and [`write_u64`] spells without a trip through `f64`.
+    fn digits(&mut self) -> Option<u64> {
+        let rest = self.rest();
+        let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        if len == 0 || len > 16 || (len > 1 && rest[0] == b'0') {
+            return None;
+        }
+        let v = rest[..len]
+            .iter()
+            .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0'));
+        (v < 1 << 53).then(|| {
+            self.pos += len;
+            v
+        })
+    }
+
+    /// A quoted string with no escape in it.
+    fn string(&mut self) -> Option<&'a str> {
+        let rest = self.rest();
+        if rest.first() != Some(&b'"') {
+            return None;
+        }
+        let len = rest[1..].iter().position(|&b| b == b'"' || b == b'\\')?;
+        if rest[1 + len] != b'"' {
+            return None;
+        }
+        // Both quotes are ASCII, so the slice ends on char boundaries.
+        let s = &self.text[self.pos + 1..self.pos + 1 + len];
+        self.pos += len + 2;
+        Some(s)
+    }
+
+    pub(crate) fn u64(&mut self, sep: u8, key: &str) -> Option<u64> {
+        self.key(sep, key)?;
+        self.digits()
+    }
+
+    fn u32(&mut self, sep: u8, key: &str) -> Option<u32> {
+        u32::try_from(self.u64(sep, key)?).ok()
+    }
+
+    pub(crate) fn str(&mut self, sep: u8, key: &str) -> Option<&'a str> {
+        self.key(sep, key)?;
+        self.string()
+    }
+
+    fn cache_stats(&mut self) -> Option<CacheStats> {
+        let s = CacheStats {
+            hits: self.u64(b'{', "hits")?,
+            misses: self.u64(b',', "misses")?,
+            writebacks: self.u64(b',', "writebacks")?,
+        };
+        self.lit("}").map(|_| s)
+    }
+
+    fn dram_stats(&mut self) -> Option<DramStats> {
+        let s = DramStats {
+            n_rd: self.u64(b'{', "n_rd")?,
+            n_wr: self.u64(b',', "n_wr")?,
+            active_cycles: self.u64(b',', "active_cycles")?,
+            row_hits: self.u64(b',', "row_hits")?,
+            row_misses: self.u64(b',', "row_misses")?,
+        };
+        self.lit("}").map(|_| s)
+    }
+
+    fn mem_stats(&mut self) -> Option<MemStats> {
+        let s = MemStats {
+            loads: self.u64(b'{', "loads")?,
+            stores: self.u64(b',', "stores")?,
+            atomics: self.u64(b',', "atomics")?,
+            l1: self.key(b',', "l1").and_then(|_| self.cache_stats())?,
+            l2: self.key(b',', "l2").and_then(|_| self.cache_stats())?,
+            dram: self.key(b',', "dram").and_then(|_| self.dram_stats())?,
+        };
+        self.lit("}").map(|_| s)
+    }
+
+    fn launch(&mut self) -> Option<LaunchRecord> {
+        let l = LaunchRecord {
+            kind: launch_kind_from_name(self.str(b'{', "kind")?).ok()?,
+            launched_at: self.u64(b',', "launched_at")?,
+            first_tb_at: {
+                self.key(b',', "first_tb_at")?;
+                match self.lit("null") {
+                    Some(()) => None,
+                    None => Some(self.digits()?),
+                }
+            },
+            ntb: self.u32(b',', "ntb")?,
+            threads_per_tb: self.u32(b',', "threads_per_tb")?,
+            reserved_bytes: self.u64(b',', "reserved_bytes")?,
+        };
+        self.lit("}").map(|_| l)
+    }
+
+    fn launches(&mut self) -> Option<Vec<LaunchRecord>> {
+        self.lit("[")?;
+        let mut launches = Vec::new();
+        if self.lit("]").is_some() {
+            return Some(launches);
+        }
+        loop {
+            launches.push(self.launch()?);
+            if self.lit("]").is_some() {
+                return Some(launches);
+            }
+            self.lit(",")?;
+        }
+    }
+
+    fn stats(&mut self) -> Option<Stats> {
+        let s = Stats {
+            cycles: self.u64(b'{', "cycles")?,
+            warp_issues: self.u64(b',', "warp_issues")?,
+            active_lanes: self.u64(b',', "active_lanes")?,
+            resident_warp_cycles: self.u64(b',', "resident_warp_cycles")?,
+            busy_cycles: self.u64(b',', "busy_cycles")?,
+            tb_completed: self.u64(b',', "tb_completed")?,
+            host_launches: self.u64(b',', "host_launches")?,
+            launches: self.key(b',', "launches").and_then(|_| self.launches())?,
+            peak_pending_bytes: self.u64(b',', "peak_pending_bytes")?,
+            pending_bytes: self.u64(b',', "pending_bytes")?,
+            agg_coalesced: self.u64(b',', "agg_coalesced")?,
+            agg_fallbacks: self.u64(b',', "agg_fallbacks")?,
+            agt_overflows: self.u64(b',', "agt_overflows")?,
+            mem: self.key(b',', "mem").and_then(|_| self.mem_stats())?,
+            barrier_waits: self.u64(b',', "barrier_waits")?,
+            forced_agt_overflows: self.u64(b',', "forced_agt_overflows")?,
+            forced_mem_delays: self.u64(b',', "forced_mem_delays")?,
+            hwq_full_rejections: self.u64(b',', "hwq_full_rejections")?,
+            kmu_saturation_rejections: self.u64(b',', "kmu_saturation_rejections")?,
+            agt_overflow_exhausted: self.u64(b',', "agt_overflow_exhausted")?,
+            heap_cap_denials: self.u64(b',', "heap_cap_denials")?,
+            degraded_to_device_kernel: self.u64(b',', "degraded_to_device_kernel")?,
+            degraded_to_host_serial: self.u64(b',', "degraded_to_host_serial")?,
+            launch_backoffs: self.u64(b',', "launch_backoffs")?,
+            host_launches_deferred: self.u64(b',', "host_launches_deferred")?,
+            max_warps_per_smx: self.u32(b',', "max_warps_per_smx")?,
+            num_smx: self.u32(b',', "num_smx")?,
+        };
+        self.lit("}").map(|_| s)
+    }
+
+    /// One report object, in [`write_report`]'s layout.
+    pub(crate) fn report(&mut self) -> Option<RunReport> {
+        let r = RunReport {
+            benchmark: self.str(b'{', "benchmark")?.to_string(),
+            variant: Variant::from_label(self.str(b',', "variant")?)?,
+            stats: self.key(b',', "stats").and_then(|_| self.stats())?,
+            trace: None,
+        };
+        self.lit("}").map(|_| r)
+    }
 }
 
 /// One-way rendering of a typed simulation error for error frames:
@@ -803,6 +1303,38 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("unknown benchmark"), "{e}");
+    }
+
+    #[test]
+    fn fractional_integers_are_rejected_not_truncated() {
+        for line in [
+            "{\"op\":\"wait\",\"job\":7.9}",
+            "{\"op\":\"poll\",\"job\":0.5}",
+            "{\"op\":\"wait\",\"job\":7,\"timeout_ms\":2.5}",
+        ] {
+            let e = parse_request(line).unwrap_err();
+            assert!(e.contains("integer"), "{line}: {e}");
+        }
+        assert_eq!(
+            parse_request("{\"op\":\"wait\",\"job\":7.0}").unwrap(),
+            Request::Wait {
+                job: 7,
+                timeout_ms: 30_000
+            }
+        );
+
+        let r = RunReport {
+            benchmark: "amr".into(),
+            variant: Variant::Dtbl,
+            stats: busy_stats(),
+            trace: None,
+        };
+        let text = report_to_json(&r)
+            .to_string()
+            .replacen("\"ntb\":3", "\"ntb\":2.5", 1);
+        let e = report_from_json(&Json::parse(&text).unwrap()).unwrap_err();
+        assert!(e.contains("ntb"), "{e}");
+        assert_eq!(read_report(&text).unwrap_err(), e, "the reader falls back");
     }
 
     #[test]

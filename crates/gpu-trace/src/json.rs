@@ -43,10 +43,13 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer.
+    /// The value as a non-negative integer. Non-integral numbers are not
+    /// integers (`7.9` is `None`, not `7`); integral values at or above
+    /// 2^64 saturate to `u64::MAX`, which is how `u64::MAX` itself reads
+    /// back after [`write_u64`] spells it as `1.8446744073709552e19`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -166,7 +169,9 @@ pub(crate) fn write_num(n: f64, out: &mut String) {
 /// the trip through `f64` and `fmt` below 2^53; at and above 2^53 the
 /// value takes that trip, so it is rounded to the nearest `f64` and
 /// spelled as a float (`9007199254740992.0`, `1.8446744073709552e19`).
-pub(crate) fn write_u64(v: u64, out: &mut String) {
+/// Writers that bypass the [`Json`] tree use it to stay byte-exact with
+/// `Json::Num(v as f64)`.
+pub fn write_u64(v: u64, out: &mut String) {
     if v < EXACT_INT_LIMIT {
         write_digits(v, out);
     } else {
@@ -177,8 +182,8 @@ pub(crate) fn write_u64(v: u64, out: &mut String) {
 /// Appends `s` as a quoted JSON string. Runs that need no escape are
 /// copied whole; `"`, backslash and control characters below 0x20 are the
 /// only escaped bytes, all ASCII, so every run boundary is a char
-/// boundary.
-pub(crate) fn write_str(s: &str, out: &mut String) {
+/// boundary. The same bytes [`Json::Str`] writes.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -434,6 +439,24 @@ mod tests {
         let v = Json::Num(big as f64);
         let back = Json::parse(&v.to_string()).unwrap();
         assert_eq!(back.as_u64(), Some(big));
+    }
+
+    #[test]
+    fn as_u64_rejects_fractions_and_saturates_above_u64() {
+        let read = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(read("7.9"), None);
+        assert_eq!(read("2.5"), None);
+        assert_eq!(read("0.5"), None);
+        assert_eq!(read("-1"), None);
+        assert_eq!(read("7"), Some(7));
+        assert_eq!(read("7.0"), Some(7));
+        assert_eq!(read("7e0"), Some(7));
+        assert_eq!(read("-0"), Some(0));
+        assert_eq!(read("1.8446744073709552e19"), Some(u64::MAX));
+        assert_eq!(read("1e30"), Some(u64::MAX));
+        let mut spelled = String::new();
+        write_u64(u64::MAX, &mut spelled);
+        assert_eq!(read(&spelled), Some(u64::MAX));
     }
 
     #[test]
