@@ -3,14 +3,15 @@
 //! ```text
 //! gpu-serve [--port N] [--jobs N] [--retries N]
 //!           [--cache-file PATH] [--cache-max-entries N] [--persist-every N]
-//!           [--fcfs] [--no-cache-errors] [--max-conns N]
+//!           [--fcfs] [--max-conns N]
 //! ```
 //!
 //! Binds 127.0.0.1 (`--port 0` for an ephemeral port), prints one
 //! `gpu-serve listening on ADDR` line to stdout, and runs until a client
 //! sends `shutdown` — persisting the result cache on the way down when
 //! `--cache-file` is set. Admission is fair (weighted round-robin over
-//! client ids) unless `--fcfs` selects strict arrival order.
+//! client ids) unless `--fcfs` selects strict arrival order. Results and
+//! deterministic errors are memoized; a cancelled or crashed job is not.
 
 use gpu_serve::daemon::{serve, ServeConfig};
 use std::io::Write;
@@ -38,8 +39,7 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "gpu-serve [--port N] [--jobs N] [--retries N] [--cache-file PATH]\n\
-             \u{20}         [--cache-max-entries N] [--persist-every N] [--fcfs]\n\
-             \u{20}         [--no-cache-errors] [--max-conns N]"
+             \u{20}         [--cache-max-entries N] [--persist-every N] [--fcfs] [--max-conns N]"
         );
         return;
     }
@@ -53,7 +53,6 @@ fn main() {
             .map(|n: usize| if n == 0 { None } else { Some(n) })
             .unwrap_or(defaults.cache_max_entries),
         fair: !args.iter().any(|a| a == "--fcfs"),
-        cache_errors: !args.iter().any(|a| a == "--no-cache-errors"),
         max_connections: parsed(&args, "--max-conns").unwrap_or(defaults.max_connections),
         persist_every: parsed(&args, "--persist-every").unwrap_or(defaults.persist_every),
     };

@@ -63,10 +63,6 @@ pub struct ServeConfig {
     pub cache_max_entries: Option<usize>,
     /// Fair (round-robin over clients) vs FCFS admission.
     pub fair: bool,
-    /// Memoize deterministic typed errors. On by default: the wire
-    /// exposes only deterministic budget knobs, so every daemon config
-    /// is budget-free in the wall-clock sense.
-    pub cache_errors: bool,
     /// Concurrent-connection cap; excess connects get an `overloaded`
     /// error frame and are dropped.
     pub max_connections: usize,
@@ -84,7 +80,6 @@ impl Default for ServeConfig {
             cache_file: None,
             cache_max_entries: Some(4096),
             fair: true,
-            cache_errors: true,
             max_connections: 64,
             persist_every: 0,
         }
@@ -194,9 +189,6 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
     let mut server = BatchServer::new(cfg.jobs, cfg.retries);
     if let Some(limit) = cfg.cache_max_entries {
         server = server.with_cache_limit(limit);
-    }
-    if cfg.cache_errors {
-        server = server.with_error_cache(SimError::is_deterministic);
     }
     if let Some(path) = &cfg.cache_file {
         let (entries, rejected) = persist::load(path);

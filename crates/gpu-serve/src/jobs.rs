@@ -16,9 +16,10 @@ pub enum JobState {
     Queued,
     /// Claimed by a warm-pool worker.
     Running,
-    /// Finished; the report's trace (if recorded) is kept for the
-    /// `trace` op and stripped from `poll`/`wait` responses. Boxed so
-    /// the queued/running states don't pay for the report's footprint.
+    /// Finished. The report's trace (if recorded) is kept apart for the
+    /// `trace` op, so this report's `trace` is always `None` and cloning
+    /// it for `poll`/`wait` never copies an event buffer. Boxed so the
+    /// queued/running states don't pay for the report's footprint.
     Done(Box<Result<RunReport, SimError>>),
 }
 
@@ -37,6 +38,8 @@ impl JobState {
 struct Inner {
     next: u64,
     states: HashMap<u64, JobState>,
+    /// Recorded traces of finished jobs, until `take_trace` claims them.
+    traces: HashMap<u64, TraceData>,
 }
 
 /// Thread-safe job registry shared by connection threads and workers.
@@ -70,8 +73,12 @@ impl JobTable {
     }
 
     /// Records a job's outcome and wakes every `wait`er.
-    pub fn complete(&self, job: u64, result: Result<RunReport, SimError>) {
+    pub fn complete(&self, job: u64, mut result: Result<RunReport, SimError>) {
+        let trace = result.as_mut().ok().and_then(|r| r.trace.take());
         let mut inner = self.inner.lock().unwrap();
+        if let Some(trace) = trace {
+            inner.traces.insert(job, trace);
+        }
         inner.states.insert(job, JobState::Done(Box::new(result)));
         drop(inner);
         self.done.notify_all();
@@ -113,12 +120,9 @@ impl JobTable {
     /// potentially large event buffer crosses the wire at most once.
     pub fn take_trace(&self, job: u64) -> Result<Option<TraceData>, JobTraceError> {
         let mut inner = self.inner.lock().unwrap();
-        match inner.states.get_mut(&job) {
+        match inner.states.get(&job) {
             None => Err(JobTraceError::UnknownJob),
-            Some(JobState::Done(res)) => match &mut **res {
-                Ok(report) => Ok(report.trace.take()),
-                Err(_) => Ok(None),
-            },
+            Some(JobState::Done(_)) => Ok(inner.traces.remove(&job)),
             Some(_) => Err(JobTraceError::NotDone),
         }
     }
@@ -189,5 +193,37 @@ mod tests {
         assert!(t.take_trace(id).unwrap().is_some());
         assert!(t.take_trace(id).unwrap().is_none(), "second take is empty");
         assert!(matches!(t.take_trace(77), Err(JobTraceError::UnknownJob)));
+    }
+
+    /// `poll` and `wait` clone the finished report under the table lock;
+    /// a traced job's event buffer must not come along, and the `trace`
+    /// op must still get every event.
+    #[test]
+    fn poll_and_wait_never_copy_the_trace() {
+        use gpu_trace::{EventKind, TraceEvent};
+        let t = JobTable::new();
+        let id = t.create();
+        let events: Vec<TraceEvent> = (0..1000u32)
+            .map(|i| TraceEvent {
+                cycle: u64::from(i),
+                kind: EventKind::KdeFree { kde: i, kernel: 1 },
+            })
+            .collect();
+        let mut r = report();
+        r.trace = Some(TraceData {
+            events: events.clone(),
+            ..TraceData::default()
+        });
+        t.complete(id, Ok(r));
+
+        let Some(JobState::Done(polled)) = t.poll(id) else {
+            panic!("job {id} is done");
+        };
+        assert!(polled.as_ref().as_ref().unwrap().trace.is_none(), "poll");
+        let waited = t.wait(id, Duration::from_millis(1)).unwrap().unwrap();
+        assert!(waited.trace.is_none(), "wait");
+        let taken = t.take_trace(id).unwrap().expect("the trace was kept");
+        assert_eq!(taken.events, events, "every event, once");
+        assert!(t.take_trace(id).unwrap().is_none());
     }
 }

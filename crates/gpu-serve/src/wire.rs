@@ -1088,26 +1088,9 @@ pub fn sim_error_to_json(e: &SimError) -> Json {
             vec![("cycle".into(), num(report.cycle))],
         ),
         SimError::Hang { report } => ("hang", vec![("cycle".into(), num(report.cycle))]),
-        SimError::HwqFull { stream, depth } => (
-            "hwq_full",
-            vec![
-                ("stream".into(), num(u64::from(*stream))),
-                ("depth".into(), num(*depth as u64)),
-            ],
-        ),
         SimError::KmuSaturated { pending } => (
             "kmu_saturated",
             vec![("pending".into(), num(*pending as u64))],
-        ),
-        SimError::AgtExhausted {
-            cycle,
-            live_overflow,
-        } => (
-            "agt_exhausted",
-            vec![
-                ("cycle".into(), num(*cycle)),
-                ("live_overflow".into(), num(*live_overflow as u64)),
-            ],
         ),
         SimError::SharedMemFault { smx, tb_slot, .. } => (
             "shared_mem_fault",

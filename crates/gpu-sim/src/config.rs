@@ -2,6 +2,7 @@
 //! latencies) of the paper, plus the experiment and robustness knobs.
 
 use crate::fault::FaultPlan;
+use crate::runtime::degrade::{BACKOFF_BASE, BACKOFF_CAP, MAX_RETRIES};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -72,84 +73,6 @@ impl RunBudget {
             && self.live_heap_cap.is_none()
             && self.cancel.is_none()
     }
-}
-
-/// How launch sites behave when a hardware structure is exhausted: the
-/// graceful-degradation ladder of DTBL's best-effort contract.
-///
-/// Under the default policy a launch that cannot take its preferred path
-/// stalls-and-retries with bounded deterministic backoff (in *cycles*,
-/// never host time), then falls down the ladder
-/// DTBL → plain device kernel → host-serialized execution instead of
-/// failing the run. [`strict`](DegradePolicy::strict) restores the
-/// pre-ladder behaviour where exhaustion is a typed error — what the
-/// fault-injection tests pin.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DegradePolicy {
-    /// Master switch: `false` means every exhausted structure surfaces
-    /// its typed `SimError` immediately (strict mode).
-    pub ladder: bool,
-    /// Retry attempts at a saturated site before falling to the next
-    /// rung. 0 falls through immediately.
-    pub max_retries: u32,
-    /// Backoff before retry `k` (1-based) is `backoff_base << (k-1)`
-    /// cycles, capped at [`backoff_cap`](DegradePolicy::backoff_cap).
-    pub backoff_base: u64,
-    /// Upper bound on a single backoff wait, in cycles.
-    pub backoff_cap: u64,
-}
-
-impl Default for DegradePolicy {
-    /// The ladder, on — unless the `DEGRADE_POLICY` environment variable
-    /// says `strict`.
-    fn default() -> Self {
-        env_degrade_policy()
-    }
-}
-
-impl DegradePolicy {
-    /// The default ladder parameters, ignoring the environment.
-    pub fn ladder() -> Self {
-        DegradePolicy {
-            ladder: true,
-            max_retries: 3,
-            backoff_base: 64,
-            backoff_cap: 4096,
-        }
-    }
-
-    /// Pre-ladder behaviour: resource exhaustion is a typed error.
-    pub fn strict() -> Self {
-        DegradePolicy {
-            ladder: false,
-            max_retries: 0,
-            backoff_base: 0,
-            backoff_cap: 0,
-        }
-    }
-
-    /// Deterministic backoff (in cycles) before retry `attempt`
-    /// (1-based): exponential from `backoff_base`, capped.
-    pub fn backoff_cycles(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(63);
-        self.backoff_base
-            .saturating_mul(1u64 << shift)
-            .min(self.backoff_cap)
-            .max(1)
-    }
-}
-
-/// Cached `DEGRADE_POLICY` environment override consulted once by
-/// [`DegradePolicy::default`]: `strict` selects the typed-error mode,
-/// anything else (including unset) the ladder.
-fn env_degrade_policy() -> DegradePolicy {
-    static CACHE: std::sync::OnceLock<DegradePolicy> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(
-        || match std::env::var("DEGRADE_POLICY").as_deref().map(str::trim) {
-            Ok("strict") => DegradePolicy::strict(),
-            _ => DegradePolicy::ladder(),
-        },
-    )
 }
 
 /// Device-runtime API latency model measured on a Tesla K20c (Table 3).
@@ -344,9 +267,6 @@ pub struct GpuConfig {
     /// Run budget: wall-clock deadline, cycle cap, live-heap cap and
     /// cooperative cancellation. Defaults to fully off (inert).
     pub budget: RunBudget,
-    /// Launch-site degradation policy (see [`DegradePolicy`]). Defaults
-    /// to the ladder unless `DEGRADE_POLICY=strict`.
-    pub degrade: DegradePolicy,
     /// Structured event tracing ([`gpu_trace`]): category mask, ring size,
     /// event cap and metrics-sampling interval. Defaults to fully off — a
     /// disabled trace costs one predictable branch per staged event and
@@ -388,7 +308,6 @@ impl Default for GpuConfig {
             force_per_cycle: false,
             fault: FaultPlan::default(),
             budget: RunBudget::default(),
-            degrade: DegradePolicy::default(),
             trace: gpu_trace::TraceConfig::off(),
         }
     }
@@ -438,9 +357,10 @@ impl GpuConfig {
     ///
     /// * **Included**: the machine (geometry, launch and pipeline
     ///   latencies, memory hierarchy, warp scheduler, coalescing/reserved-
-    ///   SMX knobs), the fault plan, the degradation policy, and the trace
-    ///   configuration (mask/ring/limit/interval shape the exported trace,
-    ///   and a non-zero metrics interval changes sample timestamps).
+    ///   SMX knobs), the fault plan, the degradation ladder's constants
+    ///   (they shape results under faults), and the trace configuration
+    ///   (mask/ring/limit/interval shape the exported trace, and a
+    ///   non-zero metrics interval changes sample timestamps).
     /// * **Excluded**: the fields the destructuring below binds to `_`,
     ///   each with its reason beside it.
     ///
@@ -474,7 +394,6 @@ impl GpuConfig {
             force_per_cycle: _,  // bit-identical engines (engine_equivalence.rs)
             fault: f,
             budget: _, // cuts a run short with an `Err`: budget_hash
-            degrade: d,
             trace: t,
         } = self;
         Fnv::new()
@@ -533,10 +452,12 @@ impl GpuConfig {
             .opt(f.hwq_capacity.map(|v| v as u64))
             .opt(f.kmu_device_capacity.map(|v| v as u64))
             .u(f.mem_delay)
-            .u(u64::from(d.ladder))
-            .u(u64::from(d.max_retries))
-            .u(d.backoff_base)
-            .u(d.backoff_cap)
+            // The ladder, as a 1 and its three constants: the values its
+            // slots held when the persisted cache keys were computed.
+            .u(1)
+            .u(u64::from(MAX_RETRIES))
+            .u(BACKOFF_BASE)
+            .u(BACKOFF_CAP)
             .u(u64::from(t.mask))
             .u(u64::from(t.ring))
             .u(u64::from(t.limit))
@@ -583,7 +504,6 @@ impl GpuConfig {
             force_per_cycle: _,
             fault: _,
             budget,
-            degrade: _,
             trace: _,
         } = self;
         Fnv::new()
@@ -778,16 +698,5 @@ mod tests {
         hosty.budget.deadline_ms = Some(1);
         hosty.budget.cancel = Some(CancelToken::new());
         assert_eq!(base.budget_hash(), hosty.budget_hash());
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = DegradePolicy::ladder();
-        assert_eq!(p.backoff_cycles(1), 64);
-        assert_eq!(p.backoff_cycles(2), 128);
-        assert_eq!(p.backoff_cycles(3), 256);
-        assert_eq!(p.backoff_cycles(20), p.backoff_cap);
-        assert!(DegradePolicy::strict().backoff_cycles(1) >= 1);
-        assert!(!DegradePolicy::strict().ladder);
     }
 }

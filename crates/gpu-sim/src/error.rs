@@ -93,27 +93,12 @@ pub enum SimError {
         /// Machine-state snapshot naming the stuck warps.
         report: Box<HangReport>,
     },
-    /// A host launch was rejected because its hardware work queue is at
-    /// the injected capacity limit.
-    HwqFull {
-        /// The stream whose queue is full.
-        stream: u32,
-        /// Queue depth at rejection.
-        depth: usize,
-    },
     /// A device-side launch found the KMU's device-kernel pool at the
-    /// injected capacity limit.
+    /// injected capacity limit through every backed-off retry, and the
+    /// degradation ladder's last rung could not host-serialize it.
     KmuSaturated {
         /// Pending device kernels at rejection.
         pending: usize,
-    },
-    /// An aggregated-group descriptor had to spill but no overflow storage
-    /// could be allocated (device heap exhausted mid-spill).
-    AgtExhausted {
-        /// Cycle of the failed spill.
-        cycle: u64,
-        /// Overflow descriptors live at that point.
-        live_overflow: usize,
     },
     /// A warp accessed shared memory outside its block's allocation — a
     /// bug in the simulated program, reported instead of crashing the
@@ -213,26 +198,12 @@ impl fmt::Display for SimError {
             SimError::Hang { report } => {
                 write!(f, "no forward progress (hang) detected\n{report}")
             }
-            SimError::HwqFull { stream, depth } => {
-                write!(
-                    f,
-                    "hardware work queue for stream {stream} is full ({depth} kernels queued)"
-                )
-            }
             SimError::KmuSaturated { pending } => {
                 write!(
                     f,
                     "KMU device-kernel pool saturated ({pending} kernels pending)"
                 )
             }
-            SimError::AgtExhausted {
-                cycle,
-                live_overflow,
-            } => write!(
-                f,
-                "AGT overflow storage exhausted at cycle {cycle} \
-                 ({live_overflow} spilled descriptors live)"
-            ),
             SimError::SharedMemFault {
                 smx,
                 tb_slot,
@@ -498,15 +469,12 @@ mod tests {
 
     #[test]
     fn errors_format_their_context() {
-        assert!(SimError::HwqFull {
-            stream: 3,
-            depth: 8
-        }
-        .to_string()
-        .contains("stream 3"));
-        assert!(SimError::AgtExhausted {
+        assert!(SimError::KmuSaturated { pending: 8 }
+            .to_string()
+            .contains("8 kernels pending"));
+        assert!(SimError::InvariantViolation {
             cycle: 99,
-            live_overflow: 4
+            law: "conservation".into()
         }
         .to_string()
         .contains("cycle 99"));

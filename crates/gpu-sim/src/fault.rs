@@ -28,10 +28,11 @@ pub struct FaultPlan {
     /// fail as if the heap were exhausted.
     pub heap_limit_bytes: Option<u64>,
     /// Cap on kernels queued per hardware work queue; host launches
-    /// beyond it are rejected with `SimError::HwqFull`.
+    /// beyond it wait in a software deferral queue until it drains.
     pub hwq_capacity: Option<usize>,
     /// Cap on pending device-launched kernels in the KMU; device launches
-    /// beyond it fail with `SimError::KmuSaturated`.
+    /// beyond it retry with backoff, then run host-serialized (failing
+    /// with `SimError::KmuSaturated` only when that last rung cannot).
     pub kmu_device_capacity: Option<usize>,
     /// Extra cycles added to every memory completion's wake-up, modelling
     /// a degraded memory path.

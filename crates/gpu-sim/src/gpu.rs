@@ -335,21 +335,6 @@ impl Gpu {
         .ok_or(SimError::OutOfMemory { bytes })
     }
 
-    /// Rejects a host launch when the target hardware work queue sits at
-    /// an injected capacity limit.
-    fn check_hwq_capacity(&mut self, stream: u32) -> Result<(), SimError> {
-        if let Some(cap) = self.cfg.fault.hwq_capacity {
-            if self.cfg.fault.active_at(self.cycle) {
-                let depth = self.kmu.hwq_depth(stream);
-                if depth >= cap {
-                    self.stats.hwq_full_rejections += 1;
-                    return Err(SimError::HwqFull { stream, depth });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Launches `kernel` with `ntb` thread blocks on `stream` (the
     /// analogue of `kernel<<<ntb, ...>>>(params)`); `params` are copied
     /// into a fresh device parameter buffer.
@@ -357,20 +342,57 @@ impl Gpu {
     /// A zero-block grid is a no-op that succeeds immediately, matching
     /// the device-launch path; it must not reach the Kernel Distributor,
     /// where an entry with no blocks would never complete and trip the
-    /// hang watchdog.
+    /// hang watchdog. A launch whose hardware work queue sits at an
+    /// injected cap parks in a software queue until the queue drains.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown kernels, heap exhaustion, or a full
-    /// hardware work queue (injected-fault runs under the strict
-    /// degradation policy; the default ladder defers the launch into a
-    /// software queue instead).
+    /// Returns an error for unknown kernels and heap exhaustion.
     pub fn launch(
         &mut self,
         kernel: KernelId,
         ntb: u32,
         params: &[u32],
         stream: u32,
+    ) -> Result<(), SimError> {
+        self.enqueue_host(kernel, ntb, stream, |gpu| {
+            let param_sz = (params.len().max(1) * 4) as u32;
+            let param_addr = gpu.malloc(param_sz)?;
+            gpu.param_bytes.insert(param_addr, param_sz);
+            gpu.mem.write_slice_u32(param_addr, params);
+            Ok(param_addr)
+        })
+    }
+
+    /// Launches `kernel` with a caller-managed parameter buffer at
+    /// `param_addr` (the caller has already written the parameter words
+    /// there). Useful for differential testing against the reference
+    /// interpreter, which shares the same address map.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownKernel`] for kernels not in the program.
+    pub fn launch_with_param_addr(
+        &mut self,
+        kernel: KernelId,
+        ntb: u32,
+        param_addr: u32,
+        stream: u32,
+    ) -> Result<(), SimError> {
+        self.enqueue_host(kernel, ntb, stream, |_| Ok(param_addr))
+    }
+
+    /// The one host-launch path: kernel lookup, the zero-block no-op,
+    /// then `param_addr` (run only for a launch that will enqueue, so a
+    /// rejected or empty launch allocates nothing), the `HostLaunch`
+    /// count and event, and the hardware work queue — or the ladder's
+    /// deferral queue when an injected cap has it full.
+    fn enqueue_host(
+        &mut self,
+        kernel: KernelId,
+        ntb: u32,
+        stream: u32,
+        param_addr: impl FnOnce(&mut Self) -> Result<u32, SimError>,
     ) -> Result<(), SimError> {
         let Some(kernel_fn) = self.program.get(kernel) else {
             return Err(SimError::UnknownKernel(kernel));
@@ -379,13 +401,7 @@ impl Gpu {
         if ntb == 0 {
             return Ok(());
         }
-        if !self.cfg.degrade.ladder {
-            self.check_hwq_capacity(stream)?;
-        }
-        let param_sz = (params.len().max(1) * 4) as u32;
-        let param_addr = self.malloc(param_sz)?;
-        self.param_bytes.insert(param_addr, param_sz);
-        self.mem.write_slice_u32(param_addr, params);
+        let param_addr = param_addr(self)?;
         self.stats.host_launches += 1;
         if self.tracer.on(Category::Launch) {
             self.tracer.emit(
@@ -404,59 +420,7 @@ impl Gpu {
             param_addr,
             origin: Origin::Host { hwq: 0 }, // rewritten by push_host
         };
-        if self.cfg.degrade.ladder && self.hwq_overloaded(stream).is_some() {
-            self.park_host_launch(stream, pk);
-        } else {
-            self.kmu.push_host(stream, pk);
-        }
-        Ok(())
-    }
-
-    /// Launches `kernel` with a caller-managed parameter buffer at
-    /// `param_addr` (the caller has already written the parameter words
-    /// there). Useful for differential testing against the reference
-    /// interpreter, which shares the same address map.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownKernel`] for kernels not in the program
-    /// and [`SimError::HwqFull`] under an injected work-queue cap.
-    pub fn launch_with_param_addr(
-        &mut self,
-        kernel: KernelId,
-        ntb: u32,
-        param_addr: u32,
-        stream: u32,
-    ) -> Result<(), SimError> {
-        let Some(kernel_fn) = self.program.get(kernel) else {
-            return Err(SimError::UnknownKernel(kernel));
-        };
-        let kernel_fn = Arc::clone(kernel_fn);
-        if ntb == 0 {
-            return Ok(());
-        }
-        if !self.cfg.degrade.ladder {
-            self.check_hwq_capacity(stream)?;
-        }
-        self.stats.host_launches += 1;
-        if self.tracer.on(Category::Launch) {
-            self.tracer.emit(
-                self.cycle,
-                EventKind::HostLaunch {
-                    kernel: u32::from(kernel.0),
-                    ntb,
-                    hwq: self.kmu.hwq_of_stream(stream) as u32,
-                },
-            );
-        }
-        let pk = PendingKernel {
-            kernel,
-            kernel_fn,
-            ntb,
-            param_addr,
-            origin: Origin::Host { hwq: 0 },
-        };
-        if self.cfg.degrade.ladder && self.hwq_overloaded(stream).is_some() {
+        if self.hwq_overloaded(stream) {
             self.park_host_launch(stream, pk);
         } else {
             self.kmu.push_host(stream, pk);

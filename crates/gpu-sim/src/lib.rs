@@ -43,8 +43,7 @@ mod trace;
 mod watchdog;
 
 pub use config::{
-    CancelToken, DegradePolicy, GpuConfig, LatencyTable, PipelineLatencies, RunBudget,
-    WarpSchedPolicy,
+    CancelToken, GpuConfig, LatencyTable, PipelineLatencies, RunBudget, WarpSchedPolicy,
 };
 pub use dispatch::{KdeEntry, KernelDistributor, Kmu, Origin, PendingKernel};
 pub use error::{BudgetKind, HangReport, SimError, StuckWarp, StuckWarpState};

@@ -11,13 +11,15 @@ impl Gpu {
     /// Queues a device-launched kernel in the KMU (both genuine CDP
     /// launches and DTBL fallbacks end here).
     ///
+    /// When an injected cap on the KMU's pending device-kernel pool is
+    /// already met — modelling the hardware pool backing up — the launch
+    /// is deferred for a backed-off retry (see `runtime::degrade`).
+    ///
     /// # Errors
     ///
-    /// Returns [`SimError::KmuSaturated`] when an injected cap on the
-    /// KMU's pending device-kernel pool is already met — modelling the
-    /// hardware pool backing up — without mutating any state. Under the
-    /// default degradation ladder the saturated launch is deferred for a
-    /// backed-off retry instead (see `runtime::degrade`).
+    /// [`SimError::UnknownKernel`] for a kernel not in the program, and
+    /// [`SimError::KmuSaturated`] from the ladder's last rung when a
+    /// saturated launch cannot be host-serialized.
     pub(crate) fn enqueue_device_kernel(
         &mut self,
         req: gpu_isa::LaunchRequest,
@@ -48,17 +50,12 @@ impl Gpu {
             return Err(SimError::UnknownKernel(req.kernel));
         };
         let kernel_fn = Arc::clone(kernel_fn);
-        if let Some(cap) = self.cfg.fault.kmu_device_capacity {
-            if self.cfg.fault.active_at(now) {
-                let pending = self.kmu.pending_device_kernels();
-                if pending >= cap {
-                    self.stats.kmu_saturation_rejections += 1;
-                    if self.cfg.degrade.ladder {
-                        return self.defer_launch(req, kind, now, attempt + 1);
-                    }
-                    return Err(SimError::KmuSaturated { pending });
-                }
-            }
+        let saturated = self.cfg.fault.kmu_device_capacity.is_some_and(|cap| {
+            self.cfg.fault.active_at(now) && self.kmu.pending_device_kernels() >= cap
+        });
+        if saturated {
+            self.stats.kmu_saturation_rejections += 1;
+            return self.defer_launch(req, kind, now, attempt + 1);
         }
         self.stats.add_pending(CDP_PENDING_RECORD_BYTES);
         let record = self.stats.launches.len();

@@ -1,19 +1,23 @@
-//! The graceful-degradation ladder for the launch path.
+//! The graceful-degradation ladder for the launch path: the simulator's
+//! one behaviour when a launch-path structure is exhausted.
 //!
-//! DTBL's launch mechanisms share fixed hardware structures — the AGT's
-//! overflow spill storage, the KMU's device-kernel pool, the hardware
-//! work queues — and an exhausted structure used to abort the whole run
-//! with a typed error. Under the default [`DegradePolicy`](crate::DegradePolicy)
-//! a launch that cannot take its preferred path instead walks down a
-//! ladder:
+//! DTBL's launch is best-effort (§4.3): an aggregated group with no
+//! eligible kernel becomes a device kernel, and one with no free AGT entry
+//! spills its descriptor to global memory. The launch mechanisms share
+//! fixed hardware structures — the AGT's overflow spill storage, the
+//! KMU's device-kernel pool, the hardware work queues — so a launch that
+//! cannot take its preferred path walks down a ladder instead of failing
+//! the run:
 //!
 //! 1. **DTBL aggregated group** — the preferred path. When its spilled
-//!    descriptor finds no heap space, the launch demotes to rung 2
-//!    (`degraded_to_device_kernel`, a `LaunchDegraded` trace event).
+//!    descriptor finds no storage (no heap space, or an injected spill
+//!    cap), the launch demotes to rung 2 (`degraded_to_device_kernel`, a
+//!    `LaunchDegraded` trace event).
 //! 2. **Plain device kernel** — when the KMU's pending pool is saturated,
 //!    the launch enters a deterministic retry queue with exponential
-//!    backoff *in cycles* (`launch_backoffs`, `LaunchBackoff` events);
-//!    after `max_retries` failed attempts it falls to rung 3.
+//!    backoff *in cycles* ([`backoff_cycles`]: `launch_backoffs`,
+//!    `LaunchBackoff` events); after [`MAX_RETRIES`] failed attempts it
+//!    falls to rung 3.
 //! 3. **Host-serialized execution** — the child grid runs functionally on
 //!    the reference interpreter against the simulator's own device
 //!    memory, immediately and off the timing model
@@ -38,6 +42,23 @@ use gpu_mem::BackingStore;
 use gpu_trace::{Category, EventKind, LaunchPath};
 use std::cmp::{Ordering, Reverse};
 use std::sync::Arc;
+
+/// Retry attempts at a saturated KMU before a launch falls to the
+/// host-serialized rung.
+pub(crate) const MAX_RETRIES: u32 = 3;
+
+/// Backoff before the first retry, in cycles; each later retry doubles it.
+pub(crate) const BACKOFF_BASE: u64 = 64;
+
+/// Upper bound on a single backoff wait, in cycles.
+pub(crate) const BACKOFF_CAP: u64 = 4096;
+
+/// Deterministic backoff (in cycles) before retry `attempt` (1-based):
+/// `BACKOFF_BASE << (attempt - 1)`, capped at [`BACKOFF_CAP`].
+fn backoff_cycles(attempt: u32) -> u64 {
+    let shift = attempt.saturating_sub(1).min(63);
+    BACKOFF_BASE.saturating_mul(1u64 << shift).min(BACKOFF_CAP)
+}
 
 /// One launch waiting out its backoff in the ladder's retry queue.
 #[derive(Clone, Debug)]
@@ -104,8 +125,8 @@ impl Gpu {
     }
 
     /// Parks a KMU-saturated launch for retry `attempt` (1-based) after
-    /// its deterministic backoff, or — once the policy's retries are
-    /// exhausted — drops it to the host-serialized rung.
+    /// its deterministic backoff, or — once [`MAX_RETRIES`] are spent —
+    /// drops it to the host-serialized rung.
     ///
     /// # Errors
     ///
@@ -118,11 +139,10 @@ impl Gpu {
         now: u64,
         attempt: u32,
     ) -> Result<(), SimError> {
-        let policy = self.cfg.degrade;
-        if attempt > policy.max_retries {
+        if attempt > MAX_RETRIES {
             return self.host_serialize_launch(req, kind, now, attempt.saturating_sub(1));
         }
-        let ready_at = now + policy.backoff_cycles(attempt);
+        let ready_at = now + backoff_cycles(attempt);
         self.stats.launch_backoffs += 1;
         if self.tracer.on(Category::Launch) {
             self.tracer.emit(
@@ -260,7 +280,7 @@ impl Gpu {
             let Some((stream, pk)) = self.host_deferred.pop_front() else {
                 break;
             };
-            if self.hwq_overloaded(stream).is_some() {
+            if self.hwq_overloaded(stream) {
                 self.host_deferred.push_back((stream, pk));
             } else {
                 changed = true;
@@ -271,15 +291,12 @@ impl Gpu {
         Ok(changed)
     }
 
-    /// Depth of `stream`'s hardware work queue when it sits at an injected
-    /// capacity limit, `None` when the launch may enqueue.
-    pub(crate) fn hwq_overloaded(&self, stream: u32) -> Option<usize> {
-        let cap = self.cfg.fault.hwq_capacity?;
-        if !self.cfg.fault.active_at(self.cycle) {
-            return None;
-        }
-        let depth = self.kmu.hwq_depth(stream);
-        (depth >= cap).then_some(depth)
+    /// True when `stream`'s hardware work queue sits at an injected
+    /// capacity limit, so a host launch must wait in the deferral queue.
+    pub(crate) fn hwq_overloaded(&self, stream: u32) -> bool {
+        self.cfg.fault.hwq_capacity.is_some_and(|cap| {
+            self.cfg.fault.active_at(self.cycle) && self.kmu.hwq_depth(stream) >= cap
+        })
     }
 
     /// Parks a host launch whose hardware work queue is at capacity in
@@ -310,10 +327,20 @@ impl Gpu {
 
 #[cfg(test)]
 mod tests {
+    use super::{backoff_cycles, BACKOFF_CAP};
     use crate::dispatch::{Origin, PendingKernel};
     use crate::{Gpu, GpuConfig};
     use gpu_isa::{Dim3, KernelBuilder, Program};
     use std::sync::Arc;
+
+    #[test]
+    fn backoff_is_exponential_and_capped() {
+        assert_eq!(backoff_cycles(1), 64);
+        assert_eq!(backoff_cycles(2), 128);
+        assert_eq!(backoff_cycles(3), 256);
+        assert_eq!(backoff_cycles(20), BACKOFF_CAP);
+        assert_eq!(backoff_cycles(u32::MAX), BACKOFF_CAP);
+    }
 
     /// A Gpu whose hardware work queues sit at an injected capacity cap,
     /// plus three parked host launches tagged 1, 2, 3 via `param_addr`.

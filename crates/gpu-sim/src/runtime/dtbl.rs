@@ -17,10 +17,12 @@ impl Gpu {
     /// * [`SimError::UnknownKernel`] — the simulated program launched a
     ///   kernel id that is not in the loaded program (guest bug, reported
     ///   instead of panicking the simulator);
-    /// * [`SimError::AgtExhausted`] — the device heap could not hold a
-    ///   spilled aggregated-group descriptor;
-    /// * [`SimError::KmuSaturated`] — via the device-kernel path under an
+    /// * [`SimError::KmuSaturated`] — via the device-kernel path, when the
+    ///   degradation ladder cannot host-serialize a launch held back by an
     ///   injected KMU cap.
+    ///
+    /// A spilled descriptor that finds no storage is not an error: the
+    /// launch demotes to a device kernel (see `runtime::degrade`).
     pub(crate) fn handle_launch(
         &mut self,
         hw_tid: u32,
@@ -86,23 +88,11 @@ impl Gpu {
                 })
             };
             self.pool.agt_mut().set_force_overflow(false);
-            if heap_failed {
-                // The spill descriptor found no heap space. Under the
-                // degradation ladder the launch demotes one rung — a
+            if heap_failed || spill_denied {
+                // The spill descriptor found no storage (no heap space, or
+                // the injected spill cap): the launch demotes one rung — a
                 // plain device kernel needs no descriptor — via the
-                // `Fallback` outcome the failed spill already produced;
-                // in strict mode the exhaustion is a typed error.
-                if !self.cfg.degrade.ladder {
-                    return Err(SimError::AgtExhausted {
-                        cycle: now,
-                        live_overflow: self.pool.agt().live_overflow(),
-                    });
-                }
-                self.note_agg_degraded(req.kernel, now);
-            } else if spill_denied && self.cfg.degrade.ladder {
-                // The injected spill cap denied the descriptor: the same
-                // rung-1 → rung-2 demotion, counted when the ladder owns
-                // the fallback decision.
+                // `Fallback` outcome the failed spill already produced.
                 self.note_agg_degraded(req.kernel, now);
             }
             match outcome {

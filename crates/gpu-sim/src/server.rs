@@ -16,10 +16,10 @@
 //! config field) *and* [`GpuConfig::budget_hash`] (the deterministic
 //! cut-short knobs), so two cells with equal keys provably produce equal
 //! outcomes — pinned by the differential tests in `engine_equivalence`.
-//! `Ok` results are always cached; typed errors are cached only when an
-//! [error-cache predicate](BatchServer::with_error_cache) declares them
-//! deterministic (see [`SimError::is_deterministic`](crate::SimError::is_deterministic)).
-//! Crashes always re-run.
+//! `Ok` results are always cached, and a typed error is cached if and only
+//! if it is deterministic ([`SimError::is_deterministic`]): a cycle cap or
+//! a validation failure repeats on every host, a wall-clock deadline or a
+//! cancellation does not. Crashes always re-run.
 //!
 //! The cache is optionally size-bounded ([`BatchServer::with_cache_limit`])
 //! with least-recently-used eviction, and its contents can be drained and
@@ -37,7 +37,7 @@
 
 use crate::config::GpuConfig;
 use crate::sweep::{run_cells_supervised, CellOutcome};
-use crate::Gpu;
+use crate::{Gpu, SimError};
 use gpu_isa::Program;
 use gpu_trace::MetricsRegistry;
 use std::collections::HashMap;
@@ -124,20 +124,20 @@ impl WarmSlot {
 
 /// One cached outcome plus the recency stamp LRU eviction sorts by.
 #[derive(Debug)]
-struct CacheEntry<T, E> {
-    value: Result<T, E>,
+struct CacheEntry<T> {
+    value: Result<T, SimError>,
     last_used: u64,
 }
 
 /// The keyed result store behind one mutex: entries plus the logical
 /// clock that stamps every hit and insert.
 #[derive(Debug)]
-struct CacheState<T, E> {
-    entries: HashMap<CellKey, CacheEntry<T, E>>,
+struct CacheState<T> {
+    entries: HashMap<CellKey, CacheEntry<T>>,
     tick: u64,
 }
 
-impl<T, E> CacheState<T, E> {
+impl<T> CacheState<T> {
     fn new() -> Self {
         CacheState {
             entries: HashMap::new(),
@@ -146,7 +146,7 @@ impl<T, E> CacheState<T, E> {
     }
 
     /// Looks up `key`, bumping its recency stamp on a hit.
-    fn touch(&mut self, key: &CellKey) -> Option<&Result<T, E>> {
+    fn touch(&mut self, key: &CellKey) -> Option<&Result<T, SimError>> {
         self.tick += 1;
         let tick = self.tick;
         self.entries.get_mut(key).map(|e| {
@@ -155,7 +155,7 @@ impl<T, E> CacheState<T, E> {
         })
     }
 
-    fn insert(&mut self, key: CellKey, value: Result<T, E>) {
+    fn insert(&mut self, key: CellKey, value: Result<T, SimError>) {
         self.tick += 1;
         let tick = self.tick;
         self.entries.insert(
@@ -188,31 +188,28 @@ impl<T, E> CacheState<T, E> {
 /// Warm-pool batch server: submit batches of cells, get supervised
 /// outcomes back, with repeated cells served from the result cache.
 ///
-/// Generic over the result type `T` and the error type `E` (defaulting to
-/// [`SimError`](crate::SimError)) so the crate stays independent of any
+/// Generic over the result type `T` so the crate stays independent of any
 /// particular report shape — the bench layer instantiates it with its
-/// `RunReport`. `T: Clone` and `E: Clone` are required to serve a cached
-/// outcome while keeping it cached.
+/// `RunReport`. A cell fails with a [`SimError`]. `T: Clone` is required
+/// to serve a cached outcome while keeping it cached.
 #[derive(Debug)]
-pub struct BatchServer<T, E = crate::SimError> {
+pub struct BatchServer<T> {
     jobs: usize,
     retries: u32,
     slots: Vec<Mutex<WarmSlot>>,
-    cache: Mutex<CacheState<T, E>>,
+    cache: Mutex<CacheState<T>>,
     cache_limit: Option<usize>,
-    cache_errors: Option<fn(&E) -> bool>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     slot_contention: AtomicU64,
 }
 
-impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
+impl<T: Clone + Send> BatchServer<T> {
     /// A server with `jobs` pool workers (and warm slots) and `retries`
     /// supervised re-attempts for panicking cells. `jobs == 0` selects the
-    /// machine's available parallelism. The cache starts unbounded and
-    /// caches only `Ok` results; see [`with_cache_limit`](Self::with_cache_limit)
-    /// and [`with_error_cache`](Self::with_error_cache).
+    /// machine's available parallelism. The cache starts unbounded; see
+    /// [`with_cache_limit`](Self::with_cache_limit).
     pub fn new(jobs: usize, retries: u32) -> Self {
         let jobs = if jobs == 0 {
             crate::sweep::default_jobs()
@@ -225,7 +222,6 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
             slots: (0..jobs).map(|_| Mutex::new(WarmSlot::new())).collect(),
             cache: Mutex::new(CacheState::new()),
             cache_limit: None,
-            cache_errors: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -238,17 +234,6 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
     /// [`cache_evictions`](Self::cache_evictions)). Unbounded by default.
     pub fn with_cache_limit(mut self, limit: usize) -> Self {
         self.cache_limit = Some(limit);
-        self
-    }
-
-    /// Enables memoizing typed errors for which `pred` returns true.
-    /// Pass a determinism check (e.g.
-    /// [`SimError::is_deterministic`](crate::SimError::is_deterministic)):
-    /// a cached error must be a pure function of the cell or the cache
-    /// would replay a host-dependent transient as if it were truth.
-    /// Disabled by default — only `Ok` results are cached.
-    pub fn with_error_cache(mut self, pred: fn(&E) -> bool) -> Self {
-        self.cache_errors = Some(pred);
         self
     }
 
@@ -299,13 +284,14 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
         cells: Vec<C>,
         key_of: impl Fn(&C) -> Option<CellKey>,
         run: F,
-    ) -> Vec<(C, CellOutcome<T, E>)>
+    ) -> Vec<(C, CellOutcome<T, SimError>)>
     where
         C: Send + Sync,
-        F: Fn(&C, &mut WarmSlot) -> Result<T, E> + Sync,
+        F: Fn(&C, &mut WarmSlot) -> Result<T, SimError> + Sync,
     {
         let keys: Vec<Option<CellKey>> = cells.iter().map(&key_of).collect();
-        let mut outcomes: Vec<Option<CellOutcome<T, E>>> = (0..cells.len()).map(|_| None).collect();
+        let mut outcomes: Vec<Option<CellOutcome<T, SimError>>> =
+            (0..cells.len()).map(|_| None).collect();
 
         // Phase 1: serve keys cached by earlier batches, and elect one
         // leader per fresh key so duplicates within this batch run once.
@@ -336,8 +322,8 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
         self.execute(&cells, &keys, leaders, &mut outcomes, &run);
 
         // Phase 3: followers clone their leader's now-cached outcome;
-        // those whose leader left no cache entry (crash, or an error the
-        // predicate rejects) re-run.
+        // those whose leader left no cache entry (a crash, or a
+        // host-dependent error) re-run.
         let mut orphaned: Vec<usize> = Vec::new();
         {
             let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
@@ -361,32 +347,36 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
             .collect()
     }
 
-    fn outcome_of(cached: &Result<T, E>) -> CellOutcome<T, E> {
+    fn outcome_of(cached: &Result<T, SimError>) -> CellOutcome<T, SimError> {
         match cached {
             Ok(v) => CellOutcome::Ok(v.clone()),
             Err(e) => CellOutcome::Err(e.clone()),
         }
     }
 
-    /// Runs the cells at `indices` on the warm pool, caching cacheable
-    /// outcomes under their key and writing outcomes back in place.
+    /// Runs the cells at `indices` on the warm pool, caching each keyed
+    /// `Ok` and each deterministic error
+    /// ([`SimError::is_deterministic`]) under its key, and writing
+    /// outcomes back in place. A host-dependent error or a crash is never
+    /// cached: replaying it would pass a transient off as the cell's
+    /// answer.
     fn execute<C, F>(
         &self,
         cells: &[C],
         keys: &[Option<CellKey>],
         indices: Vec<usize>,
-        outcomes: &mut [Option<CellOutcome<T, E>>],
+        outcomes: &mut [Option<CellOutcome<T, SimError>>],
         run: &F,
     ) where
         C: Send + Sync,
-        F: Fn(&C, &mut WarmSlot) -> Result<T, E> + Sync,
+        F: Fn(&C, &mut WarmSlot) -> Result<T, SimError> + Sync,
     {
         if indices.is_empty() {
             return;
         }
         self.misses
             .fetch_add(indices.len() as u64, Ordering::Relaxed);
-        let (ran, _) = run_cells_supervised(indices, self.jobs, self.retries, |&i: &usize| {
+        let ran = run_cells_supervised(indices, self.jobs, self.retries, |&i: &usize| {
             let mut slot = self.acquire_slot();
             run(&cells[i], &mut slot)
         });
@@ -394,11 +384,8 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
             if let Some(key) = &keys[i] {
                 let cacheable = match &outcome {
                     CellOutcome::Ok(result) => Some(Ok(result.clone())),
-                    CellOutcome::Err(e) => match self.cache_errors {
-                        Some(pred) if pred(e) => Some(Err(e.clone())),
-                        _ => None,
-                    },
-                    CellOutcome::Crashed(_) => None,
+                    CellOutcome::Err(e) if e.is_deterministic() => Some(Err(e.clone())),
+                    CellOutcome::Err(_) | CellOutcome::Crashed(_) => None,
                 };
                 if let Some(value) = cacheable {
                     self.store(key.clone(), value);
@@ -409,7 +396,7 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
     }
 
     /// Inserts one entry, enforcing the LRU bound.
-    fn store(&self, key: CellKey, value: Result<T, E>) {
+    fn store(&self, key: CellKey, value: Result<T, SimError>) {
         let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
         cache.insert(key, value);
         if let Some(limit) = self.cache_limit {
@@ -423,9 +410,9 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
     /// Drains a snapshot of the cache in least-recently-used-first order,
     /// so replaying it through [`preload`](Self::preload) reconstructs the
     /// same eviction priority. The live cache is untouched.
-    pub fn export_cache(&self) -> Vec<(CellKey, Result<T, E>)> {
+    pub fn export_cache(&self) -> Vec<(CellKey, Result<T, SimError>)> {
         let cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-        let mut entries: Vec<(&CellKey, &CacheEntry<T, E>)> = cache.entries.iter().collect();
+        let mut entries: Vec<(&CellKey, &CacheEntry<T>)> = cache.entries.iter().collect();
         entries.sort_by_key(|(_, e)| e.last_used);
         entries
             .into_iter()
@@ -436,7 +423,7 @@ impl<T: Clone + Send, E: Clone + Send> BatchServer<T, E> {
     /// Seeds the cache with previously-exported entries (oldest first),
     /// enforcing the LRU bound after the load. Counters are untouched —
     /// preloaded entries count as neither hits nor misses until used.
-    pub fn preload(&self, entries: Vec<(CellKey, Result<T, E>)>) {
+    pub fn preload(&self, entries: Vec<(CellKey, Result<T, SimError>)>) {
         let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
         for (key, value) in entries {
             cache.insert(key, value);
@@ -533,9 +520,26 @@ mod tests {
         }
     }
 
+    /// A deterministic failure: the same cell hits the same cap anywhere.
+    fn cycle_limit() -> SimError {
+        SimError::CycleLimit { cycles: 7 }
+    }
+
+    /// A host-dependent failure: operator action, never the cell's answer.
+    fn cancelled() -> SimError {
+        SimError::Cancelled {
+            cycle: 3,
+            stats: Box::default(),
+        }
+    }
+
+    fn is_cycle_limit(o: &CellOutcome<u64, SimError>) -> bool {
+        matches!(o, CellOutcome::Err(SimError::CycleLimit { cycles: 7 }))
+    }
+
     #[test]
     fn duplicates_in_one_batch_hit_deterministically() {
-        let server: BatchServer<u64, ()> = BatchServer::new(4, 0);
+        let server: BatchServer<u64> = BatchServer::new(4, 0);
         // 4 unique keys, each submitted twice.
         let cells: Vec<u32> = (0..8).collect();
         let out = server.run_batch(
@@ -558,7 +562,7 @@ mod tests {
         let out2 = server.run_batch(
             (0..8).collect(),
             |c| Some(key(&format!("w{}", c % 4))),
-            |_, _| -> Result<u64, ()> { panic!("must not execute") },
+            |_, _| -> Result<u64, SimError> { panic!("must not execute") },
         );
         assert_eq!(out2.len(), 8);
         assert_eq!(server.cache_hits(), 12);
@@ -567,15 +571,18 @@ mod tests {
 
     #[test]
     fn failed_leaders_are_not_cached_and_followers_rerun() {
-        let server: BatchServer<u64, &'static str> = BatchServer::new(2, 0);
-        // Both cells share a key; the leader errs, so the follower must
-        // execute instead of inheriting the failure.
+        let server: BatchServer<u64> = BatchServer::new(2, 0);
+        // Both cells share a key; the leader is cancelled, so the
+        // follower must execute instead of inheriting the transient.
         let out = server.run_batch(
             vec![0u32, 1u32],
             |_| Some(key("shared")),
-            |c, _| if *c == 0 { Err("leader down") } else { Ok(42) },
+            |c, _| if *c == 0 { Err(cancelled()) } else { Ok(42) },
         );
-        assert!(matches!(out[0].1, CellOutcome::Err("leader down")));
+        assert!(matches!(
+            out[0].1,
+            CellOutcome::Err(SimError::Cancelled { cycle: 3, .. })
+        ));
         assert!(matches!(out[1].1, CellOutcome::Ok(42)));
         assert_eq!(server.cache_misses(), 2, "follower re-ran");
         assert_eq!(server.cache_hits(), 0);
@@ -587,34 +594,42 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_errors_are_memoized_when_enabled() {
-        let server: BatchServer<u64, &'static str> =
-            BatchServer::new(2, 0).with_error_cache(|e| *e == "deterministic");
+    fn errors_are_memoized_iff_deterministic() {
+        let server: BatchServer<u64> = BatchServer::new(2, 0);
+        // A deterministic leader's error is cached, so its in-batch
+        // follower is served the same error without running.
         let out = server.run_batch(
-            vec![0u32],
+            vec![0u32, 1u32],
             |_| Some(key("det")),
-            |_, _| Err::<u64, _>("deterministic"),
+            |c, _| {
+                assert_eq!(*c, 0, "the follower must not execute");
+                Err(cycle_limit())
+            },
         );
-        assert!(matches!(out[0].1, CellOutcome::Err("deterministic")));
+        assert!(is_cycle_limit(&out[0].1) && is_cycle_limit(&out[1].1));
         assert_eq!(server.cached_results(), 1, "deterministic error cached");
+        assert_eq!((server.cache_misses(), server.cache_hits()), (1, 1));
 
         // The resubmission is served from cache, not re-executed.
         let out = server.run_batch(
-            vec![1u32],
+            vec![2u32],
             |_| Some(key("det")),
-            |_, _| -> Result<u64, &'static str> { panic!("must not execute") },
+            |_, _| -> Result<u64, SimError> { panic!("must not execute") },
         );
-        assert!(matches!(out[0].1, CellOutcome::Err("deterministic")));
-        assert_eq!(server.cache_hits(), 1);
+        assert!(is_cycle_limit(&out[0].1));
+        assert_eq!(server.cache_hits(), 2);
 
-        // An error the predicate rejects still re-runs every time.
+        // A host-dependent error re-runs every time.
         for expected_misses in [2, 3] {
             let out = server.run_batch(
-                vec![2u32],
+                vec![3u32],
                 |_| Some(key("transient")),
-                |_, _| Err::<u64, _>("wall-clock"),
+                |_, _| Err::<u64, _>(cancelled()),
             );
-            assert!(matches!(out[0].1, CellOutcome::Err("wall-clock")));
+            assert!(matches!(
+                out[0].1,
+                CellOutcome::Err(SimError::Cancelled { .. })
+            ));
             assert_eq!(server.cache_misses(), expected_misses);
         }
         assert_eq!(server.cached_results(), 1, "transient error never cached");
@@ -622,7 +637,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_limit_and_recency() {
-        let server: BatchServer<u64, ()> = BatchServer::new(1, 0).with_cache_limit(2);
+        let server: BatchServer<u64> = BatchServer::new(1, 0).with_cache_limit(2);
         for (name, v) in [("a", 1u64), ("b", 2)] {
             let _ = server.run_batch(vec![0u32], |_| Some(key(name)), |_, _| Ok(v));
         }
@@ -630,7 +645,7 @@ mod tests {
         let _ = server.run_batch(
             vec![0u32],
             |_| Some(key("a")),
-            |_, _| -> Result<u64, ()> { panic!("cached") },
+            |_, _| -> Result<u64, SimError> { panic!("cached") },
         );
         // …then a third key must evict "b", not "a".
         let _ = server.run_batch(vec![0u32], |_| Some(key("c")), |_, _| Ok(3));
@@ -648,10 +663,13 @@ mod tests {
 
     #[test]
     fn export_preload_round_trip_preserves_recency() {
-        let server: BatchServer<u64, &'static str> =
-            BatchServer::new(1, 0).with_error_cache(|_| true);
-        for (name, out) in [("old", Ok(1u64)), ("err", Err("det")), ("hot", Ok(3))] {
-            let _ = server.run_batch(vec![0u32], |_| Some(key(name)), |_, _| out);
+        let server: BatchServer<u64> = BatchServer::new(1, 0);
+        for (name, out) in [
+            ("old", Ok(1u64)),
+            ("err", Err(cycle_limit())),
+            ("hot", Ok(3)),
+        ] {
+            let _ = server.run_batch(vec![0u32], |_| Some(key(name)), |_, _| out.clone());
         }
         let exported = server.export_cache();
         assert_eq!(exported.len(), 3);
@@ -659,28 +677,28 @@ mod tests {
         assert_eq!(exported[2].0.workload, "hot");
 
         // A bounded restored server keeps the most recent entries.
-        let restored: BatchServer<u64, &'static str> = BatchServer::new(1, 0).with_cache_limit(2);
+        let restored: BatchServer<u64> = BatchServer::new(1, 0).with_cache_limit(2);
         restored.preload(exported);
         assert_eq!(restored.cached_results(), 2);
         assert_eq!(restored.cache_evictions(), 1);
         let out = restored.run_batch(
             vec![0u32],
             |_| Some(key("hot")),
-            |_, _| -> Result<u64, &'static str> { panic!("preloaded") },
+            |_, _| -> Result<u64, SimError> { panic!("preloaded") },
         );
         assert!(matches!(out[0].1, CellOutcome::Ok(3)));
         let out = restored.run_batch(
             vec![0u32],
             |_| Some(key("err")),
-            |_, _| -> Result<u64, &'static str> { panic!("preloaded") },
+            |_, _| -> Result<u64, SimError> { panic!("preloaded") },
         );
-        assert!(matches!(out[0].1, CellOutcome::Err("det")));
+        assert!(is_cycle_limit(&out[0].1));
         assert_eq!(restored.cache_hits(), 2);
     }
 
     #[test]
     fn keyless_cells_always_execute() {
-        let server: BatchServer<u64, ()> = BatchServer::new(1, 0);
+        let server: BatchServer<u64> = BatchServer::new(1, 0);
         for _ in 0..2 {
             let out = server.run_batch(vec![7u32], |_| None, |c, _| Ok(u64::from(*c)));
             assert!(matches!(out[0].1, CellOutcome::Ok(7)));
@@ -692,11 +710,11 @@ mod tests {
 
     #[test]
     fn crashed_cells_surface_and_are_not_cached() {
-        let server: BatchServer<u64, ()> = BatchServer::new(2, 0);
+        let server: BatchServer<u64> = BatchServer::new(2, 0);
         let out = server.run_batch(
             vec![0u32],
             |_| Some(key("boom")),
-            |_, _| -> Result<u64, ()> { panic!("cell panic") },
+            |_, _| -> Result<u64, SimError> { panic!("cell panic") },
         );
         assert!(out[0].1.is_crashed());
         assert_eq!(server.cached_results(), 0);
@@ -752,7 +770,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_matches_counters() {
-        let server: BatchServer<u64, ()> = BatchServer::new(2, 0);
+        let server: BatchServer<u64> = BatchServer::new(2, 0);
         let _ = server.run_batch(vec![0u32, 0u32], |_| Some(key("m")), |_, _| Ok(9));
         let reg = server.metrics();
         assert_eq!(reg.counter("server.cache_hits"), 1);

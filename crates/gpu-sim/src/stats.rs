@@ -86,7 +86,10 @@ pub struct Stats {
     pub forced_agt_overflows: u64,
     /// Memory-completion wake-ups delayed by the fault plan.
     pub forced_mem_delays: u64,
-    /// Host launches rejected by an injected hardware-work-queue cap.
+    /// Always 0: a host launch at an injected hardware-work-queue cap
+    /// parks in the deferral queue (`host_launches_deferred`) instead of
+    /// being rejected. Kept because the wire encoding and the stats
+    /// digest carry it.
     pub hwq_full_rejections: u64,
     /// Device launches rejected by an injected KMU device-pool cap.
     pub kmu_saturation_rejections: u64,

@@ -21,9 +21,8 @@
 //!   are deterministically retried in quarantine — serially, in input
 //!   order, after the parallel sweep — up to a caller-chosen attempt
 //!   count. Per-cell deadlines ride on
-//!   [`RunBudget`](crate::RunBudget) inside the cell closure. The
-//!   supervisor's own event trace (`CellCrashed` / `CellRetried`) comes
-//!   back beside the outcomes, for CI artifacts.
+//!   [`RunBudget`](crate::RunBudget) inside the cell closure. A crash is
+//!   reported once, as its [`CrashReport`].
 //!
 //! Panic isolation is confined (`clippy.toml` disallows
 //! `std::panic::catch_unwind` workspace-wide): the only callers are the
@@ -130,6 +129,26 @@ impl<T, E> CellOutcome<T, E> {
     /// True for [`CellOutcome::Crashed`].
     pub fn is_crashed(&self) -> bool {
         matches!(self, CellOutcome::Crashed(_))
+    }
+
+    /// The outcome of attempt `attempts` (1-based) at input-order cell
+    /// `cell`.
+    fn from_run(run: CellRun<T, E>, cell: usize, attempts: u32) -> Self {
+        match run {
+            CellRun::Done(Ok(t)) => CellOutcome::Ok(t),
+            CellRun::Done(Err(e)) => CellOutcome::Err(e),
+            CellRun::Panicked {
+                payload,
+                cycle,
+                recent_events,
+            } => CellOutcome::Crashed(CrashReport {
+                cell,
+                attempts,
+                payload: payload_text(payload.as_ref()),
+                cycle,
+                recent_events,
+            }),
+        }
     }
 }
 
@@ -289,9 +308,6 @@ where
         .collect()
 }
 
-/// Supervised sweep results paired with the supervisor's own event trace.
-pub type SupervisedSweep<C, T, E> = (Vec<(C, CellOutcome<T, E>)>, gpu_trace::TraceData);
-
 /// [`run_cells`] with full supervision: a panicking cell becomes a
 /// [`CellOutcome::Crashed`] carrying a structured [`CrashReport`] instead
 /// of taking the sweep down, and crashed cells are retried **in
@@ -305,110 +321,36 @@ pub type SupervisedSweep<C, T, E> = (Vec<(C, CellOutcome<T, E>)>, gpu_trace::Tra
 /// data, the siblings' results are intact, and transiently-crashing cells
 /// (e.g. a host-dependent wall-clock budget) get their bounded second
 /// chance. Per-cell deadlines belong *inside* `f`, on the cell's
-/// [`RunBudget`](crate::RunBudget).
-///
-/// The second half of the return value is the supervisor's own event
-/// trace: one [`EventKind::CellCrashed`](gpu_trace::EventKind) per
-/// panicking attempt and one
-/// [`EventKind::CellRetried`](gpu_trace::EventKind) per quarantined
-/// re-run, stamped with the crashed run's simulated cycle when the unwind
-/// captured one (0 otherwise). The trace is the sweep's flight record —
-/// what a CI artifact uploads next to the [`CrashReport`]s.
+/// [`RunBudget`](crate::RunBudget). A crash is reported once, as the
+/// [`CrashReport`] of its last attempt.
 pub fn run_cells_supervised<C, T, E, F>(
     cells: Vec<C>,
     jobs: usize,
     retries: u32,
     f: F,
-) -> SupervisedSweep<C, T, E>
+) -> Vec<(C, CellOutcome<T, E>)>
 where
     C: Send + Sync,
     T: Send,
     E: Send,
     F: Fn(&C) -> Result<T, E> + Sync,
 {
-    let mut trace = gpu_trace::TraceData {
-        events: Vec::new(),
-        samples: Vec::new(),
-        dropped: 0,
-    };
-    let mut note = |cycle: Option<u64>, kind: gpu_trace::EventKind| {
-        trace.events.push(TraceEvent {
-            cycle: cycle.unwrap_or(0),
-            kind,
-        });
-    };
     let runs = run_cells_core(&cells, jobs, &f);
     let mut outcomes: Vec<(C, CellOutcome<T, E>)> = cells
         .into_iter()
         .zip(runs)
         .enumerate()
-        .map(|(i, (c, run))| {
-            let outcome = match run {
-                CellRun::Done(Ok(t)) => CellOutcome::Ok(t),
-                CellRun::Done(Err(e)) => CellOutcome::Err(e),
-                CellRun::Panicked {
-                    payload,
-                    cycle,
-                    recent_events,
-                } => {
-                    note(
-                        cycle,
-                        gpu_trace::EventKind::CellCrashed {
-                            cell: i as u32,
-                            attempt: 1,
-                        },
-                    );
-                    CellOutcome::Crashed(CrashReport {
-                        cell: i,
-                        attempts: 1,
-                        payload: payload_text(payload.as_ref()),
-                        cycle,
-                        recent_events,
-                    })
-                }
-            };
-            (c, outcome)
-        })
+        .map(|(i, (c, run))| (c, CellOutcome::from_run(run, i, 1)))
         .collect();
     for (i, (cell, outcome)) in outcomes.iter_mut().enumerate() {
         for attempt in 2..=retries.saturating_add(1) {
             if !outcome.is_crashed() {
                 break;
             }
-            note(
-                None,
-                gpu_trace::EventKind::CellRetried {
-                    cell: i as u32,
-                    attempt,
-                },
-            );
-            match run_one(cell, &f) {
-                CellRun::Done(Ok(t)) => *outcome = CellOutcome::Ok(t),
-                CellRun::Done(Err(e)) => *outcome = CellOutcome::Err(e),
-                CellRun::Panicked {
-                    payload,
-                    cycle,
-                    recent_events,
-                } => {
-                    note(
-                        cycle,
-                        gpu_trace::EventKind::CellCrashed {
-                            cell: i as u32,
-                            attempt,
-                        },
-                    );
-                    *outcome = CellOutcome::Crashed(CrashReport {
-                        cell: i,
-                        attempts: attempt,
-                        payload: payload_text(payload.as_ref()),
-                        cycle,
-                        recent_events,
-                    });
-                }
-            }
+            *outcome = CellOutcome::from_run(run_one(cell, &f), i, attempt);
         }
     }
-    (outcomes, trace)
+    outcomes
 }
 
 #[cfg(test)]
@@ -506,7 +448,7 @@ mod tests {
 
     #[test]
     fn supervised_sweep_reports_crashes_as_data() {
-        let (out, _) = run_cells_supervised((0..8u32).collect(), 4, 0, |&c| {
+        let out = run_cells_supervised((0..8u32).collect(), 4, 0, |&c| {
             if c == 3 {
                 panic!("boom in cell {c}");
             }
@@ -535,7 +477,7 @@ mod tests {
     #[test]
     fn quarantined_retries_are_bounded_and_recover_transients() {
         let attempts = AtomicU32::new(0);
-        let (out, _) = run_cells_supervised(vec![0u8], 2, 3, |_| {
+        let out = run_cells_supervised(vec![0u8], 2, 3, |_| {
             let n = attempts.fetch_add(1, Ordering::Relaxed) + 1;
             if n < 3 {
                 panic!("transient crash #{n}");
@@ -545,7 +487,7 @@ mod tests {
         assert!(matches!(out[0].1, CellOutcome::Ok(99)));
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
 
-        let (out, _) = run_cells_supervised(vec![0u8], 1, 2, |_| {
+        let out = run_cells_supervised(vec![0u8], 1, 2, |_| {
             panic!("always");
             #[allow(unreachable_code)]
             Ok::<(), ()>(())
@@ -557,55 +499,12 @@ mod tests {
         assert!(report.to_string().contains("always"));
     }
 
-    /// The supervisor's own trace records every crash and every
-    /// quarantined retry, in supervision order.
-    #[test]
-    fn supervisor_trace_records_crashes_and_retries() {
-        use gpu_trace::EventKind;
-        let (out, trace) = run_cells_supervised(vec![0u8, 1, 2], 2, 2, |&c| {
-            if c == 1 {
-                panic!("cell 1 always crashes");
-            }
-            Ok::<u8, ()>(c)
-        });
-        assert!(matches!(out[0].1, CellOutcome::Ok(0)));
-        assert!(out[1].1.is_crashed());
-        assert!(matches!(out[2].1, CellOutcome::Ok(2)));
-        let kinds: Vec<_> = trace.events.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EventKind::CellCrashed {
-                    cell: 1,
-                    attempt: 1
-                },
-                EventKind::CellRetried {
-                    cell: 1,
-                    attempt: 2
-                },
-                EventKind::CellCrashed {
-                    cell: 1,
-                    attempt: 2
-                },
-                EventKind::CellRetried {
-                    cell: 1,
-                    attempt: 3
-                },
-                EventKind::CellCrashed {
-                    cell: 1,
-                    attempt: 3
-                },
-            ],
-            "one crash per attempt, one retry per quarantined re-run"
-        );
-    }
-
     /// The drop hook on [`crate::Gpu`] stashes the simulated cycle and
     /// recent trace events for the crash report.
     #[test]
     fn crash_report_carries_simulator_context() {
         use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
-        let (out, _) = run_cells_supervised(vec![0u8], 1, 0, |_| {
+        let out = run_cells_supervised(vec![0u8], 1, 0, |_| {
             let mut prog = Program::new();
             let mut b = KernelBuilder::new("crashy", Dim3::x(32), 1);
             let gtid = b.global_tid();

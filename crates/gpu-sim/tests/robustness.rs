@@ -5,7 +5,7 @@
 //! watchdog can catch early.
 
 use gpu_isa::{CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
-use gpu_sim::{DegradePolicy, FaultPlan, Gpu, GpuConfig, SimError, StuckWarpState};
+use gpu_sim::{DynLaunchKind, FaultPlan, Gpu, GpuConfig, SimError, StuckWarpState};
 
 /// A 2-warp block where warp 0 parks at a barrier and warp 1 spins
 /// forever: the canonical divergent-barrier deadlock.
@@ -144,42 +144,8 @@ fn shared_memory_out_of_bounds_is_a_typed_fault() {
     assert_eq!(size, 4);
 }
 
-/// Pinned to [`DegradePolicy::strict`]: this is the pre-ladder contract
-/// where a full hardware work queue is a typed error at the launch site.
-/// The default ladder defers the launch instead
-/// (`hwq_cap_defers_instead_of_rejecting_under_ladder`).
-#[test]
-fn injected_hwq_cap_rejects_host_launches() {
-    let mut prog = Program::new();
-    let mut b = KernelBuilder::new("noop", Dim3::x(32), 0);
-    b.exit();
-    let k = prog.add(b.build().unwrap());
-    let cfg = GpuConfig {
-        fault: FaultPlan {
-            hwq_capacity: Some(1),
-            ..FaultPlan::default()
-        },
-        degrade: DegradePolicy::strict(),
-        ..GpuConfig::test_small()
-    };
-    let mut gpu = Gpu::new(cfg, prog);
-    gpu.launch(k, 1, &[], 0).unwrap();
-    let err = gpu.launch(k, 1, &[], 0).unwrap_err();
-    assert_eq!(
-        err,
-        SimError::HwqFull {
-            stream: 0,
-            depth: 1
-        }
-    );
-    assert_eq!(gpu.stats().hwq_full_rejections, 1);
-    // Other streams have their own queue.
-    gpu.launch(k, 1, &[], 1).unwrap();
-    gpu.run_to_idle().unwrap();
-}
-
-/// Under the default ladder the same capped queue no longer rejects: the
-/// launch parks in the software deferral queue and runs once the queue
+/// A host launch into a hardware work queue at its injected cap is not
+/// rejected: it parks in the software deferral queue and runs once the queue
 /// drains — the run completes, with the deferral counted.
 #[test]
 fn hwq_cap_defers_instead_of_rejecting_under_ladder() {
@@ -192,7 +158,6 @@ fn hwq_cap_defers_instead_of_rejecting_under_ladder() {
             hwq_capacity: Some(1),
             ..FaultPlan::default()
         },
-        degrade: DegradePolicy::ladder(),
         ..GpuConfig::test_small()
     };
     let mut gpu = Gpu::new(cfg, prog);
@@ -203,6 +168,74 @@ fn hwq_cap_defers_instead_of_rejecting_under_ladder() {
     assert_eq!(stats.host_launches, 3, "every launch ran");
     assert_eq!(stats.hwq_full_rejections, 0, "nothing was rejected");
     assert_eq!(stats.host_launches_deferred, 2, "two waited their turn");
+}
+
+/// Rung 1 → 2 on a heap-starved spill: an aggregated group whose AGT
+/// probe is forced to miss must spill its descriptor, and a heap cap that
+/// admits the group's parameter buffer but not the descriptor leaves it
+/// nowhere to go. The launch demotes to a plain device kernel instead of
+/// failing the run.
+#[test]
+fn heap_starved_spill_demotes_to_a_device_kernel() {
+    const ITERS: u32 = 1000;
+    let mut prog = Program::new();
+    // child: out[gtid] += ITERS, by a loop long enough that the host-
+    // launched warm grid keeps `child` resident (and so eligible for
+    // coalescing) while the parent's launch is in flight.
+    let mut cb = KernelBuilder::new("child", Dim3::x(32), 1);
+    let base = cb.ld_param(0);
+    let gtid = cb.global_tid();
+    let addr = cb.mad(gtid, Op::Imm(4), Op::Reg(base));
+    let v = cb.ld(Space::Global, addr, 0);
+    let acc = cb.mov(Op::Reg(v));
+    cb.for_range(Op::Imm(0), Op::Imm(ITERS), |b, _| {
+        let t = b.iadd(acc, Op::Imm(1));
+        b.mov_to(acc, Op::Reg(t));
+    });
+    cb.st(Space::Global, addr, 0, Op::Reg(acc));
+    let child = prog.add(cb.build().unwrap());
+    // parent: lane 0 launches one aggregated `child` group over `out`.
+    let mut pb = KernelBuilder::new("parent", Dim3::x(32), 1);
+    let out = pb.ld_param(0);
+    let tid = pb.global_tid();
+    let first = pb.setp(CmpOp::Eq, CmpTy::U32, tid, Op::Imm(0));
+    pb.if_(first, |b| {
+        let buf = b.get_param_buf(1);
+        b.st_param_word(buf, 0, Op::Reg(out));
+        b.launch_agg(child, Op::Imm(1), buf);
+    });
+    let parent = prog.add(pb.build().unwrap());
+
+    let setup = |heap_limit_bytes| {
+        let cfg = GpuConfig {
+            fault: FaultPlan {
+                force_agt_overflow: true,
+                heap_limit_bytes,
+                ..FaultPlan::default()
+            },
+            ..GpuConfig::test_small()
+        };
+        let mut gpu = Gpu::new(cfg, prog.clone());
+        let warm = gpu.malloc(32 * 4 * 32).unwrap();
+        let out = gpu.malloc(32 * 4).unwrap();
+        gpu.launch(child, 32, &[warm], 1).unwrap();
+        gpu.launch(parent, 1, &[out], 0).unwrap();
+        (gpu, out)
+    };
+    // Host-side bytes, plus 4 for the parameter buffer and less than the
+    // 32 the spilled descriptor needs (20 leaves room for the 8 bytes of
+    // host parameter buffers that kernel retirement may release first).
+    let host_bytes = setup(None).0.heap_live_bytes();
+    let (mut gpu, out) = setup(Some(host_bytes + 20));
+
+    let stats = gpu.run_to_idle().expect("the ladder carries the launch");
+    assert_eq!(stats.heap_cap_denials, 1, "only the descriptor was denied");
+    assert_eq!(stats.degraded_to_device_kernel, 1, "rung 1 → 2, counted");
+    let kinds: Vec<DynLaunchKind> = stats.launches.iter().map(|l| l.kind).collect();
+    assert_eq!(kinds, [DynLaunchKind::AggFallback]);
+    for i in 0..32 {
+        assert_eq!(gpu.mem().read_u32(out + 4 * i), ITERS, "child wrote {i}");
+    }
 }
 
 #[test]

@@ -287,8 +287,6 @@ event_kinds! {
     LaunchDegraded { kernel: u32, from_path: u32, to_path: u32, attempts: u32 } => ("launch_degraded", Launch),
     LaunchBackoff { kernel: u32, attempt: u32, retry_at: u64 } => ("launch_backoff", Launch),
     DeadlineHit { budget: u32, limit: u64 } => ("deadline_hit", Launch),
-    CellCrashed { cell: u32, attempt: u32 } => ("cell_crashed", Launch),
-    CellRetried { cell: u32, attempt: u32 } => ("cell_retried", Launch),
 }
 
 /// One recorded event: an [`EventKind`] stamped with the cycle it happened.
@@ -380,14 +378,6 @@ mod tests {
             EventKind::DeadlineHit {
                 budget: 0,
                 limit: 1 << 40,
-            },
-            EventKind::CellCrashed {
-                cell: 9,
-                attempt: 0,
-            },
-            EventKind::CellRetried {
-                cell: 9,
-                attempt: 1,
             },
         ];
         for k in kinds {

@@ -13,7 +13,7 @@
 
 use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
 use gpu_sim::sweep::{run_cells_supervised, CellOutcome};
-use gpu_sim::{BudgetKind, CancelToken, DegradePolicy, FaultPlan, Gpu, GpuConfig, SimError};
+use gpu_sim::{BudgetKind, CancelToken, FaultPlan, Gpu, GpuConfig, SimError};
 use gpu_trace::{Category, EventKind, LaunchPath, TraceConfig};
 use workloads::{Benchmark, Scale, Variant};
 
@@ -53,10 +53,7 @@ const MODES: [Chaos; 7] = [
 ];
 
 fn config_for(mode: Chaos) -> GpuConfig {
-    let mut cfg = GpuConfig {
-        degrade: DegradePolicy::ladder(),
-        ..GpuConfig::k20c()
-    };
+    let mut cfg = GpuConfig::k20c();
     match mode {
         Chaos::Calm | Chaos::Panic => {}
         Chaos::AgtSqueeze => {
@@ -94,11 +91,7 @@ fn config_for(mode: Chaos) -> GpuConfig {
 fn typed_resource_error(e: &SimError) -> bool {
     matches!(
         e,
-        SimError::OutOfMemory { .. }
-            | SimError::AgtExhausted { .. }
-            | SimError::KmuSaturated { .. }
-            | SimError::HwqFull { .. }
-            | SimError::CycleLimit { .. }
+        SimError::OutOfMemory { .. } | SimError::KmuSaturated { .. } | SimError::CycleLimit { .. }
     )
 }
 
@@ -112,7 +105,7 @@ fn chaos_soak_survives_the_full_grid() {
         .flat_map(|&b| MODES.map(|m| (b, m)))
         .collect();
     let total = cells.len();
-    let (outcomes, supervisor_trace) = run_cells_supervised(cells, 4, 1, |&(b, mode)| {
+    let outcomes = run_cells_supervised(cells, 4, 1, |&(b, mode)| {
         if mode == Chaos::Panic {
             panic!("chaos: injected panic in {b}");
         }
@@ -206,24 +199,6 @@ fn chaos_soak_survives_the_full_grid() {
         ladder_recoveries > 0,
         "at least one squeezed cell must recover via the ladder"
     );
-
-    // The supervisor's flight record: one CellCrashed per attempt and
-    // one CellRetried per quarantined re-run, nothing else.
-    let mut crashed_events = 0usize;
-    let mut retried_events = 0usize;
-    for ev in &supervisor_trace.events {
-        match ev.kind {
-            EventKind::CellCrashed { .. } => crashed_events += 1,
-            EventKind::CellRetried { .. } => retried_events += 1,
-            other => panic!("unexpected supervisor event: {other:?}"),
-        }
-    }
-    assert_eq!(
-        crashed_events,
-        2 * crashes,
-        "two attempts per persistent panic"
-    );
-    assert_eq!(retried_events, crashes, "one quarantined retry per crash");
 }
 
 /// Counters and events are two views of the same ladder: on a traced

@@ -15,7 +15,7 @@
 //! still enforced.
 
 use gpu_sim::sweep::run_cells;
-use gpu_sim::{DegradePolicy, FaultPlan, GpuConfig, SimError};
+use gpu_sim::{FaultPlan, GpuConfig, SimError};
 use workloads::{Benchmark, Scale, Variant};
 
 /// Worker threads per sweep: bounded below the machine width because
@@ -44,9 +44,7 @@ fn assert_typed(b: Benchmark, v: Variant, res: &Result<(), SimError>) {
             matches!(
                 e,
                 SimError::OutOfMemory { .. }
-                    | SimError::AgtExhausted { .. }
                     | SimError::KmuSaturated { .. }
-                    | SimError::HwqFull { .. }
                     | SimError::CycleLimit { .. }
             ),
             "{b} [{v}]: fault injection must surface a resource error, got: {e}"
@@ -109,32 +107,8 @@ fn runtime_heap_exhaustion_is_a_typed_error() {
     }
 }
 
-/// A saturated KMU device-kernel pool rejects device launches; the run
-/// either needed none (Ok) or fails with `KmuSaturated` — never a panic.
-/// Pinned to [`DegradePolicy::strict`]: this is the pre-ladder contract;
-/// the default ladder recovers instead
-/// (`kmu_saturation_recovers_under_the_ladder`).
-#[test]
-fn kmu_saturation_is_a_typed_error() {
-    let fault = FaultPlan {
-        kmu_device_capacity: Some(2),
-        ..FaultPlan::default()
-    };
-    let results = run_cells(Benchmark::ALL.to_vec(), jobs(), |&b| {
-        let cfg = GpuConfig {
-            fault,
-            degrade: DegradePolicy::strict(),
-            ..GpuConfig::k20c()
-        };
-        b.run_with(Variant::Cdp, Scale::Test, cfg).map(|_| ())
-    });
-    for (b, res) in results {
-        assert_typed(b, Variant::Cdp, &res);
-    }
-}
-
-/// The same saturated KMU under the default degradation ladder: no run
-/// aborts any more. Saturated launches wait out deterministic backoffs
+/// A two-slot KMU device-kernel pool under the degradation ladder: no
+/// run aborts. Saturated launches wait out deterministic backoffs
 /// and retry; every benchmark completes *and validates*, and the ones
 /// that actually hit the cap show backoffs in their stats.
 #[test]
@@ -146,7 +120,6 @@ fn kmu_saturation_recovers_under_the_ladder() {
     let results = run_cells(Benchmark::ALL.to_vec(), jobs(), |&b| {
         let cfg = GpuConfig {
             fault,
-            degrade: DegradePolicy::ladder(),
             ..GpuConfig::k20c()
         };
         b.run_with(Variant::Cdp, Scale::Test, cfg).map(|r| r.stats)
@@ -185,7 +158,6 @@ fn full_ladder_descends_to_host_serialized_and_validates() {
     };
     let cfg = GpuConfig {
         fault,
-        degrade: DegradePolicy::ladder(),
         ..GpuConfig::k20c()
     };
     let report = Benchmark::Amr
