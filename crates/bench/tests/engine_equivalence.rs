@@ -149,7 +149,7 @@ fn cold_warm_and_cached_paths_are_bit_identical() {
 /// Traces through the serving paths, not just aggregate stats: the JSONL
 /// export of a warm-pooled run and of a cache-hit run must be
 /// byte-identical to the cold run — same events, same order, same cycle
-/// stamps (cached reports carry the leader's recorded trace verbatim).
+/// stamps (cached reports carry the first run's recorded trace verbatim).
 #[test]
 fn warm_and_cached_traces_match_cold_byte_for_byte() {
     const TRACED: [Benchmark; 3] = [Benchmark::BfsUsaRoad, Benchmark::Amr, Benchmark::Bht];

@@ -2,14 +2,16 @@
 //! and the shutdown/persistence choreography tying the other modules
 //! together.
 //!
-//! Life of a `submit`: the connection thread registers a job, parks the
-//! spec, and enqueues a ticket on the [`AdmissionQueue`]; a worker pops
-//! the ticket (fairly interleaved across clients), records its admission
-//! wait, resolves the benchmark's [`CellSetup`] (built once per
+//! Life of a `submit`: the connection thread registers a queued job
+//! holding the spec in the [`JobTable`] and enqueues a ticket on the
+//! [`AdmissionQueue`]; a worker pops the ticket (fairly interleaved across
+//! clients), records its admission wait, takes the spec as it marks the
+//! job running, resolves the benchmark's [`CellSetup`] (built once per
 //! `(benchmark, scale, config)` and reused), and drives the cell through
-//! the shared [`BatchServer`] — which serves repeats from its LRU cache
-//! and memoizes deterministic errors. The outcome lands in the
-//! [`JobTable`], where `poll`/`wait`/`trace` find it.
+//! the shared [`BatchServer`] — which serves repeats from its LRU cache,
+//! memoizes deterministic errors, and runs a miss on a warm slot it checks
+//! out of its pool. The outcome lands in the job table, where
+//! `poll`/`wait`/`trace` find it.
 
 use crate::admission::{AdmissionQueue, Ticket};
 use crate::jobs::{JobState, JobTable, JobTraceError};
@@ -94,8 +96,6 @@ struct Shared {
     server: BatchServer<RunReport>,
     queue: AdmissionQueue,
     jobs: JobTable,
-    /// Submitted specs parked until a worker claims the job.
-    specs: Mutex<HashMap<u64, SubmitSpec>>,
     /// Built workload setups, reused across jobs that share a cell base.
     setups: Mutex<HashMap<SetupKey, Arc<CellSetup>>>,
     /// Admission/daemon metrics (the server keeps its own registry).
@@ -129,13 +129,7 @@ impl Shared {
             return;
         }
         for ticket in self.queue.close() {
-            self.jobs.complete(
-                ticket.job,
-                Err(SimError::Cancelled {
-                    cycle: 0,
-                    stats: Box::new(Stats::default()),
-                }),
-            );
+            self.jobs.complete(ticket.job, Err(cancelled()));
         }
         // Unblock the blocking accept() so its thread can observe `stop`.
         let _ = TcpStream::connect(self.addr);
@@ -173,10 +167,13 @@ impl DaemonHandle {
         }
         self.shared.persist_now();
     }
+}
 
-    /// The shared batch server's metrics (cache hits/misses, contention).
-    pub fn server_metrics(&self) -> MetricsRegistry {
-        self.shared.server.metrics()
+/// The outcome of a job the daemon drops unrun because it is stopping.
+fn cancelled() -> SimError {
+    SimError::Cancelled {
+        cycle: 0,
+        stats: Box::new(Stats::default()),
     }
 }
 
@@ -211,7 +208,6 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
     let shared = Arc::new(Shared {
         queue: AdmissionQueue::new(cfg.fair),
         jobs: JobTable::new(),
-        specs: Mutex::new(HashMap::new()),
         setups: Mutex::new(HashMap::new()),
         registry: Mutex::new(MetricsRegistry::new()),
         stop: AtomicBool::new(false),
@@ -441,10 +437,9 @@ fn submit(shared: &Arc<Shared>, spec: SubmitSpec) -> Json {
     if shared.stop.load(Ordering::SeqCst) {
         return error_frame(ErrorKind::ShuttingDown, "daemon is stopping");
     }
-    let job = shared.jobs.create();
     let weight = spec.weight;
     let client = spec.client.clone();
-    shared.specs.lock().unwrap().insert(job, spec);
+    let job = shared.jobs.create(spec);
     let accepted = shared.queue.push(
         Ticket {
             client,
@@ -454,7 +449,7 @@ fn submit(shared: &Arc<Shared>, spec: SubmitSpec) -> Json {
         weight,
     );
     if !accepted {
-        shared.specs.lock().unwrap().remove(&job);
+        shared.jobs.complete(job, Err(cancelled()));
         return error_frame(ErrorKind::ShuttingDown, "admission queue closed");
     }
     ok_frame(vec![("job".into(), Json::Num(job as f64))])
@@ -511,14 +506,11 @@ fn worker_loop(shared: &Arc<Shared>) {
             reg.observe("admission.wait_us", wait_us);
             reg.observe(&format!("admission.wait_us.{}", ticket.client), wait_us);
         }
-        shared.jobs.set_running(ticket.job);
-        let spec = shared.specs.lock().unwrap().remove(&ticket.job);
-        let result = match spec {
-            Some(spec) => run_spec(shared, &spec),
-            None => Err(SimError::KernelBuild {
-                detail: "submission spec lost".into(),
-            }),
+        // Only a popped ticket starts its job, so the job is queued.
+        let Some(spec) = shared.jobs.start(ticket.job) else {
+            continue;
         };
+        let result = run_spec(shared, &spec);
         // Count before waking waiters so a metrics read right after a
         // `wait` returns already sees this completion.
         let done = shared.completed.fetch_add(1, Ordering::SeqCst) + 1;

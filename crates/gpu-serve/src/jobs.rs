@@ -1,7 +1,9 @@
 //! The job table: every submitted cell gets a monotonically increasing
 //! job id whose lifecycle (`queued → running → done`) connection threads
-//! query with `poll` and block on with `wait`.
+//! query with `poll` and block on with `wait`. A queued job holds its
+//! submission until a worker takes it.
 
+use crate::wire::SubmitSpec;
 use gpu_sim::SimError;
 use gpu_trace::TraceData;
 use std::collections::HashMap;
@@ -12,8 +14,8 @@ use workloads::RunReport;
 /// A job's current state.
 #[derive(Clone, Debug)]
 pub enum JobState {
-    /// In the admission queue.
-    Queued,
+    /// In the admission queue, holding the submission a worker will run.
+    Queued(Box<SubmitSpec>),
     /// Claimed by a warm-pool worker.
     Running,
     /// Finished. The report's trace (if recorded) is kept apart for the
@@ -27,7 +29,7 @@ impl JobState {
     /// Wire name of the state.
     pub fn name(&self) -> &'static str {
         match self {
-            JobState::Queued => "queued",
+            JobState::Queued(_) => "queued",
             JobState::Running => "running",
             JobState::Done(_) => "done",
         }
@@ -55,21 +57,25 @@ impl JobTable {
         JobTable::default()
     }
 
-    /// Registers a new queued job and returns its id.
-    pub fn create(&self) -> u64 {
+    /// Registers a new queued job for `spec` and returns its id.
+    pub fn create(&self, spec: SubmitSpec) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         inner.next += 1;
         let id = inner.next;
-        inner.states.insert(id, JobState::Queued);
+        inner.states.insert(id, JobState::Queued(Box::new(spec)));
         id
     }
 
-    /// Marks a job as claimed by a worker.
-    pub fn set_running(&self, job: u64) {
+    /// Marks a queued job as claimed by a worker and hands over its
+    /// submission; `None` (and no change) unless the job is queued.
+    pub fn start(&self, job: u64) -> Option<SubmitSpec> {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(s) = inner.states.get_mut(&job) {
-            *s = JobState::Running;
-        }
+        let (next, spec) = match inner.states.remove(&job)? {
+            JobState::Queued(spec) => (JobState::Running, Some(*spec)),
+            other => (other, None),
+        };
+        inner.states.insert(job, next);
+        spec
     }
 
     /// Records a job's outcome and wakes every `wait`er.
@@ -145,8 +151,23 @@ pub enum JobTraceError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::ConfigPreset;
     use gpu_sim::Stats;
-    use workloads::Variant;
+    use workloads::{Benchmark, Scale, Variant};
+
+    fn spec() -> SubmitSpec {
+        SubmitSpec {
+            benchmark: Benchmark::Amr,
+            variant: Variant::Flat,
+            scale: Scale::Test,
+            client: "c".into(),
+            weight: 1,
+            preset: ConfigPreset::TestSmall,
+            max_cycles: None,
+            cycle_cap: None,
+            trace: false,
+        }
+    }
 
     fn report() -> RunReport {
         RunReport {
@@ -160,19 +181,22 @@ mod tests {
     #[test]
     fn lifecycle_and_poll() {
         let t = JobTable::new();
-        let id = t.create();
+        let id = t.create(spec());
         assert_eq!(t.poll(id).unwrap().name(), "queued");
-        t.set_running(id);
+        assert_eq!(t.start(id), Some(spec()), "the worker takes the spec");
         assert_eq!(t.poll(id).unwrap().name(), "running");
+        assert_eq!(t.start(id), None, "a job starts once");
         t.complete(id, Ok(report()));
         assert_eq!(t.poll(id).unwrap().name(), "done");
         assert!(t.poll(id + 1).is_none());
+        assert_eq!(t.start(id), None, "a finished job never restarts");
+        assert_eq!(t.start(id + 1), None);
     }
 
     #[test]
     fn wait_times_out_then_succeeds() {
         let t = std::sync::Arc::new(JobTable::new());
-        let id = t.create();
+        let id = t.create(spec());
         assert!(matches!(t.wait(id, Duration::from_millis(10)), Err(true)));
         assert!(matches!(t.wait(9999, Duration::from_millis(1)), Err(false)));
         let t2 = std::sync::Arc::clone(&t);
@@ -185,7 +209,7 @@ mod tests {
     #[test]
     fn trace_is_taken_at_most_once() {
         let t = JobTable::new();
-        let id = t.create();
+        let id = t.create(spec());
         assert!(matches!(t.take_trace(id), Err(JobTraceError::NotDone)));
         let mut r = report();
         r.trace = Some(TraceData::default());
@@ -202,7 +226,7 @@ mod tests {
     fn poll_and_wait_never_copy_the_trace() {
         use gpu_trace::{EventKind, TraceEvent};
         let t = JobTable::new();
-        let id = t.create();
+        let id = t.create(spec());
         let events: Vec<TraceEvent> = (0..1000u32)
             .map(|i| TraceEvent {
                 cycle: u64::from(i),

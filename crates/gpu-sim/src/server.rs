@@ -3,13 +3,19 @@
 //!
 //! A sweep used to pay full simulator construction — page-table
 //! allocation, component building, workload decode — for every cell. This
-//! module turns that around: a [`BatchServer`] owns a pool of
-//! [`WarmSlot`]s (each holding one reusable [`Gpu`] instance) and a result
-//! cache keyed by [`CellKey`]. Submitting a batch drains the cells through
-//! the supervised sweep machinery ([`run_cells_supervised`]) — the shared
-//! work-stealing cursor *is* the submission queue, and the pool workers
-//! are the drain — while each worker binds its cell onto a pooled
-//! instance via [`Gpu::reset_bind`] instead of building a fresh one.
+//! module turns that around: a [`BatchServer`] is a result cache keyed by
+//! [`CellKey`] in front of one supervised fan-out
+//! ([`run_cells_supervised`]). Submitting a batch looks every key up once;
+//! the misses are drained by the sweep's workers, and each run checks a
+//! [`WarmSlot`] (one reusable [`Gpu`] instance) out of an idle list *by
+//! value*, binds its cell onto it via [`Gpu::reset_bind`] instead of
+//! building a fresh one, and checks it back in when it returns. A run that
+//! finds the list empty starts a fresh slot.
+//!
+//! A panicking cell drops the slot it holds while unwinding, so the
+//! `Gpu`'s drop hook records the crash context (simulated cycle, recent
+//! trace events) for its [`CrashReport`](crate::sweep::CrashReport), and
+//! the pool never hands out a half-run instance.
 //!
 //! Cache correctness is a bit-identity contract, not a heuristic: a key
 //! incorporates [`GpuConfig::content_hash`] (every artifact-relevant
@@ -27,12 +33,12 @@
 //! [`preload`](BatchServer::preload)) — the persistence layer in
 //! `gpu-serve` rides on that pair.
 //!
-//! Duplicate keys *within* one batch are deduplicated before fan-out
-//! (one leader runs, followers clone its cached result), so the hit rate
-//! on a batch with duplicates is deterministic rather than a race.
+//! The lookup happens once per batch, before fan-out, so the hit and miss
+//! counts are deterministic. A key submitted twice in one batch misses
+//! twice and runs twice, with identical results.
 
-// The result cache and leader election run per batch, outside any
-// simulated cycle; a keyed store is what they are.
+// The result cache is consulted per batch, outside any simulated cycle;
+// a keyed store is what it is.
 #![allow(clippy::disallowed_types)]
 
 use crate::config::GpuConfig;
@@ -42,8 +48,7 @@ use gpu_isa::Program;
 use gpu_trace::MetricsRegistry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
 /// Content address of one sweep cell: everything that determines the
 /// outcome a run produces — including the deterministic cut-short knobs,
@@ -80,8 +85,8 @@ pub struct CellKey {
 /// requested `(config, program)`: a warm rebind ([`Gpu::reset_bind`]) when
 /// the slot already holds an instance, a cold build the first time.
 ///
-/// Rebinding reinitializes every mutable field, so a slot whose previous
-/// run panicked (and abandoned the instance mid-cycle) is safe to reuse.
+/// Rebinding reinitializes every mutable field, so whatever the previous
+/// run left behind never reaches the next one.
 #[derive(Debug, Default)]
 pub struct WarmSlot {
     gpu: Option<Box<Gpu>>,
@@ -116,7 +121,7 @@ impl WarmSlot {
         self.warm_binds
     }
 
-    /// Cold builds paid by this slot (at most 1 unless the pool shrank).
+    /// Cold builds paid by this slot (at most 1).
     pub fn cold_builds(&self) -> u64 {
         self.cold_builds
     }
@@ -185,6 +190,12 @@ impl<T> CacheState<T> {
     }
 }
 
+/// Locks `m`, recovering the data if a panicking thread poisoned it: every
+/// critical section in this module leaves its data consistent.
+fn lock<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Warm-pool batch server: submit batches of cells, get supervised
 /// outcomes back, with repeated cells served from the result cache.
 ///
@@ -196,19 +207,21 @@ impl<T> CacheState<T> {
 pub struct BatchServer<T> {
     jobs: usize,
     retries: u32,
-    slots: Vec<Mutex<WarmSlot>>,
+    /// Slots no run has checked out, most recently returned last.
+    idle: Mutex<Vec<WarmSlot>>,
     cache: Mutex<CacheState<T>>,
     cache_limit: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    slot_contention: AtomicU64,
+    warm_binds: AtomicU64,
+    cold_builds: AtomicU64,
 }
 
 impl<T: Clone + Send> BatchServer<T> {
-    /// A server with `jobs` pool workers (and warm slots) and `retries`
-    /// supervised re-attempts for panicking cells. `jobs == 0` selects the
-    /// machine's available parallelism. The cache starts unbounded; see
+    /// A server with `jobs` pool workers and `retries` supervised
+    /// re-attempts for panicking cells. `jobs == 0` selects the machine's
+    /// available parallelism. The cache starts unbounded; see
     /// [`with_cache_limit`](Self::with_cache_limit).
     pub fn new(jobs: usize, retries: u32) -> Self {
         let jobs = if jobs == 0 {
@@ -219,13 +232,14 @@ impl<T: Clone + Send> BatchServer<T> {
         BatchServer {
             jobs,
             retries,
-            slots: (0..jobs).map(|_| Mutex::new(WarmSlot::new())).collect(),
+            idle: Mutex::new(Vec::new()),
             cache: Mutex::new(CacheState::new()),
             cache_limit: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            slot_contention: AtomicU64::new(0),
+            warm_binds: AtomicU64::new(0),
+            cold_builds: AtomicU64::new(0),
         }
     }
 
@@ -237,48 +251,25 @@ impl<T: Clone + Send> BatchServer<T> {
         self
     }
 
-    /// Width of the worker/slot pool.
+    /// Width of the worker pool.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Claims a free warm slot. With as many slots as workers a slot is
-    /// always available up to a transient race, so contention is rare —
-    /// but under a daemon's sustained load "rare" still adds up, so a
-    /// fully-locked pool parks the thread with bounded exponential
-    /// backoff (1 µs doubling to a 1 ms cap) instead of spinning, and
-    /// each full-pool miss bumps [`slot_contention`](Self::slot_contention).
-    /// A slot poisoned by a panicking run is recovered whole (the next
-    /// `bind` reinitializes the instance anyway).
-    fn acquire_slot(&self) -> MutexGuard<'_, WarmSlot> {
-        let mut backoff_us: u64 = 1;
-        loop {
-            for slot in &self.slots {
-                match slot.try_lock() {
-                    Ok(guard) => return guard,
-                    Err(TryLockError::Poisoned(poisoned)) => return poisoned.into_inner(),
-                    Err(TryLockError::WouldBlock) => {}
-                }
-            }
-            self.slot_contention.fetch_add(1, Ordering::Relaxed);
-            // park_timeout may wake spuriously; the loop re-scans either way.
-            std::thread::park_timeout(Duration::from_micros(backoff_us));
-            backoff_us = (backoff_us * 2).min(1024);
-        }
     }
 
     /// Runs one batch of cells and returns `(cell, outcome)` in input
     /// order.
     ///
     /// `key_of` gives each cell its content address (`None` = uncacheable,
-    /// always executed). Cells whose key is already cached are served
-    /// without running — an `Ok` as [`CellOutcome::Ok`], a memoized
-    /// deterministic error as [`CellOutcome::Err`]; duplicate keys within
-    /// the batch elect one leader per key and the followers clone the
-    /// leader's cached outcome. `run` executes one cell on a claimed
-    /// [`WarmSlot`]; it is called under the supervised sweep machinery, so
-    /// a panicking cell becomes [`CellOutcome::Crashed`] instead of taking
-    /// the batch down.
+    /// always executed). Every key is looked up once, before anything
+    /// runs: a cached `Ok` is served as [`CellOutcome::Ok`], a memoized
+    /// deterministic error as [`CellOutcome::Err`]. `run` executes each
+    /// other cell on a checked-out [`WarmSlot`]; it is called under the
+    /// supervised sweep machinery, so a panicking cell becomes
+    /// [`CellOutcome::Crashed`] (its report naming the cell's index in
+    /// `cells`) instead of taking the batch down. Each keyed `Ok` and each
+    /// deterministic error ([`SimError::is_deterministic`]) is then cached.
+    /// A host-dependent error or a crash never is: replaying it would pass
+    /// a transient off as the cell's answer.
     pub fn run_batch<C, F>(
         &self,
         cells: Vec<C>,
@@ -290,55 +281,51 @@ impl<T: Clone + Send> BatchServer<T> {
         F: Fn(&C, &mut WarmSlot) -> Result<T, SimError> + Sync,
     {
         let keys: Vec<Option<CellKey>> = cells.iter().map(&key_of).collect();
-        let mut outcomes: Vec<Option<CellOutcome<T, SimError>>> =
-            (0..cells.len()).map(|_| None).collect();
-
-        // Phase 1: serve keys cached by earlier batches, and elect one
-        // leader per fresh key so duplicates within this batch run once.
-        let mut leaders: Vec<usize> = Vec::new();
-        let mut followers: Vec<usize> = Vec::new();
+        let mut outcomes: Vec<Option<CellOutcome<T, SimError>>> = Vec::with_capacity(cells.len());
+        let mut misses: Vec<usize> = Vec::new();
         {
-            let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-            let mut elected: HashMap<&CellKey, usize> = HashMap::new();
+            let mut cache = lock(&self.cache);
             for (i, key) in keys.iter().enumerate() {
-                match key {
-                    Some(k) => {
-                        if let Some(cached) = cache.touch(k) {
-                            outcomes[i] = Some(Self::outcome_of(cached));
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                        } else if elected.contains_key(k) {
-                            followers.push(i);
-                        } else {
-                            elected.insert(k, i);
-                            leaders.push(i);
-                        }
+                let cached = key.as_ref().and_then(|k| cache.touch(k));
+                match cached {
+                    Some(Ok(v)) => outcomes.push(Some(CellOutcome::Ok(v.clone()))),
+                    Some(Err(e)) => outcomes.push(Some(CellOutcome::Err(e.clone()))),
+                    None => {
+                        outcomes.push(None);
+                        misses.push(i);
                     }
-                    None => leaders.push(i),
                 }
             }
         }
+        self.hits
+            .fetch_add((cells.len() - misses.len()) as u64, Ordering::Relaxed);
+        self.misses
+            .fetch_add(misses.len() as u64, Ordering::Relaxed);
 
-        // Phase 2: drain the leaders through the supervised worker pool.
-        self.execute(&cells, &keys, leaders, &mut outcomes, &run);
-
-        // Phase 3: followers clone their leader's now-cached outcome;
-        // those whose leader left no cache entry (a crash, or a
-        // host-dependent error) re-run.
-        let mut orphaned: Vec<usize> = Vec::new();
-        {
-            let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-            for i in followers {
-                let key = keys[i].as_ref().expect("followers are keyed");
-                match cache.touch(key) {
-                    Some(cached) => {
-                        outcomes[i] = Some(Self::outcome_of(cached));
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => orphaned.push(i),
+        let ran = run_cells_supervised(misses, self.jobs, self.retries, |&i: &usize| {
+            let mut slot = self.checkout();
+            let result = run(&cells[i], &mut slot);
+            self.check_in(slot);
+            result
+        });
+        let mut fresh = Vec::new();
+        for (i, mut outcome) in ran {
+            let memo = match &mut outcome {
+                CellOutcome::Ok(result) => Some(Ok(result.clone())),
+                CellOutcome::Err(e) if e.is_deterministic() => Some(Err(e.clone())),
+                CellOutcome::Err(_) => None,
+                // The sweep numbered the misses; report the batch index.
+                CellOutcome::Crashed(crash) => {
+                    crash.cell = i;
+                    None
                 }
+            };
+            if let (Some(key), Some(value)) = (&keys[i], memo) {
+                fresh.push((key.clone(), value));
             }
+            outcomes[i] = Some(outcome);
         }
-        self.execute(&cells, &keys, orphaned, &mut outcomes, &run);
+        self.insert_all(fresh);
 
         cells
             .into_iter()
@@ -347,63 +334,31 @@ impl<T: Clone + Send> BatchServer<T> {
             .collect()
     }
 
-    fn outcome_of(cached: &Result<T, SimError>) -> CellOutcome<T, SimError> {
-        match cached {
-            Ok(v) => CellOutcome::Ok(v.clone()),
-            Err(e) => CellOutcome::Err(e.clone()),
-        }
+    /// Takes an idle slot, or a fresh one when every slot is checked out.
+    fn checkout(&self) -> WarmSlot {
+        lock(&self.idle).pop().unwrap_or_default()
     }
 
-    /// Runs the cells at `indices` on the warm pool, caching each keyed
-    /// `Ok` and each deterministic error
-    /// ([`SimError::is_deterministic`]) under its key, and writing
-    /// outcomes back in place. A host-dependent error or a crash is never
-    /// cached: replaying it would pass a transient off as the cell's
-    /// answer.
-    fn execute<C, F>(
-        &self,
-        cells: &[C],
-        keys: &[Option<CellKey>],
-        indices: Vec<usize>,
-        outcomes: &mut [Option<CellOutcome<T, SimError>>],
-        run: &F,
-    ) where
-        C: Send + Sync,
-        F: Fn(&C, &mut WarmSlot) -> Result<T, SimError> + Sync,
-    {
-        if indices.is_empty() {
-            return;
-        }
-        self.misses
-            .fetch_add(indices.len() as u64, Ordering::Relaxed);
-        let ran = run_cells_supervised(indices, self.jobs, self.retries, |&i: &usize| {
-            let mut slot = self.acquire_slot();
-            run(&cells[i], &mut slot)
-        });
-        for (i, outcome) in ran {
-            if let Some(key) = &keys[i] {
-                let cacheable = match &outcome {
-                    CellOutcome::Ok(result) => Some(Ok(result.clone())),
-                    CellOutcome::Err(e) if e.is_deterministic() => Some(Err(e.clone())),
-                    CellOutcome::Err(_) | CellOutcome::Crashed(_) => None,
-                };
-                if let Some(value) = cacheable {
-                    self.store(key.clone(), value);
-                }
-            }
-            outcomes[i] = Some(outcome);
-        }
+    /// Returns a slot to the idle list, folding its bind counts into the
+    /// server's. A slot whose run panicked never comes back: it is dropped
+    /// during the unwind, its last bind uncounted.
+    fn check_in(&self, mut slot: WarmSlot) {
+        self.warm_binds
+            .fetch_add(std::mem::take(&mut slot.warm_binds), Ordering::Relaxed);
+        self.cold_builds
+            .fetch_add(std::mem::take(&mut slot.cold_builds), Ordering::Relaxed);
+        lock(&self.idle).push(slot);
     }
 
-    /// Inserts one entry, enforcing the LRU bound.
-    fn store(&self, key: CellKey, value: Result<T, SimError>) {
-        let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-        cache.insert(key, value);
+    /// Inserts entries in order, then enforces the LRU bound.
+    fn insert_all(&self, entries: Vec<(CellKey, Result<T, SimError>)>) {
+        let mut cache = lock(&self.cache);
+        for (key, value) in entries {
+            cache.insert(key, value);
+        }
         if let Some(limit) = self.cache_limit {
             let evicted = cache.evict_to(limit);
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            }
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
     }
 
@@ -411,7 +366,7 @@ impl<T: Clone + Send> BatchServer<T> {
     /// so replaying it through [`preload`](Self::preload) reconstructs the
     /// same eviction priority. The live cache is untouched.
     pub fn export_cache(&self) -> Vec<(CellKey, Result<T, SimError>)> {
-        let cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
+        let cache = lock(&self.cache);
         let mut entries: Vec<(&CellKey, &CacheEntry<T>)> = cache.entries.iter().collect();
         entries.sort_by_key(|(_, e)| e.last_used);
         entries
@@ -424,20 +379,11 @@ impl<T: Clone + Send> BatchServer<T> {
     /// enforcing the LRU bound after the load. Counters are untouched —
     /// preloaded entries count as neither hits nor misses until used.
     pub fn preload(&self, entries: Vec<(CellKey, Result<T, SimError>)>) {
-        let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-        for (key, value) in entries {
-            cache.insert(key, value);
-        }
-        if let Some(limit) = self.cache_limit {
-            let evicted = cache.evict_to(limit);
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            }
-        }
+        self.insert_all(entries);
     }
 
-    /// Cells served from the cache so far (including intra-batch
-    /// followers and memoized deterministic errors).
+    /// Cells served from the cache so far (including memoized
+    /// deterministic errors).
     pub fn cache_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -452,52 +398,35 @@ impl<T: Clone + Send> BatchServer<T> {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Full-pool scans that found every slot busy and parked.
-    pub fn slot_contention(&self) -> u64 {
-        self.slot_contention.load(Ordering::Relaxed)
-    }
-
     /// Number of distinct outcomes currently cached.
     pub fn cached_results(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entries
-            .len()
+        lock(&self.cache).entries.len()
     }
 
     /// Drops every cached outcome (the counters keep their totals).
     pub fn clear_cache(&self) {
-        let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-        cache.entries.clear();
+        lock(&self.cache).entries.clear();
     }
 
-    /// Warm rebinds across the slot pool.
+    /// Warm rebinds by runs that returned their slot.
     pub fn warm_binds(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).warm_binds())
-            .sum()
+        self.warm_binds.load(Ordering::Relaxed)
     }
 
-    /// Cold simulator builds across the slot pool.
+    /// Cold simulator builds by runs that returned their slot.
     pub fn cold_builds(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).cold_builds())
-            .sum()
+        self.cold_builds.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the server counters as a metrics registry:
     /// `server.cache_hits`, `server.cache_misses`, `server.cache_evictions`,
-    /// `server.slot_contention`, `server.warm_binds`, `server.cold_builds`
-    /// counters plus a `server.cached_results` gauge.
+    /// `server.warm_binds`, `server.cold_builds` counters plus a
+    /// `server.cached_results` gauge.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.inc("server.cache_hits", self.cache_hits());
         reg.inc("server.cache_misses", self.cache_misses());
         reg.inc("server.cache_evictions", self.cache_evictions());
-        reg.inc("server.slot_contention", self.slot_contention());
         reg.inc("server.warm_binds", self.warm_binds());
         reg.inc("server.cold_builds", self.cold_builds());
         reg.set_gauge("server.cached_results", self.cached_results() as f64);
@@ -538,9 +467,9 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_in_one_batch_hit_deterministically() {
+    fn duplicates_each_run_once_and_a_repeat_batch_is_all_hits() {
         let server: BatchServer<u64> = BatchServer::new(4, 0);
-        // 4 unique keys, each submitted twice.
+        // 4 unique keys, each submitted twice: every copy misses and runs.
         let cells: Vec<u32> = (0..8).collect();
         let out = server.run_batch(
             cells,
@@ -554,8 +483,8 @@ mod tests {
                 other => panic!("cell {c}: {other:?}"),
             }
         }
-        assert_eq!(server.cache_hits(), 4, "one follower per key");
-        assert_eq!(server.cache_misses(), 4, "one leader per key");
+        assert_eq!(server.cache_hits(), 0, "the lookup precedes the fan-out");
+        assert_eq!(server.cache_misses(), 8, "each duplicate runs once");
         assert_eq!(server.cached_results(), 4);
 
         // A repeat batch is served entirely from cache.
@@ -565,49 +494,28 @@ mod tests {
             |_, _| -> Result<u64, SimError> { panic!("must not execute") },
         );
         assert_eq!(out2.len(), 8);
-        assert_eq!(server.cache_hits(), 12);
-        assert_eq!(server.cache_misses(), 4);
-    }
-
-    #[test]
-    fn failed_leaders_are_not_cached_and_followers_rerun() {
-        let server: BatchServer<u64> = BatchServer::new(2, 0);
-        // Both cells share a key; the leader is cancelled, so the
-        // follower must execute instead of inheriting the transient.
-        let out = server.run_batch(
-            vec![0u32, 1u32],
-            |_| Some(key("shared")),
-            |c, _| if *c == 0 { Err(cancelled()) } else { Ok(42) },
-        );
-        assert!(matches!(
-            out[0].1,
-            CellOutcome::Err(SimError::Cancelled { cycle: 3, .. })
-        ));
-        assert!(matches!(out[1].1, CellOutcome::Ok(42)));
-        assert_eq!(server.cache_misses(), 2, "follower re-ran");
-        assert_eq!(server.cache_hits(), 0);
-        assert_eq!(
-            server.cached_results(),
-            1,
-            "the follower's Ok is cached for next time"
-        );
+        assert_eq!(server.cache_hits(), 8);
+        assert_eq!(server.cache_misses(), 8);
     }
 
     #[test]
     fn errors_are_memoized_iff_deterministic() {
         let server: BatchServer<u64> = BatchServer::new(2, 0);
-        // A deterministic leader's error is cached, so its in-batch
-        // follower is served the same error without running.
         let out = server.run_batch(
-            vec![0u32, 1u32],
+            vec![0u32],
             |_| Some(key("det")),
-            |c, _| {
-                assert_eq!(*c, 0, "the follower must not execute");
-                Err(cycle_limit())
-            },
+            |_, _| Err::<u64, _>(cycle_limit()),
         );
-        assert!(is_cycle_limit(&out[0].1) && is_cycle_limit(&out[1].1));
+        assert!(is_cycle_limit(&out[0].1));
         assert_eq!(server.cached_results(), 1, "deterministic error cached");
+
+        // The next batch is served the same error without running.
+        let out = server.run_batch(
+            vec![1u32],
+            |_| Some(key("det")),
+            |_, _| -> Result<u64, SimError> { panic!("must not execute") },
+        );
+        assert!(is_cycle_limit(&out[0].1));
         assert_eq!((server.cache_misses(), server.cache_hits()), (1, 1));
 
         // The resubmission is served from cache, not re-executed.
@@ -718,9 +626,26 @@ mod tests {
         );
         assert!(out[0].1.is_crashed());
         assert_eq!(server.cached_results(), 0);
-        // The poisoned slot recovers: the next batch reuses the pool.
+        // The crashed run's slot is gone; the next batch starts a fresh one.
         let out = server.run_batch(vec![1u32], |_| Some(key("fine")), |_, _| Ok(1));
         assert!(matches!(out[0].1, CellOutcome::Ok(1)));
+    }
+
+    #[test]
+    fn crash_report_names_the_batch_index() {
+        let server: BatchServer<u64> = BatchServer::new(1, 0);
+        let _ = server.run_batch(vec![0u32], |_| Some(key("cached")), |_, _| Ok(1));
+        let names = ["cached", "boom"];
+        let out = server.run_batch(
+            vec![0usize, 1],
+            |&c| Some(key(names[c])),
+            |_, _| -> Result<u64, SimError> { panic!("cell panic") },
+        );
+        assert!(matches!(out[0].1, CellOutcome::Ok(1)));
+        let CellOutcome::Crashed(report) = &out[1].1 else {
+            panic!("expected a crash report, got {:?}", out[1].1);
+        };
+        assert_eq!(report.cell, 1, "the index in the batch, not among misses");
     }
 
     /// out[i] = i over two thread blocks — the doc-example program.
@@ -768,10 +693,48 @@ mod tests {
         assert_eq!(slot.warm_binds(), 1);
     }
 
+    /// A cell that panics on its pooled instance drops the slot while
+    /// unwinding, so the `Gpu` drop hook stashes the crash context.
+    #[test]
+    fn pooled_crash_keeps_its_context() {
+        let (prog, k) = iota_program();
+        let mut cfg = GpuConfig::test_small();
+        cfg.trace = gpu_trace::TraceConfig::all();
+        let server: BatchServer<u64> = BatchServer::new(1, 0);
+        let out = server.run_batch(
+            vec![0u32],
+            |_| Some(key("traced")),
+            |_, slot| -> Result<u64, SimError> {
+                let _ = run_iota(slot.bind(cfg.clone(), prog.clone()), k);
+                panic!("crash after a traced run");
+            },
+        );
+        let CellOutcome::Crashed(report) = &out[0].1 else {
+            panic!("expected a crash report, got {:?}", out[0].1);
+        };
+        assert_eq!(report.payload, "crash after a traced run");
+        assert!(report.cycle.is_some(), "the pooled Gpu's drop hook ran");
+        assert!(
+            !report.recent_events.is_empty(),
+            "the recorder's ring came along"
+        );
+
+        // The next run builds a fresh instance, and only its bind counts.
+        let out = server.run_batch(
+            vec![1u32],
+            |_| Some(key("after")),
+            |_, slot| Ok(run_iota(slot.bind(cfg.clone(), prog.clone()), k).0.cycles),
+        );
+        assert!(matches!(out[0].1, CellOutcome::Ok(_)));
+        assert_eq!((server.cold_builds(), server.warm_binds()), (1, 0));
+    }
+
     #[test]
     fn metrics_snapshot_matches_counters() {
         let server: BatchServer<u64> = BatchServer::new(2, 0);
-        let _ = server.run_batch(vec![0u32, 0u32], |_| Some(key("m")), |_, _| Ok(9));
+        for _ in 0..2 {
+            let _ = server.run_batch(vec![0u32], |_| Some(key("m")), |_, _| Ok(9));
+        }
         let reg = server.metrics();
         assert_eq!(reg.counter("server.cache_hits"), 1);
         assert_eq!(reg.counter("server.cache_misses"), 1);

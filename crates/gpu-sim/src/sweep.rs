@@ -78,7 +78,9 @@ fn take_crash_context() -> Option<(u64, Vec<TraceEvent>)> {
 /// simulation was, and what the machine last did.
 #[derive(Debug)]
 pub struct CrashReport {
-    /// Input-order index of the crashed cell.
+    /// Input-order index of the crashed cell: its position in the list
+    /// handed to the sweep, or in the batch submitted to
+    /// [`BatchServer::run_batch`](crate::BatchServer::run_batch).
     pub cell: usize,
     /// Attempts made in total (first run + retries).
     pub attempts: u32,

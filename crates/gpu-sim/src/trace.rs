@@ -6,8 +6,9 @@
 //! cycle-less [`gpu_trace::EventKind`] payloads in an embedded
 //! [`gpu_trace::TraceBuffer`]; once per cycle [`Gpu::step`] drains them
 //! all into the central [`gpu_trace::Recorder`], stamping the current
-//! cycle. The drain order is fixed (KMU, distributor, pool, FCFS, SMXs,
-//! memory) so traces are deterministic for a given run.
+//! cycle. The drain order is fixed (KMU, distributor, pool, FCFS, SMXs in
+//! index order, memory) so traces are deterministic for a given run; it is
+//! part of the trace's byte format.
 
 use crate::gpu::Gpu;
 use gpu_trace::{MetricsSample, TraceData};
@@ -45,8 +46,9 @@ impl Gpu {
         self.tracer.absorb(now, self.kd.trace_mut());
         self.pool.drain_trace(now, &mut self.tracer);
         self.tracer.absorb(now, self.fcfs.trace_mut());
-        self.tracer
-            .absorb_shards(now, self.smxs.iter_mut().map(crate::smx::Smx::trace_mut));
+        for s in &mut self.smxs {
+            self.tracer.absorb(now, s.trace_mut());
+        }
         self.timing.drain_trace(now, &mut self.tracer);
     }
 

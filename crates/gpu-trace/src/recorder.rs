@@ -166,19 +166,6 @@ impl Recorder {
         }
     }
 
-    /// Absorbs a sequence of staging buffers in the iterator's order,
-    /// stamping every payload with `cycle`. The simulator drains its
-    /// per-SMX trace buffers through this in SMX-index order each traced
-    /// cycle; that fixed merge order is part of the trace's byte format.
-    pub fn absorb_shards<'a, I>(&mut self, cycle: u64, shards: I)
-    where
-        I: IntoIterator<Item = &'a mut TraceBuffer>,
-    {
-        for buf in shards {
-            self.absorb(cycle, buf);
-        }
-    }
-
     /// Appends one metrics time-series sample.
     pub fn push_sample(&mut self, sample: MetricsSample) {
         self.samples.push(sample);
@@ -343,32 +330,6 @@ mod tests {
         assert_eq!(data.events.len(), 3);
         assert_eq!(data.dropped, 2);
         assert_eq!(r.dropped(), 0, "take resets the counter");
-    }
-
-    #[test]
-    fn absorb_shards_merges_in_iteration_order() {
-        let mut r = Recorder::new(TraceConfig::all());
-        let mut bufs: Vec<TraceBuffer> = (0..3).map(|_| TraceBuffer::default()).collect();
-        for (i, b) in bufs.iter_mut().enumerate() {
-            b.set_mask(r.mask());
-            b.push(EventKind::TbRetire {
-                smx: i as u32,
-                slot: 0,
-                kde: 0,
-            });
-        }
-        r.absorb_shards(7, bufs.iter_mut());
-        assert!(bufs.iter().all(TraceBuffer::is_empty));
-        let evs = r.take().events;
-        let smxs: Vec<u32> = evs
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::TbRetire { smx, .. } => smx,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(smxs, vec![0, 1, 2], "shard order preserved");
-        assert!(evs.iter().all(|e| e.cycle == 7));
     }
 
     #[test]
