@@ -8,12 +8,16 @@
 //! round-robin turn before the rotation moves on. FCFS mode (the
 //! `--fair` flag off) is a single global queue.
 //!
-//! The contract the daemon documents and the crate's loopback tests
-//! enforce: under symmetric load with equal weights, no client's p95
-//! admission latency exceeds 3× another's.
+//! Only cache misses enter the queue: a cell whose result is cached is
+//! answered on its connection thread at admission and never queues. The
+//! contract the daemon documents and the crate's loopback tests enforce
+//! therefore covers misses, as does the `admission.wait_us` histogram:
+//! under symmetric load with equal weights, no client's p95 admission
+//! latency exceeds 3× another's.
 
+use crate::lock;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One queued job: who submitted it, which job id it resolves, and when
@@ -85,7 +89,7 @@ impl AdmissionQueue {
     /// latest submitted weight wins; clamped to ≥ 1). Returns `false`
     /// if the queue is closed and the ticket was refused.
     pub fn push(&self, ticket: Ticket, weight: u64) -> bool {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return false;
         }
@@ -113,7 +117,7 @@ impl AdmissionQueue {
     /// Blocks until a ticket is available or the queue closes; `None`
     /// means closed *and* drained — workers should exit.
     pub fn pop(&self) -> Option<Ticket> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(t) = Self::take(self.fair, &mut inner) {
                 inner.depth -= 1;
@@ -122,7 +126,10 @@ impl AdmissionQueue {
             if inner.closed {
                 return None;
             }
-            inner = self.ready.wait(inner).unwrap();
+            inner = self
+                .ready
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -162,14 +169,14 @@ impl AdmissionQueue {
 
     /// Current number of queued tickets (for the queue-depth gauge).
     pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().depth
+        lock(&self.inner).depth
     }
 
     /// Closes the queue: future pushes are refused, blocked workers wake,
     /// and every still-queued ticket is returned so the caller can fail
     /// the corresponding jobs instead of leaving waiters hanging.
     pub fn close(&self) -> Vec<Ticket> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.closed = true;
         let mut drained: Vec<Ticket> = inner.fifo.drain(..).collect();
         let clients: Vec<String> = inner.order.drain(..).collect();

@@ -2,9 +2,12 @@
 //! NDJSON protocol, used by the `gpu-serve-client` binary and the
 //! loopback tests.
 
-use crate::wire::{read_done_frame, report_from_json, submit_to_json, SubmitSpec, PROTO_VERSION};
+use crate::wire::{
+    done_frame_from_json, read_done_frame, submit_to_json, SubmitSpec, PROTO_VERSION,
+};
 use gpu_trace::json::Json;
 use gpu_trace::TraceData;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -56,11 +59,22 @@ pub enum JobStatus {
     Done(Box<RunReport>),
 }
 
+/// A reply line, decoded.
+enum Reply {
+    /// A done frame: the job and its report.
+    Done(u64, Box<RunReport>),
+    /// Any other success frame.
+    Other(Json),
+}
+
 /// One blocking connection to a daemon.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     jobs: u64,
+    /// Reports that came back in a `submit` reply (the daemon's cache
+    /// answered at admission), until `wait` claims them.
+    done: HashMap<u64, RunReport>,
 }
 
 impl Client {
@@ -73,6 +87,7 @@ impl Client {
             reader: BufReader::new(stream),
             writer,
             jobs: 0,
+            done: HashMap::new(),
         };
         let hello = parse_reply(&client.read_raw_line()?)?;
         if hello.get("hello").and_then(Json::as_str) != Some("gpu-serve") {
@@ -120,45 +135,50 @@ impl Client {
         parse_reply(&self.exchange(frame)?)
     }
 
-    /// Submits a cell; returns its job id.
+    /// Submits a cell; returns its job id. When the daemon's cache answers
+    /// the cell at admission, the reply already carries the report, and
+    /// [`wait`](Self::wait) / [`poll`](Self::poll) of the job answer from
+    /// it without a round trip.
     pub fn submit(&mut self, spec: &SubmitSpec) -> Result<u64, ClientError> {
-        let reply = self.request(&submit_to_json(spec))?;
-        reply
-            .get("job")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ClientError::Protocol("submit reply without job id".into()))
+        match read_reply(&self.exchange(&submit_to_json(spec))?)? {
+            Reply::Done(job, report) => {
+                self.done.insert(job, *report);
+                Ok(job)
+            }
+            Reply::Other(reply) => reply
+                .get("job")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| ClientError::Protocol("submit reply without job id".into())),
+        }
     }
 
     /// Non-blocking status query.
     pub fn poll(&mut self, job: u64) -> Result<JobStatus, ClientError> {
+        if let Some(report) = self.done.get(&job) {
+            return Ok(JobStatus::Done(Box::new(report.clone())));
+        }
         let line = self.exchange(&Json::Obj(vec![
             ("op".into(), Json::Str("poll".into())),
             ("job".into(), Json::Num(job as f64)),
         ]))?;
-        // The daemon's done frame, read in one pass; any other line, or
-        // a done frame in another spelling, goes down the tree path.
-        if let Some(report) = read_done_frame(&line, job) {
-            return Ok(JobStatus::Done(Box::new(report)));
-        }
-        let reply = parse_reply(&line)?;
-        match reply.get("state").and_then(Json::as_str) {
-            Some("queued") => Ok(JobStatus::Queued),
-            Some("running") => Ok(JobStatus::Running),
-            Some("done") => {
-                let report = reply
-                    .get("report")
-                    .ok_or_else(|| ClientError::Protocol("done frame without report".into()))?;
-                Ok(JobStatus::Done(Box::new(
-                    report_from_json(report).map_err(ClientError::Protocol)?,
-                )))
-            }
-            other => Err(ClientError::Protocol(format!("bad poll state {other:?}"))),
+        match read_reply(&line)? {
+            Reply::Done(got, report) => done_for(job, got, report).map(JobStatus::Done),
+            Reply::Other(reply) => match reply.get("state").and_then(Json::as_str) {
+                Some("queued") => Ok(JobStatus::Queued),
+                Some("running") => Ok(JobStatus::Running),
+                other => Err(ClientError::Protocol(format!("bad poll state {other:?}"))),
+            },
         }
     }
 
     /// Blocks (server-side) until the job finishes; failed jobs surface
-    /// as `ClientError::Server { kind: "sim", .. }`.
+    /// as `ClientError::Server { kind: "sim", .. }`. A job whose report
+    /// came back with its `submit` returns it at once, with no round
+    /// trip, and only the first time.
     pub fn wait(&mut self, job: u64, timeout: Duration) -> Result<RunReport, ClientError> {
+        if let Some(report) = self.done.remove(&job) {
+            return Ok(report);
+        }
         let line = self.exchange(&Json::Obj(vec![
             ("op".into(), Json::Str("wait".into())),
             ("job".into(), Json::Num(job as f64)),
@@ -167,14 +187,10 @@ impl Client {
                 Json::Num(timeout.as_millis().min(u64::MAX as u128) as f64),
             ),
         ]))?;
-        if let Some(report) = read_done_frame(&line, job) {
-            return Ok(report);
+        match read_reply(&line)? {
+            Reply::Done(got, report) => done_for(job, got, report).map(|r| *r),
+            Reply::Other(_) => Err(ClientError::Protocol("wait reply without report".into())),
         }
-        let reply = parse_reply(&line)?;
-        let report = reply
-            .get("report")
-            .ok_or_else(|| ClientError::Protocol("wait reply without report".into()))?;
-        report_from_json(report).map_err(ClientError::Protocol)
     }
 
     /// Streams and reassembles a finished job's recorded trace. `None`
@@ -227,6 +243,33 @@ impl Client {
             Json::Str("shutdown".into()),
         )]))?;
         Ok(())
+    }
+}
+
+/// Decodes a reply line: a done frame in the daemon's canonical spelling
+/// in one pass, any other line (or a done frame spelled otherwise) as a
+/// tree, with an error frame turned into [`ClientError::Server`].
+fn read_reply(line: &str) -> Result<Reply, ClientError> {
+    if let Some((job, report)) = read_done_frame(line) {
+        return Ok(Reply::Done(job, Box::new(report)));
+    }
+    let reply = parse_reply(line)?;
+    Ok(
+        match done_frame_from_json(&reply).map_err(ClientError::Protocol)? {
+            Some((job, report)) => Reply::Done(job, Box::new(report)),
+            None => Reply::Other(reply),
+        },
+    )
+}
+
+/// The report of a done frame answering a request about `job`.
+fn done_for(job: u64, got: u64, report: Box<RunReport>) -> Result<Box<RunReport>, ClientError> {
+    if got == job {
+        Ok(report)
+    } else {
+        Err(ClientError::Protocol(format!(
+            "done frame for job {got} in reply to job {job}"
+        )))
     }
 }
 

@@ -2,26 +2,36 @@
 //! and the shutdown/persistence choreography tying the other modules
 //! together.
 //!
-//! Life of a `submit`: the connection thread registers a queued job
-//! holding the spec in the [`JobTable`] and enqueues a ticket on the
-//! [`AdmissionQueue`]; a worker pops the ticket (fairly interleaved across
-//! clients), records its admission wait, takes the spec as it marks the
-//! job running, resolves the benchmark's [`CellSetup`] (built once per
-//! `(benchmark, scale, config)` and reused), and drives the cell through
-//! the shared [`BatchServer`] — which serves repeats from its LRU cache,
-//! memoizes deterministic errors, and runs a miss on a warm slot it checks
-//! out of its pool. The outcome lands in the job table, where
-//! `poll`/`wait`/`trace` find it.
+//! Life of a `submit`: the connection thread computes the cell's content
+//! address ([`SubmitSpec::cell_key`]) and probes the shared
+//! [`BatchServer`]'s result cache ([`BatchServer::lookup`]).
+//!
+//! - A hit is answered right there: the thread registers the job as done
+//!   in the [`JobTable`] and replies with its done frame, written from the
+//!   report's body encoded once when it entered the cache
+//!   ([`EncodedReport`]). A memoized deterministic error is registered the
+//!   same way, but the reply is `{"ok":true,"job":N}` and `wait` returns
+//!   the `sim` error frame. A hit never queues behind a running miss.
+//! - A miss registers a queued job holding the spec and enqueues a ticket
+//!   on the [`AdmissionQueue`]. A worker pops the ticket (fairly
+//!   interleaved across clients), records its admission wait, takes the
+//!   spec as it marks the job running, resolves the benchmark's
+//!   [`CellSetup`] (built once per `(benchmark, scale, config)` and
+//!   reused), and drives the cell through the batch server, which looks
+//!   the key up again (an in-flight duplicate may have landed since),
+//!   memoizes deterministic errors, and runs a miss on a warm slot it
+//!   checks out of its pool. The report is encoded once and lands in the
+//!   cache and the job table, where `poll`/`wait`/`trace` find it.
 
 use crate::admission::{AdmissionQueue, Ticket};
-use crate::jobs::{JobState, JobTable, JobTraceError};
-use crate::persist;
+use crate::jobs::{JobState, JobTable, JobTraceError, Outcome};
 use crate::wire::{
     error_frame, hello_frame, metrics_to_json, ok_frame, parse_request, sim_error_frame,
-    write_done_frame, ErrorKind, Request, SubmitSpec,
+    write_done_body, EncodedReport, ErrorKind, Request, SubmitSpec,
 };
+use crate::{lock, persist};
 use gpu_sim::sweep::CellOutcome;
-use gpu_sim::{BatchServer, SimError, Stats};
+use gpu_sim::{BatchServer, CellKey, SimError, Stats};
 use gpu_trace::json::Json;
 use gpu_trace::MetricsRegistry;
 use std::collections::HashMap;
@@ -93,7 +103,8 @@ type SetupKey = (String, String, u64, u64);
 
 struct Shared {
     cfg: ServeConfig,
-    server: BatchServer<RunReport>,
+    /// The result cache and warm pool; each cached report is encoded once.
+    server: BatchServer<Arc<EncodedReport>>,
     queue: AdmissionQueue,
     jobs: JobTable,
     /// Built workload setups, reused across jobs that share a cell base.
@@ -111,14 +122,29 @@ impl Shared {
         let Some(path) = &self.cfg.cache_file else {
             return;
         };
-        let entries: Vec<_> = self
-            .server
-            .export_cache()
-            .into_iter()
-            .filter_map(|(k, v)| v.ok().map(|r| (k, r)))
+        let cached = self.server.export_cache();
+        let entries: Vec<(CellKey, &RunReport)> = cached
+            .iter()
+            .filter_map(|(k, v)| v.as_ref().ok().map(|r| (k.clone(), r.report())))
             .collect();
         if let Err(e) = persist::store(path, &entries) {
             eprintln!("gpu-serve: cache persist to {} failed: {e}", path.display());
+        }
+    }
+
+    /// Counts one completed job and returns the total. Call it before the
+    /// job's waiters wake (or its submitter hears back), so a metrics read
+    /// right after sees the completion; then hand the total to
+    /// [`Shared::persist_after`].
+    fn count_completion(&self) -> u64 {
+        self.completed.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Persists the cache if `done` completions make it due
+    /// (every `persist_every`).
+    fn persist_after(&self, done: u64) {
+        if self.cfg.persist_every > 0 && done.is_multiple_of(self.cfg.persist_every) {
+            self.persist_now();
         }
     }
 
@@ -201,7 +227,12 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
                 path.display()
             );
         }
-        server.preload(entries.into_iter().map(|(k, r)| (k, Ok(r))).collect());
+        server.preload(
+            entries
+                .into_iter()
+                .map(|(k, r)| (k, Ok(Arc::new(EncodedReport::new(r)))))
+                .collect(),
+        );
     }
 
     let worker_count = server.jobs();
@@ -351,19 +382,14 @@ fn dispatch(shared: &Arc<Shared>, writer: &TcpStream, line: &str) -> bool {
         }
     };
     match request {
-        Request::Submit(spec) => {
-            let frame = submit(shared, spec);
-            write_line(writer, &frame).is_ok()
-        }
+        Request::Submit(spec) => submit(shared, writer, spec).is_ok(),
         Request::Poll { job } => match shared.jobs.poll(job) {
             None => write_line(
                 writer,
                 &error_frame(ErrorKind::UnknownJob, &format!("job {job}")),
             ),
-            Some(JobState::Done(res)) => match *res {
-                Ok(report) => write_done(writer, job, &report),
-                Err(e) => write_line(writer, &sim_error_frame(&e)),
-            },
+            Some(JobState::Done(Ok(report))) => write_done(writer, job, &report),
+            Some(JobState::Done(Err(e))) => write_line(writer, &sim_error_frame(&e)),
             Some(state) => write_line(
                 writer,
                 &ok_frame(vec![
@@ -392,7 +418,7 @@ fn dispatch(shared: &Arc<Shared>, writer: &TcpStream, line: &str) -> bool {
         Request::Metrics => {
             let server_reg = shared.server.metrics();
             let mut daemon_reg = {
-                let reg = shared.registry.lock().unwrap();
+                let reg = lock(&shared.registry);
                 reg.clone()
             };
             daemon_reg.set_gauge("daemon.queue_depth", shared.queue.depth() as f64);
@@ -425,17 +451,38 @@ fn dispatch(shared: &Arc<Shared>, writer: &TcpStream, line: &str) -> bool {
     }
 }
 
-/// Writes a finished job's done frame straight from the report, without
-/// a `Json` tree.
-fn write_done(mut stream: &TcpStream, job: u64, report: &RunReport) -> std::io::Result<()> {
+/// Writes a finished job's done frame around its report's stored body,
+/// in one write.
+fn write_done(mut stream: &TcpStream, job: u64, report: &EncodedReport) -> std::io::Result<()> {
     let mut text = String::new();
-    write_done_frame(job, report, &mut text);
+    write_done_body(job, report.body(), &mut text);
     stream.write_all(text.as_bytes())
 }
 
-fn submit(shared: &Arc<Shared>, spec: SubmitSpec) -> Json {
+/// The `submit` reply that names a job without its report.
+fn job_frame(job: u64) -> Json {
+    ok_frame(vec![("job".into(), Json::Num(job as f64))])
+}
+
+/// Admits one submission and writes its reply: a cached cell is answered
+/// here with its done frame (a memoized error with its job id), a miss is
+/// queued for a worker.
+fn submit(shared: &Arc<Shared>, writer: &TcpStream, spec: SubmitSpec) -> std::io::Result<()> {
     if shared.stop.load(Ordering::SeqCst) {
-        return error_frame(ErrorKind::ShuttingDown, "daemon is stopping");
+        return write_line(
+            writer,
+            &error_frame(ErrorKind::ShuttingDown, "daemon is stopping"),
+        );
+    }
+    if let Some(outcome) = shared.server.lookup(&spec.cell_key()) {
+        let done = shared.count_completion();
+        let job = shared.jobs.create_done(outcome.clone());
+        let written = match &outcome {
+            Ok(report) => write_done(writer, job, report),
+            Err(_) => write_line(writer, &job_frame(job)),
+        };
+        shared.persist_after(done);
+        return written;
     }
     let weight = spec.weight;
     let client = spec.client.clone();
@@ -450,9 +497,12 @@ fn submit(shared: &Arc<Shared>, spec: SubmitSpec) -> Json {
     );
     if !accepted {
         shared.jobs.complete(job, Err(cancelled()));
-        return error_frame(ErrorKind::ShuttingDown, "admission queue closed");
+        return write_line(
+            writer,
+            &error_frame(ErrorKind::ShuttingDown, "admission queue closed"),
+        );
     }
-    ok_frame(vec![("job".into(), Json::Num(job as f64))])
+    write_line(writer, &job_frame(job))
 }
 
 fn stream_trace(shared: &Arc<Shared>, writer: &TcpStream, job: u64) -> bool {
@@ -476,7 +526,8 @@ fn stream_trace(shared: &Arc<Shared>, writer: &TcpStream, job: u64) -> bool {
         }
         Ok(t) => t,
     };
-    let body = match trace {
+    // The one copy of the trace: the exporter takes its cells by value.
+    let body = match trace.and_then(|r| r.report().trace.clone()) {
         Some(data) => gpu_trace::export::jsonl(&[(format!("job{job}"), data)]),
         None => String::new(),
     };
@@ -502,7 +553,7 @@ fn worker_loop(shared: &Arc<Shared>) {
     while let Some(ticket) = shared.queue.pop() {
         let wait_us = ticket.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
         {
-            let mut reg = shared.registry.lock().unwrap();
+            let mut reg = lock(&shared.registry);
             reg.observe("admission.wait_us", wait_us);
             reg.observe(&format!("admission.wait_us.{}", ticket.client), wait_us);
         }
@@ -511,19 +562,16 @@ fn worker_loop(shared: &Arc<Shared>) {
             continue;
         };
         let result = run_spec(shared, &spec);
-        // Count before waking waiters so a metrics read right after a
-        // `wait` returns already sees this completion.
-        let done = shared.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        let done = shared.count_completion();
         shared.jobs.complete(ticket.job, result);
-        if shared.cfg.persist_every > 0 && done.is_multiple_of(shared.cfg.persist_every) {
-            shared.persist_now();
-        }
+        shared.persist_after(done);
     }
 }
 
 /// Resolves the spec's setup (building it at most once per distinct
-/// base) and drives the cell through the shared batch server.
-fn run_spec(shared: &Arc<Shared>, spec: &SubmitSpec) -> Result<RunReport, SimError> {
+/// base) and drives the cell through the shared batch server, encoding a
+/// fresh report once before the cache keeps it.
+fn run_spec(shared: &Arc<Shared>, spec: &SubmitSpec) -> Outcome {
     let cfg = spec.gpu_config();
     let key: SetupKey = (
         spec.benchmark.name().to_string(),
@@ -531,17 +579,14 @@ fn run_spec(shared: &Arc<Shared>, spec: &SubmitSpec) -> Result<RunReport, SimErr
         cfg.content_hash(),
         cfg.budget_hash(),
     );
-    let cached = shared.setups.lock().unwrap().get(&key).cloned();
+    let cached = lock(&shared.setups).get(&key).cloned();
     let setup = match cached {
         Some(s) => s,
         None => {
             // Built outside the lock: a concurrent duplicate build is
             // rare and benign, a serialized one would stall every worker.
             let built = Arc::new(CellSetup::new(spec.benchmark, spec.scale, cfg)?);
-            shared
-                .setups
-                .lock()
-                .unwrap()
+            lock(&shared.setups)
                 .entry(key)
                 .or_insert_with(|| Arc::clone(&built))
                 .clone()
@@ -550,7 +595,10 @@ fn run_spec(shared: &Arc<Shared>, spec: &SubmitSpec) -> Result<RunReport, SimErr
     let outcomes = shared.server.run_batch(
         vec![(setup, spec.variant)],
         |(s, v): &(Arc<CellSetup>, _)| Some(s.cell_key(*v)),
-        |(s, v), slot| s.run_warm(*v, slot),
+        |(s, v), slot| {
+            s.run_warm(*v, slot)
+                .map(|r| Arc::new(EncodedReport::new(r)))
+        },
     );
     let (_, outcome) = outcomes.into_iter().next().expect("one cell, one outcome");
     match outcome {

@@ -36,6 +36,16 @@ pub use client::{Client, ClientError, JobStatus};
 pub use daemon::{serve, DaemonHandle, ServeConfig};
 pub use wire::{ConfigPreset, SubmitSpec, PROTO_VERSION};
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the data if a panicking thread poisoned it. Every
+/// critical section in this crate leaves its data consistent, and
+/// connection threads complete jobs themselves, so one thread's panic must
+/// not take every other connection down with it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod loopback_tests {
     use super::*;
@@ -103,10 +113,12 @@ mod loopback_tests {
         handle.wait();
     }
 
-    /// Four clients replaying one 8-cell batch against a seeded daemon:
-    /// every `Stats` served over TCP equals the in-process
-    /// `CellSetup::run` of the same cell, the replays are cache hits, and
-    /// round-robin admission treats symmetric clients alike.
+    /// Four clients against a seeded daemon, each replaying one 8-cell
+    /// batch and running it again under its own `max_cycles`: every
+    /// `Stats` served over TCP equals the in-process `CellSetup::run` of
+    /// the same cell. The replays are hits, answered at admission without
+    /// queueing; the budgeted batches are misses, and round-robin admission
+    /// treats those symmetric clients alike.
     #[test]
     fn concurrent_clients_read_in_process_stats_from_a_fair_cached_daemon() {
         const BENCHES: [Benchmark; 4] = [
@@ -137,40 +149,78 @@ mod loopback_tests {
         })
         .expect("bind loopback");
         let addr = handle.addr;
-        // Submits the whole batch, then waits for it, as `client`.
-        let run_batch_as = |client: &str| -> Vec<gpu_sim::Stats> {
+        // Submits the whole batch, then waits for it, as `client`; a
+        // `max_cycles` above the preset's re-keys every cell without
+        // changing what it computes.
+        let run_batch_as = |client: &str, max_cycles: Option<u64>| -> Vec<gpu_sim::Stats> {
             let mut c = Client::connect(addr).expect("connect");
             let jobs: Vec<u64> = cells
                 .iter()
-                .map(|&(b, v)| c.submit(&spec(b, v, client)).expect("submit"))
+                .map(|&(b, v)| {
+                    let s = SubmitSpec {
+                        max_cycles,
+                        ..spec(b, v, client)
+                    };
+                    c.submit(&s).expect("submit")
+                })
                 .collect();
             jobs.into_iter()
                 .map(|job| c.wait(job, Duration::from_secs(300)).expect("wait").stats)
                 .collect()
         };
 
-        assert_eq!(run_batch_as("seed"), local, "stats over TCP vs in-process");
+        assert_eq!(
+            run_batch_as("seed", None),
+            local,
+            "stats over TCP vs in-process"
+        );
+        let preset_cap = ConfigPreset::TestSmall.config().max_cycles;
         std::thread::scope(|scope| {
-            let replays: Vec<_> = (0..CLIENTS)
-                .map(|i| scope.spawn(move || run_batch_as(&format!("client{i}"))))
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|i| {
+                    scope.spawn(move || {
+                        let name = format!("client{i}");
+                        let hits = run_batch_as(&name, None);
+                        let misses = run_batch_as(&name, Some(preset_cap + 1 + i as u64));
+                        (hits, misses)
+                    })
+                })
                 .collect();
-            for replay in replays {
-                assert_eq!(
-                    replay.join().expect("client thread"),
-                    local,
-                    "cached stats over TCP vs in-process"
-                );
+            for client in clients {
+                let (hits, misses) = client.join().expect("client thread");
+                assert_eq!(hits, local, "cached stats over TCP vs in-process");
+                assert_eq!(misses, local, "budgeted stats over TCP vs in-process");
             }
         });
 
         let mut client = Client::connect(addr).expect("connect for metrics");
         let snapshot = client.metrics().expect("metrics");
-        let hits = client::snapshot_counter(&snapshot, "server.cache_hits");
-        let misses = client::snapshot_counter(&snapshot, "server.cache_misses");
-        assert!(
-            hits >= misses,
-            "the replayed batches must be served from the cache: {snapshot}"
+        let n = cells.len() as u64;
+        let counted = (
+            client::snapshot_counter(&snapshot, "server.cache_misses"),
+            client::snapshot_counter(&snapshot, "server.cache_hits"),
         );
+        assert_eq!(
+            counted,
+            (n + CLIENTS as u64 * n, CLIENTS as u64 * n),
+            "every replay a hit, every budgeted cell a miss, each job counted once: {snapshot}"
+        );
+        // Only misses queue: each client recorded one admission sample per
+        // budgeted cell and none for its hits.
+        let samples = |name: &str| {
+            snapshot
+                .get("histograms")
+                .and_then(|h| h.get(name))
+                .and_then(|h| h.get("count"))
+                .and_then(Json::as_u64)
+        };
+        for i in 0..CLIENTS {
+            assert_eq!(
+                samples(&format!("admission.wait_us.client{i}")),
+                Some(n),
+                "client{i}: {snapshot}"
+            );
+        }
         // Symmetric load: no client's p95 admission wait may exceed 3x
         // another's (below 1 ms the spread is scheduler noise).
         let p95s: Vec<u64> = (0..CLIENTS)
@@ -231,6 +281,152 @@ mod loopback_tests {
 
         let mut client = Client::connect(handle.addr).expect("second client");
         client.ping().expect("the daemon still answers");
+        client.shutdown().unwrap();
+        handle.wait();
+    }
+
+    /// A raw loopback connection past its hello frame, for reading the
+    /// daemon's reply bytes exactly.
+    struct Raw {
+        stream: std::net::TcpStream,
+        reader: std::io::BufReader<std::net::TcpStream>,
+    }
+
+    impl Raw {
+        fn connect(addr: std::net::SocketAddr) -> Raw {
+            use std::io::BufRead;
+            let stream = std::net::TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let mut hello = String::new();
+            reader.read_line(&mut hello).expect("hello frame");
+            Raw { stream, reader }
+        }
+
+        /// Sends one request line and returns the reply line, newline
+        /// included.
+        fn exchange(&mut self, request: &str) -> String {
+            use std::io::{BufRead, Write};
+            (&self.stream)
+                .write_all(format!("{request}\n").as_bytes())
+                .expect("send");
+            let mut line = String::new();
+            self.reader.read_line(&mut line).expect("reply");
+            line
+        }
+
+        fn submit(&mut self, spec: &SubmitSpec) -> String {
+            self.exchange(&wire::submit_to_json(spec).to_string())
+        }
+    }
+
+    /// A cached cell's SUBMIT is answered with its done frame while the
+    /// only worker is busy with a long miss, which is still queued or
+    /// running when the hit's report arrives.
+    #[test]
+    fn a_hit_is_answered_at_admission_while_a_miss_runs() {
+        let handle = serve(ServeConfig {
+            jobs: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        let mut client = Client::connect(handle.addr).expect("connect");
+        let cached = spec(Benchmark::Amr, Variant::Flat, "hits");
+        let job = client.submit(&cached).unwrap();
+        let first = client.wait(job, Duration::from_secs(120)).expect("run");
+
+        let long = SubmitSpec {
+            preset: ConfigPreset::K20c,
+            ..spec(Benchmark::ClrGraph500, Variant::Cdp, "misses")
+        };
+        let miss = client.submit(&long).unwrap();
+        let mut raw = Raw::connect(handle.addr);
+        let reply = raw.submit(&cached);
+        let (_, report) = wire::read_done_frame(&reply)
+            .unwrap_or_else(|| panic!("the hit's SUBMIT reply is its done frame: {reply}"));
+        assert_eq!(report.stats, first.stats);
+        assert!(
+            matches!(
+                client.poll(miss).expect("poll"),
+                JobStatus::Queued | JobStatus::Running
+            ),
+            "the hit did not wait for the miss"
+        );
+        client.wait(miss, Duration::from_secs(300)).expect("miss");
+        client.shutdown().unwrap();
+        handle.wait();
+    }
+
+    /// A hit's report travels in its SUBMIT reply, so `wait` needs no
+    /// daemon: it still returns the report after the daemon is gone.
+    #[test]
+    fn a_hit_report_outlives_the_daemon() {
+        let handle = serve(ServeConfig {
+            jobs: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        let mut client = Client::connect(handle.addr).expect("connect");
+        let cell = spec(Benchmark::Amr, Variant::Dtbl, "gone");
+        let job = client.submit(&cell).unwrap();
+        let first = client.wait(job, Duration::from_secs(120)).expect("run");
+        let hit = client.submit(&cell).unwrap();
+        assert!(matches!(client.poll(hit), Ok(JobStatus::Done(_))));
+        client.shutdown().unwrap();
+        handle.wait();
+        let again = client.wait(hit, Duration::from_secs(5)).expect("local");
+        assert_eq!(again.stats, first.stats);
+        assert!(
+            client.wait(hit, Duration::from_secs(5)).is_err(),
+            "a local report is handed out once; the next wait asks the daemon"
+        );
+    }
+
+    /// The hit reply is byte for byte the done frame the writer makes for
+    /// its job and report, and a memoized error's reply is the plain job
+    /// frame, with WAIT returning the `sim` error.
+    #[test]
+    fn a_hit_reply_is_the_done_frame_byte_for_byte() {
+        let handle = serve(ServeConfig {
+            jobs: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        let mut raw = Raw::connect(handle.addr);
+        let cell = spec(Benchmark::JoinUniform, Variant::Flat, "bytes");
+        assert_eq!(raw.submit(&cell), "{\"ok\":true,\"job\":1}\n");
+        let waited = raw.exchange("{\"op\":\"wait\",\"job\":1}");
+        let (_, report) = wire::read_done_frame(&waited).expect("done frame");
+        let mut want = String::new();
+        wire::write_done_frame(2, &report, &mut want);
+        assert_eq!(raw.submit(&cell), want);
+
+        let capped = SubmitSpec {
+            cycle_cap: Some(1),
+            ..cell
+        };
+        assert_eq!(raw.submit(&capped), "{\"ok\":true,\"job\":3}\n");
+        assert!(raw
+            .exchange("{\"op\":\"wait\",\"job\":3}")
+            .contains("\"kind\":\"sim\""));
+        assert_eq!(
+            raw.submit(&capped),
+            "{\"ok\":true,\"job\":4}\n",
+            "a memoized error answers with its job id"
+        );
+        let failed = raw.exchange("{\"op\":\"poll\",\"job\":4}");
+        assert!(failed.contains("\"kind\":\"sim\""), "{failed}");
+        drop(raw);
+        let mut client = Client::connect(handle.addr).expect("connect");
+        let snapshot = client.metrics().expect("metrics");
+        let count = |name| client::snapshot_counter(&snapshot, name);
+        assert_eq!(
+            (count("server.cache_misses"), count("server.cache_hits")),
+            (2, 2)
+        );
+        assert_eq!(count("daemon.jobs_completed"), 4);
         client.shutdown().unwrap();
         handle.wait();
     }
@@ -327,6 +523,13 @@ mod loopback_tests {
             client::snapshot_counter(&snapshot, "server.cache_misses"),
             0,
             "the persisted cell must not re-run"
+        );
+        assert!(
+            snapshot
+                .get("histograms")
+                .and_then(|h| h.get("admission.wait_us"))
+                .is_none(),
+            "the persisted hit is answered at admission, never queued: {snapshot}"
         );
         client.shutdown().unwrap();
         handle.wait();

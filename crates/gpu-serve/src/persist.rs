@@ -19,6 +19,7 @@
 use crate::wire::{report_from_json, write_report, Canonical};
 use gpu_sim::{CellKey, GpuConfig};
 use gpu_trace::json::{write_str, write_u64, Json};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -43,8 +44,9 @@ pub fn hash_scheme() -> u64 {
 }
 
 /// Serializes cache entries (as exported by
-/// `BatchServer::export_cache`, LRU-first) into the file format.
-pub fn to_jsonl(entries: &[(CellKey, RunReport)]) -> String {
+/// `BatchServer::export_cache`, LRU-first) into the file format. The
+/// reports may be owned or borrowed from wherever the caller keeps them.
+pub fn to_jsonl<R: Borrow<RunReport>>(entries: &[(CellKey, R)]) -> String {
     let mut out = String::new();
     let header = Json::Obj(vec![
         ("kind".into(), Json::Str("gpu-serve-cache".into())),
@@ -57,7 +59,7 @@ pub fn to_jsonl(entries: &[(CellKey, RunReport)]) -> String {
     out.push_str(&header.to_string());
     out.push('\n');
     for (key, report) in entries {
-        write_entry(key, report, &mut out);
+        write_entry(key, report.borrow(), &mut out);
     }
     let footer = Json::Obj(vec![
         ("kind".into(), Json::Str("end".into())),
@@ -194,7 +196,7 @@ pub fn load(path: &Path) -> (Vec<(CellKey, RunReport)>, Option<String>) {
 
 /// Atomically writes the cache file: serialize to `<path>.tmp`, flush,
 /// rename over `path`.
-pub fn store(path: &Path, entries: &[(CellKey, RunReport)]) -> std::io::Result<()> {
+pub fn store<R: Borrow<RunReport>>(path: &Path, entries: &[(CellKey, R)]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;

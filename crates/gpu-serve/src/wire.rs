@@ -23,6 +23,11 @@
 //! | `ping`     | —                                                             |
 //! | `shutdown` | —                                                             |
 //!
+//! A `submit` answers `{"ok":true,"job":N}`, or, when the daemon's cache
+//! already holds the cell, the job's done frame
+//! `{"ok":true,"job":N,"state":"done","report":R}` — a superset, so a
+//! client that reads only `job` is unaffected.
+//!
 //! Responses are `{"ok":true, ...}` on success or an error frame
 //! `{"ok":false,"error":{"kind":K,"message":M}}` with `kind` one of
 //! `bad_request`, `unknown_job`, `timeout`, `overloaded`, `sim`,
@@ -36,7 +41,7 @@
 //! codec change.
 
 use gpu_mem::{CacheStats, DramStats, MemStats};
-use gpu_sim::{DynLaunchKind, GpuConfig, LaunchRecord, SimError, Stats};
+use gpu_sim::{CellKey, DynLaunchKind, GpuConfig, LaunchRecord, SimError, Stats};
 use gpu_trace::json::{write_str, write_u64, Json};
 use gpu_trace::MetricsRegistry;
 use workloads::{Benchmark, RunReport, Scale, Variant};
@@ -47,7 +52,10 @@ pub const PROTO_VERSION: u64 = 1;
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Enqueue one cell; responds with a job id.
+    /// Run one cell; responds with a job id. When the daemon's cache holds
+    /// the cell's report, the response is already that job's done frame
+    /// (`{"ok":true,"job":N,"state":"done","report":R}`, a superset of
+    /// `{"ok":true,"job":N}`) and the cell is never queued.
     Submit(SubmitSpec),
     /// Non-blocking job status query.
     Poll {
@@ -149,6 +157,12 @@ impl SubmitSpec {
             cfg.trace = gpu_trace::TraceConfig::all();
         }
         cfg
+    }
+
+    /// The content address of the submitted cell: the key the worker's
+    /// `CellSetup::cell_key` gives it, computed without building a setup.
+    pub fn cell_key(&self) -> CellKey {
+        workloads::cell_key(self.benchmark, self.scale, &self.gpu_config(), self.variant)
     }
 }
 
@@ -832,32 +846,87 @@ pub fn read_report(text: &str) -> Result<RunReport, String> {
     }
 }
 
+/// A done frame up to its job id, and from the job id to the report.
+const DONE_HEAD: &str = "{\"ok\":true,\"job\":";
+const DONE_STATE: &str = ",\"state\":\"done\",\"report\":";
+
 fn write_done_prefix(job: u64, out: &mut String) {
-    out.push_str("{\"ok\":true,\"job\":");
+    out.push_str(DONE_HEAD);
     write_u64(job, out);
-    out.push_str(",\"state\":\"done\",\"report\":");
+    out.push_str(DONE_STATE);
 }
 
-/// Appends the `poll`/`wait` answer for a finished job, newline
-/// included: the bytes of the tree-built frame
-/// `{"ok":true,"job":N,"state":"done","report":R}` plus `'\n'`.
+/// Appends the answer for a finished job, newline included: the bytes of
+/// the tree-built frame `{"ok":true,"job":N,"state":"done","report":R}`
+/// plus `'\n'`. The daemon sends it for `poll`, `wait`, and a `submit`
+/// its cache answers.
 pub fn write_done_frame(job: u64, report: &RunReport, out: &mut String) {
     write_done_prefix(job, out);
     write_report(report, out);
     out.push_str("}\n");
 }
 
-/// The report in `line` when it is exactly the canonical done frame
-/// [`write_done_frame`] writes for `job`, with or without its newline;
-/// `None` for every other line, which the caller then parses as a tree.
-pub fn read_done_frame(line: &str, job: u64) -> Option<RunReport> {
-    let mut prefix = String::with_capacity(64);
-    write_done_prefix(job, &mut prefix);
+/// [`write_done_frame`] around a report already encoded by
+/// [`write_report`]: the same bytes, without touching the report.
+pub fn write_done_body(job: u64, body: &str, out: &mut String) {
+    out.reserve(DONE_HEAD.len() + 20 + DONE_STATE.len() + body.len() + 2);
+    write_done_prefix(job, out);
+    out.push_str(body);
+    out.push_str("}\n");
+}
+
+/// A finished report as the daemon keeps it: the report itself and its
+/// canonical body ([`write_report`]'s bytes), encoded once, when the result
+/// enters the cache. The daemon shares one by `Arc` between its cache and
+/// every job served from it, so answering a job never copies or re-encodes
+/// the report, nor its recorded trace.
+#[derive(Debug)]
+pub struct EncodedReport {
+    report: RunReport,
+    body: String,
+}
+
+impl EncodedReport {
+    /// Encodes `report` once.
+    pub fn new(report: RunReport) -> Self {
+        let mut body = String::new();
+        write_report(&report, &mut body);
+        EncodedReport { report, body }
+    }
+
+    /// The report, its trace included.
+    pub fn report(&self) -> &RunReport {
+        &self.report
+    }
+
+    /// The report's canonical encoding, without its trace.
+    pub fn body(&self) -> &str {
+        &self.body
+    }
+}
+
+/// The job id and report of `line` when it is exactly a canonical done
+/// frame [`write_done_frame`] writes, for any job, with or without its
+/// newline; `None` for every other line, which the caller then parses as a
+/// tree and reads with [`done_frame_from_json`].
+pub fn read_done_frame(line: &str) -> Option<(u64, RunReport)> {
     let mut c = Canonical::new(line.strip_suffix('\n').unwrap_or(line));
-    c.lit(&prefix)?;
+    c.lit(DONE_HEAD)?;
+    let job = c.digits()?;
+    c.lit(DONE_STATE)?;
     let report = c.report()?;
     c.lit("}")?;
-    c.at_end().then_some(report)
+    c.at_end().then_some((job, report))
+}
+
+/// The job id and report of a done frame's tree; `Ok(None)` when `v` is
+/// some other frame. The tree fallback of [`read_done_frame`].
+pub fn done_frame_from_json(v: &Json) -> Result<Option<(u64, RunReport)>, String> {
+    if v.get("state").and_then(Json::as_str) != Some("done") {
+        return Ok(None);
+    }
+    let report = v.get("report").ok_or("done frame without report")?;
+    Ok(Some((req_u64(v, "job")?, report_from_json(report)?)))
 }
 
 /// A cursor over the canonical report encoding: keys in writer order,
@@ -1273,6 +1342,45 @@ mod tests {
         // The wire never carries host-dependent budget knobs.
         assert_eq!(cfg.budget.deadline_ms, None);
         assert!(cfg.budget.cancel.is_none());
+    }
+
+    /// The key the daemon computes at admission from a submission is the
+    /// key the worker's setup gives the cell, on every benchmark, variant,
+    /// preset, trace setting and budget knob — so a hit at admission is the
+    /// hit the worker would have served.
+    #[test]
+    fn submit_keys_match_cell_setup_keys() {
+        let mut seen = std::collections::HashSet::new();
+        for benchmark in Benchmark::ALL {
+            for preset in [ConfigPreset::K20c, ConfigPreset::TestSmall] {
+                for (trace, cycle_cap) in [false, true]
+                    .into_iter()
+                    .flat_map(|t| [(t, None), (t, Some(5_000))])
+                {
+                    let mut spec = SubmitSpec {
+                        benchmark,
+                        variant: Variant::Flat,
+                        scale: Scale::Test,
+                        client: "keys".into(),
+                        weight: 1,
+                        preset,
+                        max_cycles: None,
+                        cycle_cap,
+                        trace,
+                    };
+                    let setup =
+                        workloads::CellSetup::new(benchmark, Scale::Test, spec.gpu_config())
+                            .expect("setup");
+                    for variant in Variant::ALL {
+                        spec.variant = variant;
+                        let key = spec.cell_key();
+                        assert_eq!(key, setup.cell_key(variant), "{spec:?}");
+                        assert!(seen.insert(key), "{spec:?} shares a key");
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), 16 * 6 * 2 * 4);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Differential tests of the direct report codec — [`write_report`],
-//! [`read_report`] and the done frame — against the `Json` tree codec it
+//! [`read_report`] and the done frame, written around a report or its
+//! stored body and read for any job — against the `Json` tree codec it
 //! must match: the same bytes out, and for every input, canonical or
 //! not, the same decoded value or the same rejection.
 
 use gpu_mem::{CacheStats, DramStats, MemStats};
 use gpu_serve::wire::{
-    ok_frame, read_done_frame, read_report, report_from_json, report_to_json, write_done_frame,
-    write_report,
+    done_frame_from_json, ok_frame, read_done_frame, read_report, report_from_json, report_to_json,
+    write_done_body, write_done_frame, write_report,
 };
 use gpu_sim::{DynLaunchKind, GpuConfig, LaunchRecord, Stats};
 use gpu_trace::json::Json;
@@ -163,7 +164,8 @@ fn random_report(rng: &mut StdRng, launches: usize, values: Values) -> RunReport
 
 /// Writer bytes equal the tree's; the reader and the tree decode them to
 /// the same value, which is `r` itself unless values were lossy; the done
-/// frame matches the tree's, reads back only for its own job, and reads
+/// frame matches the tree's whether written around `r` or its body, reads
+/// back with its own job id through the reader and the tree, and reads
 /// back without the tree when `r` is canonical.
 fn check_codec(r: &RunReport, values: Values) {
     let bytes = direct_bytes(r);
@@ -178,14 +180,19 @@ fn check_codec(r: &RunReport, values: Values) {
     write_done_frame(42, r, &mut frame);
     assert_eq!(frame, tree_done_frame(42, r), "done frame bytes");
     let line = frame.as_str();
-    match read_done_frame(line, 42) {
-        Some(got) => assert_eq!(view(Ok(got)), read, "done frame decode"),
+    let tree = done_frame_from_json(&Json::parse(line.trim_end()).unwrap())
+        .map(|done| done.map(|(job, r)| (job, view(Ok(r)))));
+    assert_eq!(tree, Ok(Some((42, read.clone()))), "done frame tree decode");
+    match read_done_frame(line) {
+        Some((job, got)) => assert_eq!((job, view(Ok(got))), (42, read), "done frame decode"),
         None => assert!(
             values != Values::Canonical || !NAMES[..PLAIN_NAMES].contains(&r.benchmark.as_str()),
             "a canonical done frame must read without the tree: {line}"
         ),
     }
-    assert!(read_done_frame(line, 43).is_none(), "another job's frame");
+    let mut from_body = String::new();
+    write_done_body(42, &bytes, &mut from_body);
+    assert_eq!(from_body, frame, "done frame around a stored body");
 }
 
 #[test]
@@ -450,8 +457,12 @@ fn check_agrees(text: &str, outcomes: &mut [usize; 2]) {
     let want = tree_decode(text);
     assert_eq!(view(read_report(text)), want, "reader vs tree on {text}");
     let line = format!("{{\"ok\":true,\"job\":5,\"state\":\"done\",\"report\":{text}}}");
-    if let Some(got) = read_done_frame(&line, 5) {
-        assert_eq!(view(Ok(got)), want, "done frame on {text}");
+    if let Some((job, got)) = read_done_frame(&line) {
+        assert_eq!(
+            (job, view(Ok(got))),
+            (5, want.clone()),
+            "done frame on {text}"
+        );
     }
     outcomes[usize::from(want.is_ok())] += 1;
 }

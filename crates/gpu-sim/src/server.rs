@@ -35,7 +35,9 @@
 //!
 //! The lookup happens once per batch, before fan-out, so the hit and miss
 //! counts are deterministic. A key submitted twice in one batch misses
-//! twice and runs twice, with identical results.
+//! twice and runs twice, with identical results. A caller that wants to
+//! answer a hit without forming a batch (the daemon, at admission) probes
+//! with [`BatchServer::lookup`] first.
 
 // The result cache is consulted per batch, outside any simulated cycle;
 // a keyed store is what it is.
@@ -334,6 +336,19 @@ impl<T: Clone + Send> BatchServer<T> {
             .collect()
     }
 
+    /// Probes the cache for `key` without running anything: a cached `Ok`
+    /// or memoized deterministic error is returned (bumping its recency
+    /// and counting a hit), and `None` counts nothing. A caller that runs
+    /// the cell after a `None` does so through [`run_batch`](Self::run_batch),
+    /// which counts the miss, so every cell is still counted exactly once.
+    pub fn lookup(&self, key: &CellKey) -> Option<Result<T, SimError>> {
+        let hit = lock(&self.cache).touch(key).cloned();
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
     /// Takes an idle slot, or a fresh one when every slot is checked out.
     fn checkout(&self) -> WarmSlot {
         lock(&self.idle).pop().unwrap_or_default()
@@ -602,6 +617,32 @@ mod tests {
         );
         assert!(is_cycle_limit(&out[0].1));
         assert_eq!(restored.cache_hits(), 2);
+    }
+
+    /// A probe counts hits only, so probe-then-run counts each cell once,
+    /// and a probed entry is as recent as a served one.
+    #[test]
+    fn lookup_counts_hits_only_and_refreshes_recency() {
+        let server: BatchServer<u64> = BatchServer::new(1, 0).with_cache_limit(2);
+        assert!(server.lookup(&key("a")).is_none());
+        assert_eq!((server.cache_hits(), server.cache_misses()), (0, 0));
+        for (name, out) in [("a", Ok(1u64)), ("b", Err(cycle_limit()))] {
+            let _ = server.run_batch(vec![0u32], |_| Some(key(name)), |_, _| out.clone());
+        }
+        assert_eq!((server.cache_hits(), server.cache_misses()), (0, 2));
+
+        assert!(matches!(
+            server.lookup(&key("b")),
+            Some(Err(SimError::CycleLimit { cycles: 7 }))
+        ));
+        assert!(matches!(server.lookup(&key("a")), Some(Ok(1))));
+        assert_eq!((server.cache_hits(), server.cache_misses()), (2, 2));
+
+        // "a" was inserted first but probed last, so a third key evicts "b".
+        let _ = server.run_batch(vec![0u32], |_| Some(key("c")), |_, _| Ok(3));
+        assert!(server.lookup(&key("b")).is_none(), "LRU entry evicted");
+        assert!(server.lookup(&key("a")).is_some(), "probed entry survives");
+        assert_eq!((server.cache_hits(), server.cache_misses()), (3, 3));
     }
 
     #[test]

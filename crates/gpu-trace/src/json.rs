@@ -104,7 +104,11 @@ impl Json {
 
     /// Parses a complete JSON document, rejecting trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { text, pos: 0 };
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -216,9 +220,17 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace writes nests a handful of levels; the bound keeps a
+/// hostile input (a request line of nothing but `[`) from recursing the
+/// parser off its thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -265,8 +277,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -457,6 +483,20 @@ mod tests {
         let mut spelled = String::new();
         write_u64(u64::MAX, &mut spelled);
         assert_eq!(read(&spelled), Some(u64::MAX));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(Json::parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+            // Deep enough to overflow a thread's stack without the bound.
+            assert!(Json::parse(&nested(open, close, 1 << 20)).is_err());
+        }
     }
 
     #[test]

@@ -37,4 +37,4 @@ pub use common::{
 };
 pub use harness::{Benchmark, Scale};
 pub use report::RunReport;
-pub use setup::{AppData, CellSetup};
+pub use setup::{cell_key, AppData, CellSetup};

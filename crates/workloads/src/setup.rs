@@ -16,7 +16,9 @@
 //! The setup also knows its cells' content address
 //! ([`cell_key`](CellSetup::cell_key)), which is what lets the
 //! [`BatchServer`](gpu_sim::BatchServer) serve repeated cells from its
-//! result cache with a bit-identity guarantee.
+//! result cache with a bit-identity guarantee. The address is the pure
+//! function [`cell_key`] of the setup's inputs, so it can also be computed
+//! without building a setup.
 
 use crate::apps;
 use crate::common::Variant;
@@ -245,6 +247,31 @@ pub(crate) fn drive_on(
     }
 }
 
+/// Content address of the `variant` cell of `benchmark` at `scale` under
+/// `base_cfg`: a pure function, so a caller that has no [`CellSetup`]
+/// (the daemon answering a submission from its cache) computes the same
+/// key the setup does. The workload data is a pure function of
+/// `(benchmark, scale)` (fixed generation seeds), so the scale
+/// discriminant is the dataset seed.
+pub fn cell_key(
+    benchmark: Benchmark,
+    scale: Scale,
+    base_cfg: &GpuConfig,
+    variant: Variant,
+) -> CellKey {
+    let cfg = variant.configure(base_cfg.clone());
+    CellKey {
+        config_hash: cfg.content_hash(),
+        budget_hash: cfg.budget_hash(),
+        workload: benchmark.name().to_string(),
+        seed: match scale {
+            Scale::Test => 0,
+            Scale::Eval => 1,
+        },
+        variant: variant.label().to_string(),
+    }
+}
+
 /// The immutable half of one benchmark's sweep cells: built workload
 /// buffers, decoded per-variant programs, and the resolved base config.
 /// Build it once, run any variant any number of times — cold
@@ -319,21 +346,10 @@ impl CellSetup {
         variant.configure(self.base_cfg.clone())
     }
 
-    /// Content address of this setup's `variant` cell. The workload data
-    /// here is a pure function of `(benchmark, scale)` (fixed generation
-    /// seeds), so the scale discriminant is the dataset seed.
+    /// Content address of this setup's `variant` cell: [`cell_key`] of
+    /// its benchmark, scale and base config.
     pub fn cell_key(&self, variant: Variant) -> CellKey {
-        let cfg = self.run_cfg(variant);
-        CellKey {
-            config_hash: cfg.content_hash(),
-            budget_hash: cfg.budget_hash(),
-            workload: self.benchmark.name().to_string(),
-            seed: match self.scale {
-                Scale::Test => 0,
-                Scale::Eval => 1,
-            },
-            variant: variant.label().to_string(),
-        }
+        cell_key(self.benchmark, self.scale, &self.base_cfg, variant)
     }
 
     /// Runs `variant` on a *fresh* simulator (cold construction). The
