@@ -6,13 +6,24 @@
 //! shows up here as a divergence. The same holds for the serving paths:
 //! cold, warm-pooled and cached cells agree bit for bit.
 
-use bench::{Matrix, SweepRunner};
+use bench::{run_figures, Figure, Matrix, Render, SweepRunner, STOCK};
 use gpu_isa::{Dim3, KernelBuilder, Op, Program, Space};
 use gpu_sim::{BudgetKind, CancelToken, Gpu, GpuConfig, SimError, Stats};
 use gpu_trace::{Category, TraceConfig};
 use workloads::{Benchmark, Scale, Variant};
 
 const VARIANTS: [Variant; 3] = [Variant::Flat, Variant::Cdp, Variant::Dtbl];
+
+/// Runs `benchmarks` × [`VARIANTS`] on `runner` under `cfg`.
+fn sweep(runner: &SweepRunner, benchmarks: &'static [Benchmark], cfg: GpuConfig) -> Matrix {
+    let f = Figure {
+        name: "equivalence",
+        cells: (benchmarks, &[STOCK], &VARIANTS),
+        render: Render::Text(|_, _| {}),
+        summary: |_, _| Vec::new(),
+    };
+    run_figures(runner, &[&f], Scale::Test, cfg)
+}
 
 /// Asserts two matrices agree cell-for-cell: same failure set, and
 /// bit-identical `Stats` on every successful cell.
@@ -25,16 +36,16 @@ fn assert_matrices_identical(a: &Matrix, b: &Matrix, what: &str) {
     for &bm in Benchmark::ALL.iter() {
         for &v in &VARIANTS {
             assert_eq!(
-                a.contains(bm, v),
-                b.contains(bm, v),
+                a.find(bm, STOCK.0, v).is_some(),
+                b.find(bm, STOCK.0, v).is_some(),
                 "{what}: {bm} [{v}] succeeded under one engine but not the other"
             );
-            if !a.contains(bm, v) {
+            if a.find(bm, STOCK.0, v).is_none() {
                 continue;
             }
             assert_eq!(
-                a.get(bm, v).stats,
-                b.get(bm, v).stats,
+                a.at(bm, STOCK.0, v).stats,
+                b.at(bm, STOCK.0, v).stats,
                 "{what}: {bm} [{v}] Stats diverged"
             );
         }
@@ -46,11 +57,10 @@ fn assert_matrices_identical(a: &Matrix, b: &Matrix, what: &str) {
 /// affect results.
 #[test]
 fn event_driven_stats_match_per_cycle() {
-    let evented =
-        SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test, GpuConfig::k20c());
+    let evented = sweep(&SweepRunner::new(4), &Benchmark::ALL, GpuConfig::k20c());
     let mut cfg = GpuConfig::k20c();
     cfg.force_per_cycle = true;
-    let percycle = SweepRunner::new(4).run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test, cfg);
+    let percycle = sweep(&SweepRunner::new(4), &Benchmark::ALL, cfg);
     assert_matrices_identical(&evented, &percycle, "event-driven vs per-cycle");
 }
 
@@ -109,11 +119,15 @@ fn fresh_matrix(benchmarks: &[Benchmark], cfg: &GpuConfig) -> Matrix {
         .iter()
         .flat_map(|&bm| VARIANTS.map(|v| (bm, v)))
         .collect();
-    gpu_sim::sweep::run_cells(cells, 4, |&(bm, v)| {
-        bm.run_with(v, Scale::Test, cfg.clone())
-    })
-    .into_iter()
-    .collect()
+    let mut m = Matrix::default();
+    m.extend(
+        gpu_sim::sweep::run_cells(cells, 4, |&(bm, v)| {
+            bm.run_with(v, Scale::Test, cfg.clone())
+        })
+        .into_iter()
+        .map(|((bm, v), r)| ((bm, STOCK.0, v), r)),
+    );
+    m
 }
 
 /// The warm-pool serving contract across the full matrix: every benchmark
@@ -128,7 +142,7 @@ fn cold_warm_and_cached_paths_are_bit_identical() {
 
     let runner = SweepRunner::new(4);
     let server = runner.server();
-    let warm = runner.run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test, GpuConfig::k20c());
+    let warm = sweep(&runner, &Benchmark::ALL, GpuConfig::k20c());
     assert_matrices_identical(&cold, &warm, "cold vs warm-pooled");
     let executed = server.cache_misses();
     assert!(
@@ -136,7 +150,7 @@ fn cold_warm_and_cached_paths_are_bit_identical() {
         "a 48-cell batch on a 4-slot pool must rebind warm instances"
     );
 
-    let cached = runner.run_matrix(&Benchmark::ALL, &VARIANTS, Scale::Test, GpuConfig::k20c());
+    let cached = sweep(&runner, &Benchmark::ALL, GpuConfig::k20c());
     assert_eq!(
         server.cache_misses(),
         executed,
@@ -152,7 +166,8 @@ fn cold_warm_and_cached_paths_are_bit_identical() {
 /// stamps (cached reports carry the first run's recorded trace verbatim).
 #[test]
 fn warm_and_cached_traces_match_cold_byte_for_byte() {
-    const TRACED: [Benchmark; 3] = [Benchmark::BfsUsaRoad, Benchmark::Amr, Benchmark::Bht];
+    // In `Benchmark::ALL` order, the order a sweep runs (and exports) them.
+    const TRACED: [Benchmark; 3] = [Benchmark::Amr, Benchmark::Bht, Benchmark::BfsUsaRoad];
     let mut cfg = GpuConfig::k20c();
     cfg.trace = TraceConfig {
         mask: Category::default_mask(),
@@ -162,20 +177,20 @@ fn warm_and_cached_traces_match_cold_byte_for_byte() {
     let runner = SweepRunner::new(1);
     let jsonl = |m: &mut Matrix| -> String {
         assert!(m.failures().is_empty(), "traced runs must all succeed");
-        gpu_trace::export::jsonl(&m.take_traces(&TRACED, &VARIANTS))
+        gpu_trace::export::jsonl(&m.take_traces())
     };
 
     let mut cold = fresh_matrix(&TRACED, &cfg);
     let cold_jsonl = jsonl(&mut cold);
     assert!(!cold_jsonl.is_empty());
 
-    let mut warm = runner.run_matrix(&TRACED, &VARIANTS, Scale::Test, cfg.clone());
+    let mut warm = sweep(&runner, &TRACED, cfg.clone());
     assert!(
         jsonl(&mut warm) == cold_jsonl,
         "warm-pooled JSONL trace diverged from cold construction"
     );
 
-    let mut cached = runner.run_matrix(&TRACED, &VARIANTS, Scale::Test, cfg);
+    let mut cached = sweep(&runner, &TRACED, cfg);
     assert_eq!(
         runner.server().cache_hits(),
         9,

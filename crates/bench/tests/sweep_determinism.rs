@@ -4,7 +4,7 @@
 //! its own `Gpu` and seeds its own `sim-rand` streams, so nothing about a
 //! sibling cell can leak into a run.
 
-use bench::SweepRunner;
+use bench::{run_figures, Figure, Matrix, Render, SweepRunner, STOCK};
 use gpu_sim::GpuConfig;
 use workloads::{Benchmark, Scale, Variant};
 
@@ -15,21 +15,31 @@ const BENCHMARKS: [Benchmark; 3] = [
 ];
 const VARIANTS: [Variant; 3] = [Variant::Flat, Variant::Cdp, Variant::Dtbl];
 
+/// Runs the 3 × 3 matrix on `jobs` workers.
+fn sweep(jobs: usize) -> Matrix {
+    let f = Figure {
+        name: "determinism",
+        cells: (&BENCHMARKS, &[STOCK], &VARIANTS),
+        render: Render::Text(|_, _| {}),
+        summary: |_, _| Vec::new(),
+    };
+    run_figures(
+        &SweepRunner::new(jobs),
+        &[&f],
+        Scale::Test,
+        GpuConfig::k20c(),
+    )
+}
+
 /// 3 benchmarks × 3 variants, serially and at two worker counts: every
 /// cell's `Stats` must compare equal (full structural equality — cycle
 /// counts, launch records, memory counters, the lot), and the failure
 /// sets must match.
 #[test]
 fn parallel_sweep_stats_match_serial() {
-    let serial =
-        SweepRunner::new(1).run_matrix(&BENCHMARKS, &VARIANTS, Scale::Test, GpuConfig::k20c());
+    let serial = sweep(1);
     for jobs in [4usize, 8] {
-        let parallel = SweepRunner::new(jobs).run_matrix(
-            &BENCHMARKS,
-            &VARIANTS,
-            Scale::Test,
-            GpuConfig::k20c(),
-        );
+        let parallel = sweep(jobs);
         assert_eq!(
             serial.failures().len(),
             parallel.failures().len(),
@@ -38,16 +48,16 @@ fn parallel_sweep_stats_match_serial() {
         for &b in &BENCHMARKS {
             for &v in &VARIANTS {
                 assert_eq!(
-                    serial.contains(b, v),
-                    parallel.contains(b, v),
+                    serial.find(b, STOCK.0, v).is_some(),
+                    parallel.find(b, STOCK.0, v).is_some(),
                     "{b} [{v}]: succeeded in one mode but not the other at --jobs {jobs}"
                 );
-                if !serial.contains(b, v) {
+                if serial.find(b, STOCK.0, v).is_none() {
                     continue;
                 }
                 assert_eq!(
-                    serial.get(b, v).stats,
-                    parallel.get(b, v).stats,
+                    serial.at(b, STOCK.0, v).stats,
+                    parallel.at(b, STOCK.0, v).stats,
                     "{b} [{v}]: Stats diverged between serial and --jobs {jobs}"
                 );
             }
