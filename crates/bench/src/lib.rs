@@ -151,8 +151,8 @@ impl SweepRunner {
 
 /// Expands specs into cells: every cell of one benchmark and config holds
 /// an `Arc` of the same setup, derived by [`CellSetup::with_config`] from
-/// the one built setup of that benchmark, so workload data and decoded
-/// kernels are built once per benchmark, not per cell or per config.
+/// the one built setup of that benchmark, so workload data and kernels
+/// are built once per benchmark, not per cell or per config.
 fn share_setups(
     specs: &[Spec],
     setups: &HashMap<Benchmark, CellSetup>,
@@ -170,8 +170,8 @@ fn share_setups(
 /// Runs every cell the selected figures read — the union of their
 /// benchmarks × configs × variants, each cell once — with `cfg` the base
 /// config every named [`Config`] derives from. Each benchmark's setup is
-/// built once over the worker pool (data build and kernel decode) and
-/// shared by all of its cells ([`share_setups`]); a benchmark whose setup
+/// built once over the worker pool (data and kernels) and shared by all
+/// of its cells (`share_setups`); a benchmark whose setup
 /// fails records a failure for each of its cells. Cells run config by
 /// config (first use), then by benchmark ([`Benchmark::ALL`] order), then
 /// by variant (first use); a trace written from the matrix keeps that
@@ -1244,7 +1244,7 @@ mod tests {
         let cells = share_setups(&specs, &setups, &cfg, Scale::Test);
         assert_eq!(cells.len(), 12);
         // The Flat/CDP/DTBL cells of one benchmark and config are the same
-        // setup — one workload build, one decode — not three.
+        // setup — one workload and kernel build — not three.
         for w in cells.chunks(3) {
             assert!(Arc::ptr_eq(&w[0].0, &w[1].0));
             assert!(Arc::ptr_eq(&w[1].0, &w[2].0));

@@ -3,14 +3,18 @@
 //! The builder is the only way to construct a [`Kernel`], and it guarantees
 //! the invariants the SIMT reconvergence stack depends on: every divergent
 //! branch carries the program-counter of its immediate post-dominator, all
-//! targets are in range, and every path terminates in [`Inst::Exit`].
+//! targets are in range, and every path terminates in [`UOp::Exit`]. Each
+//! method pushes the micro-op the machine runs, with the latency class
+//! its operator implies; nothing lowers the kernel afterwards.
 //! Control flow is expressed structurally (`if_`, `if_else_`, `while_`)
 //! instead of with raw labels, so the post-dominators are correct by
 //! construction — the same property NVCC's PTX-to-SASS mapping provides for
 //! the hardware reconvergence stack.
 
+use crate::decode::{BinOp, MicroOp, UOp, UnOp};
 use crate::dim::Dim3;
-use crate::inst::{AtomOp, CmpOp, CmpTy, Inst, Op, Space};
+use crate::exec::LaunchKind;
+use crate::inst::{AtomOp, CmpOp, CmpTy, Op, Space};
 use crate::kernel::{Kernel, KernelId};
 use crate::reg::{Pred, Reg, SReg};
 use std::error::Error;
@@ -104,7 +108,7 @@ impl Error for BuildError {}
 ///     b.st(Space::Global, base, -4, Op::Reg(sum));
 /// });
 /// let kernel = b.build()?;
-/// assert!(kernel.insts().len() > 8);
+/// assert!(kernel.uops().len() > 8);
 /// # Ok(())
 /// # }
 /// ```
@@ -113,7 +117,7 @@ pub struct KernelBuilder {
     name: String,
     block_dim: Dim3,
     param_words: u16,
-    insts: Vec<Inst>,
+    uops: Vec<MicroOp>,
     next_reg: u32,
     next_pred: u32,
     shared_bytes: u32,
@@ -128,7 +132,7 @@ impl KernelBuilder {
             name: name.into(),
             block_dim,
             param_words,
-            insts: Vec::new(),
+            uops: Vec::new(),
             next_reg: 0,
             next_pred: 0,
             shared_bytes: 0,
@@ -158,12 +162,24 @@ impl KernelBuilder {
         p
     }
 
-    fn emit(&mut self, inst: Inst) {
-        self.insts.push(inst);
+    fn emit(&mut self, op: UOp) {
+        self.uops.push(MicroOp::new(op));
     }
 
     fn here(&self) -> u32 {
-        self.insts.len() as u32
+        self.uops.len() as u32
+    }
+
+    fn bin(&mut self, op: BinOp, a: Reg, b: Op) -> Reg {
+        let dst = self.alloc();
+        self.emit(UOp::Bin { op, dst, a, b });
+        dst
+    }
+
+    fn un(&mut self, op: UnOp, a: Reg) -> Reg {
+        let dst = self.alloc();
+        self.emit(UOp::Un { op, dst, a });
+        dst
     }
 
     // ---- moves ---------------------------------------------------------
@@ -171,7 +187,7 @@ impl KernelBuilder {
     /// Materializes an immediate in a fresh register.
     pub fn imm(&mut self, v: u32) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::Mov {
+        self.emit(UOp::Mov {
             dst,
             src: Op::Imm(v),
         });
@@ -181,7 +197,7 @@ impl KernelBuilder {
     /// Materializes an `f32` immediate in a fresh register.
     pub fn fimm(&mut self, v: f32) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::Mov {
+        self.emit(UOp::Mov {
             dst,
             src: Op::f32(v),
         });
@@ -191,20 +207,20 @@ impl KernelBuilder {
     /// Copies `src` into a fresh register.
     pub fn mov(&mut self, src: Op) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::Mov { dst, src });
+        self.emit(UOp::Mov { dst, src });
         dst
     }
 
     /// Overwrites an existing register — the only non-SSA operation,
     /// needed for loop induction variables and accumulators.
     pub fn mov_to(&mut self, dst: Reg, src: Op) {
-        self.emit(Inst::Mov { dst, src });
+        self.emit(UOp::Mov { dst, src });
     }
 
     /// Reads a special register.
     pub fn s2r(&mut self, sreg: SReg) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::S2R { dst, sreg });
+        self.emit(UOp::S2R { dst, sreg });
         dst
     }
 
@@ -214,7 +230,7 @@ impl KernelBuilder {
         let ntid = self.s2r(SReg::NTidX);
         let tid = self.s2r(SReg::TidX);
         let dst = self.alloc();
-        self.emit(Inst::IMad {
+        self.emit(UOp::IMad {
             dst,
             a: ctaid,
             b: Op::Reg(ntid),
@@ -227,165 +243,121 @@ impl KernelBuilder {
 
     /// `a + b`.
     pub fn iadd(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::IAdd { dst, a, b });
-        dst
+        self.bin(BinOp::IAdd, a, b)
     }
 
     /// `a - b`.
     pub fn isub(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::ISub { dst, a, b });
-        dst
+        self.bin(BinOp::ISub, a, b)
     }
 
     /// `a * b` (low 32 bits).
     pub fn imul(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::IMul { dst, a, b });
-        dst
+        self.bin(BinOp::IMul, a, b)
     }
 
     /// `a * b + c`.
     pub fn mad(&mut self, a: Reg, b: Op, c: Op) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::IMad { dst, a, b, c });
+        self.emit(UOp::IMad { dst, a, b, c });
         dst
     }
 
     /// `a / b` (unsigned).
     pub fn idivu(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::IDivU { dst, a, b });
-        dst
+        self.bin(BinOp::IDivU, a, b)
     }
 
     /// `a % b` (unsigned).
     pub fn iremu(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::IRemU { dst, a, b });
-        dst
+        self.bin(BinOp::IRemU, a, b)
     }
 
     /// `min(a, b)` (signed).
     pub fn imins(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::IMinS { dst, a, b });
-        dst
+        self.bin(BinOp::IMinS, a, b)
     }
 
     /// `max(a, b)` (signed).
     pub fn imaxs(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::IMaxS { dst, a, b });
-        dst
+        self.bin(BinOp::IMaxS, a, b)
     }
 
     /// `a & b`.
     pub fn and_(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::And { dst, a, b });
-        dst
+        self.bin(BinOp::And, a, b)
     }
 
     /// `a | b`.
     pub fn or_(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::Or { dst, a, b });
-        dst
+        self.bin(BinOp::Or, a, b)
     }
 
     /// `a ^ b`.
     pub fn xor_(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::Xor { dst, a, b });
-        dst
+        self.bin(BinOp::Xor, a, b)
     }
 
     /// `a << b`.
     pub fn shl(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::Shl { dst, a, b });
-        dst
+        self.bin(BinOp::Shl, a, b)
     }
 
     /// `a >> b` (logical).
     pub fn shru(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::ShrU { dst, a, b });
-        dst
+        self.bin(BinOp::ShrU, a, b)
     }
 
     /// `a >> b` (arithmetic).
     pub fn shrs(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::ShrS { dst, a, b });
-        dst
+        self.bin(BinOp::ShrS, a, b)
     }
 
     // ---- f32 ALU ------------------------------------------------------------
 
     /// `a + b` (f32).
     pub fn fadd(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::FAdd { dst, a, b });
-        dst
+        self.bin(BinOp::FAdd, a, b)
     }
 
     /// `a - b` (f32).
     pub fn fsub(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::FSub { dst, a, b });
-        dst
+        self.bin(BinOp::FSub, a, b)
     }
 
     /// `a * b` (f32).
     pub fn fmul(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::FMul { dst, a, b });
-        dst
+        self.bin(BinOp::FMul, a, b)
     }
 
     /// `a / b` (f32).
     pub fn fdiv(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::FDiv { dst, a, b });
-        dst
+        self.bin(BinOp::FDiv, a, b)
     }
 
     /// `sqrt(a)` (f32).
     pub fn fsqrt(&mut self, a: Reg) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::FSqrt { dst, a });
-        dst
+        self.un(UnOp::FSqrt, a)
     }
 
     /// `min(a, b)` (f32).
     pub fn fmin(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::FMin { dst, a, b });
-        dst
+        self.bin(BinOp::FMin, a, b)
     }
 
     /// `max(a, b)` (f32).
     pub fn fmax(&mut self, a: Reg, b: Op) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::FMax { dst, a, b });
-        dst
+        self.bin(BinOp::FMax, a, b)
     }
 
     /// Signed integer → f32.
     pub fn i2f(&mut self, a: Reg) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::I2F { dst, a });
-        dst
+        self.un(UnOp::I2F, a)
     }
 
     /// f32 → signed integer (truncating).
     pub fn f2i(&mut self, a: Reg) -> Reg {
-        let dst = self.alloc();
-        self.emit(Inst::F2I { dst, a });
-        dst
+        self.un(UnOp::F2I, a)
     }
 
     // ---- predicates -------------------------------------------------------
@@ -393,21 +365,21 @@ impl KernelBuilder {
     /// `a <cmp> b` into a fresh predicate.
     pub fn setp(&mut self, cmp: CmpOp, ty: CmpTy, a: Reg, b: Op) -> Pred {
         let dst = self.alloc_pred();
-        self.emit(Inst::SetP { dst, cmp, ty, a, b });
+        self.emit(UOp::SetP { dst, cmp, ty, a, b });
         dst
     }
 
     /// `!a` into a fresh predicate.
     pub fn pnot(&mut self, a: Pred) -> Pred {
         let dst = self.alloc_pred();
-        self.emit(Inst::PNot { dst, a });
+        self.emit(UOp::PNot { dst, a });
         dst
     }
 
     /// `a && b` into a fresh predicate.
     pub fn pand(&mut self, a: Pred, b: Pred) -> Pred {
         let dst = self.alloc_pred();
-        self.emit(Inst::PBool {
+        self.emit(UOp::PBool {
             dst,
             a,
             b,
@@ -419,7 +391,7 @@ impl KernelBuilder {
     /// `a || b` into a fresh predicate.
     pub fn por(&mut self, a: Pred, b: Pred) -> Pred {
         let dst = self.alloc_pred();
-        self.emit(Inst::PBool {
+        self.emit(UOp::PBool {
             dst,
             a,
             b,
@@ -431,7 +403,7 @@ impl KernelBuilder {
     /// `p ? a : b`.
     pub fn sel(&mut self, p: Pred, a: Op, b: Op) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::Sel { dst, p, a, b });
+        self.emit(UOp::Sel { dst, p, a, b });
         dst
     }
 
@@ -440,7 +412,7 @@ impl KernelBuilder {
     /// 32-bit load from `space[addr + offset]`.
     pub fn ld(&mut self, space: Space, addr: Reg, offset: i32) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::Ld {
+        self.emit(UOp::Ld {
             dst,
             space,
             addr,
@@ -451,7 +423,7 @@ impl KernelBuilder {
 
     /// 32-bit store to `space[addr + offset]`.
     pub fn st(&mut self, space: Space, addr: Reg, offset: i32, src: Op) {
-        self.emit(Inst::St {
+        self.emit(UOp::St {
             space,
             addr,
             offset,
@@ -463,14 +435,14 @@ impl KernelBuilder {
     pub fn ld_param(&mut self, word: u16) -> Reg {
         let dst = self.alloc();
         self.max_param_read = Some(self.max_param_read.map_or(word, |m| m.max(word)));
-        self.emit(Inst::LdParam { dst, word });
+        self.emit(UOp::LdParam { dst, word });
         dst
     }
 
     /// Atomic RMW returning the old value.
     pub fn atom(&mut self, op: AtomOp, space: Space, addr: Reg, offset: i32, src: Op) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::Atom {
+        self.emit(UOp::Atom {
             dst: Some(dst),
             op,
             space,
@@ -484,7 +456,7 @@ impl KernelBuilder {
 
     /// Atomic RMW discarding the old value (cheaper issue slot on hardware).
     pub fn atom_noret(&mut self, op: AtomOp, space: Space, addr: Reg, offset: i32, src: Op) {
-        self.emit(Inst::Atom {
+        self.emit(UOp::Atom {
             dst: None,
             op,
             space,
@@ -499,7 +471,7 @@ impl KernelBuilder {
     /// `cmp`; returns the old value.
     pub fn atom_cas(&mut self, space: Space, addr: Reg, offset: i32, cmp: Reg, swap: Op) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::Atom {
+        self.emit(UOp::Atom {
             dst: Some(dst),
             op: AtomOp::Cas,
             space,
@@ -513,7 +485,7 @@ impl KernelBuilder {
 
     /// Memory fence.
     pub fn memfence(&mut self) {
-        self.emit(Inst::MemFence);
+        self.emit(UOp::MemFence);
     }
 
     // ---- control flow -----------------------------------------------------------
@@ -523,20 +495,20 @@ impl KernelBuilder {
     /// Must not be placed inside divergent control flow (same rule as
     /// CUDA); the simulator checks this at runtime.
     pub fn bar(&mut self) {
-        self.emit(Inst::Bar);
+        self.emit(UOp::Bar);
     }
 
     /// Terminates the thread. An implicit `exit` is appended at the end of
     /// the kernel, so this is only needed for early exits.
     pub fn exit(&mut self) {
-        self.emit(Inst::Exit);
+        self.emit(UOp::Exit);
     }
 
     /// Structured `if p { then }` with reconvergence at the join point.
     pub fn if_(&mut self, p: Pred, then: impl FnOnce(&mut Self)) {
         let bra_pc = self.here();
         // Placeholder; patched to jump over the body when !p.
-        self.emit(Inst::Bra {
+        self.emit(UOp::Bra {
             pred: Some((p, true)),
             target: 0,
             reconv: 0,
@@ -549,14 +521,14 @@ impl KernelBuilder {
     /// Structured `if p { then } else { els }`.
     pub fn if_else_(&mut self, p: Pred, then: impl FnOnce(&mut Self), els: impl FnOnce(&mut Self)) {
         let bra_to_else = self.here();
-        self.emit(Inst::Bra {
+        self.emit(UOp::Bra {
             pred: Some((p, true)),
             target: 0,
             reconv: 0,
         });
         then(self);
         let jump_end = self.here();
-        self.emit(Inst::Bra {
+        self.emit(UOp::Bra {
             pred: None,
             target: 0,
             reconv: 0,
@@ -574,13 +546,13 @@ impl KernelBuilder {
         let top = self.here();
         let p = cond(self);
         let exit_bra = self.here();
-        self.emit(Inst::Bra {
+        self.emit(UOp::Bra {
             pred: Some((p, true)),
             target: 0,
             reconv: 0,
         });
         body(self);
-        self.emit(Inst::Bra {
+        self.emit(UOp::Bra {
             pred: None,
             target: top,
             reconv: top,
@@ -605,8 +577,8 @@ impl KernelBuilder {
     }
 
     fn patch_bra(&mut self, pc: u32, target: u32, reconv: u32) {
-        match &mut self.insts[pc as usize] {
-            Inst::Bra {
+        match &mut self.uops[pc as usize].op {
+            UOp::Bra {
                 target: t,
                 reconv: r,
                 ..
@@ -624,7 +596,7 @@ impl KernelBuilder {
     /// and returns the register holding its global address.
     pub fn get_param_buf(&mut self, words: u16) -> Reg {
         let dst = self.alloc();
-        self.emit(Inst::GetParamBuf { dst, words });
+        self.emit(UOp::GetParamBuf { dst, words });
         dst
     }
 
@@ -637,13 +609,23 @@ impl KernelBuilder {
     /// `cudaLaunchDevice` (CDP): nested device-kernel launch of `ntb`
     /// thread blocks.
     pub fn launch_device(&mut self, kernel: KernelId, ntb: Op, param: Reg) {
-        self.emit(Inst::LaunchDevice { kernel, ntb, param });
+        self.emit(UOp::Launch {
+            kind: LaunchKind::Device,
+            kernel,
+            ntb,
+            param,
+        });
     }
 
     /// `cudaLaunchAggGroup` (DTBL): launches an aggregated group of `ntb`
     /// thread blocks.
     pub fn launch_agg(&mut self, kernel: KernelId, ntb: Op, param: Reg) {
-        self.emit(Inst::LaunchAgg { kernel, ntb, param });
+        self.emit(UOp::Launch {
+            kind: LaunchKind::Agg,
+            kernel,
+            ntb,
+            param,
+        });
     }
 
     // ---- finalization ---------------------------------------------------------------------
@@ -678,18 +660,18 @@ impl KernelBuilder {
                 });
             }
         }
-        self.insts.push(Inst::Exit);
-        let len = self.insts.len() as u32;
-        for (pc, inst) in self.insts.iter().enumerate() {
-            if let Inst::Bra { target, reconv, .. } = inst {
-                if *target >= len || *reconv >= len {
+        self.emit(UOp::Exit);
+        let len = self.here();
+        for (pc, m) in self.uops.iter().enumerate() {
+            if let UOp::Bra { target, reconv, .. } = m.op {
+                if target >= len || reconv >= len {
                     return Err(BuildError::UnpatchedBranch { pc: pc as u32 });
                 }
             }
         }
         Ok(Kernel::from_parts(
             self.name,
-            self.insts,
+            self.uops,
             self.block_dim,
             self.next_reg.max(1) as u16,
             self.next_pred as u8,
@@ -702,6 +684,7 @@ impl KernelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::LatClass;
 
     #[test]
     fn if_patches_forward_branch() {
@@ -714,17 +697,17 @@ mod tests {
         let k = b.build().unwrap();
         // Find the branch and check it targets the instruction after the body.
         let bra = k
-            .insts()
+            .uops()
             .iter()
             .enumerate()
-            .find_map(|(pc, i)| match i {
-                Inst::Bra { target, reconv, .. } => Some((pc, *target, *reconv)),
+            .find_map(|(pc, m)| match m.op {
+                UOp::Bra { target, reconv, .. } => Some((pc, target, reconv)),
                 _ => None,
             })
             .unwrap();
         assert_eq!(bra.1, bra.2, "if reconverges at its own join point");
         assert!(bra.1 > bra.0 as u32);
-        assert!((bra.1 as usize) < k.insts().len());
+        assert!((bra.1 as usize) < k.uops().len());
     }
 
     #[test]
@@ -739,9 +722,9 @@ mod tests {
             },
         );
         let k = b.build().unwrap();
-        let backedge = k.insts().iter().enumerate().any(|(pc, inst)| {
-            matches!(inst, Inst::Bra { pred: None, target, .. } if (*target as usize) < pc)
-        });
+        let backedge = k.uops().iter().enumerate().any(
+            |(pc, m)| matches!(m.op, UOp::Bra { pred: None, target, .. } if (target as usize) < pc),
+        );
         assert!(
             backedge,
             "loop must contain a backwards unconditional branch"
@@ -753,7 +736,48 @@ mod tests {
         let mut b = KernelBuilder::new("t", Dim3::x(32), 0);
         let _ = b.imm(0);
         let k = b.build().unwrap();
-        assert!(matches!(k.insts().last(), Some(Inst::Exit)));
+        assert!(matches!(k.uops().last().map(|m| m.op), Some(UOp::Exit)));
+    }
+
+    /// Each micro-op carries the latency class of its operator: multiplies
+    /// and multiply-adds, integer divides and remainders, and float divides
+    /// and square roots have their own classes; everything else is `Alu`.
+    #[test]
+    fn latency_class_follows_the_operator() {
+        use LatClass::{Alu, FDiv, IDiv, IMul};
+        let mut b = KernelBuilder::new("t", Dim3::x(32), 0);
+        let x = b.imm(3);
+        type Emit = fn(&mut KernelBuilder, Reg) -> Reg;
+        let ops: [(Emit, LatClass); 15] = [
+            (|b, x| b.iadd(x, Op::Imm(1)), Alu),
+            (|b, x| b.isub(x, Op::Imm(1)), Alu),
+            (|b, x| b.imins(x, Op::Imm(1)), Alu),
+            (|b, x| b.shl(x, Op::Imm(1)), Alu),
+            (|b, x| b.imul(x, Op::Imm(3)), IMul),
+            (|b, x| b.mad(x, Op::Imm(3), Op::Imm(1)), IMul),
+            (|b, x| b.idivu(x, Op::Imm(2)), IDiv),
+            (|b, x| b.iremu(x, Op::Imm(2)), IDiv),
+            (|b, x| b.fadd(x, Op::f32(1.0)), Alu),
+            (|b, x| b.fmul(x, Op::f32(1.0)), Alu),
+            (|b, x| b.fmax(x, Op::f32(1.0)), Alu),
+            (|b, x| b.fdiv(x, Op::f32(3.0)), FDiv),
+            (|b, x| b.fsqrt(x), FDiv),
+            (|b, x| b.i2f(x), Alu),
+            (|b, x| b.f2i(x), Alu),
+        ];
+        for (emit, _) in &ops {
+            emit(&mut b, x);
+        }
+        b.setp(CmpOp::Lt, CmpTy::U32, x, Op::Imm(4));
+        b.st(Space::Global, x, 0, Op::Imm(0));
+        b.memfence();
+        let k = b.build().unwrap();
+        // imm, the fifteen operators, setp, st, memfence, exit.
+        let mut want = vec![Alu];
+        want.extend(ops.iter().map(|&(_, lat)| lat));
+        want.extend([Alu; 4]);
+        let got: Vec<LatClass> = k.uops().iter().map(|m| m.lat).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -816,14 +840,14 @@ mod tests {
         );
         let k = b.build().unwrap();
         let bras: Vec<_> = k
-            .insts()
+            .uops()
             .iter()
-            .filter_map(|i| match i {
-                Inst::Bra {
+            .filter_map(|m| match m.op {
+                UOp::Bra {
                     target,
                     reconv,
                     pred,
-                } => Some((*target, *reconv, pred.is_some())),
+                } => Some((target, reconv, pred.is_some())),
                 _ => None,
             })
             .collect();

@@ -1,26 +1,19 @@
-//! Decoded micro-op programs and the warp-vectorized functional executor.
+//! The instruction set as the machine runs it, and the warp-vectorized
+//! functional executor.
 //!
-//! The cycle-level simulator issues the same instruction for up to 32
-//! lanes at once. Executing it through [`ThreadCtx::step`] pays the full
-//! [`Inst`] enum match, the per-lane [`Op`] register/immediate resolution
-//! and a boxed per-thread register file dereference *per lane, per
-//! issue*. This module removes all three costs without changing a single
-//! architectural result:
+//! A kernel is a flat array of [`MicroOp`]s: [`KernelBuilder`] pushes each
+//! one, with its pipeline latency class, as it is emitted, and the
+//! [`Kernel`] stores that array once. The cycle-level simulator, the
+//! reference interpreter ([`interp`](crate::interp)) and the degradation
+//! ladder all execute it; the `Arc<Kernel>` a [`Program`](crate::Program)
+//! holds carries it through install and dispatch. Executing one micro-op for up
+//! to 32 lanes at once stays cheap because of two choices:
 //!
-//! * **Decode once.** [`decode`] lowers a kernel's instruction stream
-//!   into a flat [`MicroOp`] array at build time ([`Kernel::from_parts`]
-//!   calls it), pre-classifying the pipeline latency class and the
-//!   static lane-uniformity of every operand (an [`Op::Imm`] is uniform
-//!   by construction; an [`Op::Reg`] is checked against a dynamic
-//!   uniformity bitset at issue time). The array rides the existing
-//!   `Arc<Kernel>` through install and dispatch, so decoding happens
-//!   once per [`Program`](crate::Program), not once per issue.
 //! * **Lane-major register file.** [`WarpRegs`] stores all 32 lanes of
 //!   a register contiguously (`[reg * WARP_SIZE + lane]`) plus 64
-//!   warp-wide predicate lane-masks, replacing 32 separately boxed
-//!   `ThreadCtx`s. Per-opcode execution becomes a tight loop over one
-//!   cache line pair that LLVM can auto-vectorize, and the backing
-//!   `Vec` retains its capacity when pooled across thread-block
+//!   warp-wide predicate lane-masks. Per-opcode execution is a tight loop
+//!   over one cache line pair that LLVM can auto-vectorize, and the
+//!   backing `Vec` retains its capacity when pooled across thread-block
 //!   placements.
 //! * **Uniform-operand fast paths.** [`exec_alu`] computes a result
 //!   once and broadcasts it when every input is lane-uniform. Uniformity
@@ -33,15 +26,17 @@
 //!   only costs the fast path.
 //!
 //! [`ThreadCtx::step`] stays as the oracle: the tests below run every ALU
-//! micro-op shape through [`exec_alu`] and through 32 `ThreadCtx`s and
-//! compare every register and predicate lane.
+//! micro-op shape through [`exec_alu`] and, with its own scalar
+//! semantics, through 32 `ThreadCtx`s, and compare every register and
+//! predicate lane.
 //!
 //! [`ThreadCtx::step`]: crate::ThreadCtx::step
-//! [`Kernel::from_parts`]: crate::Kernel
+//! [`KernelBuilder`]: crate::KernelBuilder
+//! [`Kernel`]: crate::Kernel
 
 use crate::dim::Dim3;
 use crate::exec::{cmp_f32, cmp_with, ThreadEnv};
-use crate::inst::{AtomOp, CmpOp, CmpTy, Inst, Op, Space};
+use crate::inst::{AtomOp, CmpOp, CmpTy, Op, Space};
 use crate::kernel::KernelId;
 use crate::reg::{Pred, Reg, SReg};
 use crate::{LaunchKind, WARP_SIZE};
@@ -49,9 +44,9 @@ use crate::{LaunchKind, WARP_SIZE};
 /// Number of [`SReg`] variants (rows in a [`WarpEnv`] table).
 pub const NUM_SREGS: usize = 14;
 
-/// Pipeline latency class, pre-resolved at decode so the issue path maps
-/// a micro-op to its dependent-issue latency with one array-free match
-/// instead of re-classifying the full instruction enum.
+/// Pipeline latency class, fixed when the builder pushes a micro-op so
+/// the issue path maps it to its dependent-issue latency with one
+/// array-free match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LatClass {
     /// Simple integer/float ALU.
@@ -64,9 +59,8 @@ pub enum LatClass {
     FDiv,
 }
 
-/// Binary ALU operator (the 19 two-source register-op instructions
-/// collapsed into one discriminant + operand descriptor form).
-#[allow(missing_docs)] // names mirror the Inst variants they decode from
+/// Binary ALU operator of [`UOp::Bin`]: `dst = a <op> b`.
+#[allow(missing_docs)] // each operator's semantics is its `bin_eval` arm
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinOp {
     IAdd,
@@ -90,8 +84,8 @@ pub enum BinOp {
     FMax,
 }
 
-/// Unary ALU operator.
-#[allow(missing_docs)]
+/// Unary ALU operator of [`UOp::Un`]: `dst = <op> a`.
+#[allow(missing_docs)] // each operator's semantics is its `un_eval` arm
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnOp {
     FSqrt,
@@ -99,36 +93,31 @@ pub enum UnOp {
     F2I,
 }
 
-/// A decoded micro-operation: flat opcode discriminant plus pre-resolved
-/// operand descriptors. Field conventions follow [`Inst`].
+/// One machine instruction.
+///
+/// Binary arithmetic takes its first source from a register and the
+/// second from an [`Op`] (register or immediate), mirroring typical RISC
+/// encodings. All values are 32 bits; floating-point operators
+/// reinterpret register bits as IEEE-754 single precision.
+///
+/// Operand fields follow one convention throughout — `dst`: destination
+/// register; `a`: first (register) source; `b`/`c`: further operands;
+/// `addr`+`offset`: effective address `addr + offset` — so per-field docs
+/// are suppressed.
 #[allow(missing_docs)]
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum UOp {
-    Mov {
-        dst: Reg,
-        src: Op,
-    },
-    S2R {
-        dst: Reg,
-        sreg: SReg,
-    },
-    Bin {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Op,
-    },
-    IMad {
-        dst: Reg,
-        a: Reg,
-        b: Op,
-        c: Op,
-    },
-    Un {
-        op: UnOp,
-        dst: Reg,
-        a: Reg,
-    },
+    /// `dst = src`.
+    Mov { dst: Reg, src: Op },
+    /// `dst = special_register` (thread/block indices and extents).
+    S2R { dst: Reg, sreg: SReg },
+    /// `dst = a <op> b`.
+    Bin { op: BinOp, dst: Reg, a: Reg, b: Op },
+    /// `dst = a * b + c` (multiply-add, low 32 bits).
+    IMad { dst: Reg, a: Reg, b: Op, c: Op },
+    /// `dst = <op> a`.
+    Un { op: UnOp, dst: Reg, a: Reg },
+    /// `dst = (a <cmp> b)` under interpretation `ty`.
     SetP {
         dst: Pred,
         cmp: CmpOp,
@@ -136,38 +125,37 @@ pub enum UOp {
         a: Reg,
         b: Op,
     },
+    /// `dst = if and { a && b } else { a || b }` on predicates.
     PBool {
         dst: Pred,
         a: Pred,
         b: Pred,
         and: bool,
     },
-    PNot {
-        dst: Pred,
-        a: Pred,
-    },
-    Sel {
-        dst: Reg,
-        p: Pred,
-        a: Op,
-        b: Op,
-    },
+    /// `dst = !a`.
+    PNot { dst: Pred, a: Pred },
+    /// `dst = p ? a : b`.
+    Sel { dst: Reg, p: Pred, a: Op, b: Op },
+    /// `dst = mem[space][addr + offset]` (32-bit load).
     Ld {
         dst: Reg,
         space: Space,
         addr: Reg,
         offset: i32,
     },
+    /// `mem[space][addr + offset] = src` (32-bit store).
     St {
         space: Space,
         addr: Reg,
         offset: i32,
         src: Op,
     },
-    LdParam {
-        dst: Reg,
-        word: u16,
-    },
+    /// Load the `word`-th 32-bit word of the kernel/aggregated-group
+    /// parameter buffer.
+    LdParam { dst: Reg, word: u16 },
+    /// Atomic read-modify-write; `dst` (if any) receives the old value.
+    /// For [`AtomOp::Cas`], `extra` is the comparand and `src` the swap
+    /// value.
     Atom {
         dst: Option<Reg>,
         op: AtomOp,
@@ -177,19 +165,30 @@ pub enum UOp {
         src: Op,
         extra: Option<Reg>,
     },
+    /// Memory fence (a fixed-latency pipeline bubble; the functional
+    /// model is sequentially consistent already).
     MemFence,
+    /// Branch to `target`. If `pred` is present the branch is divergent-
+    /// capable: threads whose predicate (xor `negate`) is true jump,
+    /// others fall through, and the warp reconverges at `reconv` (the
+    /// immediate post-dominator, guaranteed by the builder).
     Bra {
         pred: Option<(Pred, bool)>,
         target: u32,
         reconv: u32,
     },
+    /// Thread-block-wide barrier (`__syncthreads()`).
     Bar,
+    /// Terminate this thread.
     Exit,
+    /// No operation.
     Nop,
-    GetParamBuf {
-        dst: Reg,
-        words: u16,
-    },
+    /// `cudaGetParameterBuffer`: allocate a parameter buffer of `words`
+    /// 32-bit words in global memory; `dst` receives its address.
+    GetParamBuf { dst: Reg, words: u16 },
+    /// `cudaLaunchDevice` (CDP, [`LaunchKind::Device`]) or
+    /// `cudaLaunchAggGroup` (DTBL, [`LaunchKind::Agg`]): launch `ntb`
+    /// thread blocks of `kernel` with parameter buffer `param`.
     Launch {
         kind: LaunchKind,
         kernel: KernelId,
@@ -198,166 +197,40 @@ pub enum UOp {
     },
 }
 
-/// One decoded instruction: the micro-op and its pre-classified latency.
+/// One instruction of a kernel: the micro-op and its latency class.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MicroOp {
-    /// The lowered operation.
+    /// The operation.
     pub op: UOp,
-    /// Dependent-issue latency class (replicates the simulator's
-    /// historical `alu_latency` classification exactly).
+    /// Dependent-issue latency class, implied by the operator.
     pub lat: LatClass,
 }
 
 impl MicroOp {
-    /// True for micro-ops the LSU handles (mirrors [`Inst::is_memory`]).
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self.op,
-            UOp::Ld { .. } | UOp::St { .. } | UOp::Atom { .. } | UOp::LdParam { .. }
-        )
+    /// Pairs `op` with the latency class of its operator.
+    pub(crate) fn new(op: UOp) -> Self {
+        let lat = match op {
+            UOp::IMad { .. } => LatClass::IMul,
+            UOp::Bin { op, .. } => match op {
+                BinOp::IMul => LatClass::IMul,
+                BinOp::IDivU | BinOp::IRemU => LatClass::IDiv,
+                BinOp::FDiv => LatClass::FDiv,
+                _ => LatClass::Alu,
+            },
+            UOp::Un { op, .. } => match op {
+                UnOp::FSqrt => LatClass::FDiv,
+                UnOp::I2F | UnOp::F2I => LatClass::Alu,
+            },
+            _ => LatClass::Alu,
+        };
+        MicroOp { op, lat }
     }
 }
 
-fn lat_class(inst: &Inst) -> LatClass {
-    match inst {
-        Inst::IMul { .. } | Inst::IMad { .. } => LatClass::IMul,
-        Inst::IDivU { .. } | Inst::IRemU { .. } => LatClass::IDiv,
-        Inst::FDiv { .. } | Inst::FSqrt { .. } => LatClass::FDiv,
-        _ => LatClass::Alu,
-    }
-}
-
-/// Lowers one instruction.
-fn decode_one(inst: &Inst) -> MicroOp {
-    let lat = lat_class(inst);
-    let op = match *inst {
-        Inst::Mov { dst, src } => UOp::Mov { dst, src },
-        Inst::S2R { dst, sreg } => UOp::S2R { dst, sreg },
-        Inst::IAdd { dst, a, b } => bin(BinOp::IAdd, dst, a, b),
-        Inst::ISub { dst, a, b } => bin(BinOp::ISub, dst, a, b),
-        Inst::IMul { dst, a, b } => bin(BinOp::IMul, dst, a, b),
-        Inst::IMad { dst, a, b, c } => UOp::IMad { dst, a, b, c },
-        Inst::IDivU { dst, a, b } => bin(BinOp::IDivU, dst, a, b),
-        Inst::IRemU { dst, a, b } => bin(BinOp::IRemU, dst, a, b),
-        Inst::IMinS { dst, a, b } => bin(BinOp::IMinS, dst, a, b),
-        Inst::IMaxS { dst, a, b } => bin(BinOp::IMaxS, dst, a, b),
-        Inst::And { dst, a, b } => bin(BinOp::And, dst, a, b),
-        Inst::Or { dst, a, b } => bin(BinOp::Or, dst, a, b),
-        Inst::Xor { dst, a, b } => bin(BinOp::Xor, dst, a, b),
-        Inst::Shl { dst, a, b } => bin(BinOp::Shl, dst, a, b),
-        Inst::ShrU { dst, a, b } => bin(BinOp::ShrU, dst, a, b),
-        Inst::ShrS { dst, a, b } => bin(BinOp::ShrS, dst, a, b),
-        Inst::FAdd { dst, a, b } => bin(BinOp::FAdd, dst, a, b),
-        Inst::FSub { dst, a, b } => bin(BinOp::FSub, dst, a, b),
-        Inst::FMul { dst, a, b } => bin(BinOp::FMul, dst, a, b),
-        Inst::FDiv { dst, a, b } => bin(BinOp::FDiv, dst, a, b),
-        Inst::FMin { dst, a, b } => bin(BinOp::FMin, dst, a, b),
-        Inst::FMax { dst, a, b } => bin(BinOp::FMax, dst, a, b),
-        Inst::FSqrt { dst, a } => UOp::Un {
-            op: UnOp::FSqrt,
-            dst,
-            a,
-        },
-        Inst::I2F { dst, a } => UOp::Un {
-            op: UnOp::I2F,
-            dst,
-            a,
-        },
-        Inst::F2I { dst, a } => UOp::Un {
-            op: UnOp::F2I,
-            dst,
-            a,
-        },
-        Inst::SetP { dst, cmp, ty, a, b } => UOp::SetP { dst, cmp, ty, a, b },
-        Inst::PBool { dst, a, b, and } => UOp::PBool { dst, a, b, and },
-        Inst::PNot { dst, a } => UOp::PNot { dst, a },
-        Inst::Sel { dst, p, a, b } => UOp::Sel { dst, p, a, b },
-        Inst::Ld {
-            dst,
-            space,
-            addr,
-            offset,
-        } => UOp::Ld {
-            dst,
-            space,
-            addr,
-            offset,
-        },
-        Inst::St {
-            space,
-            addr,
-            offset,
-            src,
-        } => UOp::St {
-            space,
-            addr,
-            offset,
-            src,
-        },
-        Inst::LdParam { dst, word } => UOp::LdParam { dst, word },
-        Inst::Atom {
-            dst,
-            op,
-            space,
-            addr,
-            offset,
-            src,
-            extra,
-        } => UOp::Atom {
-            dst,
-            op,
-            space,
-            addr,
-            offset,
-            src,
-            extra,
-        },
-        Inst::MemFence => UOp::MemFence,
-        Inst::Bra {
-            pred,
-            target,
-            reconv,
-        } => UOp::Bra {
-            pred,
-            target,
-            reconv,
-        },
-        Inst::Bar => UOp::Bar,
-        Inst::Exit => UOp::Exit,
-        Inst::Nop => UOp::Nop,
-        Inst::GetParamBuf { dst, words } => UOp::GetParamBuf { dst, words },
-        Inst::LaunchDevice { kernel, ntb, param } => UOp::Launch {
-            kind: LaunchKind::Device,
-            kernel,
-            ntb,
-            param,
-        },
-        Inst::LaunchAgg { kernel, ntb, param } => UOp::Launch {
-            kind: LaunchKind::Agg,
-            kernel,
-            ntb,
-            param,
-        },
-    };
-    MicroOp { op, lat }
-}
-
-fn bin(op: BinOp, dst: Reg, a: Reg, b: Op) -> UOp {
-    UOp::Bin { op, dst, a, b }
-}
-
-/// Lowers a validated instruction stream into its micro-op program.
-/// Called once per kernel at build time; the result is `Arc`-shared with
-/// the kernel itself.
-pub fn decode(insts: &[Inst]) -> Box<[MicroOp]> {
-    insts.iter().map(decode_one).collect()
-}
-
-/// Evaluates a binary ALU operator with the exact per-thread semantics
-/// of [`ThreadCtx::step`](crate::ThreadCtx::step) (wrapping integer
-/// arithmetic, hardware division-by-zero results, masked shift counts,
-/// bit-roundtripped f32).
-#[inline]
+/// Evaluates a binary ALU operator: wrapping integer arithmetic,
+/// hardware division-by-zero results, masked shift counts, bit-roundtripped
+/// f32.
+#[inline(always)]
 pub fn bin_eval(op: BinOp, x: u32, y: u32) -> u32 {
     match op {
         BinOp::IAdd => x.wrapping_add(y),
@@ -388,8 +261,8 @@ pub fn bin_eval(op: BinOp, x: u32, y: u32) -> u32 {
     }
 }
 
-/// Evaluates a unary ALU operator (same semantics as the per-thread
-/// executor, including `cvt.rzi.s32.f32` saturation).
+/// Evaluates a unary ALU operator (`cvt.rzi.s32.f32` saturation for
+/// `F2I`).
 #[inline]
 pub fn un_eval(op: UnOp, x: u32) -> u32 {
     match op {
@@ -822,7 +695,6 @@ impl WarpEnv {
             },
             lane: self.lane(SReg::LaneId, lane),
             smid: self.lane(SReg::SmId, lane),
-            param_base: self.param_base,
         }
     }
 }
@@ -855,47 +727,24 @@ pub fn exec_alu(uop: &UOp, regs: &mut WarpRegs, env: &WarpEnv, mask: u32) {
                 regs.store_masked(dst, &out, mask);
             }
         }
-        UOp::Bin { op, dst, a, b } => match op {
-            BinOp::IAdd => bin_loop(regs, dst, a, b, mask, |x, y| x.wrapping_add(y)),
-            BinOp::ISub => bin_loop(regs, dst, a, b, mask, |x, y| x.wrapping_sub(y)),
-            BinOp::IMul => bin_loop(regs, dst, a, b, mask, |x, y| x.wrapping_mul(y)),
-            BinOp::IDivU => bin_loop(regs, dst, a, b, mask, |x, y| {
-                x.checked_div(y).unwrap_or(u32::MAX)
-            }),
-            BinOp::IRemU => bin_loop(regs, dst, a, b, mask, |x, y| if y == 0 { x } else { x % y }),
-            BinOp::IMinS => bin_loop(regs, dst, a, b, mask, |x, y| {
-                (x as i32).min(y as i32) as u32
-            }),
-            BinOp::IMaxS => bin_loop(regs, dst, a, b, mask, |x, y| {
-                (x as i32).max(y as i32) as u32
-            }),
-            BinOp::And => bin_loop(regs, dst, a, b, mask, |x, y| x & y),
-            BinOp::Or => bin_loop(regs, dst, a, b, mask, |x, y| x | y),
-            BinOp::Xor => bin_loop(regs, dst, a, b, mask, |x, y| x ^ y),
-            BinOp::Shl => bin_loop(regs, dst, a, b, mask, |x, y| x << (y & 31)),
-            BinOp::ShrU => bin_loop(regs, dst, a, b, mask, |x, y| x >> (y & 31)),
-            BinOp::ShrS => bin_loop(regs, dst, a, b, mask, |x, y| {
-                ((x as i32) >> (y & 31)) as u32
-            }),
-            BinOp::FAdd => bin_loop(regs, dst, a, b, mask, |x, y| {
-                (f32::from_bits(x) + f32::from_bits(y)).to_bits()
-            }),
-            BinOp::FSub => bin_loop(regs, dst, a, b, mask, |x, y| {
-                (f32::from_bits(x) - f32::from_bits(y)).to_bits()
-            }),
-            BinOp::FMul => bin_loop(regs, dst, a, b, mask, |x, y| {
-                (f32::from_bits(x) * f32::from_bits(y)).to_bits()
-            }),
-            BinOp::FDiv => bin_loop(regs, dst, a, b, mask, |x, y| {
-                (f32::from_bits(x) / f32::from_bits(y)).to_bits()
-            }),
-            BinOp::FMin => bin_loop(regs, dst, a, b, mask, |x, y| {
-                f32::from_bits(x).min(f32::from_bits(y)).to_bits()
-            }),
-            BinOp::FMax => bin_loop(regs, dst, a, b, mask, |x, y| {
-                f32::from_bits(x).max(f32::from_bits(y)).to_bits()
-            }),
-        },
+        UOp::Bin { op, dst, a, b } => {
+            // One sweep per operator: with a constant operator `bin_eval`
+            // folds to the bare operation, so the inner loop carries no
+            // dispatch.
+            macro_rules! sweep {
+                ($($v:ident),+) => {
+                    match op {
+                        $(BinOp::$v => {
+                            bin_loop(regs, dst, a, b, mask, |x, y| bin_eval(BinOp::$v, x, y))
+                        })+
+                    }
+                };
+            }
+            sweep!(
+                IAdd, ISub, IMul, IDivU, IRemU, IMinS, IMaxS, And, Or, Xor, Shl, ShrU, ShrS, FAdd,
+                FSub, FMul, FDiv, FMin, FMax
+            )
+        }
         UOp::IMad { dst, a, b, c } => {
             if let (true, Some(y), Some(z)) =
                 (regs.is_uniform(a), regs.src_uniform(b), regs.src_uniform(c))
@@ -1045,7 +894,7 @@ fn bin_loop(regs: &mut WarpRegs, dst: Reg, a: Reg, b: Op, mask: u32, f: impl Fn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Effect, ThreadCtx};
+    use crate::exec::ThreadCtx;
     use crate::WARP_SIZE;
     use sim_rand::{Rng, SeedableRng, StdRng};
 
@@ -1056,69 +905,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_preserves_latency_classes() {
-        let r = Reg(0);
-        let cases = [
-            (
-                Inst::IAdd {
-                    dst: r,
-                    a: r,
-                    b: Op::Imm(1),
-                },
-                LatClass::Alu,
-            ),
-            (
-                Inst::IMul {
-                    dst: r,
-                    a: r,
-                    b: Op::Imm(1),
-                },
-                LatClass::IMul,
-            ),
-            (
-                Inst::IMad {
-                    dst: r,
-                    a: r,
-                    b: Op::Imm(1),
-                    c: Op::Imm(0),
-                },
-                LatClass::IMul,
-            ),
-            (
-                Inst::IDivU {
-                    dst: r,
-                    a: r,
-                    b: Op::Imm(1),
-                },
-                LatClass::IDiv,
-            ),
-            (
-                Inst::IRemU {
-                    dst: r,
-                    a: r,
-                    b: Op::Imm(1),
-                },
-                LatClass::IDiv,
-            ),
-            (
-                Inst::FDiv {
-                    dst: r,
-                    a: r,
-                    b: Op::Imm(1),
-                },
-                LatClass::FDiv,
-            ),
-            (Inst::FSqrt { dst: r, a: r }, LatClass::FDiv),
-            (Inst::Nop, LatClass::Alu),
-        ];
-        for (inst, want) in cases {
-            assert_eq!(decode(&[inst])[0].lat, want, "{inst:?}");
-        }
-    }
-
-    #[test]
     fn env_table_matches_thread_env() {
-        use crate::reg::SReg;
         let block = Dim3::new(8, 4, 2);
         let env = env_for(u32::MAX);
         for lane in 0..WARP_SIZE {
@@ -1133,7 +920,6 @@ mod tests {
             assert_eq!(env.lane(SReg::SmId, lane), 1);
             let te = env.thread_env(lane);
             assert_eq!(te.tid, (tx, ty, tz));
-            assert_eq!(te.param_base, 0x1000);
         }
         // ctaid/ntid/nctaid/smid rows are uniform; tid.x and laneid are not
         // for a full warp of an 8-wide block.
@@ -1210,7 +996,7 @@ mod tests {
     #[test]
     fn exec_alu_matches_thread_ctx_oracle() {
         let env = env_for(u32::MAX);
-        let insts = alu_test_insts();
+        let shapes = alu_shapes();
         // Three operand populations x three execution masks.
         for pop in 0..3u32 {
             for mask in [u32::MAX, 0x0f0f_3357, 0x8000_0001] {
@@ -1218,19 +1004,19 @@ mod tests {
                 regs.reset(16, u32::MAX);
                 let mut ctxs: Vec<ThreadCtx> = (0..WARP_SIZE).map(|_| ThreadCtx::new(16)).collect();
                 seed(&mut regs, &mut ctxs, pop);
-                for (i, inst) in insts.iter().enumerate() {
-                    step_both(inst, &mut regs, &mut ctxs, &env, mask);
+                for (i, uop) in shapes.iter().enumerate() {
+                    step_both(uop, &mut regs, &mut ctxs, &env, mask);
                     compare(
                         &regs,
                         &ctxs,
                         u32::MAX,
-                        &format!("pop {pop} mask {mask:#x} inst {i}"),
+                        &format!("pop {pop} mask {mask:#x} shape {i}"),
                     );
                 }
             }
         }
 
-        // Random sequences. Every op draws a shape from `alu_test_insts`,
+        // Random sequences. Every op draws a shape from `alu_shapes`,
         // fresh operands and a fresh execution mask, so uniform bits are
         // set, read and invalidated in orders no hand-written list covers:
         // a uniform bit that survives a divergent write, or a uniform fast
@@ -1261,12 +1047,12 @@ mod tests {
                 if rng.gen_bool(0.15) {
                     writeback(&mut rng, &mut regs, &mut ctxs, mask);
                 } else {
-                    let mut inst = insts[rng.gen_range(0..insts.len())];
-                    randomize_operands(&mut inst, &mut rng);
-                    if nan_pair(&inst, &ctxs, mask) {
+                    let mut uop = shapes[rng.gen_range(0..shapes.len())];
+                    randomize_operands(&mut uop, &mut rng);
+                    if nan_pair(&uop, &ctxs, mask) {
                         continue;
                     }
-                    step_both(&inst, &mut regs, &mut ctxs, &env, mask);
+                    step_both(&uop, &mut regs, &mut ctxs, &env, mask);
                 }
                 compare(&regs, &ctxs, valid, &what);
                 i += 1;
@@ -1274,18 +1060,12 @@ mod tests {
         }
     }
 
-    /// Executes `inst` for the lanes of `mask` on both executors.
-    fn step_both(
-        inst: &Inst,
-        regs: &mut WarpRegs,
-        ctxs: &mut [ThreadCtx],
-        env: &WarpEnv,
-        mask: u32,
-    ) {
-        exec_alu(&decode_one(inst).op, regs, env, mask);
+    /// Executes `uop` for the lanes of `mask` on both executors.
+    fn step_both(uop: &UOp, regs: &mut WarpRegs, ctxs: &mut [ThreadCtx], env: &WarpEnv, mask: u32) {
+        exec_alu(uop, regs, env, mask);
         for (lane, ctx) in ctxs.iter_mut().enumerate() {
             if mask >> lane & 1 == 1 {
-                assert_eq!(ctx.step(inst, &env.thread_env(lane)), Effect::None);
+                ctx.step(uop, &env.thread_env(lane));
             }
         }
     }
@@ -1293,13 +1073,13 @@ mod tests {
     /// A float op both of whose operands are NaN in some active lane. Which
     /// payload survives is the host FPU's operand order — the compiler's
     /// choice per call site — so neither executor defines it.
-    fn nan_pair(inst: &Inst, ctxs: &[ThreadCtx], mask: u32) -> bool {
-        let (Inst::FAdd { a, b, .. }
-        | Inst::FSub { a, b, .. }
-        | Inst::FMul { a, b, .. }
-        | Inst::FDiv { a, b, .. }
-        | Inst::FMin { a, b, .. }
-        | Inst::FMax { a, b, .. }) = *inst
+    fn nan_pair(uop: &UOp, ctxs: &[ThreadCtx], mask: u32) -> bool {
+        let UOp::Bin {
+            op: BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv | BinOp::FMin | BinOp::FMax,
+            a,
+            b,
+            ..
+        } = *uop
         else {
             return false;
         };
@@ -1368,25 +1148,8 @@ mod tests {
     }
 
     /// Redraws every register, immediate, predicate and special-register
-    /// operand of `inst`, keeping its shape (opcode, compare type).
-    fn randomize_operands(inst: &mut Inst, rng: &mut StdRng) {
-        use crate::reg::SReg;
-        const SREGS: [SReg; NUM_SREGS] = [
-            SReg::TidX,
-            SReg::TidY,
-            SReg::TidZ,
-            SReg::CtaIdX,
-            SReg::CtaIdY,
-            SReg::CtaIdZ,
-            SReg::NTidX,
-            SReg::NTidY,
-            SReg::NTidZ,
-            SReg::NCtaIdX,
-            SReg::NCtaIdY,
-            SReg::NCtaIdZ,
-            SReg::LaneId,
-            SReg::SmId,
-        ];
+    /// operand of `uop`, keeping its shape (operator, compare type).
+    fn randomize_operands(uop: &mut UOp, rng: &mut StdRng) {
         fn reg(rng: &mut StdRng) -> Reg {
             Reg(rng.gen_range(0..16u16))
         }
@@ -1400,40 +1163,20 @@ mod tests {
                 Op::Imm(operand_value(rng))
             }
         }
-        match inst {
-            Inst::IAdd { dst, a, b }
-            | Inst::ISub { dst, a, b }
-            | Inst::IMul { dst, a, b }
-            | Inst::IDivU { dst, a, b }
-            | Inst::IRemU { dst, a, b }
-            | Inst::IMinS { dst, a, b }
-            | Inst::IMaxS { dst, a, b }
-            | Inst::And { dst, a, b }
-            | Inst::Or { dst, a, b }
-            | Inst::Xor { dst, a, b }
-            | Inst::Shl { dst, a, b }
-            | Inst::ShrU { dst, a, b }
-            | Inst::ShrS { dst, a, b }
-            | Inst::FAdd { dst, a, b }
-            | Inst::FSub { dst, a, b }
-            | Inst::FMul { dst, a, b }
-            | Inst::FDiv { dst, a, b }
-            | Inst::FMin { dst, a, b }
-            | Inst::FMax { dst, a, b } => (*dst, *a, *b) = (reg(rng), reg(rng), op(rng)),
-            Inst::IMad { dst, a, b, c } => {
+        match uop {
+            UOp::Bin { dst, a, b, .. } => (*dst, *a, *b) = (reg(rng), reg(rng), op(rng)),
+            UOp::IMad { dst, a, b, c } => {
                 (*dst, *a, *b, *c) = (reg(rng), reg(rng), op(rng), op(rng));
             }
-            Inst::FSqrt { dst, a } | Inst::I2F { dst, a } | Inst::F2I { dst, a } => {
-                (*dst, *a) = (reg(rng), reg(rng));
-            }
-            Inst::SetP { dst, a, b, .. } => (*dst, *a, *b) = (pred(rng), reg(rng), op(rng)),
-            Inst::PBool { dst, a, b, .. } => (*dst, *a, *b) = (pred(rng), pred(rng), pred(rng)),
-            Inst::PNot { dst, a } => (*dst, *a) = (pred(rng), pred(rng)),
-            Inst::Sel { dst, p, a, b } => {
+            UOp::Un { dst, a, .. } => (*dst, *a) = (reg(rng), reg(rng)),
+            UOp::SetP { dst, a, b, .. } => (*dst, *a, *b) = (pred(rng), reg(rng), op(rng)),
+            UOp::PBool { dst, a, b, .. } => (*dst, *a, *b) = (pred(rng), pred(rng), pred(rng)),
+            UOp::PNot { dst, a } => (*dst, *a) = (pred(rng), pred(rng)),
+            UOp::Sel { dst, p, a, b } => {
                 (*dst, *p, *a, *b) = (reg(rng), pred(rng), op(rng), op(rng));
             }
-            Inst::Mov { dst, src } => (*dst, *src) = (reg(rng), op(rng)),
-            Inst::S2R { dst, sreg } => {
+            UOp::Mov { dst, src } => (*dst, *src) = (reg(rng), op(rng)),
+            UOp::S2R { dst, sreg } => {
                 (*dst, *sreg) = (reg(rng), SREGS[rng.gen_range(0..NUM_SREGS)]);
             }
             other => unreachable!("not an ALU shape: {other:?}"),
@@ -1508,65 +1251,116 @@ mod tests {
         }
     }
 
-    /// Every ALU shape: binary ops with register and immediate second
-    /// operands, unary ops, IMad, SetP in all types, predicate booleans,
-    /// selects, movs and S2R.
-    fn alu_test_insts() -> Vec<Inst> {
-        use crate::reg::SReg;
-        let mut v = Vec::new();
-        let bins: &[fn(Reg, Reg, Op) -> Inst] = &[
-            |d, a, b| Inst::IAdd { dst: d, a, b },
-            |d, a, b| Inst::ISub { dst: d, a, b },
-            |d, a, b| Inst::IMul { dst: d, a, b },
-            |d, a, b| Inst::IDivU { dst: d, a, b },
-            |d, a, b| Inst::IRemU { dst: d, a, b },
-            |d, a, b| Inst::IMinS { dst: d, a, b },
-            |d, a, b| Inst::IMaxS { dst: d, a, b },
-            |d, a, b| Inst::And { dst: d, a, b },
-            |d, a, b| Inst::Or { dst: d, a, b },
-            |d, a, b| Inst::Xor { dst: d, a, b },
-            |d, a, b| Inst::Shl { dst: d, a, b },
-            |d, a, b| Inst::ShrU { dst: d, a, b },
-            |d, a, b| Inst::ShrS { dst: d, a, b },
-            |d, a, b| Inst::FAdd { dst: d, a, b },
-            |d, a, b| Inst::FSub { dst: d, a, b },
-            |d, a, b| Inst::FMul { dst: d, a, b },
-            |d, a, b| Inst::FDiv { dst: d, a, b },
-            |d, a, b| Inst::FMin { dst: d, a, b },
-            |d, a, b| Inst::FMax { dst: d, a, b },
-        ];
-        for (i, f) in bins.iter().enumerate() {
-            let d = Reg(8 + (i % 8) as u16);
-            v.push(f(
-                d,
-                Reg((i % 6) as u16),
-                Op::Reg(Reg(((i + 1) % 8) as u16)),
-            ));
-            v.push(f(d, Reg(((i + 2) % 8) as u16), Op::Imm(3 + i as u32)));
+    const SREGS: [SReg; NUM_SREGS] = [
+        SReg::TidX,
+        SReg::TidY,
+        SReg::TidZ,
+        SReg::CtaIdX,
+        SReg::CtaIdY,
+        SReg::CtaIdZ,
+        SReg::NTidX,
+        SReg::NTidY,
+        SReg::NTidZ,
+        SReg::NCtaIdX,
+        SReg::NCtaIdY,
+        SReg::NCtaIdZ,
+        SReg::LaneId,
+        SReg::SmId,
+    ];
+
+    /// Every `BinOp`, in declaration order. The successor match is
+    /// exhaustive, so an operator added to the enum does not compile
+    /// until it is chained in here (and so gets oracle shapes), and one
+    /// chained out of declaration order fails the discriminant check.
+    fn all_bin_ops() -> Vec<BinOp> {
+        use BinOp::*;
+        let next = |op: BinOp| match op {
+            IAdd => Some(ISub),
+            ISub => Some(IMul),
+            IMul => Some(IDivU),
+            IDivU => Some(IRemU),
+            IRemU => Some(IMinS),
+            IMinS => Some(IMaxS),
+            IMaxS => Some(And),
+            And => Some(Or),
+            Or => Some(Xor),
+            Xor => Some(Shl),
+            Shl => Some(ShrU),
+            ShrU => Some(ShrS),
+            ShrS => Some(FAdd),
+            FAdd => Some(FSub),
+            FSub => Some(FMul),
+            FMul => Some(FDiv),
+            FDiv => Some(FMin),
+            FMin => Some(FMax),
+            FMax => None,
+        };
+        let mut ops = vec![IAdd];
+        while let Some(op) = next(ops[ops.len() - 1]) {
+            ops.push(op);
         }
-        v.push(Inst::IMad {
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{op:?} chained out of declaration order");
+        }
+        ops
+    }
+
+    /// Every `UnOp`, built the same way as [`all_bin_ops`].
+    fn all_un_ops() -> Vec<UnOp> {
+        use UnOp::*;
+        let next = |op: UnOp| match op {
+            FSqrt => Some(I2F),
+            I2F => Some(F2I),
+            F2I => None,
+        };
+        let mut ops = vec![FSqrt];
+        while let Some(op) = next(ops[ops.len() - 1]) {
+            ops.push(op);
+        }
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{op:?} chained out of declaration order");
+        }
+        ops
+    }
+
+    /// Every ALU shape: each binary operator with a register and with an
+    /// immediate second operand, each unary operator, IMad, SetP in all
+    /// types, predicate booleans, selects, movs and S2R.
+    fn alu_shapes() -> Vec<UOp> {
+        let mut v = Vec::new();
+        for (i, op) in all_bin_ops().into_iter().enumerate() {
+            let dst = Reg(8 + (i % 8) as u16);
+            v.push(UOp::Bin {
+                op,
+                dst,
+                a: Reg((i % 6) as u16),
+                b: Op::Reg(Reg(((i + 1) % 8) as u16)),
+            });
+            v.push(UOp::Bin {
+                op,
+                dst,
+                a: Reg(((i + 2) % 8) as u16),
+                b: Op::Imm(3 + i as u32),
+            });
+        }
+        for (i, op) in all_un_ops().into_iter().enumerate() {
+            v.push(UOp::Un {
+                op,
+                dst: Reg(11 + i as u16),
+                a: Reg(5 + i as u16),
+            });
+        }
+        v.push(UOp::IMad {
             dst: Reg(9),
             a: Reg(1),
             b: Op::Reg(Reg(2)),
             c: Op::Imm(11),
         });
-        v.push(Inst::IMad {
+        v.push(UOp::IMad {
             dst: Reg(10),
             a: Reg(3),
             b: Op::Imm(5),
             c: Op::Reg(Reg(4)),
-        });
-        v.push(Inst::FSqrt {
-            dst: Reg(11),
-            a: Reg(5),
-        });
-        v.push(Inst::I2F {
-            dst: Reg(12),
-            a: Reg(6),
-        });
-        v.push(Inst::F2I {
-            dst: Reg(13),
-            a: Reg(12),
         });
         for ty in [CmpTy::U32, CmpTy::I32, CmpTy::F32] {
             for cmp in [
@@ -1577,14 +1371,14 @@ mod tests {
                 CmpOp::Gt,
                 CmpOp::Ge,
             ] {
-                v.push(Inst::SetP {
+                v.push(UOp::SetP {
                     dst: Pred(4),
                     cmp,
                     ty,
                     a: Reg(0),
                     b: Op::Reg(Reg(1)),
                 });
-                v.push(Inst::SetP {
+                v.push(UOp::SetP {
                     dst: Pred(5),
                     cmp,
                     ty,
@@ -1593,50 +1387,44 @@ mod tests {
                 });
             }
         }
-        v.push(Inst::PBool {
+        v.push(UOp::PBool {
             dst: Pred(6),
             a: Pred(0),
             b: Pred(1),
             and: true,
         });
-        v.push(Inst::PBool {
+        v.push(UOp::PBool {
             dst: Pred(7),
             a: Pred(2),
             b: Pred(3),
             and: false,
         });
-        v.push(Inst::PNot {
+        v.push(UOp::PNot {
             dst: Pred(2),
             a: Pred(6),
         });
-        v.push(Inst::Sel {
+        v.push(UOp::Sel {
             dst: Reg(14),
             p: Pred(0),
             a: Op::Reg(Reg(1)),
             b: Op::Imm(77),
         });
-        v.push(Inst::Sel {
+        v.push(UOp::Sel {
             dst: Reg(15),
             p: Pred(7),
             a: Op::Imm(1),
             b: Op::Reg(Reg(3)),
         });
-        v.push(Inst::Mov {
+        v.push(UOp::Mov {
             dst: Reg(8),
             src: Op::Imm(0xDEAD),
         });
-        v.push(Inst::Mov {
+        v.push(UOp::Mov {
             dst: Reg(9),
             src: Op::Reg(Reg(0)),
         });
-        for sreg in [
-            SReg::TidX,
-            SReg::TidY,
-            SReg::CtaIdX,
-            SReg::NTidX,
-            SReg::LaneId,
-        ] {
-            v.push(Inst::S2R { dst: Reg(10), sreg });
+        for sreg in SREGS {
+            v.push(UOp::S2R { dst: Reg(10), sreg });
         }
         v
     }

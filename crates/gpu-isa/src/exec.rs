@@ -1,21 +1,19 @@
-//! Per-thread functional semantics.
+//! Per-thread ALU semantics, the launch request, and atomics.
 //!
-//! The cycle-level simulator separates *function* from *timing*: when a warp
-//! issues an instruction, every active lane's architectural effect is
-//! computed here immediately (as GPGPU-Sim does), while the latency of the
-//! instruction is modelled separately by the SMX pipeline and memory
-//! subsystem. Pure ALU instructions update the [`ThreadCtx`] directly and
-//! return [`Effect::None`]; instructions with external effects (memory,
-//! parameter-buffer allocation, device launches) return a descriptor the
-//! simulator applies against its global state.
+//! [`ThreadCtx`] runs one lane's ALU micro-ops with its own scalar
+//! semantics: it is the oracle the warp-vectorized
+//! [`exec_alu`](crate::exec_alu) is checked against, and nothing else
+//! executes through it. The simulator computes every micro-op's effect at
+//! issue (as GPGPU-Sim does) and models its latency separately.
 
+use crate::decode::{BinOp, UOp, UnOp};
 use crate::dim::Dim3;
-use crate::inst::{AtomOp, CmpOp, CmpTy, Inst, Op, Space};
+use crate::inst::{AtomOp, CmpOp, CmpTy, Op};
 use crate::kernel::KernelId;
 use crate::reg::{Pred, Reg, SReg};
 
 /// Per-thread immutable execution environment: the values behind the
-/// special registers and the parameter-buffer base address.
+/// special registers.
 ///
 /// For a native thread block, `ctaid`/`nctaid` describe the kernel grid;
 /// for an aggregated thread block (DTBL) they describe the block's position
@@ -34,8 +32,6 @@ pub struct ThreadEnv {
     pub lane: u32,
     /// SMX the thread is resident on.
     pub smid: u32,
-    /// Global address of the kernel's or group's parameter buffer.
-    pub param_base: u32,
 }
 
 impl ThreadEnv {
@@ -83,49 +79,6 @@ pub struct LaunchRequest {
     pub param_addr: u32,
 }
 
-/// A memory access descriptor produced by one lane; the LSU coalesces the
-/// requests of all active lanes in the warp.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemRequest {
-    /// Address space accessed.
-    pub space: Space,
-    /// Byte address (within the space).
-    pub addr: u32,
-    /// True for stores and atomics (they dirty the line / need write
-    /// bandwidth).
-    pub is_write: bool,
-}
-
-/// The architectural effect of one lane executing one instruction.
-///
-/// Field convention matches [`Inst`](crate::Inst): `dst` receives the
-/// result, `req` describes the memory transaction, `operand`/`comparand`
-/// are the atomic inputs.
-#[allow(missing_docs)]
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Effect {
-    /// Fully handled inside the [`ThreadCtx`] (ALU, moves, predicates).
-    None,
-    /// 32-bit load; the simulator reads memory and calls
-    /// [`ThreadCtx::write_reg`] on `dst`.
-    Load { dst: Reg, req: MemRequest },
-    /// 32-bit store of `value`.
-    Store { req: MemRequest, value: u32 },
-    /// Atomic read-modify-write; `comparand` is present only for CAS.
-    Atomic {
-        dst: Option<Reg>,
-        op: AtomOp,
-        req: MemRequest,
-        operand: u32,
-        comparand: Option<u32>,
-    },
-    /// `cudaGetParameterBuffer`: the runtime allocates `words` words and
-    /// writes the address to `dst`.
-    AllocParamBuf { dst: Reg, words: u16 },
-    /// A device-side launch (CDP or DTBL).
-    Launch(LaunchRequest),
-}
-
 /// Architectural state of a single thread: general-purpose registers and
 /// predicates.
 #[derive(Clone, Debug)]
@@ -153,7 +106,7 @@ impl ThreadCtx {
         self.regs[usize::from(r.0)]
     }
 
-    /// Writes a register (used by the simulator for load write-back).
+    /// Writes a register.
     pub fn write_reg(&mut self, r: Reg, v: u32) {
         self.regs[usize::from(r.0)] = v;
     }
@@ -180,90 +133,73 @@ impl ThreadCtx {
         }
     }
 
-    /// Executes one instruction for this lane, updating registers and
-    /// returning any external effect.
-    ///
-    /// Control-flow instructions ([`Inst::Bra`], [`Inst::Bar`],
-    /// [`Inst::Exit`]) are warp-level: they return [`Effect::None`] and the
-    /// caller (the SIMT front end) is responsible for the PC/mask update,
-    /// reading predicates via [`ThreadCtx::pred`].
-    pub fn step(&mut self, inst: &Inst, env: &ThreadEnv) -> Effect {
-        lane_step(self, inst, env)
+    /// Executes one ALU micro-op for this lane (see [`lane_step`]).
+    pub fn step(&mut self, uop: &UOp, env: &ThreadEnv) {
+        lane_step(self, uop, env)
     }
 }
 
-/// Executes one instruction for one lane.
+/// Executes one ALU micro-op for one lane.
 ///
-/// This is the scalar reference executor: [`ThreadCtx::step`] delegates
-/// here, and the warp-vectorized path
-/// ([`decode::exec_alu`](crate::decode::exec_alu)) is differentially
-/// tested against it. Control-flow instructions return [`Effect::None`];
-/// the SIMT front end owns the PC/mask update.
-pub fn lane_step(st: &mut ThreadCtx, inst: &Inst, env: &ThreadEnv) -> Effect {
-    match *inst {
-        Inst::Mov { dst, src } => {
+/// This is the scalar reference executor the warp-vectorized
+/// [`exec_alu`](crate::exec_alu) is differentially tested against. It
+/// keeps its own per-operator scalar table rather than calling
+/// `bin_eval`/`un_eval`, so a wrong arm in either executor shows as a
+/// disagreement. Memory, launch and control micro-ops belong to the SIMT
+/// front end; passing one here is a bug caught in debug builds.
+pub fn lane_step(st: &mut ThreadCtx, uop: &UOp, env: &ThreadEnv) {
+    match *uop {
+        UOp::Mov { dst, src } => {
             let v = st.op(src);
             st.write_reg(dst, v);
-            Effect::None
         }
-        Inst::S2R { dst, sreg } => {
-            st.write_reg(dst, env.sreg(sreg));
-            Effect::None
+        UOp::S2R { dst, sreg } => st.write_reg(dst, env.sreg(sreg)),
+        UOp::Bin { op, dst, a, b } => {
+            let (x, y) = (st.reg(a), st.op(b));
+            let (fx, fy) = (f32::from_bits(x), f32::from_bits(y));
+            let v = match op {
+                BinOp::IAdd => x.wrapping_add(y),
+                BinOp::ISub => x.wrapping_sub(y),
+                BinOp::IMul => x.wrapping_mul(y),
+                // Hardware defines x/0 = all-ones and x%0 = x.
+                BinOp::IDivU => x.checked_div(y).unwrap_or(u32::MAX),
+                BinOp::IRemU => x.checked_rem(y).unwrap_or(x),
+                BinOp::IMinS => (x as i32).min(y as i32) as u32,
+                BinOp::IMaxS => (x as i32).max(y as i32) as u32,
+                BinOp::And => x & y,
+                BinOp::Or => x | y,
+                BinOp::Xor => x ^ y,
+                BinOp::Shl => x << (y & 31),
+                BinOp::ShrU => x >> (y & 31),
+                BinOp::ShrS => ((x as i32) >> (y & 31)) as u32,
+                BinOp::FAdd => (fx + fy).to_bits(),
+                BinOp::FSub => (fx - fy).to_bits(),
+                BinOp::FMul => (fx * fy).to_bits(),
+                BinOp::FDiv => (fx / fy).to_bits(),
+                BinOp::FMin => fx.min(fy).to_bits(),
+                BinOp::FMax => fx.max(fy).to_bits(),
+            };
+            st.write_reg(dst, v);
         }
-        Inst::IAdd { dst, a, b } => bin(st, dst, a, b, |x, y| x.wrapping_add(y)),
-        Inst::ISub { dst, a, b } => bin(st, dst, a, b, |x, y| x.wrapping_sub(y)),
-        Inst::IMul { dst, a, b } => bin(st, dst, a, b, |x, y| x.wrapping_mul(y)),
-        Inst::IMad { dst, a, b, c } => {
+        UOp::IMad { dst, a, b, c } => {
             let v = st.reg(a).wrapping_mul(st.op(b)).wrapping_add(st.op(c));
             st.write_reg(dst, v);
-            Effect::None
         }
-        Inst::IDivU { dst, a, b } => {
-            // Hardware defines x/0 = all-ones (not an Option), so a
-            // checked_div + unwrap_or reads as the semantics here.
-            bin(st, dst, a, b, |x, y| x.checked_div(y).unwrap_or(u32::MAX))
-        }
-        Inst::IRemU { dst, a, b } => bin(st, dst, a, b, |x, y| if y == 0 { x } else { x % y }),
-        Inst::IMinS { dst, a, b } => bin(st, dst, a, b, |x, y| (x as i32).min(y as i32) as u32),
-        Inst::IMaxS { dst, a, b } => bin(st, dst, a, b, |x, y| (x as i32).max(y as i32) as u32),
-        Inst::And { dst, a, b } => bin(st, dst, a, b, |x, y| x & y),
-        Inst::Or { dst, a, b } => bin(st, dst, a, b, |x, y| x | y),
-        Inst::Xor { dst, a, b } => bin(st, dst, a, b, |x, y| x ^ y),
-        Inst::Shl { dst, a, b } => bin(st, dst, a, b, |x, y| x << (y & 31)),
-        Inst::ShrU { dst, a, b } => bin(st, dst, a, b, |x, y| x >> (y & 31)),
-        Inst::ShrS { dst, a, b } => bin(st, dst, a, b, |x, y| ((x as i32) >> (y & 31)) as u32),
-        Inst::FAdd { dst, a, b } => fbin(st, dst, a, b, |x, y| x + y),
-        Inst::FSub { dst, a, b } => fbin(st, dst, a, b, |x, y| x - y),
-        Inst::FMul { dst, a, b } => fbin(st, dst, a, b, |x, y| x * y),
-        Inst::FDiv { dst, a, b } => fbin(st, dst, a, b, |x, y| x / y),
-        Inst::FSqrt { dst, a } => {
-            let v = f32::from_bits(st.reg(a)).sqrt();
-            st.write_reg(dst, v.to_bits());
-            Effect::None
-        }
-        Inst::FMin { dst, a, b } => fbin(st, dst, a, b, f32::min),
-        Inst::FMax { dst, a, b } => fbin(st, dst, a, b, f32::max),
-        Inst::I2F { dst, a } => {
-            let v = (st.reg(a) as i32) as f32;
-            st.write_reg(dst, v.to_bits());
-            Effect::None
-        }
-        Inst::F2I { dst, a } => {
-            let f = f32::from_bits(st.reg(a));
-            // cvt.rzi.s32.f32 semantics: truncate, saturate, NaN -> 0.
-            let v = if f.is_nan() {
-                0i32
-            } else if f >= i32::MAX as f32 {
-                i32::MAX
-            } else if f <= i32::MIN as f32 {
-                i32::MIN
-            } else {
-                f.trunc() as i32
+        UOp::Un { op, dst, a } => {
+            let x = st.reg(a);
+            let f = f32::from_bits(x);
+            let v = match op {
+                UnOp::FSqrt => f.sqrt().to_bits(),
+                UnOp::I2F => ((x as i32) as f32).to_bits(),
+                // cvt.rzi.s32.f32 semantics: truncate, saturate, NaN -> 0.
+                UnOp::F2I if f.is_nan() => 0,
+                UnOp::F2I if f >= i32::MAX as f32 => i32::MAX as u32,
+                UnOp::F2I if f <= i32::MIN as f32 => i32::MIN as u32,
+                UnOp::F2I => f.trunc() as i32 as u32,
             };
-            st.write_reg(dst, v as u32);
-            Effect::None
+            st.write_reg(dst, v);
         }
-        Inst::SetP { dst, cmp, ty, a, b } => {
+        UOp::SetP { dst, cmp, ty, a, b } => {
             let x = st.reg(a);
             let y = st.op(b);
             let r = match ty {
@@ -272,107 +208,25 @@ pub fn lane_step(st: &mut ThreadCtx, inst: &Inst, env: &ThreadEnv) -> Effect {
                 CmpTy::F32 => cmp_f32(cmp, f32::from_bits(x), f32::from_bits(y)),
             };
             st.write_pred(dst, r);
-            Effect::None
         }
-        Inst::PBool { dst, a, b, and } => {
+        UOp::PBool { dst, a, b, and } => {
             let v = if and {
                 st.pred(a) && st.pred(b)
             } else {
                 st.pred(a) || st.pred(b)
             };
             st.write_pred(dst, v);
-            Effect::None
         }
-        Inst::PNot { dst, a } => {
+        UOp::PNot { dst, a } => {
             let v = !st.pred(a);
             st.write_pred(dst, v);
-            Effect::None
         }
-        Inst::Sel { dst, p, a, b } => {
+        UOp::Sel { dst, p, a, b } => {
             let v = if st.pred(p) { st.op(a) } else { st.op(b) };
             st.write_reg(dst, v);
-            Effect::None
         }
-        Inst::Ld {
-            dst,
-            space,
-            addr,
-            offset,
-        } => Effect::Load {
-            dst,
-            req: MemRequest {
-                space,
-                addr: st.reg(addr).wrapping_add_signed(offset),
-                is_write: false,
-            },
-        },
-        Inst::St {
-            space,
-            addr,
-            offset,
-            src,
-        } => Effect::Store {
-            req: MemRequest {
-                space,
-                addr: st.reg(addr).wrapping_add_signed(offset),
-                is_write: true,
-            },
-            value: st.op(src),
-        },
-        Inst::LdParam { dst, word } => Effect::Load {
-            dst,
-            req: MemRequest {
-                space: Space::Global,
-                addr: env.param_base.wrapping_add(u32::from(word) * 4),
-                is_write: false,
-            },
-        },
-        Inst::Atom {
-            dst,
-            op,
-            space,
-            addr,
-            offset,
-            src,
-            extra,
-        } => Effect::Atomic {
-            dst,
-            op,
-            req: MemRequest {
-                space,
-                addr: st.reg(addr).wrapping_add_signed(offset),
-                is_write: true,
-            },
-            operand: st.op(src),
-            comparand: extra.map(|r| st.reg(r)),
-        },
-        Inst::GetParamBuf { dst, words } => Effect::AllocParamBuf { dst, words },
-        Inst::LaunchDevice { kernel, ntb, param } => Effect::Launch(LaunchRequest {
-            kind: LaunchKind::Device,
-            kernel,
-            ntb: st.op(ntb),
-            param_addr: st.reg(param),
-        }),
-        Inst::LaunchAgg { kernel, ntb, param } => Effect::Launch(LaunchRequest {
-            kind: LaunchKind::Agg,
-            kernel,
-            ntb: st.op(ntb),
-            param_addr: st.reg(param),
-        }),
-        Inst::Bra { .. } | Inst::Bar | Inst::Exit | Inst::Nop | Inst::MemFence => Effect::None,
+        _ => debug_assert!(false, "lane_step called on a non-ALU micro-op: {uop:?}"),
     }
-}
-
-fn bin(st: &mut ThreadCtx, dst: Reg, a: Reg, b: Op, f: impl FnOnce(u32, u32) -> u32) -> Effect {
-    let v = f(st.reg(a), st.op(b));
-    st.write_reg(dst, v);
-    Effect::None
-}
-
-fn fbin(st: &mut ThreadCtx, dst: Reg, a: Reg, b: Op, f: impl FnOnce(f32, f32) -> f32) -> Effect {
-    let v = f(f32::from_bits(st.reg(a)), f32::from_bits(st.op(b)));
-    st.write_reg(dst, v.to_bits());
-    Effect::None
 }
 
 /// Applies an atomic operator to a memory word, returning the new value to
@@ -429,45 +283,48 @@ mod tests {
             nctaid: Dim3::x(10),
             lane: 3,
             smid: 1,
-            param_base: 0x1000,
         }
     }
 
-    fn ctx() -> ThreadCtx {
-        ThreadCtx::new(16)
+    /// Runs `dst = a <op> b` on a fresh context holding `x` in `a`.
+    fn bin(op: BinOp, x: u32, b: Op) -> u32 {
+        let mut c = ThreadCtx::new(4);
+        c.write_reg(Reg(0), x);
+        let (dst, a) = (Reg(1), Reg(0));
+        c.step(&UOp::Bin { op, dst, a, b }, &env());
+        c.reg(dst)
+    }
+
+    /// Runs `dst = <op> a` on a fresh context holding `x` in `a`.
+    fn un(op: UnOp, x: u32) -> u32 {
+        let mut c = ThreadCtx::new(4);
+        c.write_reg(Reg(0), x);
+        c.step(
+            &UOp::Un {
+                op,
+                dst: Reg(1),
+                a: Reg(0),
+            },
+            &env(),
+        );
+        c.reg(Reg(1))
     }
 
     #[test]
     fn alu_basics() {
-        let mut c = ctx();
+        assert_eq!(bin(BinOp::IAdd, 7, Op::Imm(5)), 12);
+        assert_eq!(bin(BinOp::ISub, 7, Op::Imm(10)) as i32, -3);
+        let mut c = ThreadCtx::new(4);
         let e = env();
         c.step(
-            &Inst::Mov {
+            &UOp::Mov {
                 dst: Reg(0),
                 src: Op::Imm(7),
             },
             &e,
         );
         c.step(
-            &Inst::IAdd {
-                dst: Reg(1),
-                a: Reg(0),
-                b: Op::Imm(5),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(1)), 12);
-        c.step(
-            &Inst::ISub {
-                dst: Reg(2),
-                a: Reg(0),
-                b: Op::Imm(10),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(2)) as i32, -3);
-        c.step(
-            &Inst::IMad {
+            &UOp::IMad {
                 dst: Reg(3),
                 a: Reg(0),
                 b: Op::Imm(3),
@@ -480,184 +337,73 @@ mod tests {
 
     #[test]
     fn division_by_zero_matches_hardware() {
-        let mut c = ctx();
-        let e = env();
-        c.write_reg(Reg(0), 42);
-        c.step(
-            &Inst::IDivU {
-                dst: Reg(1),
-                a: Reg(0),
-                b: Op::Imm(0),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(1)), u32::MAX);
-        c.step(
-            &Inst::IRemU {
-                dst: Reg(2),
-                a: Reg(0),
-                b: Op::Imm(0),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(2)), 42);
+        assert_eq!(bin(BinOp::IDivU, 42, Op::Imm(0)), u32::MAX);
+        assert_eq!(bin(BinOp::IRemU, 42, Op::Imm(0)), 42);
     }
 
     #[test]
     fn signed_min_max_and_shifts() {
-        let mut c = ctx();
-        let e = env();
-        c.write_reg(Reg(0), (-5i32) as u32);
-        c.step(
-            &Inst::IMinS {
-                dst: Reg(1),
-                a: Reg(0),
-                b: Op::Imm(3),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(1)) as i32, -5);
-        c.step(
-            &Inst::IMaxS {
-                dst: Reg(2),
-                a: Reg(0),
-                b: Op::Imm(3),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(2)), 3);
-        c.step(
-            &Inst::ShrS {
-                dst: Reg(3),
-                a: Reg(0),
-                b: Op::Imm(1),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(3)) as i32, -3);
-        c.step(
-            &Inst::ShrU {
-                dst: Reg(4),
-                a: Reg(0),
-                b: Op::Imm(33),
-            },
-            &e,
-        );
+        let m5 = (-5i32) as u32;
+        assert_eq!(bin(BinOp::IMinS, m5, Op::Imm(3)) as i32, -5);
+        assert_eq!(bin(BinOp::IMaxS, m5, Op::Imm(3)), 3);
+        assert_eq!(bin(BinOp::ShrS, m5, Op::Imm(1)) as i32, -3);
         // Shift count is masked to 5 bits.
-        assert_eq!(c.reg(Reg(4)), ((-5i32) as u32) >> 1);
+        assert_eq!(bin(BinOp::ShrU, m5, Op::Imm(33)), m5 >> 1);
     }
 
     #[test]
     fn float_ops_roundtrip_bits() {
-        let mut c = ctx();
-        let e = env();
-        c.write_reg(Reg(0), 2.0f32.to_bits());
-        c.step(
-            &Inst::FMul {
-                dst: Reg(1),
-                a: Reg(0),
-                b: Op::f32(3.5),
-            },
-            &e,
-        );
-        assert_eq!(f32::from_bits(c.reg(Reg(1))), 7.0);
-        c.step(
-            &Inst::FSqrt {
-                dst: Reg(2),
-                a: Reg(1),
-            },
-            &e,
-        );
-        assert!((f32::from_bits(c.reg(Reg(2))) - 7.0f32.sqrt()).abs() < 1e-6);
-        c.step(
-            &Inst::F2I {
-                dst: Reg(3),
-                a: Reg(1),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(3)), 7);
-        c.write_reg(Reg(4), (-3i32) as u32);
-        c.step(
-            &Inst::I2F {
-                dst: Reg(5),
-                a: Reg(4),
-            },
-            &e,
-        );
-        assert_eq!(f32::from_bits(c.reg(Reg(5))), -3.0);
+        let seven = bin(BinOp::FMul, 2.0f32.to_bits(), Op::f32(3.5));
+        assert_eq!(f32::from_bits(seven), 7.0);
+        assert!((f32::from_bits(un(UnOp::FSqrt, seven)) - 7.0f32.sqrt()).abs() < 1e-6);
+        assert_eq!(un(UnOp::F2I, seven), 7);
+        assert_eq!(f32::from_bits(un(UnOp::I2F, (-3i32) as u32)), -3.0);
     }
 
     #[test]
     fn f2i_saturates_and_zeroes_nan() {
-        let mut c = ctx();
-        let e = env();
-        c.write_reg(Reg(0), f32::NAN.to_bits());
-        c.step(
-            &Inst::F2I {
-                dst: Reg(1),
-                a: Reg(0),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(1)), 0);
-        c.write_reg(Reg(0), 1e30f32.to_bits());
-        c.step(
-            &Inst::F2I {
-                dst: Reg(1),
-                a: Reg(0),
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(1)) as i32, i32::MAX);
+        assert_eq!(un(UnOp::F2I, f32::NAN.to_bits()), 0);
+        assert_eq!(un(UnOp::F2I, 1e30f32.to_bits()) as i32, i32::MAX);
+        assert_eq!(un(UnOp::F2I, (-1e30f32).to_bits()) as i32, i32::MIN);
+    }
+
+    /// Runs `p0 = a <cmp> b` under `ty` with `x` in `a`.
+    fn setp(cmp: CmpOp, ty: CmpTy, x: u32, b: Op) -> bool {
+        let mut c = ThreadCtx::new(4);
+        c.write_reg(Reg(0), x);
+        let dst = Pred(0);
+        let a = Reg(0);
+        c.step(&UOp::SetP { dst, cmp, ty, a, b }, &env());
+        c.pred(dst)
     }
 
     #[test]
     fn predicates_and_select() {
-        let mut c = ctx();
+        let mut c = ThreadCtx::new(4);
         let e = env();
-        c.write_reg(Reg(0), 5);
+        c.write_pred(Pred(0), true);
         c.step(
-            &Inst::SetP {
-                dst: Pred(0),
-                cmp: CmpOp::Lt,
-                ty: CmpTy::U32,
-                a: Reg(0),
-                b: Op::Imm(9),
-            },
-            &e,
-        );
-        assert!(c.pred(Pred(0)));
-        c.step(
-            &Inst::PNot {
+            &UOp::PNot {
                 dst: Pred(1),
                 a: Pred(0),
             },
             &e,
         );
         assert!(!c.pred(Pred(1)));
+        for (and, want) in [(true, false), (false, true)] {
+            c.step(
+                &UOp::PBool {
+                    dst: Pred(2),
+                    a: Pred(0),
+                    b: Pred(1),
+                    and,
+                },
+                &e,
+            );
+            assert_eq!(c.pred(Pred(2)), want, "and={and}");
+        }
         c.step(
-            &Inst::PBool {
-                dst: Pred(2),
-                a: Pred(0),
-                b: Pred(1),
-                and: true,
-            },
-            &e,
-        );
-        assert!(!c.pred(Pred(2)));
-        c.step(
-            &Inst::PBool {
-                dst: Pred(3),
-                a: Pred(0),
-                b: Pred(1),
-                and: false,
-            },
-            &e,
-        );
-        assert!(c.pred(Pred(3)));
-        c.step(
-            &Inst::Sel {
+            &UOp::Sel {
                 dst: Reg(1),
                 p: Pred(0),
                 a: Op::Imm(10),
@@ -670,192 +416,30 @@ mod tests {
 
     #[test]
     fn signed_comparison_differs_from_unsigned() {
-        let mut c = ctx();
-        let e = env();
-        c.write_reg(Reg(0), (-1i32) as u32);
-        c.step(
-            &Inst::SetP {
-                dst: Pred(0),
-                cmp: CmpOp::Lt,
-                ty: CmpTy::I32,
-                a: Reg(0),
-                b: Op::Imm(0),
-            },
-            &e,
+        assert!(setp(CmpOp::Lt, CmpTy::U32, 5, Op::Imm(9)));
+        let m1 = (-1i32) as u32;
+        assert!(setp(CmpOp::Lt, CmpTy::I32, m1, Op::Imm(0)), "-1 < 0 signed");
+        assert!(
+            !setp(CmpOp::Lt, CmpTy::U32, m1, Op::Imm(0)),
+            "0xffffffff not < 0 unsigned"
         );
-        assert!(c.pred(Pred(0)), "-1 < 0 signed");
-        c.step(
-            &Inst::SetP {
-                dst: Pred(1),
-                cmp: CmpOp::Lt,
-                ty: CmpTy::U32,
-                a: Reg(0),
-                b: Op::Imm(0),
-            },
-            &e,
-        );
-        assert!(!c.pred(Pred(1)), "0xffffffff not < 0 unsigned");
     }
 
     #[test]
     fn nan_comparisons_are_unordered() {
-        let mut c = ctx();
-        let e = env();
-        c.write_reg(Reg(0), f32::NAN.to_bits());
+        let nan = f32::NAN.to_bits();
         for (cmp, want) in [(CmpOp::Eq, false), (CmpOp::Lt, false), (CmpOp::Ne, true)] {
-            c.step(
-                &Inst::SetP {
-                    dst: Pred(0),
-                    cmp,
-                    ty: CmpTy::F32,
-                    a: Reg(0),
-                    b: Op::f32(1.0),
-                },
-                &e,
-            );
-            assert_eq!(c.pred(Pred(0)), want, "{cmp:?}");
+            assert_eq!(setp(cmp, CmpTy::F32, nan, Op::f32(1.0)), want, "{cmp:?}");
         }
     }
 
     #[test]
     fn special_registers_come_from_env() {
-        let mut c = ctx();
-        let e = env();
-        c.step(
-            &Inst::S2R {
-                dst: Reg(0),
-                sreg: SReg::TidX,
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(0)), 3);
-        c.step(
-            &Inst::S2R {
-                dst: Reg(0),
-                sreg: SReg::NCtaIdX,
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(0)), 10);
-        c.step(
-            &Inst::S2R {
-                dst: Reg(0),
-                sreg: SReg::SmId,
-            },
-            &e,
-        );
-        assert_eq!(c.reg(Reg(0)), 1);
-    }
-
-    #[test]
-    fn memory_effects_carry_computed_addresses() {
-        let mut c = ctx();
-        let e = env();
-        c.write_reg(Reg(0), 0x100);
-        let eff = c.step(
-            &Inst::Ld {
-                dst: Reg(1),
-                space: Space::Global,
-                addr: Reg(0),
-                offset: 8,
-            },
-            &e,
-        );
-        assert_eq!(
-            eff,
-            Effect::Load {
-                dst: Reg(1),
-                req: MemRequest {
-                    space: Space::Global,
-                    addr: 0x108,
-                    is_write: false
-                }
-            }
-        );
-        let eff = c.step(
-            &Inst::St {
-                space: Space::Shared,
-                addr: Reg(0),
-                offset: -4,
-                src: Op::Imm(9),
-            },
-            &e,
-        );
-        assert_eq!(
-            eff,
-            Effect::Store {
-                req: MemRequest {
-                    space: Space::Shared,
-                    addr: 0xfc,
-                    is_write: true
-                },
-                value: 9
-            }
-        );
-    }
-
-    #[test]
-    fn ld_param_reads_relative_to_param_base() {
-        let mut c = ctx();
-        let e = env();
-        let eff = c.step(
-            &Inst::LdParam {
-                dst: Reg(1),
-                word: 3,
-            },
-            &e,
-        );
-        assert_eq!(
-            eff,
-            Effect::Load {
-                dst: Reg(1),
-                req: MemRequest {
-                    space: Space::Global,
-                    addr: 0x100c,
-                    is_write: false
-                }
-            }
-        );
-    }
-
-    #[test]
-    fn launch_effects() {
-        let mut c = ctx();
-        let e = env();
-        c.write_reg(Reg(0), 4);
-        c.write_reg(Reg(1), 0x2000);
-        let eff = c.step(
-            &Inst::LaunchAgg {
-                kernel: KernelId(7),
-                ntb: Op::Reg(Reg(0)),
-                param: Reg(1),
-            },
-            &e,
-        );
-        assert_eq!(
-            eff,
-            Effect::Launch(LaunchRequest {
-                kind: LaunchKind::Agg,
-                kernel: KernelId(7),
-                ntb: 4,
-                param_addr: 0x2000
-            })
-        );
-        let eff = c.step(
-            &Inst::LaunchDevice {
-                kernel: KernelId(2),
-                ntb: Op::Imm(1),
-                param: Reg(1),
-            },
-            &e,
-        );
-        assert!(matches!(
-            eff,
-            Effect::Launch(LaunchRequest {
-                kind: LaunchKind::Device,
-                ..
-            })
-        ));
+        let mut c = ThreadCtx::new(4);
+        for (sreg, want) in [(SReg::TidX, 3), (SReg::NCtaIdX, 10), (SReg::SmId, 1)] {
+            c.step(&UOp::S2R { dst: Reg(0), sreg }, &env());
+            assert_eq!(c.reg(Reg(0)), want, "{sreg:?}");
+        }
     }
 
     #[test]
@@ -873,25 +457,5 @@ mod tests {
         assert_eq!(apply_atomic(AtomOp::Cas, 5, 9, Some(6)), 5);
         assert_eq!(apply_atomic(AtomOp::Or, 0b01, 0b10, None), 0b11);
         assert_eq!(apply_atomic(AtomOp::And, 0b11, 0b10, None), 0b10);
-    }
-
-    #[test]
-    fn control_flow_is_warp_level_noop_here() {
-        let mut c = ctx();
-        let e = env();
-        for i in [Inst::Bar, Inst::Exit, Inst::Nop, Inst::MemFence] {
-            assert_eq!(c.step(&i, &e), Effect::None);
-        }
-        assert_eq!(
-            c.step(
-                &Inst::Bra {
-                    pred: None,
-                    target: 0,
-                    reconv: 0
-                },
-                &e
-            ),
-            Effect::None
-        );
     }
 }

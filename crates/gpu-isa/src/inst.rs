@@ -1,7 +1,7 @@
-//! The SIMT instruction set.
+//! Operand and operator types shared by the micro-ops of the instruction
+//! set ([`UOp`](crate::UOp)).
 
-use crate::kernel::KernelId;
-use crate::reg::{Pred, Reg, SReg};
+use crate::reg::Reg;
 use std::fmt;
 
 macro_rules! fmt_variants {
@@ -53,7 +53,7 @@ impl fmt::Display for Op {
     }
 }
 
-/// Memory spaces addressable by [`Inst::Ld`]/[`Inst::St`]/[`Inst::Atom`].
+/// Memory spaces addressable by loads, stores and atomics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Space {
     /// Device global memory; byte-addressed, cached in L1/L2, coalesced per
@@ -73,7 +73,7 @@ impl fmt::Display for Space {
     }
 }
 
-/// Comparison operators for [`Inst::SetP`].
+/// Comparison operators for [`UOp::SetP`](crate::UOp::SetP).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
@@ -109,7 +109,7 @@ impl fmt::Display for CmpTy {
     fmt_variants!(I32 => "s32", U32 => "u32", F32 => "f32");
 }
 
-/// Atomic read-modify-write operators for [`Inst::Atom`].
+/// Atomic read-modify-write operators for [`UOp::Atom`](crate::UOp::Atom).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AtomOp {
     /// Atomic add (wrapping, unsigned).
@@ -138,229 +138,6 @@ impl fmt::Display for AtomOp {
                   Cas => "cas", Or => "or", And => "and");
 }
 
-/// A single machine instruction.
-///
-/// Binary arithmetic takes its first source from a register and the second
-/// from an [`Op`] (register or immediate), mirroring typical RISC encodings.
-/// All values are 32 bits; floating-point instructions reinterpret register
-/// bits as IEEE-754 single precision.
-///
-/// Operand fields follow one convention throughout — `dst`: destination
-/// register; `a`: first (register) source; `b`/`c`: further operands;
-/// `addr`+`offset`: effective address `addr + offset` — so per-field docs
-/// are suppressed.
-#[allow(missing_docs)]
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Inst {
-    // ---- moves & special registers -------------------------------------
-    /// `dst = src`.
-    Mov { dst: Reg, src: Op },
-    /// `dst = special_register` (thread/block indices and extents).
-    S2R { dst: Reg, sreg: SReg },
-
-    // ---- integer ALU ----------------------------------------------------
-    /// `dst = a + b` (wrapping).
-    IAdd { dst: Reg, a: Reg, b: Op },
-    /// `dst = a - b` (wrapping).
-    ISub { dst: Reg, a: Reg, b: Op },
-    /// `dst = a * b` (low 32 bits).
-    IMul { dst: Reg, a: Reg, b: Op },
-    /// `dst = a * b + c` (multiply-add, low 32 bits).
-    IMad { dst: Reg, a: Reg, b: Op, c: Op },
-    /// `dst = a / b` (unsigned; division by zero yields `u32::MAX` as on
-    /// NVIDIA hardware).
-    IDivU { dst: Reg, a: Reg, b: Op },
-    /// `dst = a % b` (unsigned; modulo zero yields `a`).
-    IRemU { dst: Reg, a: Reg, b: Op },
-    /// `dst = min(a, b)` (signed).
-    IMinS { dst: Reg, a: Reg, b: Op },
-    /// `dst = max(a, b)` (signed).
-    IMaxS { dst: Reg, a: Reg, b: Op },
-    /// `dst = a & b`.
-    And { dst: Reg, a: Reg, b: Op },
-    /// `dst = a | b`.
-    Or { dst: Reg, a: Reg, b: Op },
-    /// `dst = a ^ b`.
-    Xor { dst: Reg, a: Reg, b: Op },
-    /// `dst = a << (b & 31)`.
-    Shl { dst: Reg, a: Reg, b: Op },
-    /// `dst = a >> (b & 31)` (logical).
-    ShrU { dst: Reg, a: Reg, b: Op },
-    /// `dst = a >> (b & 31)` (arithmetic).
-    ShrS { dst: Reg, a: Reg, b: Op },
-
-    // ---- f32 ALU ----------------------------------------------------------
-    /// `dst = a + b` (f32).
-    FAdd { dst: Reg, a: Reg, b: Op },
-    /// `dst = a - b` (f32).
-    FSub { dst: Reg, a: Reg, b: Op },
-    /// `dst = a * b` (f32).
-    FMul { dst: Reg, a: Reg, b: Op },
-    /// `dst = a / b` (f32).
-    FDiv { dst: Reg, a: Reg, b: Op },
-    /// `dst = sqrt(a)` (f32).
-    FSqrt { dst: Reg, a: Reg },
-    /// `dst = min(a, b)` (f32, NaN-propagating like `f32::min`).
-    FMin { dst: Reg, a: Reg, b: Op },
-    /// `dst = max(a, b)` (f32).
-    FMax { dst: Reg, a: Reg, b: Op },
-    /// `dst = (f32) (i32) a` — signed int to float.
-    I2F { dst: Reg, a: Reg },
-    /// `dst = (i32) a` — float to signed int, truncating.
-    F2I { dst: Reg, a: Reg },
-
-    // ---- predicates & select ---------------------------------------------
-    /// `dst = (a <cmp> b)` under interpretation `ty`.
-    SetP {
-        dst: Pred,
-        cmp: CmpOp,
-        ty: CmpTy,
-        a: Reg,
-        b: Op,
-    },
-    /// `dst = a AND/OR b` on predicates: `dst = if and { a && b } else { a || b }`.
-    PBool {
-        dst: Pred,
-        a: Pred,
-        b: Pred,
-        and: bool,
-    },
-    /// `dst = !a`.
-    PNot { dst: Pred, a: Pred },
-    /// `dst = p ? a : b`.
-    Sel { dst: Reg, p: Pred, a: Op, b: Op },
-
-    // ---- memory -----------------------------------------------------------
-    /// `dst = mem[space][addr + offset]` (32-bit load).
-    Ld {
-        dst: Reg,
-        space: Space,
-        addr: Reg,
-        offset: i32,
-    },
-    /// `mem[space][addr + offset] = src` (32-bit store).
-    St {
-        space: Space,
-        addr: Reg,
-        offset: i32,
-        src: Op,
-    },
-    /// Load the `word`-th 32-bit word of the kernel/aggregated-group
-    /// parameter buffer.
-    LdParam { dst: Reg, word: u16 },
-    /// Atomic read-modify-write; `dst` (if any) receives the old value.
-    /// For [`AtomOp::Cas`], `extra` is the comparand and `src` the swap
-    /// value.
-    Atom {
-        dst: Option<Reg>,
-        op: AtomOp,
-        space: Space,
-        addr: Reg,
-        offset: i32,
-        src: Op,
-        extra: Option<Reg>,
-    },
-    /// Memory fence (modelled as a fixed-latency pipeline bubble; the
-    /// functional model is sequentially consistent already).
-    MemFence,
-
-    // ---- control flow ------------------------------------------------------
-    /// Branch to `target`. If `pred` is present the branch is divergent-
-    /// capable: threads whose predicate (xor `negate`) is true jump, others
-    /// fall through, and the warp reconverges at `reconv` (the immediate
-    /// post-dominator, guaranteed by the builder).
-    Bra {
-        pred: Option<(Pred, bool)>,
-        target: u32,
-        reconv: u32,
-    },
-    /// Thread-block-wide barrier (`__syncthreads()`).
-    Bar,
-    /// Terminate this thread.
-    Exit,
-    /// No operation (used by the builder for label padding).
-    Nop,
-
-    // ---- device runtime intrinsics ------------------------------------------
-    /// `cudaGetParameterBuffer`: allocate a parameter buffer of
-    /// `words` 32-bit words in global memory; `dst` receives its address.
-    /// Charged the Table 3 per-warp latency model.
-    GetParamBuf { dst: Reg, words: u16 },
-    /// `cudaLaunchDevice` (CDP): launch `ntb` thread blocks of `kernel` as a
-    /// nested device kernel with parameter buffer `param`.
-    LaunchDevice {
-        kernel: KernelId,
-        ntb: Op,
-        param: Reg,
-    },
-    /// `cudaLaunchAggGroup` (DTBL): launch an aggregated group of `ntb`
-    /// thread blocks executing `kernel`, to be coalesced with an eligible
-    /// kernel in the Kernel Distributor.
-    LaunchAgg {
-        kernel: KernelId,
-        ntb: Op,
-        param: Reg,
-    },
-}
-
-impl Inst {
-    /// True for instructions the LSU handles (loads/stores/atomics), i.e.
-    /// those whose latency depends on the memory subsystem.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Inst::Ld { .. } | Inst::St { .. } | Inst::Atom { .. } | Inst::LdParam { .. }
-        )
-    }
-
-    /// True for the device-runtime launch intrinsics.
-    pub fn is_launch(&self) -> bool {
-        matches!(self, Inst::LaunchDevice { .. } | Inst::LaunchAgg { .. })
-    }
-
-    /// True for control-flow instructions that can change the PC.
-    pub fn is_control(&self) -> bool {
-        matches!(self, Inst::Bra { .. } | Inst::Exit)
-    }
-
-    /// The destination register written by this instruction, if any.
-    pub fn dst_reg(&self) -> Option<Reg> {
-        match *self {
-            Inst::Mov { dst, .. }
-            | Inst::S2R { dst, .. }
-            | Inst::IAdd { dst, .. }
-            | Inst::ISub { dst, .. }
-            | Inst::IMul { dst, .. }
-            | Inst::IMad { dst, .. }
-            | Inst::IDivU { dst, .. }
-            | Inst::IRemU { dst, .. }
-            | Inst::IMinS { dst, .. }
-            | Inst::IMaxS { dst, .. }
-            | Inst::And { dst, .. }
-            | Inst::Or { dst, .. }
-            | Inst::Xor { dst, .. }
-            | Inst::Shl { dst, .. }
-            | Inst::ShrU { dst, .. }
-            | Inst::ShrS { dst, .. }
-            | Inst::FAdd { dst, .. }
-            | Inst::FSub { dst, .. }
-            | Inst::FMul { dst, .. }
-            | Inst::FDiv { dst, .. }
-            | Inst::FSqrt { dst, .. }
-            | Inst::FMin { dst, .. }
-            | Inst::FMax { dst, .. }
-            | Inst::I2F { dst, .. }
-            | Inst::F2I { dst, .. }
-            | Inst::Sel { dst, .. }
-            | Inst::Ld { dst, .. }
-            | Inst::LdParam { dst, .. }
-            | Inst::GetParamBuf { dst, .. } => Some(dst),
-            Inst::Atom { dst, .. } => dst,
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,52 +147,6 @@ mod tests {
         assert_eq!(Op::from(Reg(2)), Op::Reg(Reg(2)));
         assert_eq!(Op::f32(1.0), Op::Imm(0x3f80_0000));
         assert_eq!(Op::i32(-1), Op::Imm(u32::MAX));
-    }
-
-    #[test]
-    fn classification() {
-        let ld = Inst::Ld {
-            dst: Reg(0),
-            space: Space::Global,
-            addr: Reg(1),
-            offset: 0,
-        };
-        assert!(ld.is_memory());
-        assert!(!ld.is_launch());
-        assert!(!ld.is_control());
-        let bra = Inst::Bra {
-            pred: None,
-            target: 0,
-            reconv: 0,
-        };
-        assert!(bra.is_control());
-        let la = Inst::LaunchAgg {
-            kernel: KernelId(0),
-            ntb: Op::Imm(1),
-            param: Reg(0),
-        };
-        assert!(la.is_launch());
-    }
-
-    #[test]
-    fn dst_reg_extraction() {
-        let i = Inst::IAdd {
-            dst: Reg(5),
-            a: Reg(1),
-            b: Op::Imm(2),
-        };
-        assert_eq!(i.dst_reg(), Some(Reg(5)));
-        assert_eq!(Inst::Bar.dst_reg(), None);
-        let atom = Inst::Atom {
-            dst: None,
-            op: AtomOp::Add,
-            space: Space::Global,
-            addr: Reg(0),
-            offset: 0,
-            src: Op::Imm(1),
-            extra: None,
-        };
-        assert_eq!(atom.dst_reg(), None);
     }
 
     #[test]

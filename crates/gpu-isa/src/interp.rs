@@ -12,15 +12,15 @@
 //! cycle-interleaved issue), and its application of loads, stores and
 //! atomics to memory (written separately; both apply in lane order).
 //!
-//! What it shares with the simulator, and so cannot check: the decoded
-//! micro-op program, the lane-major [`WarpRegs`] with its uniformity
-//! tracking and operand sweeps, [`exec_alu`] and [`apply_atomic`]. Those
-//! are checked against [`ThreadCtx::step`](crate::ThreadCtx::step) in
-//! `decode.rs`.
+//! What it shares with the simulator, and so cannot check: the micro-op
+//! program the builder emitted, the lane-major [`WarpRegs`] with its
+//! uniformity tracking and operand sweeps, [`exec_alu`] and
+//! [`apply_atomic`]. The ALU half of those is checked against
+//! [`ThreadCtx::step`](crate::ThreadCtx::step) in `decode.rs`.
 //!
 //! The interpreter supports everything except device-side launches (it
-//! has no scheduler); kernels containing `LaunchDevice`/`LaunchAgg` are
-//! rejected up front.
+//! has no scheduler); kernels containing a [`UOp::Launch`] are rejected
+//! up front.
 //!
 //! # Example
 //!
@@ -51,7 +51,7 @@
 use crate::decode::{exec_alu, UOp, WarpEnv, WarpRegs};
 use crate::dim::Dim3;
 use crate::exec::apply_atomic;
-use crate::inst::{Inst, Space};
+use crate::inst::Space;
 use crate::kernel::Kernel;
 use crate::WARP_SIZE;
 use std::collections::HashMap;
@@ -190,7 +190,11 @@ pub fn run_kernel<M: WordMem>(
     param_base: u32,
     mem: &mut M,
 ) -> Result<(), InterpError> {
-    if let Some(pc) = kernel.insts().iter().position(Inst::is_launch) {
+    let launch = kernel
+        .uops()
+        .iter()
+        .position(|m| matches!(m.op, UOp::Launch { .. }));
+    if let Some(pc) = launch {
         return Err(InterpError::LaunchUnsupported { pc: pc as u32 });
     }
     for blk in 0..grid_ntb {
@@ -258,9 +262,8 @@ fn run_block<M: WordMem>(
 
 /// Per-warp interpreter using recursive mask splitting for divergence.
 ///
-/// Executes the same decoded micro-op program and lane-major register
-/// file as the cycle simulator ([`WarpRegs`]/[`exec_alu`]), so the
-/// differential tests check the decode path itself — only the SIMT front
+/// Executes the same micro-op program and lane-major register file as
+/// the cycle simulator ([`WarpRegs`]/[`exec_alu`]); only the SIMT front
 /// end (mask splitting here, a reconvergence stack there) differs.
 struct WarpInterp {
     regs: WarpRegs,

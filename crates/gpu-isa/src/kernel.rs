@@ -1,8 +1,7 @@
 //! Kernels and programs.
 
-use crate::decode::{self, MicroOp};
+use crate::decode::MicroOp;
 use crate::dim::Dim3;
-use crate::inst::Inst;
 use std::fmt;
 use std::sync::Arc;
 
@@ -24,9 +23,9 @@ impl fmt::Display for KernelId {
 /// An immutable, validated GPU kernel.
 ///
 /// Produced by [`KernelBuilder::build`](crate::KernelBuilder::build); the
-/// instruction stream is guaranteed to have in-range branch targets, a
-/// terminating [`Inst::Exit`] on every path, and register ids within the
-/// declared register count.
+/// micro-op program is guaranteed to have in-range branch targets, a
+/// terminating [`UOp::Exit`](crate::UOp::Exit) on every path, and register
+/// ids within the declared register count.
 ///
 /// The thread-block shape is part of the kernel (unlike CUDA, where it is a
 /// launch parameter). This matches the DTBL constraint that aggregated
@@ -39,11 +38,9 @@ impl fmt::Display for KernelId {
 #[derive(Debug)]
 pub struct Kernel {
     name: String,
-    insts: Arc<[Inst]>,
-    /// The decoded micro-op program, lowered once at build time and shared
-    /// (via the `Arc<Kernel>` a [`Program`] stores) by every simulator
-    /// engine, the reference interpreter and the degradation ladder — one
-    /// decode per kernel, not one per dispatch or per issue.
+    /// The micro-op program the builder emitted, shared (via the
+    /// `Arc<Kernel>` a [`Program`] stores) by the simulator, the reference
+    /// interpreter and the degradation ladder.
     uops: Arc<[MicroOp]>,
     block_dim: Dim3,
     regs_per_thread: u16,
@@ -55,18 +52,16 @@ pub struct Kernel {
 impl Kernel {
     pub(crate) fn from_parts(
         name: String,
-        insts: Vec<Inst>,
+        uops: Vec<MicroOp>,
         block_dim: Dim3,
         regs_per_thread: u16,
         preds_per_thread: u8,
         shared_mem_bytes: u32,
         param_words: u16,
     ) -> Self {
-        let uops: Arc<[MicroOp]> = decode::decode(&insts).into();
         Kernel {
             name,
-            insts: insts.into(),
-            uops,
+            uops: uops.into(),
             block_dim,
             regs_per_thread,
             preds_per_thread,
@@ -80,32 +75,17 @@ impl Kernel {
         &self.name
     }
 
-    /// The instruction stream.
-    pub fn insts(&self) -> &[Inst] {
-        &self.insts
+    /// The micro-op program, indexed by PC.
+    pub fn uops(&self) -> &[MicroOp] {
+        &self.uops
     }
 
-    /// Fetches one instruction.
+    /// Fetches one micro-op.
     ///
     /// # Panics
     ///
     /// Panics if `pc` is out of range (the builder guarantees in-range
     /// control flow, so this indicates simulator corruption).
-    pub fn fetch(&self, pc: u32) -> &Inst {
-        &self.insts[pc as usize]
-    }
-
-    /// The decoded micro-op program (same length and PC numbering as
-    /// [`insts`](Self::insts)).
-    pub fn uops(&self) -> &[MicroOp] {
-        &self.uops
-    }
-
-    /// Fetches one decoded micro-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pc` is out of range, as with [`fetch`](Self::fetch).
     pub fn uop(&self, pc: u32) -> &MicroOp {
         &self.uops[pc as usize]
     }
@@ -150,7 +130,7 @@ impl fmt::Display for Kernel {
             self.block_dim,
             self.regs_per_thread,
             self.shared_mem_bytes,
-            self.insts.len()
+            self.uops.len()
         )
     }
 }
@@ -236,11 +216,11 @@ impl Program {
             .map(|(i, k)| (KernelId(i as u16), k))
     }
 
-    /// True when `self` and `other` hold the *same* decoded kernels — every
-    /// pair of entries is `Arc::ptr_eq`, not merely equal. A `Program`
-    /// clone is a refcount bump per kernel, so rebinding a pooled simulator
-    /// to a cached setup must pass this check; a rebuilt (re-decoded)
-    /// program fails it even if the instruction streams match.
+    /// True when `self` and `other` hold the *same* kernels — every pair of
+    /// entries is `Arc::ptr_eq`, not merely equal. A `Program` clone is a
+    /// refcount bump per kernel, so rebinding a pooled simulator to a
+    /// cached setup must pass this check; a rebuilt program fails it even
+    /// if the micro-op programs match.
     pub fn shares_kernels(&self, other: &Program) -> bool {
         self.kernels.len() == other.kernels.len()
             && self
@@ -283,10 +263,7 @@ mod tests {
         assert!(p.shares_kernels(&clone), "clone is a refcount bump");
         let mut rebuilt = Program::new();
         rebuilt.add(tiny("a"));
-        assert!(
-            !p.shares_kernels(&rebuilt),
-            "re-decoded kernels are distinct"
-        );
+        assert!(!p.shares_kernels(&rebuilt), "rebuilt kernels are distinct");
         rebuilt.add(tiny("b"));
         assert!(!p.shares_kernels(&rebuilt), "length mismatch");
     }
@@ -298,7 +275,10 @@ mod tests {
         assert_eq!(k.param_words(), 1);
         assert!(k.regs_per_thread() >= 1);
         // Builder appends an implicit Exit.
-        assert!(matches!(k.insts().last(), Some(Inst::Exit)));
+        assert!(matches!(
+            k.uops().last().map(|m| m.op),
+            Some(crate::UOp::Exit)
+        ));
         assert!(k.to_string().contains("kernel t"));
     }
 

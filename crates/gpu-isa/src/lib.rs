@@ -1,11 +1,14 @@
 //! SIMT instruction set for the DTBL GPU simulator.
 //!
 //! This crate defines everything a "CUDA kernel" is in this reproduction:
-//! a small RISC-like SIMT instruction set ([`Inst`]), a structured kernel
-//! builder ([`KernelBuilder`]) that produces well-formed control flow with
-//! reconvergence points computed by construction, and per-thread functional
-//! semantics ([`step`](ThreadCtx::step)) that the cycle-level simulator
-//! layers its timing model on top of.
+//! a small RISC-like SIMT instruction set ([`UOp`], carried with its
+//! latency class as a [`MicroOp`]), a structured kernel builder
+//! ([`KernelBuilder`]) that emits those micro-ops with well-formed control
+//! flow and reconvergence points computed by construction, and the
+//! warp-vectorized functional executor ([`exec_alu`], [`WarpRegs`]) that
+//! the cycle-level simulator layers its timing model on top of. A scalar
+//! per-thread executor ([`ThreadCtx::step`]) is the oracle `exec_alu` is
+//! tested against.
 //!
 //! The ISA deliberately mirrors the subset of PTX/SASS behaviour the DTBL
 //! paper's evaluation depends on: divergent predicated branches with
@@ -51,10 +54,8 @@ mod reg;
 pub use builder::{BuildError, KernelBuilder};
 pub use decode::{exec_alu, LatClass, MicroOp, UOp, WarpEnv, WarpRegs};
 pub use dim::Dim3;
-pub use exec::{
-    apply_atomic, lane_step, Effect, LaunchKind, LaunchRequest, MemRequest, ThreadCtx, ThreadEnv,
-};
-pub use inst::{AtomOp, CmpOp, CmpTy, Inst, Op, Space};
+pub use exec::{apply_atomic, lane_step, LaunchKind, LaunchRequest, ThreadCtx, ThreadEnv};
+pub use inst::{AtomOp, CmpOp, CmpTy, Op, Space};
 pub use kernel::{Kernel, KernelId, Program};
 pub use reg::{Pred, Reg, SReg};
 

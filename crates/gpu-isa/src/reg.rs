@@ -41,7 +41,7 @@ impl fmt::Display for Pred {
     }
 }
 
-/// Special (read-only) registers, read with [`Inst::S2R`].
+/// Special (read-only) registers, read with [`UOp::S2R`].
 ///
 /// For a *native* thread block these have their usual CUDA meaning. For an
 /// *aggregated* thread block (DTBL), `CtaId*` is the block's index within
@@ -49,7 +49,7 @@ impl fmt::Display for Pred {
 /// zero exactly as §4.1 of the paper specifies ("the value of each TB index
 /// dimension starts at zero").
 ///
-/// [`Inst::S2R`]: crate::Inst::S2R
+/// [`UOp::S2R`]: crate::UOp::S2R
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SReg {
     /// Thread index within the block, x component (`threadIdx.x`).

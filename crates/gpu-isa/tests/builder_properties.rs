@@ -6,7 +6,7 @@
 //! case is fully determined by the iteration index, so failures reproduce
 //! exactly.
 
-use gpu_isa::{CmpOp, CmpTy, Dim3, Inst, KernelBuilder, Op, Reg};
+use gpu_isa::{CmpOp, CmpTy, Dim3, KernelBuilder, Op, Reg, UOp};
 use sim_rand::{Rng, SeedableRng, StdRng};
 
 #[derive(Clone, Debug)]
@@ -74,30 +74,30 @@ fn structured_control_flow_is_well_formed() {
             Err(gpu_isa::BuildError::TooManyPreds { .. }) => continue,
             Err(e) => panic!("case {case}: unexpected build error: {e}"),
         };
-        let len = k.insts().len() as u32;
+        let len = k.uops().len() as u32;
         assert!(
-            matches!(k.insts().last(), Some(Inst::Exit)),
+            matches!(k.uops().last().map(|m| m.op), Some(UOp::Exit)),
             "case {case}: kernel must end in Exit"
         );
-        for (pc, inst) in k.insts().iter().enumerate() {
-            if let Inst::Bra {
+        for (pc, m) in k.uops().iter().enumerate() {
+            if let UOp::Bra {
                 pred,
                 target,
                 reconv,
-            } = inst
+            } = m.op
             {
-                assert!(*target < len, "case {case}: target in range");
-                assert!(*reconv < len, "case {case}: reconv in range");
+                assert!(target < len, "case {case}: target in range");
+                assert!(reconv < len, "case {case}: reconv in range");
                 if pred.is_some() {
                     // Predicated branches are forward with a reconvergence
                     // point at or after the target (immediate
                     // post-dominator of a structured construct).
                     assert!(
-                        *target > pc as u32,
+                        target > pc as u32,
                         "case {case}: predicated branch is forward"
                     );
                     assert!(
-                        *reconv >= *target,
+                        reconv >= target,
                         "case {case}: reconv post-dominates the target"
                     );
                 }

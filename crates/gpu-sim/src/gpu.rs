@@ -1562,9 +1562,8 @@ impl Drop for Gpu {
     }
 }
 
-/// Dependent-issue latency for a pre-classified ALU micro-op. The decode
-/// step computed the class once per instruction; this replaces the old
-/// per-issue `alu_latency` match over the full instruction enum.
+/// Dependent-issue latency for an ALU micro-op, from the latency class the
+/// kernel builder attached to it.
 pub(crate) fn class_latency(lat: LatClass, pipe: &crate::config::PipelineLatencies) -> u64 {
     match lat {
         LatClass::Alu => pipe.alu,

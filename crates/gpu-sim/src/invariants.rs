@@ -38,14 +38,9 @@
 //!    A stale-high horizon or a stale count would silently hide an
 //!    issuable warp, a free slot or queued kernel from the scheduler.
 
-// The checker is a debug-build observer, off in every timed run; its two
-// per-step tallies may hash.
-#![allow(clippy::disallowed_types)]
-
 use crate::error::SimError;
 use crate::gpu::Gpu;
 use crate::smx::warp::WarpState;
-use std::collections::HashMap;
 
 /// How often the O(live groups) descriptor-chain walk runs; the cheap
 /// accounting laws run every cycle.
@@ -63,9 +58,11 @@ impl Gpu {
             Err(SimError::InvariantViolation { cycle, law })
         };
 
-        // Laws 1–3 per SMX, accumulating per-KDE resident-block counts.
-        let mut native_resident: HashMap<u32, u32> = HashMap::new();
-        let mut agg_resident: HashMap<u32, u32> = HashMap::new();
+        // Laws 1–3 per SMX, accumulating resident-block counts per KDE
+        // slot (a block's slot is in range: the unmapped-KDE law returns
+        // before its tally).
+        let mut native_resident = vec![0u32; self.kd.capacity()];
+        let mut agg_resident = vec![0u32; self.kd.capacity()];
         let mut total_waiting_mem: usize = 0;
         let mut resident_warps = 0u32;
         for smx in &self.smxs {
@@ -105,9 +102,9 @@ impl Gpu {
                     ));
                 }
                 match tb.tbcr.agei {
-                    None => *native_resident.entry(tb.tbcr.kdei).or_default() += 1,
+                    None => native_resident[tb.tbcr.kdei as usize] += 1,
                     Some(group) => {
-                        *agg_resident.entry(tb.tbcr.kdei).or_default() += 1;
+                        agg_resident[tb.tbcr.kdei as usize] += 1;
                         if !self.pool.agt().contains(group) {
                             return fail(format!(
                                 "SMX {} TB slot {slot}: aggregated block of a freed AGT group",
@@ -221,14 +218,14 @@ impl Gpu {
                     entry.native_done, entry.native_exe, entry.next_native_tb
                 ));
             }
-            let resident = native_resident.get(&kde).copied().unwrap_or(0);
+            let resident = native_resident[kde as usize];
             if entry.native_exe != resident {
                 return fail(format!(
                     "KDE {kde}: native_exe={} but {resident} native blocks are resident",
                     entry.native_exe
                 ));
             }
-            let resident = agg_resident.get(&kde).copied().unwrap_or(0);
+            let resident = agg_resident[kde as usize];
             if entry.agg_exe != resident {
                 return fail(format!(
                     "KDE {kde}: agg_exe={} but {resident} aggregated blocks are resident",

@@ -4,12 +4,14 @@ use crate::dispatch::{Origin, PendingKernel};
 use crate::error::SimError;
 use crate::gpu::{Gpu, CDP_PENDING_RECORD_BYTES};
 use crate::stats::{DynLaunchKind, LaunchRecord};
-use gpu_trace::{Category, EventKind, LaunchPath};
+use gpu_trace::{Category, EventKind};
 use std::sync::Arc;
 
 impl Gpu {
     /// Queues a device-launched kernel in the KMU (both genuine CDP
-    /// launches and DTBL fallbacks end here).
+    /// launches and DTBL fallbacks end here). `attempt` counts earlier
+    /// deferrals (0 for a fresh launch), so a deferred launch keeps
+    /// climbing it instead of restarting.
     ///
     /// When an injected cap on the KMU's pending device-kernel pool is
     /// already met — modelling the hardware pool backing up — the launch
@@ -20,23 +22,8 @@ impl Gpu {
     /// [`SimError::UnknownKernel`] for a kernel not in the program, and
     /// [`SimError::KmuSaturated`] from the ladder's last rung when a
     /// saturated launch cannot be host-serialized.
-    pub(crate) fn enqueue_device_kernel(
-        &mut self,
-        req: gpu_isa::LaunchRequest,
-        threads_per_tb: u32,
-        param_sz: u64,
-        kind: DynLaunchKind,
-        now: u64,
-        visible_at: u64,
-    ) -> Result<(), SimError> {
-        self.enqueue_device_kernel_attempt(req, threads_per_tb, param_sz, kind, now, visible_at, 0)
-    }
-
-    /// [`enqueue_device_kernel`](Self::enqueue_device_kernel) with the
-    /// retry attempt threaded through, so a deferred launch keeps
-    /// climbing the attempt count instead of restarting it.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn enqueue_device_kernel_attempt(
+    pub(crate) fn enqueue_device_kernel(
         &mut self,
         req: gpu_isa::LaunchRequest,
         threads_per_tb: u32,
@@ -68,19 +55,11 @@ impl Gpu {
             reserved_bytes: param_sz + CDP_PENDING_RECORD_BYTES,
         });
         if self.tracer.on(Category::Launch) {
-            let path = match kind {
-                DynLaunchKind::DeviceKernel => LaunchPath::DeviceKernel,
-                DynLaunchKind::AggGroup => LaunchPath::AggGroup,
-                DynLaunchKind::AggFallback => LaunchPath::AggFallback,
-                // Host-serialized launches never reach the KMU; the match
-                // is total for the compiler's sake.
-                DynLaunchKind::HostSerialized => LaunchPath::HostSerial,
-            };
             self.tracer.emit(
                 now,
                 EventKind::DynLaunch {
                     record: record as u32,
-                    path: path.code(),
+                    path: kind.path().code(),
                     kernel: u32::from(req.kernel.0),
                     ntb: req.ntb,
                 },

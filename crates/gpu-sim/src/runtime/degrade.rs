@@ -114,16 +114,6 @@ impl WordMem for SimWordMem<'_> {
 }
 
 impl Gpu {
-    /// Maps a launch mechanism to its trace-path code.
-    fn path_of(kind: DynLaunchKind) -> LaunchPath {
-        match kind {
-            DynLaunchKind::DeviceKernel => LaunchPath::DeviceKernel,
-            DynLaunchKind::AggGroup => LaunchPath::AggGroup,
-            DynLaunchKind::AggFallback => LaunchPath::AggFallback,
-            DynLaunchKind::HostSerialized => LaunchPath::HostSerial,
-        }
-    }
-
     /// Parks a KMU-saturated launch for retry `attempt` (1-based) after
     /// its deterministic backoff, or — once [`MAX_RETRIES`] are spent —
     /// drops it to the host-serialized rung.
@@ -209,7 +199,7 @@ impl Gpu {
                 now,
                 EventKind::LaunchDegraded {
                     kernel: u32::from(req.kernel.0),
-                    from_path: Self::path_of(from_kind).code(),
+                    from_path: from_kind.path().code(),
                     to_path: LaunchPath::HostSerial.code(),
                     attempts,
                 },
@@ -264,7 +254,7 @@ impl Gpu {
                     .copied()
                     .unwrap_or(0),
             );
-            self.enqueue_device_kernel_attempt(
+            self.enqueue_device_kernel(
                 entry.req,
                 threads_per_tb,
                 param_sz,

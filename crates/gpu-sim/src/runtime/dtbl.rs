@@ -154,6 +154,7 @@ impl Gpu {
                         DynLaunchKind::AggFallback,
                         now,
                         visible_at,
+                        0,
                     );
                 }
             }
@@ -167,6 +168,7 @@ impl Gpu {
                 DynLaunchKind::AggFallback,
                 now,
                 visible_at,
+                0,
             )
         } else {
             self.enqueue_device_kernel(
@@ -176,6 +178,7 @@ impl Gpu {
                 DynLaunchKind::DeviceKernel,
                 now,
                 visible_at,
+                0,
             )
         }
     }

@@ -2,7 +2,7 @@
 //! content-addressed result cache.
 //!
 //! A sweep used to pay full simulator construction — page-table
-//! allocation, component building, workload decode — for every cell. This
+//! allocation, component building, workload build — for every cell. This
 //! module turns that around: a [`BatchServer`] is a result cache keyed by
 //! [`CellKey`] in front of one supervised fan-out
 //! ([`run_cells_supervised`]). Submitting a batch looks every key up once;
@@ -724,7 +724,7 @@ mod tests {
         let gpu = slot.bind(cfg.clone(), prog.clone());
         assert!(
             gpu.program().shares_kernels(&prog),
-            "rebind reuses the decoded kernels, no re-decode"
+            "rebind reuses the built kernels, no rebuild"
         );
         let (warm_stats, warm_mem) = run_iota(gpu, k);
 

@@ -1,6 +1,7 @@
 //! Run statistics — every metric the paper's evaluation section plots.
 
 use gpu_mem::MemStats;
+use gpu_trace::LaunchPath;
 
 /// Which launch mechanism produced a dynamic launch (for the per-category
 /// waiting-time and footprint statistics).
@@ -15,6 +16,18 @@ pub enum DynLaunchKind {
     /// Launch executed functionally on the host after every in-GPU path
     /// was exhausted — the last rung of the degradation ladder.
     HostSerialized,
+}
+
+impl DynLaunchKind {
+    /// The trace-path code a launch of this kind is recorded under.
+    pub(crate) fn path(self) -> LaunchPath {
+        match self {
+            DynLaunchKind::DeviceKernel => LaunchPath::DeviceKernel,
+            DynLaunchKind::AggGroup => LaunchPath::AggGroup,
+            DynLaunchKind::AggFallback => LaunchPath::AggFallback,
+            DynLaunchKind::HostSerialized => LaunchPath::HostSerial,
+        }
+    }
 }
 
 /// One dynamic launch's lifecycle timestamps.
@@ -141,8 +154,9 @@ impl Stats {
     /// Warp activity as an `Option`: `None` when no warp instruction
     /// issued (a zero-work run), so aggregation across runs can skip the
     /// run instead of averaging in a made-up zero — and no `0/0` NaN can
-    /// reach a figure. The plain [`warp_activity_pct`]
-    /// (Self::warp_activity_pct) collapses `None` to `0.0`.
+    /// reach a figure. The plain
+    /// [`warp_activity_pct`](Self::warp_activity_pct) collapses `None` to
+    /// `0.0`.
     pub fn warp_activity_pct_opt(&self) -> Option<f64> {
         (self.warp_issues != 0).then(|| self.warp_activity_pct())
     }

@@ -259,7 +259,7 @@ pub fn ceil_div(a: u32, b: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_isa::{Dim3, Inst};
+    use gpu_isa::{Dim3, LaunchKind, UOp};
 
     #[test]
     fn labels_round_trip_through_from_label() {
@@ -290,7 +290,7 @@ mod tests {
             let _ = b.iadd(i, Op::Imm(1));
         });
         let k = b.build().unwrap();
-        assert!(!k.insts().iter().any(Inst::is_launch));
+        assert!(!k.uops().iter().any(|m| matches!(m.op, UOp::Launch { .. })));
     }
 
     #[test]
@@ -303,25 +303,22 @@ mod tests {
                 let _ = b.iadd(i, Op::Imm(1));
             });
             let k = b.build().unwrap();
-            let has_agg = k
-                .insts()
-                .iter()
-                .any(|i| matches!(i, Inst::LaunchAgg { .. }));
-            let has_dev = k
-                .insts()
-                .iter()
-                .any(|i| matches!(i, Inst::LaunchDevice { .. }));
-            assert_eq!(has_agg, want_agg);
-            assert_eq!(has_dev, !want_agg);
+            let has = |kind: LaunchKind| {
+                k.uops()
+                    .iter()
+                    .any(|m| matches!(m.op, UOp::Launch { kind: k, .. } if k == kind))
+            };
+            assert_eq!(has(LaunchKind::Agg), want_agg);
+            assert_eq!(has(LaunchKind::Device), !want_agg);
             // The inline fallback loop must also be present.
-            let backedge = k.insts().iter().enumerate().any(|(pc, inst)| {
-                matches!(inst, Inst::Bra { pred: None, target, .. } if (*target as usize) < pc)
+            let backedge = k.uops().iter().enumerate().any(|(pc, m)| {
+                matches!(m.op, UOp::Bra { pred: None, target, .. } if (target as usize) < pc)
             });
             assert!(backedge, "small-DFP inline path missing");
             assert!(k
-                .insts()
+                .uops()
                 .iter()
-                .any(|i| matches!(i, Inst::GetParamBuf { words: 2, .. })));
+                .any(|m| matches!(m.op, UOp::GetParamBuf { words: 2, .. })));
         }
     }
 

@@ -1,14 +1,14 @@
 //! The setup/run split: an immutable, shareable [`CellSetup`] per
 //! benchmark versus the per-run mutable state that lives in a [`Gpu`].
 //!
-//! Workload data generation, kernel construction and decode are a pure
-//! function of `(benchmark, scale)`. A [`CellSetup`] computes that
-//! function once: the workload buffers are built a single time and
-//! shared behind `Arc`s, and the [`Program`] for *every* variant is
-//! decoded up front — including each kernel's micro-op program
-//! (`gpu_isa::decode`), so the executors never re-inspect instruction
-//! encodings on the hot path (a `Program` clone is an `Arc` refcount bump
-//! per kernel, micro-ops included, pinned by `Program::shares_kernels`).
+//! Workload data generation and kernel construction are a pure function
+//! of `(benchmark, scale)`. A [`CellSetup`] computes that function once:
+//! the workload buffers are built a single time and shared behind
+//! `Arc`s, and the [`Program`] for *every* variant is built up front —
+//! each kernel's micro-op program is what its builder emitted, so the
+//! executors run it as stored (a `Program` clone is an `Arc` refcount
+//! bump per kernel, micro-ops included, pinned by
+//! `Program::shares_kernels`).
 //! Running a cell is then only the mutable half: bind a fresh — or
 //! warm-rebound, via [`WarmSlot`](gpu_sim::WarmSlot) — simulator and
 //! drive the app's launch/readback loop.
@@ -273,7 +273,7 @@ pub fn cell_key(
 }
 
 /// The immutable half of one benchmark's sweep cells: built workload
-/// buffers, decoded per-variant programs, and the resolved base config.
+/// buffers, built per-variant programs, and the resolved base config.
 /// Build it once, run any variant any number of times — cold
 /// ([`run`](CellSetup::run)) or on a pooled warm simulator
 /// ([`run_warm`](CellSetup::run_warm)).
@@ -308,7 +308,7 @@ impl CellSetup {
         })
     }
 
-    /// The same benchmark, data and decoded programs under a different
+    /// The same benchmark, data and built programs under a different
     /// base configuration — a refcount bump per buffer and kernel, no
     /// rebuild. How sweeps over a config axis (AGT size, warp scheduler,
     /// reserved SMXs) get one setup per benchmark instead of one per cell.
@@ -390,7 +390,7 @@ mod tests {
         let cell = setup.clone();
         assert!(cell.data().ptr_eq(setup.data()));
         // Programs are prepared per variant and handed out by refcount
-        // bump, not re-decoded.
+        // bump, not rebuilt.
         let (prog, _) = setup.program(Variant::Dtbl);
         assert!(prog.shares_kernels(&setup.program(Variant::Dtbl).0));
 
