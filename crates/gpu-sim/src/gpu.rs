@@ -39,6 +39,15 @@ pub(crate) const CDP_PENDING_RECORD_BYTES: u64 = 192;
 /// alignment) when the AGT hash probe misses.
 pub(crate) const AGG_OVERFLOW_RECORD_BYTES: u64 = 32;
 
+/// A thread block no SMX had room for: its [`Smx::needs`], whether it
+/// may use the reserved SMXs, and the capacity epoch it failed in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FitMiss {
+    pub(crate) needs: (u32, u32, u32),
+    pub(crate) dynamic: bool,
+    pub(crate) epoch: u64,
+}
+
 /// Builds an [`SimError::InvariantViolation`] — the uniform way the
 /// engine reports state that breaks its own bookkeeping laws.
 pub(crate) fn invariant(cycle: u64, law: String) -> SimError {
@@ -129,6 +138,14 @@ pub struct Gpu {
     #[allow(clippy::disallowed_types)]
     pub(crate) agt_walk: HashMap<u32, (GroupRef, u64)>,
     pub(crate) rr_smx: usize,
+    /// Per-KDE record of the last block that found no SMX with room,
+    /// valid while `capacity_epoch` stands: SMX room only grows when a
+    /// block retires, so until then the same needs fail again and the
+    /// distributor skips the SMX walk.
+    pub(crate) fit_miss: Vec<Option<FitMiss>>,
+    /// Bumped by every thread-block retirement, the one event that frees
+    /// SMX room.
+    pub(crate) capacity_epoch: u64,
     pub(crate) mem_buf: Vec<AccessId>,
     /// Pooled scratch for the FCFS order walked by `distribute_tbs`
     /// (reused every cycle so the distribution path never allocates).
@@ -195,6 +212,8 @@ impl Gpu {
             param_bytes: Default::default(),
             agt_walk: Default::default(),
             rr_smx: 0,
+            fit_miss: vec![None; cfg.kde_entries],
+            capacity_epoch: 0,
             mem_buf: Vec::new(),
             kde_buf: Vec::new(),
             launch_buf: Vec::new(),
@@ -256,6 +275,9 @@ impl Gpu {
         self.param_bytes.clear();
         self.agt_walk.clear();
         self.rr_smx = 0;
+        self.fit_miss.clear();
+        self.fit_miss.resize(cfg.kde_entries, None);
+        self.capacity_epoch = 0;
         self.mem_buf.clear();
         self.kde_buf.clear();
         self.launch_buf.clear();
@@ -920,13 +942,22 @@ impl Gpu {
             }
         }
 
-        // Refcounted handle shared with the distributor entry — never a
-        // deep copy of the kernel on the block-dispatch path.
-        let kernel = Arc::clone(&entry.kernel_fn);
         // Spatial sharing (optional §5.2B extension): host-launched native
         // blocks keep off the reserved SMXs; dynamic work may go anywhere.
         let dynamic = !native_next || entry.launch_record.is_some();
+        let miss = FitMiss {
+            needs: Smx::needs(&entry.kernel_fn),
+            dynamic,
+            epoch: self.capacity_epoch,
+        };
+        if self.fit_miss[kde as usize] == Some(miss) {
+            return Ok(false);
+        }
+        // Refcounted handle shared with the distributor entry — never a
+        // deep copy of the kernel on the block-dispatch path.
+        let kernel = Arc::clone(&entry.kernel_fn);
         let Some(smx_idx) = self.pick_smx(&kernel, dynamic) else {
+            self.fit_miss[kde as usize] = Some(miss);
             return Ok(false);
         };
 
@@ -1047,12 +1078,7 @@ impl Gpu {
     /// `kernel`. With spatial sharing enabled, non-dynamic blocks are
     /// confined to the first `num_smx - dyn_reserved_smx` SMXs.
     fn pick_smx(&mut self, kernel: &gpu_isa::Kernel, dynamic: bool) -> Option<usize> {
-        let n = self.smxs.len();
-        let limit = if dynamic {
-            n
-        } else {
-            n.saturating_sub(self.cfg.dyn_reserved_smx).max(1)
-        };
+        let limit = self.smx_limit(dynamic);
         for k in 0..limit {
             let s = (self.rr_smx + k) % limit;
             if self.smxs[s].can_fit(kernel, &self.cfg) {
@@ -1061,6 +1087,16 @@ impl Gpu {
             }
         }
         None
+    }
+
+    /// How many SMXs, from the first, a block may be placed on.
+    pub(crate) fn smx_limit(&self, dynamic: bool) -> usize {
+        let n = self.smxs.len();
+        if dynamic {
+            n
+        } else {
+            n.saturating_sub(self.cfg.dyn_reserved_smx).max(1)
+        }
     }
 
     // ---- warp issue --------------------------------------------------------
@@ -1489,6 +1525,7 @@ impl Gpu {
         };
         self.stats.tb_completed += 1;
         self.progress_marker += 1;
+        self.capacity_epoch += 1;
         let kde = tbcr.kdei;
         {
             let Some(entry) = self.kd.get_mut(kde) else {

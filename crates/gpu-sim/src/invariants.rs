@@ -34,9 +34,12 @@
 //!    exist and are `Ready`, its cached horizon never exceeds the table
 //!    minimum, and its free-TB-slot count equals its empty slots; the
 //!    KMU's queued-host count equals the sum of its work-queue depths;
-//!    the machine-wide resident-warp total equals Σ `Smx::live_warps`.
-//!    A stale-high horizon or a stale count would silently hide an
-//!    issuable warp, a free slot or queued kernel from the scheduler.
+//!    the machine-wide resident-warp total equals Σ `Smx::live_warps`;
+//!    a block need the distributor recorded as fitting nowhere, in the
+//!    current capacity epoch, still fits on no SMX it may use.
+//!    A stale-high horizon, a stale count or a stale miss would silently
+//!    hide an issuable warp, a free slot or queued kernel from the
+//!    scheduler.
 
 use crate::error::SimError;
 use crate::gpu::Gpu;
@@ -191,6 +194,22 @@ impl Gpu {
                 "resident-warp total {} but the SMXs hold {resident_warps} live warps",
                 self.resident_warps
             ));
+        }
+        for (kde, miss) in self.fit_miss.iter().enumerate() {
+            let Some(miss) = miss.filter(|m| m.epoch == self.capacity_epoch) else {
+                continue;
+            };
+            let limit = self.smx_limit(miss.dynamic);
+            if let Some(smx) =
+                (self.smxs[..limit].iter()).find(|smx| smx.has_room(miss.needs, &self.cfg))
+            {
+                let (threads, regs, shared) = miss.needs;
+                return fail(format!(
+                    "KDE {kde}: recorded as fitting nowhere in capacity epoch {}, but SMX {} \
+                     has room for {threads} threads / {regs} regs / {shared} shared bytes",
+                    miss.epoch, smx.id
+                ));
+            }
         }
         let queued: usize = self.kmu.hwq_depths().iter().sum();
         if queued != self.kmu.host_queued() {

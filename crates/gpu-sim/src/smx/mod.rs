@@ -280,11 +280,28 @@ impl Smx {
     /// True when a thread block of `kernel` fits in the remaining
     /// resources (threads, registers, shared memory, TB slot, warp slots).
     pub fn can_fit(&self, kernel: &Kernel, cfg: &GpuConfig) -> bool {
-        let threads = kernel.threads_per_block();
+        self.has_room(Self::needs(kernel), cfg)
+    }
+
+    /// One thread block's `(threads, registers, shared bytes)`.
+    pub(crate) fn needs(kernel: &Kernel) -> (u32, u32, u32) {
+        (
+            kernel.threads_per_block(),
+            Self::regs_for(kernel),
+            kernel.shared_mem_bytes(),
+        )
+    }
+
+    /// True when a TB slot and a block's [`needs`](Self::needs) are free.
+    pub(crate) fn has_room(
+        &self,
+        (threads, regs, shared): (u32, u32, u32),
+        cfg: &GpuConfig,
+    ) -> bool {
         self.free_tb_slots > 0
             && self.used_threads + threads <= cfg.max_threads_per_smx
-            && self.used_regs + Self::regs_for(kernel) <= cfg.regs_per_smx
-            && self.used_shared + kernel.shared_mem_bytes() <= cfg.shared_mem_per_smx
+            && self.used_regs + regs <= cfg.regs_per_smx
+            && self.used_shared + shared <= cfg.shared_mem_per_smx
     }
 
     /// Installs one thread block and its warps. Returns the TB slot

@@ -254,7 +254,11 @@ mod tests {
     #[test]
     fn disconnected_vertices_stay_unreached() -> Result<(), SimError> {
         // Two components: BFS from 0 must leave the other at INF.
-        let g = CsrGraph::from_adjacency(vec![vec![1], vec![0], vec![3], vec![2]]);
+        let g = CsrGraph::from_arc_replay(4, |arc| {
+            for (s, t) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
+                arc(s, t);
+            }
+        });
         run("bfs_cc", &g, 0, Variant::Flat, small_cfg())?;
         Ok(())
     }

@@ -34,18 +34,52 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a CSR graph from an adjacency list, sorting and
-    /// deduplicating each neighbour list.
-    pub fn from_adjacency(mut adj: Vec<Vec<u32>>) -> Self {
-        let mut row_offsets = Vec::with_capacity(adj.len() + 1);
-        let mut col_indices = Vec::new();
-        row_offsets.push(0);
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-            col_indices.extend_from_slice(list);
-            row_offsets.push(col_indices.len() as u32);
+    /// Builds a CSR graph over `n` vertices from the arcs `emit` sends to
+    /// its sink, sorting and deduplicating each neighbour list.
+    ///
+    /// `emit` runs twice and must send the same arcs both times: the
+    /// first run counts each source's arcs, the second places them. So
+    /// `row_offsets` and `col_indices` are each allocated once, at their
+    /// final size, and no per-vertex list is ever built. Duplicate arcs
+    /// are dropped in place and leave their slots as spare capacity
+    /// (about 1 % on the Table 4 generators): handing that tail back
+    /// leaves a hole in the heap that costs more resident memory than it
+    /// frees.
+    pub fn from_arc_replay(n: u32, mut emit: impl FnMut(&mut dyn FnMut(u32, u32))) -> Self {
+        let n = n as usize;
+        // Count: `row_offsets[s]` tallies s's arcs, then becomes s's end.
+        let mut row_offsets = vec![0u32; n + 1];
+        emit(&mut |s, _| row_offsets[s as usize] += 1);
+        let mut arcs = 0;
+        for o in &mut row_offsets {
+            arcs += *o;
+            *o = arcs;
         }
+        // Place: each row fills from its end down, leaving `row_offsets[s]`
+        // at s's start.
+        let mut col_indices = vec![0u32; arcs as usize];
+        emit(&mut |s, t| {
+            let o = &mut row_offsets[s as usize];
+            *o -= 1;
+            col_indices[*o as usize] = t;
+        });
+        // Sort each row and compact it leftwards without its duplicates.
+        let mut kept = 0;
+        for v in 0..n {
+            let (start, end) = (row_offsets[v] as usize, row_offsets[v + 1] as usize);
+            row_offsets[v] = kept as u32;
+            col_indices[start..end].sort_unstable();
+            let first = kept;
+            for i in start..end {
+                let t = col_indices[i];
+                if kept == first || col_indices[kept - 1] != t {
+                    col_indices[kept] = t;
+                    kept += 1;
+                }
+            }
+        }
+        row_offsets[n] = kept as u32;
+        col_indices.truncate(kept);
         CsrGraph {
             row_offsets,
             col_indices,
@@ -128,49 +162,58 @@ impl CsrGraph {
 /// without changing the skew that drives dynamic launching (documented in
 /// DESIGN.md).
 pub fn citation(n: u32, mean_refs: u32, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cap = (16 * mean_refs) as usize;
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-    // Endpoint pool for preferential attachment.
-    let mut pool: Vec<u32> = vec![0];
-    for v in 1..n {
-        // Sample a skewed number of references.
-        let r: f64 = rng.gen::<f64>();
-        let refs = ((mean_refs as f64) * (1.0 / (1.0 - 0.75 * r) - 0.9)).round() as u32;
-        let refs = refs.clamp(1, 4 * mean_refs).min(v);
-        for _ in 0..refs {
-            let t = pool[rng.gen_range(0..pool.len())];
-            if t != v && adj[t as usize].len() < cap && adj[v as usize].len() < cap {
-                adj[v as usize].push(t);
-                // Cited vertices become more likely to be cited again and
-                // also link back occasionally (undirected-ish traversal).
-                adj[t as usize].push(v);
-                pool.push(t);
+    let cap = 16 * mean_refs;
+    // Arcs pushed per vertex so far (duplicates included, as the cap
+    // counts them) and the endpoint pool for preferential attachment;
+    // both restart with the generator on each replay.
+    let mut pushed = vec![0u32; n as usize];
+    let mut pool: Vec<u32> = Vec::new();
+    CsrGraph::from_arc_replay(n, |arc| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        pushed.fill(0);
+        pool.clear();
+        pool.push(0);
+        for v in 1..n {
+            // Sample a skewed number of references.
+            let r: f64 = rng.gen::<f64>();
+            let refs = ((mean_refs as f64) * (1.0 / (1.0 - 0.75 * r) - 0.9)).round() as u32;
+            let refs = refs.clamp(1, 4 * mean_refs).min(v);
+            for _ in 0..refs {
+                let t = pool[rng.gen_range(0..pool.len())];
+                if t != v && pushed[t as usize] < cap && pushed[v as usize] < cap {
+                    arc(v, t);
+                    // Cited vertices become more likely to be cited again
+                    // and also link back occasionally (undirected-ish
+                    // traversal).
+                    arc(t, v);
+                    pushed[v as usize] += 1;
+                    pushed[t as usize] += 1;
+                    pool.push(t);
+                }
             }
+            pool.push(v);
         }
-        pool.push(v);
-    }
-    CsrGraph::from_adjacency(adj)
+    })
 }
 
 /// Grid road network of `w × h` intersections; degree ≤ 4.
 pub fn usa_road(w: u32, h: u32) -> CsrGraph {
     let idx = |x: u32, y: u32| y * w + x;
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); (w * h) as usize];
-    for y in 0..h {
-        for x in 0..w {
-            let v = idx(x, y) as usize;
-            if x + 1 < w {
-                adj[v].push(idx(x + 1, y));
-                adj[idx(x + 1, y) as usize].push(v as u32);
-            }
-            if y + 1 < h {
-                adj[v].push(idx(x, y + 1));
-                adj[idx(x, y + 1) as usize].push(v as u32);
+    CsrGraph::from_arc_replay(w * h, |arc| {
+        for y in 0..h {
+            for x in 0..w {
+                let v = idx(x, y);
+                if x + 1 < w {
+                    arc(v, idx(x + 1, y));
+                    arc(idx(x + 1, y), v);
+                }
+                if y + 1 < h {
+                    arc(v, idx(x, y + 1));
+                    arc(idx(x, y + 1), v);
+                }
             }
         }
-    }
-    CsrGraph::from_adjacency(adj)
+    })
 }
 
 /// Banded sparse-matrix graph like cage15: every vertex connects to a
@@ -180,64 +223,73 @@ pub fn usa_road(w: u32, h: u32) -> CsrGraph {
 /// which the coloring benchmark requires; `deg` counts generated arcs per
 /// vertex, so the symmetric degree is roughly `2 * deg`.
 pub fn cage15_like(n: u32, band: u32, deg: u32, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-    for v in 0..n {
-        let d = deg + rng.gen_range(0..=2u32);
-        for _ in 0..d {
-            let span = band.min(n - 1).max(1);
-            let off = rng.gen_range(0..=2 * span) as i64 - i64::from(span);
-            let t = (i64::from(v) + off).rem_euclid(i64::from(n)) as u32;
-            if t != v {
-                adj[v as usize].push(t);
-                adj[t as usize].push(v);
+    let span = band.min(n - 1).max(1);
+    let n64 = i64::from(n);
+    CsrGraph::from_arc_replay(n, |arc| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for v in 0..n {
+            let d = deg + rng.gen_range(0..=2u32);
+            for _ in 0..d {
+                let off = rng.gen_range(0..=2 * span) as i64 - i64::from(span);
+                // `|off| ≤ span < n`, so one wrap lands in `0..n`.
+                let t = i64::from(v) + off;
+                let t = if t < 0 {
+                    t + n64
+                } else if t >= n64 {
+                    t - n64
+                } else {
+                    t
+                } as u32;
+                if t != v {
+                    arc(v, t);
+                    arc(t, v);
+                }
             }
         }
-    }
-    CsrGraph::from_adjacency(adj)
+    })
 }
 
 /// Graph500-logn20-like graph with near-uniform degree (small degree
 /// variance — the property §5.2A attributes to it).
 pub fn graph500_logn(n: u32, deg: u32, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-    for v in 0..n {
-        for _ in 0..deg {
-            let t = rng.gen_range(0..n);
-            if t != v {
-                adj[v as usize].push(t);
-                adj[t as usize].push(v);
+    CsrGraph::from_arc_replay(n, |arc| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for v in 0..n {
+            for _ in 0..deg {
+                let t = rng.gen_range(0..n);
+                if t != v {
+                    arc(v, t);
+                    arc(t, v);
+                }
             }
         }
-    }
-    CsrGraph::from_adjacency(adj)
+    })
 }
 
 /// Hub-and-spoke flight network: `hubs` airports with high degree, the
 /// remaining `n - hubs` with 1–3 connections (almost all to hubs).
 pub fn flight(n: u32, hubs: u32, seed: u64) -> CsrGraph {
     let hubs = hubs.max(1).min(n);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-    // Hubs form a clique-ish core.
-    for a in 0..hubs {
-        for b in (a + 1)..hubs {
-            if rng.gen_bool(0.5) {
-                adj[a as usize].push(b);
-                adj[b as usize].push(a);
+    CsrGraph::from_arc_replay(n, |arc| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Hubs form a clique-ish core.
+        for a in 0..hubs {
+            for b in (a + 1)..hubs {
+                if rng.gen_bool(0.5) {
+                    arc(a, b);
+                    arc(b, a);
+                }
             }
         }
-    }
-    for v in hubs..n {
-        let links = rng.gen_range(1..=3);
-        for _ in 0..links {
-            let h = rng.gen_range(0..hubs);
-            adj[v as usize].push(h);
-            adj[h as usize].push(v);
+        for v in hubs..n {
+            let links = rng.gen_range(1..=3);
+            for _ in 0..links {
+                let h = rng.gen_range(0..hubs);
+                arc(v, h);
+                arc(h, v);
+            }
         }
-    }
-    CsrGraph::from_adjacency(adj)
+    })
 }
 
 #[cfg(test)]
@@ -246,12 +298,20 @@ mod tests {
 
     #[test]
     fn csr_construction_sorts_and_dedups() {
-        let g = CsrGraph::from_adjacency(vec![vec![2, 1, 2], vec![0], vec![]]);
-        assert_eq!(g.num_vertices(), 3);
+        let g = CsrGraph::from_arc_replay(4, |arc| {
+            for (s, t) in [(0, 2), (3, 1), (0, 1), (0, 2), (1, 0), (3, 1), (3, 0)] {
+                arc(s, t);
+            }
+        });
+        assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(2), 0);
-        assert_eq!(g.num_edges(), 3);
+        // Row 3 compacts past row 0's dropped duplicate.
+        assert_eq!(g.neighbors(3), &[0, 1]);
+        assert_eq!(g.row_offsets, [0, 2, 3, 3, 5]);
+        assert_eq!(g.num_edges(), 5);
+        assert_eq!(g.col_indices.capacity(), 7, "allocated once, for every arc");
     }
 
     #[test]

@@ -29,6 +29,12 @@ impl ScalarField {
 
 /// Combustion-like field: smooth background plus a handful of sharp
 /// circular fronts (flame kernels).
+///
+/// Each sample is the max of the quiescent background (50) and, over the
+/// fronts, a ring profile: high at the front radius `r`, falling to 100
+/// at distance `3 × band` from it. A front is rasterised only over the
+/// rows and column spans its ring can reach, so the cost follows the
+/// rings' area rather than `size² × fronts`.
 pub fn combustion_field(size: u32, fronts: u32, seed: u64) -> ScalarField {
     let mut rng = StdRng::seed_from_u64(seed);
     let centers: Vec<(i64, i64, i64)> = (0..fronts.max(1))
@@ -40,23 +46,37 @@ pub fn combustion_field(size: u32, fronts: u32, seed: u64) -> ScalarField {
             )
         })
         .collect();
-    let mut values = Vec::with_capacity((size * size) as usize);
-    for y in 0..size as i64 {
-        for x in 0..size as i64 {
-            // Max over fronts of a ring profile: high near each front
-            // radius, low inside and outside.
-            let mut v: i64 = 50; // quiescent background
-            for &(cx, cy, r) in &centers {
-                let d2 = (x - cx) * (x - cx) + (y - cy) * (y - cy);
+    let n = i64::from(size);
+    let mut values = vec![50u32; (size * size) as usize];
+    for &(cx, cy, r) in &centers {
+        let band = (r / 6).max(1);
+        // `|d - r| < 3·band` with `d = ⌊√d2⌋` holds exactly when
+        // `inner² ≤ d2 < outer²`.
+        let outer = r + 3 * band;
+        let inner = (r - 3 * band + 1).max(0);
+        for y in (cy - outer + 1).max(0)..(cy + outer).min(n) {
+            let dy2 = (y - cy) * (y - cy);
+            // Columns with `dx² < outer² - dy²`, minus those with
+            // `dx² < inner² - dy²` (the ring's hole).
+            let reach = (outer * outer - dy2 - 1).isqrt();
+            let hole = if inner * inner > dy2 {
+                (inner * inner - dy2 - 1).isqrt() + 1
+            } else {
+                0
+            };
+            let row = (y * n) as usize;
+            let left = (cx - reach).max(0)..(cx - hole + 1).min(n).max(0);
+            let right = (cx + hole).max(0).max(left.end)..(cx + reach + 1).min(n);
+            for x in left.chain(right) {
+                let d2 = (x - cx) * (x - cx) + dy2;
                 let d = (d2 as f64).sqrt() as i64;
-                let band = (r / 6).max(1);
                 let dist_to_front = (d - r).abs();
                 if dist_to_front < 3 * band {
                     let peak = 1000 - 900 * dist_to_front / (3 * band);
-                    v = v.max(peak);
+                    let v = &mut values[row + x as usize];
+                    *v = (*v).max(peak as u32);
                 }
             }
-            values.push(v.clamp(0, 1000) as u32);
         }
     }
     ScalarField { size, values }
@@ -78,6 +98,48 @@ mod tests {
             "fronts must be localized: {hot}/{total} hot"
         );
         assert!(quiet > total / 4, "background must dominate");
+    }
+
+    /// The field evaluated the direct way: every front at every pixel.
+    fn per_pixel(size: u32, fronts: u32, seed: u64) -> Vec<u32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centers: Vec<(i64, i64, i64)> = (0..fronts.max(1))
+            .map(|_| {
+                (
+                    rng.gen_range(0..size) as i64,
+                    rng.gen_range(0..size) as i64,
+                    rng.gen_range((size / 10).max(2)..(size / 3).max(3)) as i64,
+                )
+            })
+            .collect();
+        let mut values = Vec::new();
+        for y in 0..i64::from(size) {
+            for x in 0..i64::from(size) {
+                let mut v = 50;
+                for &(cx, cy, r) in &centers {
+                    let d = (((x - cx).pow(2) + (y - cy).pow(2)) as f64).sqrt() as i64;
+                    let band = (r / 6).max(1);
+                    if (d - r).abs() < 3 * band {
+                        v = v.max(1000 - 900 * (d - r).abs() / (3 * band));
+                    }
+                }
+                values.push(v as u32);
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn ring_spans_cover_exactly_the_pixels_each_front_reaches() {
+        // Fronts clipped by every edge, rings with and without a hole,
+        // and overlapping fronts.
+        for (size, fronts, seed) in [(7, 3, 1), (20, 4, 2), (33, 6, 3), (64, 9, 4), (97, 5, 5)] {
+            assert_eq!(
+                combustion_field(size, fronts, seed).values,
+                per_pixel(size, fronts, seed),
+                "size {size}, {fronts} fronts, seed {seed}"
+            );
+        }
     }
 
     #[test]
