@@ -227,9 +227,9 @@ impl Agt {
         if self.trace.on(Category::Agt) {
             self.trace.push(EventKind::AgtInsert {
                 group: r.trace_code(),
-                kernel: u32::from(info.kernel.0),
+                kernel: info.kernel.0,
                 kde: info.kde,
-                overflow: r.is_overflow() as u32,
+                overflow: r.is_overflow() as u8,
             });
         }
         Some(r)

@@ -152,7 +152,7 @@ impl SchedulingPool {
             self.stats.fallbacks += 1;
             if self.agt.trace_mut().on(Category::Agt) {
                 self.agt.trace_mut().push(EventKind::AggFallback {
-                    kernel: u32::from(info.kernel.0),
+                    kernel: info.kernel.0,
                 });
             }
             return CoalesceOutcome::Fallback;
@@ -166,7 +166,7 @@ impl SchedulingPool {
             self.stats.overflow_exhausted += 1;
             if self.agt.trace_mut().on(Category::Agt) {
                 self.agt.trace_mut().push(EventKind::AggFallback {
-                    kernel: u32::from(info.kernel.0),
+                    kernel: info.kernel.0,
                 });
             }
             return CoalesceOutcome::Fallback;
@@ -190,7 +190,7 @@ impl SchedulingPool {
             self.agt.trace_mut().push(EventKind::AgtCoalesce {
                 group: group.trace_code(),
                 kde,
-                remark: !marked as u32,
+                remark: !marked as u8,
             });
         }
 

@@ -227,8 +227,8 @@ impl MemSubsystem {
                 if self.trace.on(Category::Cache) {
                     self.trace.push(EventKind::CacheAccess {
                         level: 1,
-                        unit: smx as u32,
-                        hit: hit as u32,
+                        unit: smx as u16,
+                        hit: hit as u8,
                     });
                 }
                 if hit {
@@ -245,8 +245,8 @@ impl MemSubsystem {
                 if self.trace.on(Category::Cache) {
                     self.trace.push(EventKind::CacheAccess {
                         level: 1,
-                        unit: smx as u32,
-                        hit: hit as u32,
+                        unit: smx as u16,
+                        hit: hit as u8,
                     });
                 }
                 self.route_to_partition(addr, None, kind, now);
@@ -324,8 +324,8 @@ impl MemSubsystem {
                 if trace.on(Category::Cache) {
                     trace.push(EventKind::CacheAccess {
                         level: 2,
-                        unit: p as u32,
-                        hit: (lookup == Lookup::Hit) as u32,
+                        unit: p as u16,
+                        hit: (lookup == Lookup::Hit) as u8,
                     });
                 }
                 match lookup {

@@ -9,8 +9,10 @@
 //! failure degrades to an empty (cold) cache; a stale or corrupt file is
 //! never an error, because the daemon can always recompute.
 //!
-//! Writes go to a `.tmp` sibling and atomically rename into place, so a
-//! crash mid-write leaves the previous file intact.
+//! Writes go to a `.tmp` sibling of the writer's own (process id plus a
+//! per-process sequence number) and atomically rename into place, so a
+//! crash mid-write leaves the previous file intact, and two daemons
+//! sharing one cache file each publish whole files: the last rename wins.
 //!
 //! Only `Ok` results are persisted. Memoized *errors* stay in-memory:
 //! they are cheap to recompute and their in-memory lifetime is already
@@ -24,6 +26,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use workloads::RunReport;
 
 /// Cache file format version; bump on any layout change.
@@ -194,16 +197,35 @@ pub fn load(path: &Path) -> (Vec<(CellKey, RunReport)>, Option<String>) {
     }
 }
 
-/// Atomically writes the cache file: serialize to `<path>.tmp`, flush,
-/// rename over `path`.
+/// Atomically writes the cache file: serialize to a sibling
+/// `<name>.<pid>.<seq>.tmp` that no other writer can be using, flush,
+/// rename over `path`. On failure the sibling is removed.
 pub fn store<R: Borrow<RunReport>>(path: &Path, entries: &[(CellKey, R)]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(to_jsonl(entries).as_bytes())?;
-        f.sync_all()?;
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let text = to_jsonl(entries);
+    let (tmp, mut f) = loop {
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        name.push(format!(".{}.{seq}.tmp", std::process::id()));
+        let tmp = path.with_file_name(name);
+        // A leftover of a crashed process that had this pid: skip it.
+        match fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&tmp)
+        {
+            Ok(f) => break (tmp, f),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    };
+    let written = f.write_all(text.as_bytes()).and_then(|()| f.sync_all());
+    drop(f);
+    let written = written.and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, path)
+    written
 }
 
 #[cfg(test)]
@@ -391,16 +413,80 @@ mod tests {
         assert!(why.is_none(), "missing file is not an anomaly");
     }
 
+    /// The `.tmp` siblings `store` left next to `path`.
+    fn leftover_tmps(path: &Path) -> Vec<std::path::PathBuf> {
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let n = p.file_name().unwrap().to_string_lossy();
+                n.starts_with(&name) && n.ends_with(".tmp")
+            })
+            .collect()
+    }
+
     #[test]
     fn store_is_atomic_and_reloadable() {
         let path = tmp_path("atomic");
         let entries = vec![entry("amr", 7)];
         store(&path, &entries).unwrap();
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
+        assert_eq!(leftover_tmps(&path), Vec::<std::path::PathBuf>::new());
         let (back, why) = load(&path);
         assert!(why.is_none());
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].1.stats.cycles, 7);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Two writers storing different caches into one path, as two daemons
+    /// given the same `--cache-file` do: every load sees one writer's
+    /// whole file, never a mix of both or a torn one, and no `.tmp`
+    /// sibling outlives its store.
+    #[test]
+    fn concurrent_writers_never_tear_the_file() {
+        let path = tmp_path("concurrent");
+        // Large enough that one write takes many syscalls.
+        let set = |name: &str| -> Vec<(CellKey, RunReport)> {
+            (0..300).map(|i| entry(name, i)).collect()
+        };
+        let sets = [set("amr"), set("bht")];
+        let cycles = |e: &[(CellKey, RunReport)]| -> Vec<(String, u64)> {
+            e.iter()
+                .map(|(k, r)| (k.workload.clone(), r.stats.cycles))
+                .collect()
+        };
+        let want = [cycles(&sets[0]), cycles(&sets[1])];
+        // Both writers start each round together, so their writes overlap.
+        // A failure is recorded, not raised, so neither writer leaves the
+        // other waiting at the barrier.
+        let start = std::sync::Barrier::new(sets.len());
+        let failures: Vec<String> = std::thread::scope(|s| {
+            let writers: Vec<_> = sets
+                .iter()
+                .map(|mine| {
+                    let (path, want, start) = (&path, &want, &start);
+                    s.spawn(move || {
+                        let mut failures = Vec::new();
+                        for round in 0..50 {
+                            start.wait();
+                            let stored = store(path, mine);
+                            let (back, why) = load(path);
+                            if stored.is_err() || why.is_some() || !want.contains(&cycles(&back)) {
+                                failures.push(format!("round {round}: {stored:?}, {why:?}"));
+                            }
+                        }
+                        failures
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().expect("writer thread"))
+                .collect()
+        });
+        assert_eq!(failures, Vec::<String>::new(), "torn or failed stores");
+        assert_eq!(leftover_tmps(&path), Vec::<std::path::PathBuf>::new());
         fs::remove_file(&path).unwrap();
     }
 }

@@ -112,7 +112,7 @@ impl KernelDistributor {
         if self.trace.on(Category::Launch) {
             self.trace.push(EventKind::KdeAlloc {
                 kde: slot,
-                kernel: u32::from(entry.kernel.0),
+                kernel: entry.kernel.0,
                 ntb: entry.grid_ntb,
             });
         }
@@ -128,7 +128,7 @@ impl KernelDistributor {
         if self.trace.on(Category::Launch) {
             self.trace.push(EventKind::KdeFree {
                 kde: slot,
-                kernel: u32::from(entry.kernel.0),
+                kernel: entry.kernel.0,
             });
         }
         Some(entry)

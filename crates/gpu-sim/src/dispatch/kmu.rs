@@ -135,7 +135,7 @@ impl Kmu {
         if self.trace.on(Category::Launch) {
             self.trace.push(EventKind::HwqEnqueue {
                 hwq: hwq as u32,
-                kernel: u32::from(pk.kernel.0),
+                kernel: pk.kernel.0,
             });
         }
         self.hwqs[hwq].push_back(pk);
@@ -239,7 +239,7 @@ impl Kmu {
             if self.trace.on(Category::Launch) {
                 self.trace.push(EventKind::KmuDispatch {
                     kde: slot,
-                    kernel: u32::from(pk.kernel.0),
+                    kernel: pk.kernel.0,
                 });
             }
             return Some((slot, pk));

@@ -26,7 +26,7 @@ pub enum BudgetKind {
 
 impl BudgetKind {
     /// Stable numeric code used in `deadline_hit` trace events.
-    pub fn code(self) -> u32 {
+    pub fn code(self) -> u8 {
         match self {
             BudgetKind::WallClock => 0,
             BudgetKind::Cycles => 1,

@@ -185,9 +185,34 @@ pub struct Gpu {
     pub(crate) host_deferred: VecDeque<(u32, PendingKernel)>,
 }
 
+/// Panics unless every machine-shape count fits in `u16`: trace events
+/// store SMX, thread-block-slot, warp-slot and L2-partition indices at
+/// that width (`gpu_trace::EventKind`), so a wider machine would alias
+/// them.
+fn assert_shape_fits_trace(cfg: &GpuConfig) {
+    let shape = [
+        cfg.num_smx,
+        cfg.mem.num_smx,
+        cfg.max_tb_per_smx,
+        cfg.max_warps_per_smx() as usize,
+        cfg.mem.num_partitions,
+    ];
+    let [smx, mem_smx, tbs, warps, partitions] = shape;
+    assert!(
+        shape.iter().all(|&n| n <= usize::from(u16::MAX)),
+        "GpuConfig: SMXs ({smx}, memory side {mem_smx}), thread-block slots ({tbs}) and \
+         warp slots ({warps}) per SMX and L2 partitions ({partitions}) must each fit in u16",
+    );
+}
+
 impl Gpu {
     /// Builds a GPU and loads `program` onto it.
+    ///
+    /// # Panics
+    /// If a machine-shape count (SMXs, thread-block or warp slots per SMX,
+    /// L2 partitions) does not fit in `u16`.
     pub fn new(cfg: GpuConfig, program: Program) -> Self {
+        assert_shape_fits_trace(&cfg);
         let stats = Stats {
             max_warps_per_smx: cfg.max_warps_per_smx(),
             num_smx: cfg.num_smx as u32,
@@ -243,6 +268,7 @@ impl Gpu {
     /// equivalence tests) and a panic-abandoned instance is safe to
     /// rebind: no field escapes reinitialization.
     pub fn reset_bind(&mut self, cfg: GpuConfig, program: Program) {
+        assert_shape_fits_trace(&cfg);
         self.program = program;
         self.mem.clear();
         self.alloc = LinearAllocator::new(HEAP_BASE, HEAP_SIZE);
@@ -429,7 +455,7 @@ impl Gpu {
             self.tracer.emit(
                 self.cycle,
                 EventKind::HostLaunch {
-                    kernel: u32::from(kernel.0),
+                    kernel: kernel.0,
                     ntb,
                     hwq: self.kmu.hwq_of_stream(stream) as u32,
                 },
@@ -1067,7 +1093,7 @@ impl Gpu {
                     now,
                     EventKind::LaunchSched {
                         record: record as u32,
-                        smx: smx as u32,
+                        smx: smx as u16,
                     },
                 );
             }
@@ -1158,9 +1184,9 @@ impl Gpu {
             self.tracer.emit(
                 now,
                 EventKind::WarpIssue {
-                    smx: s as u32,
-                    warp: w as u32,
-                    lanes: mask.count_ones(),
+                    smx: s as u16,
+                    warp: w as u16,
+                    lanes: mask.count_ones() as u8,
                 },
             );
         }
@@ -1220,16 +1246,16 @@ impl Gpu {
                     self.tracer.emit(
                         now,
                         EventKind::WarpStall {
-                            smx: s as u32,
-                            warp: w as u32,
+                            smx: s as u16,
+                            warp: w as u16,
                             reason: StallReason::Barrier.code(),
                         },
                     );
                     self.tracer.emit(
                         now,
                         EventKind::BarrierWait {
-                            smx: s as u32,
-                            tb_slot: tb_slot as u32,
+                            smx: s as u16,
+                            tb_slot: tb_slot as u16,
                             arrived: tb.barrier_arrived,
                             expected: tb.live_warps,
                         },
@@ -1291,8 +1317,8 @@ impl Gpu {
                     self.tracer.emit(
                         now,
                         EventKind::WarpStall {
-                            smx: s as u32,
-                            warp: w as u32,
+                            smx: s as u16,
+                            warp: w as u16,
                             reason: StallReason::LaunchApi.code(),
                         },
                     );
@@ -1479,8 +1505,8 @@ impl Gpu {
                         self.tracer.emit(
                             now,
                             EventKind::WarpStall {
-                                smx: s as u32,
-                                warp: w as u32,
+                                smx: s as u16,
+                                warp: w as u16,
                                 reason: StallReason::Memory.code(),
                             },
                         );
@@ -1564,7 +1590,7 @@ impl Gpu {
                     now,
                     EventKind::KernelRetire {
                         kde,
-                        kernel: u32::from(entry.kernel.0),
+                        kernel: entry.kernel.0,
                     },
                 );
             }

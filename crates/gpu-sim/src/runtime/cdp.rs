@@ -60,7 +60,7 @@ impl Gpu {
                 EventKind::DynLaunch {
                     record: record as u32,
                     path: kind.path().code(),
-                    kernel: u32::from(req.kernel.0),
+                    kernel: req.kernel.0,
                     ntb: req.ntb,
                 },
             );

@@ -138,7 +138,7 @@ impl Gpu {
             self.tracer.emit(
                 now,
                 EventKind::LaunchBackoff {
-                    kernel: u32::from(req.kernel.0),
+                    kernel: req.kernel.0,
                     attempt,
                     retry_at: ready_at,
                 },
@@ -198,7 +198,7 @@ impl Gpu {
             self.tracer.emit(
                 now,
                 EventKind::LaunchDegraded {
-                    kernel: u32::from(req.kernel.0),
+                    kernel: req.kernel.0,
                     from_path: from_kind.path().code(),
                     to_path: LaunchPath::HostSerial.code(),
                     attempts,
@@ -209,7 +209,7 @@ impl Gpu {
                 EventKind::DynLaunch {
                     record: record as u32,
                     path: LaunchPath::HostSerial.code(),
-                    kernel: u32::from(req.kernel.0),
+                    kernel: req.kernel.0,
                     ntb: req.ntb,
                 },
             );
@@ -305,7 +305,7 @@ impl Gpu {
             self.tracer.emit(
                 now,
                 EventKind::LaunchDegraded {
-                    kernel: u32::from(kernel.0),
+                    kernel: kernel.0,
                     from_path: LaunchPath::AggGroup.code(),
                     to_path: LaunchPath::AggFallback.code(),
                     attempts: 0,

@@ -137,7 +137,7 @@ impl Gpu {
                             EventKind::DynLaunch {
                                 record: record as u32,
                                 path: LaunchPath::AggGroup.code(),
-                                kernel: u32::from(req.kernel.0),
+                                kernel: req.kernel.0,
                                 ntb: req.ntb,
                             },
                         );

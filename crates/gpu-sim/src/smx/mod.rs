@@ -323,12 +323,12 @@ impl Smx {
         let slot = self.tb_slots.iter().position(Option::is_none)?;
         if self.trace.on(Category::Tb) {
             self.trace.push(EventKind::TbPlace {
-                smx: self.id as u32,
-                slot: slot as u32,
-                kernel: u32::from(kernel_id.0),
+                smx: self.id as u16,
+                slot: slot as u16,
+                kernel: kernel_id.0,
                 kde: tbcr.kdei,
                 blkid: tbcr.blkid,
-                agg: tbcr.agei.is_some() as u32,
+                agg: tbcr.agei.is_some() as u8,
             });
         }
         let threads = kernel.threads_per_block();
@@ -414,8 +414,8 @@ impl Smx {
         self.used_shared -= tb.shared.len() as u32;
         if self.trace.on(Category::Tb) {
             self.trace.push(EventKind::TbRetire {
-                smx: self.id as u32,
-                slot: slot as u32,
+                smx: self.id as u16,
+                slot: slot as u16,
                 kde: tb.tbcr.kdei,
             });
         }

@@ -358,3 +358,15 @@ fn fault_activation_cycle_defers_injection() {
     gpu.malloc(64).unwrap(); // cap not active yet
     assert_eq!(gpu.stats().heap_cap_denials, 0);
 }
+
+/// Trace events store SMX indices as `u16`: a machine with more SMXs than
+/// that is refused before anything is built, not traced with aliased ids.
+#[test]
+#[should_panic(expected = "must each fit in u16")]
+fn a_machine_wider_than_the_trace_fields_is_refused() {
+    let cfg = GpuConfig {
+        num_smx: 65_536,
+        ..GpuConfig::test_small()
+    };
+    Gpu::new(cfg, Program::new());
+}

@@ -113,7 +113,7 @@ pub enum StallReason {
 
 impl StallReason {
     /// Stable numeric code used in event payloads.
-    pub fn code(self) -> u32 {
+    pub fn code(self) -> u8 {
         match self {
             StallReason::Memory => 0,
             StallReason::Barrier => 1,
@@ -122,7 +122,7 @@ impl StallReason {
     }
 
     /// Inverse of [`StallReason::code`].
-    pub fn from_code(code: u32) -> Option<StallReason> {
+    pub fn from_code(code: u8) -> Option<StallReason> {
         match code {
             0 => Some(StallReason::Memory),
             1 => Some(StallReason::Barrier),
@@ -158,7 +158,7 @@ pub enum LaunchPath {
 
 impl LaunchPath {
     /// Stable numeric code used in event payloads.
-    pub fn code(self) -> u32 {
+    pub fn code(self) -> u8 {
         match self {
             LaunchPath::DeviceKernel => 0,
             LaunchPath::AggGroup => 1,
@@ -168,7 +168,7 @@ impl LaunchPath {
     }
 
     /// Inverse of [`LaunchPath::code`].
-    pub fn from_code(code: u32) -> Option<LaunchPath> {
+    pub fn from_code(code: u8) -> Option<LaunchPath> {
         match code {
             0 => Some(LaunchPath::DeviceKernel),
             1 => Some(LaunchPath::AggGroup),
@@ -190,7 +190,7 @@ impl LaunchPath {
 }
 
 // The table of event kinds, and the single place that knows their names
-// and their serialised bytes. A row is `Variant { field: u32 | u64, .. } =>
+// and their serialised bytes. A row is `Variant { field: u8..u64, .. } =>
 // ("kind_name", Category)`; from it the macro derives the enum, the name and
 // category lookups, the parser (`from_fields`) and the exporters' payload
 // writer (`write_json_fields`). A new kind is one new row.
@@ -249,11 +249,12 @@ macro_rules! event_kinds {
             }
 
             /// Rebuilds a kind from its name and a field lookup. Returns
-            /// `None` for unknown names or missing fields.
+            /// `None` for an unknown name, or a field that is missing or
+            /// does not fit its storage width.
             pub fn from_fields(name: &str, get: &dyn Fn(&str) -> Option<u64>) -> Option<EventKind> {
                 match name {
                     $( $name => Some(EventKind::$variant {
-                        $( $field: get(stringify!($field))? as $ty, )*
+                        $( $field: <$ty>::try_from(get(stringify!($field))?).ok()?, )*
                     }), )*
                     _ => None,
                 }
@@ -263,31 +264,38 @@ macro_rules! event_kinds {
 }
 
 event_kinds! {
-    HostLaunch { kernel: u32, ntb: u32, hwq: u32 } => ("host_launch", Launch),
-    HwqEnqueue { hwq: u32, kernel: u32 } => ("hwq_enqueue", Launch),
-    KmuDispatch { kde: u32, kernel: u32 } => ("kmu_dispatch", Launch),
-    KdeAlloc { kde: u32, kernel: u32, ntb: u32 } => ("kde_alloc", Launch),
-    KdeFree { kde: u32, kernel: u32 } => ("kde_free", Launch),
-    DynLaunch { record: u32, path: u32, kernel: u32, ntb: u32 } => ("dyn_launch", Launch),
-    LaunchSched { record: u32, smx: u32 } => ("launch_sched", Launch),
-    KernelRetire { kde: u32, kernel: u32 } => ("kernel_retire", Launch),
-    AgtInsert { group: u64, kernel: u32, kde: u32, overflow: u32 } => ("agt_insert", Agt),
-    AgtCoalesce { group: u64, kde: u32, remark: u32 } => ("agt_coalesce", Agt),
+    HostLaunch { kernel: u16, ntb: u32, hwq: u32 } => ("host_launch", Launch),
+    HwqEnqueue { hwq: u32, kernel: u16 } => ("hwq_enqueue", Launch),
+    KmuDispatch { kde: u32, kernel: u16 } => ("kmu_dispatch", Launch),
+    KdeAlloc { kde: u32, kernel: u16, ntb: u32 } => ("kde_alloc", Launch),
+    KdeFree { kde: u32, kernel: u16 } => ("kde_free", Launch),
+    DynLaunch { record: u32, path: u8, kernel: u16, ntb: u32 } => ("dyn_launch", Launch),
+    LaunchSched { record: u32, smx: u16 } => ("launch_sched", Launch),
+    KernelRetire { kde: u32, kernel: u16 } => ("kernel_retire", Launch),
+    AgtInsert { group: u64, kernel: u16, kde: u32, overflow: u8 } => ("agt_insert", Agt),
+    AgtCoalesce { group: u64, kde: u32, remark: u8 } => ("agt_coalesce", Agt),
     AgtEvict { group: u64 } => ("agt_evict", Agt),
-    AggFallback { kernel: u32 } => ("agg_fallback", Agt),
-    FcfsMark { kde: u32, first: u32 } => ("fcfs_mark", Fcfs),
+    AggFallback { kernel: u16 } => ("agg_fallback", Agt),
+    FcfsMark { kde: u32, first: u8 } => ("fcfs_mark", Fcfs),
     FcfsUnmark { kde: u32 } => ("fcfs_unmark", Fcfs),
-    TbPlace { smx: u32, slot: u32, kernel: u32, kde: u32, blkid: u32, agg: u32 } => ("tb_place", Tb),
-    TbRetire { smx: u32, slot: u32, kde: u32 } => ("tb_retire", Tb),
-    WarpIssue { smx: u32, warp: u32, lanes: u32 } => ("warp_issue", Warp),
-    WarpStall { smx: u32, warp: u32, reason: u32 } => ("warp_stall", Warp),
-    BarrierWait { smx: u32, tb_slot: u32, arrived: u32, expected: u32 } => ("barrier_wait", Warp),
-    CacheAccess { level: u32, unit: u32, hit: u32 } => ("cache_access", Cache),
+    TbPlace { smx: u16, slot: u16, kernel: u16, kde: u32, blkid: u32, agg: u8 } => ("tb_place", Tb),
+    TbRetire { smx: u16, slot: u16, kde: u32 } => ("tb_retire", Tb),
+    WarpIssue { smx: u16, warp: u16, lanes: u8 } => ("warp_issue", Warp),
+    WarpStall { smx: u16, warp: u16, reason: u8 } => ("warp_stall", Warp),
+    BarrierWait { smx: u16, tb_slot: u16, arrived: u32, expected: u32 } => ("barrier_wait", Warp),
+    CacheAccess { level: u8, unit: u16, hit: u8 } => ("cache_access", Cache),
     DramRowActivate { partition: u32, bank: u32 } => ("dram_row_activate", Dram),
-    LaunchDegraded { kernel: u32, from_path: u32, to_path: u32, attempts: u32 } => ("launch_degraded", Launch),
-    LaunchBackoff { kernel: u32, attempt: u32, retry_at: u64 } => ("launch_backoff", Launch),
-    DeadlineHit { budget: u32, limit: u64 } => ("deadline_hit", Launch),
+    LaunchDegraded { kernel: u16, from_path: u8, to_path: u8, attempts: u32 } => ("launch_degraded", Launch),
+    LaunchBackoff { kernel: u16, attempt: u32, retry_at: u64 } => ("launch_backoff", Launch),
+    DeadlineHit { budget: u8, limit: u64 } => ("deadline_hit", Launch),
 }
+
+// Widths are storage, not schema: both exporters write every field through
+// `u64::from`, so narrowing a field changes no exported byte. What the
+// widths buy is the event's size, and every copy of a trace (the log, the
+// result cache, each cache hit) pays it per event.
+const _: () = assert!(std::mem::size_of::<EventKind>() == 16);
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 24);
 
 /// One recorded event: an [`EventKind`] stamped with the cycle it happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -188,7 +188,7 @@ pub fn chrome_trace(cells: &[(String, TraceData)]) -> String {
         let mut tracks = Tracks::default();
         // Resident thread blocks: (smx, slot), kernel, placement cycle and
         // the placement event itself.
-        let mut open_tb: Vec<((u32, u32), u32, u64, EventKind)> = Vec::new();
+        let mut open_tb: Vec<((u16, u16), u16, u64, EventKind)> = Vec::new();
         let mut launch_paths = LaunchPaths {
             dense: Vec::new(),
             dense_limit: data.events.len(),
@@ -315,6 +315,11 @@ pub fn chrome_trace(cells: &[(String, TraceData)]) -> String {
     out
 }
 
+/// Why [`EventKind::from_fields`] refused a record.
+fn bad_kind(kind_name: &str) -> String {
+    format!("`{kind_name}`: unknown event kind, or a field missing or wider than it is stored")
+}
+
 /// Parses a Chrome trace produced by [`chrome_trace`] back into per-cell
 /// event lists. Counter tracks and metadata are skipped; events are
 /// returned sorted by cycle (the export interleaves derived records, so
@@ -328,7 +333,7 @@ pub fn parse_chrome(text: &str) -> Result<Vec<(String, TraceData)>, String> {
 
     let mut names: Vec<(u64, String)> = Vec::new();
     let mut cells: Vec<(u64, Vec<TraceEvent>)> = Vec::new();
-    for rec in events {
+    for (i, rec) in events.iter().enumerate() {
         let ph = rec.get("ph").and_then(|v| v.as_str()).unwrap_or("");
         let pid = rec.get("pid").and_then(|v| v.as_u64()).unwrap_or(0);
         if ph == "M" {
@@ -352,11 +357,9 @@ pub fn parse_chrome(text: &str) -> Result<Vec<(String, TraceData)>, String> {
             None => continue,
         };
         let get = |name: &str| args.u64_field(name);
-        let kind = match EventKind::from_fields(kind_name, &get) {
-            Some(k) => k,
-            None => return Err(format!("unknown event kind `{kind_name}`")),
-        };
-        let cycle = get("cycle").ok_or_else(|| format!("`{kind_name}` missing cycle"))?;
+        let kind = EventKind::from_fields(kind_name, &get)
+            .ok_or_else(|| format!("traceEvents[{i}]: {}", bad_kind(kind_name)))?;
+        let cycle = get("cycle").ok_or_else(|| format!("traceEvents[{i}]: missing cycle"))?;
         let idx = match cells.iter().position(|(p, _)| *p == pid) {
             Some(i) => i,
             None => {
@@ -499,9 +502,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<(String, TraceData)>, String> {
             }
             _ => {
                 let get = |name: &str| obj.u64_field(name);
-                let kind = EventKind::from_fields(kind_name, &get).ok_or_else(|| {
-                    format!("line {}: unknown event kind `{kind_name}`", lineno + 1)
-                })?;
+                let kind = EventKind::from_fields(kind_name, &get)
+                    .ok_or_else(|| format!("line {}: {}", lineno + 1, bad_kind(kind_name)))?;
                 let cycle =
                     get("cycle").ok_or_else(|| format!("line {}: missing cycle", lineno + 1))?;
                 data.events.push(TraceEvent { cycle, kind });
@@ -1015,6 +1017,72 @@ mod tests {
         }
     }
 
+    /// A value wider than its field's storage is an error naming the
+    /// record, never a silent truncation; the widest value that fits still
+    /// parses. One field per storage width: `u8`, `u16` (twice) and `u32`.
+    #[test]
+    fn parsers_reject_values_wider_than_their_field() {
+        let cases = [
+            (
+                "warp_issue",
+                "\"smx\":1,\"warp\":2",
+                "lanes",
+                u64::from(u8::MAX),
+            ),
+            (
+                "tb_retire",
+                "\"slot\":2,\"kde\":3",
+                "smx",
+                u64::from(u16::MAX),
+            ),
+            ("kde_free", "\"kde\":3", "kernel", u64::from(u16::MAX)),
+            ("kde_free", "\"kernel\":1", "kde", u64::from(u32::MAX)),
+        ];
+        for (kind, rest, field, widest) in cases {
+            let args = |v: u64| format!("\"kind\":\"{kind}\",\"cycle\":5,{rest},\"{field}\":{v}");
+            let line = |v: u64| format!("{{\"cell\":\"c\",{}}}\n", args(v));
+            let chrome = |v: u64| {
+                format!(
+                    "{{\"traceEvents\":[{{\"ph\":\"i\",\"pid\":0,\"args\":{{{}}}}}]}}",
+                    args(v)
+                )
+            };
+            let value_of = |ev: &TraceEvent| {
+                let mut got = None;
+                ev.kind.for_each_field(|name, v| {
+                    if name == field {
+                        got = Some(v);
+                    }
+                });
+                got
+            };
+
+            let back = parse_jsonl(&line(widest)).expect("the widest value fits");
+            assert_eq!(
+                value_of(&back[0].1.events[0]),
+                Some(widest),
+                "{kind}.{field}"
+            );
+            let back = parse_chrome(&chrome(widest)).expect("the widest value fits");
+            assert_eq!(
+                value_of(&back[0].1.events[0]),
+                Some(widest),
+                "{kind}.{field}"
+            );
+
+            let err = parse_jsonl(&(line(widest) + &line(widest + 1))).unwrap_err();
+            assert!(
+                err.starts_with(&format!("line 2: `{kind}`")),
+                "{kind}.{field}: {err}"
+            );
+            let err = parse_chrome(&chrome(widest + 1)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("traceEvents[0]: `{kind}`")),
+                "{kind}.{field}: {err}"
+            );
+        }
+    }
+
     /// JSON numbers are doubles: from 2^53 up a `u64` is rounded to the
     /// nearest `f64` and spelled as a float. These bytes are part of the
     /// format; they are pinned, not endorsed.
@@ -1024,8 +1092,8 @@ mod tests {
             .map(|v| TraceEvent {
                 cycle: v,
                 kind: EventKind::LaunchBackoff {
-                    kernel: u32::MAX,
-                    attempt: 0,
+                    kernel: u16::MAX,
+                    attempt: u32::MAX,
                     retry_at: v,
                 },
             })
@@ -1041,7 +1109,7 @@ mod tests {
         let line = |n: &str| {
             format!(
                 "{{\"cell\":\"c\",\"kind\":\"launch_backoff\",\"cycle\":{n},\
-                 \"kernel\":4294967295,\"attempt\":0,\"retry_at\":{n}}}\n"
+                 \"kernel\":65535,\"attempt\":4294967295,\"retry_at\":{n}}}\n"
             )
         };
         let want = line("9007199254740991")

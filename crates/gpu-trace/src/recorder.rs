@@ -78,13 +78,19 @@ pub struct TraceData {
     pub dropped: u64,
 }
 
-/// The per-simulator recorder: category filter, bounded ring of recent
-/// events (for hang dumps), the full retained event log, and the metrics
-/// time series.
+/// The per-simulator recorder: category filter, the retained event log,
+/// the most recent events (for hang dumps), and the metrics time series.
+///
+/// Each event is written once. While nothing has been dropped the recent
+/// events are the log's tail, so [`Recorder::recent`] reads them there and
+/// the ring stays empty. The ring takes over from the first event the log
+/// cannot hold (seeded from the log's tail) and from [`Recorder::take`]
+/// (which detaches the log); from then on every event goes to both.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     mask: u32,
     ring_cap: usize,
+    /// Empty until it takes over from the log's tail; see the type doc.
     ring: VecDeque<TraceEvent>,
     events: Vec<TraceEvent>,
     limit: usize,
@@ -145,16 +151,29 @@ impl Recorder {
     }
 
     fn push(&mut self, ev: TraceEvent) {
+        if self.events.len() < self.limit {
+            self.events.push(ev);
+            if self.ring.is_empty() {
+                return;
+            }
+        } else {
+            self.dropped += 1;
+            self.seed_ring();
+        }
         if self.ring_cap > 0 {
             if self.ring.len() == self.ring_cap {
                 self.ring.pop_front();
             }
             self.ring.push_back(ev);
         }
-        if self.events.len() < self.limit {
-            self.events.push(ev);
-        } else {
-            self.dropped += 1;
+    }
+
+    /// Hands the recent events over to the ring, if it has not taken over
+    /// yet: copies the log's last `ring_cap` events into it.
+    fn seed_ring(&mut self) {
+        if self.ring.is_empty() {
+            let tail = self.events.len().saturating_sub(self.ring_cap);
+            self.ring.extend(&self.events[tail..]);
         }
     }
 
@@ -171,9 +190,15 @@ impl Recorder {
         self.samples.push(sample);
     }
 
-    /// Snapshot of the most recent events (oldest first).
+    /// Snapshot of the most recent events (oldest first), at most the
+    /// configured `ring` of them.
     pub fn recent(&self) -> Vec<TraceEvent> {
-        self.ring.iter().copied().collect()
+        if self.ring.is_empty() {
+            let tail = self.events.len().saturating_sub(self.ring_cap);
+            self.events[tail..].to_vec()
+        } else {
+            self.ring.iter().copied().collect()
+        }
     }
 
     /// Number of retained events.
@@ -194,6 +219,7 @@ impl Recorder {
     /// Detaches everything recorded so far, leaving the recorder empty but
     /// still configured.
     pub fn take(&mut self) -> TraceData {
+        self.seed_ring();
         TraceData {
             events: std::mem::take(&mut self.events),
             samples: std::mem::take(&mut self.samples),
@@ -264,7 +290,7 @@ mod tests {
     fn ev(cycle: u64) -> EventKind {
         EventKind::WarpIssue {
             smx: 0,
-            warp: cycle as u32,
+            warp: cycle as u16,
             lanes: 32,
         }
     }
@@ -312,6 +338,46 @@ mod tests {
         assert_eq!(recent[0].cycle, 6);
         assert_eq!(recent[3].cycle, 9);
         assert_eq!(r.len(), 10, "full log unaffected by ring capacity");
+    }
+
+    /// `recent()` is the last `ring` events emitted, whether or not the
+    /// log kept them: checked after every emit against a ring that takes
+    /// every event, below the limit, past it, with a ring longer than the
+    /// limit, with no ring, and right after and across a `take`.
+    #[test]
+    fn recent_is_the_tail_of_everything_emitted() {
+        for (ring, limit) in [(4, 100), (4, 6), (8, 3), (0, 5), (3, 0)] {
+            let mut r = Recorder::new(TraceConfig {
+                mask: Category::mask_all(),
+                ring,
+                limit,
+                ..TraceConfig::off()
+            });
+            let mut every = VecDeque::new();
+            for c in 0..20 {
+                if c == 12 {
+                    r.take();
+                    assert_eq!(
+                        r.recent(),
+                        Vec::from(every.clone()),
+                        "ring {ring}, limit {limit}, after take"
+                    );
+                }
+                r.emit(c, ev(c));
+                every.push_back(TraceEvent {
+                    cycle: c,
+                    kind: ev(c),
+                });
+                if every.len() > ring as usize {
+                    every.pop_front();
+                }
+                assert_eq!(
+                    r.recent(),
+                    Vec::from(every.clone()),
+                    "ring {ring}, limit {limit}, cycle {c}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -76,13 +76,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 fn mixed_cell(n: u64) -> (String, TraceData) {
     let events = (0..n)
         .map(|i| {
-            let smx = (i % 13) as u32;
-            let slot = (i / 13 % 16) as u32;
+            let smx = (i % 13) as u16;
+            let slot = (i / 13 % 16) as u16;
             let record = (i / 10) as u32;
             let kind = match i % 10 {
                 0 => EventKind::DynLaunch {
                     record,
-                    path: record % 4,
+                    path: (record % 4) as u8,
                     kernel: 1,
                     ntb: 4,
                 },
@@ -127,8 +127,8 @@ fn mixed_cell(n: u64) -> (String, TraceData) {
                 },
                 // Retires the placement made eight events earlier.
                 _ => EventKind::TbRetire {
-                    smx: ((i - 8) % 13) as u32,
-                    slot: ((i - 8) / 13 % 16) as u32,
+                    smx: ((i - 8) % 13) as u16,
+                    slot: ((i - 8) / 13 % 16) as u16,
                     kde: 3,
                 },
             };

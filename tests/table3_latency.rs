@@ -70,7 +70,7 @@ struct Run {
     events: Vec<TraceEvent>,
     launches: Vec<LaunchRecord>,
     /// The parent warp's (SMX, warp slot).
-    parent: (u32, u32),
+    parent: (u16, u16),
 }
 
 fn run(x: u32, agg: bool) -> Run {
@@ -96,9 +96,7 @@ fn run(x: u32, agg: bool) -> Run {
         .iter()
         .enumerate()
         .find_map(|(i, e)| match e.kind {
-            EventKind::TbPlace { smx, kernel, .. } if kernel == u32::from(parent_k.0) => {
-                Some((i, smx))
-            }
+            EventKind::TbPlace { smx, kernel, .. } if kernel == parent_k.0 => Some((i, smx)),
             _ => None,
         })
         .expect("parent block placed");
@@ -113,7 +111,7 @@ fn run(x: u32, agg: bool) -> Run {
     let parent_issue = EventKind::WarpIssue {
         smx,
         warp,
-        lanes: x,
+        lanes: x as u8,
     };
     let issues: Vec<u64> = events[place..]
         .iter()
