@@ -331,7 +331,8 @@ mod tests {
                 threads_per_tb: 128,
                 reserved_bytes: i * 1024,
             })
-            .collect();
+            .collect::<Vec<_>>()
+            .into();
         entries.push((key, heavy));
         entries
     }

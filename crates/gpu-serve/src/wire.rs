@@ -591,7 +591,7 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
         busy_cycles: obj_u64(v, "busy_cycles")?,
         tb_completed: obj_u64(v, "tb_completed")?,
         host_launches: obj_u64(v, "host_launches")?,
-        launches,
+        launches: launches.into(),
         peak_pending_bytes: obj_u64(v, "peak_pending_bytes")?,
         pending_bytes: obj_u64(v, "pending_bytes")?,
         agg_coalesced: obj_u64(v, "agg_coalesced")?,
@@ -1097,7 +1097,10 @@ impl<'a> Canonical<'a> {
             busy_cycles: self.u64(b',', "busy_cycles")?,
             tb_completed: self.u64(b',', "tb_completed")?,
             host_launches: self.u64(b',', "host_launches")?,
-            launches: self.key(b',', "launches").and_then(|_| self.launches())?,
+            launches: self
+                .key(b',', "launches")
+                .and_then(|_| self.launches())?
+                .into(),
             peak_pending_bytes: self.u64(b',', "peak_pending_bytes")?,
             pending_bytes: self.u64(b',', "pending_bytes")?,
             agg_coalesced: self.u64(b',', "agg_coalesced")?,
@@ -1256,7 +1259,8 @@ mod tests {
                     threads_per_tb: 32,
                     reserved_bytes: 0,
                 },
-            ],
+            ]
+            .into(),
             mem: MemStats {
                 loads: 7,
                 stores: 8,
@@ -1347,7 +1351,8 @@ mod tests {
     /// The key the daemon computes at admission from a submission is the
     /// key the worker's setup gives the cell, on every benchmark, variant,
     /// preset, trace setting and budget knob — so a hit at admission is the
-    /// hit the worker would have served.
+    /// hit the worker would have served. The setup stores its keys, so a
+    /// `with_config` sibling must recompute them for its new config.
     #[test]
     fn submit_keys_match_cell_setup_keys() {
         let mut seen = std::collections::HashSet::new();
@@ -1368,14 +1373,31 @@ mod tests {
                         cycle_cap,
                         trace,
                     };
-                    let setup =
-                        workloads::CellSetup::new(benchmark, Scale::Test, spec.gpu_config())
-                            .expect("setup");
+                    let base = spec.gpu_config();
+                    let setup = workloads::CellSetup::new(benchmark, Scale::Test, base.clone())
+                        .expect("setup");
                     for variant in Variant::ALL {
                         spec.variant = variant;
                         let key = spec.cell_key();
                         assert_eq!(key, setup.cell_key(variant), "{spec:?}");
                         assert!(seen.insert(key), "{spec:?} shares a key");
+                    }
+                    // A reconfigured sibling answers with the keys of its
+                    // own config, never the ones its source stored.
+                    let cfg = GpuConfig {
+                        agt_entries: 2 * base.agt_entries,
+                        trace: if trace {
+                            gpu_trace::TraceConfig::off()
+                        } else {
+                            gpu_trace::TraceConfig::all()
+                        },
+                        ..base
+                    };
+                    let wide = setup.with_config(cfg.clone());
+                    for variant in Variant::ALL {
+                        let key = workloads::cell_key(benchmark, Scale::Test, &cfg, variant);
+                        assert_ne!(key, setup.cell_key(variant), "{spec:?}");
+                        assert_eq!(wide.cell_key(variant), key, "{spec:?} reconfigured");
                     }
                 }
             }

@@ -112,7 +112,7 @@ fn random_stats(rng: &mut StdRng, launches: usize, values: Values) -> Stats {
         busy_cycles: v(),
         tb_completed: v(),
         host_launches: v(),
-        launches: Vec::new(),
+        launches: Default::default(),
         peak_pending_bytes: v(),
         pending_bytes: v(),
         agg_coalesced: v(),
@@ -144,7 +144,8 @@ fn random_stats(rng: &mut StdRng, launches: usize, values: Values) -> Stats {
             threads_per_tb: value32(rng),
             reserved_bytes: value(rng, values),
         })
-        .collect();
+        .collect::<Vec<_>>()
+        .into();
     s
 }
 

@@ -1083,8 +1083,8 @@ impl Gpu {
     }
 
     fn mark_launch_started(&mut self, record: usize, smx: usize, now: u64) {
-        let rec = &mut self.stats.launches[record];
-        if rec.first_tb_at.is_none() {
+        if self.stats.launches[record].first_tb_at.is_none() {
+            let rec = self.stats.launch_mut(record);
             rec.first_tb_at = Some(now);
             let bytes = rec.reserved_bytes;
             self.stats.remove_pending(bytes);

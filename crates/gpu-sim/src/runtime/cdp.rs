@@ -45,8 +45,7 @@ impl Gpu {
             return self.defer_launch(req, kind, now, attempt + 1);
         }
         self.stats.add_pending(CDP_PENDING_RECORD_BYTES);
-        let record = self.stats.launches.len();
-        self.stats.launches.push(LaunchRecord {
+        let record = self.stats.push_launch(LaunchRecord {
             kind,
             launched_at: now,
             first_tb_at: None,

@@ -185,8 +185,7 @@ impl Gpu {
             }
         }
         self.stats.degraded_to_host_serial += 1;
-        let record = self.stats.launches.len();
-        self.stats.launches.push(LaunchRecord {
+        let record = self.stats.push_launch(LaunchRecord {
             kind: DynLaunchKind::HostSerialized,
             launched_at: now,
             first_tb_at: Some(now),

@@ -121,8 +121,7 @@ impl Gpu {
                         0
                     };
                     self.stats.add_pending(descr);
-                    let record = self.stats.launches.len();
-                    self.stats.launches.push(LaunchRecord {
+                    let record = self.stats.push_launch(LaunchRecord {
                         kind: DynLaunchKind::AggGroup,
                         launched_at: now,
                         first_tb_at: None,

@@ -2,6 +2,7 @@
 
 use gpu_mem::MemStats;
 use gpu_trace::LaunchPath;
+use std::sync::Arc;
 
 /// Which launch mechanism produced a dynamic launch (for the per-category
 /// waiting-time and footprint statistics).
@@ -79,7 +80,10 @@ pub struct Stats {
     /// Host kernel launches.
     pub host_launches: u64,
     /// Dynamic launches (CDP kernels, aggregated groups, fallbacks).
-    pub launches: Vec<LaunchRecord>,
+    /// Shared, so a finished `Stats` clones in O(1) whatever its launch
+    /// count; a run holds the only reference while it appends (see
+    /// [`push_launch`](Self::push_launch)), so it never copies the log.
+    pub launches: Arc<Vec<LaunchRecord>>,
     /// Peak bytes of global memory reserved for *pending* dynamic
     /// launches (parameter buffers + descriptors) — Figure 10.
     pub peak_pending_bytes: u64,
@@ -129,6 +133,18 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// Appends a dynamic launch's record and returns its index.
+    pub(crate) fn push_launch(&mut self, record: LaunchRecord) -> usize {
+        let launches = Arc::make_mut(&mut self.launches);
+        launches.push(record);
+        launches.len() - 1
+    }
+
+    /// The record at `index`, to fill in as its launch progresses.
+    pub(crate) fn launch_mut(&mut self, index: usize) -> &mut LaunchRecord {
+        &mut Arc::make_mut(&mut self.launches)[index]
+    }
+
     /// Warp activity percentage (Figure 6): average fraction of active
     /// lanes per issued warp-instruction, in percent.
     pub fn warp_activity_pct(&self) -> f64 {
@@ -332,7 +348,7 @@ mod tests {
     #[test]
     fn waiting_time_averages_started_launches() {
         let mut s = Stats::default();
-        s.launches.push(LaunchRecord {
+        s.push_launch(LaunchRecord {
             kind: DynLaunchKind::AggGroup,
             launched_at: 100,
             first_tb_at: Some(150),
@@ -340,7 +356,7 @@ mod tests {
             threads_per_tb: 64,
             reserved_bytes: 0,
         });
-        s.launches.push(LaunchRecord {
+        s.push_launch(LaunchRecord {
             kind: DynLaunchKind::DeviceKernel,
             launched_at: 0,
             first_tb_at: Some(250),
@@ -348,7 +364,7 @@ mod tests {
             threads_per_tb: 32,
             reserved_bytes: 0,
         });
-        s.launches.push(LaunchRecord {
+        s.push_launch(LaunchRecord {
             kind: DynLaunchKind::DeviceKernel,
             launched_at: 0,
             first_tb_at: None, // never started: excluded

@@ -270,17 +270,33 @@ pub fn graph500_logn(n: u32, deg: u32, seed: u64) -> CsrGraph {
 /// remaining `n - hubs` with 1–3 connections (almost all to hubs).
 pub fn flight(n: u32, hubs: u32, seed: u64) -> CsrGraph {
     let hubs = hubs.max(1).min(n);
+    // Hubs form a clique-ish core: one coin flip per hub pair `a < b`,
+    // drawn once into row `a` of a bit matrix, so both replay passes walk
+    // the set bits instead of drawing the flips again. Each pass resumes
+    // the spokes from the generator as it stands after the clique.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let words = (hubs as usize).div_ceil(64).max(1);
+    let mut linked = vec![0u64; hubs as usize * words];
+    for a in 0..hubs as usize {
+        for b in (a + 1)..hubs as usize {
+            if rng.gen_bool(0.5) {
+                linked[a * words + b / 64] |= 1 << (b % 64);
+            }
+        }
+    }
     CsrGraph::from_arc_replay(n, |arc| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Hubs form a clique-ish core.
-        for a in 0..hubs {
-            for b in (a + 1)..hubs {
-                if rng.gen_bool(0.5) {
+        for (a, row) in (0..hubs).zip(linked.chunks_exact(words)) {
+            for (w, &word) in (0..).zip(row) {
+                let mut bits = word;
+                while bits != 0 {
+                    let b = 64 * w + bits.trailing_zeros();
                     arc(a, b);
                     arc(b, a);
+                    bits &= bits - 1;
                 }
             }
         }
+        let mut rng = rng.clone();
         for v in hubs..n {
             let links = rng.gen_range(1..=3);
             for _ in 0..links {

@@ -18,7 +18,8 @@
 //! [`BatchServer`](gpu_sim::BatchServer) serve repeated cells from its
 //! result cache with a bit-identity guarantee. The address is the pure
 //! function [`cell_key`] of the setup's inputs, so it can also be computed
-//! without building a setup.
+//! without building a setup; the setup computes it once per variant when
+//! it is built (or reconfigured), so a cache lookup hashes no config.
 
 use crate::apps;
 use crate::common::Variant;
@@ -285,6 +286,17 @@ pub struct CellSetup {
     data: AppData,
     /// One prepared `(program, kernel ids)` per [`Variant::ALL`] entry.
     progs: Vec<(Program, Vec<KernelId>)>,
+    /// One [`cell_key`] per [`Variant::ALL`] entry, of `base_cfg`.
+    keys: [CellKey; Variant::ALL.len()],
+}
+
+/// [`cell_key`] of every variant, in [`Variant::ALL`] order.
+fn keys_of(
+    benchmark: Benchmark,
+    scale: Scale,
+    base_cfg: &GpuConfig,
+) -> [CellKey; Variant::ALL.len()] {
+    Variant::ALL.map(|v| cell_key(benchmark, scale, base_cfg, v))
 }
 
 impl CellSetup {
@@ -302,6 +314,7 @@ impl CellSetup {
         Ok(CellSetup {
             benchmark,
             scale,
+            keys: keys_of(benchmark, scale, &base_cfg),
             base_cfg,
             data,
             progs,
@@ -314,8 +327,12 @@ impl CellSetup {
     /// reserved SMXs) get one setup per benchmark instead of one per cell.
     pub fn with_config(&self, base_cfg: GpuConfig) -> CellSetup {
         CellSetup {
+            benchmark: self.benchmark,
+            scale: self.scale,
+            keys: keys_of(self.benchmark, self.scale, &base_cfg),
             base_cfg,
-            ..self.clone()
+            data: self.data.clone(),
+            progs: self.progs.clone(),
         }
     }
 
@@ -347,9 +364,10 @@ impl CellSetup {
     }
 
     /// Content address of this setup's `variant` cell: [`cell_key`] of
-    /// its benchmark, scale and base config.
+    /// its benchmark, scale and base config, computed when the setup was
+    /// built, so this is a clone of the stored key.
     pub fn cell_key(&self, variant: Variant) -> CellKey {
-        cell_key(self.benchmark, self.scale, &self.base_cfg, variant)
+        self.keys[variant.index()].clone()
     }
 
     /// Runs `variant` on a *fresh* simulator (cold construction). The

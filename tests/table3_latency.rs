@@ -89,7 +89,7 @@ fn run(x: u32, agg: bool) -> Run {
         gpu.launch(child, 1, &[20_000], 1).unwrap();
     }
     gpu.launch(parent_k, 1, &[], 0).unwrap();
-    let launches = gpu.run_to_idle().unwrap().launches.clone();
+    let launches = gpu.run_to_idle().unwrap().launches.to_vec();
     let events = gpu.take_trace().unwrap().events;
 
     let (place, smx) = events
