@@ -30,6 +30,7 @@ pub mod client;
 pub mod daemon;
 pub mod jobs;
 pub mod persist;
+mod schema;
 pub mod wire;
 
 pub use client::{Client, ClientError, JobStatus};

@@ -18,11 +18,10 @@
 //! they are cheap to recompute and their in-memory lifetime is already
 //! bounded by the daemon process that validated their determinism.
 
-use crate::wire::{report_from_json, write_report, Canonical};
+use crate::schema::{entry_from_json, read_entry, write_entry, Canonical, Hex, Shape};
 use gpu_sim::{CellKey, GpuConfig};
-use gpu_trace::json::{write_str, write_u64, Json};
+use gpu_trace::json::Json;
 use std::borrow::Borrow;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -54,15 +53,13 @@ pub fn to_jsonl<R: Borrow<RunReport>>(entries: &[(CellKey, R)]) -> String {
     let header = Json::Obj(vec![
         ("kind".into(), Json::Str("gpu-serve-cache".into())),
         ("version".into(), Json::Num(CACHE_VERSION as f64)),
-        (
-            "scheme".into(),
-            Json::Str(format!("{:016x}", hash_scheme())),
-        ),
+        ("scheme".into(), Hex::tree(&hash_scheme())),
     ]);
     out.push_str(&header.to_string());
     out.push('\n');
     for (key, report) in entries {
         write_entry(key, report.borrow(), &mut out);
+        out.push('\n');
     }
     let footer = Json::Obj(vec![
         ("kind".into(), Json::Str("end".into())),
@@ -71,48 +68,6 @@ pub fn to_jsonl<R: Borrow<RunReport>>(entries: &[(CellKey, R)]) -> String {
     out.push_str(&footer.to_string());
     out.push('\n');
     out
-}
-
-/// Appends one entry line, `\n` included: the bytes of the `Json` object
-/// `{"config_hash":H,"budget_hash":H,"workload":W,"seed":N,"variant":V,
-/// "report":R}`, written without building it.
-fn write_entry(key: &CellKey, report: &RunReport, out: &mut String) {
-    let CellKey {
-        config_hash,
-        budget_hash,
-        workload,
-        seed,
-        variant,
-    } = key;
-    let _ = write!(
-        out,
-        "{{\"config_hash\":\"{config_hash:016x}\",\"budget_hash\":\"{budget_hash:016x}\",\"workload\":"
-    );
-    write_str(workload, out);
-    out.push_str(",\"seed\":");
-    write_u64(*seed, out);
-    out.push_str(",\"variant\":");
-    write_str(variant, out);
-    out.push_str(",\"report\":");
-    write_report(report, out);
-    out.push_str("}\n");
-}
-
-/// An entry line in [`write_entry`]'s canonical form, read in one pass;
-/// `None` at the first deviation, for the `Json` tree path to decode.
-fn read_entry(line: &str) -> Option<(CellKey, RunReport)> {
-    let mut c = Canonical::new(line);
-    let key = CellKey {
-        config_hash: u64::from_str_radix(c.str(b'{', "config_hash")?, 16).ok()?,
-        budget_hash: u64::from_str_radix(c.str(b',', "budget_hash")?, 16).ok()?,
-        workload: c.str(b',', "workload")?.to_string(),
-        seed: c.u64(b',', "seed")?,
-        variant: c.str(b',', "variant")?.to_string(),
-    };
-    c.key(b',', "report")?;
-    let report = c.report()?;
-    c.lit("}")?;
-    c.at_end().then_some((key, report))
 }
 
 /// Strictly parses a cache file's contents. Used by [`load`]; exposed
@@ -137,7 +92,8 @@ pub fn from_jsonl(text: &str) -> Result<Vec<(CellKey, RunReport)>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        if let Some(entry) = read_entry(line) {
+        let mut c = Canonical::new(line);
+        if let Some(entry) = read_entry(&mut c).filter(|_| c.at_end()) {
             entries.push(entry);
             continue;
         }
@@ -146,40 +102,13 @@ pub fn from_jsonl(text: &str) -> Result<Vec<(CellKey, RunReport)>, String> {
             footer_count = v.get("entries").and_then(Json::as_u64);
             break;
         }
-        let key = CellKey {
-            config_hash: hex_u64(&v, "config_hash")?,
-            budget_hash: hex_u64(&v, "budget_hash")?,
-            workload: v
-                .get("workload")
-                .and_then(Json::as_str)
-                .ok_or("missing `workload`")?
-                .to_string(),
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("missing `seed`")?,
-            variant: v
-                .get("variant")
-                .and_then(Json::as_str)
-                .ok_or("missing `variant`")?
-                .to_string(),
-        };
-        let report = report_from_json(v.get("report").ok_or("missing `report`")?)?;
-        entries.push((key, report));
+        entries.push(entry_from_json(&v)?);
     }
     match footer_count {
         Some(n) if n == entries.len() as u64 => Ok(entries),
         Some(n) => Err(format!("footer count {n} != {} entries", entries.len())),
         None => Err("truncated: no footer".into()),
     }
-}
-
-fn hex_u64(v: &Json, key: &str) -> Result<u64, String> {
-    let s = v
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing `{key}`"))?;
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad hex in `{key}`: {e}"))
 }
 
 /// Loads a cache file, returning an empty vec on *any* problem — a

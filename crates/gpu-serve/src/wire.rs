@@ -9,6 +9,11 @@
 //! in-process struct, pinned by the round-trip tests here and the
 //! crate's loopback tests.
 //!
+//! A report's records are listed once, in the report schema's table
+//! (`schema.rs`): the one place that knows a record's keys. It generates
+//! the tree codec, the direct writer and the one-pass reader behind the
+//! report functions here.
+//!
 //! ## Message grammar
 //!
 //! Requests carry an `"op"` discriminator:
@@ -40,9 +45,9 @@
 //! they do not speak. [`PROTO_VERSION`] bumps on any breaking grammar or
 //! codec change.
 
-use gpu_mem::{CacheStats, DramStats, MemStats};
-use gpu_sim::{CellKey, DynLaunchKind, GpuConfig, LaunchRecord, SimError, Stats};
-use gpu_trace::json::{write_str, write_u64, Json};
+use crate::schema::{Canonical, Shape};
+use gpu_sim::{CellKey, GpuConfig, SimError, Stats};
+use gpu_trace::json::{write_u64, Json};
 use gpu_trace::MetricsRegistry;
 use workloads::{Benchmark, RunReport, Scale, Variant};
 
@@ -292,17 +297,11 @@ pub fn error_frame(kind: ErrorKind, message: &str) -> Json {
 /// Builds the error frame for a failed simulation, carrying the typed
 /// error's wire rendering under `"sim"`.
 pub fn sim_error_frame(e: &SimError) -> Json {
-    Json::Obj(vec![
-        ("ok".into(), Json::Bool(false)),
-        (
-            "error".into(),
-            Json::Obj(vec![
-                ("kind".into(), Json::Str(ErrorKind::Sim.name().into())),
-                ("message".into(), Json::Str(e.to_string())),
-            ]),
-        ),
-        ("sim".into(), sim_error_to_json(e)),
-    ])
+    let mut frame = error_frame(ErrorKind::Sim, &e.to_string());
+    if let Json::Obj(pairs) = &mut frame {
+        pairs.push(("sim".into(), sim_error_to_json(e)));
+    }
+    frame
 }
 
 /// Builds a success frame from `(key, value)` payload fields.
@@ -347,490 +346,37 @@ fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-fn obj_u64(v: &Json, key: &str) -> Result<u64, String> {
-    req_u64(v, key)
-}
-
-fn obj_u32(v: &Json, key: &str) -> Result<u32, String> {
-    let n = req_u64(v, key)?;
-    u32::try_from(n).map_err(|_| format!("field `{key}` exceeds u32"))
-}
-
-// ---------------------------------------------------------------------
-// Stats / report codecs
-// ---------------------------------------------------------------------
-
-fn cache_stats_to_json(s: &CacheStats) -> Json {
-    let CacheStats {
-        hits,
-        misses,
-        writebacks,
-    } = s;
-    Json::Obj(vec![
-        ("hits".into(), num(*hits)),
-        ("misses".into(), num(*misses)),
-        ("writebacks".into(), num(*writebacks)),
-    ])
-}
-
-fn cache_stats_from_json(v: &Json) -> Result<CacheStats, String> {
-    Ok(CacheStats {
-        hits: obj_u64(v, "hits")?,
-        misses: obj_u64(v, "misses")?,
-        writebacks: obj_u64(v, "writebacks")?,
-    })
-}
-
-fn dram_stats_to_json(s: &DramStats) -> Json {
-    let DramStats {
-        n_rd,
-        n_wr,
-        active_cycles,
-        row_hits,
-        row_misses,
-    } = s;
-    Json::Obj(vec![
-        ("n_rd".into(), num(*n_rd)),
-        ("n_wr".into(), num(*n_wr)),
-        ("active_cycles".into(), num(*active_cycles)),
-        ("row_hits".into(), num(*row_hits)),
-        ("row_misses".into(), num(*row_misses)),
-    ])
-}
-
-fn dram_stats_from_json(v: &Json) -> Result<DramStats, String> {
-    Ok(DramStats {
-        n_rd: obj_u64(v, "n_rd")?,
-        n_wr: obj_u64(v, "n_wr")?,
-        active_cycles: obj_u64(v, "active_cycles")?,
-        row_hits: obj_u64(v, "row_hits")?,
-        row_misses: obj_u64(v, "row_misses")?,
-    })
-}
-
-fn mem_stats_to_json(s: &MemStats) -> Json {
-    let MemStats {
-        loads,
-        stores,
-        atomics,
-        l1,
-        l2,
-        dram,
-    } = s;
-    Json::Obj(vec![
-        ("loads".into(), num(*loads)),
-        ("stores".into(), num(*stores)),
-        ("atomics".into(), num(*atomics)),
-        ("l1".into(), cache_stats_to_json(l1)),
-        ("l2".into(), cache_stats_to_json(l2)),
-        ("dram".into(), dram_stats_to_json(dram)),
-    ])
-}
-
-fn mem_stats_from_json(v: &Json) -> Result<MemStats, String> {
-    Ok(MemStats {
-        loads: obj_u64(v, "loads")?,
-        stores: obj_u64(v, "stores")?,
-        atomics: obj_u64(v, "atomics")?,
-        l1: cache_stats_from_json(v.get("l1").ok_or("missing `l1`")?)?,
-        l2: cache_stats_from_json(v.get("l2").ok_or("missing `l2`")?)?,
-        dram: dram_stats_from_json(v.get("dram").ok_or("missing `dram`")?)?,
-    })
-}
-
-fn launch_kind_name(k: DynLaunchKind) -> &'static str {
-    match k {
-        DynLaunchKind::DeviceKernel => "device_kernel",
-        DynLaunchKind::AggGroup => "agg_group",
-        DynLaunchKind::AggFallback => "agg_fallback",
-        DynLaunchKind::HostSerialized => "host_serialized",
-    }
-}
-
-fn launch_kind_from_name(name: &str) -> Result<DynLaunchKind, String> {
-    match name {
-        "device_kernel" => Ok(DynLaunchKind::DeviceKernel),
-        "agg_group" => Ok(DynLaunchKind::AggGroup),
-        "agg_fallback" => Ok(DynLaunchKind::AggFallback),
-        "host_serialized" => Ok(DynLaunchKind::HostSerialized),
-        other => Err(format!("unknown launch kind `{other}`")),
-    }
-}
-
-fn launch_to_json(l: &LaunchRecord) -> Json {
-    let LaunchRecord {
-        kind,
-        launched_at,
-        first_tb_at,
-        ntb,
-        threads_per_tb,
-        reserved_bytes,
-    } = l;
-    Json::Obj(vec![
-        ("kind".into(), Json::Str(launch_kind_name(*kind).into())),
-        ("launched_at".into(), num(*launched_at)),
-        ("first_tb_at".into(), first_tb_at.map_or(Json::Null, num)),
-        ("ntb".into(), num(u64::from(*ntb))),
-        ("threads_per_tb".into(), num(u64::from(*threads_per_tb))),
-        ("reserved_bytes".into(), num(*reserved_bytes)),
-    ])
-}
-
-fn launch_from_json(v: &Json) -> Result<LaunchRecord, String> {
-    Ok(LaunchRecord {
-        kind: launch_kind_from_name(req_str(v, "kind")?)?,
-        launched_at: obj_u64(v, "launched_at")?,
-        first_tb_at: opt_u64(v, "first_tb_at")?,
-        ntb: obj_u32(v, "ntb")?,
-        threads_per_tb: obj_u32(v, "threads_per_tb")?,
-        reserved_bytes: obj_u64(v, "reserved_bytes")?,
-    })
-}
-
 /// Serializes the full [`Stats`] struct. Every field is an integer, so
-/// the encoding is exact (see the module docs). The destructuring is
-/// exhaustive here and in [`write_stats`]: a new field does not compile
-/// until both encoders carry it.
+/// the encoding is exact (see the module docs).
 pub fn stats_to_json(s: &Stats) -> Json {
-    let Stats {
-        cycles,
-        warp_issues,
-        active_lanes,
-        resident_warp_cycles,
-        busy_cycles,
-        tb_completed,
-        host_launches,
-        launches,
-        peak_pending_bytes,
-        pending_bytes,
-        agg_coalesced,
-        agg_fallbacks,
-        agt_overflows,
-        mem,
-        barrier_waits,
-        forced_agt_overflows,
-        forced_mem_delays,
-        hwq_full_rejections,
-        kmu_saturation_rejections,
-        agt_overflow_exhausted,
-        heap_cap_denials,
-        degraded_to_device_kernel,
-        degraded_to_host_serial,
-        launch_backoffs,
-        host_launches_deferred,
-        max_warps_per_smx,
-        num_smx,
-    } = s;
-    Json::Obj(vec![
-        ("cycles".into(), num(*cycles)),
-        ("warp_issues".into(), num(*warp_issues)),
-        ("active_lanes".into(), num(*active_lanes)),
-        ("resident_warp_cycles".into(), num(*resident_warp_cycles)),
-        ("busy_cycles".into(), num(*busy_cycles)),
-        ("tb_completed".into(), num(*tb_completed)),
-        ("host_launches".into(), num(*host_launches)),
-        (
-            "launches".into(),
-            Json::Arr(launches.iter().map(launch_to_json).collect()),
-        ),
-        ("peak_pending_bytes".into(), num(*peak_pending_bytes)),
-        ("pending_bytes".into(), num(*pending_bytes)),
-        ("agg_coalesced".into(), num(*agg_coalesced)),
-        ("agg_fallbacks".into(), num(*agg_fallbacks)),
-        ("agt_overflows".into(), num(*agt_overflows)),
-        ("mem".into(), mem_stats_to_json(mem)),
-        ("barrier_waits".into(), num(*barrier_waits)),
-        ("forced_agt_overflows".into(), num(*forced_agt_overflows)),
-        ("forced_mem_delays".into(), num(*forced_mem_delays)),
-        ("hwq_full_rejections".into(), num(*hwq_full_rejections)),
-        (
-            "kmu_saturation_rejections".into(),
-            num(*kmu_saturation_rejections),
-        ),
-        (
-            "agt_overflow_exhausted".into(),
-            num(*agt_overflow_exhausted),
-        ),
-        ("heap_cap_denials".into(), num(*heap_cap_denials)),
-        (
-            "degraded_to_device_kernel".into(),
-            num(*degraded_to_device_kernel),
-        ),
-        (
-            "degraded_to_host_serial".into(),
-            num(*degraded_to_host_serial),
-        ),
-        ("launch_backoffs".into(), num(*launch_backoffs)),
-        (
-            "host_launches_deferred".into(),
-            num(*host_launches_deferred),
-        ),
-        (
-            "max_warps_per_smx".into(),
-            num(u64::from(*max_warps_per_smx)),
-        ),
-        ("num_smx".into(), num(u64::from(*num_smx))),
-    ])
+    Stats::tree(s)
 }
 
 /// Decodes [`stats_to_json`]'s encoding. Every field is required —
 /// a frame from a different schema fails loudly instead of zero-filling.
 pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
-    let launches = v
-        .get("launches")
-        .and_then(Json::as_arr)
-        .ok_or("missing `launches` array")?
-        .iter()
-        .map(launch_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Stats {
-        cycles: obj_u64(v, "cycles")?,
-        warp_issues: obj_u64(v, "warp_issues")?,
-        active_lanes: obj_u64(v, "active_lanes")?,
-        resident_warp_cycles: obj_u64(v, "resident_warp_cycles")?,
-        busy_cycles: obj_u64(v, "busy_cycles")?,
-        tb_completed: obj_u64(v, "tb_completed")?,
-        host_launches: obj_u64(v, "host_launches")?,
-        launches: launches.into(),
-        peak_pending_bytes: obj_u64(v, "peak_pending_bytes")?,
-        pending_bytes: obj_u64(v, "pending_bytes")?,
-        agg_coalesced: obj_u64(v, "agg_coalesced")?,
-        agg_fallbacks: obj_u64(v, "agg_fallbacks")?,
-        agt_overflows: obj_u64(v, "agt_overflows")?,
-        mem: mem_stats_from_json(v.get("mem").ok_or("missing `mem`")?)?,
-        barrier_waits: obj_u64(v, "barrier_waits")?,
-        forced_agt_overflows: obj_u64(v, "forced_agt_overflows")?,
-        forced_mem_delays: obj_u64(v, "forced_mem_delays")?,
-        hwq_full_rejections: obj_u64(v, "hwq_full_rejections")?,
-        kmu_saturation_rejections: obj_u64(v, "kmu_saturation_rejections")?,
-        agt_overflow_exhausted: obj_u64(v, "agt_overflow_exhausted")?,
-        heap_cap_denials: obj_u64(v, "heap_cap_denials")?,
-        degraded_to_device_kernel: obj_u64(v, "degraded_to_device_kernel")?,
-        degraded_to_host_serial: obj_u64(v, "degraded_to_host_serial")?,
-        launch_backoffs: obj_u64(v, "launch_backoffs")?,
-        host_launches_deferred: obj_u64(v, "host_launches_deferred")?,
-        max_warps_per_smx: obj_u32(v, "max_warps_per_smx")?,
-        num_smx: obj_u32(v, "num_smx")?,
-    })
+    Stats::untree(v)
 }
 
 /// Serializes a report for `poll`/`wait` responses and the persistence
 /// layer. The event trace travels separately (the `trace` op) and is
 /// never part of this encoding.
 pub fn report_to_json(r: &RunReport) -> Json {
-    Json::Obj(vec![
-        ("benchmark".into(), Json::Str(r.benchmark.clone())),
-        ("variant".into(), Json::Str(r.variant.label().into())),
-        ("stats".into(), stats_to_json(&r.stats)),
-    ])
+    RunReport::tree(r)
 }
 
 /// Decodes [`report_to_json`]'s encoding (`trace` is always `None`).
 pub fn report_from_json(v: &Json) -> Result<RunReport, String> {
-    let variant = req_str(v, "variant")?;
-    Ok(RunReport {
-        benchmark: req_str(v, "benchmark")?.to_string(),
-        variant: Variant::from_label(variant)
-            .ok_or_else(|| format!("unknown variant `{variant}`"))?,
-        stats: stats_from_json(v.get("stats").ok_or("missing `stats`")?)?,
-        trace: None,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Direct report codec
-// ---------------------------------------------------------------------
-
-/// Appends `sep"key":`. Every key of the report encoding is a plain
-/// identifier, so it needs no escaping.
-fn put_key(out: &mut String, sep: char, key: &str) {
-    out.push(sep);
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-}
-
-fn put_u64(out: &mut String, sep: char, key: &str, v: u64) {
-    put_key(out, sep, key);
-    write_u64(v, out);
-}
-
-fn write_cache_stats(s: &CacheStats, out: &mut String) {
-    let CacheStats {
-        hits,
-        misses,
-        writebacks,
-    } = s;
-    put_u64(out, '{', "hits", *hits);
-    put_u64(out, ',', "misses", *misses);
-    put_u64(out, ',', "writebacks", *writebacks);
-    out.push('}');
-}
-
-fn write_dram_stats(s: &DramStats, out: &mut String) {
-    let DramStats {
-        n_rd,
-        n_wr,
-        active_cycles,
-        row_hits,
-        row_misses,
-    } = s;
-    put_u64(out, '{', "n_rd", *n_rd);
-    put_u64(out, ',', "n_wr", *n_wr);
-    put_u64(out, ',', "active_cycles", *active_cycles);
-    put_u64(out, ',', "row_hits", *row_hits);
-    put_u64(out, ',', "row_misses", *row_misses);
-    out.push('}');
-}
-
-fn write_mem_stats(s: &MemStats, out: &mut String) {
-    let MemStats {
-        loads,
-        stores,
-        atomics,
-        l1,
-        l2,
-        dram,
-    } = s;
-    put_u64(out, '{', "loads", *loads);
-    put_u64(out, ',', "stores", *stores);
-    put_u64(out, ',', "atomics", *atomics);
-    put_key(out, ',', "l1");
-    write_cache_stats(l1, out);
-    put_key(out, ',', "l2");
-    write_cache_stats(l2, out);
-    put_key(out, ',', "dram");
-    write_dram_stats(dram, out);
-    out.push('}');
-}
-
-fn write_launch(l: &LaunchRecord, out: &mut String) {
-    let LaunchRecord {
-        kind,
-        launched_at,
-        first_tb_at,
-        ntb,
-        threads_per_tb,
-        reserved_bytes,
-    } = l;
-    put_key(out, '{', "kind");
-    write_str(launch_kind_name(*kind), out);
-    put_u64(out, ',', "launched_at", *launched_at);
-    put_key(out, ',', "first_tb_at");
-    match first_tb_at {
-        Some(at) => write_u64(*at, out),
-        None => out.push_str("null"),
-    }
-    put_u64(out, ',', "ntb", u64::from(*ntb));
-    put_u64(out, ',', "threads_per_tb", u64::from(*threads_per_tb));
-    put_u64(out, ',', "reserved_bytes", *reserved_bytes);
-    out.push('}');
-}
-
-/// Appends exactly the bytes `stats_to_json(s).to_string()` produces,
-/// without building the tree.
-pub fn write_stats(s: &Stats, out: &mut String) {
-    let Stats {
-        cycles,
-        warp_issues,
-        active_lanes,
-        resident_warp_cycles,
-        busy_cycles,
-        tb_completed,
-        host_launches,
-        launches,
-        peak_pending_bytes,
-        pending_bytes,
-        agg_coalesced,
-        agg_fallbacks,
-        agt_overflows,
-        mem,
-        barrier_waits,
-        forced_agt_overflows,
-        forced_mem_delays,
-        hwq_full_rejections,
-        kmu_saturation_rejections,
-        agt_overflow_exhausted,
-        heap_cap_denials,
-        degraded_to_device_kernel,
-        degraded_to_host_serial,
-        launch_backoffs,
-        host_launches_deferred,
-        max_warps_per_smx,
-        num_smx,
-    } = s;
-    put_u64(out, '{', "cycles", *cycles);
-    put_u64(out, ',', "warp_issues", *warp_issues);
-    put_u64(out, ',', "active_lanes", *active_lanes);
-    put_u64(out, ',', "resident_warp_cycles", *resident_warp_cycles);
-    put_u64(out, ',', "busy_cycles", *busy_cycles);
-    put_u64(out, ',', "tb_completed", *tb_completed);
-    put_u64(out, ',', "host_launches", *host_launches);
-    put_key(out, ',', "launches");
-    out.push('[');
-    for (i, l) in launches.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_launch(l, out);
-    }
-    out.push(']');
-    put_u64(out, ',', "peak_pending_bytes", *peak_pending_bytes);
-    put_u64(out, ',', "pending_bytes", *pending_bytes);
-    put_u64(out, ',', "agg_coalesced", *agg_coalesced);
-    put_u64(out, ',', "agg_fallbacks", *agg_fallbacks);
-    put_u64(out, ',', "agt_overflows", *agt_overflows);
-    put_key(out, ',', "mem");
-    write_mem_stats(mem, out);
-    put_u64(out, ',', "barrier_waits", *barrier_waits);
-    put_u64(out, ',', "forced_agt_overflows", *forced_agt_overflows);
-    put_u64(out, ',', "forced_mem_delays", *forced_mem_delays);
-    put_u64(out, ',', "hwq_full_rejections", *hwq_full_rejections);
-    put_u64(
-        out,
-        ',',
-        "kmu_saturation_rejections",
-        *kmu_saturation_rejections,
-    );
-    put_u64(out, ',', "agt_overflow_exhausted", *agt_overflow_exhausted);
-    put_u64(out, ',', "heap_cap_denials", *heap_cap_denials);
-    put_u64(
-        out,
-        ',',
-        "degraded_to_device_kernel",
-        *degraded_to_device_kernel,
-    );
-    put_u64(
-        out,
-        ',',
-        "degraded_to_host_serial",
-        *degraded_to_host_serial,
-    );
-    put_u64(out, ',', "launch_backoffs", *launch_backoffs);
-    put_u64(out, ',', "host_launches_deferred", *host_launches_deferred);
-    put_u64(out, ',', "max_warps_per_smx", u64::from(*max_warps_per_smx));
-    put_u64(out, ',', "num_smx", u64::from(*num_smx));
-    out.push('}');
+    RunReport::untree(v)
 }
 
 /// Appends exactly the bytes `report_to_json(r).to_string()` produces —
 /// the same key order, [`write_u64`]'s spelling of values at or above
-/// 2^53, [`write_str`]'s escaping — straight into `out`.
+/// 2^53, [`write_str`](gpu_trace::json::write_str)'s escaping — straight
+/// into `out`.
 pub fn write_report(r: &RunReport, out: &mut String) {
-    let RunReport {
-        benchmark,
-        variant,
-        stats,
-        trace: _, // travels on the `trace` op, never in a report
-    } = r;
-    out.reserve(1024 + 128 * stats.launches.len());
-    put_key(out, '{', "benchmark");
-    write_str(benchmark, out);
-    put_key(out, ',', "variant");
-    write_str(variant.label(), out);
-    put_key(out, ',', "stats");
-    write_stats(stats, out);
-    out.push('}');
+    out.reserve(1024 + 128 * r.stats.launches.len());
+    RunReport::write(r, out);
 }
 
 /// Decodes a report. Input in the canonical form — the bytes
@@ -840,7 +386,7 @@ pub fn write_report(r: &RunReport, out: &mut String) {
 /// therefore exactly the tree decoder's.
 pub fn read_report(text: &str) -> Result<RunReport, String> {
     let mut c = Canonical::new(text);
-    match c.report().filter(|_| c.at_end()) {
+    match RunReport::read(&mut c).filter(|_| c.at_end()) {
         Some(report) => Ok(report),
         None => report_from_json(&Json::parse(text)?),
     }
@@ -914,7 +460,7 @@ pub fn read_done_frame(line: &str) -> Option<(u64, RunReport)> {
     c.lit(DONE_HEAD)?;
     let job = c.digits()?;
     c.lit(DONE_STATE)?;
-    let report = c.report()?;
+    let report = RunReport::read(&mut c)?;
     c.lit("}")?;
     c.at_end().then_some((job, report))
 }
@@ -927,213 +473,6 @@ pub fn done_frame_from_json(v: &Json) -> Result<Option<(u64, RunReport)>, String
     }
     let report = v.get("report").ok_or("done frame without report")?;
     Ok(Some((req_u64(v, "job")?, report_from_json(report)?)))
-}
-
-/// A cursor over the canonical report encoding: keys in writer order,
-/// integers as plain digits below 2^53 with no leading zero, strings
-/// without escapes, no whitespace, `null` only for `first_tb_at`. Every
-/// read returns `None` at the first deviation and leaves the caller to
-/// fall back to the tree decoder, so a deviation changes the cost of a
-/// decode, never its result: whatever this cursor accepts, the tree
-/// decoder decodes to the same value.
-pub(crate) struct Canonical<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Canonical<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
-        Canonical { text, pos: 0 }
-    }
-
-    fn rest(&self) -> &'a [u8] {
-        &self.text.as_bytes()[self.pos..]
-    }
-
-    pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.text.len()
-    }
-
-    /// Consumes exactly `lit`.
-    pub(crate) fn lit(&mut self, lit: &str) -> Option<()> {
-        self.rest().starts_with(lit.as_bytes()).then(|| {
-            self.pos += lit.len();
-        })
-    }
-
-    /// Consumes `sep"key":`.
-    pub(crate) fn key(&mut self, sep: u8, key: &str) -> Option<()> {
-        let (rest, k) = (self.rest(), key.as_bytes());
-        let n = k.len() + 4;
-        let ok = rest.len() >= n
-            && rest[0] == sep
-            && rest[1] == b'"'
-            && &rest[2..n - 2] == k
-            && rest[n - 2] == b'"'
-            && rest[n - 1] == b':';
-        ok.then(|| {
-            self.pos += n;
-        })
-    }
-
-    /// Plain digits, no leading zero, below 2^53: the numbers `Json::Num`
-    /// holds exactly and [`write_u64`] spells without a trip through `f64`.
-    fn digits(&mut self) -> Option<u64> {
-        let rest = self.rest();
-        let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-        if len == 0 || len > 16 || (len > 1 && rest[0] == b'0') {
-            return None;
-        }
-        let v = rest[..len]
-            .iter()
-            .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0'));
-        (v < 1 << 53).then(|| {
-            self.pos += len;
-            v
-        })
-    }
-
-    /// A quoted string with no escape in it.
-    fn string(&mut self) -> Option<&'a str> {
-        let rest = self.rest();
-        if rest.first() != Some(&b'"') {
-            return None;
-        }
-        let len = rest[1..].iter().position(|&b| b == b'"' || b == b'\\')?;
-        if rest[1 + len] != b'"' {
-            return None;
-        }
-        // Both quotes are ASCII, so the slice ends on char boundaries.
-        let s = &self.text[self.pos + 1..self.pos + 1 + len];
-        self.pos += len + 2;
-        Some(s)
-    }
-
-    pub(crate) fn u64(&mut self, sep: u8, key: &str) -> Option<u64> {
-        self.key(sep, key)?;
-        self.digits()
-    }
-
-    fn u32(&mut self, sep: u8, key: &str) -> Option<u32> {
-        u32::try_from(self.u64(sep, key)?).ok()
-    }
-
-    pub(crate) fn str(&mut self, sep: u8, key: &str) -> Option<&'a str> {
-        self.key(sep, key)?;
-        self.string()
-    }
-
-    fn cache_stats(&mut self) -> Option<CacheStats> {
-        let s = CacheStats {
-            hits: self.u64(b'{', "hits")?,
-            misses: self.u64(b',', "misses")?,
-            writebacks: self.u64(b',', "writebacks")?,
-        };
-        self.lit("}").map(|_| s)
-    }
-
-    fn dram_stats(&mut self) -> Option<DramStats> {
-        let s = DramStats {
-            n_rd: self.u64(b'{', "n_rd")?,
-            n_wr: self.u64(b',', "n_wr")?,
-            active_cycles: self.u64(b',', "active_cycles")?,
-            row_hits: self.u64(b',', "row_hits")?,
-            row_misses: self.u64(b',', "row_misses")?,
-        };
-        self.lit("}").map(|_| s)
-    }
-
-    fn mem_stats(&mut self) -> Option<MemStats> {
-        let s = MemStats {
-            loads: self.u64(b'{', "loads")?,
-            stores: self.u64(b',', "stores")?,
-            atomics: self.u64(b',', "atomics")?,
-            l1: self.key(b',', "l1").and_then(|_| self.cache_stats())?,
-            l2: self.key(b',', "l2").and_then(|_| self.cache_stats())?,
-            dram: self.key(b',', "dram").and_then(|_| self.dram_stats())?,
-        };
-        self.lit("}").map(|_| s)
-    }
-
-    fn launch(&mut self) -> Option<LaunchRecord> {
-        let l = LaunchRecord {
-            kind: launch_kind_from_name(self.str(b'{', "kind")?).ok()?,
-            launched_at: self.u64(b',', "launched_at")?,
-            first_tb_at: {
-                self.key(b',', "first_tb_at")?;
-                match self.lit("null") {
-                    Some(()) => None,
-                    None => Some(self.digits()?),
-                }
-            },
-            ntb: self.u32(b',', "ntb")?,
-            threads_per_tb: self.u32(b',', "threads_per_tb")?,
-            reserved_bytes: self.u64(b',', "reserved_bytes")?,
-        };
-        self.lit("}").map(|_| l)
-    }
-
-    fn launches(&mut self) -> Option<Vec<LaunchRecord>> {
-        self.lit("[")?;
-        let mut launches = Vec::new();
-        if self.lit("]").is_some() {
-            return Some(launches);
-        }
-        loop {
-            launches.push(self.launch()?);
-            if self.lit("]").is_some() {
-                return Some(launches);
-            }
-            self.lit(",")?;
-        }
-    }
-
-    fn stats(&mut self) -> Option<Stats> {
-        let s = Stats {
-            cycles: self.u64(b'{', "cycles")?,
-            warp_issues: self.u64(b',', "warp_issues")?,
-            active_lanes: self.u64(b',', "active_lanes")?,
-            resident_warp_cycles: self.u64(b',', "resident_warp_cycles")?,
-            busy_cycles: self.u64(b',', "busy_cycles")?,
-            tb_completed: self.u64(b',', "tb_completed")?,
-            host_launches: self.u64(b',', "host_launches")?,
-            launches: self
-                .key(b',', "launches")
-                .and_then(|_| self.launches())?
-                .into(),
-            peak_pending_bytes: self.u64(b',', "peak_pending_bytes")?,
-            pending_bytes: self.u64(b',', "pending_bytes")?,
-            agg_coalesced: self.u64(b',', "agg_coalesced")?,
-            agg_fallbacks: self.u64(b',', "agg_fallbacks")?,
-            agt_overflows: self.u64(b',', "agt_overflows")?,
-            mem: self.key(b',', "mem").and_then(|_| self.mem_stats())?,
-            barrier_waits: self.u64(b',', "barrier_waits")?,
-            forced_agt_overflows: self.u64(b',', "forced_agt_overflows")?,
-            forced_mem_delays: self.u64(b',', "forced_mem_delays")?,
-            hwq_full_rejections: self.u64(b',', "hwq_full_rejections")?,
-            kmu_saturation_rejections: self.u64(b',', "kmu_saturation_rejections")?,
-            agt_overflow_exhausted: self.u64(b',', "agt_overflow_exhausted")?,
-            heap_cap_denials: self.u64(b',', "heap_cap_denials")?,
-            degraded_to_device_kernel: self.u64(b',', "degraded_to_device_kernel")?,
-            degraded_to_host_serial: self.u64(b',', "degraded_to_host_serial")?,
-            launch_backoffs: self.u64(b',', "launch_backoffs")?,
-            host_launches_deferred: self.u64(b',', "host_launches_deferred")?,
-            max_warps_per_smx: self.u32(b',', "max_warps_per_smx")?,
-            num_smx: self.u32(b',', "num_smx")?,
-        };
-        self.lit("}").map(|_| s)
-    }
-
-    /// One report object, in [`write_report`]'s layout.
-    pub(crate) fn report(&mut self) -> Option<RunReport> {
-        let r = RunReport {
-            benchmark: self.str(b'{', "benchmark")?.to_string(),
-            variant: Variant::from_label(self.str(b',', "variant")?)?,
-            stats: self.key(b',', "stats").and_then(|_| self.stats())?,
-            trace: None,
-        };
-        self.lit("}").map(|_| r)
-    }
 }
 
 /// One-way rendering of a typed simulation error for error frames:
@@ -1236,6 +575,8 @@ pub fn metrics_to_json(regs: &[&MetricsRegistry]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_mem::{CacheStats, DramStats, MemStats};
+    use gpu_sim::{DynLaunchKind, LaunchRecord};
 
     fn busy_stats() -> Stats {
         Stats {
@@ -1507,5 +848,157 @@ mod tests {
             .expect("histogram summary");
         assert_eq!(h.get("count").and_then(Json::as_u64), Some(2));
         assert_eq!(h.get("p50").and_then(Json::as_u64), Some(300));
+    }
+
+    /// One report whose `write_report` bytes are pinned below: all four
+    /// launch kinds, a launch that never started, counters at 0, 2^53 and
+    /// `u64::MAX`, and a benchmark name the writer must escape. Every
+    /// field is spelled out, so a new one must be added here too.
+    fn golden_report() -> RunReport {
+        let launch = |kind, first_tb_at, n: u64| LaunchRecord {
+            kind,
+            launched_at: 100 * n,
+            first_tb_at,
+            ntb: n as u32,
+            threads_per_tb: 32 * n as u32,
+            reserved_bytes: 1024 * n,
+        };
+        RunReport {
+            benchmark: "bfs \"cage15\"\\\t\u{1}".into(),
+            variant: Variant::DtblNoCoalesce,
+            stats: Stats {
+                cycles: u64::MAX,
+                warp_issues: 1 << 53,
+                active_lanes: 0,
+                resident_warp_cycles: 4,
+                busy_cycles: 5,
+                tb_completed: 6,
+                host_launches: 7,
+                launches: vec![
+                    launch(DynLaunchKind::DeviceKernel, Some(150), 1),
+                    launch(DynLaunchKind::AggGroup, None, 2),
+                    launch(DynLaunchKind::AggFallback, Some(u64::MAX), 3),
+                    launch(DynLaunchKind::HostSerialized, Some(0), 4),
+                ]
+                .into(),
+                peak_pending_bytes: 9,
+                pending_bytes: 10,
+                agg_coalesced: 11,
+                agg_fallbacks: 12,
+                agt_overflows: 13,
+                mem: MemStats {
+                    loads: 14,
+                    stores: 15,
+                    atomics: 1 << 53,
+                    l1: CacheStats {
+                        hits: 17,
+                        misses: 18,
+                        writebacks: 19,
+                    },
+                    l2: CacheStats {
+                        hits: 20,
+                        misses: 0,
+                        writebacks: 22,
+                    },
+                    dram: DramStats {
+                        n_rd: 23,
+                        n_wr: 24,
+                        active_cycles: u64::MAX,
+                        row_hits: 26,
+                        row_misses: 27,
+                    },
+                },
+                barrier_waits: 28,
+                forced_agt_overflows: 29,
+                forced_mem_delays: 30,
+                hwq_full_rejections: 31,
+                kmu_saturation_rejections: 32,
+                agt_overflow_exhausted: 33,
+                heap_cap_denials: 34,
+                degraded_to_device_kernel: 35,
+                degraded_to_host_serial: 36,
+                launch_backoffs: 37,
+                host_launches_deferred: 38,
+                max_warps_per_smx: u32::MAX,
+                num_smx: 13,
+            },
+            trace: None,
+        }
+    }
+
+    /// `golden_report`'s bytes. One table generates both encoders, so only
+    /// a pinned literal sees a row renamed, reordered or dropped.
+    const GOLDEN: &str = concat!(
+        r#"{"benchmark":"bfs \"cage15\"\\\t\u0001","variant":"DTBL-NC","stats":{"#,
+        r#""cycles":1.8446744073709552e19,"warp_issues":9007199254740992.0,"#,
+        r#""active_lanes":0,"resident_warp_cycles":4,"busy_cycles":5,"tb_completed":6,"#,
+        r#""host_launches":7,"launches":["#,
+        r#"{"kind":"device_kernel","launched_at":100,"first_tb_at":150,"ntb":1,"#,
+        r#""threads_per_tb":32,"reserved_bytes":1024},"#,
+        r#"{"kind":"agg_group","launched_at":200,"first_tb_at":null,"ntb":2,"#,
+        r#""threads_per_tb":64,"reserved_bytes":2048},"#,
+        r#"{"kind":"agg_fallback","launched_at":300,"first_tb_at":1.8446744073709552e19,"#,
+        r#""ntb":3,"threads_per_tb":96,"reserved_bytes":3072},"#,
+        r#"{"kind":"host_serialized","launched_at":400,"first_tb_at":0,"ntb":4,"#,
+        r#""threads_per_tb":128,"reserved_bytes":4096}],"#,
+        r#""peak_pending_bytes":9,"pending_bytes":10,"agg_coalesced":11,"agg_fallbacks":12,"#,
+        r#""agt_overflows":13,"mem":{"loads":14,"stores":15,"atomics":9007199254740992.0,"#,
+        r#""l1":{"hits":17,"misses":18,"writebacks":19},"#,
+        r#""l2":{"hits":20,"misses":0,"writebacks":22},"#,
+        r#""dram":{"n_rd":23,"n_wr":24,"active_cycles":1.8446744073709552e19,"#,
+        r#""row_hits":26,"row_misses":27}},"#,
+        r#""barrier_waits":28,"forced_agt_overflows":29,"forced_mem_delays":30,"#,
+        r#""hwq_full_rejections":31,"kmu_saturation_rejections":32,"#,
+        r#""agt_overflow_exhausted":33,"heap_cap_denials":34,"#,
+        r#""degraded_to_device_kernel":35,"degraded_to_host_serial":36,"#,
+        r#""launch_backoffs":37,"host_launches_deferred":38,"#,
+        r#""max_warps_per_smx":4294967295,"num_smx":13}}"#,
+    );
+
+    #[test]
+    fn report_bytes_are_pinned() {
+        let r = golden_report();
+        let mut out = String::new();
+        write_report(&r, &mut out);
+        assert_eq!(out, GOLDEN);
+        assert_eq!(report_to_json(&r).to_string(), GOLDEN);
+        let back = read_report(GOLDEN).unwrap();
+        assert_eq!((back.benchmark, back.variant), (r.benchmark, r.variant));
+        assert_eq!(back.stats, r.stats);
+    }
+
+    /// A launch without `first_tb_at` is a schema error, not a launch
+    /// whose first block never ran: the key is required whether its value
+    /// is a cycle or `null`, in a report, a done frame and a cache line.
+    #[test]
+    fn a_missing_first_tb_at_is_rejected() {
+        let r = RunReport {
+            benchmark: "amr".into(),
+            variant: Variant::Dtbl,
+            stats: busy_stats(),
+            trace: None,
+        };
+        let text = report_to_json(&r).to_string();
+        for value in ["60", "null"] {
+            let key = format!(",\"first_tb_at\":{value}");
+            let cut = text.replacen(&key, "", 1);
+            assert_ne!(cut, text, "{key}");
+            let named = |e: String| assert!(e.contains("first_tb_at"), "{e}");
+            named(report_from_json(&Json::parse(&cut).unwrap()).unwrap_err());
+            named(read_report(&cut).unwrap_err());
+
+            let frame = format!("{{\"ok\":true,\"job\":3,\"state\":\"done\",\"report\":{cut}}}\n");
+            assert!(read_done_frame(&frame).is_none());
+            named(done_frame_from_json(&Json::parse(frame.trim_end()).unwrap()).unwrap_err());
+
+            let key_of = workloads::cell_key(
+                Benchmark::Amr,
+                Scale::Test,
+                &GpuConfig::test_small(),
+                Variant::Dtbl,
+            );
+            let file = crate::persist::to_jsonl(&[(key_of, &r)]).replacen(&key, "", 1);
+            named(crate::persist::from_jsonl(&file).unwrap_err());
+        }
     }
 }

@@ -82,7 +82,7 @@ pub struct Stats {
     /// Dynamic launches (CDP kernels, aggregated groups, fallbacks).
     /// Shared, so a finished `Stats` clones in O(1) whatever its launch
     /// count; a run holds the only reference while it appends (see
-    /// [`push_launch`](Self::push_launch)), so it never copies the log.
+    /// `Stats::push_launch`), so it never copies the log.
     pub launches: Arc<Vec<LaunchRecord>>,
     /// Peak bytes of global memory reserved for *pending* dynamic
     /// launches (parameter buffers + descriptors) — Figure 10.
