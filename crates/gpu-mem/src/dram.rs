@@ -208,17 +208,25 @@ impl DramPartition {
     /// busy term could flip mid-span. [`tick`](Self::tick) calls this
     /// itself; it is idempotent per cycle.
     pub fn catch_up(&mut self, now: u64) {
-        let gap = now.saturating_sub(self.last_now.saturating_add(1));
-        if gap == 0 {
+        if now <= self.last_now.saturating_add(1) {
             return;
         }
-        if !self.queue.is_empty() || !self.in_flight.is_empty() {
-            self.stats.active_cycles += gap;
-        } else {
-            let busy_end = now.min(self.bus_free_at);
-            self.stats.active_cycles += busy_end.saturating_sub(self.last_now + 1);
-        }
+        self.stats.active_cycles += self.skipped_active(now);
         self.last_now = now - 1;
+    }
+
+    /// The `active_cycles` that per-cycle ticks over the skipped span
+    /// `(last tick, now)` would have recorded, with `queue` and
+    /// `in_flight` frozen (see [`catch_up`](Self::catch_up)).
+    fn skipped_active(&self, now: u64) -> u64 {
+        let gap = now.saturating_sub(self.last_now.saturating_add(1));
+        if gap == 0 {
+            0
+        } else if !self.queue.is_empty() || !self.in_flight.is_empty() {
+            gap
+        } else {
+            now.min(self.bus_free_at).saturating_sub(self.last_now + 1)
+        }
     }
 
     /// Advances the controller to cycle `now` (with monotonically
@@ -334,6 +342,18 @@ impl DramPartition {
     /// Counters accumulated so far.
     pub fn stats(&self) -> &DramStats {
         &self.stats
+    }
+
+    /// [`stats`](Self::stats) as if the controller had been ticked at
+    /// every cycle up to and including `now`: the skipped span's
+    /// `active_cycles` are added without settling them. Only valid while
+    /// no tick between the last one and `now` could have issued or
+    /// returned a command, which is what a skipped tick means.
+    pub(crate) fn stats_through(&self, now: u64) -> DramStats {
+        DramStats {
+            active_cycles: self.stats.active_cycles + self.skipped_active(now + 1),
+            ..self.stats
+        }
     }
 }
 

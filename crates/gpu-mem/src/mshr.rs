@@ -70,6 +70,7 @@ impl MshrTable {
     }
 
     /// True when no line is outstanding.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.lines == 0
     }

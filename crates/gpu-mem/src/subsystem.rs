@@ -125,6 +125,16 @@ pub struct MemSubsystem {
     next_access: u64,
     next_dram_id: u64,
     stats_kind: (u64, u64, u64),
+    /// A lower bound on [`next_event_at`](Self::next_event_at), `u64::MAX`
+    /// when quiescent: [`access`](Self::access) folds each new deadline
+    /// in, and a [`tick`](Self::tick) at or past it recomputes it exactly
+    /// while walking the partitions. A tick before it has nothing to do
+    /// and returns at once.
+    wake: u64,
+    /// The last cycle [`tick`](Self::tick) was called for: the DRAM
+    /// controllers' `active_cycles` are reported as of it, whether or not
+    /// that tick walked them.
+    last_tick: u64,
     trace: TraceBuffer,
 }
 
@@ -163,6 +173,8 @@ impl MemSubsystem {
             next_access: 0,
             next_dram_id: 0,
             stats_kind: (0, 0, 0),
+            wake: u64::MAX,
+            last_tick: 0,
             trace: TraceBuffer::default(),
             cfg,
         }
@@ -232,7 +244,9 @@ impl MemSubsystem {
                     });
                 }
                 if hit {
-                    self.l1_done.push(now + self.cfg.l1_hit_latency, id.0, ());
+                    let at = now + self.cfg.l1_hit_latency;
+                    self.l1_done.push(at, id.0, ());
+                    self.wake = self.wake.min(at);
                 } else {
                     self.route_to_partition(addr, Some(id), kind, now);
                 }
@@ -264,19 +278,26 @@ impl MemSubsystem {
 
     fn route_to_partition(&mut self, addr: u32, id: Option<AccessId>, kind: AccessKind, now: u64) {
         let (p, local) = self.partition_map.locate(addr);
+        let ready_at = now + self.cfg.icnt_fwd;
         // The L2 and DRAM operate on partition-local line addresses.
         self.parts[p].input.push_back(PartReq {
-            ready_at: now + self.cfg.icnt_fwd,
+            ready_at,
             id,
             addr: local,
             kind,
         });
+        self.wake = self.wake.min(ready_at);
     }
 
-    /// Advances the subsystem to cycle `now` (call once per cycle with
-    /// monotonically increasing values) and appends the ids of
-    /// transactions whose latency elapsed this cycle to `completed`.
+    /// Advances the subsystem to cycle `now` (call with monotonically
+    /// increasing values; cycles before [`next_event_at`](Self::next_event_at)
+    /// may be skipped) and appends the ids of transactions whose latency
+    /// elapsed this cycle to `completed`.
     pub fn tick(&mut self, now: u64, completed: &mut Vec<AccessId>) {
+        self.last_tick = now;
+        if now < self.wake {
+            return;
+        }
         let MemSubsystem {
             cfg,
             parts,
@@ -286,12 +307,17 @@ impl MemSubsystem {
             next_dram_id,
             ..
         } = self;
+        // `next_event_at(now)`, folded while the partitions are walked.
+        let mut wake = u64::MAX;
         for (p, part) in parts.iter_mut().enumerate() {
             // A partition with nothing serviceable in its input queue and
             // a quiescent controller has no state this cycle can change:
             // `catch_up` reconstructs the idle span when work arrives.
             let serviceable = part.input.front().is_some_and(|r| r.ready_at <= now);
             if !serviceable && part.dram.quiescent() {
+                if let Some(front) = part.input.front() {
+                    wake = wake.min(front.ready_at);
+                }
                 continue;
             }
             // Settle skipped-span `active_cycles` accounting before this
@@ -347,6 +373,12 @@ impl MemSubsystem {
             // data heads back across the interconnect.
             part.dram
                 .tick_with(now, |_, line| mshr.close(MshrTable::key(p, line), l2_batch));
+            if let Some(front) = part.input.front() {
+                wake = wake.min(front.ready_at.max(now + 1));
+            }
+            if let Some(t) = part.dram.next_event_at(now) {
+                wake = wake.min(t);
+            }
         }
 
         // Everything that completed at the L2 this cycle matures at the
@@ -376,6 +408,19 @@ impl MemSubsystem {
             let (id, ()) = queue.pop_due(now).expect("front is due");
             completed.push(AccessId(id));
         }
+        for done in [&self.l1_done, &self.l2_done] {
+            if let Some((at, _)) = done.front() {
+                wake = wake.min(at.max(now + 1));
+            }
+        }
+        self.wake = wake;
+    }
+
+    /// The cached lower bound on [`next_event_at`](Self::next_event_at),
+    /// in O(1): exact after a tick, folded down by each later access.
+    /// `None` when quiescent.
+    pub fn next_wake(&self) -> Option<u64> {
+        (self.wake != u64::MAX).then_some(self.wake)
     }
 
     /// Earliest future cycle at which any observable subsystem state can
@@ -426,15 +471,11 @@ impl MemSubsystem {
                 .count()
     }
 
-    /// True when no transaction is queued or in flight anywhere.
+    /// True when no transaction is queued or in flight anywhere. O(1):
+    /// a tick leaves the cached wake-up unset exactly when nothing is
+    /// left, and every access sets it.
     pub fn quiescent(&self) -> bool {
-        self.l1_done.is_empty()
-            && self.l2_done.is_empty()
-            && self.mshr.is_empty()
-            && self
-                .parts
-                .iter()
-                .all(|part| part.input.is_empty() && part.dram.quiescent())
+        self.wake == u64::MAX
     }
 
     /// Aggregated statistics across all caches and partitions.
@@ -453,7 +494,7 @@ impl MemSubsystem {
             l2.hits += s.hits;
             l2.misses += s.misses;
             l2.writebacks += s.writebacks;
-            dram.merge(part.dram.stats());
+            dram.merge(&part.dram.stats_through(self.last_tick));
         }
         MemStats {
             loads: self.stats_kind.0,

@@ -56,6 +56,9 @@ impl KdeEntry {
 #[derive(Clone, Debug)]
 pub struct KernelDistributor {
     slots: Vec<Option<KdeEntry>>,
+    /// Occupied slots, so [`is_empty`](Self::is_empty) — read by every
+    /// run-loop idle check — never scans them.
+    resident: usize,
     trace: TraceBuffer,
 }
 
@@ -64,6 +67,7 @@ impl KernelDistributor {
     pub fn new(entries: usize) -> Self {
         KernelDistributor {
             slots: vec![None; entries],
+            resident: 0,
             trace: TraceBuffer::default(),
         }
     }
@@ -90,6 +94,9 @@ impl KernelDistributor {
     /// Index of a free slot that is not in `excluded` (slots reserved by
     /// in-flight KMU dispatches), if any.
     pub fn free_slot_excluding(&self, excluded: &[u32]) -> Option<u32> {
+        if self.resident == self.slots.len() {
+            return None;
+        }
         self.slots
             .iter()
             .enumerate()
@@ -117,6 +124,7 @@ impl KernelDistributor {
             });
         }
         *s = Some(entry);
+        self.resident += 1;
         Ok(())
     }
 
@@ -125,6 +133,7 @@ impl KernelDistributor {
     /// typed invariant error rather than a panic).
     pub fn release(&mut self, slot: u32) -> Option<KdeEntry> {
         let entry = self.slots[slot as usize].take()?;
+        self.resident -= 1;
         if self.trace.on(Category::Launch) {
             self.trace.push(EventKind::KdeFree {
                 kde: slot,
@@ -157,7 +166,7 @@ impl KernelDistributor {
 
     /// True when no kernel is resident.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
+        self.resident == 0
     }
 
     /// Occupied slot indices.
@@ -203,6 +212,7 @@ mod tests {
         assert!(kd.release(s).is_some());
         assert!(kd.is_empty());
         assert!(kd.release(s).is_none(), "double release reports None");
+        assert!(kd.is_empty(), "a refused release leaves the count alone");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::error::{BudgetKind, SimError};
 use crate::fault::FaultPlan;
 use crate::runtime::degrade::LaunchRetry;
 use crate::smx::warp::WarpState;
-use crate::smx::{release_barrier, Smx, Tbcr};
+use crate::smx::{max_warp_slots, release_barrier, Smx, Tbcr, MAX_WARP_SLOTS};
 use crate::stats::Stats;
 use dtbl_core::{FcfsController, GroupRef, SchedulingPool};
 use gpu_isa::{
@@ -110,6 +110,15 @@ pub struct Gpu {
     pub(crate) pool: SchedulingPool,
     pub(crate) fcfs: FcfsController,
     pub(crate) smxs: Vec<Smx>,
+    /// Per SMX, a lower bound on the cycle its next warp may issue (its
+    /// ready table's [`bound`](crate::smx::ReadyTable::bound) when last
+    /// read, folded down by every wake-up since): the issue stage skips an
+    /// SMX whose bound is in the future, and the event horizon reads the
+    /// array instead of asking each SMX.
+    pub(crate) ready_bound: Vec<u64>,
+    /// Never above the least `ready_bound`: a step before it asks no SMX
+    /// and reads no bound.
+    pub(crate) ready_min: u64,
     /// Live warps across all SMXs (Σ [`Smx::live_warps`]), kept in step
     /// at placement and warp completion so occupancy sampling, the
     /// run-loop skip and [`is_idle`](Self::is_idle) never walk the SMXs.
@@ -188,8 +197,9 @@ pub struct Gpu {
 /// Panics unless every machine-shape count fits in `u16`: trace events
 /// store SMX, thread-block-slot, warp-slot and L2-partition indices at
 /// that width (`gpu_trace::EventKind`), so a wider machine would alias
-/// them.
-fn assert_shape_fits_trace(cfg: &GpuConfig) {
+/// them. Also panics unless an SMX's most warp slots fit the warp
+/// scheduler's ready-set bitsets.
+fn assert_shape_fits(cfg: &GpuConfig) {
     let shape = [
         cfg.num_smx,
         cfg.mem.num_smx,
@@ -203,6 +213,13 @@ fn assert_shape_fits_trace(cfg: &GpuConfig) {
         "GpuConfig: SMXs ({smx}, memory side {mem_smx}), thread-block slots ({tbs}) and \
          warp slots ({warps}) per SMX and L2 partitions ({partitions}) must each fit in u16",
     );
+    let slots = max_warp_slots(cfg);
+    assert!(
+        slots <= MAX_WARP_SLOTS,
+        "GpuConfig: {} threads and {tbs} thread blocks per SMX can need {slots} warp slots; \
+         the warp scheduler tracks at most {MAX_WARP_SLOTS}",
+        cfg.max_threads_per_smx,
+    );
 }
 
 impl Gpu {
@@ -210,9 +227,11 @@ impl Gpu {
     ///
     /// # Panics
     /// If a machine-shape count (SMXs, thread-block or warp slots per SMX,
-    /// L2 partitions) does not fit in `u16`.
+    /// L2 partitions) does not fit in `u16`, or an SMX can need more warp
+    /// slots (`max_threads_per_smx / 32 + max_tb_per_smx`) than the warp
+    /// scheduler tracks (128).
     pub fn new(cfg: GpuConfig, program: Program) -> Self {
-        assert_shape_fits_trace(&cfg);
+        assert_shape_fits(&cfg);
         let stats = Stats {
             max_warps_per_smx: cfg.max_warps_per_smx(),
             num_smx: cfg.num_smx as u32,
@@ -228,6 +247,8 @@ impl Gpu {
             pool: SchedulingPool::new(cfg.agt_entries, cfg.kde_entries),
             fcfs: FcfsController::new(cfg.kde_entries),
             smxs: (0..cfg.num_smx).map(|i| Smx::new(i, &cfg)).collect(),
+            ready_bound: vec![u64::MAX; cfg.num_smx],
+            ready_min: u64::MAX,
             resident_warps: 0,
             cycle: 0,
             warp_age: 0,
@@ -268,7 +289,7 @@ impl Gpu {
     /// equivalence tests) and a panic-abandoned instance is safe to
     /// rebind: no field escapes reinitialization.
     pub fn reset_bind(&mut self, cfg: GpuConfig, program: Program) {
-        assert_shape_fits_trace(&cfg);
+        assert_shape_fits(&cfg);
         self.program = program;
         self.mem.clear();
         self.alloc = LinearAllocator::new(HEAP_BASE, HEAP_SIZE);
@@ -288,6 +309,9 @@ impl Gpu {
         } else {
             self.smxs = (0..cfg.num_smx).map(|i| Smx::new(i, &cfg)).collect();
         }
+        self.ready_bound.clear();
+        self.ready_bound.resize(cfg.num_smx, u64::MAX);
+        self.ready_min = u64::MAX;
         self.resident_warps = 0;
         self.cycle = 0;
         self.warp_age = 0;
@@ -690,16 +714,25 @@ impl Gpu {
         if let Some(t) = self.kmu.next_event_at(now) {
             fold(t);
         }
-        if let Some(t) = self.timing.next_event_at(now) {
-            fold(t);
+        if let Some(t) = self.timing.next_wake() {
+            fold(t.max(now + 1));
         }
-        // O(1) per SMX whose last warp walk ended below the issue budget
-        // (its horizon is exact); one pass over its dense ready table
-        // otherwise.
-        for smx in &mut self.smxs {
-            if let Some(t) = smx.next_ready_at(now) {
-                fold(t);
+        // After a quiet step every SMX's bound is in the future (the
+        // issue stage re-read each one it polled), so the least of them is
+        // the SMXs' horizon. A bound that is not is repaired from its
+        // SMX's ready table.
+        if self.ready_min <= now {
+            for (s, bound) in self.ready_bound.iter_mut().enumerate() {
+                if *bound <= now {
+                    let ready = &mut self.smxs[s].ready;
+                    ready.drain(now);
+                    *bound = ready.bound();
+                }
             }
+            self.ready_min = self.ready_bound.iter().copied().min().unwrap_or(u64::MAX);
+        }
+        if self.ready_min != u64::MAX {
+            fold(self.ready_min.max(now + 1));
         }
         // Pending spilled-descriptor fetches wake the distribution path.
         // A walk whose fetch has already matured (`ready <= now`) is
@@ -774,19 +807,33 @@ impl Gpu {
             quiet = false;
         }
 
-        // 3. SMXs: issue warps.
-        for s in 0..self.smxs.len() {
-            let picks =
-                self.smxs[s].select_warps(now, self.cfg.issue_per_cycle, self.cfg.warp_sched);
-            if picks > 0 {
-                quiet = false;
-            }
-            for k in 0..picks {
-                let w = self.smxs[s].picked()[k];
-                if let Some(done_slot) = self.issue_warp(s, w, now)? {
-                    self.on_tb_complete(s, done_slot, now)?;
+        // 3. SMXs: issue warps. An SMX whose ready bound is in the future
+        // has nothing to issue and is not asked.
+        if self.ready_min <= now {
+            let mut least = u64::MAX;
+            for s in 0..self.smxs.len() {
+                if self.ready_bound[s] <= now {
+                    let picks = self.smxs[s].select_warps(
+                        now,
+                        self.cfg.issue_per_cycle,
+                        self.cfg.warp_sched,
+                    );
+                    if picks > 0 {
+                        quiet = false;
+                    }
+                    for k in 0..picks {
+                        let w = self.smxs[s].picked()[k];
+                        if let Some(done_slot) = self.issue_warp(s, w, now)? {
+                            self.on_tb_complete(s, done_slot, now)?;
+                        }
+                    }
+                    // Issue and barrier release re-filed warps of this
+                    // SMX only.
+                    self.ready_bound[s] = self.smxs[s].ready.bound();
                 }
+                least = least.min(self.ready_bound[s]);
             }
+            self.ready_min = least;
         }
 
         // 4. Memory timing (an injected fault may delay the wake-ups).
@@ -800,11 +847,15 @@ impl Gpu {
         self.timing.tick(now, &mut buf);
         let mut delayed = 0u64;
         let mut completions = 0u64;
+        let wake_at = now + 1 + wake_delay;
         for id in buf.drain(..) {
             if let Some((s, w)) = self.access_owner.remove(id) {
                 completions += 1;
-                if self.smxs[s].mem_complete(w, now + 1 + wake_delay) && wake_delay > 0 {
-                    delayed += 1;
+                if self.smxs[s].mem_complete(w, wake_at) {
+                    self.fold_ready(s, wake_at);
+                    if wake_delay > 0 {
+                        delayed += 1;
+                    }
                 }
             }
         }
@@ -834,6 +885,13 @@ impl Gpu {
             self.check_invariants()?;
         }
         Ok(quiet)
+    }
+
+    /// A warp on SMX `s` may issue from cycle `at`: fold it into the
+    /// ready bounds.
+    fn fold_ready(&mut self, s: usize, at: u64) {
+        self.ready_bound[s] = self.ready_bound[s].min(at);
+        self.ready_min = self.ready_min.min(at);
     }
 
     fn install_kernel(&mut self, slot: u32, pk: PendingKernel, now: u64) -> Result<(), SimError> {
@@ -997,6 +1055,7 @@ impl Gpu {
         if first_load {
             self.smxs[smx_idx].kernels_loaded.insert(kernel_id);
         }
+        self.fold_ready(smx_idx, ready_at);
         let live_before = self.smxs[smx_idx].live_warps;
 
         if native_next {

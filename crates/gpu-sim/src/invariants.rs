@@ -31,15 +31,20 @@
 //! 7. **Cached front-end state** — the incrementally maintained values the
 //!    per-cycle front end reads instead of scanning agree with a scan:
 //!    an SMX's warp-ready table holds a cycle for exactly the warps that
-//!    exist and are `Ready`, its cached horizon never exceeds the table
-//!    minimum, and its free-TB-slot count equals its empty slots; the
-//!    KMU's queued-host count equals the sum of its work-queue depths;
-//!    the machine-wide resident-warp total equals Σ `Smx::live_warps`;
-//!    a block need the distributor recorded as fitting nowhere, in the
-//!    current capacity epoch, still fits on no SMX it may use.
-//!    A stale-high horizon, a stale count or a stale miss would silently
-//!    hide an issuable warp, a free slot or queued kernel from the
-//!    scheduler.
+//!    exist and are `Ready`, files each of them where that cycle says
+//!    (ready set, wheel bucket or far set), and neither its own bound nor
+//!    the machine's per-SMX ready bound exceeds the table minimum (nor
+//!    the machine's least bound the per-SMX ones); its
+//!    free-TB-slot count equals its empty slots; the KMU's queued-host
+//!    count equals the sum of its work-queue depths; the distributor's
+//!    resident count matches its occupied slots; the machine-wide
+//!    resident-warp total equals Σ `Smx::live_warps`; the memory
+//!    subsystem's cached wake-up is no later than its next event; a block
+//!    need the distributor recorded as fitting nowhere, in the current
+//!    capacity epoch, still fits on no SMX it may use. A stale-high
+//!    bound, a misfiled slot, a stale count or a stale miss would
+//!    silently hide an issuable warp, a memory completion, a free slot or
+//!    a queued kernel from the scheduler. Each check is O(slots).
 
 use crate::error::SimError;
 use crate::gpu::Gpu;
@@ -171,10 +176,22 @@ impl Gpu {
                     ));
                 }
             }
-            let (cached, exact) = (smx.ready.cached_min(), smx.ready.exact_min());
-            if cached > exact {
+            // With no live warp no slot is `Ready` (checked just above),
+            // so the filing must be empty; a cheaper check of the same.
+            let filing = if smx.live_warps == 0 {
+                smx.ready.check_empty()
+            } else {
+                smx.ready.check_filing()
+            };
+            if let Err(e) = filing {
+                return fail(format!("SMX {} ready table: {e}", smx.id));
+            }
+            let exact = smx.ready.exact_min();
+            let (own, machine) = (smx.ready.bound(), self.ready_bound[smx.id]);
+            if own > exact || machine > exact {
                 return fail(format!(
-                    "SMX {} ready horizon {cached} is past its earliest issuable warp at {exact}",
+                    "SMX {} ready bound {own} (machine's copy {machine}) is past its earliest \
+                     issuable warp at {exact}",
                     smx.id
                 ));
             }
@@ -189,6 +206,13 @@ impl Gpu {
         }
 
         // Law 7 (machine side).
+        let least = self.ready_bound.iter().copied().min().unwrap_or(u64::MAX);
+        if self.ready_min > least {
+            return fail(format!(
+                "least ready bound {} is past the SMXs' least, {least}",
+                self.ready_min
+            ));
+        }
         if resident_warps != self.resident_warps {
             return fail(format!(
                 "resident-warp total {} but the SMXs hold {resident_warps} live warps",
@@ -210,6 +234,20 @@ impl Gpu {
                     miss.epoch, smx.id
                 ));
             }
+        }
+        if self.kd.is_empty() != self.kd.occupied().next().is_none() {
+            return fail(format!(
+                "distributor says empty={} with {} occupied slots",
+                self.kd.is_empty(),
+                self.kd.occupied().count()
+            ));
+        }
+        let now = cycle.saturating_sub(1);
+        let (wake, next) = (self.timing.next_wake(), self.timing.next_event_at(now));
+        if wake.unwrap_or(u64::MAX) > next.unwrap_or(u64::MAX) {
+            return fail(format!(
+                "memory wake-up {wake:?} is past its next event {next:?} after cycle {now}"
+            ));
         }
         let queued: usize = self.kmu.hwq_depths().iter().sum();
         if queued != self.kmu.host_queued() {

@@ -197,3 +197,205 @@ fn watchdog_fires_at_identical_cycle_in_both_engines() {
         percycle.steps_executed()
     );
 }
+
+// ---- pinned executed-step counts ---------------------------------------------
+
+/// A GPU with its kernels launched, and the check of its final memory.
+type Launched = (Gpu, Box<dyn Fn(&Gpu)>);
+
+/// One synthetic multi-SMX kernel set, launched and ready to run.
+struct Pinned {
+    name: &'static str,
+    build: fn(GpuConfig) -> Launched,
+}
+
+/// Each thread runs a 40-iteration multiply-add loop: pure ALU issue, no
+/// memory until the final store.
+fn alu_loop(cfg: GpuConfig) -> Launched {
+    let mut prog = Program::new();
+    let mut b = KernelBuilder::new("alu_loop", Dim3::x(96), 1);
+    let gtid = b.global_tid();
+    let acc = b.mov(Op::Reg(gtid));
+    b.for_range(Op::Imm(0), Op::Imm(40), |b, i| {
+        let t = b.mad(acc, Op::Imm(3), Op::Reg(i));
+        b.mov_to(acc, Op::Reg(t));
+    });
+    let outb = b.ld_param(0);
+    let addr = b.mad(gtid, Op::Imm(4), Op::Reg(outb));
+    b.st(Space::Global, addr, 0, Op::Reg(acc));
+    let k = prog.add(b.build().unwrap());
+    let mut gpu = Gpu::new(cfg, prog);
+    let n = 8 * 96;
+    let out = gpu.malloc(n * 4).unwrap();
+    gpu.launch(k, 8, &[out], 0).unwrap();
+    let check = move |gpu: &Gpu| {
+        for t in 0..n {
+            let want = (0..40u32).fold(t, |acc, i| acc.wrapping_mul(3).wrapping_add(i));
+            assert_eq!(gpu.mem().read_u32(out + 4 * t), want, "thread {t}");
+        }
+    };
+    (gpu, Box::new(check))
+}
+
+/// Each thread sums four loads 33 words apart: uncoalesced traffic that
+/// keeps most warps parked on memory.
+fn strided_loads(cfg: GpuConfig) -> Launched {
+    let mut prog = Program::new();
+    let mut b = KernelBuilder::new("strided", Dim3::x(128), 2);
+    let gtid = b.global_tid();
+    let inb = b.ld_param(0);
+    let outb = b.ld_param(1);
+    let base = b.imul(gtid, Op::Imm(33 * 4));
+    let a = b.iadd(base, Op::Reg(inb));
+    let acc = b.imm(0);
+    for k in 0..4 {
+        let v = b.ld(Space::Global, a, k * 33 * 4);
+        let t = b.iadd(acc, Op::Reg(v));
+        b.mov_to(acc, Op::Reg(t));
+    }
+    let addr = b.mad(gtid, Op::Imm(4), Op::Reg(outb));
+    b.st(Space::Global, addr, 0, Op::Reg(acc));
+    let k = prog.add(b.build().unwrap());
+    let mut gpu = Gpu::new(cfg, prog);
+    let n = 6 * 128;
+    let words = n * 33 + 4 * 33;
+    let inp = gpu.malloc(words * 4).unwrap();
+    let out = gpu.malloc(n * 4).unwrap();
+    let data: Vec<u32> = (0..words).map(|i| i % 1000).collect();
+    gpu.mem_mut().write_slice_u32(inp, &data);
+    gpu.launch(k, 6, &[inp, out], 0).unwrap();
+    let check = move |gpu: &Gpu| {
+        for t in 0..n {
+            let want: u32 = (0..4).map(|k| (t * 33 + k * 33) % 1000).sum();
+            assert_eq!(gpu.mem().read_u32(out + 4 * t), want, "thread {t}");
+        }
+    };
+    (gpu, Box::new(check))
+}
+
+/// Blocks of 97 threads (a one-lane partial warp) write shared memory,
+/// meet at a barrier and read their neighbour's word.
+fn barrier(cfg: GpuConfig) -> Launched {
+    let mut prog = Program::new();
+    let mut b = KernelBuilder::new("barrier", Dim3::x(97), 1);
+    b.alloc_shared_words(97);
+    let tid = b.s2r(gpu_isa::SReg::TidX);
+    let gtid = b.global_tid();
+    let saddr = b.imul(tid, Op::Imm(4));
+    let v = b.imul(gtid, Op::Imm(7));
+    b.st(Space::Shared, saddr, 0, Op::Reg(v));
+    b.bar();
+    let next = b.iadd(tid, Op::Imm(1));
+    let wrapped = b.iremu(next, Op::Imm(97));
+    let naddr = b.imul(wrapped, Op::Imm(4));
+    let w = b.ld(Space::Shared, naddr, 0);
+    let outb = b.ld_param(0);
+    let addr = b.mad(gtid, Op::Imm(4), Op::Reg(outb));
+    b.st(Space::Global, addr, 0, Op::Reg(w));
+    let k = prog.add(b.build().unwrap());
+    let mut gpu = Gpu::new(cfg, prog);
+    let blocks = 10;
+    let out = gpu.malloc(blocks * 97 * 4).unwrap();
+    gpu.launch(k, blocks, &[out], 0).unwrap();
+    let check = move |gpu: &Gpu| {
+        for blk in 0..blocks {
+            for t in 0..97 {
+                let want = (blk * 97 + (t + 1) % 97) * 7;
+                let got = gpu.mem().read_u32(out + 4 * (blk * 97 + t));
+                assert_eq!(got, want, "block {blk} thread {t}");
+            }
+        }
+    };
+    (gpu, Box::new(check))
+}
+
+/// Two 32-thread parent blocks whose every thread launches a one-block
+/// child, through `cudaLaunchDevice` or an aggregated group.
+fn launches(cfg: GpuConfig, agg: bool) -> Launched {
+    let mut prog = Program::new();
+    let mut cb = KernelBuilder::new("child", Dim3::x(32), 1);
+    let base = cb.ld_param(0);
+    let tid = cb.s2r(gpu_isa::SReg::TidX);
+    let addr = cb.mad(tid, Op::Imm(4), Op::Reg(base));
+    let v = cb.iadd(tid, Op::Imm(5));
+    cb.st(Space::Global, addr, 0, Op::Reg(v));
+    let child = prog.add(cb.build().unwrap());
+    let mut pb = KernelBuilder::new("parent", Dim3::x(32), 1);
+    let out = pb.ld_param(0);
+    let gtid = pb.global_tid();
+    let buf = pb.get_param_buf(1);
+    let slice = pb.imul(gtid, Op::Imm(32 * 4));
+    let slice_base = pb.iadd(slice, Op::Reg(out));
+    pb.st_param_word(buf, 0, Op::Reg(slice_base));
+    if agg {
+        pb.launch_agg(child, Op::Imm(1), buf);
+    } else {
+        pb.launch_device(child, Op::Imm(1), buf);
+    }
+    let parent = prog.add(pb.build().unwrap());
+    let mut gpu = Gpu::new(cfg, prog);
+    let out = gpu.malloc(64 * 32 * 4).unwrap();
+    gpu.launch(parent, 2, &[out], 0).unwrap();
+    let check = move |gpu: &Gpu| {
+        for i in 0..64 * 32 {
+            assert_eq!(gpu.mem().read_u32(out + 4 * i), i % 32 + 5, "element {i}");
+        }
+    };
+    (gpu, Box::new(check))
+}
+
+const PINNED: [Pinned; 5] = [
+    Pinned {
+        name: "alu_loop",
+        build: alu_loop,
+    },
+    Pinned {
+        name: "strided_loads",
+        build: strided_loads,
+    },
+    Pinned {
+        name: "barrier",
+        build: barrier,
+    },
+    Pinned {
+        name: "device_launch",
+        build: |cfg| launches(cfg, false),
+    },
+    Pinned {
+        name: "agg_launch",
+        build: |cfg| launches(cfg, true),
+    },
+];
+
+/// `Gpu::steps_executed()` of each pinned kernel set under the event
+/// engine. A lax horizon never changes a digest — it only adds no-op
+/// steps — so these counts are the one place that sees it. A change that
+/// moves a value must explain it, as it would for a golden file.
+const PINNED_STEPS: [(&str, u64); 5] = [
+    ("alu_loop", 1517),
+    ("strided_loads", 1930),
+    ("barrier", 151),
+    ("device_launch", 1015),
+    ("agg_launch", 1015),
+];
+
+#[test]
+fn executed_steps_are_pinned() {
+    let mut got = Vec::new();
+    for p in &PINNED {
+        let mut percycle_cfg = GpuConfig::test_small();
+        percycle_cfg.force_per_cycle = true;
+        let (mut evented, check) = (p.build)(GpuConfig::test_small());
+        let (mut percycle, _) = (p.build)(percycle_cfg);
+        let ev = evented.run_to_idle().expect("evented run").clone();
+        let pc = percycle.run_to_idle().expect("per-cycle run").clone();
+        assert_eq!(ev, pc, "{}: the two engines must agree bit-for-bit", p.name);
+        check(&evented);
+        assert!(evented.steps_executed() <= percycle.steps_executed());
+        got.push((p.name, evented.steps_executed()));
+    }
+    assert_eq!(
+        got, PINNED_STEPS,
+        "executed steps moved; the new table is {got:#?}"
+    );
+}
