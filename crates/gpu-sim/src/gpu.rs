@@ -7,7 +7,7 @@ use crate::error::{BudgetKind, SimError};
 use crate::fault::FaultPlan;
 use crate::runtime::degrade::LaunchRetry;
 use crate::smx::warp::WarpState;
-use crate::smx::{max_warp_slots, release_barrier, Smx, Tbcr, MAX_WARP_SLOTS};
+use crate::smx::{release_barrier, Smx, Tbcr};
 use crate::stats::Stats;
 use dtbl_core::{FcfsController, GroupRef, SchedulingPool};
 use gpu_isa::{
@@ -111,10 +111,10 @@ pub struct Gpu {
     pub(crate) fcfs: FcfsController,
     pub(crate) smxs: Vec<Smx>,
     /// Per SMX, a lower bound on the cycle its next warp may issue (its
-    /// ready table's [`bound`](crate::smx::ReadyTable::bound) when last
-    /// read, folded down by every wake-up since): the issue stage skips an
-    /// SMX whose bound is in the future, and the event horizon reads the
-    /// array instead of asking each SMX.
+    /// ready table's [`cached_min`](crate::smx::ReadyTable::cached_min)
+    /// when last read, folded down by every wake-up since): the issue
+    /// stage skips an SMX whose bound is in the future, and the event
+    /// horizon reads the array instead of asking each SMX.
     pub(crate) ready_bound: Vec<u64>,
     /// Never above the least `ready_bound`: a step before it asks no SMX
     /// and reads no bound.
@@ -197,9 +197,8 @@ pub struct Gpu {
 /// Panics unless every machine-shape count fits in `u16`: trace events
 /// store SMX, thread-block-slot, warp-slot and L2-partition indices at
 /// that width (`gpu_trace::EventKind`), so a wider machine would alias
-/// them. Also panics unless an SMX's most warp slots fit the warp
-/// scheduler's ready-set bitsets.
-fn assert_shape_fits(cfg: &GpuConfig) {
+/// them.
+fn assert_shape_fits_trace(cfg: &GpuConfig) {
     let shape = [
         cfg.num_smx,
         cfg.mem.num_smx,
@@ -213,13 +212,6 @@ fn assert_shape_fits(cfg: &GpuConfig) {
         "GpuConfig: SMXs ({smx}, memory side {mem_smx}), thread-block slots ({tbs}) and \
          warp slots ({warps}) per SMX and L2 partitions ({partitions}) must each fit in u16",
     );
-    let slots = max_warp_slots(cfg);
-    assert!(
-        slots <= MAX_WARP_SLOTS,
-        "GpuConfig: {} threads and {tbs} thread blocks per SMX can need {slots} warp slots; \
-         the warp scheduler tracks at most {MAX_WARP_SLOTS}",
-        cfg.max_threads_per_smx,
-    );
 }
 
 impl Gpu {
@@ -227,11 +219,9 @@ impl Gpu {
     ///
     /// # Panics
     /// If a machine-shape count (SMXs, thread-block or warp slots per SMX,
-    /// L2 partitions) does not fit in `u16`, or an SMX can need more warp
-    /// slots (`max_threads_per_smx / 32 + max_tb_per_smx`) than the warp
-    /// scheduler tracks (128).
+    /// L2 partitions) does not fit in `u16`.
     pub fn new(cfg: GpuConfig, program: Program) -> Self {
-        assert_shape_fits(&cfg);
+        assert_shape_fits_trace(&cfg);
         let stats = Stats {
             max_warps_per_smx: cfg.max_warps_per_smx(),
             num_smx: cfg.num_smx as u32,
@@ -289,7 +279,7 @@ impl Gpu {
     /// equivalence tests) and a panic-abandoned instance is safe to
     /// rebind: no field escapes reinitialization.
     pub fn reset_bind(&mut self, cfg: GpuConfig, program: Program) {
-        assert_shape_fits(&cfg);
+        assert_shape_fits_trace(&cfg);
         self.program = program;
         self.mem.clear();
         self.alloc = LinearAllocator::new(HEAP_BASE, HEAP_SIZE);
@@ -708,7 +698,7 @@ impl Gpu {
     /// next state change — waking too early costs one extra no-op step,
     /// but a bound past the true event would diverge from per-cycle
     /// stepping (see DESIGN.md, "The horizon contract").
-    fn next_event_horizon(&mut self, now: u64) -> Option<u64> {
+    fn next_event_horizon(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut fold = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
         if let Some(t) = self.kmu.next_event_at(now) {
@@ -717,20 +707,11 @@ impl Gpu {
         if let Some(t) = self.timing.next_wake() {
             fold(t.max(now + 1));
         }
-        // After a quiet step every SMX's bound is in the future (the
-        // issue stage re-read each one it polled), so the least of them is
-        // the SMXs' horizon. A bound that is not is repaired from its
-        // SMX's ready table.
-        if self.ready_min <= now {
-            for (s, bound) in self.ready_bound.iter_mut().enumerate() {
-                if *bound <= now {
-                    let ready = &mut self.smxs[s].ready;
-                    ready.drain(now);
-                    *bound = ready.bound();
-                }
-            }
-            self.ready_min = self.ready_bound.iter().copied().min().unwrap_or(u64::MAX);
-        }
+        // After a quiet step every SMX's bound is in the future: the
+        // issue stage re-read each one it called into, whose walk found
+        // nothing due and so stored its exact minimum (unless
+        // `issue_per_cycle` is 0, and then `now + 1` is the horizon
+        // anyway), and every wake-up since folded in a cycle past `now`.
         if self.ready_min != u64::MAX {
             fold(self.ready_min.max(now + 1));
         }
@@ -827,9 +808,9 @@ impl Gpu {
                             self.on_tb_complete(s, done_slot, now)?;
                         }
                     }
-                    // Issue and barrier release re-filed warps of this
-                    // SMX only.
-                    self.ready_bound[s] = self.smxs[s].ready.bound();
+                    // Issue and barrier release wrote warps of this SMX
+                    // only.
+                    self.ready_bound[s] = self.smxs[s].ready.cached_min();
                 }
                 least = least.min(self.ready_bound[s]);
             }

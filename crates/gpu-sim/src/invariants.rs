@@ -31,20 +31,18 @@
 //! 7. **Cached front-end state** — the incrementally maintained values the
 //!    per-cycle front end reads instead of scanning agree with a scan:
 //!    an SMX's warp-ready table holds a cycle for exactly the warps that
-//!    exist and are `Ready`, files each of them where that cycle says
-//!    (ready set, wheel bucket or far set), and neither its own bound nor
-//!    the machine's per-SMX ready bound exceeds the table minimum (nor
-//!    the machine's least bound the per-SMX ones); its
-//!    free-TB-slot count equals its empty slots; the KMU's queued-host
-//!    count equals the sum of its work-queue depths; the distributor's
-//!    resident count matches its occupied slots; the machine-wide
-//!    resident-warp total equals Σ `Smx::live_warps`; the memory
-//!    subsystem's cached wake-up is no later than its next event; a block
-//!    need the distributor recorded as fitting nowhere, in the current
-//!    capacity epoch, still fits on no SMX it may use. A stale-high
-//!    bound, a misfiled slot, a stale count or a stale miss would
-//!    silently hide an issuable warp, a memory completion, a free slot or
-//!    a queued kernel from the scheduler. Each check is O(slots).
+//!    exist and are `Ready`, and neither its cached bound nor the
+//!    machine's per-SMX ready bound exceeds the table minimum (nor the
+//!    machine's least bound the per-SMX ones); its free-TB-slot count
+//!    equals its empty slots; the KMU's queued-host count equals the sum
+//!    of its work-queue depths; the distributor's resident count matches
+//!    its occupied slots; the machine-wide resident-warp total equals
+//!    Σ `Smx::live_warps`; the memory subsystem's cached wake-up is no
+//!    later than its next event; a block need the distributor recorded as
+//!    fitting nowhere, in the current capacity epoch, still fits on no
+//!    SMX it may use. A stale-high bound, a stale count or a stale miss
+//!    would silently hide an issuable warp, a memory completion, a free
+//!    slot or a queued kernel from the scheduler. Each check is O(slots).
 
 use crate::error::SimError;
 use crate::gpu::Gpu;
@@ -176,18 +174,8 @@ impl Gpu {
                     ));
                 }
             }
-            // With no live warp no slot is `Ready` (checked just above),
-            // so the filing must be empty; a cheaper check of the same.
-            let filing = if smx.live_warps == 0 {
-                smx.ready.check_empty()
-            } else {
-                smx.ready.check_filing()
-            };
-            if let Err(e) = filing {
-                return fail(format!("SMX {} ready table: {e}", smx.id));
-            }
             let exact = smx.ready.exact_min();
-            let (own, machine) = (smx.ready.bound(), self.ready_bound[smx.id]);
+            let (own, machine) = (smx.ready.cached_min(), self.ready_bound[smx.id]);
             if own > exact || machine > exact {
                 return fail(format!(
                     "SMX {} ready bound {own} (machine's copy {machine}) is past its earliest \

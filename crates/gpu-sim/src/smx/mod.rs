@@ -76,190 +76,50 @@ impl TbSlot {
 /// memory, parked at a barrier, or done.
 const NEVER: u64 = u64::MAX;
 
-/// Words of a warp-slot bitset.
-const SLOT_WORDS: usize = 2;
-
-/// Warp slots one SMX can track: the width of the ready set's bitsets.
-/// `Gpu::new` checks a configuration's [`max_warp_slots`] against it.
-pub(crate) const MAX_WARP_SLOTS: usize = 64 * SLOT_WORDS;
-
-/// Cycles the wheel spans past the last drained cycle: one bucket each.
-const WHEEL: u64 = 64;
-
-/// A set of warp slots.
-type SlotSet = [u64; SLOT_WORDS];
-
-/// Most warp slots an SMX ever holds under `cfg`. Every resident block
-/// rounds its last warp up, so `k` blocks of `t_i` threads hold at most
-/// `Σ ⌈t_i / 32⌉ ≤ ⌊Σ t_i / 32⌋ + k` warps, and the slab only grows when
-/// no freed slot is left: 80 on K20c (2048 threads, 16 blocks).
-pub(crate) fn max_warp_slots(cfg: &GpuConfig) -> usize {
-    cfg.max_warps_per_smx() as usize + cfg.max_tb_per_smx
-}
-
-fn insert(set: &mut SlotSet, w: usize) {
-    set[w / 64] |= 1 << (w % 64);
-}
-
-fn remove(set: &mut SlotSet, w: usize) {
-    set[w / 64] &= !(1 << (w % 64));
-}
-
-fn contains(set: &SlotSet, w: usize) -> bool {
-    set[w / 64] & (1 << (w % 64)) != 0
-}
-
-fn is_empty(set: &SlotSet) -> bool {
-    set.iter().all(|&word| word == 0)
-}
-
-/// The members of a [`SlotSet`], ascending.
-struct Members {
-    set: SlotSet,
-    word: usize,
-}
-
-fn members(set: SlotSet) -> Members {
-    Members { set, word: 0 }
-}
-
-impl Iterator for Members {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while let Some(bits) = self.set.get_mut(self.word) {
-            if *bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                *bits &= *bits - 1;
-                return Some(self.word * 64 + bit);
-            }
-            self.word += 1;
-        }
-        None
-    }
-}
-
 /// The warp scheduler's view of an SMX, split out of the ~2 KiB [`Warp`]
 /// contexts: one "issuable at" cycle per warp slot ([`NEVER`] for a slot
-/// that cannot issue), each warp's age, and an index over the cycles. It
-/// is the single record of *when* a `Ready` warp may issue, so every
-/// transition — placement, each arm of the two issue paths, barrier
-/// release, memory wake-up, block release — writes through
-/// [`set`](Self::set) / [`block`](Self::block), and warp selection and the
-/// event horizon read nothing else.
+/// that cannot issue) plus a lower bound on their minimum. It is the
+/// single record of *when* a `Ready` warp may issue, so every transition
+/// — placement, each arm of the two issue paths, barrier release, memory
+/// wake-up, block release — writes through [`set`](Self::set) /
+/// [`block`](Self::block), and warp selection and the event horizon read
+/// nothing else.
 ///
-/// `at` is the source of truth. Beside it, every slot with a finite `at`
-/// is filed in exactly one place, by its distance from `drained`, the
-/// last cycle whose wheel bucket was emptied into `due`:
-///
-/// * `due` when `at <= drained` — it may issue now;
-/// * wheel bucket `at % 64` when `drained < at <= drained + 64`;
-/// * `far` when `at > drained + 64` (launch parks, long fault delays).
-///
-/// [`set`](Self::set) and [`block`](Self::block) re-file a slot in O(1)
-/// (but for the rare departure of `far`'s earliest slot);
-/// [`drain`](Self::drain) moves the buckets it passes into `due` with one
-/// rotated mask and re-files `far` only once its minimum comes within the
-/// wheel. Warp selection then reads `due` alone.
+/// `min` never exceeds the table minimum whenever it is read: `set` folds
+/// it down, and the only site that raises it, a complete
+/// [`Smx::select_warps`] walk, stores the exact minimum over the slots it
+/// did not pick. `Gpu` copies it into its per-SMX ready bound after each
+/// call. Too low costs one wasted walk; too high would hide an issuable
+/// warp.
 #[derive(Clone, Debug)]
 pub(crate) struct ReadyTable {
-    due: SlotSet,
-    /// Bit `b` is set exactly when wheel bucket `b` is non-empty.
-    occupied: u64,
-    drained: u64,
-    far: SlotSet,
-    /// The least `at` in `far` ([`NEVER`] when it is empty), rescanned
-    /// only when the slot holding it leaves.
-    far_min: u64,
     at: Vec<u64>,
-    /// Each slot's warp age (GTO's "oldest"), set at placement.
-    age: Vec<u64>,
-    /// Boxed so the per-step fields above stay on one or two cache lines.
-    wheel: Box<[SlotSet; WHEEL as usize]>,
+    min: u64,
 }
 
 impl ReadyTable {
     fn new() -> Self {
         ReadyTable {
-            due: SlotSet::default(),
-            occupied: 0,
-            drained: 0,
-            far: SlotSet::default(),
-            far_min: NEVER,
             at: Vec::new(),
-            age: Vec::new(),
-            wheel: Box::new([SlotSet::default(); WHEEL as usize]),
+            min: NEVER,
         }
     }
 
     fn clear(&mut self) {
-        self.due = SlotSet::default();
-        self.occupied = 0;
-        self.drained = 0;
-        self.far = SlotSet::default();
-        self.far_min = NEVER;
         self.at.clear();
-        self.age.clear();
-        *self.wheel = [SlotSet::default(); WHEEL as usize];
-    }
-
-    /// Appends a vacant slot and returns its index.
-    fn push_slot(&mut self) -> usize {
-        self.at.push(NEVER);
-        self.age.push(0);
-        self.at.len() - 1
-    }
-
-    /// Files slot `w`, whose `at` is finite, by its distance from
-    /// `drained`.
-    fn file(&mut self, w: usize, at: u64) {
-        if at <= self.drained {
-            insert(&mut self.due, w);
-        } else if at - self.drained <= WHEEL {
-            let b = (at % WHEEL) as usize;
-            insert(&mut self.wheel[b], w);
-            self.occupied |= 1 << b;
-        } else {
-            insert(&mut self.far, w);
-            self.far_min = self.far_min.min(at);
-        }
-    }
-
-    /// Takes slot `w` out of wherever its current `at` filed it.
-    fn unfile(&mut self, w: usize) {
-        let at = self.at[w];
-        if at == NEVER {
-            return;
-        }
-        if at <= self.drained {
-            remove(&mut self.due, w);
-        } else if at - self.drained <= WHEEL {
-            let b = (at % WHEEL) as usize;
-            remove(&mut self.wheel[b], w);
-            if is_empty(&self.wheel[b]) {
-                self.occupied &= !(1 << b);
-            }
-        } else {
-            remove(&mut self.far, w);
-            if at == self.far_min {
-                self.far_min = members(self.far).map(|v| self.at[v]).min().unwrap_or(NEVER);
-            }
-        }
+        self.min = NEVER;
     }
 
     /// Warp slot `w` is `Ready` and may issue from cycle `at` on.
     #[inline]
     pub(crate) fn set(&mut self, w: usize, at: u64) {
-        debug_assert!(at != NEVER, "a ready warp needs a finite cycle");
-        self.unfile(w);
         self.at[w] = at;
-        self.file(w, at);
+        self.min = self.min.min(at);
     }
 
     /// Warp slot `w` stops being issuable (blocked, done or vacated).
     #[inline]
     pub(crate) fn block(&mut self, w: usize) {
-        self.unfile(w);
         self.at[w] = NEVER;
     }
 
@@ -270,132 +130,14 @@ impl ReadyTable {
         self.at[w]
     }
 
-    /// Advances `drained` to `now`: every slot issuable by `now` ends up
-    /// in `due`. A no-op unless `now` is past the last drain.
-    pub(crate) fn drain(&mut self, now: u64) {
-        if now <= self.drained {
-            return;
-        }
-        let span = now - self.drained;
-        if self.occupied != 0 {
-            // The buckets of cycles `drained + 1 ..= now`, as a window of
-            // `span` bits starting at bucket `(drained + 1) % 64`.
-            let window = if span >= WHEEL {
-                u64::MAX
-            } else {
-                ((1u64 << span) - 1).rotate_left(((self.drained + 1) % WHEEL) as u32)
-            };
-            let mut passed = self.occupied & window;
-            self.occupied &= !window;
-            while passed != 0 {
-                let b = passed.trailing_zeros() as usize;
-                passed &= passed - 1;
-                for (due, bucket) in self.due.iter_mut().zip(&mut self.wheel[b]) {
-                    *due |= std::mem::take(bucket);
-                }
-            }
-        }
-        self.drained = now;
-        if self.far_min <= now + WHEEL {
-            let far = std::mem::take(&mut self.far);
-            self.far_min = NEVER;
-            for w in members(far) {
-                self.file(w, self.at[w]);
-            }
-        }
-    }
-
-    /// A lower bound on [`exact_min`](Self::exact_min), in O(1): 0 while
-    /// `due` holds a slot (its `at` is not kept apart), else — exactly —
-    /// the first occupied bucket's cycle or `far`'s minimum. [`NEVER`]
-    /// when no slot can issue.
-    pub(crate) fn bound(&self) -> u64 {
-        if !is_empty(&self.due) {
-            return 0;
-        }
-        let wheel = if self.occupied == 0 {
-            NEVER
-        } else {
-            let first = (self.drained + 1) % WHEEL;
-            let skip = self.occupied.rotate_right(first as u32).trailing_zeros();
-            self.drained + 1 + u64::from(skip)
-        };
-        wheel.min(self.far_min)
+    /// The cached lower bound on [`exact_min`](Self::exact_min).
+    pub(crate) fn cached_min(&self) -> u64 {
+        self.min
     }
 
     /// The minimum over the table, by scanning it.
     pub(crate) fn exact_min(&self) -> u64 {
         self.at.iter().copied().min().unwrap_or(NEVER)
-    }
-
-    /// [`check_filing`](Self::check_filing) for a table with no finite
-    /// `at`, in O(1): nothing may be filed.
-    pub(crate) fn check_empty(&self) -> Result<(), String> {
-        if is_empty(&self.due) && is_empty(&self.far) && self.occupied == 0 && self.far_min == NEVER
-        {
-            Ok(())
-        } else {
-            Err(format!(
-                "no warp is ready, yet due {:?}, far {:?} (minimum {}) and wheel occupancy \
-                 {:#x} are not empty",
-                self.due, self.far, self.far_min, self.occupied
-            ))
-        }
-    }
-
-    /// Checks the filing against `at`, in O(slots + occupied buckets):
-    /// each finite slot sits where its distance from `drained` says,
-    /// `far_min` is `far`'s minimum, every bucket marked occupied holds a
-    /// slot, and the filed bits number the finite slots — so no slot is
-    /// filed twice or while vacant. A stray bit in a bucket marked empty
-    /// is unreachable by selection until the bucket is next occupied, and
-    /// counted from then on.
-    pub(crate) fn check_filing(&self) -> Result<(), String> {
-        let mut filed = 0;
-        let mut far_min = NEVER;
-        for (w, &at) in self.at.iter().enumerate() {
-            if at == NEVER {
-                continue;
-            }
-            filed += 1;
-            let (place, ok) = match at.checked_sub(self.drained) {
-                None | Some(0) => ("due", contains(&self.due, w)),
-                Some(1..=WHEEL) => ("the wheel", contains(&self.wheel[(at % WHEEL) as usize], w)),
-                Some(_) => {
-                    far_min = far_min.min(at);
-                    ("far", contains(&self.far, w))
-                }
-            };
-            if !ok {
-                return Err(format!(
-                    "warp slot {w} issuable at {at} is not filed in {place} (drained to {})",
-                    self.drained
-                ));
-            }
-        }
-        if far_min != self.far_min {
-            return Err(format!(
-                "far minimum {} but the far slots' least cycle is {far_min}",
-                self.far_min
-            ));
-        }
-        let count = |set: &SlotSet| set.iter().map(|w| w.count_ones()).sum::<u32>();
-        let mut held = count(&self.due) + count(&self.far);
-        let mut occupied = self.occupied;
-        while occupied != 0 {
-            let b = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            match count(&self.wheel[b]) {
-                0 => return Err(format!("wheel bucket {b} is marked occupied but empty")),
-                n => held += n,
-            }
-        }
-        if held != filed {
-            return Err(format!(
-                "{held} filed slots but {filed} have a finite issue cycle"
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -433,7 +175,7 @@ pub struct Smx {
     /// scans them.
     free_tb_slots: usize,
     /// The scheduler's per-slot "issuable at" table (same length as
-    /// `warps`) and its ready set.
+    /// `warps`) and its cached minimum.
     pub(crate) ready: ReadyTable,
     /// Threads currently resident.
     pub used_threads: u32,
@@ -459,6 +201,11 @@ pub struct Smx {
     /// full 32-lane slab, so the pool is uniform and short-lived DTBL
     /// aggregated blocks re-bind a warm slab instead of allocating.
     reg_pool: Vec<WarpRegs>,
+    /// Resident warp slots in ascending `age` order. Ages are handed out
+    /// from a monotone counter, so `place_tb` appends in order and the
+    /// list stays sorted without ever sorting; GTO walks it instead of
+    /// collect+sort every cycle.
+    age_order: Vec<usize>,
     /// Scratch buffer [`select_warps`](Self::select_warps) writes its
     /// picks into, reused across cycles (read back via
     /// [`picked`](Self::picked)).
@@ -485,6 +232,7 @@ impl Smx {
             rr_cursor: 0,
             slot_vec_pool: Vec::new(),
             reg_pool: Vec::new(),
+            age_order: Vec::new(),
             pick_buf: Vec::new(),
             trace: TraceBuffer::default(),
         }
@@ -513,6 +261,7 @@ impl Smx {
         self.kernels_loaded.clear();
         self.greedy = None;
         self.rr_cursor = 0;
+        self.age_order.clear();
         self.pick_buf.clear();
         self.trace.set_mask(0);
         self.trace.drain();
@@ -596,7 +345,8 @@ impl Smx {
             };
             let ws = self.free_warp_slots.pop().unwrap_or_else(|| {
                 self.warps.push(None);
-                self.ready.push_slot()
+                self.ready.at.push(NEVER);
+                self.warps.len() - 1
             });
             let regs = self.reg_pool.pop().unwrap_or_default();
             let mut w = Warp::new(slot, ws, kernel.regs_per_thread(), valid, *warp_age, regs);
@@ -610,10 +360,10 @@ impl Smx {
                 self.id as u32,
                 param_base,
             );
-            self.ready.age[ws] = w.age;
             self.warps[ws] = Some(w);
             self.ready.set(ws, ready_at);
             warp_slots.push(ws);
+            self.age_order.push(ws);
             self.live_warps += 1;
         }
         self.free_tb_slots -= 1;
@@ -656,6 +406,8 @@ impl Smx {
                 self.greedy = None;
             }
         }
+        let warps = &self.warps;
+        self.age_order.retain(|ws| warps[*ws].is_some());
         self.slot_vec_pool.push(tb.warp_slots);
         self.free_tb_slots += 1;
         self.used_threads -= tb.threads_reserved;
@@ -673,71 +425,71 @@ impl Smx {
 
     /// Selects up to `budget` distinct ready warps to issue this cycle,
     /// honoring the configured policy (GTO keeps the last-issued warp
-    /// first while it stays ready, then takes the oldest; round-robin
-    /// takes the first ready slots after its cursor). The picks are
+    /// first while it stays ready; round-robin rotates). The picks are
     /// written into a per-SMX scratch buffer — read them back via
     /// [`picked`](Self::picked) — and the count is returned; no allocation
     /// happens in steady state and no [`Warp`] is touched.
     ///
-    /// The cost is the wheel buckets passed since the last call plus the
-    /// ready slots, never the resident ones. The caller must issue every
-    /// pick before this SMX is next asked anything: each issue re-files
-    /// its warp in the table.
+    /// The caller must issue every pick before this SMX is next asked
+    /// anything: a walk that saw every slot stores the minimum over the
+    /// slots it did *not* pick as the new horizon, and each pick folds its
+    /// own next cycle back in when its issue writes the table.
     pub fn select_warps(&mut self, now: u64, budget: usize, policy: WarpSchedPolicy) -> usize {
         self.pick_buf.clear();
-        self.ready.drain(now);
-        if budget == 0 || is_empty(&self.ready.due) {
+        // The cached bound never exceeds the table minimum, so a bound
+        // past `now` proves no warp can issue this cycle. The bound is
+        // exact after every walk that ends below the issue budget, and
+        // `Gpu` does not call an SMX whose bound is in the future.
+        if self.ready.min > now || budget == 0 {
             return 0;
         }
-        let mut ready = self.ready.due;
+        let at = &self.ready.at;
+        // Minimum over the slots inspected and not picked; the whole
+        // table's once `complete` survives the walk (vacant slots hold
+        // `NEVER` and every resident slot is in `age_order`).
+        let mut rest_min = NEVER;
+        let mut complete = true;
+        let mut visit = |i: usize, picks: &mut Vec<usize>| {
+            if at[i] <= now {
+                picks.push(i);
+            } else {
+                rest_min = rest_min.min(at[i]);
+            }
+        };
         match policy {
             WarpSchedPolicy::Gto => {
-                if let Some(g) = self.greedy.filter(|&g| contains(&ready, g)) {
-                    self.pick_buf.push(g);
-                    remove(&mut ready, g);
+                if let Some(g) = self.greedy {
+                    visit(g, &mut self.pick_buf);
                 }
-                // Then the oldest of the rest: the `need` least ages among
-                // the ready slots, in age order.
-                let from = self.pick_buf.len();
-                let need = budget - from;
-                if need > 0 {
-                    for w in members(ready) {
-                        self.pick_buf.push(w);
+                // Oldest-first among the remaining warps: `age_order` is
+                // kept sorted by construction, so one in-order walk
+                // replaces a collect+sort.
+                for &i in &self.age_order {
+                    if self.pick_buf.len() >= budget {
+                        complete = false;
+                        break;
                     }
-                    let age = &self.ready.age;
-                    let rest = &mut self.pick_buf[from..];
-                    if rest.len() > need {
-                        rest.select_nth_unstable_by_key(need - 1, |&w| age[w]);
+                    if Some(i) != self.greedy {
+                        visit(i, &mut self.pick_buf);
                     }
-                    let keep = rest.len().min(need);
-                    rest[..keep].sort_unstable_by_key(|&w| age[w]);
-                    self.pick_buf.truncate(from + keep);
                 }
             }
             WarpSchedPolicy::RoundRobin => {
-                // The ready slots at or after the cursor, then the rest.
-                let mut after = ready;
-                for (i, word) in after.iter_mut().enumerate() {
-                    let lo = i * 64;
-                    if self.rr_cursor >= lo + 64 {
-                        *word = 0;
-                    } else if self.rr_cursor > lo {
-                        *word &= u64::MAX << (self.rr_cursor - lo);
-                    }
-                }
-                for (word, a) in ready.iter_mut().zip(after) {
-                    *word &= !a;
-                }
-                for w in members(after).chain(members(ready)) {
-                    self.pick_buf.push(w);
-                    if self.pick_buf.len() == budget {
+                let n = at.len();
+                for k in 0..n {
+                    if self.pick_buf.len() >= budget {
+                        complete = false;
                         break;
                     }
+                    visit((self.rr_cursor + k) % n, &mut self.pick_buf);
                 }
                 if let Some(last) = self.pick_buf.last() {
-                    self.rr_cursor = (last + 1) % self.ready.at.len();
+                    self.rr_cursor = (last + 1) % n;
                 }
             }
+        }
+        if complete {
+            self.ready.min = rest_min;
         }
         if let Some(first) = self.pick_buf.first() {
             self.greedy = Some(*first);
@@ -774,17 +526,6 @@ impl Smx {
         warp.state = WarpState::Ready;
         self.ready.set(w, wake_at);
         true
-    }
-
-    /// Earliest future cycle at which a resident warp may become
-    /// issuable, as a safe lower bound; `None` when no resident warp is in
-    /// the `Ready` state (blocked warps are woken by memory completions or
-    /// barrier releases, whose horizons/steps are tracked elsewhere).
-    /// O(1) but for the wheel buckets and `far` re-filing it passes.
-    pub fn next_ready_at(&mut self, now: u64) -> Option<u64> {
-        self.ready.drain(now);
-        let bound = self.ready.bound();
-        (bound != NEVER).then_some(bound.max(now + 1))
     }
 
     /// Free thread-block slots, as [`can_fit`](Self::can_fit) counts them.
@@ -959,27 +700,29 @@ mod tests {
     }
 
     #[test]
-    fn next_ready_at_tracks_wakeups_and_rescans() {
+    fn ready_bound_tracks_wakeups_and_walks() {
         let cfg = GpuConfig::test_small();
         let mut smx = Smx::new(0, &cfg);
-        assert_eq!(smx.next_ready_at(0), None, "empty SMX has no horizon");
+        assert_eq!(smx.ready.cached_min(), NEVER, "empty SMX has no horizon");
         let k = kernel(64, 0);
         let mut age = 0;
         smx.place_tb(KernelId(0), &k, tbcr(), 1, 0, 50, &mut age)
             .unwrap();
-        assert_eq!(smx.next_ready_at(0), Some(50), "placement folds ready_at");
-        // Block both warps on memory: the stale-low cache is repaired by a
-        // rescan and the SMX stops advertising a self-event.
+        assert_eq!(smx.ready.cached_min(), 50, "placement folds ready_at");
+        // Block both warps on memory: the bound stays stale-low until a
+        // walk finds nothing ready and stores the exact minimum.
         for ws in 0..2 {
             smx.warps[ws].as_mut().unwrap().state = WarpState::WaitingMem { outstanding: 2 };
             smx.ready.block(ws);
         }
-        assert_eq!(smx.next_ready_at(60), None);
+        assert_eq!(smx.ready.cached_min(), 50);
+        assert_eq!(smx.select_warps(60, 2, WarpSchedPolicy::Gto), 0);
+        assert_eq!(smx.ready.cached_min(), NEVER);
         // The last completion wakes the warp and folds its cycle back in.
         assert!(!smx.mem_complete(0, 150), "one request still outstanding");
-        assert_eq!(smx.next_ready_at(60), None);
+        assert_eq!(smx.ready.cached_min(), NEVER);
         assert!(smx.mem_complete(0, 200));
-        assert_eq!(smx.next_ready_at(60), Some(200));
+        assert_eq!(smx.ready.cached_min(), 200);
         assert_eq!(smx.issuable_at(0), 200);
         assert_eq!(smx.issuable_at(1), u64::MAX, "still waiting on memory");
     }
@@ -1061,7 +804,7 @@ mod tests {
         assert_eq!(smx.used_shared, 0);
         assert_eq!(smx.live_warps, 0);
         assert!(smx.kernels_loaded.is_empty());
-        assert_eq!(smx.ready.bound(), u64::MAX);
+        assert_eq!(smx.ready.cached_min(), u64::MAX);
         assert_eq!(smx.free_tb_slots(), fresh.free_tb_slots());
         // ...but the register slabs were recovered for reuse.
         assert_eq!(smx.reg_pool.len(), 2, "leftover warps drained into pool");
@@ -1163,32 +906,38 @@ mod tests {
             };
             assert_eq!(smx.issuable_at(w), want, "{ctx}: slot {w} is {m:?}");
         }
-        if let Err(e) = smx.ready.check_filing() {
-            panic!("{ctx}: {e}");
-        }
         let true_min = model_min(model);
         assert!(
-            smx.ready.bound() <= true_min,
-            "{ctx}: bound {} past the earliest ready warp {true_min}",
-            smx.ready.bound()
+            smx.ready.cached_min() <= true_min,
+            "{ctx}: horizon {} past the earliest ready warp {true_min}",
+            smx.ready.cached_min()
         );
         // Every policy and budget agrees with the brute-force scan; the
-        // probe's scheduler side effects are rolled back (draining the
-        // wheel to `now` is not a side effect: it only re-files).
-        let saved = (smx.greedy, smx.rr_cursor);
+        // probe's scheduler side effects are rolled back.
+        let saved = (smx.greedy, smx.rr_cursor, smx.ready.min);
         for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::RoundRobin] {
             for budget in 1..=4 {
                 let want = brute_select(smx, model, now, budget, policy);
                 let n = smx.select_warps(now, budget, policy);
                 assert_eq!(n, want.len(), "{ctx}: {policy:?} budget {budget}");
                 assert_eq!(smx.picked(), want, "{ctx}: {policy:?} budget {budget}");
-                (smx.greedy, smx.rr_cursor) = saved;
+                (smx.greedy, smx.rr_cursor, smx.ready.min) = saved;
             }
         }
-        let horizon = (true_min != u64::MAX).then_some(true_min.max(now + 1));
-        assert_eq!(smx.next_ready_at(now), horizon, "{ctx}");
-        if let Err(e) = smx.ready.check_filing() {
-            panic!("{ctx}: after the probes: {e}");
+        // A walk that sees every slot leaves the exact horizon the machine
+        // folds: the least cycle of the warps it did not pick.
+        if smx.ready.cached_min() <= now {
+            let later = model
+                .iter()
+                .filter_map(|m| match m {
+                    Some(Model::Ready(at)) if *at > now => Some(*at),
+                    _ => None,
+                })
+                .min()
+                .unwrap_or(u64::MAX);
+            smx.select_warps(now, model.len() + 1, WarpSchedPolicy::Gto);
+            assert_eq!(smx.ready.cached_min(), later, "{ctx}");
+            (smx.greedy, smx.rr_cursor, smx.ready.min) = saved;
         }
     }
 
@@ -1228,9 +977,8 @@ mod tests {
         }
     }
 
-    /// A cycle some distance past `now`: mostly within the wheel, now and
-    /// then up to three wheel turns out, and sometimes a launch-sized park
-    /// of 20 000+ cycles that only the far set holds.
+    /// A cycle some distance past `now`: mostly a few cycles, now and then
+    /// up to 200, and sometimes a launch-sized park of 20 000+ cycles.
     fn later(rng: &mut sim_rand::StdRng, now: u64) -> u64 {
         use sim_rand::Rng;
         now + match rng.gen_range(0..20u32) {
@@ -1241,13 +989,11 @@ mod tests {
     }
 
     /// Random placement, issue, memory wake-up, barrier, exit and direct
-    /// `set` / `block` traffic against a model that knows nothing of the
-    /// wheel: after every call the picks of both policies at budgets 1-4,
-    /// the horizon and the filing must agree with a brute-force walk.
-    /// Cycle gaps run from 0 to 200 (the event engine's skips, past the
-    /// wheel's 64) with rare jumps past the far parks, and blocks of 97
-    /// and 129 threads fill an SMX to over 64 slots, the bitsets' second
-    /// word.
+    /// `set` / `block` traffic against a model: after every call the picks
+    /// of both policies at budgets 1-4 and the horizon must agree with a
+    /// brute-force walk. Cycle gaps run from 0 to 200 (the event engine's
+    /// skips) with rare jumps past the launch parks, and blocks of 97 and
+    /// 129 threads fill an SMX to over 64 slots (K20c holds up to 80).
     #[test]
     fn ready_table_matches_a_brute_force_scheduler() {
         use sim_rand::{Rng, SeedableRng, StdRng};
@@ -1331,12 +1077,15 @@ mod tests {
                             WarpSchedPolicy::RoundRobin
                         };
                         let budget = rng.gen_range(1..=4usize);
+                        let walked = smx.ready.cached_min() <= now;
                         let picks = smx.select_warps(now, budget, policy);
                         if picks == 0 {
                             // Nothing issuable: the SMX must stay out of
                             // the way until its true next-ready cycle.
-                            assert_eq!(smx.ready.bound(), model_min(&model), "{ctx}");
-                            assert!(smx.ready.bound() > now, "{ctx}");
+                            assert!(smx.ready.cached_min() > now, "{ctx}");
+                            if walked {
+                                assert_eq!(smx.ready.cached_min(), model_min(&model), "{ctx}");
+                            }
                         }
                         for k in 0..picks {
                             let ws = smx.picked()[k];
@@ -1369,6 +1118,5 @@ mod tests {
             }
         }
         assert!(widest > 64, "the slab reached only {widest} slots");
-        assert!(widest <= max_warp_slots(&cfg));
     }
 }

@@ -1,7 +1,8 @@
 /*
  * A SIGPROF sampling profiler to LD_PRELOAD into any process of this
- * workspace: every DTBL_PROF_US microseconds of CPU time (default 1000)
- * it records the interrupted thread's stack by walking frame pointers,
+ * workspace: every millisecond of process CPU time (in practice every
+ * scheduler tick, see PERIOD_US) it records the interrupted thread's
+ * stack by walking frame pointers,
  * and at exit writes the samples to "$DTBL_PROF_OUT.<pid>" with a copy
  * of the process's memory map beside it ("$DTBL_PROF_OUT.<pid>.maps").
  * Nothing is recorded unless DTBL_PROF_OUT is set. Stacks are only whole
@@ -30,9 +31,12 @@
 
 #define MAX_DEPTH 64
 #define BUF_WORDS (16u << 20) /* 128 MiB of address space, touched as used */
+/* ITIMER_PROF expires on the kernel's scheduler tick, so any period up to
+ * the tick (4 ms at HZ=250) gives one sample per tick. */
+#define PERIOD_US 1000
 
 static uint64_t *buf;
-static atomic_size_t used;
+static atomic_size_t used; /* words reserved, never past BUF_WORDS */
 static atomic_size_t lost;
 static char out_path[4096];
 
@@ -63,13 +67,18 @@ static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
         if (next <= fp || next - fp > (1u << 20)) break;
         fp = next;
     }
-    size_t at = atomic_fetch_add(&used, n + 1);
-    if (at + n + 1 > BUF_WORDS) {
-        atomic_fetch_add(&lost, 1);
-    } else {
-        buf[at] = n;
-        memcpy(&buf[at + 1], frames, n * sizeof frames[0]);
-    }
+    /* Reserve n + 1 words only while they fit, so the file never ends in
+     * reserved words no record was written to. */
+    size_t at = atomic_load(&used);
+    do {
+        if (at + n + 1 > BUF_WORDS) {
+            atomic_fetch_add(&lost, 1);
+            errno = saved_errno;
+            return;
+        }
+    } while (!atomic_compare_exchange_weak(&used, &at, at + n + 1));
+    buf[at] = n;
+    memcpy(&buf[at + 1], frames, n * sizeof frames[0]);
     errno = saved_errno;
 }
 
@@ -100,10 +109,7 @@ __attribute__((constructor)) static void sampler_start(void) {
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-    const char *us_env = getenv("DTBL_PROF_US");
-    long us = us_env ? atol(us_env) : 1000;
-    if (us <= 0) us = 1000;
-    struct itimerval tv = {{us / 1000000, us % 1000000}, {us / 1000000, us % 1000000}};
+    struct itimerval tv = {{0, PERIOD_US}, {0, PERIOD_US}};
     setitimer(ITIMER_PROF, &tv, NULL);
 }
 
@@ -112,7 +118,6 @@ __attribute__((destructor)) static void sampler_stop(void) {
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_PROF, &off, NULL);
     size_t words = atomic_load(&used);
-    if (words > BUF_WORDS) words = BUF_WORDS;
     int fd = open(out_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
         write_all(fd, buf, words * sizeof *buf);
