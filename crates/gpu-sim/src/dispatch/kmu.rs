@@ -71,6 +71,15 @@ impl PartialOrd for Arrival {
     }
 }
 
+/// Where [`Kmu::tick`] takes its next dispatch from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// The head of the device-kernel queue.
+    Device,
+    /// The head of this hardware work queue.
+    Host(usize),
+}
+
 /// The KMU: inspects the head of each unblocked hardware work queue and
 /// the device-kernel pool, dispatching to the Kernel Distributor with the
 /// measured 283-cycle dispatch latency. Once a queue's head kernel is
@@ -179,51 +188,43 @@ impl Kmu {
         }
 
         // Start a new dispatch: device kernels first (they are already
-        // late), then host work queues round-robin.
-        let next = if let Some(pk) = self.device_q.pop_front() {
-            Some(pk)
+        // late), then host work queues round-robin. The candidate is
+        // found, a slot asked for, and only then is it popped: a kernel
+        // waiting for a free slot stays where it is.
+        let source = if !self.device_q.is_empty() {
+            Some(Source::Device)
         } else if self.host_queued == 0 {
             // Nothing to find, and a fruitless walk leaves `rr_hwq` where
             // it was: skipping it is exact.
             None
         } else {
             let n = self.hwqs.len();
-            let mut found = None;
-            for k in 0..n {
-                let q = (self.rr_hwq + k) % n;
-                if self.blocked[q] {
-                    continue;
-                }
-                if let Some(pk) = self.hwqs[q].pop_front() {
-                    self.host_queued -= 1;
-                    self.blocked[q] = true;
-                    self.rr_hwq = (q + 1) % n;
-                    found = Some(pk);
-                    break;
-                }
+            let q = (0..n)
+                .map(|k| (self.rr_hwq + k) % n)
+                .find(|&q| !self.blocked[q] && !self.hwqs[q].is_empty());
+            if let Some(q) = q {
+                // The queue's head is inspected whether or not a slot is
+                // free: the round-robin pointer moves past it either way.
+                self.rr_hwq = (q + 1) % n;
             }
-            found
+            q.map(Source::Host)
         };
-        if let Some(pk) = next {
+        if let Some(source) = source {
             self.reserved.clear();
             self.reserved
                 .extend(self.in_dispatch.iter().map(|(_, s, _)| *s));
-            match free_slot(&self.reserved) {
-                Some(slot) => {
+            if let Some(slot) = free_slot(&self.reserved) {
+                let pk = match source {
+                    Source::Device => self.device_q.pop_front(),
+                    Source::Host(q) => {
+                        self.host_queued -= 1;
+                        self.blocked[q] = true;
+                        self.hwqs[q].pop_front()
+                    }
+                };
+                if let Some(pk) = pk {
                     self.in_dispatch
                         .push_back((now + dispatch_latency, slot, pk));
-                }
-                None => {
-                    // No room: put it back where it came from (front,
-                    // preserving order) and retry next cycle.
-                    match pk.origin {
-                        Origin::Host { hwq } => {
-                            self.blocked[hwq] = false;
-                            self.hwqs[hwq].push_front(pk);
-                            self.host_queued += 1;
-                        }
-                        Origin::Device { .. } => self.device_q.push_front(pk),
-                    }
                 }
             }
         }
@@ -250,8 +251,8 @@ impl Kmu {
     /// Earliest future cycle at which a [`tick`](Self::tick) can observe or
     /// mutate state: a device arrival maturing, the oldest in-flight
     /// dispatch landing, or — whenever startable work is queued — the very
-    /// next cycle (a per-cycle tick pops, probes the distributor, and
-    /// rotates `rr_hwq` even when no slot is free, so skipping over such
+    /// next cycle (a per-cycle tick probes the distributor and rotates
+    /// `rr_hwq` even when no slot is free, so skipping over such
     /// cycles would diverge from per-cycle stepping). `None` when no KMU
     /// activity can happen before external state changes (a blocked queue
     /// unblocks only at a kernel retirement, which is never skipped).

@@ -1173,6 +1173,7 @@ impl Gpu {
         let smx = &mut self.smxs[s];
         let Smx {
             warps,
+            envs,
             tb_slots,
             ready,
             ..
@@ -1570,7 +1571,7 @@ impl Gpu {
             }
             ref alu => {
                 warp.advance_pc();
-                exec_alu(alu, &mut warp.regs, &warp.env, mask);
+                exec_alu(alu, &mut warp.regs, &envs[w], mask);
                 ready.set(w, now + class_latency(m.lat, &pipe));
             }
         }

@@ -5,7 +5,7 @@ pub mod warp;
 
 use crate::config::{GpuConfig, WarpSchedPolicy};
 use dtbl_core::GroupRef;
-use gpu_isa::{Dim3, Kernel, KernelId, WarpRegs};
+use gpu_isa::{Dim3, Kernel, KernelId, WarpEnv, WarpRegs};
 use gpu_trace::{Category, EventKind, TraceBuffer};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -76,7 +76,7 @@ impl TbSlot {
 /// memory, parked at a barrier, or done.
 const NEVER: u64 = u64::MAX;
 
-/// The warp scheduler's view of an SMX, split out of the ~2 KiB [`Warp`]
+/// The warp scheduler's view of an SMX, split out of the [`Warp`]
 /// contexts: one "issuable at" cycle per warp slot ([`NEVER`] for a slot
 /// that cannot issue) plus a lower bound on their minimum. It is the
 /// single record of *when* a `Ready` warp may issue, so every transition
@@ -170,6 +170,11 @@ pub struct Smx {
     pub tb_slots: Vec<Option<TbSlot>>,
     /// Warp slots (slab with free list).
     pub warps: Vec<Option<Warp>>,
+    /// Per-warp-slot special-register tables (same length as `warps`),
+    /// built at placement. Kept out of [`Warp`] (each is 1,792 B) so the
+    /// issue path's warp context stays ≈ 0.4 KiB; only ALU issue reads
+    /// them.
+    pub envs: Vec<WarpEnv>,
     free_warp_slots: Vec<usize>,
     /// Free entries of `tb_slots`, so [`can_fit`](Self::can_fit) never
     /// scans them.
@@ -220,6 +225,7 @@ impl Smx {
             id,
             tb_slots: vec![None; cfg.max_tb_per_smx],
             warps: Vec::new(),
+            envs: Vec::new(),
             free_warp_slots: Vec::new(),
             free_tb_slots: cfg.max_tb_per_smx,
             ready: ReadyTable::new(),
@@ -249,6 +255,7 @@ impl Smx {
         for w in self.warps.drain(..).flatten() {
             self.reg_pool.push(w.regs);
         }
+        self.envs.clear();
         self.free_warp_slots.clear();
         self.tb_slots.clear();
         self.tb_slots.resize(cfg.max_tb_per_smx, None);
@@ -345,13 +352,14 @@ impl Smx {
             };
             let ws = self.free_warp_slots.pop().unwrap_or_else(|| {
                 self.warps.push(None);
+                self.envs.push(WarpEnv::new());
                 self.ready.at.push(NEVER);
                 self.warps.len() - 1
             });
             let regs = self.reg_pool.pop().unwrap_or_default();
-            let mut w = Warp::new(slot, ws, kernel.regs_per_thread(), valid, *warp_age, regs);
+            let w = Warp::new(slot, ws, kernel.regs_per_thread(), valid, *warp_age, regs);
             *warp_age += 1;
-            w.env.build(
+            self.envs[ws].build(
                 kernel.block_dim(),
                 Dim3::x(nctaid),
                 tbcr.blkid,
@@ -444,46 +452,66 @@ impl Smx {
             return 0;
         }
         let at = &self.ready.at;
+        let picks = &mut self.pick_buf;
         // Minimum over the slots inspected and not picked; the whole
         // table's once `complete` survives the walk (vacant slots hold
         // `NEVER` and every resident slot is in `age_order`).
         let mut rest_min = NEVER;
         let mut complete = true;
-        let mut visit = |i: usize, picks: &mut Vec<usize>| {
-            if at[i] <= now {
-                picks.push(i);
-            } else {
-                rest_min = rest_min.min(at[i]);
-            }
-        };
         match policy {
             WarpSchedPolicy::Gto => {
-                if let Some(g) = self.greedy {
-                    visit(g, &mut self.pick_buf);
+                // The greedy warp first, while it stays ready.
+                let greedy = self.greedy.unwrap_or(usize::MAX);
+                if self.greedy.is_some_and(|g| at[g] <= now) {
+                    picks.push(greedy);
                 }
-                // Oldest-first among the remaining warps: `age_order` is
-                // kept sorted by construction, so one in-order walk
-                // replaces a collect+sort.
-                for &i in &self.age_order {
-                    if self.pick_buf.len() >= budget {
+                // Then oldest-first: `age_order` is kept sorted by
+                // construction. Each run of 64 positions is read without
+                // a data-dependent branch into a `due` bit mask (the
+                // greedy slot masked out) and the least cycle among the
+                // slots not due; the picks are its set bits, in order.
+                let n = self.age_order.len();
+                'walk: for (c, run) in self.age_order.chunks(64).enumerate() {
+                    if picks.len() >= budget {
                         complete = false;
                         break;
                     }
-                    if Some(i) != self.greedy {
-                        visit(i, &mut self.pick_buf);
+                    let mut due = 0u64;
+                    for (k, &i) in run.iter().enumerate() {
+                        let a = at[i];
+                        let ready = a <= now;
+                        due |= u64::from(ready & (i != greedy)) << k;
+                        rest_min = rest_min.min(if ready { NEVER } else { a });
+                    }
+                    while due != 0 {
+                        let k = due.trailing_zeros() as usize;
+                        due &= due - 1;
+                        picks.push(run[k]);
+                        if picks.len() >= budget {
+                            // Complete only if no age position is left.
+                            if c * 64 + k + 1 < n {
+                                complete = false;
+                            }
+                            break 'walk;
+                        }
                     }
                 }
             }
             WarpSchedPolicy::RoundRobin => {
                 let n = at.len();
                 for k in 0..n {
-                    if self.pick_buf.len() >= budget {
+                    if picks.len() >= budget {
                         complete = false;
                         break;
                     }
-                    visit((self.rr_cursor + k) % n, &mut self.pick_buf);
+                    let i = (self.rr_cursor + k) % n;
+                    if at[i] <= now {
+                        picks.push(i);
+                    } else {
+                        rest_min = rest_min.min(at[i]);
+                    }
                 }
-                if let Some(last) = self.pick_buf.last() {
+                if let Some(last) = picks.last() {
                     self.rr_cursor = (last + 1) % n;
                 }
             }
@@ -799,6 +827,10 @@ mod tests {
         assert!(smx.warps.is_empty() || smx.warps.iter().all(Option::is_none));
         assert_eq!(smx.warps.iter().flatten().count(), 0);
         assert!(smx.free_warp_slots.is_empty(), "slot numbering restarts");
+        assert!(
+            smx.envs.is_empty(),
+            "special-register tables follow the slab"
+        );
         assert_eq!(smx.used_threads, 0);
         assert_eq!(smx.used_regs, 0);
         assert_eq!(smx.used_shared, 0);
@@ -830,6 +862,7 @@ mod tests {
         let reused = &smx.tb_slots[slot2].as_ref().unwrap().warp_slots;
         assert!(reused.iter().all(|ws| used.contains(ws)), "slab reuse");
         assert_eq!(smx.warps.len(), 2);
+        assert_eq!(smx.envs.len(), 2, "one special-register table per slot");
     }
 
     // ---- model-based check of the warp-ready table -------------------------
@@ -856,17 +889,20 @@ mod tests {
     }
 
     /// `select_warps` by brute force: scan the warp slab, sort by age,
-    /// consult only the model for readiness.
+    /// consult only the model for readiness. Returns the picks and
+    /// whether the walk was complete: it reached the last position of
+    /// its order before the picks filled the budget, so it saw every
+    /// slot.
     fn brute_select(
         smx: &Smx,
         model: &[Option<Model>],
         now: u64,
         budget: usize,
         policy: WarpSchedPolicy,
-    ) -> Vec<usize> {
+    ) -> (Vec<usize>, bool) {
         let issuable = |i: usize| matches!(model[i], Some(Model::Ready(at)) if at <= now);
         let mut picks = Vec::new();
-        match policy {
+        let order: Vec<usize> = match policy {
             WarpSchedPolicy::Gto => {
                 picks.extend(smx.greedy.filter(|&g| issuable(g)));
                 let mut by_age: Vec<(u64, usize)> = smx
@@ -876,24 +912,22 @@ mod tests {
                     .filter_map(|(i, w)| w.as_ref().map(|w| (w.age, i)))
                     .collect();
                 by_age.sort_unstable();
-                picks.extend(
-                    by_age
-                        .into_iter()
-                        .map(|(_, i)| i)
-                        .filter(|&i| Some(i) != smx.greedy && issuable(i)),
-                );
+                by_age.into_iter().map(|(_, i)| i).collect()
             }
             WarpSchedPolicy::RoundRobin => {
                 let n = smx.warps.len();
-                picks.extend(
-                    (0..n)
-                        .map(|k| (smx.rr_cursor + k) % n)
-                        .filter(|&i| issuable(i)),
-                );
+                (0..n).map(|k| (smx.rr_cursor + k) % n).collect()
+            }
+        };
+        for i in order {
+            if picks.len() >= budget {
+                return (picks, false);
+            }
+            if Some(i) != smx.greedy.filter(|_| policy == WarpSchedPolicy::Gto) && issuable(i) {
+                picks.push(i);
             }
         }
-        picks.truncate(budget);
-        picks
+        (picks, true)
     }
 
     /// Everything the table promises, checked against the model at `now`.
@@ -912,32 +946,35 @@ mod tests {
             "{ctx}: horizon {} past the earliest ready warp {true_min}",
             smx.ready.cached_min()
         );
-        // Every policy and budget agrees with the brute-force scan; the
-        // probe's scheduler side effects are rolled back.
+        // Every policy at budgets 1-4 and uncut agrees with the
+        // brute-force scan, and a walk that saw every slot leaves the
+        // exact horizon the machine folds: the least cycle of the warps
+        // it did not pick. The probe's scheduler side effects are rolled
+        // back.
         let saved = (smx.greedy, smx.rr_cursor, smx.ready.min);
         for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::RoundRobin] {
-            for budget in 1..=4 {
-                let want = brute_select(smx, model, now, budget, policy);
+            for budget in [1, 2, 3, 4, model.len() + 1] {
+                let (want, complete) = brute_select(smx, model, now, budget, policy);
                 let n = smx.select_warps(now, budget, policy);
-                assert_eq!(n, want.len(), "{ctx}: {policy:?} budget {budget}");
-                assert_eq!(smx.picked(), want, "{ctx}: {policy:?} budget {budget}");
+                let at = format!("{ctx}: {policy:?} budget {budget}");
+                assert_eq!(n, want.len(), "{at}");
+                assert_eq!(smx.picked(), want, "{at}");
+                if complete && saved.2 <= now {
+                    let unpicked = model
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(w, m)| match m {
+                            Some(Model::Ready(t)) if !want.contains(&w) => Some(*t),
+                            _ => None,
+                        })
+                        .min()
+                        .unwrap_or(u64::MAX);
+                    assert_eq!(smx.ready.cached_min(), unpicked, "{at}: complete walk");
+                } else {
+                    assert_eq!(smx.ready.cached_min(), saved.2, "{at}: bound kept");
+                }
                 (smx.greedy, smx.rr_cursor, smx.ready.min) = saved;
             }
-        }
-        // A walk that sees every slot leaves the exact horizon the machine
-        // folds: the least cycle of the warps it did not pick.
-        if smx.ready.cached_min() <= now {
-            let later = model
-                .iter()
-                .filter_map(|m| match m {
-                    Some(Model::Ready(at)) if *at > now => Some(*at),
-                    _ => None,
-                })
-                .min()
-                .unwrap_or(u64::MAX);
-            smx.select_warps(now, model.len() + 1, WarpSchedPolicy::Gto);
-            assert_eq!(smx.ready.cached_min(), later, "{ctx}");
-            (smx.greedy, smx.rr_cursor, smx.ready.min) = saved;
         }
     }
 

@@ -1,6 +1,6 @@
 //! Warp contexts and the PDOM SIMT reconvergence stack.
 
-use gpu_isa::{WarpEnv, WarpRegs};
+use gpu_isa::WarpRegs;
 
 /// Sentinel reconvergence PC meaning "no reconvergence point" (the base
 /// stack entry).
@@ -37,43 +37,52 @@ pub enum WarpState {
 }
 
 /// A resident warp: a lane-major register file plus the SIMT stack and
-/// scheduling state.
+/// scheduling state. The special-register table lives beside the warp
+/// slab ([`Smx::envs`](crate::smx::Smx::envs)), so the issue path reads
+/// a context of ≈ 0.4 KiB. `repr(C)` keeps the fields every issue reads
+/// (state, valid mask, stack top, block slot) together in its first
+/// cache line.
 #[derive(Clone, Debug)]
+#[repr(C)]
 pub struct Warp {
+    /// Scheduling state. *When* a `Ready` warp may issue is not stored
+    /// here: the scheduler's per-cycle view lives in the SMX's dense
+    /// warp-ready table, so warp selection never touches a warp context.
+    pub state: WarpState,
+    /// Lanes that exist (the last warp of a block may be partial).
+    pub valid_mask: u32,
+    /// Top of the SIMT reconvergence stack: the path that issues next.
+    /// Meaningless once [`is_done`](Self::is_done).
+    top: StackEntry,
+    /// Set once every lane has exited (the stack is empty).
+    done: bool,
     /// Thread-block slot (within the SMX) this warp belongs to.
     pub tb_slot: usize,
-    /// Hardware warp slot index within the SMX (stable for the warp's
-    /// lifetime; used for the AGT hash input).
-    pub hw_slot: usize,
+    /// The stack entries under [`top`](Self::top), bottom first. Only a
+    /// divergent branch pushes and only exit or reconvergence pops, so a
+    /// warp that does not diverge never touches it.
+    below: Vec<StackEntry>,
     /// Per-lane architectural state, stored lane-major: all 32 lanes of a
     /// register are contiguous, predicates are warp-wide lane masks. The
     /// backing slab is pooled by the SMX across thread-block placements
     /// ([`Smx::place_tb`](crate::smx::Smx::place_tb) /
     /// [`Smx::release_tb`](crate::smx::Smx::release_tb)).
     pub regs: WarpRegs,
-    /// Per-warp special-register table, precomputed at placement: thread
-    /// indices are delinearized once here instead of once per lane per
-    /// issued instruction.
-    pub env: WarpEnv,
-    /// SIMT reconvergence stack; empty means all lanes exited.
-    pub stack: Vec<StackEntry>,
-    /// Lanes that exist (the last warp of a block may be partial).
-    pub valid_mask: u32,
-    /// Scheduling state. *When* a `Ready` warp may issue is not stored
-    /// here: the scheduler's per-cycle view lives in the SMX's dense
-    /// warp-ready table, so warp selection never touches this ~2 KiB
-    /// struct.
-    pub state: WarpState,
+    /// Hardware warp slot index within the SMX (stable for the warp's
+    /// lifetime; used for the AGT hash input).
+    pub hw_slot: usize,
     /// Global allocation sequence number (GTO "oldest" order).
     pub age: u64,
 }
+
+// The issue path reads a warp context per pick; the special-register
+// table stays out of it.
+const _: () = assert!(std::mem::size_of::<Warp>() <= 512);
 
 impl Warp {
     /// Creates a warp with all valid lanes active at PC 0. `regs` is a
     /// (possibly pooled) register slab; it is re-bound to `nregs` zeroed
     /// registers here, retaining whatever heap capacity it brought along.
-    /// The caller populates [`env`](Self::env) after placement (it holds
-    /// the warp's block coordinates, which this constructor is not given).
     pub fn new(
         tb_slot: usize,
         hw_slot: usize,
@@ -84,36 +93,42 @@ impl Warp {
     ) -> Self {
         regs.reset(nregs, valid_mask);
         Warp {
-            tb_slot,
-            hw_slot,
-            regs,
-            env: WarpEnv::new(),
-            stack: vec![StackEntry {
+            state: WarpState::Ready,
+            valid_mask,
+            top: StackEntry {
                 pc: 0,
                 mask: valid_mask,
                 rpc: NO_RECONV,
-            }],
-            valid_mask,
-            state: WarpState::Ready,
+            },
+            done: false,
+            tb_slot,
+            below: Vec::new(),
+            regs,
+            hw_slot,
             age,
         }
     }
 
     /// True once every lane has exited.
     pub fn is_done(&self) -> bool {
-        self.stack.is_empty()
+        self.done
+    }
+
+    /// Pops the top entry: the one below takes its place, or the warp is
+    /// done when there is none.
+    fn pop(&mut self) {
+        match self.below.pop() {
+            Some(e) => self.top = e,
+            None => self.done = true,
+        }
     }
 
     /// Pops reconverged paths: while the top-of-stack has reached its
     /// reconvergence PC, control returns to the entry below (which holds
     /// the union mask at that PC). Must be called before fetching.
     pub fn sync_reconvergence(&mut self) {
-        while let Some(top) = self.stack.last() {
-            if top.rpc != NO_RECONV && top.pc == top.rpc {
-                self.stack.pop();
-            } else {
-                break;
-            }
+        while !self.done && self.top.rpc != NO_RECONV && self.top.pc == self.top.rpc {
+            self.pop();
         }
     }
 
@@ -123,14 +138,13 @@ impl Warp {
     /// there is a scheduler bug — reported as a typed invariant
     /// violation rather than a panic on the hot path.
     pub fn current(&self) -> Option<(u32, u32)> {
-        let top = self.stack.last()?;
-        Some((top.pc, top.mask))
+        (!self.done).then_some((self.top.pc, self.top.mask))
     }
 
     /// Advances the top-of-stack PC to the next instruction.
     pub fn advance_pc(&mut self) {
-        if let Some(top) = self.stack.last_mut() {
-            top.pc += 1;
+        if !self.done {
+            self.top.pc += 1;
         }
     }
 
@@ -140,10 +154,11 @@ impl Warp {
     /// remaining active lanes fall through to `pc + 1`. `reconv` is the
     /// branch's immediate post-dominator (from the instruction encoding).
     pub fn branch(&mut self, taken_mask: u32, target: u32, reconv: u32) {
-        debug_assert!(!self.stack.is_empty(), "branch on a finished warp");
-        let Some(top) = self.stack.last_mut() else {
+        debug_assert!(!self.done, "branch on a finished warp");
+        if self.done {
             return;
-        };
+        }
+        let top = &mut self.top;
         let active = top.mask;
         debug_assert_eq!(taken_mask & !active, 0, "taken lanes must be active");
         let fallthrough = active & !taken_mask;
@@ -157,27 +172,34 @@ impl Warp {
             // pushed above it. Fall-through executes first.
             let fall_pc = top.pc + 1;
             top.pc = reconv;
-            self.stack.push(StackEntry {
+            self.below.push(*top);
+            self.below.push(StackEntry {
                 pc: target,
                 mask: taken_mask,
                 rpc: reconv,
             });
-            self.stack.push(StackEntry {
+            self.top = StackEntry {
                 pc: fall_pc,
                 mask: fallthrough,
                 rpc: reconv,
-            });
+            };
         }
     }
 
     /// Retires `mask` lanes (an `exit` instruction): removes them from
     /// every stack entry and drops emptied paths.
     pub fn exit_lanes(&mut self, mask: u32) {
-        for e in &mut self.stack {
-            e.mask &= !mask;
+        if !self.done {
+            self.top.mask &= !mask;
+            for e in &mut self.below {
+                e.mask &= !mask;
+            }
+            self.below.retain(|e| e.mask != 0);
+            if self.top.mask == 0 {
+                self.pop();
+            }
         }
-        self.stack.retain(|e| e.mask != 0);
-        if self.stack.is_empty() {
+        if self.done {
             self.state = WarpState::Done;
         }
     }
@@ -196,6 +218,20 @@ mod tests {
         Warp::new(0, 0, 8, u32::MAX, 0, WarpRegs::new())
     }
 
+    /// The stack bottom first, top last, as a plain vector.
+    fn stack(w: &Warp) -> Vec<StackEntry> {
+        let mut v = w.below.clone();
+        if !w.done {
+            v.push(w.top);
+        }
+        v
+    }
+
+    /// Moves the issuing path to `pc`, as running its body would.
+    fn run_to(w: &mut Warp, pc: u32) {
+        w.top.pc = pc;
+    }
+
     #[test]
     fn fresh_warp_starts_at_pc0_full_mask() {
         let w = warp();
@@ -207,7 +243,7 @@ mod tests {
     fn uniform_branch_does_not_push() {
         let mut w = warp();
         w.branch(u32::MAX, 10, 20);
-        assert_eq!(w.stack.len(), 1);
+        assert!(w.below.is_empty());
         assert_eq!(w.current().unwrap(), (10, u32::MAX));
         // Not-taken uniform branch falls through.
         let mut w = warp();
@@ -220,26 +256,29 @@ mod tests {
         let mut w = warp();
         let taken = 0x0000_ffff;
         w.branch(taken, 10, 20);
-        assert_eq!(w.stack.len(), 3);
-        // Fall-through path executes first.
+        // Fall-through path executes first; beneath it the taken path,
+        // then the reconvergence entry.
+        assert_eq!(
+            stack(&w),
+            [
+                StackEntry {
+                    pc: 20,
+                    mask: u32::MAX,
+                    rpc: NO_RECONV
+                },
+                StackEntry {
+                    pc: 10,
+                    mask: taken,
+                    rpc: 20
+                },
+                StackEntry {
+                    pc: 1,
+                    mask: !taken,
+                    rpc: 20
+                },
+            ]
+        );
         assert_eq!(w.current().unwrap(), (1, !taken));
-        // Beneath it: taken path, then the reconvergence entry.
-        assert_eq!(
-            w.stack[1],
-            StackEntry {
-                pc: 10,
-                mask: taken,
-                rpc: 20
-            }
-        );
-        assert_eq!(
-            w.stack[0],
-            StackEntry {
-                pc: 20,
-                mask: u32::MAX,
-                rpc: NO_RECONV
-            }
-        );
     }
 
     #[test]
@@ -248,14 +287,14 @@ mod tests {
         let taken = 0x0000_00ff;
         w.branch(taken, 10, 20);
         // Fall-through runs to the reconvergence point.
-        w.stack.last_mut().unwrap().pc = 20;
+        run_to(&mut w, 20);
         w.sync_reconvergence();
         // Now the taken path runs.
         assert_eq!(w.current().unwrap(), (10, taken));
-        w.stack.last_mut().unwrap().pc = 20;
+        run_to(&mut w, 20);
         w.sync_reconvergence();
         assert_eq!(w.current().unwrap(), (20, u32::MAX));
-        assert_eq!(w.stack.len(), 1);
+        assert!(w.below.is_empty());
     }
 
     #[test]
@@ -267,18 +306,18 @@ mod tests {
         w.branch(0x30, 20, 30); // lanes 4,5 taken
         assert_eq!(w.current().unwrap(), (2, !0x0fu32 & !0x30));
         // Run inner fall-through to its reconv.
-        w.stack.last_mut().unwrap().pc = 30;
+        run_to(&mut w, 30);
         w.sync_reconvergence();
         assert_eq!(w.current().unwrap(), (20, 0x30));
-        w.stack.last_mut().unwrap().pc = 30;
+        run_to(&mut w, 30);
         w.sync_reconvergence();
         // Inner reconverged: back to outer fall-through mask at 30.
         assert_eq!(w.current().unwrap(), (30, !0x0fu32));
-        w.stack.last_mut().unwrap().pc = 40;
+        run_to(&mut w, 40);
         w.sync_reconvergence();
         // Outer taken path still pending.
         assert_eq!(w.current().unwrap(), (10, 0x0f));
-        w.stack.last_mut().unwrap().pc = 40;
+        run_to(&mut w, 40);
         w.sync_reconvergence();
         assert_eq!(w.current().unwrap(), (40, u32::MAX));
     }
@@ -294,7 +333,7 @@ mod tests {
         // The taken path remains.
         assert_eq!(w.current().unwrap(), (10, 0x0f));
         // Reconvergence entry must have lost the exited lanes too.
-        assert_eq!(w.stack[0].mask, 0x0f);
+        assert_eq!(stack(&w)[0].mask, 0x0f);
         w.exit_lanes(0x0f);
         assert!(w.is_done());
         assert_eq!(w.state, WarpState::Done);
@@ -326,11 +365,168 @@ mod tests {
                 let (pc, mask) = w.current().unwrap();
                 assert_eq!(mask, 0x7 & !exited, "continuing lanes after {lane}");
                 // Jump back to loop head.
-                w.stack.last_mut().unwrap().pc = pc; // stay put (model body)
+                run_to(&mut w, pc); // stay put (model body)
             }
         }
         // All lanes eventually reach 100 with the full mask.
         let (pc, mask) = w.current().unwrap();
         assert_eq!((pc, mask), (100, 0x7));
+    }
+
+    // ---- differential check against a plain-vector stack -------------------
+
+    /// The SIMT stack as one heap vector, top last: the representation
+    /// the warp used before its top moved inline. Kept as the model.
+    #[derive(Clone, Debug)]
+    struct ModelStack(Vec<StackEntry>);
+
+    impl ModelStack {
+        fn new(valid_mask: u32) -> Self {
+            ModelStack(vec![StackEntry {
+                pc: 0,
+                mask: valid_mask,
+                rpc: NO_RECONV,
+            }])
+        }
+
+        fn is_done(&self) -> bool {
+            self.0.is_empty()
+        }
+
+        fn sync_reconvergence(&mut self) {
+            while let Some(top) = self.0.last() {
+                if top.rpc != NO_RECONV && top.pc == top.rpc {
+                    self.0.pop();
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn current(&self) -> Option<(u32, u32)> {
+            let top = self.0.last()?;
+            Some((top.pc, top.mask))
+        }
+
+        fn advance_pc(&mut self) {
+            if let Some(top) = self.0.last_mut() {
+                top.pc += 1;
+            }
+        }
+
+        fn branch(&mut self, taken_mask: u32, target: u32, reconv: u32) {
+            let Some(top) = self.0.last_mut() else {
+                return;
+            };
+            let active = top.mask;
+            let fallthrough = active & !taken_mask;
+            if taken_mask == 0 {
+                top.pc += 1;
+            } else if fallthrough == 0 {
+                top.pc = target;
+            } else {
+                let fall_pc = top.pc + 1;
+                top.pc = reconv;
+                self.0.push(StackEntry {
+                    pc: target,
+                    mask: taken_mask,
+                    rpc: reconv,
+                });
+                self.0.push(StackEntry {
+                    pc: fall_pc,
+                    mask: fallthrough,
+                    rpc: reconv,
+                });
+            }
+        }
+
+        fn exit_lanes(&mut self, mask: u32) {
+            for e in &mut self.0 {
+                e.mask &= !mask;
+            }
+            self.0.retain(|e| e.mask != 0);
+        }
+    }
+
+    /// Random `branch` / `exit_lanes` / `sync_reconvergence` /
+    /// `advance_pc` sequences through the model and the warp: nested
+    /// divergence (reconvergence points drawn from a few shared PCs, so
+    /// paths meet and pop in cascades), exits of part of the active mask
+    /// and of lanes waiting on other paths, and partial warps. `current`,
+    /// `is_done`, the state and the whole stack must agree after every
+    /// step.
+    #[test]
+    fn stack_matches_the_vector_model() {
+        use sim_rand::{Rng, SeedableRng, StdRng};
+        let mut deepest = 0;
+        let mut exited_under_divergence = 0;
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0x57ac_0000 + seed);
+            let valid = match rng.gen_range(0..3u32) {
+                0 => u32::MAX,
+                1 => (1u32 << rng.gen_range(1..32u32)) - 1,
+                _ => rng.gen::<u32>() | 1,
+            };
+            let mut w = Warp::new(0, 0, 4, valid, 0, WarpRegs::new());
+            let mut m = ModelStack::new(valid);
+            for step in 0..400 {
+                let ctx = format!("seed {seed} step {step}");
+                w.sync_reconvergence();
+                m.sync_reconvergence();
+                assert_eq!(w.current(), m.current(), "{ctx}: after sync");
+                assert_eq!(w.is_done(), m.is_done(), "{ctx}: after sync");
+                let Some((pc, active)) = m.current() else {
+                    break;
+                };
+                match rng.gen_range(0..10u32) {
+                    0..=3 => {
+                        // A branch taken by a random subset of the active
+                        // lanes, reconverging at one of a few join PCs
+                        // (sometimes the target itself, as a loop exit).
+                        let taken = match rng.gen_range(0..4u32) {
+                            0 => 0,
+                            1 => active,
+                            _ => rng.gen::<u32>() & active,
+                        };
+                        let reconv = pc + rng.gen_range(1..6u32);
+                        let target = if rng.gen_bool(0.2) {
+                            reconv
+                        } else {
+                            pc + rng.gen_range(1..8u32)
+                        };
+                        w.branch(taken, target, reconv);
+                        m.branch(taken, target, reconv);
+                    }
+                    4 => {
+                        // `exit` by the active lanes, some of them, or
+                        // lanes of paths further down the stack too.
+                        let mask = match rng.gen_range(0..3u32) {
+                            0 => active,
+                            1 => rng.gen::<u32>() & active,
+                            _ => rng.gen::<u32>(),
+                        };
+                        if m.0.len() > 1 {
+                            exited_under_divergence += 1;
+                        }
+                        w.exit_lanes(mask);
+                        m.exit_lanes(mask);
+                    }
+                    _ => {
+                        w.advance_pc();
+                        m.advance_pc();
+                    }
+                }
+                deepest = deepest.max(m.0.len());
+                assert_eq!(w.current(), m.current(), "{ctx}");
+                assert_eq!(w.is_done(), m.is_done(), "{ctx}");
+                assert_eq!(stack(&w), m.0, "{ctx}");
+                assert_eq!(w.state == WarpState::Done, m.is_done(), "{ctx}");
+            }
+        }
+        assert!(deepest >= 7, "nesting reached only depth {deepest}");
+        assert!(
+            exited_under_divergence > 100,
+            "{exited_under_divergence} exits"
+        );
     }
 }

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Symbolizes the samples `sampler.c` wrote and prints where the time went.
 
-    symbolize.py PROFILE [PROFILE ...] [--top N] [--lines FUNCTION]
+    symbolize.py PROFILE [PROFILE ...] [--top N] [--lines FUNCTION [--lines-top N]]
 
 Each PROFILE is a `$DTBL_PROF_OUT.<pid>` file with its `.maps` file
 beside it; several are summed (say, a benchmark's child processes).
 Prints each function's self share (the innermost frame) and inclusive
 share (anywhere on the stack, once per sample). With `--lines`, also
-the source lines inside the functions whose name contains FUNCTION,
-by self samples. Uses only `nm`, `readelf` and `addr2line`.
+the self samples whose function, or any function inlined at the
+sampled address, has a name containing FUNCTION: by innermost inlined
+function, then by source line. Uses only `nm`, `readelf` and
+`llvm-addr2line`, or binutils' `addr2line` where that is missing.
 """
 
 import argparse
 import bisect
 import collections
 import re
+import shutil
 import signal
 import struct
 import subprocess
@@ -73,7 +76,7 @@ class Symbols:
             parts = line.split(" ", 2)
             if len(parts) == 3 and parts[1] in "tTwW":
                 self.addrs.append(int(parts[0], 16))
-                self.names.append(re.sub(r"::h[0-9a-f]{16}$", "", parts[2]))
+                self.names.append(demangle_tail(parts[2]))
 
     def vaddr(self, offset):
         for start, end, vaddr in self.segments:
@@ -86,12 +89,44 @@ class Symbols:
         return self.names[i] if i >= 0 else "?"
 
 
+def demangle_tail(name):
+    return re.sub(r"::h[0-9a-f]{16}$", "", name)
+
+
+# binutils 2.40 names the enclosing symbol, not the innermost inlined
+# function, for many addresses of a Rust binary; LLVM's names each frame.
+ADDR2LINE = shutil.which("llvm-addr2line") or "addr2line"
+
+
+def inline_chains(path, addrs):
+    """For each address, its inline chain from `addr2line -a -i -f -C`:
+    (function, file:line) pairs, innermost first."""
+    out = subprocess.run(
+        [ADDR2LINE, "-a", "-i", "-f", "-C", "-e", path] + ["%x" % a for a in addrs],
+        capture_output=True,
+        text=True,
+        check=False,
+    ).stdout.splitlines()
+    chains = []
+    i = 0
+    while i < len(out):
+        if out[i].startswith("0x"):
+            chains.append([])
+            i += 1
+            continue
+        where = out[i + 1].split(" (discriminator")[0] if i + 1 < len(out) else "??:?"
+        chains[-1].append((demangle_tail(out[i]), where))
+        i += 2
+    return chains
+
+
 def main():
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # quiet under `| head`
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("profiles", nargs="+")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--lines", metavar="FUNCTION")
+    ap.add_argument("--lines-top", type=int, default=25, metavar="N")
     args = ap.parse_args()
 
     symbols = {}
@@ -135,30 +170,32 @@ def main():
     if total == 0:
         sys.exit("no samples")
     print("%d samples" % total)
-    print("\n  self %%  incl %%  function")
+    print("\n  self %  incl %  function")
     for name, n in self_count.most_common(args.top):
         print("%7.1f %7.1f  %s" % (100 * n / total, 100 * incl_count[name] / total, name))
-    print("\n  incl %%  function (by inclusive share)")
+    print("\n  incl %  function (by inclusive share)")
     for name, n in incl_count.most_common(args.top):
         print("%7.1f  %s" % (100 * n / total, name))
 
     if args.lines:
         by_path = collections.defaultdict(list)
         for (path, addr, name), n in leaf_addrs.items():
-            if args.lines in name:
-                by_path[path].append((addr, n))
+            by_path[path].append((addr, name, n))
+        inlined = collections.Counter()
         lines = collections.Counter()
         for path, hits in by_path.items():
-            out = subprocess.run(
-                ["addr2line", "-e", path] + ["%x" % a for a, _ in hits],
-                capture_output=True,
-                text=True,
-                check=False,
-            ).stdout.splitlines()
-            for (_, n), where in zip(hits, out):
-                lines[where] += n
-        print("\n  self %%  line (in functions matching %r)" % args.lines)
-        for where, n in lines.most_common(args.top):
+            chains = inline_chains(path, [a for a, _, _ in hits])
+            for (_, name, n), chain in zip(hits, chains):
+                if not chain or not any(args.lines in f for f in [name] + [f for f, _ in chain]):
+                    continue
+                func, where = chain[0]
+                inlined[func] += n
+                lines["%s  %s" % (where, func)] += n
+        print("\n  self %%  innermost function (samples matching %r)" % args.lines)
+        for func, n in inlined.most_common(args.lines_top):
+            print("%7.1f  %s" % (100 * n / total, func))
+        print("\n  self %%  line  innermost function (samples matching %r)" % args.lines)
+        for where, n in lines.most_common(args.lines_top):
             print("%7.1f  %s" % (100 * n / total, where))
 
 
