@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolizes the samples `sampler.c` wrote and prints where the time went.
 
-    symbolize.py PROFILE [PROFILE ...] [--top N] [--lines FUNCTION [--lines-top N]]
+    symbolize.py PROFILE [PROFILE ...] [--top N] [--lines FUNCTION]
 
 Each PROFILE is a `$DTBL_PROF_OUT.<pid>` file with its `.maps` file
 beside it; several are summed (say, a benchmark's child processes).
@@ -9,15 +9,14 @@ Prints each function's self share (the innermost frame) and inclusive
 share (anywhere on the stack, once per sample). With `--lines`, also
 the self samples whose function, or any function inlined at the
 sampled address, has a name containing FUNCTION: by innermost inlined
-function, then by source line. Uses only `nm`, `readelf` and
-`llvm-addr2line`, or binutils' `addr2line` where that is missing.
+function, then by source line, 25 rows each. Uses only `nm`, `readelf`
+and `addr2line`.
 """
 
 import argparse
 import bisect
 import collections
 import re
-import shutil
 import signal
 import struct
 import subprocess
@@ -93,16 +92,15 @@ def demangle_tail(name):
     return re.sub(r"::h[0-9a-f]{16}$", "", name)
 
 
-# binutils 2.40 names the enclosing symbol, not the innermost inlined
-# function, for many addresses of a Rust binary; LLVM's names each frame.
-ADDR2LINE = shutil.which("llvm-addr2line") or "addr2line"
+# Rows in each of the two `--lines` tables.
+LINES_TOP = 25
 
 
 def inline_chains(path, addrs):
     """For each address, its inline chain from `addr2line -a -i -f -C`:
     (function, file:line) pairs, innermost first."""
     out = subprocess.run(
-        [ADDR2LINE, "-a", "-i", "-f", "-C", "-e", path] + ["%x" % a for a in addrs],
+        ["addr2line", "-a", "-i", "-f", "-C", "-e", path] + ["%x" % a for a in addrs],
         capture_output=True,
         text=True,
         check=False,
@@ -126,7 +124,6 @@ def main():
     ap.add_argument("profiles", nargs="+")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--lines", metavar="FUNCTION")
-    ap.add_argument("--lines-top", type=int, default=25, metavar="N")
     args = ap.parse_args()
 
     symbols = {}
@@ -192,10 +189,10 @@ def main():
                 inlined[func] += n
                 lines["%s  %s" % (where, func)] += n
         print("\n  self %%  innermost function (samples matching %r)" % args.lines)
-        for func, n in inlined.most_common(args.lines_top):
+        for func, n in inlined.most_common(LINES_TOP):
             print("%7.1f  %s" % (100 * n / total, func))
         print("\n  self %%  line  innermost function (samples matching %r)" % args.lines)
-        for where, n in lines.most_common(args.lines_top):
+        for where, n in lines.most_common(LINES_TOP):
             print("%7.1f  %s" % (100 * n / total, where))
 
 
