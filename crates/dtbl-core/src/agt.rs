@@ -246,20 +246,6 @@ impl Agt {
         }
     }
 
-    /// Thread blocks currently executing (scheduled, not yet finished)
-    /// across every live descriptor — the sum of all `ExeBL` fields; the
-    /// invariant checker balances this against SMX-resident TBs.
-    pub fn total_exe_bl(&self) -> u64 {
-        let on_chip: u64 = self
-            .entries
-            .iter()
-            .flatten()
-            .map(|a| u64::from(a.exe_bl))
-            .sum();
-        let spilled: u64 = self.overflow.values().map(|a| u64::from(a.exe_bl)).sum();
-        on_chip + spilled
-    }
-
     fn age(&self, r: GroupRef) -> &Age {
         match r {
             GroupRef::Agt(i) => self.entries[i.0 as usize]

@@ -124,9 +124,9 @@ impl FcfsController {
         self.order.iter().copied()
     }
 
-    /// Oldest marked kernel, if any.
-    pub fn head(&self) -> Option<u32> {
-        self.order.front().copied()
+    /// The marked kernel at position `i` of the FCFS order (0 is oldest).
+    pub fn marked_at(&self, i: usize) -> Option<u32> {
+        self.order.get(i).copied()
     }
 
     /// Number of marked kernels.
@@ -150,7 +150,7 @@ mod tests {
         f.mark_new(5);
         f.mark_new(2);
         f.mark_new(7);
-        assert_eq!(f.head(), Some(5));
+        assert_eq!(f.marked_at(0), Some(5));
         f.unmark(2);
         assert_eq!(f.marked_in_order().collect::<Vec<_>>(), vec![5, 7]);
         assert_eq!(f.len(), 2);

@@ -2,7 +2,7 @@
 //! latencies) of the paper, plus the experiment and robustness knobs.
 
 use crate::fault::FaultPlan;
-use crate::runtime::degrade::{BACKOFF_BASE, BACKOFF_CAP, MAX_RETRIES};
+use crate::launch::{BACKOFF_BASE, BACKOFF_CAP, MAX_RETRIES};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -151,6 +151,12 @@ impl LatencyTable {
     }
 }
 
+/// Warp-issue slots per SMX per cycle (GK110's four warp schedulers).
+pub(crate) const ISSUE_PER_CYCLE: usize = 4;
+
+/// Thread blocks the SMX scheduler distributes per cycle.
+pub(crate) const TB_DISPATCH_PER_CYCLE: u32 = 2;
+
 /// Core pipeline latencies (in core cycles), loosely calibrated to Kepler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PipelineLatencies {
@@ -213,10 +219,6 @@ pub struct GpuConfig {
     pub shared_mem_per_smx: u32,
     /// Kernel Distributor entries == hardware work queues (Hyper-Q).
     pub kde_entries: usize,
-    /// Warp-issue slots per SMX per cycle (number of warp schedulers).
-    pub issue_per_cycle: usize,
-    /// Thread blocks the SMX scheduler can distribute per cycle.
-    pub tb_dispatch_per_cycle: usize,
     /// AGT entries (power of two). Figure 12 sweeps this.
     pub agt_entries: usize,
     /// Launch-path latencies (Table 3); use [`LatencyTable::ideal`] for
@@ -293,8 +295,6 @@ impl Default for GpuConfig {
             regs_per_smx: 65536,
             shared_mem_per_smx: 48 * 1024,
             kde_entries: 32,
-            issue_per_cycle: 4,
-            tb_dispatch_per_cycle: 2,
             agt_entries: 1024,
             latency: LatencyTable::k20c(),
             pipeline: PipelineLatencies::default(),
@@ -379,8 +379,6 @@ impl GpuConfig {
             regs_per_smx,
             shared_mem_per_smx,
             kde_entries,
-            issue_per_cycle,
-            tb_dispatch_per_cycle,
             agt_entries,
             latency,
             pipeline,
@@ -403,8 +401,9 @@ impl GpuConfig {
             .u(u64::from(*regs_per_smx))
             .u(u64::from(*shared_mem_per_smx))
             .u(*kde_entries as u64)
-            .u(*issue_per_cycle as u64)
-            .u(*tb_dispatch_per_cycle as u64)
+            // The two issue widths, in the slots they held as fields.
+            .u(ISSUE_PER_CYCLE as u64)
+            .u(u64::from(TB_DISPATCH_PER_CYCLE))
             .u(*agt_entries as u64)
             .u(latency.stream_create)
             .u(latency.get_param_buf_b)
@@ -489,8 +488,6 @@ impl GpuConfig {
             regs_per_smx: _,
             shared_mem_per_smx: _,
             kde_entries: _,
-            issue_per_cycle: _,
-            tb_dispatch_per_cycle: _,
             agt_entries: _,
             latency: _,
             pipeline: _,
@@ -620,12 +617,18 @@ mod tests {
     fn content_hash_is_stable_and_field_sensitive() {
         let base = GpuConfig::k20c();
         assert_eq!(base.content_hash(), base.clone().content_hash());
+        let small = GpuConfig::test_small();
         assert_eq!(
             (base.content_hash(), base.budget_hash()),
             (0xccd2_ac4d_f34c_1ee0, 0x15c1_4d60_fed9_c343),
             "persisted cache entries are keyed by these values"
         );
-        assert_ne!(base.content_hash(), GpuConfig::test_small().content_hash());
+        assert_eq!(
+            (small.content_hash(), small.budget_hash()),
+            (0x0666_c7f6_9daf_fa03, 0x53e4_5c32_50db_0c89),
+            "persisted cache entries are keyed by these values"
+        );
+        assert_ne!(base.content_hash(), small.content_hash());
         assert_ne!(
             base.content_hash(),
             GpuConfig::k20c_ideal().content_hash(),

@@ -275,7 +275,7 @@ pub struct StuckWarp {
 
 /// Snapshot of the machine taken when the forward-progress watchdog
 /// fires: everything needed to diagnose *what* is stuck and *where*.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HangReport {
     /// Cycle the watchdog fired.
     pub cycle: u64,

@@ -1,52 +1,26 @@
 //! The top-level GPU: host API and the cycle-level execution engine.
 
 use crate::access_slab::AccessSlab;
-use crate::config::{CancelToken, GpuConfig};
-use crate::dispatch::{KdeEntry, KernelDistributor, Kmu, Origin, PendingKernel};
+use crate::config::{CancelToken, GpuConfig, ISSUE_PER_CYCLE, TB_DISPATCH_PER_CYCLE};
 use crate::error::{BudgetKind, SimError};
-use crate::fault::FaultPlan;
-use crate::runtime::degrade::LaunchRetry;
+use crate::launch::{Grant, HostParams, LaunchCtx, LaunchUnit};
 use crate::smx::warp::WarpState;
-use crate::smx::{release_barrier, Smx, Tbcr};
+use crate::smx::{release_barrier, Smx};
 use crate::stats::Stats;
-use dtbl_core::{FcfsController, GroupRef, SchedulingPool};
 use gpu_isa::{
-    apply_atomic, exec_alu, KernelId, LatClass, LaunchKind, LaunchRequest, Program, Space, UOp,
-    WARP_SIZE,
+    apply_atomic, exec_alu, Kernel, KernelId, LatClass, LaunchKind, LaunchRequest, Program, Space,
+    UOp, WARP_SIZE,
 };
 use gpu_mem::{
     coalesce::coalesce_mask_into, AccessId, AccessKind, BackingStore, LinearAllocator, MemSubsystem,
 };
 use gpu_trace::{Category, EventKind, Recorder, StallReason};
-use std::cmp::Reverse;
-// Launch-path maps only (see the three `Gpu` fields that use it).
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Base of the heap served by [`Gpu::malloc`].
 pub(crate) const HEAP_BASE: u32 = 0x1000_0000;
 /// Size of the device heap.
 pub(crate) const HEAP_SIZE: u32 = 0xD000_0000;
-/// Global-memory bytes the runtime reserves per pending device-launched
-/// kernel beyond its parameter buffer (kernel configuration record, stream
-/// object, KMU bookkeeping). CDP pays this; a coalesced DTBL group's
-/// descriptor lives on-chip in the AGT instead.
-pub(crate) const CDP_PENDING_RECORD_BYTES: u64 = 192;
-/// Bytes of a spilled aggregated-group descriptor (an AGE image plus
-/// alignment) when the AGT hash probe misses.
-pub(crate) const AGG_OVERFLOW_RECORD_BYTES: u64 = 32;
-
-/// A thread block no SMX had room for: its [`Smx::needs`], whether it
-/// may use the reserved SMXs, and the capacity epoch it failed in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct FitMiss {
-    pub(crate) needs: (u32, u32, u32),
-    pub(crate) dynamic: bool,
-    pub(crate) epoch: u64,
-}
 
 /// Builds an [`SimError::InvariantViolation`] — the uniform way the
 /// engine reports state that breaks its own bookkeeping laws.
@@ -54,21 +28,20 @@ pub(crate) fn invariant(cycle: u64, law: String) -> SimError {
     SimError::InvariantViolation { cycle, law }
 }
 
-/// Allocates from the device heap, honoring an injected heap-byte cap.
-pub(crate) fn heap_alloc(
-    alloc: &mut LinearAllocator,
-    fault: &FaultPlan,
-    now: u64,
-    stats: &mut Stats,
-    bytes: u32,
-) -> Option<u32> {
-    if let Some(limit) = fault.heap_limit_bytes {
-        if fault.active_at(now) && alloc.live_bytes() + u64::from(bytes) > limit {
-            stats.heap_cap_denials += 1;
-            return None;
+/// The launch unit's [`LaunchCtx`], borrowed from a `Gpu`'s other fields
+/// (so the call site may hold its launch unit and SMXs at the same time).
+macro_rules! launch_ctx {
+    ($gpu:expr) => {
+        &mut LaunchCtx {
+            cfg: &$gpu.cfg,
+            program: &$gpu.program,
+            mem: &mut $gpu.mem,
+            alloc: &mut $gpu.alloc,
+            stats: &mut $gpu.stats,
+            tracer: &mut $gpu.tracer,
+            progress: &mut $gpu.progress_marker,
         }
-    }
-    alloc.alloc(bytes)
+    };
 }
 
 /// A simulated Kepler-class GPU with CDP device-kernel launch and the DTBL
@@ -105,10 +78,9 @@ pub struct Gpu {
     pub(crate) mem: BackingStore,
     pub(crate) alloc: LinearAllocator,
     pub(crate) timing: MemSubsystem,
-    pub(crate) kmu: Kmu,
-    pub(crate) kd: KernelDistributor,
-    pub(crate) pool: SchedulingPool,
-    pub(crate) fcfs: FcfsController,
+    /// The launch mechanism: KMU, Kernel Distributor, FCFS controller,
+    /// AGT pool and the degradation ladder.
+    pub(crate) launch_unit: LaunchUnit,
     pub(crate) smxs: Vec<Smx>,
     /// Per SMX, a lower bound on the cycle its next warp may issue (its
     /// ready table's [`cached_min`](crate::smx::ReadyTable::cached_min)
@@ -130,35 +102,8 @@ pub struct Gpu {
     /// generation-checked slab (ids are monotone), so the two hottest
     /// lookups in the machine never hash and never allocate.
     pub(crate) access_owner: AccessSlab,
-    // Touched once per aggregated-group launch and first schedule.
-    #[allow(clippy::disallowed_types)]
-    pub(crate) group_record: HashMap<GroupRef, usize>,
-    /// Heap bytes reserved per parameter buffer, keyed by buffer address;
-    /// recorded at allocation (host launch or `cudaGetParameterBuffer`)
-    /// and released into the heap accounting when the kernel that owns
-    /// the buffer retires — per launch, never per cycle.
-    #[allow(clippy::disallowed_types)]
-    pub(crate) param_bytes: HashMap<u32, u32>,
-    /// Per-KDE descriptor-walk state: a spilled (overflow) aggregated
-    /// group's descriptor must be fetched from global memory before the
-    /// SMX scheduler can distribute its thread blocks (§4.3); this holds
-    /// `(group, ready_at)` for the fetch in progress / completed — only
-    /// populated once the AGT has overflowed.
-    #[allow(clippy::disallowed_types)]
-    pub(crate) agt_walk: HashMap<u32, (GroupRef, u64)>,
     pub(crate) rr_smx: usize,
-    /// Per-KDE record of the last block that found no SMX with room,
-    /// valid while `capacity_epoch` stands: SMX room only grows when a
-    /// block retires, so until then the same needs fail again and the
-    /// distributor skips the SMX walk.
-    pub(crate) fit_miss: Vec<Option<FitMiss>>,
-    /// Bumped by every thread-block retirement, the one event that frees
-    /// SMX room.
-    pub(crate) capacity_epoch: u64,
     pub(crate) mem_buf: Vec<AccessId>,
-    /// Pooled scratch for the FCFS order walked by `distribute_tbs`
-    /// (reused every cycle so the distribution path never allocates).
-    pub(crate) kde_buf: Vec<u32>,
     /// Pooled scratch for the per-lane launch requests gathered by one
     /// `LaunchDevice`/`LaunchAgg` issue.
     pub(crate) launch_buf: Vec<(u32, gpu_isa::LaunchRequest)>,
@@ -184,14 +129,6 @@ pub struct Gpu {
     /// wall-clock budget. Host time never influences simulation state —
     /// only *whether* the run is cut short.
     pub(crate) run_started: Option<Instant>,
-    /// The degradation ladder's retry queue: KMU-saturated launches
-    /// waiting out their deterministic backoff, ordered (ready_at, seq).
-    pub(crate) retry_q: BinaryHeap<Reverse<LaunchRetry>>,
-    /// Monotone sequence for retry-queue FIFO tie-breaking.
-    pub(crate) retry_seq: u64,
-    /// Host launches parked while their hardware work queue sits at an
-    /// injected cap; drained FIFO as capacity frees.
-    pub(crate) host_deferred: VecDeque<(u32, PendingKernel)>,
 }
 
 /// Panics unless every machine-shape count fits in `u16`: trace events
@@ -232,10 +169,7 @@ impl Gpu {
             mem: BackingStore::new(),
             alloc: LinearAllocator::new(HEAP_BASE, HEAP_SIZE),
             timing: MemSubsystem::new(cfg.mem),
-            kmu: Kmu::new(cfg.kde_entries),
-            kd: KernelDistributor::new(cfg.kde_entries),
-            pool: SchedulingPool::new(cfg.agt_entries, cfg.kde_entries),
-            fcfs: FcfsController::new(cfg.kde_entries),
+            launch_unit: LaunchUnit::new(&cfg),
             smxs: (0..cfg.num_smx).map(|i| Smx::new(i, &cfg)).collect(),
             ready_bound: vec![u64::MAX; cfg.num_smx],
             ready_min: u64::MAX,
@@ -244,14 +178,8 @@ impl Gpu {
             warp_age: 0,
             stats,
             access_owner: AccessSlab::new(),
-            group_record: Default::default(),
-            param_bytes: Default::default(),
-            agt_walk: Default::default(),
             rr_smx: 0,
-            fit_miss: vec![None; cfg.kde_entries],
-            capacity_epoch: 0,
             mem_buf: Vec::new(),
-            kde_buf: Vec::new(),
             launch_buf: Vec::new(),
             txn_buf: Vec::new(),
             steps_executed: 0,
@@ -259,9 +187,6 @@ impl Gpu {
             tracer: Recorder::new(cfg.trace),
             trace_win: crate::trace::TraceWindow::default(),
             run_started: None,
-            retry_q: BinaryHeap::new(),
-            retry_seq: 0,
-            host_deferred: VecDeque::new(),
             cfg,
         };
         gpu.apply_trace_mask();
@@ -284,10 +209,7 @@ impl Gpu {
         self.mem.clear();
         self.alloc = LinearAllocator::new(HEAP_BASE, HEAP_SIZE);
         self.timing = MemSubsystem::new(cfg.mem);
-        self.kmu = Kmu::new(cfg.kde_entries);
-        self.kd = KernelDistributor::new(cfg.kde_entries);
-        self.pool = SchedulingPool::new(cfg.agt_entries, cfg.kde_entries);
-        self.fcfs = FcfsController::new(cfg.kde_entries);
+        self.launch_unit = LaunchUnit::new(&cfg);
         // Same SMX count: reset each in place, retaining the pooled
         // register slabs and scratch capacity (`Smx::reset` restores the
         // exact observable state `Smx::new` builds). A geometry change
@@ -311,15 +233,8 @@ impl Gpu {
             ..Stats::default()
         };
         self.access_owner = AccessSlab::new();
-        self.group_record.clear();
-        self.param_bytes.clear();
-        self.agt_walk.clear();
         self.rr_smx = 0;
-        self.fit_miss.clear();
-        self.fit_miss.resize(cfg.kde_entries, None);
-        self.capacity_epoch = 0;
         self.mem_buf.clear();
-        self.kde_buf.clear();
         self.launch_buf.clear();
         self.txn_buf.clear();
         self.steps_executed = 0;
@@ -327,9 +242,6 @@ impl Gpu {
         self.tracer = Recorder::new(cfg.trace);
         self.trace_win = crate::trace::TraceWindow::default();
         self.run_started = None;
-        self.retry_q.clear();
-        self.retry_seq = 0;
-        self.host_deferred.clear();
         self.cfg = cfg;
         self.apply_trace_mask();
     }
@@ -387,14 +299,8 @@ impl Gpu {
     /// Returns [`SimError::OutOfMemory`] when the heap is exhausted (or an
     /// injected heap cap denies the allocation).
     pub fn malloc(&mut self, bytes: u32) -> Result<u32, SimError> {
-        heap_alloc(
-            &mut self.alloc,
-            &self.cfg.fault,
-            self.cycle,
-            &mut self.stats,
-            bytes,
-        )
-        .ok_or(SimError::OutOfMemory { bytes })
+        let now = self.cycle;
+        (launch_ctx!(self).heap_alloc(now, bytes)).ok_or(SimError::OutOfMemory { bytes })
     }
 
     /// Launches `kernel` with `ntb` thread blocks on `stream` (the
@@ -417,13 +323,8 @@ impl Gpu {
         params: &[u32],
         stream: u32,
     ) -> Result<(), SimError> {
-        self.enqueue_host(kernel, ntb, stream, |gpu| {
-            let param_sz = (params.len().max(1) * 4) as u32;
-            let param_addr = gpu.malloc(param_sz)?;
-            gpu.param_bytes.insert(param_addr, param_sz);
-            gpu.mem.write_slice_u32(param_addr, params);
-            Ok(param_addr)
-        })
+        let (now, params) = (self.cycle, HostParams::Words(params));
+        (self.launch_unit).submit_host(kernel, ntb, stream, params, now, launch_ctx!(self))
     }
 
     /// Launches `kernel` with a caller-managed parameter buffer at
@@ -441,65 +342,15 @@ impl Gpu {
         param_addr: u32,
         stream: u32,
     ) -> Result<(), SimError> {
-        self.enqueue_host(kernel, ntb, stream, |_| Ok(param_addr))
-    }
-
-    /// The one host-launch path: kernel lookup, the zero-block no-op,
-    /// then `param_addr` (run only for a launch that will enqueue, so a
-    /// rejected or empty launch allocates nothing), the `HostLaunch`
-    /// count and event, and the hardware work queue — or the ladder's
-    /// deferral queue when an injected cap has it full.
-    fn enqueue_host(
-        &mut self,
-        kernel: KernelId,
-        ntb: u32,
-        stream: u32,
-        param_addr: impl FnOnce(&mut Self) -> Result<u32, SimError>,
-    ) -> Result<(), SimError> {
-        let Some(kernel_fn) = self.program.get(kernel) else {
-            return Err(SimError::UnknownKernel(kernel));
-        };
-        let kernel_fn = Arc::clone(kernel_fn);
-        if ntb == 0 {
-            return Ok(());
-        }
-        let param_addr = param_addr(self)?;
-        self.stats.host_launches += 1;
-        if self.tracer.on(Category::Launch) {
-            self.tracer.emit(
-                self.cycle,
-                EventKind::HostLaunch {
-                    kernel: kernel.0,
-                    ntb,
-                    hwq: self.kmu.hwq_of_stream(stream) as u32,
-                },
-            );
-        }
-        let pk = PendingKernel {
-            kernel,
-            kernel_fn,
-            ntb,
-            param_addr,
-            origin: Origin::Host { hwq: 0 }, // rewritten by push_host
-        };
-        if self.hwq_overloaded(stream) {
-            self.park_host_launch(stream, pk);
-        } else {
-            self.kmu.push_host(stream, pk);
-        }
-        Ok(())
+        let (now, params) = (self.cycle, HostParams::At(param_addr));
+        (self.launch_unit).submit_host(kernel, ntb, stream, params, now, launch_ctx!(self))
     }
 
     /// True when no work remains anywhere in the machine — including the
     /// degradation ladder's retry and deferral queues, whose entries are
     /// launches the machine still owes.
     pub fn is_idle(&self) -> bool {
-        self.kmu.is_empty()
-            && self.kd.is_empty()
-            && self.resident_warps == 0
-            && self.timing.quiescent()
-            && self.retry_q.is_empty()
-            && self.host_deferred.is_empty()
+        self.launch_unit.is_idle() && self.resident_warps == 0 && self.timing.quiescent()
     }
 
     /// Runs until the machine is idle, returning the accumulated stats.
@@ -612,22 +463,16 @@ impl Gpu {
         }
         if !self.cfg.budget.is_inert() {
             let budget = &self.cfg.budget;
+            let exceeded = |kind| SimError::DeadlineExceeded {
+                budget: kind,
+                cycle: self.cycle,
+                stats: self.partial_stats(),
+            };
             if budget.cycle_cap.is_some_and(|cap| self.cycle >= cap) {
-                return Some(SimError::DeadlineExceeded {
-                    budget: BudgetKind::Cycles,
-                    cycle: self.cycle,
-                    stats: self.partial_stats(),
-                });
+                return Some(exceeded(BudgetKind::Cycles));
             }
-            if budget
-                .live_heap_cap
-                .is_some_and(|cap| self.alloc.live_bytes() > cap)
-            {
-                return Some(SimError::DeadlineExceeded {
-                    budget: BudgetKind::LiveHeap,
-                    cycle: self.cycle,
-                    stats: self.partial_stats(),
-                });
+            if (budget.live_heap_cap).is_some_and(|cap| self.alloc.live_bytes() > cap) {
+                return Some(exceeded(BudgetKind::LiveHeap));
             }
             if budget
                 .cancel
@@ -646,11 +491,7 @@ impl Gpu {
             if self.steps_executed.is_multiple_of(1024) {
                 if let (Some(ms), Some(started)) = (budget.deadline_ms, self.run_started) {
                     if started.elapsed().as_millis() >= u128::from(ms) {
-                        return Some(SimError::DeadlineExceeded {
-                            budget: BudgetKind::WallClock,
-                            cycle: self.cycle,
-                            stats: self.partial_stats(),
-                        });
+                        return Some(exceeded(BudgetKind::WallClock));
                     }
                 }
             }
@@ -699,44 +540,22 @@ impl Gpu {
     /// but a bound past the true event would diverge from per-cycle
     /// stepping (see DESIGN.md, "The horizon contract").
     fn next_event_horizon(&self, now: u64) -> Option<u64> {
-        let mut next: Option<u64> = None;
+        let mut next = self.launch_unit.next_event_at(now);
         let mut fold = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
-        if let Some(t) = self.kmu.next_event_at(now) {
-            fold(t);
-        }
         if let Some(t) = self.timing.next_wake() {
             fold(t.max(now + 1));
         }
         // After a quiet step every SMX's bound is in the future: the
         // issue stage re-read each one it called into, whose walk found
-        // nothing due and so stored its exact minimum (unless
-        // `issue_per_cycle` is 0, and then `now + 1` is the horizon
-        // anyway), and every wake-up since folded in a cycle past `now`.
+        // nothing due and so stored its exact minimum, and every wake-up
+        // since folded in a cycle past `now`.
         if self.ready_min != u64::MAX {
             fold(self.ready_min.max(now + 1));
-        }
-        // Pending spilled-descriptor fetches wake the distribution path.
-        // A walk whose fetch has already matured (`ready <= now`) is
-        // consumed on the *next* dispatch attempt — with zero fetch
-        // latency it can be inserted and mature within the same quiet
-        // step — so it always folds at least `now + 1`.
-        for &(_, ready) in self.agt_walk.values() {
-            fold(ready.max(now + 1));
         }
         // A fault plan flips behaviour (delays, caps) at its activation
         // edge; step there so no span straddles the flip.
         if !self.cfg.fault.is_nop() && now < self.cfg.fault.after_cycle {
             fold(self.cfg.fault.after_cycle);
-        }
-        // Ladder queues: a deferred retry matures at its backoff deadline;
-        // a parked host launch re-probes its work queue every cycle (the
-        // queue's drain is itself a progress event, so `now + 1` is the
-        // only sound bound).
-        if let Some(Reverse(head)) = self.retry_q.peek() {
-            fold(head.ready_at.max(now + 1));
-        }
-        if !self.host_deferred.is_empty() {
-            fold(now + 1);
         }
         next
     }
@@ -762,26 +581,10 @@ impl Gpu {
         let now = self.cycle;
         self.steps_executed += 1;
 
-        // 0. Degradation ladder: matured launch retries and parked host
-        // launches re-attempt before the KMU ticks (see runtime::degrade).
-        let mut quiet = true;
-        if (!self.retry_q.is_empty() || !self.host_deferred.is_empty())
-            && self.process_deferred(now)?
-        {
-            quiet = false;
-        }
-
-        // 1. KMU: mature device launches, advance the dispatch pipeline.
-        let kd = &self.kd;
-        if let Some((slot, pk)) = self
-            .kmu
-            .tick(now, self.cfg.latency.kernel_dispatch, |reserved| {
-                kd.free_slot_excluding(reserved)
-            })
-        {
-            self.install_kernel(slot, pk, now)?;
-            quiet = false;
-        }
+        // 1. Launch unit: the degradation ladder's matured retries and
+        // parked host launches re-attempt, then the KMU matures device
+        // launches and advances its dispatch pipeline.
+        let mut quiet = !self.launch_unit.tick(now, launch_ctx!(self))?;
 
         // 2. SMX scheduler: distribute thread blocks.
         if self.distribute_tbs(now)? > 0 {
@@ -794,11 +597,8 @@ impl Gpu {
             let mut least = u64::MAX;
             for s in 0..self.smxs.len() {
                 if self.ready_bound[s] <= now {
-                    let picks = self.smxs[s].select_warps(
-                        now,
-                        self.cfg.issue_per_cycle,
-                        self.cfg.warp_sched,
-                    );
+                    let picks =
+                        self.smxs[s].select_warps(now, ISSUE_PER_CYCLE, self.cfg.warp_sched);
                     if picks > 0 {
                         quiet = false;
                     }
@@ -875,294 +675,58 @@ impl Gpu {
         self.ready_min = self.ready_min.min(at);
     }
 
-    fn install_kernel(&mut self, slot: u32, pk: PendingKernel, now: u64) -> Result<(), SimError> {
-        let (launch_record, hwq) = match pk.origin {
-            Origin::Host { hwq } => (None, Some(hwq)),
-            Origin::Device { record } => (Some(record), None),
-        };
-        let installed = self.kd.install(
-            slot,
-            KdeEntry {
-                kernel: pk.kernel,
-                kernel_fn: pk.kernel_fn,
-                grid_ntb: pk.ntb,
-                param_addr: pk.param_addr,
-                next_native_tb: 0,
-                native_exe: 0,
-                native_done: 0,
-                agg_exe: 0,
-                dispatched_at: now,
-                launch_record,
-                hwq,
-            },
-        );
-        if installed.is_err() {
-            // The KMU reserved this slot when the dispatch began; finding
-            // it occupied means the reservation bookkeeping broke.
-            return Err(invariant(now, format!("KDE slot {slot} already occupied")));
-        }
-        self.fcfs.mark_new(slot);
-        self.progress_marker += 1;
-        Ok(())
-    }
-
     // ---- thread-block distribution (§2.3 + §4.2 DTBL flow) ----------------
 
-    /// Distributes up to `tb_dispatch_per_cycle` thread blocks in FCFS
+    /// Distributes up to [`TB_DISPATCH_PER_CYCLE`] thread blocks in FCFS
     /// order; returns how many were placed this cycle.
     fn distribute_tbs(&mut self, now: u64) -> Result<u32, SimError> {
-        let mut budget = self.cfg.tb_dispatch_per_cycle;
-        if budget == 0 {
-            return Ok(0);
-        }
         let mut placed = 0;
-        let mut kdes = std::mem::take(&mut self.kde_buf);
-        kdes.clear();
-        kdes.extend(self.fcfs.marked_in_order());
-        'kernels: for &kde in &kdes {
-            loop {
-                if budget == 0 {
-                    break 'kernels;
-                }
-                if !self.try_dispatch_one(kde, now)? {
-                    continue 'kernels;
-                }
-                placed += 1;
-                budget -= 1;
-            }
+        let mut at = 0;
+        while placed < TB_DISPATCH_PER_CYCLE {
+            // Round-robin over the SMXs with room for one block; with
+            // spatial sharing, non-dynamic blocks keep to the first
+            // `num_smx - dyn_reserved_smx`.
+            let (smxs, rr_smx, cfg) = (&self.smxs, &mut self.rr_smx, &self.cfg);
+            let fits = |kernel: &Kernel, dynamic| {
+                let limit = smx_limit(smxs.len(), cfg, dynamic);
+                let s = (0..limit)
+                    .map(|k| (*rr_smx + k) % limit)
+                    .find(|&s| smxs[s].can_fit(kernel, cfg))?;
+                *rr_smx = (s + 1) % limit;
+                Some(s)
+            };
+            let ctx = launch_ctx!(self);
+            let Some(grant) = self.launch_unit.next_block(now, &mut at, ctx, fits)? else {
+                break;
+            };
+            self.place_block(grant, now)?;
+            placed += 1;
         }
-        self.kde_buf = kdes;
         Ok(placed)
     }
 
-    /// Re-derives whether KDE `kde` still has distributable work and
-    /// updates the FCFS controller to match: the first-dispatch bit falls
-    /// once every native block has been handed out, and the entry is
-    /// unmarked only when the aggregated-group pool is empty too.
-    ///
-    /// Every site that consumes distributable work funnels through this
-    /// one check *after* updating its counters. Re-deriving both facts
-    /// here (instead of each site testing one of them against a value
-    /// read before its own update) means no ordering of "native cursor
-    /// advanced" vs. "pool drained" can strand a kernel marked with
-    /// nothing to distribute — which would pin it at the head of the FCFS
-    /// order forever — or unmark one that still has work.
-    fn refresh_mark(&mut self, kde: u32) {
-        let native_pending = self
-            .kd
-            .get(kde)
-            .is_some_and(|e| !e.native_fully_scheduled());
-        if native_pending {
-            return;
-        }
-        self.fcfs.clear_first_dispatch(kde);
-        if self.pool.nagei(kde).is_none() {
-            self.fcfs.unmark(kde);
-        }
-    }
-
-    /// Attempts to distribute one thread block of kernel `kde`; returns
-    /// whether a block was placed.
-    fn try_dispatch_one(&mut self, kde: u32, now: u64) -> Result<bool, SimError> {
-        let Some(entry) = self.kd.get(kde) else {
-            return Ok(false);
-        };
-        let kernel_id = entry.kernel;
-        let native_next = if self.fcfs.is_first_dispatch(kde) && !entry.native_fully_scheduled() {
-            true
-        } else if self.pool.nagei(kde).is_some() {
-            false
-        } else {
-            // Nothing to distribute; a marked kernel with an empty pool is
-            // transient (between clear-first and unmark) — re-derive its
-            // mark so it leaves the FCFS order.
-            self.refresh_mark(kde);
-            return Ok(false);
-        };
-
-        // A spilled descriptor lives in global memory: the scheduler must
-        // fetch it before it can distribute the group's thread blocks
-        // (§4.3), stalling this kernel's dispatch — unlike a zero-cost
-        // on-chip AGE. Checked before SMX selection so a walk-stalled
-        // cycle leaves the round-robin cursor and first-load bookkeeping
-        // untouched: such cycles are pure no-ops, which is what lets the
-        // event-driven engine skip them wholesale.
-        if !native_next {
-            let Some(group) = self.pool.nagei(kde) else {
-                return Err(invariant(now, format!("KDE {kde} lost its NAGEI group")));
-            };
-            if group.is_overflow() {
-                match self.agt_walk.get(&kde) {
-                    Some(&(g, ready)) if g == group => {
-                        if now < ready {
-                            return Ok(false);
-                        }
-                    }
-                    _ => {
-                        self.agt_walk
-                            .insert(kde, (group, now + self.cfg.pipeline.agt_overflow_load));
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-
-        // Spatial sharing (optional §5.2B extension): host-launched native
-        // blocks keep off the reserved SMXs; dynamic work may go anywhere.
-        let dynamic = !native_next || entry.launch_record.is_some();
-        let miss = FitMiss {
-            needs: Smx::needs(&entry.kernel_fn),
-            dynamic,
-            epoch: self.capacity_epoch,
-        };
-        if self.fit_miss[kde as usize] == Some(miss) {
-            return Ok(false);
-        }
-        // Refcounted handle shared with the distributor entry — never a
-        // deep copy of the kernel on the block-dispatch path.
-        let kernel = Arc::clone(&entry.kernel_fn);
-        let Some(smx_idx) = self.pick_smx(&kernel, dynamic) else {
-            self.fit_miss[kde as usize] = Some(miss);
-            return Ok(false);
-        };
-
-        let first_load = !self.smxs[smx_idx].kernels_loaded.contains(&kernel_id);
+    /// Places a block the launch unit granted on the SMX it chose: a
+    /// kernel's first block on an SMX pays the context setup, any later
+    /// one the block-dispatch handshake.
+    fn place_block(&mut self, g: Grant, now: u64) -> Result<(), SimError> {
+        let smx = &mut self.smxs[g.smx];
+        let first_load = smx.kernels_loaded.insert(g.kernel);
         let ready_at = now
             + if first_load {
                 self.cfg.pipeline.context_setup
             } else {
                 20 // block-dispatch handshake
             };
-        if first_load {
-            self.smxs[smx_idx].kernels_loaded.insert(kernel_id);
+        let live_before = smx.live_warps;
+        let (nctaid, param, age) = (g.nctaid, g.param_addr, &mut self.warp_age);
+        if (smx.place_tb(g.kernel, &g.kernel_fn, g.tbcr, nctaid, param, ready_at, age)).is_none() {
+            let law = format!("SMX {} refused {:?} despite can_fit", g.smx, g.tbcr);
+            return Err(invariant(now, law));
         }
-        self.fold_ready(smx_idx, ready_at);
-        let live_before = self.smxs[smx_idx].live_warps;
-
-        if native_next {
-            let Some(entry) = self.kd.get_mut(kde) else {
-                return Err(invariant(now, format!("KDE {kde} vanished mid-dispatch")));
-            };
-            let blkid = entry.next_native_tb;
-            entry.next_native_tb += 1;
-            entry.native_exe += 1;
-            let nctaid = entry.grid_ntb;
-            let param = entry.param_addr;
-            let record = entry.launch_record;
-            let fully = entry.native_fully_scheduled();
-            if self.smxs[smx_idx]
-                .place_tb(
-                    kernel_id,
-                    &kernel,
-                    Tbcr {
-                        kdei: kde,
-                        agei: None,
-                        blkid,
-                    },
-                    nctaid,
-                    param,
-                    ready_at,
-                    &mut self.warp_age,
-                )
-                .is_none()
-            {
-                return Err(invariant(
-                    now,
-                    format!("SMX {smx_idx} refused a native TB despite can_fit"),
-                ));
-            }
-            if let Some(r) = record {
-                self.mark_launch_started(r, smx_idx, now);
-            }
-            if fully {
-                self.refresh_mark(kde);
-            }
-        } else {
-            let Some(group) = self.pool.nagei(kde) else {
-                return Err(invariant(now, format!("KDE {kde} lost its NAGEI group")));
-            };
-            let info = self.pool.agt().info(group);
-            let blkid = self.pool.agt_mut().tb_scheduled(group);
-            let Some(entry) = self.kd.get_mut(kde) else {
-                return Err(invariant(now, format!("KDE {kde} vanished mid-dispatch")));
-            };
-            entry.agg_exe += 1;
-            if self.smxs[smx_idx]
-                .place_tb(
-                    kernel_id,
-                    &kernel,
-                    Tbcr {
-                        kdei: kde,
-                        agei: Some(group),
-                        blkid,
-                    },
-                    info.ntb,
-                    info.param_addr,
-                    ready_at,
-                    &mut self.warp_age,
-                )
-                .is_none()
-            {
-                return Err(invariant(
-                    now,
-                    format!("SMX {smx_idx} refused an aggregated TB despite can_fit"),
-                ));
-            }
-            if let Some(r) = self.group_record.remove(&group) {
-                self.mark_launch_started(r, smx_idx, now);
-            }
-            if self.pool.agt().fully_scheduled(group) && self.pool.advance_nagei(kde).is_none() {
-                // Pool drained: the kernel leaves the FCFS queue once its
-                // native blocks are also all distributed.
-                self.refresh_mark(kde);
-            }
-        }
-        self.resident_warps += self.smxs[smx_idx].live_warps - live_before;
+        self.resident_warps += smx.live_warps - live_before;
+        self.fold_ready(g.smx, ready_at);
         self.progress_marker += 1;
-        Ok(true)
-    }
-
-    fn mark_launch_started(&mut self, record: usize, smx: usize, now: u64) {
-        if self.stats.launches[record].first_tb_at.is_none() {
-            let rec = self.stats.launch_mut(record);
-            rec.first_tb_at = Some(now);
-            let bytes = rec.reserved_bytes;
-            self.stats.remove_pending(bytes);
-            if self.tracer.on(Category::Launch) {
-                self.tracer.emit(
-                    now,
-                    EventKind::LaunchSched {
-                        record: record as u32,
-                        smx: smx as u16,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Round-robin SMX selection among those with room for one block of
-    /// `kernel`. With spatial sharing enabled, non-dynamic blocks are
-    /// confined to the first `num_smx - dyn_reserved_smx` SMXs.
-    fn pick_smx(&mut self, kernel: &gpu_isa::Kernel, dynamic: bool) -> Option<usize> {
-        let limit = self.smx_limit(dynamic);
-        for k in 0..limit {
-            let s = (self.rr_smx + k) % limit;
-            if self.smxs[s].can_fit(kernel, &self.cfg) {
-                self.rr_smx = (s + 1) % limit;
-                return Some(s);
-            }
-        }
-        None
-    }
-
-    /// How many SMXs, from the first, a block may be placed on.
-    pub(crate) fn smx_limit(&self, dynamic: bool) -> usize {
-        let n = self.smxs.len();
-        if dynamic {
-            n
-        } else {
-            n.saturating_sub(self.cfg.dyn_reserved_smx).max(1)
-        }
+        Ok(())
     }
 
     // ---- warp issue --------------------------------------------------------
@@ -1234,7 +798,6 @@ impl Gpu {
 
         let pipe = self.cfg.pipeline;
         let lat = self.cfg.latency;
-        let fault = self.cfg.fault;
 
         let param_base = tb.param_base;
         let shared_fault = |addr: u32, size: usize| SimError::SharedMemFault {
@@ -1314,12 +877,7 @@ impl Gpu {
                     if mask & (1 << lane) == 0 {
                         continue;
                     }
-                    let Some(addr) =
-                        heap_alloc(&mut self.alloc, &fault, now, &mut self.stats, bytes)
-                    else {
-                        return Err(SimError::OutOfMemory { bytes });
-                    };
-                    self.param_bytes.insert(addr, bytes);
+                    let addr = (self.launch_unit).alloc_param(bytes, now, launch_ctx!(self))?;
                     self.stats.add_pending(u64::from(bytes));
                     warp.regs.write_lane(dst, lane as usize, addr);
                 }
@@ -1373,7 +931,8 @@ impl Gpu {
                 ready.set(w, visible_at);
                 for i in 0..self.launch_buf.len() {
                     let (hw_tid, req) = self.launch_buf[i];
-                    self.handle_launch(hw_tid, req, now, visible_at)?;
+                    let ctx = launch_ctx!(self);
+                    (self.launch_unit).handle_launch(hw_tid, req, now, visible_at, ctx)?;
                 }
             }
             UOp::Ld { .. } | UOp::St { .. } | UOp::LdParam { .. } | UOp::Atom { .. } => {
@@ -1580,9 +1139,8 @@ impl Gpu {
 
     // ---- thread-block / kernel completion ----------------------------------------
 
-    /// Releases a completed thread block's slot and does the bookkeeping
-    /// that follows: KD/AGT counters, kernel retirement,
-    /// FCFS/pool/KMU/heap cleanup.
+    /// Releases a completed thread block's slot and hands the block to
+    /// the launch unit's bookkeeping.
     fn on_tb_complete(&mut self, s: usize, slot: usize, now: u64) -> Result<(), SimError> {
         let Some(tbcr) = self.smxs[s].release_tb(slot) else {
             return Err(invariant(
@@ -1592,64 +1150,16 @@ impl Gpu {
         };
         self.stats.tb_completed += 1;
         self.progress_marker += 1;
-        self.capacity_epoch += 1;
-        let kde = tbcr.kdei;
-        {
-            let Some(entry) = self.kd.get_mut(kde) else {
-                return Err(invariant(
-                    now,
-                    format!("TB completed for non-resident KDE {kde}"),
-                ));
-            };
-            match tbcr.agei {
-                None => {
-                    entry.native_done += 1;
-                    entry.native_exe -= 1;
-                }
-                Some(group) => {
-                    entry.agg_exe -= 1;
-                    self.pool.agt_mut().tb_finished(group);
-                }
-            }
-        }
-        let Some(entry) = self.kd.get(kde) else {
-            return Err(invariant(
-                now,
-                format!("KDE {kde} vanished during completion"),
-            ));
-        };
-        let done = entry.native_fully_scheduled()
-            && entry.native_all_done()
-            && entry.agg_exe == 0
-            && self.pool.nagei(kde).is_none();
-        if done {
-            let Some(entry) = self.kd.release(kde) else {
-                return Err(invariant(now, format!("KDE {kde} vanished at release")));
-            };
-            if self.tracer.on(Category::Launch) {
-                self.tracer.emit(
-                    now,
-                    EventKind::KernelRetire {
-                        kde,
-                        kernel: entry.kernel.0,
-                    },
-                );
-            }
-            self.pool.reset_kde(kde);
-            self.agt_walk.remove(&kde);
-            self.fcfs.unmark(kde);
-            if let Some(hwq) = entry.hwq {
-                self.kmu.unblock_hwq(hwq);
-            }
-            // The retired kernel's parameter buffer no longer pins heap
-            // accounting (bump allocator: bytes only, no address reuse).
-            // Free exactly the bytes recorded at allocation; a kernel
-            // launched via a caller-managed buffer recorded nothing.
-            if let Some(bytes) = self.param_bytes.remove(&entry.param_addr) {
-                self.alloc.free_accounting(bytes);
-            }
-        }
-        Ok(())
+        (self.launch_unit).block_finished(tbcr, now, launch_ctx!(self))
+    }
+}
+
+/// How many of the `n` SMXs, from the first, a block may be placed on.
+pub(crate) fn smx_limit(n: usize, cfg: &GpuConfig, dynamic: bool) -> usize {
+    if dynamic {
+        n
+    } else {
+        n.saturating_sub(cfg.dyn_reserved_smx).max(1)
     }
 }
 

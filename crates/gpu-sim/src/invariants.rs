@@ -45,12 +45,8 @@
 //!    slot or a queued kernel from the scheduler. Each check is O(slots).
 
 use crate::error::SimError;
-use crate::gpu::Gpu;
+use crate::gpu::{smx_limit, Gpu};
 use crate::smx::warp::WarpState;
-
-/// How often the O(live groups) descriptor-chain walk runs; the cheap
-/// accounting laws run every cycle.
-const CHAIN_WALK_STRIDE: u64 = 256;
 
 impl Gpu {
     /// Checks every invariant law, returning the first violation.
@@ -64,11 +60,7 @@ impl Gpu {
             Err(SimError::InvariantViolation { cycle, law })
         };
 
-        // Laws 1–3 per SMX, accumulating resident-block counts per KDE
-        // slot (a block's slot is in range: the unmapped-KDE law returns
-        // before its tally).
-        let mut native_resident = vec![0u32; self.kd.capacity()];
-        let mut agg_resident = vec![0u32; self.kd.capacity()];
+        // Laws 1–2 per SMX (law 3 is the launch unit's, below).
         let mut total_waiting_mem: usize = 0;
         let mut resident_warps = 0u32;
         for smx in &self.smxs {
@@ -100,24 +92,6 @@ impl Gpu {
                         "SMX {} TB slot {slot}: {} barrier arrivals exceed {} live warps",
                         smx.id, tb.barrier_arrived, tb.live_warps
                     ));
-                }
-                if self.kd.get(tb.tbcr.kdei).is_none() {
-                    return fail(format!(
-                        "SMX {} TB slot {slot}: resident block of unmapped KDE {}",
-                        smx.id, tb.tbcr.kdei
-                    ));
-                }
-                match tb.tbcr.agei {
-                    None => native_resident[tb.tbcr.kdei as usize] += 1,
-                    Some(group) => {
-                        agg_resident[tb.tbcr.kdei as usize] += 1;
-                        if !self.pool.agt().contains(group) {
-                            return fail(format!(
-                                "SMX {} TB slot {slot}: aggregated block of a freed AGT group",
-                                smx.id
-                            ));
-                        }
-                    }
                 }
             }
             if threads != smx.used_threads || regs != smx.used_regs || shared != smx.used_shared {
@@ -207,11 +181,8 @@ impl Gpu {
                 self.resident_warps
             ));
         }
-        for (kde, miss) in self.fit_miss.iter().enumerate() {
-            let Some(miss) = miss.filter(|m| m.epoch == self.capacity_epoch) else {
-                continue;
-            };
-            let limit = self.smx_limit(miss.dynamic);
+        for (kde, miss) in self.launch_unit.fit_misses() {
+            let limit = smx_limit(self.smxs.len(), &self.cfg, miss.dynamic);
             if let Some(smx) =
                 (self.smxs[..limit].iter()).find(|smx| smx.has_room(miss.needs, &self.cfg))
             {
@@ -223,13 +194,6 @@ impl Gpu {
                 ));
             }
         }
-        if self.kd.is_empty() != self.kd.occupied().next().is_none() {
-            return fail(format!(
-                "distributor says empty={} with {} occupied slots",
-                self.kd.is_empty(),
-                self.kd.occupied().count()
-            ));
-        }
         let now = cycle.saturating_sub(1);
         let (wake, next) = (self.timing.next_wake(), self.timing.next_event_at(now));
         if wake.unwrap_or(u64::MAX) > next.unwrap_or(u64::MAX) {
@@ -237,82 +201,13 @@ impl Gpu {
                 "memory wake-up {wake:?} is past its next event {next:?} after cycle {now}"
             ));
         }
-        let queued: usize = self.kmu.hwq_depths().iter().sum();
-        if queued != self.kmu.host_queued() {
-            return fail(format!(
-                "KMU counts {} queued host kernels but its work queues hold {queued}",
-                self.kmu.host_queued()
-            ));
-        }
-
-        // Law 3 (KDE side): counters match resident blocks; schedule
-        // cursors stay within the grid.
-        for kde in self.kd.occupied() {
-            let Some(entry) = self.kd.get(kde) else {
-                continue;
-            };
-            if entry.next_native_tb > entry.grid_ntb {
-                return fail(format!(
-                    "KDE {kde} scheduled {} native blocks of a {}-block grid",
-                    entry.next_native_tb, entry.grid_ntb
-                ));
-            }
-            if entry.native_done + entry.native_exe > entry.next_native_tb {
-                return fail(format!(
-                    "KDE {kde}: {} done + {} executing native blocks exceed {} scheduled",
-                    entry.native_done, entry.native_exe, entry.next_native_tb
-                ));
-            }
-            let resident = native_resident[kde as usize];
-            if entry.native_exe != resident {
-                return fail(format!(
-                    "KDE {kde}: native_exe={} but {resident} native blocks are resident",
-                    entry.native_exe
-                ));
-            }
-            let resident = agg_resident[kde as usize];
-            if entry.agg_exe != resident {
-                return fail(format!(
-                    "KDE {kde}: agg_exe={} but {resident} aggregated blocks are resident",
-                    entry.agg_exe
-                ));
-            }
-            // Law 4: chain walk, amortized.
-            if cycle.is_multiple_of(CHAIN_WALK_STRIDE) {
-                if let Err(e) = self.pool.chain_check(kde) {
-                    return fail(format!("KDE {kde} descriptor chain: {e}"));
-                }
-            }
-        }
-        // Resident blocks of released KDEs would have tripped the unmapped
-        // check above; a pool chain on a *free* KDE slot is a leak.
-        if cycle.is_multiple_of(CHAIN_WALK_STRIDE) {
-            for kde in 0..self.kd.capacity() as u32 {
-                if self.kd.get(kde).is_none() && self.pool.nagei(kde).is_some() {
-                    return fail(format!("free KDE {kde} still owns a descriptor chain"));
-                }
-            }
-        }
-
-        // Law 6: FCFS mark consistency. Every transition that exhausts a
-        // kernel's distributable work re-derives its mark (refresh_mark),
-        // so a marked entry must always be resident and have work left.
-        for kde in self.fcfs.marked_in_order() {
-            let Some(entry) = self.kd.get(kde) else {
-                return fail(format!("FCFS-marked kernel {kde} has no resident KDE"));
-            };
-            let native_pending =
-                self.fcfs.is_first_dispatch(kde) && !entry.native_fully_scheduled();
-            if !native_pending && self.pool.nagei(kde).is_none() {
-                return fail(format!(
-                    "FCFS-marked kernel {kde} has nothing to distribute \
-                     (native {}/{} scheduled, first-dispatch={}, empty pool)",
-                    entry.next_native_tb,
-                    entry.grid_ntb,
-                    self.fcfs.is_first_dispatch(kde)
-                ));
-            }
-        }
+        // Laws 3, 4, 6 and the launch unit's cached counts, over every
+        // resident block's TBCR.
+        let blocks = self.smxs.iter().flat_map(|smx| {
+            let slots = smx.tb_slots.iter().enumerate();
+            slots.filter_map(|(slot, tb)| Some((smx.id, slot, tb.as_ref()?.tbcr)))
+        });
+        self.launch_unit.check_laws(cycle, blocks).or_else(fail)?;
 
         // Law 5: memory-request conservation.
         if total_waiting_mem != self.access_owner.len() {

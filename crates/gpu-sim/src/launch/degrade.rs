@@ -33,14 +33,13 @@
 //! Every decision here depends only on simulated state, so the ladder is
 //! bit-identical across the per-cycle and event-driven engines.
 
-use crate::dispatch::PendingKernel;
+use super::{record_launch, LaunchCtx, LaunchUnit};
+use crate::config::GpuConfig;
 use crate::error::SimError;
-use crate::gpu::Gpu;
 use crate::stats::{DynLaunchKind, LaunchRecord};
 use gpu_isa::interp::{self, WordMem};
 use gpu_mem::BackingStore;
 use gpu_trace::{Category, EventKind, LaunchPath};
-use std::cmp::{Ordering, Reverse};
 use std::sync::Arc;
 
 /// Retry attempts at a saturated KMU before a launch falls to the
@@ -60,43 +59,17 @@ fn backoff_cycles(attempt: u32) -> u64 {
     BACKOFF_BASE.saturating_mul(1u64 << shift).min(BACKOFF_CAP)
 }
 
-/// One launch waiting out its backoff in the ladder's retry queue.
+/// One launch waiting out its backoff in the ladder's retry queue, keyed
+/// there by the cycle it matures.
 #[derive(Clone, Debug)]
 pub(crate) struct LaunchRetry {
-    /// Cycle the retry matures.
-    pub ready_at: u64,
-    /// Tie-breaker: retries maturing on the same cycle re-attempt in the
-    /// order they were deferred.
-    pub seq: u64,
     /// The deferred request, verbatim.
-    pub req: gpu_isa::LaunchRequest,
+    req: gpu_isa::LaunchRequest,
     /// Launch mechanism the request was classified as when first deferred.
-    pub kind: DynLaunchKind,
+    kind: DynLaunchKind,
     /// 1-based attempt number this entry represents.
-    pub attempt: u32,
+    attempt: u32,
 }
-
-// Heap order is (ready_at, seq) only — the request payload never
-// participates, so the queue pops in deterministic defer order.
-impl Ord for LaunchRetry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.ready_at, self.seq).cmp(&(other.ready_at, other.seq))
-    }
-}
-
-impl PartialOrd for LaunchRetry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for LaunchRetry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.ready_at, self.seq) == (other.ready_at, other.seq)
-    }
-}
-
-impl Eq for LaunchRetry {}
 
 /// The simulator's functional device memory viewed through the reference
 /// interpreter's word-memory trait (rung 3 executes child grids directly
@@ -113,7 +86,7 @@ impl WordMem for SimWordMem<'_> {
     }
 }
 
-impl Gpu {
+impl LaunchUnit {
     /// Parks a KMU-saturated launch for retry `attempt` (1-based) after
     /// its deterministic backoff, or — once [`MAX_RETRIES`] are spent —
     /// drops it to the host-serialized rung.
@@ -122,20 +95,21 @@ impl Gpu {
     ///
     /// Only from the final rung: a child that cannot be serialized
     /// surfaces the original [`SimError::KmuSaturated`].
-    pub(crate) fn defer_launch(
+    pub(super) fn defer_launch(
         &mut self,
         req: gpu_isa::LaunchRequest,
         kind: DynLaunchKind,
         now: u64,
         attempt: u32,
+        ctx: &mut LaunchCtx,
     ) -> Result<(), SimError> {
         if attempt > MAX_RETRIES {
-            return self.host_serialize_launch(req, kind, now, attempt.saturating_sub(1));
+            return self.host_serialize_launch(req, kind, now, attempt.saturating_sub(1), ctx);
         }
         let ready_at = now + backoff_cycles(attempt);
-        self.stats.launch_backoffs += 1;
-        if self.tracer.on(Category::Launch) {
-            self.tracer.emit(
+        ctx.stats.launch_backoffs += 1;
+        if ctx.tracer.on(Category::Launch) {
+            ctx.tracer.emit(
                 now,
                 EventKind::LaunchBackoff {
                     kernel: req.kernel.0,
@@ -144,14 +118,8 @@ impl Gpu {
                 },
             );
         }
-        self.retry_seq += 1;
-        self.retry_q.push(Reverse(LaunchRetry {
-            ready_at,
-            seq: self.retry_seq,
-            req,
-            kind,
-            attempt,
-        }));
+        self.retries
+            .push(ready_at, LaunchRetry { req, kind, attempt });
         Ok(())
     }
 
@@ -172,29 +140,18 @@ impl Gpu {
         from_kind: DynLaunchKind,
         now: u64,
         attempts: u32,
+        ctx: &mut LaunchCtx,
     ) -> Result<(), SimError> {
         let pending = self.kmu.pending_device_kernels();
-        let Some(kernel_fn) = self.program.get(req.kernel) else {
-            return Err(SimError::UnknownKernel(req.kernel));
-        };
+        let kernel_fn = (ctx.program.get(req.kernel)).ok_or(SimError::UnknownKernel(req.kernel))?;
         let kernel_fn = Arc::clone(kernel_fn);
-        {
-            let mut mem = SimWordMem(&mut self.mem);
-            if interp::run_kernel(&kernel_fn, req.ntb, req.param_addr, &mut mem).is_err() {
-                return Err(SimError::KmuSaturated { pending });
-            }
+        let mut mem = SimWordMem(ctx.mem);
+        if interp::run_kernel(&kernel_fn, req.ntb, req.param_addr, &mut mem).is_err() {
+            return Err(SimError::KmuSaturated { pending });
         }
-        self.stats.degraded_to_host_serial += 1;
-        let record = self.stats.push_launch(LaunchRecord {
-            kind: DynLaunchKind::HostSerialized,
-            launched_at: now,
-            first_tb_at: Some(now),
-            ntb: req.ntb,
-            threads_per_tb: kernel_fn.threads_per_block(),
-            reserved_bytes: 0,
-        });
-        if self.tracer.on(Category::Launch) {
-            self.tracer.emit(
+        ctx.stats.degraded_to_host_serial += 1;
+        if ctx.tracer.on(Category::Launch) {
+            ctx.tracer.emit(
                 now,
                 EventKind::LaunchDegraded {
                     kernel: req.kernel.0,
@@ -203,29 +160,29 @@ impl Gpu {
                     attempts,
                 },
             );
-            self.tracer.emit(
-                now,
-                EventKind::DynLaunch {
-                    record: record as u32,
-                    path: LaunchPath::HostSerial.code(),
-                    kernel: req.kernel.0,
-                    ntb: req.ntb,
-                },
-            );
         }
+        let record = LaunchRecord {
+            kind: DynLaunchKind::HostSerialized,
+            launched_at: now,
+            first_tb_at: Some(now),
+            ntb: req.ntb,
+            threads_per_tb: kernel_fn.threads_per_block(),
+            reserved_bytes: 0,
+        };
+        record_launch(req.kernel, record, ctx);
         // The grid has run: its parameter buffer no longer pins heap
         // accounting, and the pending-bytes share `GetParamBuf` charged
         // is released exactly as a first-TB start would have.
         if let Some(bytes) = self.param_bytes.remove(&req.param_addr) {
-            self.alloc.free_accounting(bytes);
-            self.stats.remove_pending(u64::from(bytes));
+            ctx.alloc.free_accounting(bytes);
+            ctx.stats.remove_pending(u64::from(bytes));
         }
-        self.progress_marker += 1;
+        *ctx.progress += 1;
         Ok(())
     }
 
     /// Drains the ladder's queues at the top of a step: matured retries
-    /// re-attempt their KMU enqueue in (ready_at, seq) order, and parked
+    /// re-attempt their KMU enqueue in (ready_at, defer order), and parked
     /// host launches re-enter their hardware work queue as capacity
     /// frees. Returns whether any state changed (the step is not quiet).
     ///
@@ -233,35 +190,16 @@ impl Gpu {
     ///
     /// Whatever the re-attempted enqueue or the final serialization rung
     /// reports.
-    pub(crate) fn process_deferred(&mut self, now: u64) -> Result<bool, SimError> {
+    pub(super) fn process_deferred(
+        &mut self,
+        now: u64,
+        ctx: &mut LaunchCtx,
+    ) -> Result<bool, SimError> {
         let mut changed = false;
-        while let Some(Reverse(head)) = self.retry_q.peek() {
-            if head.ready_at > now {
-                break;
-            }
-            let Some(Reverse(entry)) = self.retry_q.pop() else {
-                break;
-            };
+        while let Some(entry) = self.retries.pop_due(now) {
             changed = true;
-            let Some(kernel_fn) = self.program.get(entry.req.kernel) else {
-                return Err(SimError::UnknownKernel(entry.req.kernel));
-            };
-            let threads_per_tb = kernel_fn.threads_per_block();
-            let param_sz = u64::from(
-                self.param_bytes
-                    .get(&entry.req.param_addr)
-                    .copied()
-                    .unwrap_or(0),
-            );
-            self.enqueue_device_kernel(
-                entry.req,
-                threads_per_tb,
-                param_sz,
-                entry.kind,
-                now,
-                now,
-                entry.attempt,
-            )?;
+            let LaunchRetry { req, kind, attempt } = entry;
+            self.enqueue_device_kernel(req, kind, now, now, attempt, ctx)?;
         }
         // One full rotation of the deferral queue: admissible launches
         // enter their queue, blocked ones keep their relative order.
@@ -269,12 +207,12 @@ impl Gpu {
             let Some((stream, pk)) = self.host_deferred.pop_front() else {
                 break;
             };
-            if self.hwq_overloaded(stream) {
+            if self.hwq_overloaded(stream, now, ctx.cfg) {
                 self.host_deferred.push_back((stream, pk));
             } else {
                 changed = true;
                 self.kmu.push_host(stream, pk);
-                self.progress_marker += 1;
+                *ctx.progress += 1;
             }
         }
         Ok(changed)
@@ -282,45 +220,37 @@ impl Gpu {
 
     /// True when `stream`'s hardware work queue sits at an injected
     /// capacity limit, so a host launch must wait in the deferral queue.
-    pub(crate) fn hwq_overloaded(&self, stream: u32) -> bool {
-        self.cfg.fault.hwq_capacity.is_some_and(|cap| {
-            self.cfg.fault.active_at(self.cycle) && self.kmu.hwq_depth(stream) >= cap
-        })
+    pub(super) fn hwq_overloaded(&self, stream: u32, now: u64, cfg: &GpuConfig) -> bool {
+        cfg.fault
+            .hwq_capacity
+            .is_some_and(|cap| cfg.fault.active_at(now) && self.kmu.hwq_depth(stream) >= cap)
     }
+}
 
-    /// Parks a host launch whose hardware work queue is at capacity in
-    /// the software deferral queue; [`process_deferred`](Self::process_deferred)
-    /// re-admits it once the queue drains.
-    pub(crate) fn park_host_launch(&mut self, stream: u32, pk: PendingKernel) {
-        self.stats.host_launches_deferred += 1;
-        self.host_deferred.push_back((stream, pk));
-    }
-
-    /// Counts (and traces) an aggregated launch the ladder demoted from
-    /// the DTBL rung to a plain device kernel.
-    pub(crate) fn note_agg_degraded(&mut self, kernel: gpu_isa::KernelId, now: u64) {
-        self.stats.degraded_to_device_kernel += 1;
-        if self.tracer.on(Category::Launch) {
-            self.tracer.emit(
-                now,
-                EventKind::LaunchDegraded {
-                    kernel: kernel.0,
-                    from_path: LaunchPath::AggGroup.code(),
-                    to_path: LaunchPath::AggFallback.code(),
-                    attempts: 0,
-                },
-            );
-        }
+/// Counts (and traces) an aggregated launch the ladder demoted from the
+/// DTBL rung to a plain device kernel.
+pub(super) fn note_agg_degraded(kernel: gpu_isa::KernelId, now: u64, ctx: &mut LaunchCtx) {
+    ctx.stats.degraded_to_device_kernel += 1;
+    if ctx.tracer.on(Category::Launch) {
+        ctx.tracer.emit(
+            now,
+            EventKind::LaunchDegraded {
+                kernel: kernel.0,
+                from_path: LaunchPath::AggGroup.code(),
+                to_path: LaunchPath::AggFallback.code(),
+                attempts: 0,
+            },
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::{backoff_cycles, BACKOFF_CAP};
-    use crate::dispatch::{Origin, PendingKernel};
-    use crate::{Gpu, GpuConfig};
+    use crate::launch::tests::Machine;
+    use crate::launch::{HostParams, LaunchUnit};
+    use crate::GpuConfig;
     use gpu_isa::{Dim3, KernelBuilder, Program};
-    use std::sync::Arc;
 
     #[test]
     fn backoff_is_exponential_and_capped() {
@@ -331,34 +261,29 @@ mod tests {
         assert_eq!(backoff_cycles(u32::MAX), BACKOFF_CAP);
     }
 
-    /// A Gpu whose hardware work queues sit at an injected capacity cap,
-    /// plus three parked host launches tagged 1, 2, 3 via `param_addr`.
-    fn gpu_with_parked_launches(hwq_capacity: Option<usize>) -> Gpu {
+    /// A launch unit whose hardware work queues sit at an injected
+    /// capacity cap, plus three host launches tagged 1, 2, 3 via
+    /// `param_addr` that a cap of 0 parked, and the machine it borrows.
+    fn unit_with_parked_launches(hwq_capacity: Option<usize>) -> (LaunchUnit, Machine) {
         let mut prog = Program::new();
         let mut b = KernelBuilder::new("noop", Dim3::x(32), 1);
         let _ = b.imm(0);
         let k = prog.add(b.build().expect("valid kernel"));
         let mut cfg = GpuConfig::test_small();
-        cfg.fault.hwq_capacity = hwq_capacity;
-        let mut gpu = Gpu::new(cfg, prog);
+        cfg.fault.hwq_capacity = Some(0);
+        let mut m = Machine::new(cfg, prog);
+        let mut unit = LaunchUnit::new(&m.cfg);
         for tag in 1..=3u32 {
-            let kernel_fn = Arc::clone(gpu.program.kernel(k));
-            gpu.park_host_launch(
-                0,
-                PendingKernel {
-                    kernel: k,
-                    kernel_fn,
-                    ntb: 1,
-                    param_addr: tag,
-                    origin: Origin::Host { hwq: 0 },
-                },
-            );
+            let params = HostParams::At(tag);
+            unit.submit_host(k, 1, 0, params, 0, &mut m.ctx())
+                .expect("parked");
         }
-        gpu
+        m.cfg.fault.hwq_capacity = hwq_capacity;
+        (unit, m)
     }
 
-    fn parked_tags(gpu: &Gpu) -> Vec<u32> {
-        gpu.host_deferred
+    fn parked_tags(unit: &LaunchUnit) -> Vec<u32> {
+        unit.host_deferred
             .iter()
             .map(|(_, pk)| pk.param_addr)
             .collect()
@@ -370,44 +295,48 @@ mod tests {
         // exactly one attempt per entry (a full rotation), report no
         // progress, and leave the deque in its original FIFO order so
         // the next cycle re-attempts the oldest launch first.
-        let mut gpu = gpu_with_parked_launches(Some(0));
-        assert_eq!(parked_tags(&gpu), vec![1, 2, 3]);
-        let changed = gpu.process_deferred(0).expect("no error");
+        let (mut unit, mut m) = unit_with_parked_launches(Some(0));
+        assert_eq!(parked_tags(&unit), vec![1, 2, 3]);
+        let changed = unit.process_deferred(0, &mut m.ctx()).expect("no error");
         assert!(!changed, "nothing admitted, nothing changed");
         assert_eq!(
-            parked_tags(&gpu),
+            parked_tags(&unit),
             vec![1, 2, 3],
             "a fully-blocked rotation preserves FIFO re-attempt order"
         );
-        assert_eq!(gpu.stats.host_launches_deferred, 3);
+        assert_eq!(m.stats.host_launches_deferred, 3);
         // Repeat passes stay bounded and stable — no starvation rotation.
         for _ in 0..5 {
-            assert!(!gpu.process_deferred(0).expect("no error"));
+            assert!(!unit.process_deferred(0, &mut m.ctx()).expect("no error"));
         }
-        assert_eq!(parked_tags(&gpu), vec![1, 2, 3]);
+        assert_eq!(parked_tags(&unit), vec![1, 2, 3]);
     }
 
     #[test]
     fn partial_capacity_admits_the_head_first() {
         // Capacity 1 with an empty queue: exactly the oldest entry (tag 1)
         // is admitted this cycle; the blocked tail keeps its order.
-        let mut gpu = gpu_with_parked_launches(Some(1));
-        let changed = gpu.process_deferred(0).expect("no error");
+        let (mut unit, mut m) = unit_with_parked_launches(Some(1));
+        let changed = unit.process_deferred(0, &mut m.ctx()).expect("no error");
         assert!(changed);
-        assert_eq!(gpu.kmu.hwq_depth(0), 1, "head entered its work queue");
-        assert_eq!(parked_tags(&gpu), vec![2, 3], "FIFO: oldest admitted first");
+        assert_eq!(unit.kmu.hwq_depth(0), 1, "head entered its work queue");
+        assert_eq!(
+            parked_tags(&unit),
+            vec![2, 3],
+            "FIFO: oldest admitted first"
+        );
     }
 
     #[test]
     fn lifted_cap_drains_everything_in_order() {
-        let mut gpu = gpu_with_parked_launches(Some(0));
-        assert!(!gpu.process_deferred(0).expect("no error"));
+        let (mut unit, mut m) = unit_with_parked_launches(Some(0));
+        assert!(!unit.process_deferred(0, &mut m.ctx()).expect("no error"));
         // The injected fault clears (cap removed): one pass drains all
         // three in FIFO order.
-        gpu.cfg.fault.hwq_capacity = None;
-        let changed = gpu.process_deferred(1).expect("no error");
+        m.cfg.fault.hwq_capacity = None;
+        let changed = unit.process_deferred(1, &mut m.ctx()).expect("no error");
         assert!(changed);
-        assert_eq!(parked_tags(&gpu), Vec::<u32>::new());
-        assert_eq!(gpu.kmu.hwq_depth(0), 3);
+        assert_eq!(parked_tags(&unit), Vec::<u32>::new());
+        assert_eq!(unit.kmu.hwq_depth(0), 3);
     }
 }

@@ -1,5 +1,6 @@
 //! The Kernel Distributor: the table of active kernels (Figure 1).
 
+use super::Origin;
 use gpu_isa::{Kernel, KernelId};
 use gpu_trace::{Category, EventKind, TraceBuffer};
 use std::sync::Arc;
@@ -29,14 +30,9 @@ pub struct KdeEntry {
     pub native_done: u32,
     /// Aggregated thread blocks currently executing for this kernel.
     pub agg_exe: u32,
-    /// Cycle the kernel entered the distributor (diagnostics).
-    pub dispatched_at: u64,
-    /// Index into the run's launch records for dynamically launched
-    /// kernels; `None` for host launches.
-    pub launch_record: Option<usize>,
-    /// Hardware work queue to unblock on completion; `None` for
-    /// device-launched kernels.
-    pub hwq: Option<usize>,
+    /// Where the kernel came from: the hardware work queue to unblock on
+    /// completion, or the launch record of a device launch.
+    pub origin: Origin,
 }
 
 impl KdeEntry {
@@ -81,14 +77,6 @@ impl KernelDistributor {
     /// Number of slots.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Index of a free slot, if any.
-    pub fn free_slot(&self) -> Option<u32> {
-        self.slots
-            .iter()
-            .position(Option::is_none)
-            .map(|i| i as u32)
     }
 
     /// Index of a free slot that is not in `excluded` (slots reserved by
@@ -195,9 +183,7 @@ mod tests {
             native_exe: 0,
             native_done: 0,
             agg_exe: 0,
-            dispatched_at: 0,
-            launch_record: None,
-            hwq: None,
+            origin: Origin::Host { hwq: 0 },
         }
     }
 
@@ -205,7 +191,7 @@ mod tests {
     fn install_release_cycle() {
         let mut kd = KernelDistributor::new(4);
         assert!(kd.is_empty());
-        let s = kd.free_slot().unwrap();
+        let s = kd.free_slot_excluding(&[]).unwrap();
         kd.install(s, entry(1)).unwrap();
         assert!(!kd.is_empty());
         assert_eq!(kd.get(s).unwrap().kernel, KernelId(1));
@@ -219,10 +205,10 @@ mod tests {
     fn fills_all_slots_then_none_free() {
         let mut kd = KernelDistributor::new(3);
         for i in 0..3 {
-            let s = kd.free_slot().unwrap();
+            let s = kd.free_slot_excluding(&[]).unwrap();
             kd.install(s, entry(i)).unwrap();
         }
-        assert_eq!(kd.free_slot(), None);
+        assert_eq!(kd.free_slot_excluding(&[]), None);
         assert_eq!(kd.occupied().count(), 3);
     }
 

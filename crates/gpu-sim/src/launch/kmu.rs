@@ -1,9 +1,10 @@
 //! The Kernel Management Unit: hardware work queues for host streams plus
 //! the device-launched kernel pool (§2.2, §2.4).
 
+use super::TimedQueue;
 use gpu_isa::{Kernel, KernelId};
 use gpu_trace::{Category, EventKind, TraceBuffer};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Where a pending kernel came from.
@@ -20,6 +21,16 @@ pub enum Origin {
         /// Index into [`Stats::launches`](crate::Stats::launches).
         record: usize,
     },
+}
+
+impl Origin {
+    /// The launch record of a device launch; `None` for a host launch.
+    pub fn record(self) -> Option<usize> {
+        match self {
+            Origin::Host { .. } => None,
+            Origin::Device { record } => Some(record),
+        }
+    }
 }
 
 /// A kernel waiting in the KMU.
@@ -41,34 +52,6 @@ pub struct PendingKernel {
     pub param_addr: u32,
     /// Provenance.
     pub origin: Origin,
-}
-
-#[derive(Clone, Debug)]
-struct Arrival {
-    at: u64,
-    seq: u64,
-    pk: PendingKernel,
-}
-
-impl PartialEq for Arrival {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Arrival {}
-
-impl Ord for Arrival {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by arrival time, FIFO within a cycle.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Arrival {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Where [`Kmu::tick`] takes its next dispatch from.
@@ -95,8 +78,8 @@ pub struct Kmu {
     host_queued: usize,
     blocked: Vec<bool>,
     device_q: VecDeque<PendingKernel>,
-    arrivals: BinaryHeap<Arrival>,
-    arrival_seq: u64,
+    /// Device launches not yet visible, keyed by the cycle they mature.
+    arrivals: TimedQueue<PendingKernel>,
     /// Kernels mid-dispatch: the dispatch path is pipelined (one new
     /// dispatch may start per cycle) with the measured 283-cycle latency;
     /// each entry is `(ready_at, reserved_slot, kernel)`.
@@ -116,8 +99,7 @@ impl Kmu {
             host_queued: 0,
             blocked: vec![false; num_hwqs],
             device_q: VecDeque::new(),
-            arrivals: BinaryHeap::new(),
-            arrival_seq: 0,
+            arrivals: TimedQueue::new(),
             in_dispatch: VecDeque::new(),
             reserved: Vec::new(),
             rr_hwq: 0,
@@ -154,9 +136,7 @@ impl Kmu {
     /// Enqueues a device-launched kernel, visible to dispatch at cycle
     /// `at` (after its launch-API latency has elapsed).
     pub fn push_device(&mut self, at: u64, pk: PendingKernel) {
-        let seq = self.arrival_seq;
-        self.arrival_seq += 1;
-        self.arrivals.push(Arrival { at, seq, pk });
+        self.arrivals.push(at, pk);
     }
 
     /// Called when a host-launched kernel completes so its work queue
@@ -181,10 +161,8 @@ impl Kmu {
         dispatch_latency: u64,
         free_slot: impl Fn(&[u32]) -> Option<u32>,
     ) -> Option<(u32, PendingKernel)> {
-        while self.arrivals.peek().is_some_and(|top| top.at <= now) {
-            if let Some(a) = self.arrivals.pop() {
-                self.device_q.push_back(a.pk);
-            }
+        while let Some(pk) = self.arrivals.pop_due(now) {
+            self.device_q.push_back(pk);
         }
 
         // Start a new dispatch: device kernels first (they are already
@@ -259,8 +237,8 @@ impl Kmu {
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut fold = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
-        if let Some(top) = self.arrivals.peek() {
-            fold(top.at.max(now + 1));
+        if let Some(at) = self.arrivals.next_at() {
+            fold(at.max(now + 1));
         }
         if let Some((ready, _, _)) = self.in_dispatch.front() {
             fold((*ready).max(now + 1));

@@ -29,12 +29,11 @@
 
 mod access_slab;
 mod config;
-mod dispatch;
 mod error;
 mod fault;
 mod gpu;
 mod invariants;
-mod runtime;
+mod launch;
 pub mod server;
 mod smx;
 mod stats;
@@ -45,7 +44,6 @@ mod watchdog;
 pub use config::{
     CancelToken, GpuConfig, LatencyTable, PipelineLatencies, RunBudget, WarpSchedPolicy,
 };
-pub use dispatch::{KdeEntry, KernelDistributor, Kmu, Origin, PendingKernel};
 pub use error::{BudgetKind, HangReport, SimError, StuckWarp, StuckWarpState};
 pub use fault::FaultPlan;
 pub use gpu::Gpu;

@@ -203,11 +203,6 @@ impl Warp {
             self.state = WarpState::Done;
         }
     }
-
-    /// Number of currently valid lanes.
-    pub fn lane_count(&self) -> u32 {
-        self.valid_mask.count_ones()
-    }
 }
 
 #[cfg(test)]
@@ -342,7 +337,7 @@ mod tests {
     #[test]
     fn partial_warp_valid_mask() {
         let w = Warp::new(0, 3, 4, 0x0000_000f, 7, WarpRegs::new());
-        assert_eq!(w.lane_count(), 4);
+        assert_eq!(w.valid_mask.count_ones(), 4);
         assert_eq!(w.current().unwrap(), (0, 0x0f));
         assert_eq!(w.age, 7);
         assert_eq!(w.hw_slot, 3);

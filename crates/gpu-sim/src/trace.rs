@@ -30,10 +30,7 @@ impl Gpu {
     /// keeps every `on(..)` guard false so no event is ever staged.
     pub(crate) fn apply_trace_mask(&mut self) {
         let mask = self.tracer.mask();
-        self.kmu.trace_mut().set_mask(mask);
-        self.kd.trace_mut().set_mask(mask);
-        self.pool.set_trace_mask(mask);
-        self.fcfs.trace_mut().set_mask(mask);
+        self.launch_unit.set_trace_mask(mask);
         for s in &mut self.smxs {
             s.trace_mut().set_mask(mask);
         }
@@ -42,10 +39,7 @@ impl Gpu {
 
     /// Drains every staging buffer into the recorder, stamping `now`.
     pub(crate) fn drain_traces(&mut self, now: u64) {
-        self.tracer.absorb(now, self.kmu.trace_mut());
-        self.tracer.absorb(now, self.kd.trace_mut());
-        self.pool.drain_trace(now, &mut self.tracer);
-        self.tracer.absorb(now, self.fcfs.trace_mut());
+        self.launch_unit.drain_trace(now, &mut self.tracer);
         for s in &mut self.smxs {
             self.tracer.absorb(now, s.trace_mut());
         }
@@ -69,6 +63,7 @@ impl Gpu {
             row_misses: mem.dram.row_misses,
         };
         let prev = std::mem::replace(&mut self.trace_win, cur);
+        let (agt_fill, agt_overflow) = self.launch_unit.agt_fill();
 
         let d_issues = cur.issues - prev.issues;
         let d_lanes = cur.lanes - prev.lanes;
@@ -93,16 +88,11 @@ impl Gpu {
             cycle: now,
             warp_activity_pct,
             occupancy_pct,
-            agt_fill: self.pool.agt().live_on_chip() as u32,
-            agt_overflow: self.pool.agt().live_overflow() as u32,
+            agt_fill: agt_fill as u32,
+            agt_overflow: agt_overflow as u32,
             dram_efficiency_pct,
             issues: d_issues,
         });
-    }
-
-    /// True when event tracing is enabled for this run.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.enabled()
     }
 
     /// Takes the recorded trace (events, samples, drop counter), leaving

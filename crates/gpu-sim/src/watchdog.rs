@@ -57,13 +57,9 @@ impl Gpu {
             cycle: self.cycle,
             last_progress_cycle,
             stuck_warps,
-            hwq_depths: self.kmu.hwq_depths(),
-            kmu_pending_device: self.kmu.pending_device_kernels(),
-            kd_occupied: self.kd.occupied().count(),
-            agt_live_on_chip: self.pool.agt().live_on_chip(),
-            agt_live_overflow: self.pool.agt().live_overflow(),
             outstanding_mem: self.timing.in_flight(),
             recent_events: self.tracer.recent(),
+            ..self.launch_unit.hang_report()
         }
     }
 }

@@ -37,7 +37,7 @@ const CDP_DISPATCH_CYCLES: u64 = 0;
 /// Cycles from a DTBL launch's issue to its aggregated group's first
 /// thread block starting. The group enters the AGT at the issue cycle, so
 /// `cudaLaunchAggGroup` delays only the parent warp, not the child
-/// (ROADMAP item 2, an open modelling question).
+/// (ROADMAP item 3, an open modelling question).
 const DTBL_FIRST_TB_GAP: u64 = 1;
 
 /// The child: one warp that spins `param[0]` times. A host-launched
