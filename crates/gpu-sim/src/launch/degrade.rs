@@ -339,4 +339,23 @@ mod tests {
         assert_eq!(parked_tags(&unit), Vec::<u32>::new());
         assert_eq!(unit.kmu.hwq_depth(0), 3);
     }
+
+    #[test]
+    fn a_blocked_stream_does_not_hold_back_another() {
+        // Tags 1-3 parked on stream 0; tag 4 parks on stream 1 too. With
+        // a cap of 1 and stream 0's queue already holding a kernel, the
+        // pass admits tag 4 past the three blocked ones, which keep their
+        // order at the front.
+        let (mut unit, mut m) = unit_with_parked_launches(Some(0));
+        let k = gpu_isa::KernelId(0);
+        unit.submit_host(k, 1, 1, HostParams::At(4), 0, &mut m.ctx())
+            .expect("parked");
+        m.cfg.fault.hwq_capacity = None;
+        unit.submit_host(k, 1, 0, HostParams::At(5), 0, &mut m.ctx())
+            .expect("queued");
+        m.cfg.fault.hwq_capacity = Some(1);
+        assert!(unit.process_deferred(0, &mut m.ctx()).expect("no error"));
+        assert_eq!(parked_tags(&unit), vec![1, 2, 3]);
+        assert_eq!((unit.kmu.hwq_depth(0), unit.kmu.hwq_depth(1)), (1, 1));
+    }
 }
