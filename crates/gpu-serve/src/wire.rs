@@ -499,10 +499,6 @@ pub fn sim_error_to_json(e: &SimError) -> Json {
             vec![("cycle".into(), num(report.cycle))],
         ),
         SimError::Hang { report } => ("hang", vec![("cycle".into(), num(report.cycle))]),
-        SimError::KmuSaturated { pending } => (
-            "kmu_saturated",
-            vec![("pending".into(), num(*pending as u64))],
-        ),
         SimError::SharedMemFault { smx, tb_slot, .. } => (
             "shared_mem_fault",
             vec![

@@ -93,13 +93,6 @@ pub enum SimError {
         /// Machine-state snapshot naming the stuck warps.
         report: Box<HangReport>,
     },
-    /// A device-side launch found the KMU's device-kernel pool at the
-    /// injected capacity limit through every backed-off retry, and the
-    /// degradation ladder's last rung could not host-serialize it.
-    KmuSaturated {
-        /// Pending device kernels at rejection.
-        pending: usize,
-    },
     /// A warp accessed shared memory outside its block's allocation — a
     /// bug in the simulated program, reported instead of crashing the
     /// simulator.
@@ -197,12 +190,6 @@ impl fmt::Display for SimError {
             }
             SimError::Hang { report } => {
                 write!(f, "no forward progress (hang) detected\n{report}")
-            }
-            SimError::KmuSaturated { pending } => {
-                write!(
-                    f,
-                    "KMU device-kernel pool saturated ({pending} kernels pending)"
-                )
             }
             SimError::SharedMemFault {
                 smx,
@@ -469,9 +456,6 @@ mod tests {
 
     #[test]
     fn errors_format_their_context() {
-        assert!(SimError::KmuSaturated { pending: 8 }
-            .to_string()
-            .contains("8 kernels pending"));
         assert!(SimError::InvariantViolation {
             cycle: 99,
             law: "conservation".into()

@@ -31,8 +31,7 @@ pub struct FaultPlan {
     /// beyond it wait in a software deferral queue until it drains.
     pub hwq_capacity: Option<usize>,
     /// Cap on pending device-launched kernels in the KMU; device launches
-    /// beyond it retry with backoff, then run host-serialized (failing
-    /// with `SimError::KmuSaturated` only when that last rung cannot).
+    /// beyond it retry with backoff, then run host-serialized.
     pub kmu_device_capacity: Option<usize>,
     /// Extra cycles added to every memory completion's wake-up, modelling
     /// a degraded memory path.

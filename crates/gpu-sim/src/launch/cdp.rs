@@ -26,9 +26,8 @@ impl LaunchUnit {
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownKernel`] for a kernel not in the program, and
-    /// [`SimError::KmuSaturated`] from the ladder's last rung when a
-    /// saturated launch cannot be host-serialized.
+    /// [`SimError::UnknownKernel`] for a kernel not in the program, and a
+    /// guest fault in a grid the ladder's last rung host-serializes.
     pub(super) fn enqueue_device_kernel(
         &mut self,
         req: gpu_isa::LaunchRequest,

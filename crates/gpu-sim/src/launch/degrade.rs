@@ -20,11 +20,12 @@
 //!    falls to rung 3.
 //! 3. **Host-serialized execution** — the child grid runs functionally on
 //!    the reference interpreter against the simulator's own device
-//!    memory, immediately and off the timing model
-//!    (`degraded_to_host_serial`, recorded as
-//!    [`DynLaunchKind::HostSerialized`]). A child that itself launches
-//!    cannot be serialized; the original saturation error surfaces then —
-//!    the ladder is best-effort, never wrong.
+//!    memory and heap, immediately and off the timing model
+//!    (`degraded_to_host_serial`), and so does every grid it launches, at
+//!    any depth. Each grid is recorded as
+//!    [`DynLaunchKind::HostSerialized`]. The rung never fails on its own
+//!    account: a guest fault in a serialized grid surfaces as the typed
+//!    error the timed path gives for it (see `guest_fault`).
 //!
 //! Host launches whose hardware work queue sits at an injected cap take a
 //! parallel (single-rung) path: they park in a software deferral queue
@@ -35,12 +36,11 @@
 
 use super::{record_launch, LaunchCtx, LaunchUnit};
 use crate::config::GpuConfig;
-use crate::error::SimError;
+use crate::error::{HangReport, SimError};
 use crate::stats::{DynLaunchKind, LaunchRecord};
-use gpu_isa::interp::{self, WordMem};
-use gpu_mem::BackingStore;
+use gpu_isa::interp::{self, InterpError, WordMem};
+use gpu_isa::KernelId;
 use gpu_trace::{Category, EventKind, LaunchPath};
-use std::sync::Arc;
 
 /// Retry attempts at a saturated KMU before a launch falls to the
 /// host-serialized rung.
@@ -71,18 +71,52 @@ pub(crate) struct LaunchRetry {
     attempt: u32,
 }
 
-/// The simulator's functional device memory viewed through the reference
-/// interpreter's word-memory trait (rung 3 executes child grids directly
-/// against it).
-struct SimWordMem<'a>(&'a mut BackingStore);
+/// The machine as rung 3's interpreter sees it: the simulator's device
+/// memory, parameter buffers from its heap (so an injected heap cap
+/// holds), and one host-serialized launch record per grid that runs.
+struct HostSerial<'u, 'c, 'm> {
+    unit: &'u mut LaunchUnit,
+    ctx: &'c mut LaunchCtx<'m>,
+    now: u64,
+}
 
-impl WordMem for SimWordMem<'_> {
+impl WordMem for HostSerial<'_, '_, '_> {
     fn read_u32(&self, addr: u32) -> u32 {
-        self.0.read_u32(addr)
+        self.ctx.mem.read_u32(addr)
     }
 
     fn write_u32(&mut self, addr: u32, v: u32) {
-        self.0.write_u32(addr, v)
+        self.ctx.mem.write_u32(addr, v)
+    }
+
+    /// Charged as the timed `GetParamBuf` charges it: heap bytes recorded
+    /// against the buffer, plus pending bytes.
+    fn alloc(&mut self, bytes: u32) -> Option<u32> {
+        let addr = self.unit.alloc_param(bytes, self.now, self.ctx).ok()?;
+        self.ctx.stats.add_pending(u64::from(bytes));
+        Some(addr)
+    }
+
+    fn grid_finished(&mut self, kernel: KernelId, ntb: u32, param_addr: u32) {
+        let ctx = &mut *self.ctx;
+        let threads_per_tb = (ctx.program.get(kernel)).map_or(0, |k| k.threads_per_block());
+        let record = LaunchRecord {
+            kind: DynLaunchKind::HostSerialized,
+            launched_at: self.now,
+            first_tb_at: Some(self.now),
+            ntb,
+            threads_per_tb,
+            reserved_bytes: 0,
+        };
+        record_launch(kernel, record, ctx);
+        // The grid has run: its parameter buffer no longer pins heap
+        // accounting, and the pending-bytes share `GetParamBuf` charged
+        // is released exactly as a first-TB start would have.
+        if let Some(bytes) = self.unit.param_bytes.remove(&param_addr) {
+            ctx.alloc.free_accounting(bytes);
+            ctx.stats.remove_pending(u64::from(bytes));
+        }
+        *ctx.progress += 1;
     }
 }
 
@@ -93,8 +127,7 @@ impl LaunchUnit {
     ///
     /// # Errors
     ///
-    /// Only from the final rung: a child that cannot be serialized
-    /// surfaces the original [`SimError::KmuSaturated`].
+    /// Only from the final rung: a guest fault in a grid it runs.
     pub(super) fn defer_launch(
         &mut self,
         req: gpu_isa::LaunchRequest,
@@ -123,17 +156,16 @@ impl LaunchUnit {
         Ok(())
     }
 
-    /// The ladder's last rung: runs the child grid functionally on the
-    /// reference interpreter against the simulator's device memory. The
-    /// grid's memory effects land immediately (host-serialized execution
-    /// is off the timing model by definition); the launch is recorded as
-    /// [`DynLaunchKind::HostSerialized`] with a zero waiting time.
+    /// The ladder's last rung: runs the child grid, and every grid it
+    /// launches, functionally on the reference interpreter against the
+    /// simulator's device memory. Memory effects land immediately
+    /// (host-serialized execution is off the timing model by definition);
+    /// each grid is recorded as [`DynLaunchKind::HostSerialized`] with a
+    /// zero waiting time.
     ///
     /// # Errors
     ///
-    /// [`SimError::KmuSaturated`] when the child cannot be serialized
-    /// (it contains device-side launches, or trips the interpreter) —
-    /// the error the ladder was absorbing surfaces after all.
+    /// A guest fault in a serialized grid, mapped by [`Self::guest_fault`].
     fn host_serialize_launch(
         &mut self,
         req: gpu_isa::LaunchRequest,
@@ -142,13 +174,6 @@ impl LaunchUnit {
         attempts: u32,
         ctx: &mut LaunchCtx,
     ) -> Result<(), SimError> {
-        let pending = self.kmu.pending_device_kernels();
-        let kernel_fn = (ctx.program.get(req.kernel)).ok_or(SimError::UnknownKernel(req.kernel))?;
-        let kernel_fn = Arc::clone(kernel_fn);
-        let mut mem = SimWordMem(ctx.mem);
-        if interp::run_kernel(&kernel_fn, req.ntb, req.param_addr, &mut mem).is_err() {
-            return Err(SimError::KmuSaturated { pending });
-        }
         ctx.stats.degraded_to_host_serial += 1;
         if ctx.tracer.on(Category::Launch) {
             ctx.tracer.emit(
@@ -161,24 +186,43 @@ impl LaunchUnit {
                 },
             );
         }
-        let record = LaunchRecord {
-            kind: DynLaunchKind::HostSerialized,
-            launched_at: now,
-            first_tb_at: Some(now),
-            ntb: req.ntb,
-            threads_per_tb: kernel_fn.threads_per_block(),
-            reserved_bytes: 0,
+        let program = ctx.program;
+        let mut mem = HostSerial {
+            unit: self,
+            ctx,
+            now,
         };
-        record_launch(req.kernel, record, ctx);
-        // The grid has run: its parameter buffer no longer pins heap
-        // accounting, and the pending-bytes share `GetParamBuf` charged
-        // is released exactly as a first-TB start would have.
-        if let Some(bytes) = self.param_bytes.remove(&req.param_addr) {
-            ctx.alloc.free_accounting(bytes);
-            ctx.stats.remove_pending(u64::from(bytes));
+        interp::run_kernel(program, req.kernel, req.ntb, req.param_addr, &mut mem)
+            .map_err(|e| self.guest_fault(e, now))
+    }
+
+    /// The [`SimError`] the timed path gives for a guest fault in a
+    /// host-serialized grid. Such a grid has no SMX, so a shared-memory
+    /// overrun names SMX 0, block slot 0. The interpreter's two liveness
+    /// failures map to the watchdog's two errors, each carrying the launch
+    /// path's half of a hang report stamped `now`: barrier divergence is a
+    /// [`SimError::BarrierDeadlock`], and a spent step budget (a loop or a
+    /// chain of launches without end) a [`SimError::Hang`].
+    fn guest_fault(&self, e: InterpError, now: u64) -> SimError {
+        let report = || {
+            Box::new(HangReport {
+                cycle: now,
+                last_progress_cycle: now,
+                ..self.hang_report()
+            })
+        };
+        match e {
+            InterpError::UnknownKernel(k) => SimError::UnknownKernel(k),
+            InterpError::OutOfMemory { bytes } => SimError::OutOfMemory { bytes },
+            InterpError::SharedOutOfBounds { addr, size } => SimError::SharedMemFault {
+                smx: 0,
+                tb_slot: 0,
+                addr,
+                size,
+            },
+            InterpError::BarrierDivergence => SimError::BarrierDeadlock { report: report() },
+            InterpError::StepLimit => SimError::Hang { report: report() },
         }
-        *ctx.progress += 1;
-        Ok(())
     }
 
     /// Drains the ladder's queues at the top of a step: matured retries

@@ -23,9 +23,9 @@ impl LaunchUnit {
     /// * [`SimError::UnknownKernel`] — the simulated program launched a
     ///   kernel id that is not in the loaded program (guest bug, reported
     ///   instead of panicking the simulator);
-    /// * [`SimError::KmuSaturated`] — via the device-kernel path, when the
-    ///   degradation ladder cannot host-serialize a launch held back by an
-    ///   injected KMU cap.
+    /// * a guest fault in a grid the degradation ladder host-serializes,
+    ///   via the device-kernel path, for a launch held back by an injected
+    ///   KMU cap.
     ///
     /// A spilled descriptor that finds no storage is not an error: the
     /// launch demotes to a device kernel (see `launch::degrade`).

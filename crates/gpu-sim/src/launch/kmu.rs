@@ -265,7 +265,7 @@ impl Kmu {
     }
 
     /// Host kernels queued across all hardware work queues (the cached
-    /// sum of [`hwq_depths`](Self::hwq_depths)).
+    /// count [`hwq_total`](Self::hwq_total) walks for).
     pub fn host_queued(&self) -> usize {
         self.host_queued
     }
@@ -279,6 +279,12 @@ impl Kmu {
     /// (excluding the head once it has been dispatched).
     pub fn hwq_depth(&self, stream: u32) -> usize {
         self.hwqs[self.hwq_of_stream(stream)].len()
+    }
+
+    /// Kernels in all hardware work queues, counted by walking them, with
+    /// no allocation: the reference `host_queued` is checked against.
+    pub fn hwq_total(&self) -> usize {
+        self.hwqs.iter().map(VecDeque::len).sum()
     }
 
     /// Queue depth of every hardware work queue, in index order — part of

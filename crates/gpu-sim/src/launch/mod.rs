@@ -685,7 +685,7 @@ impl LaunchUnit {
                 self.kd.occupied().count()
             ));
         }
-        let queued: usize = self.kmu.hwq_depths().iter().sum();
+        let queued = self.kmu.hwq_total();
         if queued != self.kmu.host_queued() {
             return Err(format!(
                 "KMU counts {} queued host kernels but its work queues hold {queued}",

@@ -144,6 +144,48 @@ fn shared_memory_out_of_bounds_is_a_typed_fault() {
     assert_eq!(size, 4);
 }
 
+/// The ladder's last rung reports a host-serialized child's guest fault
+/// as that fault: a child that overruns shared memory, launched into a
+/// KMU pool capped at zero so every retry fails and it runs on rung 3,
+/// surfaces as the shared-memory fault the timed path gives, not as
+/// saturation.
+#[test]
+fn a_host_serialized_childs_shared_overrun_is_a_shared_mem_fault() {
+    let mut prog = Program::new();
+    let mut b = KernelBuilder::new("oob_child", Dim3::x(32), 0);
+    b.alloc_shared_words(1);
+    let addr = b.imm(400);
+    b.st(Space::Shared, addr, 0, Op::Imm(7));
+    let child = prog.add(b.build().unwrap());
+    let mut b = KernelBuilder::new("parent", Dim3::x(32), 0);
+    let tid = b.global_tid();
+    let first = b.setp(CmpOp::Eq, CmpTy::U32, tid, Op::Imm(0));
+    b.if_(first, |b| {
+        let buf = b.get_param_buf(1);
+        b.launch_device(child, Op::Imm(1), buf);
+    });
+    let parent = prog.add(b.build().unwrap());
+    let cfg = GpuConfig {
+        fault: FaultPlan {
+            kmu_device_capacity: Some(0),
+            ..FaultPlan::default()
+        },
+        ..GpuConfig::test_small()
+    };
+    let mut gpu = Gpu::new(cfg, prog);
+    gpu.launch(parent, 1, &[], 0).unwrap();
+    let err = gpu.run_to_idle().unwrap_err();
+    let SimError::SharedMemFault { addr, size, .. } = err else {
+        panic!("expected a shared-memory fault, got {err}");
+    };
+    assert_eq!((addr, size), (400, 4));
+    assert_eq!(
+        gpu.stats().degraded_to_host_serial,
+        1,
+        "the child ran on rung 3"
+    );
+}
+
 /// A host launch into a hardware work queue at its injected cap is not
 /// rejected: it parks in the software deferral queue and runs once the queue
 /// drains — the run completes, with the deferral counted.

@@ -43,9 +43,7 @@ fn assert_typed(b: Benchmark, v: Variant, res: &Result<(), SimError>) {
         assert!(
             matches!(
                 e,
-                SimError::OutOfMemory { .. }
-                    | SimError::KmuSaturated { .. }
-                    | SimError::CycleLimit { .. }
+                SimError::OutOfMemory { .. } | SimError::CycleLimit { .. }
             ),
             "{b} [{v}]: fault injection must surface a resource error, got: {e}"
         );
