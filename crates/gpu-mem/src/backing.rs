@@ -12,7 +12,9 @@ const NUM_PAGES: usize = 1 << (32 - PAGE_BITS);
 /// page table is a direct-mapped array (64 Ki pointers, one per possible
 /// 64 KiB page), so every access is a single indexed load with no hashing
 /// — this sits under every simulated lane's load/store and is one of the
-/// hottest paths in the whole simulator.
+/// hottest paths in the whole simulator. The table itself is materialized
+/// by the first write, so an empty store costs no allocation (and moving
+/// a pooled store out with `std::mem::take` costs none either).
 ///
 /// # Example
 ///
@@ -24,7 +26,7 @@ const NUM_PAGES: usize = 1 << (32 - PAGE_BITS);
 /// assert_eq!(mem.read_u32(0x1000), 0xdead_beef);
 /// assert_eq!(mem.read_u32(0x2000), 0, "untouched memory reads as zero");
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct BackingStore {
     pages: Vec<Option<Box<[u8]>>>,
     allocated: usize,
@@ -38,15 +40,6 @@ impl std::fmt::Debug for BackingStore {
     }
 }
 
-impl Default for BackingStore {
-    fn default() -> Self {
-        BackingStore {
-            pages: vec![None; NUM_PAGES],
-            allocated: 0,
-        }
-    }
-}
-
 impl BackingStore {
     /// Creates an empty store.
     pub fn new() -> Self {
@@ -54,6 +47,9 @@ impl BackingStore {
     }
 
     fn page_mut(&mut self, page: u32) -> &mut [u8] {
+        if self.pages.is_empty() {
+            self.pages.resize(NUM_PAGES, None);
+        }
         let slot = &mut self.pages[page as usize];
         if slot.is_none() {
             *slot = Some(vec![0u8; PAGE_SIZE].into_boxed_slice());
@@ -64,9 +60,9 @@ impl BackingStore {
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u32) -> u8 {
-        match &self.pages[(addr >> PAGE_BITS) as usize] {
-            Some(p) => p[(addr as usize) & (PAGE_SIZE - 1)],
-            None => 0,
+        match self.pages.get((addr >> PAGE_BITS) as usize) {
+            Some(Some(p)) => p[(addr as usize) & (PAGE_SIZE - 1)],
+            _ => 0,
         }
     }
 
@@ -79,9 +75,9 @@ impl BackingStore {
     pub fn read_u32(&self, addr: u32) -> u32 {
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off + 4 <= PAGE_SIZE {
-            match &self.pages[(addr >> PAGE_BITS) as usize] {
-                Some(p) => u32::from_le_bytes(p[off..off + 4].try_into().unwrap()),
-                None => 0,
+            match self.pages.get((addr >> PAGE_BITS) as usize) {
+                Some(Some(p)) => u32::from_le_bytes(p[off..off + 4].try_into().unwrap()),
+                _ => 0,
             }
         } else {
             // Page-straddling word: fall back to per-byte reads.
@@ -238,6 +234,15 @@ mod tests {
         let m = BackingStore::new();
         assert_eq!(m.read_u32(0), 0);
         assert_eq!(m.read_u8(u32::MAX), 0);
+    }
+
+    #[test]
+    fn the_page_table_is_materialized_by_the_first_write() {
+        let mut m = BackingStore::new();
+        assert!(m.pages.is_empty(), "an empty store allocates nothing");
+        assert_eq!(m.read_u32(0x1234), 0);
+        m.write_u32(0x1234, 5);
+        assert_eq!((m.pages.len(), m.read_u32(0x1234)), (NUM_PAGES, 5));
     }
 
     #[test]

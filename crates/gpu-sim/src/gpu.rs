@@ -151,6 +151,20 @@ fn assert_shape_fits_trace(cfg: &GpuConfig) {
     );
 }
 
+/// The host allocations a warm rebind carries over to the next binding:
+/// the backing store's page table and materialized pages, the SMXs with
+/// their register slabs, and the scratch vectors' capacity. Everything
+/// else in a [`Gpu`] is built from the configuration on every bind.
+#[derive(Default)]
+struct Pooled {
+    mem: BackingStore,
+    smxs: Vec<Smx>,
+    ready_bound: Vec<u64>,
+    mem_buf: Vec<AccessId>,
+    launch_buf: Vec<(u32, gpu_isa::LaunchRequest)>,
+    txn_buf: Vec<u32>,
+}
+
 impl Gpu {
     /// Builds a GPU and loads `program` onto it.
     ///
@@ -158,7 +172,58 @@ impl Gpu {
     /// If a machine-shape count (SMXs, thread-block or warp slots per SMX,
     /// L2 partitions) does not fit in `u16`.
     pub fn new(cfg: GpuConfig, program: Program) -> Self {
+        Gpu::bind(cfg, program, Pooled::default())
+    }
+
+    /// Rebinds a pooled GPU to a new `(config, program)` pair, restoring
+    /// the exact state `Gpu::new(cfg, program)` would build while keeping
+    /// the expensive host-side allocations warm: the backing store's
+    /// 64 Ki-slot page table and every already-materialized page survive
+    /// (zeroed in place), the SMXs are reset in place, and the pooled
+    /// scratch vectors keep their capacity. Both go through one
+    /// constructor, which builds everything else — timing model, launch
+    /// unit, stats, tracer — from `cfg`, so a run on a rebound GPU is
+    /// bit-identical to a run on a fresh one (pinned by the equivalence
+    /// tests) and a panic-abandoned instance is safe to rebind.
+    pub fn reset_bind(&mut self, cfg: GpuConfig, program: Program) {
+        let pooled = Pooled {
+            mem: std::mem::take(&mut self.mem),
+            smxs: std::mem::take(&mut self.smxs),
+            ready_bound: std::mem::take(&mut self.ready_bound),
+            mem_buf: std::mem::take(&mut self.mem_buf),
+            launch_buf: std::mem::take(&mut self.launch_buf),
+            txn_buf: std::mem::take(&mut self.txn_buf),
+        };
+        *self = Gpu::bind(cfg, program, pooled);
+    }
+
+    /// The one constructor: a GPU bound to `(cfg, program)` that reuses
+    /// `pooled`'s allocations, cleared to their fresh state.
+    fn bind(cfg: GpuConfig, program: Program, pooled: Pooled) -> Self {
         assert_shape_fits_trace(&cfg);
+        let Pooled {
+            mut mem,
+            mut smxs,
+            mut ready_bound,
+            mut mem_buf,
+            mut launch_buf,
+            mut txn_buf,
+        } = pooled;
+        mem.clear();
+        // Same SMX count: reset each in place, retaining the pooled
+        // register slabs and scratch capacity (`Smx::reset` restores the
+        // exact observable state `Smx::new` builds). A geometry change
+        // rebuilds from scratch.
+        if smxs.len() == cfg.num_smx {
+            smxs.iter_mut().for_each(|smx| smx.reset(&cfg));
+        } else {
+            smxs = (0..cfg.num_smx).map(|i| Smx::new(i, &cfg)).collect();
+        }
+        ready_bound.clear();
+        ready_bound.resize(cfg.num_smx, u64::MAX);
+        mem_buf.clear();
+        launch_buf.clear();
+        txn_buf.clear();
         let stats = Stats {
             max_warps_per_smx: cfg.max_warps_per_smx(),
             num_smx: cfg.num_smx as u32,
@@ -166,12 +231,12 @@ impl Gpu {
         };
         let mut gpu = Gpu {
             program,
-            mem: BackingStore::new(),
+            mem,
             alloc: LinearAllocator::new(HEAP_BASE, HEAP_SIZE),
             timing: MemSubsystem::new(cfg.mem),
             launch_unit: LaunchUnit::new(&cfg),
-            smxs: (0..cfg.num_smx).map(|i| Smx::new(i, &cfg)).collect(),
-            ready_bound: vec![u64::MAX; cfg.num_smx],
+            smxs,
+            ready_bound,
             ready_min: u64::MAX,
             resident_warps: 0,
             cycle: 0,
@@ -179,9 +244,9 @@ impl Gpu {
             stats,
             access_owner: AccessSlab::new(),
             rr_smx: 0,
-            mem_buf: Vec::new(),
-            launch_buf: Vec::new(),
-            txn_buf: Vec::new(),
+            mem_buf,
+            launch_buf,
+            txn_buf,
             steps_executed: 0,
             progress_marker: 0,
             tracer: Recorder::new(cfg.trace),
@@ -191,59 +256,6 @@ impl Gpu {
         };
         gpu.apply_trace_mask();
         gpu
-    }
-
-    /// Rebinds a pooled GPU to a new `(config, program)` pair, restoring
-    /// the exact state `Gpu::new(cfg, program)` would build while keeping
-    /// the expensive host-side allocations warm: the backing store's
-    /// 64 Ki-slot page table and every already-materialized page survive
-    /// (zeroed in place), and the pooled scratch vectors keep their
-    /// capacity. Everything else — timing model, dispatch structures,
-    /// SMXs, stats, tracer — is rebuilt from `cfg`, so a run on a rebound
-    /// GPU is bit-identical to a run on a fresh one (pinned by the
-    /// equivalence tests) and a panic-abandoned instance is safe to
-    /// rebind: no field escapes reinitialization.
-    pub fn reset_bind(&mut self, cfg: GpuConfig, program: Program) {
-        assert_shape_fits_trace(&cfg);
-        self.program = program;
-        self.mem.clear();
-        self.alloc = LinearAllocator::new(HEAP_BASE, HEAP_SIZE);
-        self.timing = MemSubsystem::new(cfg.mem);
-        self.launch_unit = LaunchUnit::new(&cfg);
-        // Same SMX count: reset each in place, retaining the pooled
-        // register slabs and scratch capacity (`Smx::reset` restores the
-        // exact observable state `Smx::new` builds). A geometry change
-        // rebuilds from scratch.
-        if self.smxs.len() == cfg.num_smx {
-            for smx in &mut self.smxs {
-                smx.reset(&cfg);
-            }
-        } else {
-            self.smxs = (0..cfg.num_smx).map(|i| Smx::new(i, &cfg)).collect();
-        }
-        self.ready_bound.clear();
-        self.ready_bound.resize(cfg.num_smx, u64::MAX);
-        self.ready_min = u64::MAX;
-        self.resident_warps = 0;
-        self.cycle = 0;
-        self.warp_age = 0;
-        self.stats = Stats {
-            max_warps_per_smx: cfg.max_warps_per_smx(),
-            num_smx: cfg.num_smx as u32,
-            ..Stats::default()
-        };
-        self.access_owner = AccessSlab::new();
-        self.rr_smx = 0;
-        self.mem_buf.clear();
-        self.launch_buf.clear();
-        self.txn_buf.clear();
-        self.steps_executed = 0;
-        self.progress_marker = 0;
-        self.tracer = Recorder::new(cfg.trace);
-        self.trace_win = crate::trace::TraceWindow::default();
-        self.run_started = None;
-        self.cfg = cfg;
-        self.apply_trace_mask();
     }
 
     /// The active configuration.

@@ -10,7 +10,7 @@ use gpu_isa::LaunchKind;
 
 /// Bytes of a spilled aggregated-group descriptor (an AGE image plus
 /// alignment) when the AGT hash probe misses.
-const AGG_OVERFLOW_RECORD_BYTES: u64 = 32;
+pub(super) const AGG_OVERFLOW_RECORD_BYTES: u32 = 32;
 
 impl LaunchUnit {
     /// Routes one lane's launch request, issued at `now` and visible to
@@ -68,7 +68,7 @@ impl LaunchUnit {
                     spill_failed = true;
                     return None;
                 }
-                let addr = ctx.heap_alloc(now, AGG_OVERFLOW_RECORD_BYTES as u32);
+                let addr = ctx.heap_alloc(now, AGG_OVERFLOW_RECORD_BYTES);
                 spill_failed |= addr.is_none();
                 addr
             });
@@ -82,12 +82,10 @@ impl LaunchUnit {
             }
             if let CoalesceOutcome::Coalesced { group, remark } = outcome {
                 // The buffer now belongs to the aggregated group, not to
-                // any kernel entry; drop the size record (the group's
-                // blocks read it until the group drains).
-                let param_sz = self
-                    .param_bytes
-                    .remove(&req.param_addr)
-                    .map_or(0, u64::from);
+                // any kernel entry: its size record stays until the
+                // group is released (`block_finished`), since the group's
+                // blocks read the buffer until the group drains.
+                let param_sz = (self.param_bytes.get(&req.param_addr)).map_or(0, |&b| u64::from(b));
                 let Some(kde) = eligible else {
                     return Err(invariant(
                         now,
@@ -103,7 +101,7 @@ impl LaunchUnit {
                     if force_miss {
                         ctx.stats.forced_agt_overflows += 1;
                     }
-                    AGG_OVERFLOW_RECORD_BYTES
+                    u64::from(AGG_OVERFLOW_RECORD_BYTES)
                 } else {
                     0
                 };

@@ -154,8 +154,9 @@ pub(crate) struct LaunchUnit {
     group_record: HashMap<GroupRef, usize>,
     /// Heap bytes reserved per parameter buffer, keyed by buffer address;
     /// recorded at allocation (host launch or `cudaGetParameterBuffer`)
-    /// and released into the heap accounting when the kernel that owns
-    /// the buffer retires — per launch, never per cycle.
+    /// and released into the heap accounting when the kernel or the
+    /// aggregated group that owns the buffer retires — per launch, never
+    /// per cycle.
     #[allow(clippy::disallowed_types)]
     param_bytes: HashMap<u32, u32>,
     /// Per KDE, the descriptor walk of a spilled (overflow) aggregated
@@ -540,7 +541,18 @@ impl LaunchUnit {
             }
             Some(group) => {
                 entry.agg_exe -= 1;
-                self.pool.agt_mut().tb_finished(group);
+                let param_addr = self.pool.agt().info(group).param_addr;
+                if self.pool.agt_mut().tb_finished(group) {
+                    // The released group's parameter buffer, and its
+                    // spilled descriptor if it had one, no longer pin
+                    // heap accounting.
+                    if let Some(bytes) = self.param_bytes.remove(&param_addr) {
+                        ctx.alloc.free_accounting(bytes);
+                    }
+                    if group.is_overflow() {
+                        ctx.alloc.free_accounting(dtbl::AGG_OVERFLOW_RECORD_BYTES);
+                    }
+                }
             }
         }
         let done = entry.native_fully_scheduled()
@@ -870,6 +882,7 @@ pub(crate) mod tests {
         let mut m = Machine::new(GpuConfig::test_small(), prog);
         let mut unit = LaunchUnit::new(&m.cfg);
         let fcfs = |unit: &LaunchUnit| (unit.fcfs.is_marked(0), unit.fcfs.is_first_dispatch(0));
+        let baseline = m.alloc.live_bytes();
 
         // A one-block host kernel installs in KDE 0 once the KMU's
         // dispatch latency has passed, marked for its first dispatch.
@@ -944,5 +957,8 @@ pub(crate) mod tests {
             .expect("finish");
         assert!(unit.is_idle(), "the kernel retired");
         assert_eq!((unit.kd.is_empty(), fcfs(&unit)), (true, (false, false)));
+        // The host kernel's and the group's parameter buffers went with
+        // them.
+        assert_eq!(m.alloc.live_bytes(), baseline, "live heap bytes");
     }
 }

@@ -458,11 +458,9 @@ fn launch_bearing_kernels_match_the_interpreter_on_every_launch_path() {
                 "case {case} [{name}]: one launch record per child grid"
             );
             assert_eq!(stats.pending_bytes, 0, "case {case} [{name}]");
-            // Every parameter buffer is released with the grid that read
-            // it, except a coalesced group's, which heap accounting keeps.
-            if leg.kind == LaunchKind::Device || !leg.coalescing {
-                assert_eq!(heap, 0, "case {case} [{name}]: live heap bytes");
-            }
+            // Every parameter buffer (and spilled group descriptor) is
+            // released with the grid or aggregated group that read it.
+            assert_eq!(heap, 0, "case {case} [{name}]: live heap bytes");
             let serialized = (stats.launches.iter())
                 .filter(|l| l.kind == DynLaunchKind::HostSerialized)
                 .count() as u64;

@@ -216,7 +216,8 @@ fn hwq_cap_defers_instead_of_rejecting_under_ladder() {
 /// probe is forced to miss must spill its descriptor, and a heap cap that
 /// admits the group's parameter buffer but not the descriptor leaves it
 /// nowhere to go. The launch demotes to a plain device kernel instead of
-/// failing the run.
+/// failing the run. Uncapped, the same launch spills and coalesces, and
+/// the group's buffer and descriptor are released with the group.
 #[test]
 fn heap_starved_spill_demotes_to_a_device_kernel() {
     const ITERS: u32 = 1000;
@@ -260,15 +261,24 @@ fn heap_starved_spill_demotes_to_a_device_kernel() {
         let mut gpu = Gpu::new(cfg, prog.clone());
         let warm = gpu.malloc(32 * 4 * 32).unwrap();
         let out = gpu.malloc(32 * 4).unwrap();
+        let malloced = gpu.heap_live_bytes();
         gpu.launch(child, 32, &[warm], 1).unwrap();
         gpu.launch(parent, 1, &[out], 0).unwrap();
-        (gpu, out)
+        (gpu, out, malloced)
     };
+    // Uncapped, the group spills its descriptor and coalesces. Once idle,
+    // the heap holds only the host's allocations: both kernels' and the
+    // group's parameter buffers and the descriptor were released.
+    let (mut gpu, _, malloced) = setup(None);
+    let stats = gpu.run_to_idle().expect("uncapped run");
+    assert_eq!((stats.agg_coalesced, stats.agt_overflows), (1, 1));
+    assert_eq!(gpu.heap_live_bytes(), malloced, "live heap after idle");
+
     // Host-side bytes, plus 4 for the parameter buffer and less than the
     // 32 the spilled descriptor needs (20 leaves room for the 8 bytes of
     // host parameter buffers that kernel retirement may release first).
     let host_bytes = setup(None).0.heap_live_bytes();
-    let (mut gpu, out) = setup(Some(host_bytes + 20));
+    let (mut gpu, out, _) = setup(Some(host_bytes + 20));
 
     let stats = gpu.run_to_idle().expect("the ladder carries the launch");
     assert_eq!(stats.heap_cap_denials, 1, "only the descriptor was denied");

@@ -8,10 +8,10 @@
 //! warp-activity winner (+45.3%): in the flat variant a few threads near
 //! flame fronts refine deeply while their warp-mates idle.
 
-use crate::common::{build_kernel, ceil_div, child_guard, emit_dfp_with_threshold, Variant};
+use crate::common::{build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode, Variant};
 use crate::data::mesh::ScalarField;
 use crate::report::RunReport;
-use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
+use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Reg, Space};
 use gpu_sim::{Gpu, GpuConfig, SimError};
 
 const PARENT_TB: u32 = 128;
@@ -20,31 +20,46 @@ const SUBDIV: u32 = 16;
 /// Field-range threshold above which a cell refines.
 const THRESH: u32 = 150;
 
-pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
     let mut prog = Program::new();
 
-    // Child: emit `count` = 16 sub-cells of the refining cell; params:
-    // [count, x, y, sub_size, cells_out, cnt, field, fsize, vals].
-    let mut cb = KernelBuilder::new("amr_emit", Dim3::x(crate::common::CHILD_TB), 9);
-    let i = child_guard(&mut cb);
-    let x = cb.ld_param(1);
-    let y = cb.ld_param(2);
-    let s4 = cb.ld_param(3);
-    let out = cb.ld_param(4);
-    let cnt = cb.ld_param(5);
-    let field = cb.ld_param(6);
-    let fsize = cb.ld_param(7);
-    let vals = cb.ld_param(8);
-    emit_subcell(&mut cb, i, x, y, s4, out, cnt, field, fsize, vals);
-    let child = prog.add(build_kernel(cb)?);
+    // Sub-cell `i` (row-major within the 4×4 split) of the refining cell
+    // at (x, y): interpolate the refined value from the sub-cell's corner
+    // samples (the actual refinement computation) and append the sub-cell
+    // to the next level's list.
+    let subcell = Dfp::new(
+        &mut prog,
+        "amr_emit",
+        |b, i, [x, y, s4, out, cnt, field, fsize, vals]| {
+            let col = b.and_(i, Op::Imm(3));
+            let row = b.shru(i, Op::Imm(2));
+            let cx = b.mad(col, Op::Reg(s4), Op::Reg(x));
+            let cy = b.mad(row, Op::Reg(s4), Op::Reg(y));
+            // Refined value: mean of the sub-cell's four corner samples.
+            let sm1 = b.isub(s4, Op::Imm(1));
+            let cx1 = b.iadd(cx, Op::Reg(sm1));
+            let cy1 = b.iadd(cy, Op::Reg(sm1));
+            let f00 = sample(b, field, fsize, cx, cy);
+            let f01 = sample(b, field, fsize, cx1, cy);
+            let f10 = sample(b, field, fsize, cx, cy1);
+            let f11 = sample(b, field, fsize, cx1, cy1);
+            let sum = b.iadd(f00, Op::Reg(f01));
+            let sum = b.iadd(sum, Op::Reg(f10));
+            let sum = b.iadd(sum, Op::Reg(f11));
+            let mean = b.shru(sum, Op::Imm(2));
+            let pos = b.atom(AtomOp::Add, Space::Global, cnt, 0, Op::Imm(1));
+            let oa = b.mad(pos, Op::Imm(8), Op::Reg(out));
+            b.st(Space::Global, oa, 0, Op::Reg(cx));
+            b.st(Space::Global, oa, 4, Op::Reg(cy));
+            let va = b.mad(pos, Op::Imm(4), Op::Reg(vals));
+            b.st(Space::Global, va, 0, Op::Reg(mean));
+        },
+    )?;
 
     // Parent: one thread per cell; params:
     // [cells_in, n_cells, field, fsize, cell_size, cells_out, cnt, vals].
     let mut pb = KernelBuilder::new("amr_level", Dim3::x(PARENT_TB), 8);
-    let gtid = pb.global_tid();
-    let nc = pb.ld_param(1);
-    let oob = pb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(nc));
-    pb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut pb, 1);
     let cells = pb.ld_param(0);
     let field = pb.ld_param(2);
     let fsize = pb.ld_param(3);
@@ -57,18 +72,12 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), Sim
     let y = pb.ld(Space::Global, ca, 4);
     // Corner samples at (x, y), (x+s-1, y), (x, y+s-1), (x+s-1, y+s-1).
     let sm1 = pb.isub(size, Op::Imm(1));
-    let sample = |b: &mut KernelBuilder, sx: gpu_isa::Reg, sy: gpu_isa::Reg| {
-        let row = b.imul(sy, Op::Reg(fsize));
-        let idx = b.iadd(row, Op::Reg(sx));
-        let a = b.mad(idx, Op::Imm(4), Op::Reg(field));
-        b.ld(Space::Global, a, 0)
-    };
     let x1 = pb.iadd(x, Op::Reg(sm1));
     let y1 = pb.iadd(y, Op::Reg(sm1));
-    let f00 = sample(&mut pb, x, y);
-    let f01 = sample(&mut pb, x1, y);
-    let f10 = sample(&mut pb, x, y1);
-    let f11 = sample(&mut pb, x1, y1);
+    let f00 = sample(&mut pb, field, fsize, x, y);
+    let f01 = sample(&mut pb, field, fsize, x1, y);
+    let f10 = sample(&mut pb, field, fsize, x, y1);
+    let f11 = sample(&mut pb, field, fsize, x1, y1);
     let mx = pb.imaxs(f00, Op::Reg(f01));
     let mx = pb.imaxs(mx, Op::Reg(f10));
     let mx = pb.imaxs(mx, Op::Reg(f11));
@@ -84,76 +93,25 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), Sim
         let sixteen = b.imm(SUBDIV);
         // A refinement's natural granularity is its 16 sub-cells; launch
         // at that size rather than the default warp-sized threshold.
-        emit_dfp_with_threshold(
+        emit_dfp(
             b,
-            variant.launch_mode(),
-            child,
+            mode,
+            &subcell,
             sixteen,
             SUBDIV,
-            &[
-                Op::Reg(x),
-                Op::Reg(y),
-                Op::Reg(s4),
-                Op::Reg(out),
-                Op::Reg(cnt),
-                Op::Reg(field),
-                Op::Reg(fsize),
-                Op::Reg(vals),
-            ],
-            |b, i| {
-                emit_subcell(b, i, x, y, s4, out, cnt, field, fsize, vals);
-            },
+            [x, y, s4, out, cnt, field, fsize, vals],
         );
     });
     let parent = prog.add(build_kernel(pb)?);
     Ok((prog, parent))
 }
 
-/// Emits sub-cell `i` (row-major within the 4×4 split): interpolates the
-/// refined value from the sub-cell's corner samples (the actual
-/// refinement computation) and appends the sub-cell to the next level's
-/// list.
-#[allow(clippy::too_many_arguments)]
-fn emit_subcell(
-    b: &mut KernelBuilder,
-    i: gpu_isa::Reg,
-    x: gpu_isa::Reg,
-    y: gpu_isa::Reg,
-    s4: gpu_isa::Reg,
-    out: gpu_isa::Reg,
-    cnt: gpu_isa::Reg,
-    field: gpu_isa::Reg,
-    fsize: gpu_isa::Reg,
-    vals: gpu_isa::Reg,
-) {
-    let col = b.and_(i, Op::Imm(3));
-    let row = b.shru(i, Op::Imm(2));
-    let cx = b.mad(col, Op::Reg(s4), Op::Reg(x));
-    let cy = b.mad(row, Op::Reg(s4), Op::Reg(y));
-    // Refined value: mean of the sub-cell's four corner samples.
-    let sm1 = b.isub(s4, Op::Imm(1));
-    let cx1 = b.iadd(cx, Op::Reg(sm1));
-    let cy1 = b.iadd(cy, Op::Reg(sm1));
-    let sample = |b: &mut KernelBuilder, sx: gpu_isa::Reg, sy: gpu_isa::Reg| {
-        let r = b.imul(sy, Op::Reg(fsize));
-        let idx = b.iadd(r, Op::Reg(sx));
-        let a = b.mad(idx, Op::Imm(4), Op::Reg(field));
-        b.ld(Space::Global, a, 0)
-    };
-    let f00 = sample(b, cx, cy);
-    let f01 = sample(b, cx1, cy);
-    let f10 = sample(b, cx, cy1);
-    let f11 = sample(b, cx1, cy1);
-    let sum = b.iadd(f00, Op::Reg(f01));
-    let sum = b.iadd(sum, Op::Reg(f10));
-    let sum = b.iadd(sum, Op::Reg(f11));
-    let mean = b.shru(sum, Op::Imm(2));
-    let pos = b.atom(AtomOp::Add, Space::Global, cnt, 0, Op::Imm(1));
-    let oa = b.mad(pos, Op::Imm(8), Op::Reg(out));
-    b.st(Space::Global, oa, 0, Op::Reg(cx));
-    b.st(Space::Global, oa, 4, Op::Reg(cy));
-    let va = b.mad(pos, Op::Imm(4), Op::Reg(vals));
-    b.st(Space::Global, va, 0, Op::Reg(mean));
+/// Loads the field sample at `(sx, sy)` of the `fsize`-wide field.
+fn sample(b: &mut KernelBuilder, field: Reg, fsize: Reg, sx: Reg, sy: Reg) -> Reg {
+    let row = b.imul(sy, Op::Reg(fsize));
+    let idx = b.iadd(row, Op::Reg(sx));
+    let a = b.mad(idx, Op::Imm(4), Op::Reg(field));
+    b.ld(Space::Global, a, 0)
 }
 
 /// Host mirror of the refinement recursion; returns
@@ -206,7 +164,7 @@ pub fn run(
     variant: Variant,
     base_cfg: GpuConfig,
 ) -> Result<RunReport, SimError> {
-    let (prog, parent) = build_program(variant)?;
+    let (prog, parent) = build_program(variant.launch_mode())?;
     let cfg = variant.configure(base_cfg);
     let mut gpu = Gpu::new(cfg, prog);
     drive(&mut gpu, name, field, cell0, parent, variant)

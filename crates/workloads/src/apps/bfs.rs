@@ -8,7 +8,9 @@
 //! launches the same expansion as an aggregated group, which coalesces to
 //! the resident `bfs_expand` kernel (the Figure 2b shape).
 
-use crate::common::{build_kernel, ceil_div, child_guard, emit_dfp, validate_u32, Variant};
+use crate::common::{
+    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+};
 use crate::data::CsrGraph;
 use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
@@ -27,37 +29,32 @@ const P_CNT: u16 = 5;
 const P_NF: u16 = 6;
 const P_NEXT: u16 = 7;
 
-pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId, KernelId), SimError> {
     let mut prog = Program::new();
 
-    // Child: expand `count` neighbours starting at edge address `edges`;
-    // params: [count, edge_addr, dist, fout, cnt, next_level].
-    let mut cb = KernelBuilder::new("bfs_expand", Dim3::x(crate::common::CHILD_TB), 6);
-    let i = child_guard(&mut cb);
-    let edges = cb.ld_param(1);
-    let dist = cb.ld_param(2);
-    let fout = cb.ld_param(3);
-    let cnt = cb.ld_param(4);
-    let next = cb.ld_param(5);
-    let ea = cb.mad(i, Op::Imm(4), Op::Reg(edges));
-    let u = cb.ld(Space::Global, ea, 0);
-    let da = cb.mad(u, Op::Imm(4), Op::Reg(dist));
-    let inf = cb.imm(INF);
-    let old = cb.atom_cas(Space::Global, da, 0, inf, Op::Reg(next));
-    let won = cb.setp(CmpOp::Eq, CmpTy::U32, old, Op::Imm(INF));
-    cb.if_(won, |b| {
-        let pos = b.atom(AtomOp::Add, Space::Global, cnt, 0, Op::Imm(1));
-        let fa = b.mad(pos, Op::Imm(4), Op::Reg(fout));
-        b.st(Space::Global, fa, 0, Op::Reg(u));
-    });
-    let child = prog.add(build_kernel(cb)?);
+    // Expand neighbour `i` of the edge list at `edges`: claim it for the
+    // next level and append it to the output frontier.
+    let expand = Dfp::new(
+        &mut prog,
+        "bfs_expand",
+        |b, i, [edges, dist, fout, cnt, next]| {
+            let ea = b.mad(i, Op::Imm(4), Op::Reg(edges));
+            let u = b.ld(Space::Global, ea, 0);
+            let da = b.mad(u, Op::Imm(4), Op::Reg(dist));
+            let inf = b.imm(INF);
+            let old = b.atom_cas(Space::Global, da, 0, inf, Op::Reg(next));
+            let won = b.setp(CmpOp::Eq, CmpTy::U32, old, Op::Imm(INF));
+            b.if_(won, |b| {
+                let pos = b.atom(AtomOp::Add, Space::Global, cnt, 0, Op::Imm(1));
+                let fa = b.mad(pos, Op::Imm(4), Op::Reg(fout));
+                b.st(Space::Global, fa, 0, Op::Reg(u));
+            });
+        },
+    )?;
 
     // Parent: one thread per frontier vertex.
     let mut pb = KernelBuilder::new("bfs_level", Dim3::x(PARENT_TB), 8);
-    let gtid = pb.global_tid();
-    let nf = pb.ld_param(P_NF);
-    let oob = pb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(nf));
-    pb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut pb, P_NF);
     let row = pb.ld_param(P_ROW);
     let col = pb.ld_param(P_COL);
     let dist = pb.ld_param(P_DIST);
@@ -74,32 +71,14 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId, Kern
     let edge_addr = pb.mad(start, Op::Imm(4), Op::Reg(col));
     emit_dfp(
         &mut pb,
-        variant.launch_mode(),
-        child,
+        mode,
+        &expand,
         deg,
-        &[
-            Op::Reg(edge_addr),
-            Op::Reg(dist),
-            Op::Reg(fout),
-            Op::Reg(cnt),
-            Op::Reg(next),
-        ],
-        |b, i| {
-            let ea = b.mad(i, Op::Imm(4), Op::Reg(edge_addr));
-            let u = b.ld(Space::Global, ea, 0);
-            let da = b.mad(u, Op::Imm(4), Op::Reg(dist));
-            let inf = b.imm(INF);
-            let old = b.atom_cas(Space::Global, da, 0, inf, Op::Reg(next));
-            let won = b.setp(CmpOp::Eq, CmpTy::U32, old, Op::Imm(INF));
-            b.if_(won, |b| {
-                let pos = b.atom(AtomOp::Add, Space::Global, cnt, 0, Op::Imm(1));
-                let fa = b.mad(pos, Op::Imm(4), Op::Reg(fout));
-                b.st(Space::Global, fa, 0, Op::Reg(u));
-            });
-        },
+        DFP_THRESHOLD,
+        [edge_addr, dist, fout, cnt, next],
     );
     let parent = prog.add(build_kernel(pb)?);
-    Ok((prog, parent, child))
+    Ok((prog, parent, expand.child()))
 }
 
 /// Host-side reference BFS.
@@ -135,7 +114,7 @@ pub fn run(
     variant: Variant,
     base_cfg: GpuConfig,
 ) -> Result<RunReport, SimError> {
-    let (prog, parent, _) = build_program(variant)?;
+    let (prog, parent, _) = build_program(variant.launch_mode())?;
     let cfg = variant.configure(base_cfg);
     let mut gpu = Gpu::new(cfg, prog);
     drive(&mut gpu, name, g, source, parent, variant)

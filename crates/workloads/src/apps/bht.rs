@@ -9,7 +9,9 @@
 //! reports for `bht` (avg ≈33 threads/launch, the biggest occupancy win
 //! in Figure 8).
 
-use crate::common::{build_kernel, ceil_div, child_guard, emit_dfp, Variant};
+use crate::common::{
+    build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+};
 use crate::data::points::PointSet;
 use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Reg, Space};
@@ -67,49 +69,39 @@ fn emit_mid(b: &mut KernelBuilder, x0: Reg, slog: Reg) -> Reg {
 }
 
 pub(crate) fn build_program(
-    variant: Variant,
+    mode: LaunchMode,
 ) -> Result<(Program, KernelId, KernelId, KernelId), SimError> {
     let mut prog = Program::new();
 
-    // Count child: params [count, bodies_addr, xs, ys, xmid, ymid, qc_addr].
-    let mut cb = KernelBuilder::new("bht_count_child", Dim3::x(crate::common::CHILD_TB), 7);
-    let i = child_guard(&mut cb);
-    let bodies = cb.ld_param(1);
-    let xs = cb.ld_param(2);
-    let ys = cb.ld_param(3);
-    let xmid = cb.ld_param(4);
-    let ymid = cb.ld_param(5);
-    let qc = cb.ld_param(6);
-    let (q, _) = emit_quadrant(&mut cb, i, bodies, xs, ys, xmid, ymid);
-    let qa = cb.mad(q, Op::Imm(4), Op::Reg(qc));
-    cb.atom_noret(AtomOp::Add, Space::Global, qa, 0, Op::Imm(1));
-    let count_child = prog.add(build_kernel(cb)?);
+    // Classify body `i` of a node's body list and count it in its
+    // quadrant.
+    let count_child = Dfp::new(
+        &mut prog,
+        "bht_count_child",
+        |b, i, [bodies, xs, ys, xmid, ymid, qc]| {
+            let (q, _) = emit_quadrant(b, i, bodies, xs, ys, xmid, ymid);
+            let qa = b.mad(q, Op::Imm(4), Op::Reg(qc));
+            b.atom_noret(AtomOp::Add, Space::Global, qa, 0, Op::Imm(1));
+        },
+    )?;
 
-    // Scatter child: params
-    // [count, bodies_addr, xs, ys, xmid, ymid, qcur_addr, bodies_out].
-    let mut sb = KernelBuilder::new("bht_scatter_child", Dim3::x(crate::common::CHILD_TB), 8);
-    let i = child_guard(&mut sb);
-    let bodies = sb.ld_param(1);
-    let xs = sb.ld_param(2);
-    let ys = sb.ld_param(3);
-    let xmid = sb.ld_param(4);
-    let ymid = sb.ld_param(5);
-    let qcur = sb.ld_param(6);
-    let bout = sb.ld_param(7);
-    let (q, body) = emit_quadrant(&mut sb, i, bodies, xs, ys, xmid, ymid);
-    let qa = sb.mad(q, Op::Imm(4), Op::Reg(qcur));
-    let pos = sb.atom(AtomOp::Add, Space::Global, qa, 0, Op::Imm(1));
-    let oa = sb.mad(pos, Op::Imm(4), Op::Reg(bout));
-    sb.st(Space::Global, oa, 0, Op::Reg(body));
-    let scatter_child = prog.add(build_kernel(sb)?);
+    // Classify body `i` again and scatter it to its quadrant's next slot.
+    let scatter_child = Dfp::new(
+        &mut prog,
+        "bht_scatter_child",
+        |b, i, [bodies, xs, ys, xmid, ymid, qcur, bout]| {
+            let (q, body) = emit_quadrant(b, i, bodies, xs, ys, xmid, ymid);
+            let qa = b.mad(q, Op::Imm(4), Op::Reg(qcur));
+            let pos = b.atom(AtomOp::Add, Space::Global, qa, 0, Op::Imm(1));
+            let oa = b.mad(pos, Op::Imm(4), Op::Reg(bout));
+            b.st(Space::Global, oa, 0, Op::Reg(body));
+        },
+    )?;
 
     // Count kernel: per node; params
     // [nodes, n_nodes, xs, ys, bodies_in, qcounts, leaf_total].
     let mut kb = KernelBuilder::new("bht_count", Dim3::x(PARENT_TB), 7);
-    let gtid = kb.global_tid();
-    let nn = kb.ld_param(1);
-    let oob = kb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(nn));
-    kb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut kb, 1);
     let nodes = kb.ld_param(0);
     let xs = kb.ld_param(2);
     let ys = kb.ld_param(3);
@@ -132,22 +124,11 @@ pub(crate) fn build_program(
             let qc_addr = b.mad(gtid, Op::Imm(16), Op::Reg(qcounts));
             emit_dfp(
                 b,
-                variant.launch_mode(),
-                count_child,
+                mode,
+                &count_child,
                 count,
-                &[
-                    Op::Reg(bodies_addr),
-                    Op::Reg(xs),
-                    Op::Reg(ys),
-                    Op::Reg(xmid),
-                    Op::Reg(ymid),
-                    Op::Reg(qc_addr),
-                ],
-                |b, i| {
-                    let (q, _) = emit_quadrant(b, i, bodies_addr, xs, ys, xmid, ymid);
-                    let qa = b.mad(q, Op::Imm(4), Op::Reg(qc_addr));
-                    b.atom_noret(AtomOp::Add, Space::Global, qa, 0, Op::Imm(1));
-                },
+                DFP_THRESHOLD,
+                [bodies_addr, xs, ys, xmid, ymid, qc_addr],
             );
         },
     );
@@ -157,10 +138,7 @@ pub(crate) fn build_program(
     // emits non-empty child nodes; params
     // [nodes, n_nodes, qcounts, qcursor, nodes_out, out_cnt, body_cursor].
     let mut eb = KernelBuilder::new("bht_emit", Dim3::x(PARENT_TB), 7);
-    let gtid = eb.global_tid();
-    let nn = eb.ld_param(1);
-    let oob = eb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(nn));
-    eb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut eb, 1);
     let nodes = eb.ld_param(0);
     let qcounts = eb.ld_param(2);
     let qcursor = eb.ld_param(3);
@@ -214,10 +192,7 @@ pub(crate) fn build_program(
     // Scatter kernel: per node; params
     // [nodes, n_nodes, xs, ys, bodies_in, bodies_out, qcursor].
     let mut skb = KernelBuilder::new("bht_scatter", Dim3::x(PARENT_TB), 7);
-    let gtid = skb.global_tid();
-    let nn = skb.ld_param(1);
-    let oob = skb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(nn));
-    skb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut skb, 1);
     let nodes = skb.ld_param(0);
     let xs = skb.ld_param(2);
     let ys = skb.ld_param(3);
@@ -236,25 +211,11 @@ pub(crate) fn build_program(
         let qcur_addr = b.mad(gtid, Op::Imm(16), Op::Reg(qcursor));
         emit_dfp(
             b,
-            variant.launch_mode(),
-            scatter_child,
+            mode,
+            &scatter_child,
             count,
-            &[
-                Op::Reg(bodies_addr),
-                Op::Reg(xs),
-                Op::Reg(ys),
-                Op::Reg(xmid),
-                Op::Reg(ymid),
-                Op::Reg(qcur_addr),
-                Op::Reg(bout),
-            ],
-            |b, i| {
-                let (q, body) = emit_quadrant(b, i, bodies_addr, xs, ys, xmid, ymid);
-                let qa = b.mad(q, Op::Imm(4), Op::Reg(qcur_addr));
-                let pos = b.atom(AtomOp::Add, Space::Global, qa, 0, Op::Imm(1));
-                let oa = b.mad(pos, Op::Imm(4), Op::Reg(bout));
-                b.st(Space::Global, oa, 0, Op::Reg(body));
-            },
+            DFP_THRESHOLD,
+            [bodies_addr, xs, ys, xmid, ymid, qcur_addr, bout],
         );
     });
     let scatter_k = prog.add(build_kernel(skb)?);
@@ -363,7 +324,7 @@ pub fn run(
     variant: Variant,
     base_cfg: GpuConfig,
 ) -> Result<RunReport, SimError> {
-    let (prog, count_k, emit_k, scatter_k) = build_program(variant)?;
+    let (prog, count_k, emit_k, scatter_k) = build_program(variant.launch_mode())?;
     let cfg = variant.configure(base_cfg);
     let mut gpu = Gpu::new(cfg, prog);
     drive(&mut gpu, name, p, count_k, emit_k, scatter_k, variant)

@@ -9,7 +9,9 @@
 //! make the flat variant already well balanced, which is why the paper
 //! sees little or negative benefit there (§5.2A).
 
-use crate::common::{build_kernel, ceil_div, child_guard, emit_dfp, validate_u32, Variant};
+use crate::common::{
+    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+};
 use crate::data::CsrGraph;
 use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
@@ -19,30 +21,38 @@ use sim_rand::{Rng, SeedableRng, StdRng};
 const PARENT_TB: u32 = 128;
 const UNCOLORED: u32 = u32::MAX;
 
-pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId, KernelId), SimError> {
     let mut prog = Program::new();
 
-    // Child: scan `count` neighbours of v; if any uncolored neighbour has
-    // higher (priority, id), set v's loser flag.
-    // Params: [count, edge_addr, colors, prios, flag_addr, pv, v].
-    let mut cb = KernelBuilder::new("clr_scan", Dim3::x(crate::common::CHILD_TB), 7);
-    let i = child_guard(&mut cb);
-    let edges = cb.ld_param(1);
-    let colors = cb.ld_param(2);
-    let prios = cb.ld_param(3);
-    let flag_addr = cb.ld_param(4);
-    let pv = cb.ld_param(5);
-    let v = cb.ld_param(6);
-    emit_scan(&mut cb, i, edges, colors, prios, flag_addr, pv, v);
-    let child = prog.add(build_kernel(cb)?);
+    // Neighbour `i` of v: if it is uncolored and has the higher
+    // (priority, id), set v's loser flag.
+    let scan = Dfp::new(
+        &mut prog,
+        "clr_scan",
+        |b, i, [edges, colors, prios, flag_addr, pv, v]| {
+            let ea = b.mad(i, Op::Imm(4), Op::Reg(edges));
+            let u = b.ld(Space::Global, ea, 0);
+            let ca = b.mad(u, Op::Imm(4), Op::Reg(colors));
+            let cu = b.ld(Space::Global, ca, 0);
+            let uncolored = b.setp(CmpOp::Eq, CmpTy::U32, cu, Op::Imm(UNCOLORED));
+            let pa = b.mad(u, Op::Imm(4), Op::Reg(prios));
+            let pu = b.ld(Space::Global, pa, 0);
+            let gt = b.setp(CmpOp::Gt, CmpTy::U32, pu, Op::Reg(pv));
+            let eq = b.setp(CmpOp::Eq, CmpTy::U32, pu, Op::Reg(pv));
+            let idgt = b.setp(CmpOp::Gt, CmpTy::U32, u, Op::Reg(v));
+            let tie = b.pand(eq, idgt);
+            let wins = b.por(gt, tie);
+            let loses = b.pand(uncolored, wins);
+            b.if_(loses, |b| {
+                b.st(Space::Global, flag_addr, 0, Op::Imm(1));
+            });
+        },
+    )?;
 
     // Check kernel: one thread per worklist vertex.
     // Params: [row, col, colors, prios, flags, wl, nwl].
     let mut kb = KernelBuilder::new("clr_check", Dim3::x(PARENT_TB), 7);
-    let gtid = kb.global_tid();
-    let nwl = kb.ld_param(6);
-    let oob = kb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(nwl));
-    kb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut kb, 6);
     let row = kb.ld_param(0);
     let col = kb.ld_param(1);
     let colors = kb.ld_param(2);
@@ -62,20 +72,11 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId, Kern
     let pv = kb.ld(Space::Global, pa, 0);
     emit_dfp(
         &mut kb,
-        variant.launch_mode(),
-        child,
+        mode,
+        &scan,
         deg,
-        &[
-            Op::Reg(edge_addr),
-            Op::Reg(colors),
-            Op::Reg(prios),
-            Op::Reg(fa),
-            Op::Reg(pv),
-            Op::Reg(v),
-        ],
-        |b, i| {
-            emit_scan(b, i, edge_addr, colors, prios, fa, pv, v);
-        },
+        DFP_THRESHOLD,
+        [edge_addr, colors, prios, fa, pv, v],
     );
     let check = prog.add(build_kernel(kb)?);
 
@@ -83,10 +84,7 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId, Kern
     // losers re-enter the worklist.
     // Params: [colors, flags, wl_in, wl_out, cnt, nwl, round].
     let mut ab = KernelBuilder::new("clr_assign", Dim3::x(PARENT_TB), 7);
-    let gtid = ab.global_tid();
-    let nwl = ab.ld_param(5);
-    let oob = ab.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(nwl));
-    ab.if_(oob, |b| b.exit());
+    let gtid = guard(&mut ab, 5);
     let colors = ab.ld_param(0);
     let flags = ab.ld_param(1);
     let wl_in = ab.ld_param(2);
@@ -112,36 +110,6 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId, Kern
     );
     let assign = prog.add(build_kernel(ab)?);
     Ok((prog, check, assign))
-}
-
-/// Emits the neighbour-priority check for neighbour index `i`.
-#[allow(clippy::too_many_arguments)]
-fn emit_scan(
-    b: &mut KernelBuilder,
-    i: gpu_isa::Reg,
-    edges: gpu_isa::Reg,
-    colors: gpu_isa::Reg,
-    prios: gpu_isa::Reg,
-    flag_addr: gpu_isa::Reg,
-    pv: gpu_isa::Reg,
-    v: gpu_isa::Reg,
-) {
-    let ea = b.mad(i, Op::Imm(4), Op::Reg(edges));
-    let u = b.ld(Space::Global, ea, 0);
-    let ca = b.mad(u, Op::Imm(4), Op::Reg(colors));
-    let cu = b.ld(Space::Global, ca, 0);
-    let uncolored = b.setp(CmpOp::Eq, CmpTy::U32, cu, Op::Imm(UNCOLORED));
-    let pa = b.mad(u, Op::Imm(4), Op::Reg(prios));
-    let pu = b.ld(Space::Global, pa, 0);
-    let gt = b.setp(CmpOp::Gt, CmpTy::U32, pu, Op::Reg(pv));
-    let eq = b.setp(CmpOp::Eq, CmpTy::U32, pu, Op::Reg(pv));
-    let idgt = b.setp(CmpOp::Gt, CmpTy::U32, u, Op::Reg(v));
-    let tie = b.pand(eq, idgt);
-    let wins = b.por(gt, tie);
-    let loses = b.pand(uncolored, wins);
-    b.if_(loses, |b| {
-        b.st(Space::Global, flag_addr, 0, Op::Imm(1));
-    });
 }
 
 /// Host reference implementing the identical Jones–Plassmann rounds.
@@ -191,7 +159,7 @@ pub fn run(
     variant: Variant,
     base_cfg: GpuConfig,
 ) -> Result<RunReport, SimError> {
-    let (prog, check, assign) = build_program(variant)?;
+    let (prog, check, assign) = build_program(variant.launch_mode())?;
     let cfg = variant.configure(base_cfg);
     let mut gpu = Gpu::new(cfg, prog);
     drive(&mut gpu, name, g, check, assign, variant)

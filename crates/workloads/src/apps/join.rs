@@ -8,7 +8,9 @@
 //! makes `join_gaussian` one of the biggest warp-activity winners in
 //! Figure 6.
 
-use crate::common::{build_kernel, ceil_div, child_guard, emit_dfp, Variant};
+use crate::common::{
+    build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+};
 use crate::data::relations::JoinInput;
 use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
@@ -21,28 +23,30 @@ fn num_buckets(domain: u32) -> u32 {
     (domain / 4).max(1)
 }
 
-pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
     let mut prog = Program::new();
 
-    // Child: scan `count` chain entries; params:
-    // [count, chain_addr, key, matches, out, probe_idx].
-    let mut cb = KernelBuilder::new("join_chain", Dim3::x(crate::common::CHILD_TB), 6);
-    let i = child_guard(&mut cb);
-    let chain = cb.ld_param(1);
-    let key = cb.ld_param(2);
-    let matches = cb.ld_param(3);
-    let out = cb.ld_param(4);
-    let probe_idx = cb.ld_param(5);
-    emit_probe_step(&mut cb, i, chain, key, matches, out, probe_idx);
-    let child = prog.add(build_kernel(cb)?);
+    // Chain entry `i`: on key equality, reserve an output slot and record
+    // the probe tuple id.
+    let probe_step = Dfp::new(
+        &mut prog,
+        "join_chain",
+        |b, i, [chain, key, matches, out, probe_idx]| {
+            let ea = b.mad(i, Op::Imm(4), Op::Reg(chain));
+            let bk = b.ld(Space::Global, ea, 0);
+            let eq = b.setp(CmpOp::Eq, CmpTy::U32, bk, Op::Reg(key));
+            b.if_(eq, |b| {
+                let pos = b.atom(AtomOp::Add, Space::Global, matches, 0, Op::Imm(1));
+                let oa = b.mad(pos, Op::Imm(4), Op::Reg(out));
+                b.st(Space::Global, oa, 0, Op::Reg(probe_idx));
+            });
+        },
+    )?;
 
     // Probe kernel: one thread per probe tuple; params:
     // [bucket_off, bucket_keys, probe_keys, matches, out, n_probe, nbuckets].
     let mut pb = KernelBuilder::new("join_probe", Dim3::x(PARENT_TB), 7);
-    let gtid = pb.global_tid();
-    let n_probe = pb.ld_param(5);
-    let oob = pb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(n_probe));
-    pb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut pb, 5);
     let boff = pb.ld_param(0);
     let bkeys = pb.ld_param(1);
     let pkeys = pb.ld_param(2);
@@ -59,43 +63,14 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), Sim
     let chain = pb.mad(start, Op::Imm(4), Op::Reg(bkeys));
     emit_dfp(
         &mut pb,
-        variant.launch_mode(),
-        child,
+        mode,
+        &probe_step,
         len,
-        &[
-            Op::Reg(chain),
-            Op::Reg(key),
-            Op::Reg(matches),
-            Op::Reg(out),
-            Op::Reg(gtid),
-        ],
-        |b, i| {
-            emit_probe_step(b, i, chain, key, matches, out, gtid);
-        },
+        DFP_THRESHOLD,
+        [chain, key, matches, out, gtid],
     );
     let probe = prog.add(build_kernel(pb)?);
     Ok((prog, probe))
-}
-
-/// Emits one chain comparison: on key equality, reserve an output slot and
-/// record the probe tuple id.
-fn emit_probe_step(
-    b: &mut KernelBuilder,
-    i: gpu_isa::Reg,
-    chain: gpu_isa::Reg,
-    key: gpu_isa::Reg,
-    matches: gpu_isa::Reg,
-    out: gpu_isa::Reg,
-    probe_idx: gpu_isa::Reg,
-) {
-    let ea = b.mad(i, Op::Imm(4), Op::Reg(chain));
-    let bk = b.ld(Space::Global, ea, 0);
-    let eq = b.setp(CmpOp::Eq, CmpTy::U32, bk, Op::Reg(key));
-    b.if_(eq, |b| {
-        let pos = b.atom(AtomOp::Add, Space::Global, matches, 0, Op::Imm(1));
-        let oa = b.mad(pos, Op::Imm(4), Op::Reg(out));
-        b.st(Space::Global, oa, 0, Op::Reg(probe_idx));
-    });
 }
 
 /// Builds the bucket CSR on the host — identical preprocessing for every
@@ -127,7 +102,7 @@ pub fn run(
     variant: Variant,
     base_cfg: GpuConfig,
 ) -> Result<RunReport, SimError> {
-    let (prog, probe) = build_program(variant)?;
+    let (prog, probe) = build_program(variant.launch_mode())?;
     let cfg = variant.configure(base_cfg);
     let mut gpu = Gpu::new(cfg, prog);
     drive(&mut gpu, name, input, probe, variant)

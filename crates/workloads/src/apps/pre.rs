@@ -9,7 +9,9 @@
 //! dynamic launch), which is why its occupancy and waiting-time gains are
 //! small (§5.2B).
 
-use crate::common::{build_kernel, ceil_div, child_guard, emit_dfp, validate_u32, Variant};
+use crate::common::{
+    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+};
 use crate::data::ratings::RatingSet;
 use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
@@ -17,27 +19,33 @@ use gpu_sim::{Gpu, GpuConfig, SimError};
 
 const PARENT_TB: u32 = 128;
 
-pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
     let mut prog = Program::new();
 
-    // Child: accumulate `count` rating products; params:
-    // [count, users_addr, vals_addr, qvec, sim_addr].
-    let mut cb = KernelBuilder::new("pre_dot", Dim3::x(crate::common::CHILD_TB), 5);
-    let i = child_guard(&mut cb);
-    let users = cb.ld_param(1);
-    let vals = cb.ld_param(2);
-    let qvec = cb.ld_param(3);
-    let sim = cb.ld_param(4);
-    emit_dot_step(&mut cb, i, users, vals, qvec, sim);
-    let child = prog.add(build_kernel(cb)?);
+    // Rating `i` of the item: `sim += vals[i] * qvec[users[i]]`, atomic
+    // so that the launched and inlined loops run the same algorithm.
+    let dot_step = Dfp::new(
+        &mut prog,
+        "pre_dot",
+        |b, i, [users, vals, qvec, sim_addr]| {
+            let ua = b.mad(i, Op::Imm(4), Op::Reg(users));
+            let u = b.ld(Space::Global, ua, 0);
+            let va = b.mad(i, Op::Imm(4), Op::Reg(vals));
+            let r = b.ld(Space::Global, va, 0);
+            let qa = b.mad(u, Op::Imm(4), Op::Reg(qvec));
+            let q = b.ld(Space::Global, qa, 0);
+            let prod = b.imul(r, Op::Reg(q));
+            let nz = b.setp(CmpOp::Ne, CmpTy::U32, prod, Op::Imm(0));
+            b.if_(nz, |b| {
+                b.atom_noret(AtomOp::Add, Space::Global, sim_addr, 0, Op::Reg(prod));
+            });
+        },
+    )?;
 
     // Parent: one thread per item; params:
     // [item_offsets, users, vals, qvec, sims, n_items].
     let mut pb = KernelBuilder::new("pre_item", Dim3::x(PARENT_TB), 6);
-    let gtid = pb.global_tid();
-    let n_items = pb.ld_param(5);
-    let oob = pb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(n_items));
-    pb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut pb, 5);
     let offs = pb.ld_param(0);
     let users = pb.ld_param(1);
     let vals = pb.ld_param(2);
@@ -52,44 +60,14 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), Sim
     let sim_addr = pb.mad(gtid, Op::Imm(4), Op::Reg(sims));
     emit_dfp(
         &mut pb,
-        variant.launch_mode(),
-        child,
+        mode,
+        &dot_step,
         cnt,
-        &[
-            Op::Reg(users_addr),
-            Op::Reg(vals_addr),
-            Op::Reg(qvec),
-            Op::Reg(sim_addr),
-        ],
-        |b, i| {
-            emit_dot_step(b, i, users_addr, vals_addr, qvec, sim_addr);
-        },
+        DFP_THRESHOLD,
+        [users_addr, vals_addr, qvec, sim_addr],
     );
     let parent = prog.add(build_kernel(pb)?);
     Ok((prog, parent))
-}
-
-/// Emits one dot-product term: `sim += vals[i] * qvec[users[i]]`
-/// (atomic so the child and inline variants share the exact algorithm).
-fn emit_dot_step(
-    b: &mut KernelBuilder,
-    i: gpu_isa::Reg,
-    users: gpu_isa::Reg,
-    vals: gpu_isa::Reg,
-    qvec: gpu_isa::Reg,
-    sim_addr: gpu_isa::Reg,
-) {
-    let ua = b.mad(i, Op::Imm(4), Op::Reg(users));
-    let u = b.ld(Space::Global, ua, 0);
-    let va = b.mad(i, Op::Imm(4), Op::Reg(vals));
-    let r = b.ld(Space::Global, va, 0);
-    let qa = b.mad(u, Op::Imm(4), Op::Reg(qvec));
-    let q = b.ld(Space::Global, qa, 0);
-    let prod = b.imul(r, Op::Reg(q));
-    let nz = b.setp(CmpOp::Ne, CmpTy::U32, prod, Op::Imm(0));
-    b.if_(nz, |b| {
-        b.atom_noret(AtomOp::Add, Space::Global, sim_addr, 0, Op::Reg(prod));
-    });
 }
 
 /// Host reference: per-item dot products against the query item's dense
@@ -115,7 +93,7 @@ pub fn run(
     variant: Variant,
     base_cfg: GpuConfig,
 ) -> Result<RunReport, SimError> {
-    let (prog, parent) = build_program(variant)?;
+    let (prog, parent) = build_program(variant.launch_mode())?;
     let cfg = variant.configure(base_cfg);
     let mut gpu = Gpu::new(cfg, prog);
     drive(&mut gpu, name, r, parent, variant)

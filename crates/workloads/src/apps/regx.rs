@@ -7,7 +7,10 @@
 //! per packet) is the launch-densest benchmark in the paper — the one
 //! whose launch overhead even DTBL cannot fully hide (§5.2C).
 
-use crate::common::{build_kernel, ceil_div, child_guard, emit_dfp, validate_scalar, Variant};
+use crate::common::{
+    build_kernel, ceil_div, emit_dfp, guard, validate_scalar, Dfp, LaunchMode, Variant,
+    DFP_THRESHOLD,
+};
 use crate::data::strings::{host_match, signature_dfa, PacketSet, ALPHABET};
 use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
@@ -15,28 +18,40 @@ use gpu_sim::{Gpu, GpuConfig, SimError};
 
 const PARENT_TB: u32 = 128;
 
-pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
     let mut prog = Program::new();
 
-    // Child: one thread per segment; params:
-    // [count, seg_entry_addr, symbols, dfa, hits, accept].
-    let mut cb = KernelBuilder::new("regx_seg", Dim3::x(crate::common::CHILD_TB), 6);
-    let i = child_guard(&mut cb);
-    let segs = cb.ld_param(1);
-    let symbols = cb.ld_param(2);
-    let dfa = cb.ld_param(3);
-    let hits = cb.ld_param(4);
-    let accept = cb.ld_param(5);
-    emit_dfa_walk(&mut cb, i, segs, symbols, dfa, hits, accept);
-    let child = prog.add(build_kernel(cb)?);
+    // Segment `i` of the table at `seg_entry` ((offset, len) pairs): walk
+    // the DFA over it and bump `hits` when the accept state is reached.
+    let dfa_walk = Dfp::new(
+        &mut prog,
+        "regx_seg",
+        |b, i, [seg_entry, symbols, dfa, hits, accept]| {
+            let sa = b.mad(i, Op::Imm(8), Op::Reg(seg_entry));
+            let off = b.ld(Space::Global, sa, 0);
+            let len = b.ld(Space::Global, sa, 4);
+            let base = b.mad(off, Op::Imm(4), Op::Reg(symbols));
+            let state = b.imm(0);
+            b.for_range(Op::Imm(0), Op::Reg(len), |b, k| {
+                let ca = b.mad(k, Op::Imm(4), Op::Reg(base));
+                let sym = b.ld(Space::Global, ca, 0);
+                let row = b.imul(state, Op::Imm(ALPHABET));
+                let idx = b.iadd(row, Op::Reg(sym));
+                let ta = b.mad(idx, Op::Imm(4), Op::Reg(dfa));
+                let next = b.ld(Space::Global, ta, 0);
+                b.mov_to(state, Op::Reg(next));
+            });
+            let hit = b.setp(CmpOp::Eq, CmpTy::U32, state, Op::Reg(accept));
+            b.if_(hit, |b| {
+                b.atom_noret(AtomOp::Add, Space::Global, hits, 0, Op::Imm(1));
+            });
+        },
+    )?;
 
     // Parent: one thread per packet; params:
     // [packets, segments, symbols, dfa, hits, n_packets, accept].
     let mut pb = KernelBuilder::new("regx_packet", Dim3::x(PARENT_TB), 7);
-    let gtid = pb.global_tid();
-    let np = pb.ld_param(5);
-    let oob = pb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(np));
-    pb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut pb, 5);
     let packets = pb.ld_param(0);
     let segments = pb.ld_param(1);
     let symbols = pb.ld_param(2);
@@ -51,54 +66,14 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), Sim
     let seg_entry = pb.mad(first, Op::Imm(8), Op::Reg(segments));
     emit_dfp(
         &mut pb,
-        variant.launch_mode(),
-        child,
+        mode,
+        &dfa_walk,
         nseg,
-        &[
-            Op::Reg(seg_entry),
-            Op::Reg(symbols),
-            Op::Reg(dfa),
-            Op::Reg(hits),
-            Op::Reg(accept),
-        ],
-        |b, i| {
-            emit_dfa_walk(b, i, seg_entry, symbols, dfa, hits, accept);
-        },
+        DFP_THRESHOLD,
+        [seg_entry, symbols, dfa, hits, accept],
     );
     let parent = prog.add(build_kernel(pb)?);
     Ok((prog, parent))
-}
-
-/// Emits a DFA walk over segment `i` of the table at `seg_entry`
-/// ((offset, len) pairs), bumping `hits` when the accept state is reached.
-#[allow(clippy::too_many_arguments)]
-fn emit_dfa_walk(
-    b: &mut KernelBuilder,
-    i: gpu_isa::Reg,
-    seg_entry: gpu_isa::Reg,
-    symbols: gpu_isa::Reg,
-    dfa: gpu_isa::Reg,
-    hits: gpu_isa::Reg,
-    accept: gpu_isa::Reg,
-) {
-    let sa = b.mad(i, Op::Imm(8), Op::Reg(seg_entry));
-    let off = b.ld(Space::Global, sa, 0);
-    let len = b.ld(Space::Global, sa, 4);
-    let base = b.mad(off, Op::Imm(4), Op::Reg(symbols));
-    let state = b.imm(0);
-    b.for_range(Op::Imm(0), Op::Reg(len), |b, k| {
-        let ca = b.mad(k, Op::Imm(4), Op::Reg(base));
-        let sym = b.ld(Space::Global, ca, 0);
-        let row = b.imul(state, Op::Imm(ALPHABET));
-        let idx = b.iadd(row, Op::Reg(sym));
-        let ta = b.mad(idx, Op::Imm(4), Op::Reg(dfa));
-        let next = b.ld(Space::Global, ta, 0);
-        b.mov_to(state, Op::Reg(next));
-    });
-    let hit = b.setp(CmpOp::Eq, CmpTy::U32, state, Op::Reg(accept));
-    b.if_(hit, |b| {
-        b.atom_noret(AtomOp::Add, Space::Global, hits, 0, Op::Imm(1));
-    });
 }
 
 /// Host reference: total accepting segments.
@@ -123,7 +98,7 @@ pub fn run(
     variant: Variant,
     base_cfg: GpuConfig,
 ) -> Result<RunReport, SimError> {
-    let (prog, parent) = build_program(variant)?;
+    let (prog, parent) = build_program(variant.launch_mode())?;
     let cfg = variant.configure(base_cfg);
     let mut gpu = Gpu::new(cfg, prog);
     drive(&mut gpu, name, p, parent, variant)

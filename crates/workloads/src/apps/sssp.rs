@@ -5,7 +5,9 @@
 //! per-vertex neighbour relaxation loop is the dynamically-formed
 //! parallelism.
 
-use crate::common::{build_kernel, ceil_div, child_guard, emit_dfp, validate_u32, Variant};
+use crate::common::{
+    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+};
 use crate::data::CsrGraph;
 use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
@@ -14,31 +16,40 @@ use gpu_sim::{Gpu, GpuConfig, SimError};
 const PARENT_TB: u32 = 128;
 const INF: u32 = u32::MAX;
 
-pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
     let mut prog = Program::new();
 
-    // Child: relax `count` edges; params:
-    // [count, edge_addr, weight_addr, dist, dv, flags, fout, cnt, tag].
-    let mut cb = KernelBuilder::new("sssp_relax", Dim3::x(crate::common::CHILD_TB), 9);
-    let i = child_guard(&mut cb);
-    let edges = cb.ld_param(1);
-    let weights = cb.ld_param(2);
-    let dist = cb.ld_param(3);
-    let dv = cb.ld_param(4);
-    let flags = cb.ld_param(5);
-    let fout = cb.ld_param(6);
-    let cnt = cb.ld_param(7);
-    let tag = cb.ld_param(8);
-    emit_relax(&mut cb, i, edges, weights, dist, dv, flags, fout, cnt, tag);
-    let child = prog.add(build_kernel(cb)?);
+    // Edge `i`: `u = edges[i]; nd = dv + w[i]; if atomicMin(dist[u], nd)
+    // > nd and flags[u] != tag { push u }`.
+    let relax = Dfp::new(
+        &mut prog,
+        "sssp_relax",
+        |b, i, [edges, weights, dist, dv, flags, fout, cnt, tag]| {
+            let ea = b.mad(i, Op::Imm(4), Op::Reg(edges));
+            let u = b.ld(Space::Global, ea, 0);
+            let wa = b.mad(i, Op::Imm(4), Op::Reg(weights));
+            let w = b.ld(Space::Global, wa, 0);
+            let nd = b.iadd(dv, Op::Reg(w));
+            let du = b.mad(u, Op::Imm(4), Op::Reg(dist));
+            let old = b.atom(AtomOp::MinU, Space::Global, du, 0, Op::Reg(nd));
+            let improved = b.setp(CmpOp::Lt, CmpTy::U32, nd, Op::Reg(old));
+            b.if_(improved, |b| {
+                let fa = b.mad(u, Op::Imm(4), Op::Reg(flags));
+                let prev = b.atom(AtomOp::Exch, Space::Global, fa, 0, Op::Reg(tag));
+                let fresh = b.setp(CmpOp::Ne, CmpTy::U32, prev, Op::Reg(tag));
+                b.if_(fresh, |b| {
+                    let pos = b.atom(AtomOp::Add, Space::Global, cnt, 0, Op::Imm(1));
+                    let oa = b.mad(pos, Op::Imm(4), Op::Reg(fout));
+                    b.st(Space::Global, oa, 0, Op::Reg(u));
+                });
+            });
+        },
+    )?;
 
     // Parent: one thread per frontier vertex; params:
     // [row, col, w, dist, fin, fout, cnt, flags, nf, tag].
     let mut pb = KernelBuilder::new("sssp_level", Dim3::x(PARENT_TB), 10);
-    let gtid = pb.global_tid();
-    let nf = pb.ld_param(8);
-    let oob = pb.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(nf));
-    pb.if_(oob, |b| b.exit());
+    let gtid = guard(&mut pb, 8);
     let row = pb.ld_param(0);
     let col = pb.ld_param(1);
     let wts = pb.ld_param(2);
@@ -60,71 +71,14 @@ pub(crate) fn build_program(variant: Variant) -> Result<(Program, KernelId), Sim
     let dv = pb.ld(Space::Global, da, 0);
     emit_dfp(
         &mut pb,
-        variant.launch_mode(),
-        child,
+        mode,
+        &relax,
         deg,
-        &[
-            Op::Reg(edge_addr),
-            Op::Reg(weight_addr),
-            Op::Reg(dist),
-            Op::Reg(dv),
-            Op::Reg(flags),
-            Op::Reg(fout),
-            Op::Reg(cnt),
-            Op::Reg(tag),
-        ],
-        |b, i| {
-            emit_relax(
-                b,
-                i,
-                edge_addr,
-                weight_addr,
-                dist,
-                dv,
-                flags,
-                fout,
-                cnt,
-                tag,
-            );
-        },
+        DFP_THRESHOLD,
+        [edge_addr, weight_addr, dist, dv, flags, fout, cnt, tag],
     );
     let parent = prog.add(build_kernel(pb)?);
     Ok((prog, parent))
-}
-
-/// Emits one edge relaxation: `u = edges[i]; nd = dv + w[i];
-/// if atomicMin(dist[u], nd) > nd and flags[u] != tag { push u }`.
-#[allow(clippy::too_many_arguments)]
-fn emit_relax(
-    b: &mut KernelBuilder,
-    i: gpu_isa::Reg,
-    edges: gpu_isa::Reg,
-    weights: gpu_isa::Reg,
-    dist: gpu_isa::Reg,
-    dv: gpu_isa::Reg,
-    flags: gpu_isa::Reg,
-    fout: gpu_isa::Reg,
-    cnt: gpu_isa::Reg,
-    tag: gpu_isa::Reg,
-) {
-    let ea = b.mad(i, Op::Imm(4), Op::Reg(edges));
-    let u = b.ld(Space::Global, ea, 0);
-    let wa = b.mad(i, Op::Imm(4), Op::Reg(weights));
-    let w = b.ld(Space::Global, wa, 0);
-    let nd = b.iadd(dv, Op::Reg(w));
-    let du = b.mad(u, Op::Imm(4), Op::Reg(dist));
-    let old = b.atom(AtomOp::MinU, Space::Global, du, 0, Op::Reg(nd));
-    let improved = b.setp(CmpOp::Lt, CmpTy::U32, nd, Op::Reg(old));
-    b.if_(improved, |b| {
-        let fa = b.mad(u, Op::Imm(4), Op::Reg(flags));
-        let prev = b.atom(AtomOp::Exch, Space::Global, fa, 0, Op::Reg(tag));
-        let fresh = b.setp(CmpOp::Ne, CmpTy::U32, prev, Op::Reg(tag));
-        b.if_(fresh, |b| {
-            let pos = b.atom(AtomOp::Add, Space::Global, cnt, 0, Op::Imm(1));
-            let oa = b.mad(pos, Op::Imm(4), Op::Reg(fout));
-            b.st(Space::Global, oa, 0, Op::Reg(u));
-        });
-    });
 }
 
 /// Host reference: Bellman-Ford to fixpoint.
@@ -161,7 +115,7 @@ pub fn run(
     variant: Variant,
     base_cfg: GpuConfig,
 ) -> Result<RunReport, SimError> {
-    let (prog, parent) = build_program(variant)?;
+    let (prog, parent) = build_program(variant.launch_mode())?;
     let cfg = variant.configure(base_cfg);
     let mut gpu = Gpu::new(cfg, prog);
     drive(&mut gpu, name, g, source, parent, variant)

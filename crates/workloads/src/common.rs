@@ -1,7 +1,10 @@
-//! Shared plumbing for the benchmark implementations: execution variants
-//! and the nested-parallelism code-generation helper.
+//! Shared plumbing for the benchmark implementations: execution variants,
+//! the kernel guard, and the nested-parallelism code generation — a
+//! [`Dfp`] declares a nested loop's body once, builds the child kernel
+//! from it, and [`emit_dfp`] emits the parent's launch-or-inline code from
+//! the same body.
 
-use gpu_isa::{CmpOp, CmpTy, Kernel, KernelBuilder, KernelId, Op, Reg};
+use gpu_isa::{CmpOp, CmpTy, Dim3, Kernel, KernelBuilder, KernelId, Op, Program, Reg};
 use gpu_sim::{GpuConfig, LatencyTable, SimError};
 
 /// Finalizes a kernel, converting an assembly failure into the typed
@@ -149,7 +152,9 @@ impl std::fmt::Display for Variant {
     }
 }
 
-/// How nested work is emitted by [`emit_dfp`].
+/// How nested work is emitted by [`emit_dfp`]. A benchmark's program is a
+/// function of its launch mode alone: the variants of one mode differ
+/// only in their simulator configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LaunchMode {
     /// Serialize the nested loop in the parent thread.
@@ -160,95 +165,122 @@ pub enum LaunchMode {
     Dtbl,
 }
 
-/// Minimum DFP size worth a dynamic launch. Below this, even the CDP and
-/// DTBL variants inline the loop (the paper launches "for any detected
-/// DFP with sufficient parallelism available" — one warp's worth here;
-/// the measured average dynamic launch is ~40 threads, §3.1).
+impl LaunchMode {
+    /// Every mode, in discriminant order: a [`CellSetup`](crate::CellSetup)
+    /// stores its program for `mode` at index `mode as usize`.
+    pub const ALL: [LaunchMode; 3] = [LaunchMode::Inline, LaunchMode::Cdp, LaunchMode::Dtbl];
+}
+
+/// Minimum DFP size worth a dynamic launch, the usual [`emit_dfp`]
+/// threshold. Below it, even the CDP and DTBL variants inline the loop
+/// (the paper launches "for any detected DFP with sufficient parallelism
+/// available" — one warp's worth here; the measured average dynamic
+/// launch is ~40 threads, §3.1).
 pub const DFP_THRESHOLD: u32 = 32;
 
 /// Thread-block size of every child kernel, as a power of two. 32 keeps
 /// dynamic launches fine-grained like the paper's measured average of
 /// ~40 threads per device launch.
-pub const CHILD_TB_LOG2: u32 = 5;
+const CHILD_TB_LOG2: u32 = 5;
 
 /// Threads per child thread block.
 pub const CHILD_TB: u32 = 1 << CHILD_TB_LOG2;
 
-/// Emits the canonical DFP pattern into a parent kernel:
-///
-/// ```text
-/// if count >= DFP_THRESHOLD and mode is dynamic:
-///     buf = cudaGetParameterBuffer()
-///     buf[0] = count; buf[1..] = params
-///     launch child with ceil(count / CHILD_TB) blocks
-/// else:
-///     for i in 0..count { inline_body(i) }
-/// ```
-///
-/// Child kernels read `count` from parameter word 0 and `params[k]` from
-/// word `k + 1`, and should start with [`child_guard`].
-pub fn emit_dfp(
-    b: &mut KernelBuilder,
-    mode: LaunchMode,
-    child: KernelId,
-    count: Reg,
-    params: &[Op],
-    inline_body: impl FnOnce(&mut KernelBuilder, Reg),
-) {
-    emit_dfp_with_threshold(b, mode, child, count, DFP_THRESHOLD, params, inline_body);
-}
-
-/// [`emit_dfp`] with an application-specific launch threshold (AMR's
-/// natural refinement granularity is 16 sub-cells, below the default).
-pub fn emit_dfp_with_threshold(
-    b: &mut KernelBuilder,
-    mode: LaunchMode,
-    child: KernelId,
-    count: Reg,
-    threshold: u32,
-    params: &[Op],
-    inline_body: impl FnOnce(&mut KernelBuilder, Reg),
-) {
-    match mode {
-        LaunchMode::Inline => {
-            b.for_range(Op::Imm(0), Op::Reg(count), inline_body);
-        }
-        LaunchMode::Cdp | LaunchMode::Dtbl => {
-            let big = b.setp(CmpOp::Ge, CmpTy::U32, count, Op::Imm(threshold));
-            let params: Vec<Op> = params.to_vec();
-            b.if_else_(
-                big,
-                move |b| {
-                    let buf = b.get_param_buf(1 + params.len() as u16);
-                    b.st_param_word(buf, 0, Op::Reg(count));
-                    for (k, p) in params.iter().enumerate() {
-                        b.st_param_word(buf, k as u16 + 1, *p);
-                    }
-                    let biased = b.iadd(count, Op::Imm(CHILD_TB - 1));
-                    let ntb = b.shru(biased, Op::Imm(CHILD_TB_LOG2));
-                    match mode {
-                        LaunchMode::Cdp => b.launch_device(child, Op::Reg(ntb), buf),
-                        LaunchMode::Dtbl => b.launch_agg(child, Op::Reg(ntb), buf),
-                        LaunchMode::Inline => unreachable!(),
-                    }
-                },
-                move |b| {
-                    b.for_range(Op::Imm(0), Op::Reg(count), inline_body);
-                },
-            );
-        }
-    }
-}
-
-/// Emits the standard child-kernel prologue: computes the global work-item
-/// index, exits threads past `count` (parameter word 0), and returns the
-/// index register.
-pub fn child_guard(b: &mut KernelBuilder) -> Reg {
+/// Emits the guard every benchmark kernel opens with: computes the global
+/// thread index and exits each thread at or past the item count held in
+/// parameter word `count_word`. Returns the index register.
+pub(crate) fn guard(b: &mut KernelBuilder, count_word: u16) -> Reg {
     let gtid = b.global_tid();
-    let count = b.ld_param(0);
+    let count = b.ld_param(count_word);
     let oob = b.setp(CmpOp::Ge, CmpTy::U32, gtid, Op::Reg(count));
     b.if_(oob, |b| b.exit());
     gtid
+}
+
+/// One dynamically formed pocket of parallelism (DFP): a nested loop's
+/// per-item body, declared once and emitted twice — as the body of the
+/// child kernel [`Dfp::new`] builds, and by [`emit_dfp`] as the parent's
+/// launch-or-inline code. The Flat loop and the CDP/DTBL children thus
+/// run the same micro-ops per item: the paper's fair-comparison rule
+/// (§5.1) holds by construction.
+///
+/// The body receives the builder, the item index and its `N` argument
+/// registers: parameter words `1..=N` in the child (word 0 is the item
+/// count), the parent's registers when inlined.
+pub struct Dfp<const N: usize, F> {
+    child: KernelId,
+    body: F,
+}
+
+impl<const N: usize, F: Fn(&mut KernelBuilder, Reg, [Reg; N])> Dfp<N, F> {
+    /// Builds the child kernel `name` from `body` — the kernel guard on
+    /// parameter word 0 (threads at or past the item count exit),
+    /// parameter words `1..=N` loaded in order, then the body — and adds
+    /// it to `prog`. Every launch mode adds it (Flat never launches it),
+    /// so a program's kernel ids do not depend on the mode.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::KernelBuild`] when the child does not assemble.
+    pub fn new(prog: &mut Program, name: &str, body: F) -> Result<Self, SimError> {
+        let mut b = KernelBuilder::new(name, Dim3::x(CHILD_TB), 1 + N as u16);
+        let i = guard(&mut b, 0);
+        let args = std::array::from_fn(|k| b.ld_param(1 + k as u16));
+        body(&mut b, i, args);
+        let child = prog.add(build_kernel(b)?);
+        Ok(Dfp { child, body })
+    }
+
+    /// The child kernel's id.
+    pub fn child(&self) -> KernelId {
+        self.child
+    }
+}
+
+/// Emits a parent thread's `count` items of `dfp`:
+///
+/// ```text
+/// if mode is dynamic and count >= threshold:
+///     buf = cudaGetParameterBuffer()
+///     buf[0] = count; buf[1..] = args
+///     launch the child with ceil(count / CHILD_TB) blocks
+/// else:
+///     for i in 0..count { body(i, args) }
+/// ```
+///
+/// `args` are the parent's registers for the body's arguments; a launched
+/// child reads the same values from its parameter words.
+pub fn emit_dfp<const N: usize, F: Fn(&mut KernelBuilder, Reg, [Reg; N])>(
+    b: &mut KernelBuilder,
+    mode: LaunchMode,
+    dfp: &Dfp<N, F>,
+    count: Reg,
+    threshold: u32,
+    args: [Reg; N],
+) {
+    let inline = |b: &mut KernelBuilder| {
+        b.for_range(Op::Imm(0), Op::Reg(count), |b, i| (dfp.body)(b, i, args));
+    };
+    let launch = match mode {
+        LaunchMode::Inline => return inline(b),
+        LaunchMode::Cdp => KernelBuilder::launch_device,
+        LaunchMode::Dtbl => KernelBuilder::launch_agg,
+    };
+    let big = b.setp(CmpOp::Ge, CmpTy::U32, count, Op::Imm(threshold));
+    b.if_else_(
+        big,
+        |b| {
+            let buf = b.get_param_buf(1 + N as u16);
+            b.st_param_word(buf, 0, Op::Reg(count));
+            for (k, a) in args.into_iter().enumerate() {
+                b.st_param_word(buf, 1 + k as u16, Op::Reg(a));
+            }
+            let biased = b.iadd(count, Op::Imm(CHILD_TB - 1));
+            let ntb = b.shru(biased, Op::Imm(CHILD_TB_LOG2));
+            launch(b, dfp.child, Op::Reg(ntb), buf);
+        },
+        inline,
+    );
 }
 
 /// Ceil-divide for host-side grid sizing.
@@ -259,7 +291,7 @@ pub fn ceil_div(a: u32, b: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_isa::{Dim3, LaunchKind, UOp};
+    use gpu_isa::{LaunchKind, UOp};
 
     #[test]
     fn labels_round_trip_through_from_label() {
@@ -282,31 +314,58 @@ mod tests {
         assert_eq!(Variant::Dtbl.to_string(), "DTBL");
     }
 
-    #[test]
-    fn emit_dfp_inline_has_no_launch() {
-        let mut b = KernelBuilder::new("t", Dim3::x(32), 1);
-        let c = b.imm(10);
-        emit_dfp(&mut b, LaunchMode::Inline, KernelId(1), c, &[], |b, i| {
-            let _ = b.iadd(i, Op::Imm(1));
-        });
-        let k = b.build().unwrap();
-        assert!(!k.uops().iter().any(|m| matches!(m.op, UOp::Launch { .. })));
+    /// A two-argument DFP body: stores the item index to the address in
+    /// its first argument plus the second.
+    fn store(b: &mut KernelBuilder, i: Reg, [base, off]: [Reg; 2]) {
+        let a = b.iadd(base, Op::Reg(off));
+        b.st(gpu_isa::Space::Global, a, 0, Op::Reg(i));
     }
 
     #[test]
-    fn emit_dfp_dynamic_has_both_paths() {
+    fn the_child_is_the_guard_then_its_arguments_in_order_then_the_body() -> Result<(), SimError> {
+        let mut prog = Program::new();
+        let dfp = Dfp::new(&mut prog, "child", store)?;
+        let k = prog.kernel(dfp.child());
+        assert_eq!((k.name(), k.param_words()), ("child", 3));
+        assert_eq!(k.block_dim(), Dim3::x(CHILD_TB));
+        let words: Vec<u16> = (k.uops().iter())
+            .filter_map(|m| match m.op {
+                UOp::LdParam { word, .. } => Some(word),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(words, [0, 1, 2], "count first, then the arguments in order");
+        assert!(k.uops().iter().any(|m| matches!(m.op, UOp::Exit)));
+        Ok(())
+    }
+
+    #[test]
+    fn emit_dfp_inline_has_no_launch() -> Result<(), SimError> {
+        let mut prog = Program::new();
+        let dfp = Dfp::new(&mut prog, "child", store)?;
+        let mut b = KernelBuilder::new("t", Dim3::x(32), 1);
+        let c = b.imm(10);
+        emit_dfp(&mut b, LaunchMode::Inline, &dfp, c, DFP_THRESHOLD, [c, c]);
+        let k = b.build().unwrap();
+        assert!(!k.uops().iter().any(|m| matches!(m.op, UOp::Launch { .. })));
+        assert!(k.uops().iter().any(|m| matches!(m.op, UOp::St { .. })));
+        Ok(())
+    }
+
+    #[test]
+    fn emit_dfp_dynamic_has_both_paths() -> Result<(), SimError> {
+        let mut prog = Program::new();
+        let dfp = Dfp::new(&mut prog, "child", store)?;
         for (mode, want_agg) in [(LaunchMode::Cdp, false), (LaunchMode::Dtbl, true)] {
             let mut b = KernelBuilder::new("t", Dim3::x(32), 1);
             let c = b.imm(10);
             let extra = b.imm(42);
-            emit_dfp(&mut b, mode, KernelId(1), c, &[Op::Reg(extra)], |b, i| {
-                let _ = b.iadd(i, Op::Imm(1));
-            });
+            emit_dfp(&mut b, mode, &dfp, c, DFP_THRESHOLD, [c, extra]);
             let k = b.build().unwrap();
             let has = |kind: LaunchKind| {
-                k.uops()
-                    .iter()
-                    .any(|m| matches!(m.op, UOp::Launch { kind: k, .. } if k == kind))
+                k.uops().iter().any(|m| {
+                    matches!(m.op, UOp::Launch { kind: k, kernel, .. } if k == kind && kernel == dfp.child())
+                })
             };
             assert_eq!(has(LaunchKind::Agg), want_agg);
             assert_eq!(has(LaunchKind::Device), !want_agg);
@@ -318,8 +377,9 @@ mod tests {
             assert!(k
                 .uops()
                 .iter()
-                .any(|m| matches!(m.op, UOp::GetParamBuf { words: 2, .. })));
+                .any(|m| matches!(m.op, UOp::GetParamBuf { words: 3, .. })));
         }
+        Ok(())
     }
 
     #[test]

@@ -32,8 +32,8 @@ mod report;
 mod setup;
 
 pub use common::{
-    build_kernel, ceil_div, child_guard, emit_dfp, emit_dfp_with_threshold, validate_scalar,
-    validate_u32, LaunchMode, Variant, CHILD_TB, DFP_THRESHOLD,
+    build_kernel, ceil_div, emit_dfp, validate_scalar, validate_u32, Dfp, LaunchMode, Variant,
+    CHILD_TB, DFP_THRESHOLD,
 };
 pub use harness::{Benchmark, Scale};
 pub use report::RunReport;

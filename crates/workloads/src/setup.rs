@@ -4,7 +4,9 @@
 //! Workload data generation and kernel construction are a pure function
 //! of `(benchmark, scale)`. A [`CellSetup`] computes that function once:
 //! the workload buffers are built a single time and shared behind
-//! `Arc`s, and the [`Program`] for *every* variant is built up front —
+//! `Arc`s, and the [`Program`] for every launch mode is built up front
+//! (a program depends only on the mode, so the variants of one mode
+//! share it) —
 //! each kernel's micro-op program is what its builder emitted, so the
 //! executors run it as stored (a `Program` clone is an `Arc` refcount
 //! bump per kernel, micro-ops included, pinned by
@@ -22,7 +24,7 @@
 //! it is built (or reconfigured), so a cache lookup hashes no config.
 
 use crate::apps;
-use crate::common::Variant;
+use crate::common::{LaunchMode, Variant};
 use crate::data::mesh::ScalarField;
 use crate::data::points::PointSet;
 use crate::data::ratings::RatingSet;
@@ -160,43 +162,43 @@ pub(crate) fn build_data(benchmark: Benchmark, scale: Scale) -> AppData {
     }
 }
 
-/// Builds a benchmark's program for one variant, returning the kernel ids
-/// in the app's positional order.
+/// Builds a benchmark's program for one launch mode, returning the kernel
+/// ids in the app's positional order.
 pub(crate) fn prepare(
     benchmark: Benchmark,
-    variant: Variant,
+    mode: LaunchMode,
 ) -> Result<(Program, Vec<KernelId>), SimError> {
     Ok(match benchmark {
         Benchmark::Amr => {
-            let (prog, parent) = apps::amr::build_program(variant)?;
+            let (prog, parent) = apps::amr::build_program(mode)?;
             (prog, vec![parent])
         }
         Benchmark::Bht => {
-            let (prog, count_k, emit_k, scatter_k) = apps::bht::build_program(variant)?;
+            let (prog, count_k, emit_k, scatter_k) = apps::bht::build_program(mode)?;
             (prog, vec![count_k, emit_k, scatter_k])
         }
         Benchmark::BfsCitation | Benchmark::BfsUsaRoad | Benchmark::BfsCage15 => {
-            let (prog, parent, child) = apps::bfs::build_program(variant)?;
+            let (prog, parent, child) = apps::bfs::build_program(mode)?;
             (prog, vec![parent, child])
         }
         Benchmark::ClrCitation | Benchmark::ClrGraph500 | Benchmark::ClrCage15 => {
-            let (prog, check, assign) = apps::clr::build_program(variant)?;
+            let (prog, check, assign) = apps::clr::build_program(mode)?;
             (prog, vec![check, assign])
         }
         Benchmark::RegxDarpa | Benchmark::RegxString => {
-            let (prog, parent) = apps::regx::build_program(variant)?;
+            let (prog, parent) = apps::regx::build_program(mode)?;
             (prog, vec![parent])
         }
         Benchmark::PreMovielens => {
-            let (prog, parent) = apps::pre::build_program(variant)?;
+            let (prog, parent) = apps::pre::build_program(mode)?;
             (prog, vec![parent])
         }
         Benchmark::JoinUniform | Benchmark::JoinGaussian => {
-            let (prog, probe) = apps::join::build_program(variant)?;
+            let (prog, probe) = apps::join::build_program(mode)?;
             (prog, vec![probe])
         }
         Benchmark::SsspCitation | Benchmark::SsspFlight | Benchmark::SsspCage15 => {
-            let (prog, parent) = apps::sssp::build_program(variant)?;
+            let (prog, parent) = apps::sssp::build_program(mode)?;
             (prog, vec![parent])
         }
     })
@@ -274,7 +276,7 @@ pub fn cell_key(
 }
 
 /// The immutable half of one benchmark's sweep cells: built workload
-/// buffers, built per-variant programs, and the resolved base config.
+/// buffers, built per-launch-mode programs, and the resolved base config.
 /// Build it once, run any variant any number of times — cold
 /// ([`run`](CellSetup::run)) or on a pooled warm simulator
 /// ([`run_warm`](CellSetup::run_warm)).
@@ -284,7 +286,8 @@ pub struct CellSetup {
     scale: Scale,
     base_cfg: GpuConfig,
     data: AppData,
-    /// One prepared `(program, kernel ids)` per [`Variant::ALL`] entry.
+    /// One prepared `(program, kernel ids)` per [`LaunchMode::ALL`] entry,
+    /// shared by the variants of that mode.
     progs: Vec<(Program, Vec<KernelId>)>,
     /// One [`cell_key`] per [`Variant::ALL`] entry, of `base_cfg`.
     keys: [CellKey; Variant::ALL.len()],
@@ -300,16 +303,16 @@ fn keys_of(
 }
 
 impl CellSetup {
-    /// Builds the setup: workload data once, a program per variant.
+    /// Builds the setup: workload data once, a program per launch mode.
     ///
     /// # Errors
     ///
     /// Any kernel-construction [`SimError`].
     pub fn new(benchmark: Benchmark, scale: Scale, base_cfg: GpuConfig) -> Result<Self, SimError> {
         let data = build_data(benchmark, scale);
-        let progs = Variant::ALL
+        let progs = LaunchMode::ALL
             .iter()
-            .map(|&v| prepare(benchmark, v))
+            .map(|&m| prepare(benchmark, m))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CellSetup {
             benchmark,
@@ -351,9 +354,10 @@ impl CellSetup {
         &self.data
     }
 
-    /// The prepared program (and its kernel ids) for `variant`.
+    /// The prepared program (and its kernel ids) for `variant`: the one
+    /// program of its [`launch_mode`](Variant::launch_mode).
     pub fn program(&self, variant: Variant) -> &(Program, Vec<KernelId>) {
-        &self.progs[variant.index()]
+        &self.progs[variant.launch_mode() as usize]
     }
 
     /// The fully-resolved config a `variant` cell runs under (base config
@@ -407,10 +411,19 @@ mod tests {
         // buffers rather than rebuilding them.
         let cell = setup.clone();
         assert!(cell.data().ptr_eq(setup.data()));
-        // Programs are prepared per variant and handed out by refcount
-        // bump, not rebuilt.
+        // Programs are prepared per launch mode and handed out by
+        // refcount bump, not rebuilt: the variants of one mode share one.
         let (prog, _) = setup.program(Variant::Dtbl);
         assert!(prog.shares_kernels(&setup.program(Variant::Dtbl).0));
+        for (a, b) in [
+            (Variant::Cdp, Variant::CdpIdeal),
+            (Variant::Dtbl, Variant::DtblIdeal),
+            (Variant::Dtbl, Variant::DtblNoCoalesce),
+        ] {
+            assert!(setup.program(a).0.shares_kernels(&setup.program(b).0));
+        }
+        assert!(!prog.shares_kernels(&setup.program(Variant::Cdp).0));
+        assert!(!prog.shares_kernels(&setup.program(Variant::Flat).0));
 
         // A config-axis sibling shares both and differs only in its key.
         let wide = setup.with_config(GpuConfig {
