@@ -48,7 +48,9 @@ impl BackingStore {
 
     fn page_mut(&mut self, page: u32) -> &mut [u8] {
         if self.pages.is_empty() {
-            self.pages.resize(NUM_PAGES, None);
+            // A zeroed allocation: the table's untouched pages are never
+            // faulted in, where filling it would make all 1 MiB resident.
+            self.pages = vec![None; NUM_PAGES];
         }
         let slot = &mut self.pages[page as usize];
         if slot.is_none() {

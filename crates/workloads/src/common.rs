@@ -181,7 +181,7 @@ pub const DFP_THRESHOLD: u32 = 32;
 /// Thread-block size of every child kernel, as a power of two. 32 keeps
 /// dynamic launches fine-grained like the paper's measured average of
 /// ~40 threads per device launch.
-const CHILD_TB_LOG2: u32 = 5;
+pub const CHILD_TB_LOG2: u32 = 5;
 
 /// Threads per child thread block.
 pub const CHILD_TB: u32 = 1 << CHILD_TB_LOG2;
