@@ -5,7 +5,11 @@
 //! structures: **Flat** (the nested loop serialized in each thread),
 //! **CDP** (device-kernel launch per pocket of parallelism) and **DTBL**
 //! (aggregated-group launch), plus the zero-launch-latency ideal variants
-//! (CDPI/DTBLI) the paper uses to isolate scheduling effects.
+//! (CDPI/DTBLI) the paper uses to isolate scheduling effects. Each nested
+//! loop is written once, as a [`Dfp`] body: the child kernel is built
+//! from it, and [`emit_dfp`] emits the parent's launch-or-inline code from
+//! the same body, so the three ways run the same per-item micro-ops. A
+//! program depends only on the variant's [`LaunchMode`].
 //!
 //! The entry point is [`Benchmark`]: pick one of the paper's 16
 //! benchmark/input configurations, a [`Variant`], and a scale, and get

@@ -5,10 +5,9 @@
 //! of `(benchmark, scale)`. A [`CellSetup`] computes that function once:
 //! the workload buffers are built a single time and shared behind
 //! `Arc`s, and the [`Program`] for every launch mode is built up front
-//! (a program depends only on the mode, so the variants of one mode
-//! share it) —
-//! each kernel's micro-op program is what its builder emitted, so the
-//! executors run it as stored (a `Program` clone is an `Arc` refcount
+//! (a program depends only on the mode, so the variants of one mode share
+//! it) — each kernel's micro-op program is what its builder emitted, so
+//! the executors run it as stored (a `Program` clone is an `Arc` refcount
 //! bump per kernel, micro-ops included, pinned by
 //! `Program::shares_kernels`).
 //! Running a cell is then only the mutable half: bind a fresh — or
