@@ -12,7 +12,9 @@
 //! - `--test-scale` runs the fast Test inputs instead of Eval scale.
 //! - `--jobs N` sets the worker count (default: available parallelism);
 //!   `--retries N` re-runs a crashed cell up to N times (default 0).
-//! - `--csv` also writes each table to `out/figures/<figure>_<series>.csv`.
+//! - `--csv` also writes each table to `out/figures/<figure>_<series>.csv`;
+//!   a file that cannot be written is reported, the remaining figures
+//!   still render, and the exit status is 1.
 //! - `--deadline-ms N` gives every cell N ms of wall clock; a cell past it
 //!   stops with `SimError::DeadlineExceeded` and is reported as failed.
 //! - `--trace PATH` records every cell and writes the traces to PATH when
@@ -36,18 +38,25 @@ fn main() {
     // Each figure renders only the rows whose cells all completed; failed
     // runs are reported at the end so one diverging benchmark never costs
     // the whole sweep.
+    let mut csv_failed = false;
     for f in &figures {
         let rows = f.rows(&m);
-        f.render(&m, &rows, csv).expect("csv");
+        if let Err(e) = f.render(&m, &rows, csv) {
+            eprintln!("failed to write CSV {e}");
+            csv_failed = true;
+        }
         print_claims(f.name, &(f.summary)(&m, &rows));
     }
-    if csv {
+    if csv && !csv_failed {
         eprintln!("CSV series written under out/figures/");
     }
     if let Some(path) = trace {
         write_trace(&path, &mut m);
     }
     m.report_failures();
+    if csv_failed {
+        std::process::exit(1);
+    }
 }
 
 /// The parsed command line: the selected figures (all when none is

@@ -534,11 +534,11 @@ impl Figure {
                 value,
                 fmt,
             } => {
+                print_figure(title, rows, series, |b, s| value(m, b, s), fmt);
                 if csv {
                     let name = format!("{}_{file}", self.name);
                     write_csv(&name, rows, csv_series, |b, s| value(m, b, s))?;
                 }
-                print_figure(title, rows, series, |b, s| value(m, b, s), fmt);
             }
             Render::Text(print) => print(m, rows),
         }
@@ -1165,6 +1165,7 @@ fn spatial_table(m: &Matrix, bs: &[Benchmark]) {
 /// Writes one figure as `out/figures/<name>.csv` (benchmark rows, series
 /// columns). `out/` is relative to the working directory, created on
 /// demand and gitignored: regenerated artifacts never land in the repo.
+/// An error names the file it could not write.
 pub fn write_csv(
     name: &str,
     benchmarks: &[Benchmark],
@@ -1172,7 +1173,6 @@ pub fn write_csv(
     mut value: impl FnMut(Benchmark, &str) -> f64,
 ) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("out").join("figures");
-    std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.csv"));
     let mut out = String::from("benchmark");
     for s in series {
@@ -1187,7 +1187,9 @@ pub fn write_csv(
         }
         out.push('\n');
     }
-    std::fs::write(&path, out)?;
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, out))
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
     Ok(path)
 }
 
@@ -1252,9 +1254,9 @@ mod tests {
         // Another config of the same benchmark shares the data under its
         // own config; another benchmark shares neither.
         assert!(!Arc::ptr_eq(&cells[0].0, &cells[3].0));
-        assert!(cells[0].0.data().ptr_eq(cells[3].0.data()));
+        assert!(cells[0].0.app().ptr_eq(cells[3].0.app()));
         assert_eq!(cells[3].0.run_cfg(Variant::Dtbl).agt_entries, 2);
-        assert!(!cells[0].0.data().ptr_eq(cells[6].0.data()));
+        assert!(!cells[0].0.app().ptr_eq(cells[6].0.app()));
     }
 
     /// A figure reading `bs` × `vs` on the stock machine that prints and

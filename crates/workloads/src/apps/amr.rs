@@ -2,25 +2,28 @@
 //!
 //! Cells whose field range across corners exceeds a threshold subdivide
 //! 4×4; the emission/evaluation of the 16 sub-cells is the
-//! dynamically-formed parallelism. In the DTBL variant the sub-cell
-//! groups coalesce back to the refinement kernel itself — the paper's
-//! Figure 2a self-coalescing shape. The paper reports AMR as the largest
+//! dynamically-formed parallelism. Each refining `amr_level` thread
+//! launches the sub-cells as `amr_emit`, a separate leaf kernel; in the
+//! DTBL variant the groups coalesce onto an `amr_emit` kernel already
+//! resident in the Kernel Distributor, never onto `amr_level` (the
+//! refinement does not self-coalesce). The paper reports AMR as the largest
 //! warp-activity winner (+45.3%): in the flat variant a few threads near
 //! flame fronts refine deeply while their warp-mates idle.
 
-use crate::common::{build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode, Variant};
+use crate::common::{build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode};
 use crate::data::mesh::ScalarField;
-use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Reg, Space};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, SimError};
 
 const PARENT_TB: u32 = 128;
+/// Top-level cell size: the field is tiled by `CELL0 × CELL0` cells.
+const CELL0: u32 = 32;
 /// Sub-cells per refinement (4×4 split).
 const SUBDIV: u32 = 16;
 /// Field-range threshold above which a cell refines.
 const THRESH: u32 = 150;
 
-pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, Vec<KernelId>), SimError> {
     let mut prog = Program::new();
 
     // Sub-cell `i` (row-major within the 4×4 split) of the refining cell
@@ -103,7 +106,7 @@ pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), Sim
         );
     });
     let parent = prog.add(build_kernel(pb)?);
-    Ok((prog, parent))
+    Ok((prog, vec![parent]))
 }
 
 /// Loads the field sample at `(sx, sy)` of the `fsize`-wide field.
@@ -114,15 +117,15 @@ fn sample(b: &mut KernelBuilder, field: Reg, fsize: Reg, sx: Reg, sy: Reg) -> Re
     b.ld(Space::Global, a, 0)
 }
 
-/// Host mirror of the refinement recursion; returns
-/// `(total_refined_cells, coordinate_checksum)`.
-pub fn host_refine(field: &ScalarField, cell0: u32) -> (u64, u64) {
+/// Host mirror of the refinement recursion from 32 × 32 top-level cells;
+/// returns `(total_refined_cells, coordinate_checksum)`.
+pub fn host_refine(field: &ScalarField) -> (u64, u64) {
     let mut total = 0u64;
     let mut checksum = 0u64;
-    let mut cells: Vec<(u32, u32)> = (0..field.size / cell0)
-        .flat_map(|cy| (0..field.size / cell0).map(move |cx| (cx * cell0, cy * cell0)))
+    let mut cells: Vec<(u32, u32)> = (0..field.size / CELL0)
+        .flat_map(|cy| (0..field.size / CELL0).map(move |cx| (cx * CELL0, cy * CELL0)))
         .collect();
-    let mut size = cell0;
+    let mut size = CELL0;
     while !cells.is_empty() && size >= 1 {
         let mut next = Vec::new();
         for &(x, y) in &cells {
@@ -150,42 +153,20 @@ pub fn host_refine(field: &ScalarField, cell0: u32) -> (u64, u64) {
     (total, checksum)
 }
 
-/// Runs the refinement cascade and validates cell count and coordinate
-/// checksum against the host mirror.
-///
-/// # Errors
-///
-/// Any [`SimError`] from the simulation, or
-/// [`SimError::ValidationFailed`] on divergence from the host mirror.
-pub fn run(
-    name: &str,
-    field: &ScalarField,
-    cell0: u32,
-    variant: Variant,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let (prog, parent) = build_program(variant.launch_mode())?;
-    let cfg = variant.configure(base_cfg);
-    let mut gpu = Gpu::new(cfg, prog);
-    drive(&mut gpu, name, field, cell0, parent, variant)
-}
-
-/// Executes the refinement cascade on an already-bound `gpu` (fresh or
-/// warm-rebound): the mutable half of the setup/run split.
+/// Executes the refinement cascade on a bound `gpu` and validates cell
+/// count and coordinate checksum against [`host_refine`].
 pub(crate) fn drive(
     gpu: &mut Gpu,
     name: &str,
     field: &ScalarField,
-    cell0: u32,
-    parent: KernelId,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
+    ids: &[KernelId],
+) -> Result<(), SimError> {
     let fbuf = gpu.malloc(field.values.len() as u32 * 4)?;
     gpu.mem_mut().write_slice_u32(fbuf, &field.values);
 
     // Upper bound on cells per level: every cell refines.
-    let top: Vec<u32> = (0..field.size / cell0)
-        .flat_map(|cy| (0..field.size / cell0).flat_map(move |cx| [cx * cell0, cy * cell0]))
+    let top: Vec<u32> = (0..field.size / CELL0)
+        .flat_map(|cy| (0..field.size / CELL0).flat_map(move |cx| [cx * CELL0, cy * CELL0]))
         .collect();
     let max_cells = (top.len() as u32 / 2) * SUBDIV * SUBDIV * SUBDIV;
     let cells_a = gpu.malloc(max_cells.max(64) * 8)?;
@@ -196,13 +177,13 @@ pub(crate) fn drive(
 
     let mut bufs = (cells_a, cells_b);
     let mut n_cells = top.len() as u32 / 2;
-    let mut size = cell0;
+    let mut size = CELL0;
     let mut total = 0u64;
     let mut checksum = 0u64;
     while n_cells > 0 && size >= 1 {
         gpu.mem_mut().write_u32(cnt, 0);
         gpu.launch(
-            parent,
+            ids[0],
             ceil_div(n_cells, PARENT_TB),
             &[bufs.0, n_cells, fbuf, field.size, size, bufs.1, cnt, vals],
             0,
@@ -220,7 +201,7 @@ pub(crate) fn drive(
         size /= 4;
     }
 
-    let (want_total, want_sum) = host_refine(field, cell0);
+    let (want_total, want_sum) = host_refine(field);
     if total != want_total || checksum != want_sum {
         return Err(SimError::ValidationFailed {
             app: name.to_string(),
@@ -230,25 +211,23 @@ pub(crate) fn drive(
             ),
         });
     }
-    let stats = gpu.stats().clone();
-    Ok(RunReport {
-        benchmark: name.to_string(),
-        variant,
-        stats,
-        trace: gpu.take_trace(),
-    })
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Variant;
     use crate::data::mesh;
+    use crate::App;
+    use gpu_sim::GpuConfig;
+    use std::sync::Arc;
 
     #[test]
     fn refinement_matches_host_on_all_variants() -> Result<(), SimError> {
-        let f = mesh::combustion_field(128, 2, 1);
+        let app = App::Amr(Arc::new(mesh::combustion_field(128, 2, 1)));
         for v in [Variant::Flat, Variant::Cdp, Variant::Dtbl] {
-            run("amr_test", &f, 32, v, GpuConfig::test_small())?;
+            app.run("amr_test", v, GpuConfig::test_small())?;
         }
         Ok(())
     }
@@ -256,9 +235,9 @@ mod tests {
     #[test]
     fn fronts_cause_refinement_and_launches() -> Result<(), SimError> {
         let f = mesh::combustion_field(128, 3, 2);
-        let (total, _) = host_refine(&f, 32);
+        let (total, _) = host_refine(&f);
         assert!(total > 0, "fronts must refine");
-        let r = run("amr_test", &f, 32, Variant::Dtbl, GpuConfig::test_small())?;
+        let r = App::Amr(Arc::new(f)).run("amr_test", Variant::Dtbl, GpuConfig::test_small())?;
         assert!(r.stats.dyn_launches() > 0);
         Ok(())
     }
@@ -269,9 +248,9 @@ mod tests {
             size: 64,
             values: vec![100; 64 * 64],
         };
-        let (total, sum) = host_refine(&f, 16);
+        let (total, sum) = host_refine(&f);
         assert_eq!((total, sum), (0, 0));
-        let r = run("amr_quiet", &f, 16, Variant::Flat, GpuConfig::test_small())?;
+        let r = App::Amr(Arc::new(f)).run("amr_quiet", Variant::Flat, GpuConfig::test_small())?;
         assert_eq!(r.stats.dyn_launches(), 0);
         Ok(())
     }

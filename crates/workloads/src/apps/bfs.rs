@@ -8,13 +8,13 @@
 //! launches the same expansion as an aggregated group, which coalesces to
 //! the resident `bfs_expand` kernel (the Figure 2b shape).
 
+use super::SOURCE;
 use crate::common::{
-    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, DFP_THRESHOLD,
 };
 use crate::data::CsrGraph;
-use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, SimError};
 
 const PARENT_TB: u32 = 128;
 const INF: u32 = u32::MAX;
@@ -29,7 +29,7 @@ const P_CNT: u16 = 5;
 const P_NF: u16 = 6;
 const P_NEXT: u16 = 7;
 
-pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, Vec<KernelId>), SimError> {
     let mut prog = Program::new();
 
     // Expand neighbour `i` of the edge list at `edges`: claim it for the
@@ -78,7 +78,7 @@ pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId, Kern
         [edge_addr, dist, fout, cnt, next],
     );
     let parent = prog.add(build_kernel(pb)?);
-    Ok((prog, parent, expand.child()))
+    Ok((prog, vec![parent, expand.child()]))
 }
 
 /// Host-side reference BFS.
@@ -99,37 +99,14 @@ pub fn host_bfs(g: &CsrGraph, source: u32) -> Vec<u32> {
     dist
 }
 
-/// Runs BFS from `source` on the simulator and validates distances
-/// against [`host_bfs`].
-///
-/// # Errors
-///
-/// Any [`SimError`] from the simulation, or
-/// [`SimError::ValidationFailed`] when the device distances diverge from
-/// the host reference.
-pub fn run(
-    name: &str,
-    g: &CsrGraph,
-    source: u32,
-    variant: Variant,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let (prog, parent, _) = build_program(variant.launch_mode())?;
-    let cfg = variant.configure(base_cfg);
-    let mut gpu = Gpu::new(cfg, prog);
-    drive(&mut gpu, name, g, source, parent, variant)
-}
-
-/// Executes the frontier loop on an already-bound `gpu` (fresh or
-/// warm-rebound): the mutable half of the setup/run split.
+/// Executes the frontier loop from [`SOURCE`] on a bound `gpu` and
+/// validates distances against [`host_bfs`].
 pub(crate) fn drive(
     gpu: &mut Gpu,
     name: &str,
     g: &CsrGraph,
-    source: u32,
-    parent: KernelId,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
+    ids: &[KernelId],
+) -> Result<(), SimError> {
     let n = g.num_vertices();
 
     let row = gpu.malloc((n + 1) * 4)?;
@@ -142,8 +119,8 @@ pub(crate) fn drive(
     gpu.mem_mut().write_slice_u32(row, &g.row_offsets);
     gpu.mem_mut().write_slice_u32(col, &g.col_indices);
     gpu.mem_mut().write_slice_u32(dist, &vec![INF; n as usize]);
-    gpu.mem_mut().write_u32(dist + source * 4, 0);
-    gpu.mem_mut().write_u32(f_a, source);
+    gpu.mem_mut().write_u32(dist + SOURCE * 4, 0);
+    gpu.mem_mut().write_u32(f_a, SOURCE);
 
     let mut frontier = (f_a, f_b);
     let mut nf = 1u32;
@@ -151,7 +128,7 @@ pub(crate) fn drive(
     while nf > 0 && level <= n {
         gpu.mem_mut().write_u32(cnt, 0);
         gpu.launch(
-            parent,
+            ids[0],
             ceil_div(nf, PARENT_TB),
             &[row, col, dist, frontier.0, frontier.1, cnt, nf, level + 1],
             0,
@@ -163,30 +140,26 @@ pub(crate) fn drive(
     }
 
     let got = gpu.mem().read_vec_u32(dist, n as usize);
-    let want = host_bfs(g, source);
-    validate_u32(name, "dist", &got, &want)?;
-    let stats = gpu.stats().clone();
-    Ok(RunReport {
-        benchmark: name.to_string(),
-        variant,
-        stats,
-        trace: gpu.take_trace(),
-    })
+    validate_u32(name, "dist", &got, &host_bfs(g, SOURCE))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Variant;
     use crate::data::graph;
+    use crate::report::RunReport;
+    use crate::App;
+    use gpu_sim::GpuConfig;
+    use std::sync::Arc;
 
-    fn small_cfg() -> GpuConfig {
-        GpuConfig::test_small()
+    fn run(name: &str, g: CsrGraph, variant: Variant) -> Result<RunReport, SimError> {
+        App::Bfs(Arc::new(g)).run(name, variant, GpuConfig::test_small())
     }
 
     #[test]
     fn flat_bfs_is_correct_on_citation() -> Result<(), SimError> {
-        let g = graph::citation(400, 3, 1);
-        let r = run("bfs_test", &g, 0, Variant::Flat, small_cfg())?;
+        let r = run("bfs_test", graph::citation(400, 3, 1), Variant::Flat)?;
         assert!(r.stats.cycles > 0);
         assert_eq!(r.stats.dyn_launches(), 0, "flat never launches");
         Ok(())
@@ -194,9 +167,9 @@ mod tests {
 
     #[test]
     fn cdp_and_dtbl_bfs_are_correct() -> Result<(), SimError> {
-        let g = graph::citation(400, 3, 2);
+        let app = App::Bfs(Arc::new(graph::citation(400, 3, 2)));
         for v in [Variant::Cdp, Variant::Dtbl] {
-            let r = run("bfs_test", &g, 0, v, small_cfg())?;
+            let r = app.run("bfs_test", v, GpuConfig::test_small())?;
             assert!(
                 r.stats.dyn_launches() > 0,
                 "{v}: skewed graph must trigger dynamic launches"
@@ -207,8 +180,7 @@ mod tests {
 
     #[test]
     fn road_grid_rarely_launches() -> Result<(), SimError> {
-        let g = graph::usa_road(16, 16);
-        let r = run("bfs_road", &g, 0, Variant::Dtbl, small_cfg())?;
+        let r = run("bfs_road", graph::usa_road(16, 16), Variant::Dtbl)?;
         // Degree ≤ 4 < threshold: no DFP big enough to launch (§5.2C).
         assert_eq!(r.stats.dyn_launches(), 0);
         Ok(())
@@ -216,8 +188,7 @@ mod tests {
 
     #[test]
     fn dtbl_coalesces_on_skewed_graph() -> Result<(), SimError> {
-        let g = graph::citation(2_000, 6, 3);
-        let r = run("bfs_cit", &g, 0, Variant::Dtbl, small_cfg())?;
+        let r = run("bfs_cit", graph::citation(2_000, 6, 3), Variant::Dtbl)?;
         assert!(r.stats.dyn_launches() > 10, "skew must launch");
         // Early launches fall back (the eligible kernel is not resident
         // yet — the paper's "mismatches typically occur early"); once the
@@ -238,7 +209,7 @@ mod tests {
                 arc(s, t);
             }
         });
-        run("bfs_cc", &g, 0, Variant::Flat, small_cfg())?;
+        run("bfs_cc", g, Variant::Flat)?;
         Ok(())
     }
 }

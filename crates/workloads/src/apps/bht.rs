@@ -9,13 +9,10 @@
 //! reports for `bht` (avg ≈33 threads/launch, the biggest occupancy win
 //! in Figure 8).
 
-use crate::common::{
-    build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
-};
+use crate::common::{build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode, DFP_THRESHOLD};
 use crate::data::points::PointSet;
-use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Reg, Space};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, SimError};
 
 const PARENT_TB: u32 = 64;
 /// Maximum bodies in a leaf.
@@ -68,9 +65,7 @@ fn emit_mid(b: &mut KernelBuilder, x0: Reg, slog: Reg) -> Reg {
     b.iadd(x0, Op::Reg(half))
 }
 
-pub(crate) fn build_program(
-    mode: LaunchMode,
-) -> Result<(Program, KernelId, KernelId, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, Vec<KernelId>), SimError> {
     let mut prog = Program::new();
 
     // Classify body `i` of a node's body list and count it in its
@@ -220,7 +215,7 @@ pub(crate) fn build_program(
     });
     let scatter_k = prog.add(build_kernel(skb)?);
 
-    Ok((prog, count_k, emit_k, scatter_k))
+    Ok((prog, vec![count_k, emit_k, scatter_k]))
 }
 
 /// Side length (log2) of the host pre-split grid: real flat tree builders
@@ -316,31 +311,16 @@ pub fn host_build(p: &PointSet) -> (u64, u64, u32) {
     (leaf_bodies, leaves, depth)
 }
 
-/// Runs the tree build and validates the leaf body total against the
-/// host mirror (every body must land in exactly one leaf).
-pub fn run(
-    name: &str,
-    p: &PointSet,
-    variant: Variant,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let (prog, count_k, emit_k, scatter_k) = build_program(variant.launch_mode())?;
-    let cfg = variant.configure(base_cfg);
-    let mut gpu = Gpu::new(cfg, prog);
-    drive(&mut gpu, name, p, count_k, emit_k, scatter_k, variant)
-}
-
-/// Executes the level-by-level tree build on an already-bound `gpu`
-/// (fresh or warm-rebound): the mutable half of the setup/run split.
+/// Executes the level-by-level tree build on a bound `gpu` and validates
+/// the leaf body total against [`host_build`] (every body must land in
+/// exactly one leaf).
 pub(crate) fn drive(
     gpu: &mut Gpu,
     name: &str,
     p: &PointSet,
-    count_k: KernelId,
-    emit_k: KernelId,
-    scatter_k: KernelId,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
+    ids: &[KernelId],
+) -> Result<(), SimError> {
+    let [count_k, emit_k, scatter_k] = [ids[0], ids[1], ids[2]];
     let n = p.len() as u32;
 
     // Generous node bound: each level splits off at most 4x nodes but is
@@ -435,18 +415,17 @@ pub(crate) fn drive(
             ),
         });
     }
-    Ok(RunReport {
-        benchmark: name.to_string(),
-        variant,
-        stats: gpu.stats().clone(),
-        trace: gpu.take_trace(),
-    })
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Variant;
     use crate::data::points;
+    use crate::App;
+    use gpu_sim::GpuConfig;
+    use std::sync::Arc;
 
     #[test]
     fn host_build_conserves_bodies() {
@@ -459,9 +438,9 @@ mod tests {
 
     #[test]
     fn gpu_build_matches_host_on_all_variants() -> Result<(), SimError> {
-        let p = points::random_points(400, 8, 2);
+        let app = App::Bht(Arc::new(points::random_points(400, 8, 2)));
         for v in [Variant::Flat, Variant::Cdp, Variant::Dtbl] {
-            run("bht_test", &p, v, GpuConfig::test_small())?;
+            app.run("bht_test", v, GpuConfig::test_small())?;
         }
         Ok(())
     }
@@ -473,7 +452,7 @@ mod tests {
         let (_, _, du) = host_build(&u);
         let (_, _, dc) = host_build(&c);
         assert!(dc >= du, "clusters force deeper refinement ({dc} vs {du})");
-        run("bht_clustered", &c, Variant::Dtbl, GpuConfig::test_small())?;
+        App::Bht(Arc::new(c)).run("bht_clustered", Variant::Dtbl, GpuConfig::test_small())?;
         Ok(())
     }
 
@@ -485,7 +464,7 @@ mod tests {
         // Every occupied pre-split cell is immediately a leaf (≤ cap).
         assert!((1..=10).contains(&leaves), "{leaves} leaves");
         assert_eq!(depth, 0, "nothing recurses below the pre-split grid");
-        run("bht_tiny", &p, Variant::Flat, GpuConfig::test_small())?;
+        App::Bht(Arc::new(p)).run("bht_tiny", Variant::Flat, GpuConfig::test_small())?;
         Ok(())
     }
 }

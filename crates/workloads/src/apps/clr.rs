@@ -10,18 +10,17 @@
 //! sees little or negative benefit there (§5.2A).
 
 use crate::common::{
-    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, DFP_THRESHOLD,
 };
 use crate::data::CsrGraph;
-use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, SimError};
 use sim_rand::{Rng, SeedableRng, StdRng};
 
 const PARENT_TB: u32 = 128;
 const UNCOLORED: u32 = u32::MAX;
 
-pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, Vec<KernelId>), SimError> {
     let mut prog = Program::new();
 
     // Neighbour `i` of v: if it is uncolored and has the higher
@@ -109,7 +108,7 @@ pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId, Kern
         },
     );
     let assign = prog.add(build_kernel(ab)?);
-    Ok((prog, check, assign))
+    Ok((prog, vec![check, assign]))
 }
 
 /// Host reference implementing the identical Jones–Plassmann rounds.
@@ -152,29 +151,15 @@ pub fn is_proper_coloring(g: &CsrGraph, colors: &[u32]) -> bool {
     })
 }
 
-/// Runs graph coloring and validates against the host reference.
-pub fn run(
-    name: &str,
-    g: &CsrGraph,
-    variant: Variant,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let (prog, check, assign) = build_program(variant.launch_mode())?;
-    let cfg = variant.configure(base_cfg);
-    let mut gpu = Gpu::new(cfg, prog);
-    drive(&mut gpu, name, g, check, assign, variant)
-}
-
-/// Executes the coloring rounds on an already-bound `gpu` (fresh or
-/// warm-rebound): the mutable half of the setup/run split.
+/// Executes the coloring rounds on a bound `gpu` and validates against
+/// [`host_coloring`] and [`is_proper_coloring`].
 pub(crate) fn drive(
     gpu: &mut Gpu,
     name: &str,
     g: &CsrGraph,
-    check: KernelId,
-    assign: KernelId,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
+    ids: &[KernelId],
+) -> Result<(), SimError> {
+    let [check, assign] = [ids[0], ids[1]];
     let n = g.num_vertices();
     let mut rng = StdRng::seed_from_u64(0xC01);
     let prios: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
@@ -229,18 +214,17 @@ pub(crate) fn drive(
             detail: "coloring is not proper (adjacent vertices share a color)".into(),
         });
     }
-    Ok(RunReport {
-        benchmark: name.to_string(),
-        variant,
-        stats: gpu.stats().clone(),
-        trace: gpu.take_trace(),
-    })
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Variant;
     use crate::data::graph;
+    use crate::App;
+    use gpu_sim::GpuConfig;
+    use std::sync::Arc;
 
     #[test]
     fn host_coloring_is_proper() {
@@ -252,17 +236,17 @@ mod tests {
 
     #[test]
     fn gpu_matches_host_on_all_variants() -> Result<(), SimError> {
-        let g = graph::graph500_logn(200, 4, 2);
+        let app = App::Clr(Arc::new(graph::graph500_logn(200, 4, 2)));
         for v in [Variant::Flat, Variant::Cdp, Variant::Dtbl] {
-            run("clr_test", &g, v, GpuConfig::test_small())?;
+            app.run("clr_test", v, GpuConfig::test_small())?;
         }
         Ok(())
     }
 
     #[test]
     fn skewed_graph_launches_dynamically() -> Result<(), SimError> {
-        let g = graph::citation(400, 4, 9);
-        let r = run("clr_cit", &g, Variant::Dtbl, GpuConfig::test_small())?;
+        let app = App::Clr(Arc::new(graph::citation(400, 4, 9)));
+        let r = app.run("clr_cit", Variant::Dtbl, GpuConfig::test_small())?;
         assert!(r.stats.dyn_launches() > 0);
         Ok(())
     }

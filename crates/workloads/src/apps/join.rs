@@ -8,13 +8,10 @@
 //! makes `join_gaussian` one of the biggest warp-activity winners in
 //! Figure 6.
 
-use crate::common::{
-    build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
-};
+use crate::common::{build_kernel, ceil_div, emit_dfp, guard, Dfp, LaunchMode, DFP_THRESHOLD};
 use crate::data::relations::JoinInput;
-use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, SimError};
 
 const PARENT_TB: u32 = 128;
 
@@ -23,7 +20,7 @@ fn num_buckets(domain: u32) -> u32 {
     (domain / 4).max(1)
 }
 
-pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, Vec<KernelId>), SimError> {
     let mut prog = Program::new();
 
     // Chain entry `i`: on key equality, reserve an output slot and record
@@ -70,7 +67,7 @@ pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), Sim
         [chain, key, matches, out, gtid],
     );
     let probe = prog.add(build_kernel(pb)?);
-    Ok((prog, probe))
+    Ok((prog, vec![probe]))
 }
 
 /// Builds the bucket CSR on the host — identical preprocessing for every
@@ -95,28 +92,14 @@ fn build_buckets(input: &JoinInput) -> (Vec<u32>, Vec<u32>) {
     (offsets, keys)
 }
 
-/// Runs the probe phase and validates the match count against the host.
-pub fn run(
-    name: &str,
-    input: &JoinInput,
-    variant: Variant,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let (prog, probe) = build_program(variant.launch_mode())?;
-    let cfg = variant.configure(base_cfg);
-    let mut gpu = Gpu::new(cfg, prog);
-    drive(&mut gpu, name, input, probe, variant)
-}
-
-/// Executes the probe phase on an already-bound `gpu` (fresh or
-/// warm-rebound): the mutable half of the setup/run split.
+/// Executes the probe phase on a bound `gpu` and validates the match
+/// count against the host.
 pub(crate) fn drive(
     gpu: &mut Gpu,
     name: &str,
     input: &JoinInput,
-    probe: KernelId,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
+    ids: &[KernelId],
+) -> Result<(), SimError> {
     let (offsets, bkeys) = build_buckets(input);
 
     let want = input.host_match_count();
@@ -133,7 +116,7 @@ pub(crate) fn drive(
     gpu.mem_mut().write_u32(matches, 0);
 
     gpu.launch(
-        probe,
+        ids[0],
         ceil_div(n_probe, PARENT_TB),
         &[
             boff,
@@ -155,34 +138,33 @@ pub(crate) fn drive(
             detail: format!("match count: got {got}, want {want}"),
         });
     }
-    Ok(RunReport {
-        benchmark: name.to_string(),
-        variant,
-        stats: gpu.stats().clone(),
-        trace: gpu.take_trace(),
-    })
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Variant;
     use crate::data::relations::{join_input, KeyDist};
+    use crate::App;
+    use gpu_sim::GpuConfig;
+    use std::sync::Arc;
 
     #[test]
     fn uniform_join_counts_match() -> Result<(), SimError> {
-        let input = join_input(KeyDist::Uniform, 2000, 500, 256, 1);
+        let app = App::Join(Arc::new(join_input(KeyDist::Uniform, 2000, 500, 256, 1)));
         for v in [Variant::Flat, Variant::Cdp, Variant::Dtbl] {
-            run("join_u", &input, v, GpuConfig::test_small())?;
+            app.run("join_u", v, GpuConfig::test_small())?;
         }
         Ok(())
     }
 
     #[test]
     fn gaussian_join_counts_match_and_flat_diverges_more() -> Result<(), SimError> {
-        let uni = join_input(KeyDist::Uniform, 2000, 400, 256, 2);
-        let gau = join_input(KeyDist::Gaussian, 2000, 400, 256, 2);
-        let ru = run("join_u", &uni, Variant::Flat, GpuConfig::test_small())?;
-        let rg = run("join_g", &gau, Variant::Flat, GpuConfig::test_small())?;
+        let uni = App::Join(Arc::new(join_input(KeyDist::Uniform, 2000, 400, 256, 2)));
+        let gau = App::Join(Arc::new(join_input(KeyDist::Gaussian, 2000, 400, 256, 2)));
+        let ru = uni.run("join_u", Variant::Flat, GpuConfig::test_small())?;
+        let rg = gau.run("join_g", Variant::Flat, GpuConfig::test_small())?;
         // The paper's point (Figure 6): with skewed chains, flat threads in
         // the same warp loop for wildly different trip counts, depressing
         // warp activity relative to the balanced uniform input.
@@ -193,8 +175,8 @@ mod tests {
             ru.stats.warp_activity_pct()
         );
         // And the DTBL variant stays functionally correct on both.
-        run("join_u", &uni, Variant::Dtbl, GpuConfig::test_small())?;
-        run("join_g", &gau, Variant::Dtbl, GpuConfig::test_small())?;
+        uni.run("join_u", Variant::Dtbl, GpuConfig::test_small())?;
+        gau.run("join_g", Variant::Dtbl, GpuConfig::test_small())?;
         Ok(())
     }
 }

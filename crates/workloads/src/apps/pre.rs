@@ -10,16 +10,15 @@
 //! small (§5.2B).
 
 use crate::common::{
-    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, DFP_THRESHOLD,
 };
 use crate::data::ratings::RatingSet;
-use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, SimError};
 
 const PARENT_TB: u32 = 128;
 
-pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, Vec<KernelId>), SimError> {
     let mut prog = Program::new();
 
     // Rating `i` of the item: `sim += vals[i] * qvec[users[i]]`, atomic
@@ -67,7 +66,7 @@ pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), Sim
         [users_addr, vals_addr, qvec, sim_addr],
     );
     let parent = prog.add(build_kernel(pb)?);
-    Ok((prog, parent))
+    Ok((prog, vec![parent]))
 }
 
 /// Host reference: per-item dot products against the query item's dense
@@ -86,28 +85,14 @@ pub fn host_similarities(r: &RatingSet, query_item: u32) -> Vec<u32> {
         .collect()
 }
 
-/// Runs the similarity computation and validates every item's score.
-pub fn run(
-    name: &str,
-    r: &RatingSet,
-    variant: Variant,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let (prog, parent) = build_program(variant.launch_mode())?;
-    let cfg = variant.configure(base_cfg);
-    let mut gpu = Gpu::new(cfg, prog);
-    drive(&mut gpu, name, r, parent, variant)
-}
-
-/// Executes the similarity computation on an already-bound `gpu` (fresh
-/// or warm-rebound): the mutable half of the setup/run split.
+/// Executes the similarity computation on a bound `gpu` and validates
+/// every item's score.
 pub(crate) fn drive(
     gpu: &mut Gpu,
     name: &str,
     r: &RatingSet,
-    parent: KernelId,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
+    ids: &[KernelId],
+) -> Result<(), SimError> {
     let query_item = 0u32;
     let mut qvec_host = vec![0u32; r.num_users as usize];
     for (u, v) in r.item_ratings(query_item) {
@@ -127,7 +112,7 @@ pub(crate) fn drive(
     gpu.mem_mut().write_slice_u32(qvec, &qvec_host);
 
     gpu.launch(
-        parent,
+        ids[0],
         ceil_div(n_items, PARENT_TB),
         &[offs, users, vals, qvec, sims, n_items],
         0,
@@ -135,33 +120,31 @@ pub(crate) fn drive(
     gpu.run_to_idle()?;
 
     let got = gpu.mem().read_vec_u32(sims, n_items as usize);
-    validate_u32(name, "similarity", &got, &host_similarities(r, query_item))?;
-    Ok(RunReport {
-        benchmark: name.to_string(),
-        variant,
-        stats: gpu.stats().clone(),
-        trace: gpu.take_trace(),
-    })
+    validate_u32(name, "similarity", &got, &host_similarities(r, query_item))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Variant;
     use crate::data::ratings;
+    use crate::App;
+    use gpu_sim::GpuConfig;
+    use std::sync::Arc;
 
     #[test]
     fn similarities_match_host() -> Result<(), SimError> {
-        let r = ratings::movielens_like(60, 400, 120, 1);
+        let app = App::Pre(Arc::new(ratings::movielens_like(60, 400, 120, 1)));
         for v in [Variant::Flat, Variant::Cdp, Variant::Dtbl] {
-            run("pre_test", &r, v, GpuConfig::test_small())?;
+            app.run("pre_test", v, GpuConfig::test_small())?;
         }
         Ok(())
     }
 
     #[test]
     fn dfp_is_coarse_grained() -> Result<(), SimError> {
-        let r = ratings::movielens_like(60, 1500, 900, 2);
-        let rep = run("pre_test", &r, Variant::Dtbl, GpuConfig::test_small())?;
+        let app = App::Pre(Arc::new(ratings::movielens_like(60, 1500, 900, 2)));
+        let rep = app.run("pre_test", Variant::Dtbl, GpuConfig::test_small())?;
         if rep.stats.dyn_launches() > 0 {
             assert!(
                 rep.stats.avg_dyn_launch_threads() > 100.0,

@@ -8,17 +8,15 @@
 //! whose launch overhead even DTBL cannot fully hide (§5.2C).
 
 use crate::common::{
-    build_kernel, ceil_div, emit_dfp, guard, validate_scalar, Dfp, LaunchMode, Variant,
-    DFP_THRESHOLD,
+    build_kernel, ceil_div, emit_dfp, guard, validate_scalar, Dfp, LaunchMode, DFP_THRESHOLD,
 };
 use crate::data::strings::{host_match, signature_dfa, PacketSet, ALPHABET};
-use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, SimError};
 
 const PARENT_TB: u32 = 128;
 
-pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, Vec<KernelId>), SimError> {
     let mut prog = Program::new();
 
     // Segment `i` of the table at `seg_entry` ((offset, len) pairs): walk
@@ -73,7 +71,7 @@ pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), Sim
         [seg_entry, symbols, dfa, hits, accept],
     );
     let parent = prog.add(build_kernel(pb)?);
-    Ok((prog, parent))
+    Ok((prog, vec![parent]))
 }
 
 /// Host reference: total accepting segments.
@@ -91,28 +89,13 @@ pub fn host_hits(p: &PacketSet) -> u32 {
         .count() as u32
 }
 
-/// Runs the matcher and validates the hit count.
-pub fn run(
-    name: &str,
-    p: &PacketSet,
-    variant: Variant,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let (prog, parent) = build_program(variant.launch_mode())?;
-    let cfg = variant.configure(base_cfg);
-    let mut gpu = Gpu::new(cfg, prog);
-    drive(&mut gpu, name, p, parent, variant)
-}
-
-/// Executes the matcher on an already-bound `gpu` (fresh or
-/// warm-rebound): the mutable half of the setup/run split.
+/// Executes the matcher on a bound `gpu` and validates the hit count.
 pub(crate) fn drive(
     gpu: &mut Gpu,
     name: &str,
     p: &PacketSet,
-    parent: KernelId,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
+    ids: &[KernelId],
+) -> Result<(), SimError> {
     let (table, _, accept) = signature_dfa();
 
     let syms = gpu.malloc(p.symbols.len().max(1) as u32 * 4)?;
@@ -131,7 +114,7 @@ pub(crate) fn drive(
 
     let np = p.num_packets();
     gpu.launch(
-        parent,
+        ids[0],
         ceil_div(np, PARENT_TB),
         &[pkts, segs, syms, dfa, hits, np, accept],
         0,
@@ -139,33 +122,31 @@ pub(crate) fn drive(
     gpu.run_to_idle()?;
 
     let got = gpu.mem().read_u32(hits);
-    validate_scalar(name, "accepting segments", got, host_hits(p))?;
-    Ok(RunReport {
-        benchmark: name.to_string(),
-        variant,
-        stats: gpu.stats().clone(),
-        trace: gpu.take_trace(),
-    })
+    validate_scalar(name, "accepting segments", got, host_hits(p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Variant;
     use crate::data::strings;
+    use crate::App;
+    use gpu_sim::GpuConfig;
+    use std::sync::Arc;
 
     #[test]
     fn darpa_hits_match_host() -> Result<(), SimError> {
-        let p = strings::darpa_like(120, 1);
+        let app = App::Regx(Arc::new(strings::darpa_like(120, 1)));
         for v in [Variant::Flat, Variant::Cdp, Variant::Dtbl] {
-            run("regx_darpa", &p, v, GpuConfig::test_small())?;
+            app.run("regx_darpa", v, GpuConfig::test_small())?;
         }
         Ok(())
     }
 
     #[test]
     fn random_strings_are_launch_dense() -> Result<(), SimError> {
-        let p = strings::random_strings(40, 2);
-        let r = run("regx_string", &p, Variant::Dtbl, GpuConfig::test_small())?;
+        let p = Arc::new(strings::random_strings(40, 2));
+        let r = App::Regx(p.clone()).run("regx_string", Variant::Dtbl, GpuConfig::test_small())?;
         // Packets carry 24–96 segments; those at or above the warp-sized
         // threshold launch — the large majority.
         assert!(

@@ -5,18 +5,18 @@
 //! per-vertex neighbour relaxation loop is the dynamically-formed
 //! parallelism.
 
+use super::SOURCE;
 use crate::common::{
-    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, Variant, DFP_THRESHOLD,
+    build_kernel, ceil_div, emit_dfp, guard, validate_u32, Dfp, LaunchMode, DFP_THRESHOLD,
 };
 use crate::data::CsrGraph;
-use crate::report::RunReport;
 use gpu_isa::{AtomOp, CmpOp, CmpTy, Dim3, KernelBuilder, KernelId, Op, Program, Space};
-use gpu_sim::{Gpu, GpuConfig, SimError};
+use gpu_sim::{Gpu, SimError};
 
 const PARENT_TB: u32 = 128;
 const INF: u32 = u32::MAX;
 
-pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), SimError> {
+pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, Vec<KernelId>), SimError> {
     let mut prog = Program::new();
 
     // Edge `i`: `u = edges[i]; nd = dv + w[i]; if atomicMin(dist[u], nd)
@@ -78,7 +78,7 @@ pub(crate) fn build_program(mode: LaunchMode) -> Result<(Program, KernelId), Sim
         [edge_addr, weight_addr, dist, dv, flags, fout, cnt, tag],
     );
     let parent = prog.add(build_kernel(pb)?);
-    Ok((prog, parent))
+    Ok((prog, vec![parent]))
 }
 
 /// Host reference: Bellman-Ford to fixpoint.
@@ -107,30 +107,14 @@ pub fn host_sssp(g: &CsrGraph, source: u32) -> Vec<u32> {
     dist
 }
 
-/// Runs SSSP from `source` and validates against [`host_sssp`].
-pub fn run(
-    name: &str,
-    g: &CsrGraph,
-    source: u32,
-    variant: Variant,
-    base_cfg: GpuConfig,
-) -> Result<RunReport, SimError> {
-    let (prog, parent) = build_program(variant.launch_mode())?;
-    let cfg = variant.configure(base_cfg);
-    let mut gpu = Gpu::new(cfg, prog);
-    drive(&mut gpu, name, g, source, parent, variant)
-}
-
-/// Executes the relaxation rounds on an already-bound `gpu` (fresh or
-/// warm-rebound): the mutable half of the setup/run split.
+/// Executes the relaxation rounds from [`SOURCE`] on a bound `gpu` and
+/// validates against [`host_sssp`].
 pub(crate) fn drive(
     gpu: &mut Gpu,
     name: &str,
     g: &CsrGraph,
-    source: u32,
-    parent: KernelId,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
+    ids: &[KernelId],
+) -> Result<(), SimError> {
     let weights: Vec<u32> = g
         .weights
         .clone()
@@ -151,8 +135,8 @@ pub(crate) fn drive(
     gpu.mem_mut().write_slice_u32(wts, &weights);
     gpu.mem_mut().write_slice_u32(dist, &vec![INF; n as usize]);
     gpu.mem_mut().write_slice_u32(flags, &vec![0; n as usize]);
-    gpu.mem_mut().write_u32(dist + source * 4, 0);
-    gpu.mem_mut().write_u32(f_a, source);
+    gpu.mem_mut().write_u32(dist + SOURCE * 4, 0);
+    gpu.mem_mut().write_u32(f_a, SOURCE);
 
     let mut frontier = (f_a, f_b);
     let mut nf = 1u32;
@@ -161,7 +145,7 @@ pub(crate) fn drive(
         gpu.mem_mut().write_u32(cnt, 0);
         let tag = round + 1;
         gpu.launch(
-            parent,
+            ids[0],
             ceil_div(nf, PARENT_TB),
             &[
                 row, col, wts, dist, frontier.0, frontier.1, cnt, flags, nf, tag,
@@ -175,20 +159,17 @@ pub(crate) fn drive(
     }
 
     let got = gpu.mem().read_vec_u32(dist, n as usize);
-    let want = host_sssp(g, source);
-    validate_u32(name, "dist", &got, &want)?;
-    Ok(RunReport {
-        benchmark: name.to_string(),
-        variant,
-        stats: gpu.stats().clone(),
-        trace: gpu.take_trace(),
-    })
+    validate_u32(name, "dist", &got, &host_sssp(g, SOURCE))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Variant;
     use crate::data::graph;
+    use crate::App;
+    use gpu_sim::GpuConfig;
+    use std::sync::Arc;
 
     #[test]
     fn host_sssp_small_case() {
@@ -203,17 +184,19 @@ mod tests {
 
     #[test]
     fn all_variants_agree_on_weighted_citation() -> Result<(), SimError> {
-        let g = graph::citation(250, 3, 4).with_random_weights(9, 4);
+        let app = App::Sssp(Arc::new(
+            graph::citation(250, 3, 4).with_random_weights(9, 4),
+        ));
         for v in [Variant::Flat, Variant::Cdp, Variant::Dtbl] {
-            run("sssp_test", &g, 0, v, GpuConfig::test_small())?;
+            app.run("sssp_test", v, GpuConfig::test_small())?;
         }
         Ok(())
     }
 
     #[test]
     fn flight_network_rarely_launches() -> Result<(), SimError> {
-        let g = graph::flight(300, 6, 2).with_random_weights(5, 2);
-        let r = run("sssp_flight", &g, 0, Variant::Dtbl, GpuConfig::test_small())?;
+        let g = Arc::new(graph::flight(300, 6, 2).with_random_weights(5, 2));
+        let r = App::Sssp(g.clone()).run("sssp_flight", Variant::Dtbl, GpuConfig::test_small())?;
         // Spokes have degree ≤ 3; only the few hubs can trigger launches.
         assert!(
             (r.stats.dyn_launches() as u32) < g.num_vertices() / 10,

@@ -16,7 +16,9 @@
 //! back a validated [`RunReport`] carrying every metric of Figures 6–11.
 //! Any failure — a hang, exhausted hardware structure, or output that
 //! diverges from the host reference — comes back as a typed
-//! [`gpu_sim::SimError`] naming the benchmark, never a panic.
+//! [`gpu_sim::SimError`] naming the benchmark, never a panic. To run an
+//! application over other input, wrap it in an [`App`] and call
+//! [`App::run`].
 //!
 //! ```no_run
 //! use workloads::{Benchmark, Scale, Variant};
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod app;
 pub mod apps;
 mod common;
 pub mod data;
@@ -35,10 +38,11 @@ mod harness;
 mod report;
 mod setup;
 
+pub use app::App;
 pub use common::{
     build_kernel, ceil_div, emit_dfp, validate_scalar, validate_u32, Dfp, LaunchMode, Variant,
     CHILD_TB, DFP_THRESHOLD,
 };
 pub use harness::{Benchmark, Scale};
 pub use report::RunReport;
-pub use setup::{cell_key, AppData, CellSetup};
+pub use setup::{cell_key, CellSetup};

@@ -12,7 +12,10 @@
 //! `Program::shares_kernels`).
 //! Running a cell is then only the mutable half: bind a fresh — or
 //! warm-rebound, via [`WarmSlot`](gpu_sim::WarmSlot) — simulator and
-//! drive the app's launch/readback loop.
+//! drive the app's launch/readback loop. [`build_data`] is the one map
+//! from a [`Benchmark`] to its [`App`]; building and driving go through
+//! the `App`, as [`App::run`] does for caller-supplied input, which has
+//! no content address.
 //!
 //! The setup also knows its cells' content address
 //! ([`cell_key`](CellSetup::cell_key)), which is what lets the
@@ -22,230 +25,103 @@
 //! without building a setup; the setup computes it once per variant when
 //! it is built (or reconfigured), so a cache lookup hashes no config.
 
-use crate::apps;
 use crate::common::{LaunchMode, Variant};
-use crate::data::mesh::ScalarField;
-use crate::data::points::PointSet;
-use crate::data::ratings::RatingSet;
-use crate::data::relations::JoinInput;
-use crate::data::strings::PacketSet;
-use crate::data::{graph, mesh, points, ratings, relations, strings, CsrGraph};
+use crate::data::{graph, mesh, points, ratings, relations, strings};
 use crate::harness::{Benchmark, Scale};
 use crate::report::RunReport;
+use crate::App;
 use gpu_isa::{KernelId, Program};
 use gpu_sim::server::CellKey;
 use gpu_sim::{Gpu, GpuConfig, SimError, WarmSlot};
 use std::sync::Arc;
 
-/// The built workload buffers of one benchmark, shared behind an `Arc` so
-/// every variant cell of the benchmark reads the same data (asserted via
-/// `Arc::ptr_eq` in the sweep tests).
-#[derive(Clone, Debug)]
-pub enum AppData {
-    /// AMR's combustion-like scalar field.
-    Mesh(Arc<ScalarField>),
-    /// BHT's point set.
-    Points(Arc<PointSet>),
-    /// BFS/CLR/SSSP graph.
-    Graph(Arc<CsrGraph>),
-    /// REGX packet set.
-    Packets(Arc<PacketSet>),
-    /// PRE rating matrix.
-    Ratings(Arc<RatingSet>),
-    /// JOIN probe/build relation.
-    Join(Arc<JoinInput>),
-}
-
-impl AppData {
-    /// True when `self` and `other` are the *same* buffers (pointer
-    /// identity, not value equality).
-    pub fn ptr_eq(&self, other: &AppData) -> bool {
-        match (self, other) {
-            (AppData::Mesh(a), AppData::Mesh(b)) => Arc::ptr_eq(a, b),
-            (AppData::Points(a), AppData::Points(b)) => Arc::ptr_eq(a, b),
-            (AppData::Graph(a), AppData::Graph(b)) => Arc::ptr_eq(a, b),
-            (AppData::Packets(a), AppData::Packets(b)) => Arc::ptr_eq(a, b),
-            (AppData::Ratings(a), AppData::Ratings(b)) => Arc::ptr_eq(a, b),
-            (AppData::Join(a), AppData::Join(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
-
-/// Builds a benchmark's workload data at `scale`. Deterministic: each
-/// benchmark uses fixed generation seeds, so the data is a pure function
-/// of `(benchmark, scale)`.
-pub(crate) fn build_data(benchmark: Benchmark, scale: Scale) -> AppData {
+/// Builds a benchmark's app over its workload data at `scale`: the one
+/// map from benchmark to application. Deterministic: each benchmark uses
+/// fixed generation seeds, so the data is a pure function of
+/// `(benchmark, scale)`.
+pub(crate) fn build_data(benchmark: Benchmark, scale: Scale) -> App {
     let t = scale == Scale::Test;
     match benchmark {
-        Benchmark::Amr => AppData::Mesh(Arc::new(mesh::combustion_field(
+        Benchmark::Amr => App::Amr(Arc::new(mesh::combustion_field(
             if t { 128 } else { 1024 },
             6,
             11,
         ))),
-        Benchmark::Bht => AppData::Points(Arc::new(points::random_points(
+        Benchmark::Bht => App::Bht(Arc::new(points::random_points(
             if t { 600 } else { 40_000 },
             11,
             12,
         ))),
-        Benchmark::BfsCitation => AppData::Graph(Arc::new(graph::citation(
+        Benchmark::BfsCitation => App::Bfs(Arc::new(graph::citation(
             if t { 600 } else { 24_000 },
             4,
             13,
         ))),
         Benchmark::BfsUsaRoad => {
             let (w, h) = if t { (20, 16) } else { (140, 100) };
-            AppData::Graph(Arc::new(graph::usa_road(w, h)))
+            App::Bfs(Arc::new(graph::usa_road(w, h)))
         }
-        Benchmark::BfsCage15 => AppData::Graph(Arc::new(graph::cage15_like(
+        Benchmark::BfsCage15 => App::Bfs(Arc::new(graph::cage15_like(
             if t { 600 } else { 6_000 },
             2_000,
             30,
             14,
         ))),
-        Benchmark::ClrCitation => AppData::Graph(Arc::new(graph::citation(
+        Benchmark::ClrCitation => App::Clr(Arc::new(graph::citation(
             if t { 400 } else { 10_000 },
             4,
             15,
         ))),
-        Benchmark::ClrGraph500 => AppData::Graph(Arc::new(graph::graph500_logn(
+        Benchmark::ClrGraph500 => App::Clr(Arc::new(graph::graph500_logn(
             if t { 400 } else { 1_500 },
             16,
             16,
         ))),
-        Benchmark::ClrCage15 => AppData::Graph(Arc::new(graph::cage15_like(
+        Benchmark::ClrCage15 => App::Clr(Arc::new(graph::cage15_like(
             if t { 400 } else { 1_500 },
             800,
             30,
             17,
         ))),
-        Benchmark::RegxDarpa => AppData::Packets(Arc::new(strings::darpa_like(
+        Benchmark::RegxDarpa => App::Regx(Arc::new(strings::darpa_like(
             if t { 150 } else { 4_000 },
             18,
         ))),
-        Benchmark::RegxString => AppData::Packets(Arc::new(strings::random_strings(
+        Benchmark::RegxString => App::Regx(Arc::new(strings::random_strings(
             if t { 60 } else { 2_500 },
             19,
         ))),
-        Benchmark::PreMovielens => AppData::Ratings(Arc::new(ratings::movielens_like(
+        Benchmark::PreMovielens => App::Pre(Arc::new(ratings::movielens_like(
             if t { 80 } else { 3_000 },
             if t { 800 } else { 12_000 },
             if t { 300 } else { 240 },
             20,
         ))),
-        Benchmark::JoinUniform => AppData::Join(Arc::new(relations::join_input(
+        Benchmark::JoinUniform => App::Join(Arc::new(relations::join_input(
             relations::KeyDist::Uniform,
             if t { 2_000 } else { 120_000 },
             if t { 500 } else { 20_000 },
             if t { 512 } else { 32_768 },
             21,
         ))),
-        Benchmark::JoinGaussian => AppData::Join(Arc::new(relations::join_input(
+        Benchmark::JoinGaussian => App::Join(Arc::new(relations::join_input(
             relations::KeyDist::Gaussian,
             if t { 2_000 } else { 120_000 },
             if t { 500 } else { 20_000 },
             if t { 512 } else { 32_768 },
             22,
         ))),
-        Benchmark::SsspCitation => AppData::Graph(Arc::new(
+        Benchmark::SsspCitation => App::Sssp(Arc::new(
             graph::citation(if t { 400 } else { 12_000 }, 4, 23).with_random_weights(9, 23),
         )),
-        Benchmark::SsspFlight => AppData::Graph(Arc::new(
+        Benchmark::SsspFlight => App::Sssp(Arc::new(
             graph::flight(if t { 400 } else { 12_000 }, if t { 8 } else { 500 }, 24)
                 .with_random_weights(9, 24),
         )),
-        Benchmark::SsspCage15 => AppData::Graph(Arc::new(
+        Benchmark::SsspCage15 => App::Sssp(Arc::new(
             graph::cage15_like(if t { 400 } else { 4_000 }, 1_500, 30, 25)
                 .with_random_weights(9, 25),
         )),
-    }
-}
-
-/// Builds a benchmark's program for one launch mode, returning the kernel
-/// ids in the app's positional order.
-pub(crate) fn prepare(
-    benchmark: Benchmark,
-    mode: LaunchMode,
-) -> Result<(Program, Vec<KernelId>), SimError> {
-    Ok(match benchmark {
-        Benchmark::Amr => {
-            let (prog, parent) = apps::amr::build_program(mode)?;
-            (prog, vec![parent])
-        }
-        Benchmark::Bht => {
-            let (prog, count_k, emit_k, scatter_k) = apps::bht::build_program(mode)?;
-            (prog, vec![count_k, emit_k, scatter_k])
-        }
-        Benchmark::BfsCitation | Benchmark::BfsUsaRoad | Benchmark::BfsCage15 => {
-            let (prog, parent, child) = apps::bfs::build_program(mode)?;
-            (prog, vec![parent, child])
-        }
-        Benchmark::ClrCitation | Benchmark::ClrGraph500 | Benchmark::ClrCage15 => {
-            let (prog, check, assign) = apps::clr::build_program(mode)?;
-            (prog, vec![check, assign])
-        }
-        Benchmark::RegxDarpa | Benchmark::RegxString => {
-            let (prog, parent) = apps::regx::build_program(mode)?;
-            (prog, vec![parent])
-        }
-        Benchmark::PreMovielens => {
-            let (prog, parent) = apps::pre::build_program(mode)?;
-            (prog, vec![parent])
-        }
-        Benchmark::JoinUniform | Benchmark::JoinGaussian => {
-            let (prog, probe) = apps::join::build_program(mode)?;
-            (prog, vec![probe])
-        }
-        Benchmark::SsspCitation | Benchmark::SsspFlight | Benchmark::SsspCage15 => {
-            let (prog, parent) = apps::sssp::build_program(mode)?;
-            (prog, vec![parent])
-        }
-    })
-}
-
-/// BFS/SSSP source vertex used by every benchmark of those families.
-const SOURCE: u32 = 0;
-/// AMR top-level cell size.
-const AMR_CELL0: u32 = 32;
-
-/// Drives one cell's mutable phase on an already-bound `gpu`.
-pub(crate) fn drive_on(
-    gpu: &mut Gpu,
-    benchmark: Benchmark,
-    data: &AppData,
-    ids: &[KernelId],
-    variant: Variant,
-) -> Result<RunReport, SimError> {
-    let name = benchmark.name();
-    match (benchmark, data) {
-        (Benchmark::Amr, AppData::Mesh(f)) => {
-            apps::amr::drive(gpu, name, f, AMR_CELL0, ids[0], variant)
-        }
-        (Benchmark::Bht, AppData::Points(p)) => {
-            apps::bht::drive(gpu, name, p, ids[0], ids[1], ids[2], variant)
-        }
-        (
-            Benchmark::BfsCitation | Benchmark::BfsUsaRoad | Benchmark::BfsCage15,
-            AppData::Graph(g),
-        ) => apps::bfs::drive(gpu, name, g, SOURCE, ids[0], variant),
-        (
-            Benchmark::ClrCitation | Benchmark::ClrGraph500 | Benchmark::ClrCage15,
-            AppData::Graph(g),
-        ) => apps::clr::drive(gpu, name, g, ids[0], ids[1], variant),
-        (Benchmark::RegxDarpa | Benchmark::RegxString, AppData::Packets(p)) => {
-            apps::regx::drive(gpu, name, p, ids[0], variant)
-        }
-        (Benchmark::PreMovielens, AppData::Ratings(r)) => {
-            apps::pre::drive(gpu, name, r, ids[0], variant)
-        }
-        (Benchmark::JoinUniform | Benchmark::JoinGaussian, AppData::Join(j)) => {
-            apps::join::drive(gpu, name, j, ids[0], variant)
-        }
-        (
-            Benchmark::SsspCitation | Benchmark::SsspFlight | Benchmark::SsspCage15,
-            AppData::Graph(g),
-        ) => apps::sssp::drive(gpu, name, g, SOURCE, ids[0], variant),
-        _ => unreachable!("build_data always pairs {benchmark:?} with its data family"),
     }
 }
 
@@ -284,7 +160,7 @@ pub struct CellSetup {
     benchmark: Benchmark,
     scale: Scale,
     base_cfg: GpuConfig,
-    data: AppData,
+    app: App,
     /// One prepared `(program, kernel ids)` per [`LaunchMode::ALL`] entry,
     /// shared by the variants of that mode.
     progs: Vec<(Program, Vec<KernelId>)>,
@@ -308,17 +184,17 @@ impl CellSetup {
     ///
     /// Any kernel-construction [`SimError`].
     pub fn new(benchmark: Benchmark, scale: Scale, base_cfg: GpuConfig) -> Result<Self, SimError> {
-        let data = build_data(benchmark, scale);
+        let app = build_data(benchmark, scale);
         let progs = LaunchMode::ALL
             .iter()
-            .map(|&m| prepare(benchmark, m))
+            .map(|&m| app.build(m))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CellSetup {
             benchmark,
             scale,
             keys: keys_of(benchmark, scale, &base_cfg),
             base_cfg,
-            data,
+            app,
             progs,
         })
     }
@@ -333,7 +209,7 @@ impl CellSetup {
             scale: self.scale,
             keys: keys_of(self.benchmark, self.scale, &base_cfg),
             base_cfg,
-            data: self.data.clone(),
+            app: self.app.clone(),
             progs: self.progs.clone(),
         }
     }
@@ -348,9 +224,9 @@ impl CellSetup {
         self.scale
     }
 
-    /// The shared workload buffers.
-    pub fn data(&self) -> &AppData {
-        &self.data
+    /// The app over its shared workload buffers.
+    pub fn app(&self) -> &App {
+        &self.app
     }
 
     /// The prepared program (and its kernel ids) for `variant`: the one
@@ -382,7 +258,8 @@ impl CellSetup {
     pub fn run(&self, variant: Variant) -> Result<RunReport, SimError> {
         let (prog, ids) = self.program(variant);
         let mut gpu = Gpu::new(self.run_cfg(variant), prog.clone());
-        drive_on(&mut gpu, self.benchmark, &self.data, ids, variant)
+        self.app
+            .drive(&mut gpu, self.benchmark.name(), ids, variant)
     }
 
     /// Runs `variant` on a pooled simulator: reset + bind instead of
@@ -395,7 +272,7 @@ impl CellSetup {
     pub fn run_warm(&self, variant: Variant, slot: &mut WarmSlot) -> Result<RunReport, SimError> {
         let (prog, ids) = self.program(variant);
         let gpu = slot.bind(self.run_cfg(variant), prog.clone());
-        drive_on(gpu, self.benchmark, &self.data, ids, variant)
+        self.app.drive(gpu, self.benchmark.name(), ids, variant)
     }
 }
 
@@ -409,7 +286,7 @@ mod tests {
         // Cloning a setup (one clone per sweep cell) shares the workload
         // buffers rather than rebuilding them.
         let cell = setup.clone();
-        assert!(cell.data().ptr_eq(setup.data()));
+        assert!(cell.app().ptr_eq(setup.app()));
         // Programs are prepared per launch mode and handed out by
         // refcount bump, not rebuilt: the variants of one mode share one.
         let (prog, _) = setup.program(Variant::Dtbl);
@@ -429,7 +306,7 @@ mod tests {
             agt_entries: 256,
             ..GpuConfig::test_small()
         });
-        assert!(wide.data().ptr_eq(setup.data()));
+        assert!(wide.app().ptr_eq(setup.app()));
         for v in Variant::ALL {
             assert!(wide.program(v).0.shares_kernels(&setup.program(v).0));
         }

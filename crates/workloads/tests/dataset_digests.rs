@@ -1,11 +1,11 @@
 //! Every benchmark's dataset, pinned: an FNV-1a digest over every array
-//! (and scalar) of each benchmark's [`AppData`] at Test and Eval scale,
+//! (and scalar) of each benchmark's [`App`] input at Test and Eval scale,
 //! compared with `golden/dataset_digests.tsv`. The simulated counts pin
 //! only the data the benchmarked cells read; this pins all 32 datasets,
 //! so a generator rewrite must reproduce each one bit for bit.
 
 use gpu_sim::GpuConfig;
-use workloads::{AppData, Benchmark, CellSetup, Scale};
+use workloads::{App, Benchmark, CellSetup, Scale};
 
 /// 64-bit FNV-1a over little-endian words. Each array is folded with its
 /// length first, so two adjacent arrays cannot trade elements unseen.
@@ -34,41 +34,41 @@ impl Fnv {
 }
 
 /// `(words hashed, digest)` of one dataset.
-fn digest(data: &AppData) -> (usize, u64) {
+fn digest(app: &App) -> (usize, u64) {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let words = match data {
-        AppData::Mesh(f) => {
+    let words = match app {
+        App::Amr(f) => {
             h.word(f.size);
             h.array(&f.values);
             f.values.len()
         }
-        AppData::Points(p) => {
+        App::Bht(p) => {
             h.word(p.extent);
             h.array(&p.xs);
             h.array(&p.ys);
             p.xs.len() + p.ys.len()
         }
-        AppData::Graph(g) => {
+        App::Bfs(g) | App::Clr(g) | App::Sssp(g) => {
             h.array(&g.row_offsets);
             h.array(&g.col_indices);
             let w = g.weights.as_deref().unwrap_or(&[]);
             h.array(w);
             g.row_offsets.len() + g.col_indices.len() + w.len()
         }
-        AppData::Packets(p) => {
+        App::Regx(p) => {
             h.array(&p.symbols);
             h.pairs(&p.segments);
             h.pairs(&p.packets);
             p.symbols.len() + 2 * (p.segments.len() + p.packets.len())
         }
-        AppData::Ratings(r) => {
+        App::Pre(r) => {
             h.word(r.num_users);
             h.array(&r.item_offsets);
             h.array(&r.users);
             h.array(&r.values);
             r.item_offsets.len() + r.users.len() + r.values.len()
         }
-        AppData::Join(j) => {
+        App::Join(j) => {
             h.word(j.domain);
             h.array(&j.build_keys);
             h.array(&j.probe_keys);
@@ -87,7 +87,7 @@ fn every_dataset_matches_its_golden_digest() {
     for scale in [Scale::Test, Scale::Eval] {
         for b in Benchmark::ALL {
             let setup = CellSetup::new(b, scale, GpuConfig::k20c()).expect("setup builds");
-            let (words, fnv) = digest(setup.data());
+            let (words, fnv) = digest(setup.app());
             now.push_str(&format!(
                 "{}\t{}\t{words}\t{fnv:016x}\n",
                 b.name(),
