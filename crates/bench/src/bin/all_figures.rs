@@ -1,11 +1,12 @@
 //! Renders the paper's evaluation from one sweep: every entry of
 //! [`bench::FIGURES`] — Tables 2 and 3, the §4.3 overheads, Figures 6–12
-//! and the three ablations — each followed by its claim table (`held` or
-//! `NOT HELD` per comparison with the paper). `all_figures fig09 table3`
-//! renders only those, running just the cells the selection reads;
-//! `ablation` selects all three ablations. A claim that does not hold is
-//! printed, not fatal: the Test-scale sweep in `tests/cross_crate.rs`
-//! is the gate.
+//! and the three ablations — then, once, their claims and fidelity as the
+//! Markdown EXPERIMENTS.md embeds ([`bench::claims_markdown`]: `held` or
+//! `NOT HELD` per comparison with the paper, and its distance to the
+//! paper). `all_figures fig09 table3` renders only those, running just the
+//! cells the selection reads; `ablation` selects all three ablations. A
+//! claim that does not hold is printed, not fatal: the Test-scale sweep in
+//! `tests/cross_crate.rs` is the gate.
 //!
 //! Flags (`--flag N` or `--flag=N`):
 //!
@@ -26,7 +27,7 @@
 //!   samples the metrics time series every N cycles (default 1000, `0`
 //!   off). Without `--trace` both are inert and tracing is fully off.
 
-use bench::{print_claims, run_figures, Figure, SweepRunner, FIGURES};
+use bench::{claims_markdown, run_figures, Figure, SweepRunner, FIGURES};
 use gpu_sim::GpuConfig;
 use gpu_trace::Category;
 use std::path::PathBuf;
@@ -45,8 +46,8 @@ fn main() {
             eprintln!("failed to write CSV {e}");
             csv_failed = true;
         }
-        print_claims(f.name, &(f.summary)(&m, &rows));
     }
+    print!("\n{}", claims_markdown(&m, &figures));
     if csv && !csv_failed {
         eprintln!("CSV series written under out/figures/");
     }

@@ -17,7 +17,7 @@ use gpu_sim::{BatchServer, GpuConfig, LatencyTable, SimError, Stats, WarpSchedPo
 use gpu_trace::TraceData;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -389,8 +389,10 @@ impl fmt::Display for Sense {
 pub struct Claim {
     /// What is compared, with its unit.
     pub name: &'static str,
-    /// What the paper reports.
-    pub paper: String,
+    /// What the paper reports, aligned with `measured`: one value for every
+    /// measured value, or one per measured value with NaN where the paper
+    /// gives none. Empty when the paper gives no figure.
+    pub paper: Vec<f64>,
     /// What this reproduction measured: one value, one per benchmark or
     /// variant covered, or the series an [`Ordered`] claim orders.
     pub measured: Vec<f64>,
@@ -412,45 +414,104 @@ impl Claim {
             Ordered => m.len() > 1 && m.windows(2).all(|w| w[0] < w[1]),
         }
     }
+
+    /// `measured / paper` at each measured position; NaN where either side
+    /// is not positive or the paper gives no value there.
+    fn ratios(&self) -> Vec<f64> {
+        let paper = |i| self.paper.get(if self.paper.len() == 1 { 0 } else { i });
+        let ratio = |(i, &m): (usize, &f64)| match paper(i) {
+            Some(&p) if m > 0.0 && p > 0.0 => m / p,
+            _ => f64::NAN,
+        };
+        self.measured.iter().enumerate().map(ratio).collect()
+    }
+
+    /// The claim's distance to the paper: the mean |log2(measured /
+    /// paper)| over the positions with a [ratio](Self::ratios), 0 on the
+    /// paper; `None` when no position has one.
+    fn distance(&self) -> Option<f64> {
+        let ratios = self.ratios().into_iter().filter(|r| !r.is_nan());
+        let logs: Vec<f64> = ratios.map(|r| r.log2().abs()).collect();
+        (!logs.is_empty()).then(|| mean(logs))
+    }
 }
 
-impl fmt::Display for Claim {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let verdict = if self.holds() { "held" } else { "NOT HELD" };
-        let measured: Vec<String> = self.measured.iter().map(|&v| num(v)).collect();
-        let (name, measured, sense) = (self.name, measured.join(", "), self.sense);
-        write!(
-            f,
-            "{verdict:<9} {name}: {measured} (want {sense}; paper {})",
-            self.paper
-        )
-    }
+/// The fidelity factor of claim distances: 2^(mean distance), 1 on the
+/// paper; NaN for none.
+fn fidelity(distances: impl IntoIterator<Item = f64>) -> f64 {
+    mean(distances).exp2()
 }
 
 /// A number as a claim row shows it: integers whole, others to three
 /// decimals.
 fn num(v: f64) -> String {
     let whole = v.fract() == 0.0 && v.abs() < 1e15;
-    if whole {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.3}")
-    }
+    format!("{:.*}", if whole { 0 } else { 3 }, v)
 }
 
-/// Prints a figure's claim table: one `held` / `NOT HELD` row per claim.
-pub fn print_claims(figure: &str, claims: &[Claim]) {
-    if !claims.is_empty() {
-        println!("\nClaims ({figure}):");
+/// `values` as a table cell, `—` standing for NaN and for none.
+fn cell(values: &[f64], fmt: fn(f64) -> String) -> String {
+    let show = |&v: &f64| if v.is_nan() { "—".into() } else { fmt(v) };
+    let joined = values.iter().map(show).reduce(|a, b| a + ", " + &b);
+    joined.unwrap_or_else(|| "—".into())
+}
+
+/// A number to three decimals.
+const FIXED3: fn(f64) -> String = |v| format!("{v:.3}");
+
+/// One fidelity row: how many claims, how many of them have a distance,
+/// and the [`fidelity`] factor of those distances.
+fn factor_row(label: &str, claims: usize, d: &[f64]) -> String {
+    let factor = cell(&[fidelity(d.iter().copied())], FIXED3);
+    format!("| {label} | {claims} | {} | {factor} |\n", d.len())
+}
+
+/// The claims of `figures` over `m` and their fidelity, as the Markdown
+/// `all_figures` prints after its tables and EXPERIMENTS.md embeds: one
+/// row per claim, then per figure the factor of its claims' distances and
+/// one overall factor. The overall factor leaves out the figures that read
+/// no cell (Tables 2 and 3, §4.3): their exact rows are model constants.
+pub fn claims_markdown(m: &Matrix, figures: &[&Figure]) -> String {
+    let (mut rows, mut factors, mut held, mut total) = (String::new(), String::new(), 0, 0);
+    let (mut overall, mut overall_d) = (0, Vec::new());
+    for f in figures {
+        let claims = (f.summary)(m, &f.rows(m));
+        let d: Vec<f64> = claims.iter().filter_map(Claim::distance).collect();
+        for c in &claims {
+            let verdict = if c.holds() { "held" } else { "NOT HELD" };
+            let values = [
+                cell(&c.measured, num),
+                c.sense.to_string(),
+                cell(&c.paper, num),
+                cell(&c.ratios(), FIXED3),
+                cell(c.distance().as_slice(), FIXED3),
+            ];
+            let values = values.join(" | ");
+            rows += &format!("| {verdict} | {} | {} | {values} |\n", f.name, c.name);
+            held += usize::from(c.holds());
+        }
+        factors += &factor_row(f.name, claims.len(), &d);
+        total += claims.len();
+        if !f.cells.0.is_empty() {
+            overall += claims.len();
+            overall_d.extend(d);
+        }
     }
-    for c in claims {
-        println!("  {c}");
-    }
+    factors += &factor_row("overall", overall, &overall_d);
+    format!(
+        "Claims: {held} of {total} held.\n\n\
+         | verdict | figure | claim | measured | want | paper | measured / paper | d |\n\
+         |---|---|---|---|---|---|---|---|\n{rows}\n\
+         Fidelity: d = mean |log2(measured / paper)| where both are positive; \
+         factor = 2^(mean d), 1.000 on the paper; overall leaves out the exact tables.\n\n\
+         | figure | claims | with a distance | factor |\n\
+         |---|---|---|---|\n{factors}"
+    )
 }
 
 /// A claim over any number of measured values.
-fn claim(name: &'static str, paper: &str, m: impl IntoIterator<Item = f64>, sense: Sense) -> Claim {
-    let (paper, measured) = (paper.to_string(), m.into_iter().collect());
+fn claim(name: &'static str, p: &[f64], m: impl IntoIterator<Item = f64>, sense: Sense) -> Claim {
+    let (paper, measured) = (p.to_vec(), m.into_iter().collect());
     Claim {
         name,
         paper,
@@ -462,7 +523,7 @@ fn claim(name: &'static str, paper: &str, m: impl IntoIterator<Item = f64>, sens
 /// An exact claim: a table entry the model must reproduce verbatim.
 fn exact(name: &'static str, paper: u64, model: impl TryInto<u64>) -> Claim {
     let m = model.try_into().map_or(f64::NAN, |m| m as f64);
-    claim(name, &paper.to_string(), [m], Near(paper as f64, 0.0))
+    claim(name, &[paper as f64], [m], Near(paper as f64, 0.0))
 }
 
 /// A figure's cells: benchmarks (in row order) × named configs ×
@@ -485,7 +546,7 @@ pub struct Figure {
 /// How a [`Figure`] prints.
 pub enum Render {
     /// A benchmark × series table through [`print_figure`]; with `--csv`
-    /// also written to `out/figures/<name>_<csv>.csv`.
+    /// also written to `out/figures/<name>_<csv>.csv` (gitignored).
     Table {
         /// Table heading.
         title: &'static str,
@@ -537,7 +598,8 @@ impl Figure {
                 print_figure(title, rows, series, |b, s| value(m, b, s), fmt);
                 if csv {
                     let name = format!("{}_{file}", self.name);
-                    write_csv(&name, rows, csv_series, |b, s| value(m, b, s))?;
+                    let out = Path::new("out/figures");
+                    write_csv(out, &name, rows, csv_series, |b, s| value(m, b, s))?;
                 }
             }
             Render::Text(print) => print(m, rows),
@@ -799,7 +861,7 @@ fn fig06(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let gain = |b| act(b, Dtbl) - act(b, Flat);
     let gap = |b| act(b, Dtbl) - act(b, Cdp);
     let avg_gain = mean(bs.iter().map(|&b| gain(b)));
-    let avg_gap = mean(bs.iter().map(|&b| gap(b)));
+    let avg_gap = [mean(bs.iter().map(|&b| gap(b)))];
     let widest = bs.iter().map(|&b| gap(b).abs()).fold(f64::NAN, f64::max);
     // Known deviation 2: this flat AMR is level-synchronous, not the
     // paper's serialized recursion, and its 16-thread groups run half-empty
@@ -807,10 +869,10 @@ fn fig06(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     // scale, +5.6 at Eval).
     let amr = each(bs, &[Benchmark::Amr], gain);
     vec![
-        claim("DTBL − Flat activity (pt)", "+10.7", [avg_gain], Above(0.0)),
-        claim("DTBL − CDP activity (pt)", "0", [avg_gap], Near(0.0, 0.5)),
-        claim("widest DTBL − CDP gap (pt)", "0", [widest], Below(1.0)),
-        claim("dev 2: amr DTBL − Flat (pt)", "+45.3", amr, Below(15.0)),
+        claim("DTBL − Flat activity (pt)", &[10.7], [avg_gain], Above(0.0)),
+        claim("DTBL − CDP activity (pt)", &[0.0], avg_gap, Near(0.0, 0.5)),
+        claim("widest DTBL − CDP gap (pt)", &[0.0], [widest], Below(1.0)),
+        claim("dev 2: amr DTBL − Flat (pt)", &[45.3], amr, Below(15.0)),
     ]
 }
 
@@ -819,7 +881,7 @@ fn fig06(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
 fn fig07(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let eff = |b, v| stats(m, b, v).dram_efficiency();
     let rel = geomean(bs.iter().map(|&b| eff(b, Dtbl) / eff(b, Flat).max(1e-9)));
-    vec![claim("DTBL / Flat efficiency", "1.27x", [rel], Above(1.0))]
+    vec![claim("DTBL / Flat efficiency", &[1.27], [rel], Above(1.0))]
 }
 
 /// Figure 8's claims: DTBL out-occupies CDP, ideal and measured.
@@ -828,8 +890,8 @@ fn fig08(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let ideal = avg(DtblIdeal) - avg(CdpIdeal);
     let real = avg(Dtbl) - avg(Cdp);
     vec![
-        claim("DTBLI − CDPI, avg (pt)", "+17.9", [ideal], Above(0.0)),
-        claim("DTBL − CDP, avg (pt)", "> 0", [real], Above(0.0)),
+        claim("DTBLI − CDPI, avg (pt)", &[17.9], [ideal], Above(0.0)),
+        claim("DTBL − CDP, avg (pt)", &[], [real], Above(0.0)),
     ]
 }
 
@@ -839,8 +901,8 @@ fn fig10(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let cut = 100.0 * mean(fp.iter().filter(|f| f.0 > 0.0).map(|(c, d)| 1.0 - d / c));
     let worse = fp.iter().filter(|(cdp, dtbl)| dtbl > cdp).count() as f64;
     vec![
-        claim("footprint cut, avg (%)", "25.6", [cut], Above(0.0)),
-        claim("benchmarks DTBL above CDP", "0", [worse], Near(0.0, 0.0)),
+        claim("footprint cut, avg (%)", &[25.6], [cut], Above(0.0)),
+        claim("benchmarks DTBL above CDP", &[0.0], [worse], Near(0.0, 0.0)),
     ]
 }
 
@@ -850,8 +912,8 @@ fn fig12(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let by_size = AGT_SIZES
         .iter()
         .map(|c| mean(bs.iter().map(|&b| speedup(b, c.0))));
-    let paper = "0.76 at 512 < 1 < 1.20 at 2048";
-    vec![claim("avg speedup by AGT size", paper, by_size, Ordered)]
+    let paper = [f64::NAN, f64::NAN, 0.76, 1.0, 1.20];
+    vec![claim("avg speedup by AGT size", &paper, by_size, Ordered)]
 }
 
 /// The coalescing ablation's claim: coalescing adds speed on top of the
@@ -860,7 +922,7 @@ fn coalescing(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let c = |b, v| cycles(m, b, STOCK.0, v);
     let gain = |b| c(b, DtblNoCoalesce) / c(b, Dtbl);
     let gain = geomean(bs.iter().map(|&b| gain(b)));
-    vec![claim("DTBL-NC / DTBL cycles", "1.31x", [gain], Above(1.0))]
+    vec![claim("DTBL-NC / DTBL cycles", &[1.31], [gain], Above(1.0))]
 }
 
 /// The scheduler ablation's claims: DTBL's win over CDP survives a warp
@@ -871,8 +933,8 @@ fn scheduler(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let (gto, rr) = (over(STOCK.0), over("RoundRobin"));
     let ratio = rr.iter().zip(&gto).map(|(r, g)| r / g);
     vec![
-        claim("DTBL over CDP, RR", "1.40x", rr.clone(), Above(1.0)),
-        claim("DTBL over CDP, RR / GTO", "1", ratio, Near(1.0, 0.05)),
+        claim("DTBL over CDP, RR", &[1.40], rr.clone(), Above(1.0)),
+        claim("DTBL over CDP, RR / GTO", &[1.0], ratio, Near(1.0, 0.05)),
     ]
 }
 
@@ -887,12 +949,7 @@ fn spatial(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let off = bs
         .iter()
         .flat_map(|&b| RESERVED[1..].iter().map(move |c| off(b, c)));
-    vec![claim(
-        "reserved SMXs move the wait",
-        "not measured",
-        off,
-        Above(0.0),
-    )]
+    vec![claim("reserved SMXs move the wait", &[], off, Above(0.0))]
 }
 
 /// Figure 9's claims: aggregated groups wait less than device kernels.
@@ -908,8 +965,8 @@ fn fig09(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     };
     let (ideal, real) = (red(CdpIdeal, DtblIdeal), red(Cdp, Dtbl));
     vec![
-        claim("DTBLI vs CDPI wait cut (%)", "18.8", ideal, Above(0.0)),
-        claim("DTBL vs CDP wait cut (%)", "24.1", real, Above(0.0)),
+        claim("DTBLI vs CDPI wait cut (%)", &[18.8], ideal, Above(0.0)),
+        claim("DTBL vs CDP wait cut (%)", &[24.1], real, Above(0.0)),
     ]
 }
 
@@ -927,7 +984,7 @@ fn fig11(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let low = [Benchmark::BfsUsaRoad, Benchmark::JoinUniform];
     let low = low.iter().filter(|b| bs.contains(b));
     let low = low.flat_map(|&b| LAUNCHING.iter().map(move |&v| speedup(m, b, v)));
-    let threads = mean(launching().map(Stats::avg_dyn_launch_threads));
+    let threads = [mean(launching().map(Stats::avg_dyn_launch_threads))];
     // Known deviations 1, 3, 4 and 5: small inputs amplify every gain;
     // regx_string launches less per unit of work than the paper's trace;
     // one-shot launch bursts fall back before the first kernel lands;
@@ -936,16 +993,16 @@ fn fig11(m: &Matrix, bs: &[Benchmark]) -> Vec<Claim> {
     let one = |b, v| each(bs, &[b], |b| speedup(m, b, v));
     let regx = one(Benchmark::RegxString, Cdp);
     let flight = one(Benchmark::SsspFlight, Dtbl);
-    let paper = "0.86 < 1 < 1.21 < 1.43 < 1.63";
+    let paper = [0.86, 1.0, 1.21, 1.43, 1.63];
     vec![
-        claim("CDP < Flat < DTBL < CDPI < DTBLI", paper, order, Ordered),
-        claim("DTBL over CDP, geomean", "1.40x", [over_cdp], Above(1.0)),
-        claim("bfs_usa_road, join_uniform", "~1.0x", low, Near(1.0, 0.15)),
-        claim("threads per dynamic launch", "~40", [threads], Below(128.0)),
-        claim("dev 1: DTBL geomean", "1.21x", [order[2]], Above(1.21)),
-        claim("dev 3: regx_string CDP", "0.95x", regx, Above(1.0)),
-        claim("dev 4: match rate (%)", "~98", [matched], Below(98.0)),
-        claim("dev 5: sssp_flight DTBL", "~1.0x", flight, Above(2.0)),
+        claim("CDP < Flat < DTBL < CDPI < DTBLI", &paper, order, Ordered),
+        claim("DTBL over CDP, geomean", &[1.40], [over_cdp], Above(1.0)),
+        claim("bfs_usa_road, join_uniform", &[1.0], low, Near(1.0, 0.15)),
+        claim("threads per dynamic launch", &[40.0], threads, Below(128.0)),
+        claim("dev 1: DTBL geomean", &[1.21], [order[2]], Above(1.21)),
+        claim("dev 3: regx_string CDP", &[0.95], regx, Above(1.0)),
+        claim("dev 4: match rate (%)", &[98.0], [matched], Below(98.0)),
+        claim("dev 5: sssp_flight DTBL", &[1.0], flight, Above(2.0)),
     ]
 }
 
@@ -1073,11 +1130,14 @@ fn table3() -> Sheet {
 /// The §4.3 hardware-overhead analysis: extension registers and the AGT
 /// SRAM cost at several sizes, and the launch-path timing.
 fn overhead() -> Sheet {
+    let cfg = GpuConfig::k20c();
     let mut s = Sheet::new("Hardware overhead analysis (paper §4.3)", 0);
     for agt_entries in [512u32, 1024, 2048] {
         let c = sram_cost(&OverheadParams {
+            kde_entries: cfg.kde_entries as u32,
+            num_smx: cfg.num_smx as u32,
+            tb_slots_per_smx: cfg.max_tb_per_smx as u32,
             agt_entries,
-            ..OverheadParams::default()
         });
         let (kde, fcfs, tbcr) = (c.kde_ext_bytes, c.fcfs_bytes, c.tbcr_bytes);
         let (regs, agt, total) = (c.extension_register_bytes(), c.agt_bytes, c.total_bytes());
@@ -1094,7 +1154,7 @@ fn overhead() -> Sheet {
             paper.into_iter().flatten(),
         );
     }
-    let t = launch_timing(32);
+    let t = launch_timing(cfg.kde_entries as u32);
     let (search, probe) = (t.kde_search_cycles, t.agt_probe_cycles);
     let paper = [
         exact("KDE eligibility search (cycles)", 32, search),
@@ -1162,17 +1222,16 @@ fn spatial_table(m: &Matrix, bs: &[Benchmark]) {
     }
 }
 
-/// Writes one figure as `out/figures/<name>.csv` (benchmark rows, series
-/// columns). `out/` is relative to the working directory, created on
-/// demand and gitignored: regenerated artifacts never land in the repo.
-/// An error names the file it could not write.
+/// Writes one figure as `<dir>/<name>.csv` (benchmark rows, series
+/// columns), creating `dir` on demand. An error names the file it could
+/// not write.
 pub fn write_csv(
+    dir: &Path,
     name: &str,
     benchmarks: &[Benchmark],
     series: &[&str],
     mut value: impl FnMut(Benchmark, &str) -> f64,
 ) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("out").join("figures");
     let path = dir.join(format!("{name}.csv"));
     let mut out = String::from("benchmark");
     for s in series {
@@ -1187,7 +1246,7 @@ pub fn write_csv(
         }
         out.push('\n');
     }
-    std::fs::create_dir_all(&dir)
+    std::fs::create_dir_all(dir)
         .and_then(|()| std::fs::write(&path, out))
         .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
     Ok(path)
@@ -1207,7 +1266,8 @@ mod tests {
     #[test]
     fn write_csv_roundtrip() {
         let p = write_csv(
-            "unit_test_fig",
+            &std::env::temp_dir(),
+            &format!("bench_unit_test_fig_{}", std::process::id()),
             &[Benchmark::Amr, Benchmark::Bht],
             &["A", "B"],
             |b, s| {
@@ -1219,7 +1279,8 @@ mod tests {
             },
         )
         .expect("csv written");
-        let body = std::fs::read_to_string(p).expect("readable");
+        let body = std::fs::read_to_string(&p).expect("readable");
+        std::fs::remove_file(p).expect("removable");
         assert!(body.starts_with("benchmark,A,B\n"));
         assert!(body.contains("amr,1.5,2"));
     }
@@ -1382,7 +1443,7 @@ mod tests {
     /// a claim over nothing (or NaN) never holds.
     #[test]
     fn each_sense_fails_on_a_crafted_value() {
-        let c = |m: &[f64], sense| claim("c", "p", m.iter().copied(), sense).holds();
+        let c = |m: &[f64], sense| claim("c", &[], m.iter().copied(), sense).holds();
         assert!(c(&[1.5], Above(1.0)) && !c(&[1.0], Above(1.0)));
         assert!(!c(&[2.0, 0.5], Above(1.0)), "every value must hold");
         assert!(c(&[0.5], Below(1.0)) && !c(&[1.0], Below(1.0)));
@@ -1398,23 +1459,63 @@ mod tests {
         }
     }
 
+    /// The fidelity arithmetic on hand-computed values: an exact claim is
+    /// on the paper, 1.69 against 1.21 is 0.482 away, distances are taken
+    /// on |log2| and averaged as logs, and a claim with a side at or below
+    /// zero has no distance.
     #[test]
-    fn claim_rows_print_verdict_measured_and_paper() {
-        let held = claim("DTBL", "1.21x", [1.69], Above(1.21));
-        assert_eq!(
-            held.to_string(),
-            "held      DTBL: 1.690 (want > 1.210; paper 1.21x)"
-        );
-        let exact = exact("regs", 1096, 1095u32);
-        assert_eq!(
-            exact.to_string(),
-            "NOT HELD  regs: 1095 (want = 1096; paper 1096)"
-        );
-        let order = claim("o", "a < b", [0.5, 1.0], Ordered);
-        assert_eq!(
-            order.to_string(),
-            "held      o: 0.500, 1 (want ascending; paper a < b)"
-        );
+    fn fidelity_is_the_mean_log_distance_to_the_paper() {
+        let d = |c: Claim| c.distance();
+        assert_eq!(d(exact("regs", 1096, 1096u32)), Some(0.0));
+        assert_eq!(fidelity([0.0]), 1.0);
+        let dtbl = d(claim("DTBL", &[1.21], [1.69], Above(1.21))).expect("both sides positive");
+        assert!((dtbl - 0.482).abs() < 5e-4, "{dtbl}");
+        let spread = d(claim("s", &[1.0], [2.0, 0.25], Above(0.0)));
+        assert_eq!(spread, Some(1.5), "mean of |log2| 1 and |log2| 2");
+        let logs = d(claim("l", &[1.0], [2.0, 8.0], Above(0.0)));
+        assert_eq!(logs, Some(2.0), "mean of log2 1 and 3, not log2 of mean 5");
+        assert_eq!(fidelity([1.0, 3.0]), 4.0, "2^2, not the mean of 2 and 8");
+        let gaps = claim("g", &[f64::NAN, 0.5], [1.0, 1.0], Ordered);
+        assert_eq!(d(gaps), Some(1.0), "a gap in the paper is skipped");
+        assert_eq!(d(claim("zero", &[0.0], [0.5], Near(0.0, 1.0))), None);
+        assert_eq!(d(claim("negative", &[45.3], [-3.0], Below(15.0))), None);
+        assert_eq!(d(claim("none", &[], [0.5], Above(0.0))), None);
+    }
+
+    /// The claims block: one row per claim with verdict, measured, sense,
+    /// paper, ratio and distance, and a fidelity block that counts the
+    /// claims without a distance and leaves the figures that read no cell
+    /// out of the overall factor.
+    #[test]
+    fn claims_markdown_rows_and_fidelity() {
+        let exact_table = Figure {
+            name: "exact",
+            cells: NONE,
+            render: Render::Text(|_, _| {}),
+            summary: |_, _| vec![exact("regs", 1096, 1095u32)],
+        };
+        let measured = Figure {
+            summary: |_, _| {
+                vec![
+                    claim("DTBL", &[1.21], [1.69], Above(1.21)),
+                    claim("gap", &[0.0], [-0.024], Near(0.0, 0.5)),
+                ]
+            },
+            ..cells(&[Benchmark::Amr], &[Flat])
+        };
+        let md = claims_markdown(&Matrix::default(), &[&exact_table, &measured]);
+        let rows = [
+            "Claims: 2 of 3 held.",
+            "| NOT HELD | exact | regs | 1095 | = 1096 | 1096 | 0.999 | 0.001 |",
+            "| held | cells | DTBL | 1.690 | > 1.210 | 1.210 | 1.397 | 0.482 |",
+            "| held | cells | gap | -0.024 | 0 ± 0.500 | 0 | — | — |",
+            "| exact | 1 | 1 | 1.001 |",
+            "| cells | 2 | 1 | 1.397 |",
+            "| overall | 2 | 1 | 1.397 |",
+        ];
+        for row in rows {
+            assert!(md.lines().any(|l| l == row), "{row} not in\n{md}");
+        }
     }
 
     /// `all_figures ablation` selects the three ablations, and a figure

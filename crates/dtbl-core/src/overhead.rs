@@ -4,9 +4,10 @@
 //! on-chip SRAM and that a 1024-entry AGT takes **20 KB at 20 bytes per
 //! entry** (≈0.5% of the area of all SMX shared memory + register files).
 //! This module regenerates those numbers from the structural parameters so
-//! the `overhead` bench binary can print the paper's Table-style summary.
+//! `all_figures overhead` can print the paper's Table-style summary.
 
 /// Structural parameters of the GPU that determine the extension cost.
+/// `all_figures overhead` takes them from `GpuConfig::k20c()`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OverheadParams {
     /// Kernel Distributor entries (32 on GK110).
@@ -17,17 +18,6 @@ pub struct OverheadParams {
     pub tb_slots_per_smx: u32,
     /// AGT entries.
     pub agt_entries: u32,
-}
-
-impl Default for OverheadParams {
-    fn default() -> Self {
-        OverheadParams {
-            kde_entries: 32,
-            num_smx: 13,
-            tb_slots_per_smx: 16,
-            agt_entries: 1024,
-        }
-    }
 }
 
 /// Bytes of one AGE: `AggDim` (3 × u16 = 6 B), `Param` pointer (4 B),
@@ -62,7 +52,7 @@ pub struct SramCost {
 
 impl SramCost {
     /// Extension registers (everything except the AGT). The paper quotes
-    /// 1096 bytes for the default GK110/K20c parameters.
+    /// 1096 bytes for the GK110/K20c parameters.
     pub fn extension_register_bytes(&self) -> u32 {
         self.kde_ext_bytes + self.fcfs_bytes + self.tbcr_bytes
     }
@@ -106,9 +96,17 @@ pub fn launch_timing(kde_entries: u32) -> LaunchTiming {
 mod tests {
     use super::*;
 
+    /// The GK110/K20c structure of §4.3 with a 1024-entry AGT.
+    const K20C: OverheadParams = OverheadParams {
+        kde_entries: 32,
+        num_smx: 13,
+        tb_slots_per_smx: 16,
+        agt_entries: 1024,
+    };
+
     #[test]
     fn reproduces_paper_extension_register_cost() {
-        let c = sram_cost(&OverheadParams::default());
+        let c = sram_cost(&K20C);
         // 32*8 = 256 (KDE) + 8 (FCFS bits) + 13*16*4 = 832 (TBCR) = 1096.
         assert_eq!(c.kde_ext_bytes, 256);
         assert_eq!(c.fcfs_bytes, 8);
@@ -118,7 +116,7 @@ mod tests {
 
     #[test]
     fn reproduces_paper_agt_cost() {
-        let c = sram_cost(&OverheadParams::default());
+        let c = sram_cost(&K20C);
         assert_eq!(c.agt_bytes, 20 * 1024, "20KB for a 1024-entry AGT");
         assert_eq!(c.total_bytes(), 1096 + 20480);
     }
@@ -127,7 +125,7 @@ mod tests {
     fn agt_cost_scales_linearly() {
         let halved = sram_cost(&OverheadParams {
             agt_entries: 512,
-            ..OverheadParams::default()
+            ..K20C
         });
         assert_eq!(halved.agt_bytes, 10 * 1024);
         assert_eq!(

@@ -1,10 +1,12 @@
 //! The paper's evidence at Test scale, end to end: one sweep of every
 //! `bench::FIGURES` cell — the same path `all_figures` renders from —
 //! then assertions over the shared matrix. Every claim holds, every cell
-//! validates against its host reference, and every stock cell's simulated
-//! cycles match `tests/golden/test_matrix_cycles.tsv`.
+//! validates against its host reference, every stock cell's simulated
+//! cycles match `tests/golden/test_matrix_cycles.tsv`, and EXPERIMENTS.md
+//! embeds the claims block this sweep renders.
 
-use bench::{run_figures, Claim, Figure, Matrix, Render, SweepRunner, FIGURES, STOCK};
+use bench::{claims_markdown, run_figures, Claim, Figure, Matrix, Render, SweepRunner};
+use bench::{FIGURES, STOCK};
 use dtbl_repro::gpu_sim::{sweep::default_jobs, GpuConfig, Stats};
 use dtbl_repro::workloads::{Benchmark, Scale, Variant};
 use std::sync::OnceLock;
@@ -59,7 +61,7 @@ fn claims_hold(figures: &[&str]) {
             claims
                 .iter()
                 .filter(|c| !c.holds())
-                .map(|c| format!("{name}: {c}")),
+                .map(|c| format!("{name}: {} {:?} (want {})", c.name, c.measured, c.sense)),
         );
     }
     assert!(checked > 0, "no claims from {figures:?}");
@@ -143,6 +145,32 @@ fn stock_matrix_cycles_match_golden() {
         );
     }
     assert_eq!(total, 28_590_263, "total simulated cycles of the 80 cells");
+}
+
+/// EXPERIMENTS.md holds `all_figures --test-scale`'s claims block
+/// verbatim between its Test-scale markers, so a hand edit of the block, or
+/// a claim or paper value changed in code without regenerating it, fails
+/// here. On a mismatch the failure prints the replacement block.
+#[test]
+fn experiments_md_embeds_the_test_scale_claims() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let (begin, end) = (
+        "<!-- begin claims: Test scale -->\n",
+        "\n<!-- end claims: Test scale -->",
+    );
+    let block = doc
+        .split_once(begin)
+        .and_then(|(_, rest)| rest.split_once(end));
+    let block = block
+        .expect("EXPERIMENTS.md marks its Test-scale claims block")
+        .0;
+    let figures: Vec<&Figure> = FIGURES.iter().collect();
+    let now = claims_markdown(&sweep().m, &figures);
+    assert!(
+        block == now,
+        "EXPERIMENTS.md's Test-scale claims block differs from the run; \
+         replacement block:\n{now}"
+    );
 }
 
 /// Every benchmark validates under Flat, and Flat never launches.
